@@ -23,8 +23,9 @@
 
    Connections to backends are pooled per backend (plain LIFO stacks;
    a connection that saw a transport error is closed, not returned).
-   The router is thread-per-client-connection like the daemon, with no
-   compute of its own — its only state is routing state. *)
+   The router serves its port through the same {!Frame_server} as the
+   daemon, with no compute of its own — its only state is routing
+   state. *)
 
 type config = {
   host : string;
@@ -67,14 +68,9 @@ let default_config =
 (* cap on waiting for an in-flight leg once we are committed to it *)
 let leg_wait_cap_ms = 60_000
 
-(* Auxiliary counter slots in the rolling window. *)
-let w_requests = 0
-
-let w_errors = 1
-let w_retries = 2
-let w_hedges = 3
-let w_ops = 4 (* batch sub-ops count as ops; a plain request is 1 op *)
-let w_counters = 5
+(* The router's own counter slots in the rolling window. *)
+let w_retries = Frame_server.w_first_extra
+let w_hedges = Frame_server.w_first_extra + 1
 
 type backend = {
   b_host : string;
@@ -90,55 +86,26 @@ type backend = {
 
 type t = {
   config : config;
-  sock : Unix.file_descr;
-  actual_port : int;
-  http_sock : Unix.file_descr option;
-  actual_http_port : int;
+  fs : Frame_server.t;
   backends : backend array;
   ring : Ring.t;
   health : Health.t;
   balancer : Balancer.t;
-  started_ns : int;
-  stopping : bool Atomic.t;
-  rid : int Atomic.t;
-  window : Obs.Window.t;
-  c_requests : int Atomic.t;
   c_retries : int Atomic.t;
   c_hedges : int Atomic.t;
   c_hedge_wins : int Atomic.t;
   c_no_backend : int Atomic.t;
-  c_bad_frames : int Atomic.t;
-  c_connections : int Atomic.t;
   c_shards : int Atomic.t;  (* Verify_partition frames forwarded *)
 }
-
-let listen_on host port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen sock 64
-   with e ->
-     (try Unix.close sock with _ -> ());
-     raise e);
-  let actual =
-    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
-  (sock, actual)
 
 let create (config : config) =
   let n = List.length config.backends in
   if n < 1 then invalid_arg "Router.create: need at least one backend";
   if config.retries < 0 then invalid_arg "Router.create: retries < 0";
-  let sock, actual_port = listen_on config.host config.port in
-  let http_sock, actual_http_port =
-    if config.http_port < 0 then (None, -1)
-    else
-      match listen_on config.host config.http_port with
-      | s, p -> (Some s, p)
-      | exception e ->
-          (try Unix.close sock with _ -> ());
-          raise e
+  let fs =
+    Frame_server.create ~name:"router" ~host:config.host ~port:config.port
+      ~http_port:config.http_port ~trace_sample:config.trace_sample
+      ~log:config.log ()
   in
   let ring = Ring.create ~vnodes:config.vnodes n in
   let health =
@@ -147,10 +114,7 @@ let create (config : config) =
   in
   {
     config;
-    sock;
-    actual_port;
-    http_sock;
-    actual_http_port;
+    fs;
     backends =
       Array.of_list
         (List.map
@@ -170,88 +134,21 @@ let create (config : config) =
     ring;
     health;
     balancer = Balancer.create ~load_factor:config.load_factor ring health;
-    started_ns = Obs.Clock.now_ns ();
-    stopping = Atomic.make false;
-    rid = Atomic.make 1;
-    window = Obs.Window.create ~horizon:60 ~counters:w_counters ();
-    c_requests = Atomic.make 0;
     c_retries = Atomic.make 0;
     c_hedges = Atomic.make 0;
     c_hedge_wins = Atomic.make 0;
     c_no_backend = Atomic.make 0;
-    c_bad_frames = Atomic.make 0;
-    c_connections = Atomic.make 0;
     c_shards = Atomic.make 0;
   }
 
-let port t = t.actual_port
-let http_port t = t.actual_http_port
-let uptime_ms t = (Obs.Clock.now_ns () - t.started_ns) / 1_000_000
+let port t = Frame_server.port t.fs
+let http_port t = Frame_server.http_port t.fs
+let err = Frame_server.err
 
-let err code fmt =
-  Printf.ksprintf (fun message -> Wire.Error_reply { code; message }) fmt
-
-(* The routing key doubles as the backend's compiled-verifier cache
-   key (see Server.cache_key) — content-addressed placement is what
-   gives the cluster cache affinity. *)
-let batch_op_scheme = function
-  | Wire.Op_prove { scheme; _ }
-  | Wire.Op_verify { scheme; _ }
-  | Wire.Op_forge { scheme; _ } ->
-      scheme
-
-let batch_op_graph = function
-  | Wire.Op_prove { graph; _ }
-  | Wire.Op_verify { graph; _ }
-  | Wire.Op_forge { graph; _ } ->
-      graph
-
-(* Per-op routing key inside a batch — the same content key a plain
-   request over that op's graph would get, so a batch op lands on the
-   daemon whose LRU already holds its compiled image. The decoder
-   guarantees in-range graph indices; hand-built requests with stray
-   indices share one arbitrary key and get their per-op Bad_request
-   from whichever backend receives them. *)
-let op_key gtable op =
-  let gi = batch_op_graph op in
-  let g6 = if gi < Array.length gtable then gtable.(gi) else "" in
-  batch_op_scheme op ^ "/" ^ Digest.to_hex (Digest.string g6)
-
-let request_key = function
-  | Wire.Prove { scheme; graph6 }
-  | Wire.Verify { scheme; graph6; _ }
-  | Wire.Forge { scheme; graph6; _ }
-  (* a sampled verify shares the plain key on purpose: both paths
-     consume the same compiled image, so cache affinity must agree *)
-  | Wire.Verify_sampled { scheme; graph6; _ } ->
-      scheme ^ "/" ^ Digest.to_hex (Digest.string graph6)
-  | Wire.Verify_partition { scheme; graph6; ids; _ } ->
-      (* same composite identity the backend caches the shard image
-         under (Server.shard_identity): subgraph bytes plus the id map,
-         so a re-verified shard keeps hitting the daemon whose LRU
-         holds it *)
-      let b = Buffer.create (String.length graph6 + (4 * Array.length ids)) in
-      Buffer.add_string b graph6;
-      Array.iter (fun id -> Buffer.add_string b (Printf.sprintf "\n%x" id)) ids;
-      scheme ^ "/" ^ Digest.to_hex (Digest.string (Buffer.contents b))
-  | Wire.Batch { graphs; ops; _ } -> (
-      match ops with
-      | [] -> ""
-      | op :: _ -> op_key (Array.of_list graphs) op)
-  | Wire.Stats | Wire.Catalog | Wire.Metrics_text | Wire.Health
-  | Wire.Drain _ | Wire.Trace_export | Wire.Profile_export ->
-      ""
-
-(* A child span identity under the request's routing span; null stays
-   null, so untraced requests cost nothing. *)
-let child_span (tctx : Obs.Trace.ctx) =
-  if tctx.Obs.Trace.span = 0 then Obs.Trace.null_ctx
-  else
-    {
-      tctx with
-      Obs.Trace.span = Obs.Trace.new_span_id ();
-      parent = tctx.Obs.Trace.span;
-    }
+(* The routing key is the backend's compiled-verifier cache key —
+   content-addressed placement is what gives the cluster cache
+   affinity. *)
+let request_key = Wire.request_key
 
 (* --- backend connections ---------------------------------------------- *)
 
@@ -274,7 +171,7 @@ let borrow t bi =
 
 let give_back t bi c =
   let b = t.backends.(bi) in
-  if Atomic.get t.stopping then Client.close c
+  if Frame_server.stopping t.fs then Client.close c
   else begin
     Mutex.lock b.b_mu;
     let keep = List.length b.b_idle < max_idle_per_backend in
@@ -308,17 +205,21 @@ let with_conn t bi f =
           Client.close c;
           r)
 
+(* One admin round trip to backend [bi]; [pick] recognises the
+   expected reply. *)
+let ask t bi req pick =
+  with_conn t bi (fun c ->
+      match Client.call c req with
+      | Ok resp -> Option.to_result ~none:"unexpected response" (pick resp)
+      | Error _ as e -> e)
+
 (* --- health probing ---------------------------------------------------- *)
 
 let probe_once ?now_ns t =
   Array.iteri
     (fun i _ ->
       match
-        with_conn t i (fun c ->
-            match Client.call c Wire.Health with
-            | Ok (Wire.Health_reply h) -> Ok h
-            | Ok _ -> Error "unexpected health response"
-            | Error _ as e -> e)
+        ask t i Wire.Health (function Wire.Health_reply h -> Some h | _ -> None)
       with
       | Ok h -> Health.observe_ok ?now_ns t.health i ~ready:h.Wire.ready
       | Error _ -> Health.observe_failure ?now_ns t.health i)
@@ -326,9 +227,9 @@ let probe_once ?now_ns t =
 
 let probe_loop t =
   let interval_s = float_of_int t.config.probe_interval_ms /. 1000.0 in
-  while not (Atomic.get t.stopping) do
+  while not (Frame_server.stopping t.fs) do
     probe_once t;
-    if not (Atomic.get t.stopping) then Thread.delay interval_s
+    if not (Frame_server.stopping t.fs) then Thread.delay interval_s
   done
 
 (* --- forwarding -------------------------------------------------------- *)
@@ -341,25 +242,27 @@ type leg_failure = [ `Overloaded of Wire.response | `Transport of string ]
 let attempt_on t ~rid ~tctx req bi : (Wire.response, leg_failure) result =
   let b = t.backends.(bi) in
   Atomic.incr b.b_requests;
+  let transport_failure m =
+    Atomic.incr b.b_errors;
+    Health.observe_failure t.health bi;
+    Error (`Transport m)
+  in
   match borrow t bi with
-  | Error m ->
-      Atomic.incr b.b_errors;
-      Health.observe_failure t.health bi;
-      Error (`Transport m)
+  | Error m -> transport_failure m
   | Ok c -> (
       (* the upstream span brackets exactly the request/response round
          trip on the router's clock, and the backend parents its own
          server.request span under it — that pairing is what the trace
          merger's clock-offset estimate keys on *)
-      let uctx = child_span tctx in
+      let uctx = Frame_server.child_span tctx in
       match
         Obs.Trace.span_ctx "router.upstream" "backend" bi uctx (fun () ->
             Client.call_id ?trace:(Client.wire_trace uctx) c ~id:rid req)
       with
       | Ok (rid', resp) -> (
           match resp with
-          | Wire.Error_reply { code = (Wire.Overloaded | Wire.Unavailable) as code; _ }
-            ->
+          | Wire.Error_reply
+              { code = (Wire.Overloaded | Wire.Unavailable) as code; _ } ->
               give_back t bi c;
               Atomic.incr b.b_errors;
               (* both typed declines are worth a retry elsewhere:
@@ -373,20 +276,15 @@ let attempt_on t ~rid ~tctx req bi : (Wire.response, leg_failure) result =
           | _ when rid' <> rid ->
               (* echoed id mismatch: the connection slipped a frame *)
               Client.close c;
-              Atomic.incr b.b_errors;
-              Health.observe_failure t.health bi;
-              Error
-                (`Transport
-                  (Printf.sprintf "backend %s echoed id %d for request %d"
-                     b.b_name rid' rid))
+              transport_failure
+                (Printf.sprintf "backend %s echoed id %d for request %d"
+                   b.b_name rid' rid)
           | _ ->
               give_back t bi c;
               Ok resp)
       | Error m ->
           Client.close c;
-          Atomic.incr b.b_errors;
-          Health.observe_failure t.health bi;
-          Error (`Transport m))
+          transport_failure m)
 
 (* A leg of a (possibly hedged) attempt: run it, release the balancer
    slot, then race into the cell. A reply that loses the race is
@@ -430,9 +328,9 @@ let hedged_attempt t ~key ~rid ~tctx req bi ~avoid =
       | Some b2 ->
           Atomic.incr t.c_hedges;
           Atomic.incr t.backends.(b2).b_hedges;
-          Obs.Window.incr t.window w_hedges;
-          Obs.Trace.instant ~arg_name:"backend" ~arg:b2 ~ctx:(child_span tctx)
-            "router.hedge";
+          Obs.Window.incr (Frame_server.window t.fs) w_hedges;
+          Obs.Trace.instant ~arg_name:"backend" ~arg:b2
+            ~ctx:(Frame_server.child_span tctx) "router.hedge";
           Hedge.add_leg cell;
           spawn_leg t ~rid ~tctx req b2 ~origin:`Hedge cell last_failure;
           finish [ bi; b2 ] (Hedge.await cell ~timeout_ms:leg_wait_cap_ms))
@@ -522,9 +420,9 @@ let forward_compute t ~rid ~tctx req =
             if attempt >= max_attempts then exhausted ~attempts:attempt last
             else begin
               Atomic.incr t.c_retries;
-              Obs.Window.incr t.window w_retries;
+              Obs.Window.incr (Frame_server.window t.fs) w_retries;
               Obs.Trace.instant ~arg_name:"attempt" ~arg:attempt
-                ~ctx:(child_span tctx) "router.retry";
+                ~ctx:(Frame_server.child_span tctx) "router.retry";
               List.iter
                 (fun b -> Atomic.incr t.backends.(b).b_retries)
                 used;
@@ -536,13 +434,6 @@ let forward_compute t ~rid ~tctx req =
             end)
   in
   go 1 [] None
-
-let fresh_rid t =
-  let rec fresh () =
-    let v = Atomic.fetch_and_add t.rid 1 land max_int in
-    if v = 0 then fresh () else v
-  in
-  fresh ()
 
 (* --- batch fan-out ------------------------------------------------------ *)
 
@@ -575,7 +466,7 @@ let forward_batch t ~rid ~tctx ~graphs ~proofs ~ops =
       let groups = Hashtbl.create 8 in
       List.iteri
         (fun i op ->
-          let key = op_key gt op in
+          let key = Wire.op_key gt op in
           match Hashtbl.find_opt groups key with
           | Some members -> members := (i, op) :: !members
           | None ->
@@ -587,7 +478,7 @@ let forward_batch t ~rid ~tctx ~graphs ~proofs ~ops =
           forward_compute t ~rid ~tctx (Wire.Batch { graphs; proofs; ops })
       | keys ->
           Obs.Trace.instant ~arg_name:"legs" ~arg:(List.length keys)
-            ~ctx:(child_span tctx) "router.split";
+            ~ctx:(Frame_server.child_span tctx) "router.split";
           let slots =
             Array.make (List.length ops)
               (Wire.Item_error
@@ -595,31 +486,27 @@ let forward_batch t ~rid ~tctx ~graphs ~proofs ~ops =
           in
           let run_group key =
             let members = List.rev !(Hashtbl.find groups key) in
-            let remap = Hashtbl.create 4 in
-            let sub_graphs = ref [] in
-            let newgraph gi =
-              match Hashtbl.find_opt remap gi with
-              | Some j -> j
-              | None ->
-                  let j = Hashtbl.length remap in
-                  Hashtbl.add remap gi j;
-                  sub_graphs :=
-                    (if gi < Array.length gt then gt.(gi) else "")
-                    :: !sub_graphs;
-                  j
+            (* a dense sub-batch table: [intern i] is original entry
+               [i]'s index in the sub-batch, in first-use order *)
+            let table entry =
+              let remap = Hashtbl.create 4 and entries = ref [] in
+              let intern i =
+                match Hashtbl.find_opt remap i with
+                | Some j -> j
+                | None ->
+                    let j = Hashtbl.length remap in
+                    Hashtbl.add remap i j;
+                    entries := entry i :: !entries;
+                    j
+              in
+              (intern, entries)
             in
-            let premap = Hashtbl.create 4 in
-            let sub_proofs = ref [] in
-            let newproof pi =
-              match Hashtbl.find_opt premap pi with
-              | Some j -> j
-              | None ->
-                  let j = Hashtbl.length premap in
-                  Hashtbl.add premap pi j;
-                  sub_proofs :=
-                    (if pi < Array.length pt then pt.(pi) else Proof.empty)
-                    :: !sub_proofs;
-                  j
+            let newgraph, sub_graphs =
+              table (fun gi -> if gi < Array.length gt then gt.(gi) else "")
+            in
+            let newproof, sub_proofs =
+              table (fun pi ->
+                  if pi < Array.length pt then pt.(pi) else Proof.empty)
             in
             let sub_ops =
               List.map (fun (_, op) -> remap_op ~newgraph ~newproof op) members
@@ -635,7 +522,8 @@ let forward_batch t ~rid ~tctx ~graphs ~proofs ~ops =
             let fill item_at =
               List.iteri (fun j (i, _) -> slots.(i) <- item_at j) members
             in
-            match forward_compute t ~rid:(fresh_rid t) ~tctx req with
+            let leg_rid = Frame_server.fresh_rid t.fs in
+            match forward_compute t ~rid:leg_rid ~tctx req with
             | Wire.Batch_reply items when List.length items = List.length members
               ->
                 let items = Array.of_list items in
@@ -659,10 +547,11 @@ let forward_batch t ~rid ~tctx ~graphs ~proofs ~ops =
 
 let health t =
   {
-    Wire.ready = (not (Atomic.get t.stopping)) && Health.alive t.health > 0;
+    Wire.ready =
+      (not (Frame_server.stopping t.fs)) && Health.alive t.health > 0;
     pending = Balancer.total_inflight t.balancer;
     max_queue = 0;
-    uptime_ms = uptime_ms t;
+    uptime_ms = Frame_server.uptime_ms t.fs;
   }
 
 (* Cluster-wide stats: every live backend's counters summed, so `lcp
@@ -673,11 +562,7 @@ let stats_reply t =
     (fun i _ ->
       if Health.state t.health i <> Health.Dead then
         match
-          with_conn t i (fun c ->
-              match Client.call c Wire.Stats with
-              | Ok (Wire.Stats_reply s) -> Ok s
-              | Ok _ -> Error "unexpected stats response"
-              | Error _ as e -> e)
+          ask t i Wire.Stats (function Wire.Stats_reply s -> Some s | _ -> None)
         with
         | Error _ -> ()
         | Ok s ->
@@ -699,7 +584,8 @@ let stats_reply t =
                     }))
     t.backends;
   match !acc with
-  | Some s -> Wire.Stats_reply { s with Wire.uptime_ms = uptime_ms t }
+  | Some s ->
+      Wire.Stats_reply { s with Wire.uptime_ms = Frame_server.uptime_ms t.fs }
   | None -> err Wire.Internal "no backend answered stats"
 
 let catalog_reply t =
@@ -709,11 +595,9 @@ let catalog_reply t =
     else if Health.state t.health i = Health.Dead then go (i + 1)
     else
       match
-        with_conn t i (fun c ->
-            match Client.call c Wire.Catalog with
-            | Ok (Wire.Catalog_reply _ as r) -> Ok r
-            | Ok _ -> Error "unexpected catalog response"
-            | Error _ as e -> e)
+        ask t i Wire.Catalog (function
+          | Wire.Catalog_reply _ as r -> Some r
+          | _ -> None)
       with
       | Ok r -> r
       | Error _ -> go (i + 1)
@@ -724,8 +608,7 @@ let catalog_reply t =
 
 let metrics_text t =
   let e = Obs.Export.create () in
-  Obs.Export.counter e ~help:"Requests received by the router"
-    "router.requests" (Atomic.get t.c_requests);
+  Frame_server.export t.fs e;
   Obs.Export.counter e ~help:"Forwarding retries" "router.retries"
     (Atomic.get t.c_retries);
   Obs.Export.counter e ~help:"Hedge legs issued" "router.hedges"
@@ -736,14 +619,9 @@ let metrics_text t =
   Obs.Export.counter e ~help:"Requests with no usable backend"
     "router.no_backend"
     (Atomic.get t.c_no_backend);
-  Obs.Export.counter e ~help:"Unparseable frames" "router.bad_frames"
-    (Atomic.get t.c_bad_frames);
   Obs.Export.counter e ~help:"Partition shards forwarded"
     "router.partition_shards"
     (Atomic.get t.c_shards);
-  Obs.Export.counter e ~help:"Client connections accepted"
-    "router.connections"
-    (Atomic.get t.c_connections);
   Obs.Export.gauge e ~help:"Configured backends" "router.backends"
     (float_of_int (Array.length t.backends));
   Obs.Export.gauge e ~help:"Backends not ejected" "router.alive_backends"
@@ -751,9 +629,6 @@ let metrics_text t =
   Obs.Export.gauge e ~help:"Requests in flight to backends"
     "router.inflight"
     (float_of_int (Balancer.total_inflight t.balancer));
-  Obs.Export.gauge e ~help:"Seconds since the router started"
-    "router.uptime_seconds"
-    (float_of_int (uptime_ms t) /. 1000.0);
   Obs.Export.gauge e ~help:"1 when at least one backend is usable"
     "router.ready"
     (if (health t).Wire.ready then 1.0 else 0.0);
@@ -785,25 +660,6 @@ let metrics_text t =
         | Health.Saturated -> 1.0
         | Health.Dead -> 2.0))
     t.backends;
-  List.iter
-    (fun seconds ->
-      let w = Obs.Window.stats ~seconds t.window in
-      let labels = [ ("window", string_of_int w.Obs.Window.seconds ^ "s") ] in
-      Obs.Export.window_summary e
-        ~help:"Routed request latency in microseconds, rolling window"
-        "router.request_us" w;
-      Obs.Export.gauge e ~labels ~help:"Routed requests per second"
-        "router.request_rate" w.Obs.Window.rate;
-      Obs.Export.gauge e ~labels
-        ~help:"Routed operations per second (batch sub-ops counted singly)"
-        "router.op_rate"
-        (float_of_int w.Obs.Window.counters.(w_ops)
-        /. float_of_int w.Obs.Window.seconds);
-      Obs.Export.gauge e ~labels ~help:"Error responses per second"
-        "router.error_rate"
-        (float_of_int w.Obs.Window.counters.(w_errors)
-        /. float_of_int w.Obs.Window.seconds))
-    [ 1; 10; 60 ];
   (* the router's own GC/profiler telemetry: its hot path is header
      shuffling and connection pooling, which is exactly where an
      allocation regression would hide *)
@@ -835,13 +691,13 @@ type stats = {
 
 let stats t =
   {
-    requests = Atomic.get t.c_requests;
+    requests = Frame_server.requests t.fs;
     retries = Atomic.get t.c_retries;
     hedges = Atomic.get t.c_hedges;
     hedge_wins = Atomic.get t.c_hedge_wins;
     no_backend = Atomic.get t.c_no_backend;
-    bad_frames = Atomic.get t.c_bad_frames;
-    connections = Atomic.get t.c_connections;
+    bad_frames = Frame_server.bad_frames t.fs;
+    connections = Frame_server.connections t.fs;
     per_backend =
       Array.to_list
         (Array.mapi
@@ -860,239 +716,65 @@ let stats t =
 
 (* --- request dispatch -------------------------------------------------- *)
 
-let outcome_of = function
-  | Wire.Error_reply { code; _ } -> Wire.error_code_to_string code
-  | _ -> "ok"
-
-let request_kind = function
-  | Wire.Prove _ -> "prove"
-  | Wire.Verify _ -> "verify"
-  | Wire.Forge _ -> "forge"
-  | Wire.Verify_partition _ -> "verify_partition"
-  | Wire.Verify_sampled _ -> "verify_sampled"
-  | Wire.Batch _ -> "batch"
-  | Wire.Stats -> "stats"
-  | Wire.Catalog -> "catalog"
-  | Wire.Metrics_text -> "metrics"
-  | Wire.Health -> "health"
-  | Wire.Drain _ -> "drain"
-  | Wire.Trace_export -> "trace"
-  | Wire.Profile_export -> "profile"
-
-let handle_request t ~rid ~tctx req =
-  Atomic.incr t.c_requests;
-  let t0 = Obs.Clock.now_ns () in
-  let resp =
-    Obs.Trace.span_ctx "router.request" "rid" rid tctx @@ fun () ->
-    match req with
-    | Wire.Health -> Wire.Health_reply (health t)
-    | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
-    | Wire.Stats -> stats_reply t
-    | Wire.Catalog -> catalog_reply t
-    | Wire.Trace_export ->
-        (* the router's own ring, answered locally — each process in
-           the cluster exports its own lane *)
-        Wire.Trace_export_reply
-          (if !Obs.Trace.enabled then Obs.Trace.export_string ()
-           else "{\"traceEvents\":[],\"dropped\":0}")
-    | Wire.Profile_export ->
-        (* local, like Trace_export: each process profiles itself *)
-        Wire.Profile_export_reply (Obs.Profile.export_string ())
-    | Wire.Drain _ ->
-        err Wire.Bad_request
-          "drain is a backend-local operation: send it to a daemon, not the \
-           router"
-    | Wire.Batch { graphs; proofs; ops } ->
-        forward_batch t ~rid ~tctx ~graphs ~proofs ~ops
-    | Wire.Verify_partition { shard_index; _ } ->
-        Atomic.incr t.c_shards;
-        Obs.Trace.instant ~arg_name:"shard" ~arg:shard_index
-          ~ctx:(child_span tctx) "router.shard";
-        forward_compute t ~rid ~tctx req
-    | Wire.Prove _ | Wire.Verify _ | Wire.Forge _ | Wire.Verify_sampled _ ->
-        forward_compute t ~rid ~tctx req
-  in
-  let latency_us = (Obs.Clock.now_ns () - t0) / 1_000 in
-  Obs.Window.observe t.window latency_us;
-  Obs.Window.incr t.window w_requests;
-  Obs.Window.add t.window w_ops
-    (match req with Wire.Batch { ops; _ } -> List.length ops | _ -> 1);
-  let outcome = outcome_of resp in
-  if outcome <> "ok" then Obs.Window.incr t.window w_errors;
-  (match t.config.log with
-  | None -> ()
-  | Some log ->
-      let fields =
-        [
-          ("rid", Obs.Log.Int rid);
-          ("rid_hex", Obs.Log.Str (Printf.sprintf "%x" rid));
-          ("req", Obs.Log.Str (request_kind req));
-          ("latency_us", Obs.Log.Int latency_us);
-          ("outcome", Obs.Log.Str outcome);
-        ]
-      in
-      let fields =
-        if tctx.Obs.Trace.span <> 0 then
-          fields
-          @ [
-              ( "trace",
-                Obs.Log.Str
-                  (Obs.Trace.hex_id tctx.Obs.Trace.t_hi tctx.Obs.Trace.t_lo) );
-            ]
-        else fields
-      in
-      ignore (Obs.Log.write log fields));
-  resp
-
-(* --- connections ------------------------------------------------------- *)
-
-let bad_frame t raw message =
-  Atomic.incr t.c_bad_frames;
-  let code =
-    if
-      String.length raw >= 3
-      && raw.[0] = 'L'
-      && raw.[1] = 'C'
-      && (Char.code raw.[2] < Wire.min_protocol_version
-         || Char.code raw.[2] > Wire.protocol_version)
-    then Wire.Unsupported_version
-    else Wire.Bad_frame
-  in
-  Wire.Error_reply { code; message }
-
-let handle_conn t fd =
-  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-  @@ fun () ->
-  try
-    let rec loop () =
-      if not (Atomic.get t.stopping) then
-        match Net_io.read_exact fd Wire.header_bytes with
-        | None -> ()
-        | Some raw -> (
-            match Wire.decode_header_err raw with
-            | Error (Wire.Bad_header m) ->
-                Net_io.write_all fd (Wire.encode_response (bad_frame t raw m))
-            | Error (Wire.Oversized { version; tag = _; length }) ->
-                (* the length field is trustworthy even when over the
-                   cap: drain the payload, answer a typed error naming
-                   the size, and keep the connection framed *)
-                Atomic.incr t.c_bad_frames;
-                if Net_io.skip_exact fd length then begin
-                  Net_io.write_all fd
-                    (Wire.encode_response ~version
-                       (err Wire.Bad_request
-                          "payload of %d bytes exceeds the %d byte cap" length
-                          Wire.max_payload));
-                  loop ()
-                end
-            | Ok { Wire.version; tag; length } -> (
-                match Net_io.read_exact fd length with
-                | None -> ()
-                | Some payload ->
-                    let id, trace, resp =
-                      match
-                        Wire.decode_request_payload ~version ~tag payload
-                      with
-                      | Error m ->
-                          Atomic.incr t.c_bad_frames;
-                          (0, None, err Wire.Bad_request "%s" m)
-                      | Ok (id, wire_trace, req) ->
-                          (* the router always talks v2 to backends, so
-                             a v1 client's requests still get a rid for
-                             hedging and logs; the reply speaks the
-                             client's version, which elides it *)
-                          let rid = if id <> 0 then id else fresh_rid t in
-                          let tctx =
-                            match wire_trace with
-                            | Some
-                                { Wire.trace_hi; trace_lo; parent_span } ->
-                                {
-                                  Obs.Trace.t_hi = trace_hi;
-                                  t_lo = trace_lo;
-                                  span = Obs.Trace.new_span_id ();
-                                  parent = parent_span;
-                                }
-                            | None ->
-                                if
-                                  Obs.Trace.sample
-                                    ~every:t.config.trace_sample rid
-                                then Obs.Trace.ctx_of_rid rid
-                                else Obs.Trace.null_ctx
-                          in
-                          (rid, wire_trace, handle_request t ~rid ~tctx req)
-                    in
-                    Net_io.write_all fd
-                      (Wire.encode_response ~version ~id ?trace resp);
-                    loop ()))
-    in
-    loop ()
-  with Unix.Unix_error _ -> ()
+let handle_request t (ctx : unit Frame_server.ctx) req =
+  let rid = ctx.rid and tctx = ctx.trace in
+  match req with
+  | Wire.Health -> Wire.Health_reply (health t)
+  | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
+  | Wire.Stats -> stats_reply t
+  | Wire.Catalog -> catalog_reply t
+  | Wire.Trace_export | Wire.Profile_export ->
+      (* each process in the cluster exports its own lane *)
+      Frame_server.export_reply req
+  | Wire.Drain _ ->
+      err Wire.Bad_request
+        "drain is a backend-local operation: send it to a daemon, not the \
+         router"
+  | Wire.Batch { graphs; proofs; ops } ->
+      forward_batch t ~rid ~tctx ~graphs ~proofs ~ops
+  | Wire.Verify_partition { shard_index; _ } ->
+      Atomic.incr t.c_shards;
+      Obs.Trace.instant ~arg_name:"shard" ~arg:shard_index
+        ~ctx:(Frame_server.child_span tctx) "router.shard";
+      forward_compute t ~rid ~tctx req
+  | Wire.Prove _ | Wire.Verify _ | Wire.Forge _ | Wire.Verify_sampled _ ->
+      forward_compute t ~rid ~tctx req
 
 (* --- HTTP sidecar ------------------------------------------------------ *)
 
-let http_reply t path =
-  match path with
-  | "/metrics" ->
-      Http_sidecar.response ~status:"200 OK"
-        ~content_type:Http_sidecar.prometheus_content_type (metrics_text t)
-  | "/healthz" ->
-      Http_sidecar.response ~status:"200 OK" ~content_type:"text/plain" "ok\n"
+let http_reply t = function
   | "/readyz" ->
       let alive = Health.alive t.health in
-      if alive > 0 && not (Atomic.get t.stopping) then
-        Http_sidecar.response ~status:"200 OK" ~content_type:"text/plain"
-          (Printf.sprintf "ready: %d/%d backends alive\n" alive
-             (Array.length t.backends))
-      else
-        Http_sidecar.response ~status:"503 Service Unavailable"
-          ~content_type:"text/plain" "no usable backend\n"
-  | _ -> Http_sidecar.not_found
+      let ready = alive > 0 && not (Frame_server.stopping t.fs) in
+      Some
+        (Frame_server.http_text ~ready
+           (if ready then
+              Printf.sprintf "ready: %d/%d backends alive\n" alive
+                (Array.length t.backends)
+            else "no usable backend\n"))
+  | _ -> None
 
 (* --- lifecycle --------------------------------------------------------- *)
 
-let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.sock with Unix.Unix_error _ -> ());
-    match t.http_sock with
-    | None -> ()
-    | Some s ->
-        (try Unix.shutdown s Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-        (try Unix.close s with Unix.Unix_error _ -> ())
-  end
+let stop t = Frame_server.stop t.fs
 
 let run t =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let http_thread =
-    Option.map
-      (fun s ->
-        Thread.create
-          (fun () ->
-            Http_sidecar.serve
-              ~stopping:(fun () -> Atomic.get t.stopping)
-              ~handler:(http_reply t) s)
-          ())
-      t.http_sock
-  in
   let probe_thread =
     if t.config.probe_interval_ms > 0 then
       Some (Thread.create probe_loop t)
     else None
   in
-  let rec loop () =
-    if not (Atomic.get t.stopping) then
-      match Unix.accept t.sock with
-      | fd, _ ->
-          Atomic.incr t.c_connections;
-          ignore (Thread.create (fun () -> handle_conn t fd) ());
-          loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ when Atomic.get t.stopping -> ()
-  in
-  loop ();
+  Frame_server.run t.fs
+    {
+      Frame_server.fresh = ignore;
+      handle = handle_request t;
+      log_fields = (fun _ _ -> []);
+      (* every traced line names its trace *)
+      finish = (fun _ _ _ ~latency_ns:_ -> true);
+      metrics_text = (fun () -> metrics_text t);
+      http = http_reply t;
+    };
   Option.iter Thread.join probe_thread;
-  Option.iter Thread.join http_thread;
   drop_idle t
 
 let start t = Thread.create run t

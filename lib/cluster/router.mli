@@ -1,6 +1,6 @@
 (** The cluster routing frontend behind [lcp route]: one TCP endpoint
-    speaking the daemon wire protocol (v1 and v2), forwarding to N
-    backend daemons.
+    speaking the daemon wire protocol, served through the same
+    {!Frame_server} as the daemon, forwarding to N backend daemons.
 
     {2 Placement}
 
@@ -89,9 +89,9 @@ val probe_once : ?now_ns:int -> t -> unit
     clock ([?now_ns] threads through to {!Health}). *)
 
 val request_key : Wire.request -> string
-(** The routing key of a compute request — identical to the daemon's
-    compiled-verifier cache key, which is what yields cluster-wide
-    cache affinity. [""] for non-compute requests. *)
+(** The routing key of a compute request: {!Wire.request_key}, the
+    daemon's own compiled-verifier cache key, which is what yields
+    cluster-wide cache affinity. [""] for non-compute requests. *)
 
 val health : t -> Wire.health
 (** Router readiness: [ready] iff not stopping and at least one

@@ -13,7 +13,7 @@
    error breakdown, and closes with the server's own stats (so a run
    shows its cache hit rate). *)
 
-type t = { fd : Unix.file_descr; version : int }
+type t = { fd : Unix.file_descr }
 
 (* Deterministic jittered exponential backoff, shared by the client's
    connect retries, the cluster router's forwarding retries and `lcp
@@ -67,7 +67,7 @@ let resolve host =
       | _ -> Error (Printf.sprintf "cannot resolve host %S" host)
       | exception _ -> Error (Printf.sprintf "cannot resolve host %S" host))
 
-let connect_once ~host ~version ~port =
+let connect_once ~host ~port =
   match resolve host with
   | Error _ as e -> e
   | Ok addr -> (
@@ -79,39 +79,29 @@ let connect_once ~host ~version ~port =
              round trip on loopback *)
           (try Unix.setsockopt fd Unix.TCP_NODELAY true
            with Unix.Unix_error _ -> ());
-          Ok { fd; version }
+          Ok { fd }
       | exception Unix.Unix_error (e, _, _) ->
           (try Unix.close fd with _ -> ());
           Error
             (Printf.sprintf "cannot connect to %s:%d: %s" host port
                (Unix.error_message e)))
 
-let connect ?(host = "127.0.0.1") ?(version = Wire.protocol_version)
-    ?(retries = 0) ?(backoff = Backoff.default) ?(backoff_seed = 0)
-    ?(sleep_ms = default_sleep_ms) ~port () =
-  if version < Wire.min_protocol_version || version > Wire.protocol_version
-  then
-    Error
-      (Printf.sprintf "unsupported protocol version %d (supported: %d..%d)"
-         version Wire.min_protocol_version Wire.protocol_version)
-  else
-    let rec go attempt =
-      match connect_once ~host ~version ~port with
-      | Ok _ as ok -> ok
-      | Error _ as e when attempt > retries -> e
-      | Error _ ->
-          sleep_ms (Backoff.delay_ms backoff ~seed:backoff_seed ~attempt);
-          go (attempt + 1)
-    in
-    go 1
+let connect ?(host = "127.0.0.1") ?(retries = 0) ?(backoff = Backoff.default)
+    ?(backoff_seed = 0) ?(sleep_ms = default_sleep_ms) ~port () =
+  let rec go attempt =
+    match connect_once ~host ~port with
+    | Ok _ as ok -> ok
+    | Error _ as e when attempt > retries -> e
+    | Error _ ->
+        sleep_ms (Backoff.delay_ms backoff ~seed:backoff_seed ~attempt);
+        go (attempt + 1)
+  in
+  go 1
 
 let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
 
 let send ?(id = 0) ?trace t req =
-  match
-    Net_io.write_all t.fd
-      (Wire.encode_request ~version:t.version ~id ?trace req)
-  with
+  match Net_io.write_all t.fd (Wire.encode_request ~id ?trace req) with
   | () -> Ok ()
   | exception Unix.Unix_error (e, _, _) ->
       Error ("send: " ^ Unix.error_message e)
@@ -121,19 +111,19 @@ let recv_full t =
   | None -> Error "connection closed by server"
   | Some raw -> (
       match Wire.decode_header raw with
-      | Error m -> Error ("bad response header: " ^ m)
-      | Ok { Wire.version; tag; length } -> (
+      | Error e ->
+          Error ("bad response header: " ^ Wire.header_error_to_string e)
+      | Ok { Wire.tag; length } -> (
           match Net_io.read_exact t.fd length with
           | None -> Error "connection closed mid-response"
-          | Some payload -> Wire.decode_response_payload ~version ~tag payload))
+          | Some payload -> Wire.decode_response_payload ~tag payload))
   | exception Unix.Unix_error (e, _, _) ->
       Error ("recv: " ^ Unix.error_message e)
 
-let recv_id t = Result.map (fun (id, _, resp) -> (id, resp)) (recv_full t)
-let recv t = Result.map (fun (_, _, resp) -> resp) (recv_full t)
-
 let call_id ?trace t ~id req =
-  match send ~id ?trace t req with Ok () -> recv_id t | Error _ as e -> e
+  match send ~id ?trace t req with
+  | Ok () -> Result.map (fun (id, _, resp) -> (id, resp)) (recv_full t)
+  | Error _ as e -> e
 
 let call t req = Result.map snd (call_id t ~id:0 req)
 
@@ -267,6 +257,35 @@ type worker_result = {
   mutable w_batch_ns : int list;  (* per-frame latency, batched mode only *)
 }
 
+let fail res slot n =
+  res.w_errors <- res.w_errors + n;
+  res.w_by_slot.(slot) <- res.w_by_slot.(slot) + n
+
+let slot_of_reply = function
+  | Ok (Wire.Error_reply { code; _ }) -> slot_of_code code
+  | Ok _ -> slot_unexpected
+  | Error _ -> slot_transport
+
+(* One timed round trip carrying correlation id [id], head-sampled for
+   tracing; the echoed id is checked — a mismatch is counted, not
+   ignored, since it means request/response framing slipped. *)
+let timed_call client ~trace_sample ~id res req =
+  let tctx =
+    if Obs.Trace.sample ~every:trace_sample id then Obs.Trace.ctx_of_rid id
+    else Obs.Trace.null_ctx
+  in
+  let t0 = Obs.Clock.now_ns () in
+  let outcome =
+    Obs.Trace.span_ctx "client.request" "rid" id tctx (fun () ->
+        call_id ?trace:(wire_trace tctx) client ~id req)
+  in
+  let dt = Obs.Clock.now_ns () - t0 in
+  (match outcome with
+  | Ok (rid, _) when rid <> id ->
+      res.w_id_mismatches <- res.w_id_mismatches + 1
+  | _ -> ());
+  (Result.map snd outcome, dt)
+
 (* Batched worker loop: each frame carries [batch] ops following the
    same deterministic mix as the plain loop (op [k = i * batch + j]
    behaves exactly like plain request [k]), with every cycle graph
@@ -290,27 +309,12 @@ let run_batch_worker ~client ~requests ~batch ~mix:(p, v) ~graphs ~conn_id
           else Wire.Op_verify { scheme; graph = gi; proof = gi })
     in
     let id = (conn_id * requests) + i + 1 in
-    let tctx =
-      if Obs.Trace.sample ~every:trace_sample id then Obs.Trace.ctx_of_rid id
-      else Obs.Trace.null_ctx
-    in
-    let t0 = Obs.Clock.now_ns () in
-    let outcome =
-      Obs.Trace.span_ctx "client.request" "rid" id tctx (fun () ->
-          call_id ?trace:(wire_trace tctx) client ~id
-            (Wire.Batch { graphs = gtable; proofs = ptable; ops }))
-    in
-    let dt = Obs.Clock.now_ns () - t0 in
-    (match outcome with
-    | Ok (rid, _) when rid <> id ->
-        res.w_id_mismatches <- res.w_id_mismatches + 1
-    | _ -> ());
-    let fail_all slot =
-      res.w_errors <- res.w_errors + batch;
-      res.w_by_slot.(slot) <- res.w_by_slot.(slot) + batch
+    let outcome, dt =
+      timed_call client ~trace_sample ~id res
+        (Wire.Batch { graphs = gtable; proofs = ptable; ops })
     in
     match outcome with
-    | Ok (_, Wire.Batch_reply items) when List.length items = batch ->
+    | Ok (Wire.Batch_reply items) when List.length items = batch ->
         res.w_batch_ns <- dt :: res.w_batch_ns;
         List.iteri
           (fun j item ->
@@ -320,27 +324,16 @@ let run_batch_worker ~client ~requests ~batch ~mix:(p, v) ~graphs ~conn_id
             | Wire.Item_verified { accepted = true; _ }
               when not (is_prove ((i * batch) + j)) ->
                 res.w_ok <- res.w_ok + 1
-            | Wire.Item_error { code; _ } ->
-                res.w_errors <- res.w_errors + 1;
-                let s = slot_of_code code in
-                res.w_by_slot.(s) <- res.w_by_slot.(s) + 1
-            | _ ->
-                res.w_errors <- res.w_errors + 1;
-                res.w_by_slot.(slot_unexpected) <-
-                  res.w_by_slot.(slot_unexpected) + 1)
+            | Wire.Item_error { code; _ } -> fail res (slot_of_code code) 1
+            | _ -> fail res slot_unexpected 1)
           items
-    | Ok (_, Wire.Error_reply { code; _ }) -> fail_all (slot_of_code code)
-    | Ok _ -> fail_all slot_unexpected
-    | Error _ -> fail_all slot_transport
+    | r -> fail res (slot_of_reply r) batch
   done
 
 let run_worker ~host ~port ~requests ~batch ~mix:(p, v, s) ~queries ~graphs
     ~conn_id ~trace_sample res =
   match connect ~host ~port ~retries:2 ~backoff_seed:conn_id () with
-  | Error _ ->
-      let n = requests * max 1 batch in
-      res.w_errors <- n;
-      res.w_by_slot.(slot_transport) <- res.w_by_slot.(slot_transport) + n
+  | Error _ -> fail res slot_transport (requests * max 1 batch)
   | Ok client when batch > 1 ->
       Fun.protect ~finally:(fun () -> close client) @@ fun () ->
       (* batched mode never carries sampled ops (loadgen rejects the
@@ -367,45 +360,20 @@ let run_worker ~host ~port ~requests ~batch ~mix:(p, v, s) ~queries ~graphs
                 { scheme; graph6 = g6; proof; seed = id; queries;
                   budget_id = "" }
         in
-        let tctx =
-          if Obs.Trace.sample ~every:trace_sample id then
-            Obs.Trace.ctx_of_rid id
-          else Obs.Trace.null_ctx
-        in
-        let t0 = Obs.Clock.now_ns () in
-        let outcome =
-          Obs.Trace.span_ctx "client.request" "rid" id tctx (fun () ->
-              call_id ?trace:(wire_trace tctx) client ~id req)
-        in
-        let dt = Obs.Clock.now_ns () - t0 in
-        (match outcome with
-        | Ok (rid, _) when rid <> id ->
-            res.w_id_mismatches <- res.w_id_mismatches + 1
-        | _ -> ());
+        let outcome, dt = timed_call client ~trace_sample ~id res req in
         match outcome with
-        | Ok (_, Wire.Proved (Some _)) when kind = `P ->
+        | Ok (Wire.Proved (Some _)) when kind = `P ->
             res.w_ok <- res.w_ok + 1;
             res.w_prove_ns <- dt :: res.w_prove_ns
-        | Ok (_, Wire.Verified { accepted = true; _ }) when kind = `V ->
+        | Ok (Wire.Verified { accepted = true; _ }) when kind = `V ->
             res.w_ok <- res.w_ok + 1;
             res.w_verify_ns <- dt :: res.w_verify_ns
-        | Ok (_, Wire.Sampled_verified { accepted = true; escalated; _ })
+        | Ok (Wire.Sampled_verified { accepted = true; escalated; _ })
           when kind = `S ->
             res.w_ok <- res.w_ok + 1;
             if escalated then res.w_escalations <- res.w_escalations + 1;
             res.w_sampled_ns <- dt :: res.w_sampled_ns
-        | Ok (_, Wire.Error_reply { code; _ }) ->
-            res.w_errors <- res.w_errors + 1;
-            let s = slot_of_code code in
-            res.w_by_slot.(s) <- res.w_by_slot.(s) + 1
-        | Ok _ ->
-            res.w_errors <- res.w_errors + 1;
-            res.w_by_slot.(slot_unexpected) <-
-              res.w_by_slot.(slot_unexpected) + 1
-        | Error _ ->
-            res.w_errors <- res.w_errors + 1;
-            res.w_by_slot.(slot_transport) <-
-              res.w_by_slot.(slot_transport) + 1
+        | r -> fail res (slot_of_reply r) 1
       done
 
 let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)

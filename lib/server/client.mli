@@ -4,10 +4,9 @@
     The client half is deliberately small: connect, send a
     {!Wire.request}, read back a {!Wire.response}. Like the server it
     never lets malformed peer bytes out as exceptions — every call
-    returns a [result]. A connection speaks one protocol version
-    (default {!Wire.protocol_version}); on v2 every call may carry a
-    correlation id, and {!call_id} hands back the id the server
-    echoed (or assigned, when 0 was sent). *)
+    returns a [result]. Every call may carry a correlation id, and
+    {!call_id} hands back the id the server echoed (or assigned, when
+    0 was sent). *)
 
 type t
 
@@ -41,7 +40,6 @@ end
 
 val connect :
   ?host:string ->
-  ?version:int ->
   ?retries:int ->
   ?backoff:Backoff.t ->
   ?backoff_seed:int ->
@@ -49,9 +47,7 @@ val connect :
   port:int ->
   unit ->
   (t, string) result
-(** Default host 127.0.0.1, default version {!Wire.protocol_version};
-    names are resolved via [getaddrinfo]. An out-of-range [version] is
-    an [Error], not an exception.
+(** Default host 127.0.0.1; names are resolved via [getaddrinfo].
 
     [retries] (default 0) extra attempts follow a failed connect, each
     preceded by a {!Backoff.delay_ms} sleep for attempts [1..retries]
@@ -73,27 +69,21 @@ val call_id :
   Wire.request ->
   (int * Wire.response, string) result
 (** {!call} carrying correlation id [id] (0 = let the server assign
-    one); returns the id from the response alongside it. On a v1
-    connection ids never touch the wire and the response id is 0.
-    [trace] attaches a distributed-tracing context to the request
-    frame (v2 only — a v1 connection silently drops it, degrading that
-    hop to unsampled). *)
+    one); returns the id from the response alongside it. [trace]
+    attaches a distributed-tracing context to the request frame. *)
 
 val send :
   ?id:int -> ?trace:Wire.trace_context -> t -> Wire.request ->
   (unit, string) result
-(** Fire without waiting — paired with {!recv}, lets a caller keep a
-    slow request in flight while talking on other connections (the
-    deadline tests drive the server into saturation this way). *)
-
-val recv : t -> (Wire.response, string) result
-
-val recv_id : t -> (int * Wire.response, string) result
+(** Fire without waiting — paired with {!recv_full}, lets a caller
+    keep a slow request in flight while talking on other connections
+    (the deadline tests drive the server into saturation this way). *)
 
 val recv_full :
   t -> (int * Wire.trace_context option * Wire.response, string) result
-(** {!recv_id} plus the trace context the server echoed (it mirrors
-    the request's verbatim; [None] on v1 or untraced requests). *)
+(** Read one response: the echoed id, the trace context the server
+    echoed (it mirrors the request's verbatim; [None] on untraced
+    requests) and the message. *)
 
 val wire_trace : Obs.Trace.ctx -> Wire.trace_context option
 (** The wire form of a local span: [None] for {!Obs.Trace.null_ctx},

@@ -25,14 +25,15 @@
    table operations, never around a compile.
 
    Telemetry: every request carries a correlation id — the client's
-   own (protocol v2) or one the server allocates — stamped on the
+   own or one the server allocates — stamped on the
    [server.request] / [server.queue_wait] / [server.compute] trace
    spans, the structured log line and the client's response, so one
    request can be followed across the connection thread and the
    worker domain. Rolling windows (always on, like the atomics — the
    per-request mutex is noise next to a verification round trip) feed
    the Prometheus exposition served both as a {!Wire.Metrics_text}
-   reply and over the plain-HTTP sidecar. *)
+   reply and over the plain-HTTP sidecar. Sockets, framing, ids, the
+   window's common slots and the log line live in {!Frame_server}. *)
 
 let m_requests = Obs.Metrics.counter "server.requests"
 let m_req_prove = Obs.Metrics.counter "server.req_prove"
@@ -92,38 +93,23 @@ let default_config =
     trace_sample = 0;
   }
 
-(* Auxiliary counter slots in the rolling latency window. *)
-let w_requests = 0
-
-let w_errors = 1
-let w_hits = 2
-let w_misses = 3
-let w_ops = 4  (* batch sub-ops count as ops; a plain request is 1 op *)
-let w_counters = 5
+(* The daemon's own counter slots in the rolling latency window. *)
+let w_hits = Frame_server.w_first_extra
+let w_misses = Frame_server.w_first_extra + 1
 
 type t = {
   config : config;
-  sock : Unix.file_descr;
-  actual_port : int;
-  http_sock : Unix.file_descr option;
-  actual_http_port : int;
+  fs : Frame_server.t;
   pool : Pool.t;
   cache : Simulator.compiled Lru.t;
   cache_lock : Mutex.t;
-  started_ns : int;
-  stopping : bool Atomic.t;
   draining : bool Atomic.t;
-  rid : int Atomic.t;  (* next server-assigned correlation id *)
-  window : Obs.Window.t;  (* latency µs + the w_* counters above *)
-  c_requests : int Atomic.t;
   c_batch_ops : int Atomic.t;
   c_disk_hits : int Atomic.t;
   c_compile_misses : int Atomic.t;  (* every tier missed: had to compile *)
   c_overloaded : int Atomic.t;
   c_unavailable : int Atomic.t;
   c_deadline : int Atomic.t;
-  c_bad_frames : int Atomic.t;
-  c_connections : int Atomic.t;
   c_slow : int Atomic.t;
   (* always-on partition-traffic counters (like the diskcache trio):
      dashboards must see shard flow even with the registry off *)
@@ -156,20 +142,6 @@ type stats = {
   sampled_bits_read : int;
 }
 
-let listen_on host port =
-  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  (try
-     Unix.setsockopt sock Unix.SO_REUSEADDR true;
-     Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-     Unix.listen sock 64
-   with e ->
-     (try Unix.close sock with _ -> ());
-     raise e);
-  let actual =
-    match Unix.getsockname sock with Unix.ADDR_INET (_, p) -> p | _ -> port
-  in
-  (sock, actual)
-
 let create config =
   if config.jobs < 1 then invalid_arg "Server.create: jobs < 1";
   if config.max_queue < 0 then invalid_arg "Server.create: max_queue < 0";
@@ -178,15 +150,10 @@ let create config =
      the very slice that would explain its first slow request *)
   if config.slow_ms > 0 && config.slow_dir <> "" then
     Obs.Trace.mkdir_p config.slow_dir;
-  let sock, actual_port = listen_on config.host config.port in
-  let http_sock, actual_http_port =
-    if config.http_port < 0 then (None, -1)
-    else
-      match listen_on config.host config.http_port with
-      | s, p -> (Some s, p)
-      | exception e ->
-          (try Unix.close sock with _ -> ());
-          raise e
+  let fs =
+    Frame_server.create ~name:"server" ~host:config.host ~port:config.port
+      ~http_port:config.http_port ~trace_sample:config.trace_sample
+      ~log:config.log ~registry:(m_bad_frames, m_connections) ()
   in
   let pool = Pool.create config.jobs in
   (* the pool's workers may be recording from now until {!run}
@@ -195,27 +162,17 @@ let create config =
   Obs.Metrics.guard_reset "the server's worker pool is live";
   {
     config;
-    sock;
-    actual_port;
-    http_sock;
-    actual_http_port;
+    fs;
     pool;
     cache = Lru.create ~capacity:(max 0 config.cache_size);
     cache_lock = Mutex.create ();
-    started_ns = Obs.Clock.now_ns ();
-    stopping = Atomic.make false;
     draining = Atomic.make false;
-    rid = Atomic.make 1;
-    window = Obs.Window.create ~horizon:60 ~counters:w_counters ();
-    c_requests = Atomic.make 0;
     c_batch_ops = Atomic.make 0;
     c_disk_hits = Atomic.make 0;
     c_compile_misses = Atomic.make 0;
     c_overloaded = Atomic.make 0;
     c_unavailable = Atomic.make 0;
     c_deadline = Atomic.make 0;
-    c_bad_frames = Atomic.make 0;
-    c_connections = Atomic.make 0;
     c_slow = Atomic.make 0;
     c_partition_shards = Atomic.make 0;
     c_partition_reject = Atomic.make 0;
@@ -224,8 +181,8 @@ let create config =
     c_sampled_bits = Atomic.make 0;
   }
 
-let port t = t.actual_port
-let http_port t = t.actual_http_port
+let port t = Frame_server.port t.fs
+let http_port t = Frame_server.http_port t.fs
 
 let stats t =
   Mutex.lock t.cache_lock;
@@ -234,7 +191,7 @@ let stats t =
   Mutex.unlock t.cache_lock;
   let disk_hits = Atomic.get t.c_disk_hits in
   {
-    requests = Atomic.get t.c_requests;
+    requests = Frame_server.requests t.fs;
     batch_ops = Atomic.get t.c_batch_ops;
     (* a disk-tier load is a cache hit as far as clients care: the
        request skipped both the graph6 decode and the compile. A miss
@@ -247,8 +204,8 @@ let stats t =
     overloaded = Atomic.get t.c_overloaded;
     unavailable = Atomic.get t.c_unavailable;
     deadline_exceeded = Atomic.get t.c_deadline;
-    bad_frames = Atomic.get t.c_bad_frames;
-    connections = Atomic.get t.c_connections;
+    bad_frames = Frame_server.bad_frames t.fs;
+    connections = Frame_server.connections t.fs;
     slow_requests = Atomic.get t.c_slow;
     partition_shards = Atomic.get t.c_partition_shards;
     partition_reject = Atomic.get t.c_partition_reject;
@@ -256,8 +213,6 @@ let stats t =
     sampled_escalations = Atomic.get t.c_sampled_escalations;
     sampled_bits_read = Atomic.get t.c_sampled_bits;
   }
-
-let uptime_ms t = (Obs.Clock.now_ns () - t.started_ns) / 1_000_000
 
 let draining t = Atomic.get t.draining
 
@@ -267,63 +222,31 @@ let health t =
   let pending = Pool.pending t.pool in
   {
     Wire.ready =
-      (not (Atomic.get t.stopping))
+      (not (Frame_server.stopping t.fs))
       && (not (Atomic.get t.draining))
       && pending < t.config.max_queue;
     pending;
     max_queue = t.config.max_queue;
-    uptime_ms = uptime_ms t;
+    uptime_ms = Frame_server.uptime_ms t.fs;
   }
 
 (* --- request context --------------------------------------------------- *)
 
-(* One per request, threaded down to the worker so the log line, the
-   windows and the trace spans all describe the same request. *)
-type ctx = {
-  id : int;  (* correlation id, client-chosen or server-assigned *)
-  arrival_ns : int;
-  trace : Obs.Trace.ctx;  (* the server.request span; null when unsampled *)
+(* The daemon's per-request state, threaded down to the worker so the
+   log line, the windows and the trace spans all describe the same
+   request. *)
+type local = {
   mutable tparent : int;  (* span id children emitted right now nest under *)
-  mutable cache : string;  (* "hit" | "miss" | "-" *)
+  mutable cache : string;  (* "hit" | "disk" | "miss" | "-" *)
   mutable queue_wait_ns : int;
   mutable compute_ns : int;
   mutable n_nodes : int;  (* -1 when the request never decoded a graph *)
 }
 
-let make_ctx t ~id ?wire_trace () =
-  let id =
-    if id <> 0 then id
-    else
-      (* skip 0, the "unassigned" sentinel, on wrap-around *)
-      let rec fresh () =
-        let v = Atomic.fetch_and_add t.rid 1 land max_int in
-        if v = 0 then fresh () else v
-      in
-      fresh ()
-  in
-  (* an upstream-supplied context always wins (the head already made
-     the sampling decision); otherwise this process is the trace head
-     for its 1-in-N share of rids *)
-  let trace =
-    if not !Obs.Trace.enabled then Obs.Trace.null_ctx
-    else
-      match wire_trace with
-      | Some { Wire.trace_hi; trace_lo; parent_span } ->
-          {
-            Obs.Trace.t_hi = trace_hi;
-            t_lo = trace_lo;
-            span = Obs.Trace.new_span_id ();
-            parent = parent_span;
-          }
-      | None ->
-          if Obs.Trace.sample ~every:t.config.trace_sample id then
-            Obs.Trace.ctx_of_rid id
-          else Obs.Trace.null_ctx
-  in
+type ctx = local Frame_server.ctx
+
+let fresh_local trace =
   {
-    id;
-    arrival_ns = Obs.Clock.now_ns ();
-    trace;
     tparent = trace.Obs.Trace.span;
     cache = "-";
     queue_wait_ns = 0;
@@ -335,14 +258,18 @@ let make_ctx t ~id ?wire_trace () =
    inside ([tparent] — server.request, or server.compute once the
    worker picked the request up). Null stays null: unsampled requests
    keep emitting identity-less spans exactly as before. *)
-let child_trace ctx =
-  if ctx.trace.Obs.Trace.span = 0 then Obs.Trace.null_ctx
-  else
-    {
-      ctx.trace with
-      Obs.Trace.span = Obs.Trace.new_span_id ();
-      parent = ctx.tparent;
-    }
+let child_trace (ctx : ctx) =
+  Frame_server.child_span ~parent:ctx.local.tparent ctx.trace
+
+(* Run [f] in a fresh child span, which becomes the parent of every
+   span [f] emits (cache_load, compile, ...). *)
+let in_child_span (ctx : ctx) name arg_name arg f =
+  let c = child_trace ctx in
+  let saved = ctx.local.tparent in
+  if c.Obs.Trace.span <> 0 then ctx.local.tparent <- c.Obs.Trace.span;
+  let r = Obs.Trace.span_ctx name arg_name arg c f in
+  ctx.local.tparent <- saved;
+  r
 
 (* --- one-shot response cells ------------------------------------------ *)
 
@@ -371,48 +298,45 @@ let cell_take c =
 
 (* --- request handling ------------------------------------------------- *)
 
-let err code fmt =
-  Printf.ksprintf (fun message -> Wire.Error_reply { code; message }) fmt
-
-let cache_key scheme graph6 =
-  scheme ^ "/" ^ Digest.to_hex (Digest.string graph6)
+let err = Frame_server.err
 
 (* Resolve the scheme, then the compiled image — memory tier (LRU),
    disk tier (mmap-validated image, when [cache_dir] is set), or by
    running [decode] + compiling — and hand both to [f]. A compile also
    warms the disk tier, so the image survives a restart. [identity] is
    the byte string that names the compiled artefact across all tiers:
-   the raw graph6 payload for plain requests, graph6 + id table for
-   partition shards (two shards with equal subgraphs but different id
-   maps are different verification jobs and must not share images). *)
-let with_compiled_gen t ctx ~scheme ~identity ~decode f =
+   the raw graph6 payload for plain requests, {!Wire.shard_identity}
+   for partition shards. *)
+let with_compiled_gen t (ctx : ctx) ~scheme ~identity ~decode f =
   match Registry.find scheme with
   | None -> err Wire.Unknown_scheme "unknown scheme %S" scheme
   | Some entry -> (
       let graph6 = identity in
-      let key = cache_key scheme graph6 in
+      let key = Wire.cache_key scheme graph6 in
+      let resolved tier compiled =
+        ctx.local.cache <- tier;
+        ctx.local.n_nodes <- Instance.n (Simulator.compiled_instance compiled)
+      in
       Mutex.lock t.cache_lock;
       let cached = Lru.find t.cache key in
       Mutex.unlock t.cache_lock;
       match cached with
       | Some compiled ->
-          ctx.cache <- "hit";
-          ctx.n_nodes <- Instance.n (Simulator.compiled_instance compiled);
+          resolved "hit" compiled;
           Obs.Metrics.incr m_cache_hits;
           f entry compiled
       | None -> (
           let disk =
             if t.config.cache_dir = "" then None
             else if !Obs.Trace.enabled then
-              Obs.Trace.span_ctx "server.cache_load" "rid" ctx.id
+              Obs.Trace.span_ctx "server.cache_load" "rid" ctx.rid
                 (child_trace ctx) (fun () ->
                   Diskcache.load ~dir:t.config.cache_dir ~key ~scheme ~graph6)
             else Diskcache.load ~dir:t.config.cache_dir ~key ~scheme ~graph6
           in
           match disk with
           | Some compiled ->
-              ctx.cache <- "disk";
-              ctx.n_nodes <- Instance.n (Simulator.compiled_instance compiled);
+              resolved "disk" compiled;
               Atomic.incr t.c_disk_hits;
               Obs.Metrics.incr m_disk_hits;
               Mutex.lock t.cache_lock;
@@ -420,7 +344,7 @@ let with_compiled_gen t ctx ~scheme ~identity ~decode f =
               Mutex.unlock t.cache_lock;
               f entry compiled
           | None -> (
-              ctx.cache <- "miss";
+              ctx.local.cache <- "miss";
               Atomic.incr t.c_compile_misses;
               Obs.Metrics.incr m_cache_misses;
               match decode () with
@@ -428,12 +352,11 @@ let with_compiled_gen t ctx ~scheme ~identity ~decode f =
               | Ok inst ->
                   let compiled =
                     if !Obs.Trace.enabled then
-                      Obs.Trace.span_ctx "server.compile" "rid" ctx.id
+                      Obs.Trace.span_ctx "server.compile" "rid" ctx.rid
                         (child_trace ctx) (fun () -> Simulator.compile inst)
                     else Simulator.compile inst
                   in
-                  ctx.n_nodes <-
-                    Instance.n (Simulator.compiled_instance compiled);
+                  resolved "miss" compiled;
                   Mutex.lock t.cache_lock;
                   Lru.put t.cache key compiled;
                   Mutex.unlock t.cache_lock;
@@ -447,16 +370,6 @@ let with_compiled t ctx ~scheme ~graph6 f =
     ~decode:(fun () ->
       Result.map Instance.of_graph (Graph6.decode_res graph6))
     f
-
-(* The cache identity of a shard: its graph6 bytes plus the local→
-   original id table. '\n' never occurs in graph6 (printable columns
-   63..126 only), so the concatenation cannot collide with a plain
-   graph, and distinct id tables yield distinct identities. *)
-let shard_identity graph6 ids =
-  let b = Buffer.create (String.length graph6 + (4 * Array.length ids)) in
-  Buffer.add_string b graph6;
-  Array.iter (fun v -> Printf.bprintf b "\n%x" v) ids;
-  Buffer.contents b
 
 (* Decode a shard into an instance on original identifiers: the local
    graph (ids 0..ns-1) relabelled through the id table. The wire layer
@@ -483,6 +396,25 @@ let deadline_error t stage =
    batch verify allocates no per-run scratch at all. *)
 let arena_key = Domain.DLS.new_key Simulator.arena
 
+(* A malformed proof string means "reject here", exactly as in
+   [Scheme.decide] — it must not escape as an exception. *)
+let safe_verifier scheme view =
+  try scheme.Scheme.verifier view with Bits.Reader.Decode_error _ -> false
+
+let rejecting verdicts =
+  List.filter_map (fun (v, ok) -> if ok then None else Some v) verdicts
+
+let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> []
+
+(* Every node's verdict on the whole compiled instance: the rejecting
+   nodes, in order. *)
+let verify_all scheme compiled proof =
+  rejecting
+    (fst
+       (Simulator.run_verifier ~compiled ~arena:(Domain.DLS.get arena_key)
+          (Simulator.compiled_instance compiled)
+          proof ~radius:scheme.Scheme.radius (safe_verifier scheme)))
+
 (* One prove/verify/forge against the cache — the shared body of both
    the plain compute path and every batch sub-op. Runs on a worker
    domain. *)
@@ -495,25 +427,7 @@ let compute_one t ctx req =
                (Simulator.compiled_instance compiled)))
   | Wire.Verify { scheme; graph6; proof } ->
       with_compiled t ctx ~scheme ~graph6 (fun entry compiled ->
-          let scheme = entry.Registry.scheme in
-          (* a malformed proof string means "reject here", exactly
-             as in [Scheme.decide] — it must not escape as an
-             exception *)
-          let verifier view =
-            try scheme.Scheme.verifier view
-            with Bits.Reader.Decode_error _ -> false
-          in
-          let verdicts, _ =
-            Simulator.run_verifier ~compiled
-              ~arena:(Domain.DLS.get arena_key)
-              (Simulator.compiled_instance compiled)
-              proof ~radius:scheme.Scheme.radius verifier
-          in
-          let rejecting =
-            List.filter_map
-              (fun (v, ok) -> if ok then None else Some v)
-              verdicts
-          in
+          let rejecting = verify_all entry.Registry.scheme compiled proof in
           Wire.Verified { accepted = rejecting = []; rejecting })
   | Wire.Forge { scheme; graph6; max_bits } ->
       if max_bits < 0 || max_bits > 64 then
@@ -533,7 +447,8 @@ let compute_one t ctx req =
   | Wire.Verify_partition
       { scheme; graph6; ids; owned; proof; radius; shard_index; shard_count = _ }
     ->
-      with_compiled_gen t ctx ~scheme ~identity:(shard_identity graph6 ids)
+      with_compiled_gen t ctx ~scheme
+        ~identity:(Wire.shard_identity graph6 ids)
         ~decode:(shard_instance ~graph6 ~ids)
         (fun entry compiled ->
           let scheme_v = entry.Registry.scheme in
@@ -563,33 +478,20 @@ let compute_one t ctx req =
               done;
               Array.of_list !out
             in
-            let verifier view =
-              try scheme_v.Scheme.verifier view
-              with Bits.Reader.Decode_error _ -> false
+            let run () =
+              Simulator.run_verifier_on ~arena:(Domain.DLS.get arena_key)
+                compiled proof ~radius:scheme_v.Scheme.radius ~nodes
+                (safe_verifier scheme_v)
             in
             let verdicts =
               if !Obs.Trace.enabled then
-                Obs.Trace.span_arg "server.shard" "shard" shard_index
-                  (fun () ->
-                    Simulator.run_verifier_on
-                      ~arena:(Domain.DLS.get arena_key) compiled proof
-                      ~radius:scheme_v.Scheme.radius ~nodes verifier)
-              else
-                Simulator.run_verifier_on
-                  ~arena:(Domain.DLS.get arena_key) compiled proof
-                  ~radius:scheme_v.Scheme.radius ~nodes verifier
+                Obs.Trace.span_arg "server.shard" "shard" shard_index run
+              else run ()
             in
-            let rejecting =
-              List.filter_map (fun (v, ok) -> if ok then None else Some v)
-                verdicts
-            in
+            let rejecting = rejecting verdicts in
             let rejected = List.length rejecting in
             if rejected > 0 then
               ignore (Atomic.fetch_and_add t.c_partition_reject rejected);
-            let rec take n = function
-              | x :: tl when n > 0 -> x :: take (n - 1) tl
-              | _ -> []
-            in
             Wire.Partition_verified
               {
                 all_accept = rejected = 0;
@@ -622,17 +524,17 @@ let compute_one t ctx req =
                   Randomized_scheme.run ~arena:(Domain.DLS.get arena_key) rs
                     compiled proof ~seed ~queries
                 in
-                ignore
-                  (Atomic.fetch_and_add t.c_sampled_bits
-                     outcome.Randomized_scheme.bits_read);
+                let bits_read = outcome.Randomized_scheme.bits_read in
+                let nodes = outcome.Randomized_scheme.nodes_checked in
+                ignore (Atomic.fetch_and_add t.c_sampled_bits bits_read);
                 if outcome.Randomized_scheme.accepted then
                   Wire.Sampled_verified
                     {
                       sampled_accept = true;
                       escalated = false;
                       accepted = true;
-                      bits_read = outcome.Randomized_scheme.bits_read;
-                      nodes = outcome.Randomized_scheme.nodes_checked;
+                      bits_read;
+                      nodes;
                       rejecting = [];
                     }
                 else begin
@@ -641,33 +543,16 @@ let compute_one t ctx req =
                      fast path can only ever be {e overruled towards}
                      acceptance, never away from it *)
                   Atomic.incr t.c_sampled_escalations;
-                  let scheme_v = entry.Registry.scheme in
-                  let verifier view =
-                    try scheme_v.Scheme.verifier view
-                    with Bits.Reader.Decode_error _ -> false
-                  in
-                  let verdicts, _ =
-                    Simulator.run_verifier ~compiled
-                      ~arena:(Domain.DLS.get arena_key)
-                      (Simulator.compiled_instance compiled)
-                      proof ~radius:scheme_v.Scheme.radius verifier
-                  in
                   let rejecting =
-                    List.filter_map
-                      (fun (v, ok) -> if ok then None else Some v)
-                      verdicts
-                  in
-                  let rec take n = function
-                    | x :: tl when n > 0 -> x :: take (n - 1) tl
-                    | _ -> []
+                    verify_all entry.Registry.scheme compiled proof
                   in
                   Wire.Sampled_verified
                     {
                       sampled_accept = false;
                       escalated = true;
                       accepted = rejecting = [];
-                      bits_read = outcome.Randomized_scheme.bits_read;
-                      nodes = outcome.Randomized_scheme.nodes_checked;
+                      bits_read;
+                      nodes;
                       rejecting = take 64 rejecting;
                     }
                 end))
@@ -675,14 +560,24 @@ let compute_one t ctx req =
   | Wire.Drain _ | Wire.Trace_export | Wire.Profile_export ->
       err Wire.Internal "request dispatched to a worker by mistake"
 
-let item_of_response = function
-  | Wire.Proved p -> Wire.Item_proved p
-  | Wire.Verified { accepted; rejecting } ->
-      Wire.Item_verified { accepted; rejecting }
-  | Wire.Forged { fooled; attempts; best_rejections } ->
-      Wire.Item_forged { fooled; attempts; best_rejections }
-  | Wire.Error_reply { code; message } -> Wire.Item_error { code; message }
-  | _ -> Wire.Item_error { code = Wire.Internal; message = "non-op response" }
+(* The plain request a batch op runs as. *)
+let op_request ~graphs ~proofs op =
+  let within a i = i >= 0 && i < Array.length a in
+  match op with
+  | Wire.Op_prove { graph; _ }
+  | Wire.Op_verify { graph; _ }
+  | Wire.Op_forge { graph; _ }
+    when not (within graphs graph) ->
+      Error (Printf.sprintf "graph index %d out of range" graph)
+  | Wire.Op_verify { proof; _ } when not (within proofs proof) ->
+      Error "proof index out of range"
+  | Wire.Op_prove { scheme; graph } ->
+      Ok (Wire.Prove { scheme; graph6 = graphs.(graph) })
+  | Wire.Op_verify { scheme; graph; proof } ->
+      Ok
+        (Wire.Verify { scheme; graph6 = graphs.(graph); proof = proofs.(proof) })
+  | Wire.Op_forge { scheme; graph; max_bits } ->
+      Ok (Wire.Forge { scheme; graph6 = graphs.(graph); max_bits })
 
 (* A whole batch runs as one pool task: one queue round trip and one
    worker-domain arena for up to 65535 ops. Ops are evaluated in
@@ -692,7 +587,7 @@ let item_of_response = function
    isolated: its failure lands in its own reply slot, and an op that
    starts past the deadline answers [Deadline_exceeded] in its slot
    without poisoning completed ones. *)
-let compute_batch t ctx ~deadline ~graphs ~proofs ~ops =
+let compute_batch t (ctx : ctx) ~deadline ~graphs ~proofs ~ops =
   let graphs = Array.of_list graphs in
   let proofs = Array.of_list proofs in
   let memo = Hashtbl.create 16 in
@@ -732,86 +627,27 @@ let compute_batch t ctx ~deadline ~graphs ~proofs ~ops =
                   ~ctx:(child_trace ctx) "server.batch_memo";
               item
           | None ->
-              let graph_idx =
-                match op with
-                | Wire.Op_prove { graph; _ }
-                | Wire.Op_verify { graph; _ }
-                | Wire.Op_forge { graph; _ } ->
-                    graph
-              in
               let item =
-                if graph_idx < 0 || graph_idx >= Array.length graphs then
-                  Wire.Item_error
-                    {
-                      code = Wire.Bad_request;
-                      message =
-                        Printf.sprintf "graph index %d out of range" graph_idx;
-                    }
-                else
-                  let graph6 = graphs.(graph_idx) in
-                  let req =
-                    match op with
-                    | Wire.Op_prove { scheme; _ } ->
-                        Some (Wire.Prove { scheme; graph6 })
-                    | Wire.Op_verify { scheme; proof; _ } ->
-                        if proof < 0 || proof >= Array.length proofs then None
-                        else
-                          Some
-                            (Wire.Verify
-                               { scheme; graph6; proof = proofs.(proof) })
-                    | Wire.Op_forge { scheme; max_bits; _ } ->
-                        Some (Wire.Forge { scheme; graph6; max_bits })
-                  in
-                  match req with
-                  | None ->
-                      Wire.Item_error
-                        {
-                          code = Wire.Bad_request;
-                          message = "proof index out of range";
-                        }
-                  | Some req ->
-                      let run () =
-                        item_of_response
-                          (try compute_one t ctx req
-                           with e ->
-                             err Wire.Internal "%s" (Printexc.to_string e))
-                      in
-                      if !Obs.Trace.enabled then begin
-                        (* a real (uncoalesced) op gets its own span,
-                           and becomes the parent of any cache_load /
-                           compile it triggers *)
-                        let c = child_trace ctx in
-                        let saved = ctx.tparent in
-                        if c.Obs.Trace.span <> 0 then
-                          ctx.tparent <- c.Obs.Trace.span;
-                        let item =
-                          Obs.Trace.span_ctx "server.batch_op" "op" op_idx c run
-                        in
-                        ctx.tparent <- saved;
-                        item
-                      end
-                      else run ()
+                match op_request ~graphs ~proofs op with
+                | Error message ->
+                    Wire.Item_error { code = Wire.Bad_request; message }
+                | Ok req ->
+                    let run () =
+                      Wire.item_of_response
+                        (try compute_one t ctx req
+                         with e ->
+                           err Wire.Internal "%s" (Printexc.to_string e))
+                    in
+                    (* a real (uncoalesced) op gets its own span *)
+                    if !Obs.Trace.enabled then
+                      in_child_span ctx "server.batch_op" "op" op_idx run
+                    else run ()
               in
               Hashtbl.replace memo op item;
               item)
       ops
   in
   Wire.Batch_reply items
-
-let request_kind = function
-  | Wire.Prove _ -> "prove"
-  | Wire.Verify _ -> "verify"
-  | Wire.Forge _ -> "forge"
-  | Wire.Batch _ -> "batch"
-  | Wire.Verify_partition _ -> "verify_partition"
-  | Wire.Verify_sampled _ -> "verify_sampled"
-  | Wire.Stats -> "stats"
-  | Wire.Catalog -> "catalog"
-  | Wire.Metrics_text -> "metrics"
-  | Wire.Health -> "health"
-  | Wire.Drain _ -> "drain"
-  | Wire.Trace_export -> "trace"
-  | Wire.Profile_export -> "profile"
 
 let request_scheme = function
   | Wire.Prove { scheme; _ }
@@ -836,14 +672,14 @@ let request_scheme = function
 (* Runs on a worker domain. The deadline is measured from the
    request's arrival on the connection thread, so queue wait counts
    against it. *)
-let compute t ctx req =
+let compute t (ctx : ctx) req =
   let dequeue_ns = Obs.Clock.now_ns () in
-  ctx.queue_wait_ns <- dequeue_ns - ctx.arrival_ns;
+  ctx.local.queue_wait_ns <- dequeue_ns - ctx.arrival_ns;
   if !Obs.Trace.enabled then
-    Obs.Trace.complete ~arg_name:"rid" ~arg:ctx.id ~ctx:(child_trace ctx)
-      "server.queue_wait" ~t0_ns:ctx.arrival_ns ~dur_ns:ctx.queue_wait_ns;
+    Obs.Trace.complete ~arg_name:"rid" ~arg:ctx.rid ~ctx:(child_trace ctx)
+      "server.queue_wait" ~t0_ns:ctx.arrival_ns ~dur_ns:ctx.local.queue_wait_ns;
   if !Obs.Metrics.enabled then
-    Obs.Metrics.observe m_queue_wait_us (ctx.queue_wait_ns / 1_000);
+    Obs.Metrics.observe m_queue_wait_us (ctx.local.queue_wait_ns / 1_000);
   let deadline =
     if t.config.deadline_ms <= 0 then max_int
     else ctx.arrival_ns + (t.config.deadline_ms * 1_000_000)
@@ -857,14 +693,8 @@ let compute t ctx req =
       | req -> compute_one t ctx req
     in
     let run () =
-      if !Obs.Trace.enabled then begin
-        let c = child_trace ctx in
-        let saved = ctx.tparent in
-        if c.Obs.Trace.span <> 0 then ctx.tparent <- c.Obs.Trace.span;
-        let resp = Obs.Trace.span_ctx "server.compute" "rid" ctx.id c body in
-        ctx.tparent <- saved;
-        resp
-      end
+      if !Obs.Trace.enabled then
+        in_child_span ctx "server.compute" "rid" ctx.rid body
       else body ()
     in
     let resp =
@@ -882,7 +712,7 @@ let compute t ctx req =
       end
       else run ()
     in
-    ctx.compute_ns <- Obs.Clock.now_ns () - dequeue_ns;
+    ctx.local.compute_ns <- Obs.Clock.now_ns () - dequeue_ns;
     if Obs.Clock.now_ns () > deadline then
       (* a finished batch keeps its per-op verdicts: the late ops
          already answered [Deadline_exceeded] in their own slots *)
@@ -922,7 +752,7 @@ let stats_reply t =
       cache_entries = s.cache_entries;
       overloaded = s.overloaded;
       deadline_exceeded = s.deadline_exceeded;
-      uptime_ms = uptime_ms t;
+      uptime_ms = Frame_server.uptime_ms t.fs;
       metrics_json =
         (if !Obs.Metrics.enabled then
            Obs.Metrics.to_json (Obs.Metrics.snapshot ())
@@ -953,7 +783,7 @@ let hit_ratio hits misses =
 let metrics_text t =
   let e = Obs.Export.create () in
   let s = stats t in
-  Obs.Export.counter e ~help:"Requests received" "server.requests" s.requests;
+  Frame_server.export t.fs e;
   Obs.Export.counter e ~help:"Batch sub-operations processed"
     "server.batch_ops" s.batch_ops;
   Obs.Export.counter e ~help:"Requests shed by backpressure"
@@ -962,10 +792,6 @@ let metrics_text t =
     "server.unavailable" s.unavailable;
   Obs.Export.counter e ~help:"Requests past their deadline"
     "server.deadline_exceeded" s.deadline_exceeded;
-  Obs.Export.counter e ~help:"Unparseable frames" "server.bad_frames"
-    s.bad_frames;
-  Obs.Export.counter e ~help:"Connections accepted" "server.connections"
-    s.connections;
   Obs.Export.counter e ~help:"Requests over the slow threshold"
     "server.slow_requests" s.slow_requests;
   Obs.Export.counter e ~help:"Compiled-verifier cache hits"
@@ -1004,9 +830,6 @@ let metrics_text t =
   Obs.Export.gauge e ~help:"Compiled verifiers resident"
     "server.cache_entries"
     (float_of_int s.cache_entries);
-  Obs.Export.gauge e ~help:"Seconds since the server started"
-    "server.uptime_seconds"
-    (float_of_int (uptime_ms t) /. 1000.0);
   let h = health t in
   Obs.Export.gauge e ~help:"Pool tasks queued or running"
     "server.pool_pending"
@@ -1018,31 +841,15 @@ let metrics_text t =
     (if h.Wire.ready then 1.0 else 0.0);
   List.iter
     (fun seconds ->
-      let w = Obs.Window.stats ~seconds t.window in
+      let w = Obs.Window.stats ~seconds (Frame_server.window t.fs) in
       let labels = [ ("window", string_of_int w.Obs.Window.seconds ^ "s") ] in
-      Obs.Export.window_summary e
-        ~help:"Request latency in microseconds, rolling window"
-        "server.request_us" w;
-      Obs.Export.gauge e ~labels ~help:"Requests per second, rolling window"
-        "server.request_rate" w.Obs.Window.rate;
-      (* frames/s is request_rate; ops/s counts batch sub-ops, so the
-         two diverge exactly when batching is doing its job *)
-      Obs.Export.gauge e ~labels
-        ~help:"Operations per second (batch sub-ops counted singly)"
-        "server.op_rate"
-        (float_of_int w.Obs.Window.counters.(w_ops)
-        /. float_of_int w.Obs.Window.seconds);
-      Obs.Export.gauge e ~labels ~help:"Error responses per second"
-        "server.error_rate"
-        (float_of_int w.Obs.Window.counters.(w_errors)
-        /. float_of_int w.Obs.Window.seconds);
       Obs.Export.gauge e ~labels
         ~help:"Compiled-verifier cache hit ratio, rolling window"
         "server.cache_hit_ratio"
         (hit_ratio
            w.Obs.Window.counters.(w_hits)
            w.Obs.Window.counters.(w_misses)))
-    [ 1; 10; 60 ];
+    Frame_server.windows;
   (* GC/runtime telemetry and the profiler's families: live
      quick_stat values plus sampler counters and per-scheme costs *)
   Obs.Profile.exposition e;
@@ -1062,7 +869,7 @@ let metrics_json t =
      \"disk_hits\":%d,\"uptime_ms\":%d}"
     s.requests s.batch_ops s.overloaded s.unavailable s.deadline_exceeded
     s.bad_frames s.connections s.slow_requests s.cache_hits s.cache_misses
-    s.cache_entries s.disk_hits (uptime_ms t);
+    s.cache_entries s.disk_hits (Frame_server.uptime_ms t.fs);
   let h = health t in
   Printf.bprintf b
     ",\"health\":{\"ready\":%b,\"pending\":%d,\"max_queue\":%d}"
@@ -1071,17 +878,17 @@ let metrics_json t =
   List.iteri
     (fun i seconds ->
       if i > 0 then Buffer.add_char b ',';
-      let w = Obs.Window.stats ~seconds t.window in
+      let w = Obs.Window.stats ~seconds (Frame_server.window t.fs) in
       Printf.bprintf b
         "\"%ds\":{\"count\":%d,\"rate\":%g,\"p50_us\":%d,\"p95_us\":%d,\
          \"p99_us\":%d,\"max_us\":%d,\"errors\":%d,\"cache_hits\":%d,\
          \"cache_misses\":%d}"
         w.Obs.Window.seconds w.Obs.Window.count w.Obs.Window.rate
         w.Obs.Window.p50 w.Obs.Window.p95 w.Obs.Window.p99 w.Obs.Window.max
-        w.Obs.Window.counters.(w_errors)
+        w.Obs.Window.counters.(Frame_server.w_errors)
         w.Obs.Window.counters.(w_hits)
         w.Obs.Window.counters.(w_misses))
-    [ 1; 10; 60 ];
+    Frame_server.windows;
   Buffer.add_char b '}';
   Printf.bprintf b ",\"metrics\":%s"
     (if !Obs.Metrics.enabled then Obs.Metrics.to_json (Obs.Metrics.snapshot ())
@@ -1091,80 +898,49 @@ let metrics_json t =
 
 (* --- per-request telemetry -------------------------------------------- *)
 
-let outcome_of = function
-  | Wire.Error_reply { code; _ } -> Wire.error_code_to_string code
-  | _ -> "ok"
-
-(* Everything that happens after the response is known: windows,
-   latency histogram, the structured log line and the slow-request
-   flight recorder. Runs on the connection thread. *)
-let finish_request t ctx req resp =
-  let done_ns = Obs.Clock.now_ns () in
-  let latency_ns = done_ns - ctx.arrival_ns in
-  let latency_us = latency_ns / 1_000 in
-  let outcome = outcome_of resp in
-  Obs.Window.observe t.window latency_us;
-  Obs.Window.incr t.window w_requests;
-  Obs.Window.add t.window w_ops
-    (match req with Wire.Batch { ops; _ } -> List.length ops | _ -> 1);
-  if outcome <> "ok" then Obs.Window.incr t.window w_errors;
-  (match ctx.cache with
-  | "hit" | "disk" -> Obs.Window.incr t.window w_hits
-  | "miss" -> Obs.Window.incr t.window w_misses
+(* The daemon's share of the bookkeeping once the response is known:
+   cache windows, the latency histogram and the slow-request flight
+   recorder. Runs on the connection thread. A slow request's log line
+   names its trace. *)
+let finish t (ctx : ctx) _req _resp ~latency_ns =
+  let window = Frame_server.window t.fs in
+  (match ctx.local.cache with
+  | "hit" | "disk" -> Obs.Window.incr window w_hits
+  | "miss" -> Obs.Window.incr window w_misses
   | _ -> ());
-  if !Obs.Metrics.enabled then Obs.Metrics.observe m_request_us latency_us;
+  if !Obs.Metrics.enabled then
+    Obs.Metrics.observe m_request_us (latency_ns / 1_000);
   let slow =
     t.config.slow_ms > 0 && latency_ns >= t.config.slow_ms * 1_000_000
   in
-  (match t.config.log with
-  | None -> ()
-  | Some log ->
-      let fields =
-        [
-          ("rid", Obs.Log.Int ctx.id);
-          ("rid_hex", Obs.Log.Str (Printf.sprintf "%x" ctx.id));
-          ("req", Obs.Log.Str (request_kind req));
-          ("scheme", Obs.Log.Str (request_scheme req));
-          ("n", Obs.Log.Int ctx.n_nodes);
-          ("cache", Obs.Log.Str ctx.cache);
-          ("queue_wait_ns", Obs.Log.Int ctx.queue_wait_ns);
-          ("compute_ns", Obs.Log.Int ctx.compute_ns);
-          ("latency_us", Obs.Log.Int latency_us);
-          ("outcome", Obs.Log.Str outcome);
-        ]
-      in
-      (* exemplar: a slow line names its trace so the operator can jump
-         from the log straight to the merged timeline *)
-      let fields =
-        if slow && ctx.trace.Obs.Trace.span <> 0 then
-          fields
-          @ [
-              ( "trace",
-                Obs.Log.Str
-                  (Obs.Trace.hex_id ctx.trace.Obs.Trace.t_hi
-                     ctx.trace.Obs.Trace.t_lo) );
-            ]
-        else fields
-      in
-      ignore (Obs.Log.write log fields));
   if slow then begin
     Atomic.incr t.c_slow;
     Obs.Metrics.incr m_slow;
-    Obs.Trace.instant ~arg_name:"rid" ~arg:ctx.id ~ctx:(child_trace ctx)
+    Obs.Trace.instant ~arg_name:"rid" ~arg:ctx.rid ~ctx:(child_trace ctx)
       "server.slow_request";
     if !Obs.Trace.enabled then begin
       let path =
         Filename.concat t.config.slow_dir
-          (Printf.sprintf "slow-%d.json" ctx.id)
+          (Printf.sprintf "slow-%d.json" ctx.rid)
       in
       try
-        Obs.Trace.export_slice path ~since_ns:ctx.arrival_ns ~until_ns:done_ns
+        Obs.Trace.export_slice path ~since_ns:ctx.arrival_ns
+          ~until_ns:(ctx.arrival_ns + latency_ns)
       with Sys_error _ -> () (* a bad slow_dir must not kill the request *)
     end
-  end
+  end;
+  slow
+
+let log_fields (ctx : ctx) req =
+  [
+    ("scheme", Obs.Log.Str (request_scheme req));
+    ("n", Obs.Log.Int ctx.local.n_nodes);
+    ("cache", Obs.Log.Str ctx.local.cache);
+    ("queue_wait_ns", Obs.Log.Int ctx.local.queue_wait_ns);
+    ("compute_ns", Obs.Log.Int ctx.local.compute_ns);
+  ]
 
 let handle_request t ctx req =
-  Atomic.incr t.c_requests;
   Obs.Metrics.incr m_requests;
   Obs.Metrics.incr
     (match req with
@@ -1178,180 +954,50 @@ let handle_request t ctx req =
     | Wire.Metrics_text | Wire.Health | Wire.Drain _ | Wire.Trace_export
     | Wire.Profile_export ->
         m_req_telemetry);
-  let body () =
-    match req with
-    | Wire.Stats -> stats_reply t
-    | Wire.Catalog -> catalog_reply ()
-    | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
-    | Wire.Health -> Wire.Health_reply (health t)
-    | Wire.Trace_export ->
-        (* answered inline like Metrics_text: exporting must work even
-           when the pool is saturated — that is when you want traces *)
-        Wire.Trace_export_reply
-          (if !Obs.Trace.enabled then Obs.Trace.export_string ()
-           else "{\"traceEvents\":[],\"dropped\":0}")
-    | Wire.Profile_export ->
-        (* inline for the same reason as Trace_export: a saturated
-           pool is exactly when the profile is wanted *)
-        Wire.Profile_export_reply (Obs.Profile.export_string ())
-    | Wire.Drain { enable } ->
-        (* graceful drain: keep serving everything, but report
-           not-ready so a routing frontend stops sending new work *)
-        set_draining t enable;
-        Wire.Drain_reply { draining = enable; pending = Pool.pending t.pool }
-    | _ -> dispatch t ctx req
-  in
-  let resp =
-    if !Obs.Trace.enabled then
-      Obs.Trace.span_ctx "server.request" "rid" ctx.id ctx.trace body
-    else body ()
-  in
-  finish_request t ctx req resp;
-  resp
-
-(* --- connections ------------------------------------------------------ *)
-
-let bad_frame t raw message =
-  Atomic.incr t.c_bad_frames;
-  Obs.Metrics.incr m_bad_frames;
-  let code =
-    (* a correct magic with a version outside our range deserves the
-       typed answer; anything else is noise on the port *)
-    if
-      String.length raw >= 3
-      && raw.[0] = 'L'
-      && raw.[1] = 'C'
-      && (Char.code raw.[2] < Wire.min_protocol_version
-         || Char.code raw.[2] > Wire.protocol_version)
-    then Wire.Unsupported_version
-    else Wire.Bad_frame
-  in
-  Wire.Error_reply { code; message }
-
-let handle_conn t fd =
-  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-  @@ fun () ->
-  try
-    let rec loop () =
-      if not (Atomic.get t.stopping) then
-        match Net_io.read_exact fd Wire.header_bytes with
-        | None -> ()
-        | Some raw -> (
-            match Wire.decode_header_err raw with
-            | Error (Wire.Bad_header m) ->
-                (* framing lost: answer once, then drop the link *)
-                Net_io.write_all fd (Wire.encode_response (bad_frame t raw m))
-            | Error (Wire.Oversized { version; tag = _; length }) ->
-                (* the length field is trustworthy: drain the payload,
-                   answer a typed error naming the offending size, and
-                   keep the connection — an oversized shard must not
-                   kill its siblings multiplexed on the same link *)
-                Atomic.incr t.c_bad_frames;
-                Obs.Metrics.incr m_bad_frames;
-                if Net_io.skip_exact fd length then begin
-                  Net_io.write_all fd
-                    (Wire.encode_response ~version
-                       (err Wire.Bad_request
-                          "payload of %d bytes exceeds the %d byte cap" length
-                          Wire.max_payload));
-                  loop ()
-                end
-            | Ok { Wire.version; tag; length } -> (
-                match Net_io.read_exact fd length with
-                | None -> ()
-                | Some payload ->
-                    (* the reply speaks the request's version, echoes
-                       its id (v1: no id on the wire) and its trace
-                       context, so the caller can pair the response
-                       with the trace it started *)
-                    let id, trace, resp =
-                      match
-                        Wire.decode_request_payload ~version ~tag payload
-                      with
-                      | Error m ->
-                          Atomic.incr t.c_bad_frames;
-                          Obs.Metrics.incr m_bad_frames;
-                          (0, None, err Wire.Bad_request "%s" m)
-                      | Ok (id, wire_trace, req) ->
-                          let ctx = make_ctx t ~id ?wire_trace () in
-                          (ctx.id, wire_trace, handle_request t ctx req)
-                    in
-                    Net_io.write_all fd
-                      (Wire.encode_response ~version ~id ?trace resp);
-                    loop ()))
-    in
-    loop ()
-  with Unix.Unix_error _ -> () (* peer vanished mid-frame *)
+  match req with
+  | Wire.Stats -> stats_reply t
+  | Wire.Catalog -> catalog_reply ()
+  | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
+  | Wire.Health -> Wire.Health_reply (health t)
+  | Wire.Trace_export | Wire.Profile_export -> Frame_server.export_reply req
+  | Wire.Drain { enable } ->
+      (* graceful drain: keep serving everything, but report not-ready
+         so a routing frontend stops sending new work *)
+      set_draining t enable;
+      Wire.Drain_reply { draining = enable; pending = Pool.pending t.pool }
+  | _ -> dispatch t ctx req
 
 (* --- HTTP sidecar ----------------------------------------------------- *)
 
-let http_reply t path =
-  match path with
-  | "/metrics" ->
-      Http_sidecar.response ~status:"200 OK"
-        ~content_type:Http_sidecar.prometheus_content_type (metrics_text t)
+let http_reply t = function
   | "/metrics.json" ->
-      Http_sidecar.response ~status:"200 OK" ~content_type:"application/json"
-        (metrics_json t)
-  | "/healthz" ->
-      Http_sidecar.response ~status:"200 OK" ~content_type:"text/plain" "ok\n"
+      Some
+        (Frame_server.http_response ~status:"200 OK"
+           ~content_type:"application/json" (metrics_json t))
   | "/readyz" ->
       let h = health t in
-      if h.Wire.ready then
-        Http_sidecar.response ~status:"200 OK" ~content_type:"text/plain"
-          "ready\n"
-      else
-        Http_sidecar.response ~status:"503 Service Unavailable"
-          ~content_type:"text/plain"
-          (Printf.sprintf "saturated: %d/%d tasks pending\n" h.Wire.pending
-             h.Wire.max_queue)
-  | _ -> Http_sidecar.not_found
-
-let http_loop t sock =
-  Http_sidecar.serve
-    ~stopping:(fun () -> Atomic.get t.stopping)
-    ~handler:(http_reply t) sock
+      Some
+        (Frame_server.http_text ~ready:h.Wire.ready
+           (if h.Wire.ready then "ready\n"
+            else
+              Printf.sprintf "saturated: %d/%d tasks pending\n" h.Wire.pending
+                h.Wire.max_queue))
+  | _ -> None
 
 (* --- lifecycle -------------------------------------------------------- *)
 
-let stop t =
-  if not (Atomic.exchange t.stopping true) then begin
-    (try Unix.shutdown t.sock Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-    (try Unix.close t.sock with Unix.Unix_error _ -> ());
-    match t.http_sock with
-    | None -> ()
-    | Some s ->
-        (try Unix.shutdown s Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-        (try Unix.close s with Unix.Unix_error _ -> ())
-  end
+let stop t = Frame_server.stop t.fs
 
 let run t =
-  (* a peer that disappears between our read and write must surface as
-     EPIPE on the write, not kill the daemon *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ | Sys_error _ -> ());
-  let http_thread =
-    Option.map (fun s -> Thread.create (fun () -> http_loop t s) ()) t.http_sock
-  in
-  let rec loop () =
-    if not (Atomic.get t.stopping) then
-      match Unix.accept t.sock with
-      | fd, _ ->
-          (* small frames must not sit out a Nagle/delayed-ACK round:
-             answers leave as soon as they are written *)
-          (try Unix.setsockopt fd Unix.TCP_NODELAY true
-           with Unix.Unix_error _ -> ());
-          Atomic.incr t.c_connections;
-          Obs.Metrics.incr m_connections;
-          ignore (Thread.create (fun () -> handle_conn t fd) ());
-          loop ()
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ()
-      | exception Unix.Unix_error _ when Atomic.get t.stopping ->
-          (* {!stop} closed the listener under us *)
-          ()
-  in
-  loop ();
-  Option.iter Thread.join http_thread;
+  Frame_server.run t.fs
+    {
+      Frame_server.fresh = fresh_local;
+      handle = handle_request t;
+      log_fields;
+      finish = finish t;
+      metrics_text = (fun () -> metrics_text t);
+      http = http_reply t;
+    };
   Pool.shutdown t.pool;
   (* the pool is joined: recording has ceased, resets are safe again *)
   Obs.Metrics.unguard_reset ()

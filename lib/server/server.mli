@@ -3,9 +3,10 @@
     cost across requests.
 
     Concurrency layout: the accept loop and one lightweight system
-    thread per connection do IO and framing only; all verification
-    work is dispatched onto a shared {!Pool} of [jobs] worker domains,
-    so CPU concurrency is bounded regardless of connection count.
+    thread per connection ({!Frame_server}) do IO and framing only;
+    all verification work is dispatched onto a shared {!Pool} of
+    [jobs] worker domains, so CPU concurrency is bounded regardless of
+    connection count.
 
     Production behaviours, all surfaced as {e typed} wire errors
     rather than hangs or dropped connections:
@@ -23,8 +24,8 @@
 
     {2 Telemetry}
 
-    Every request carries a correlation id — echoed from a protocol-v2
-    client or allocated by the server — stamped on the
+    Every request carries a correlation id — echoed from the client
+    or allocated by the server — stamped on the
     [server.request] / [server.queue_wait] / [server.compute] trace
     spans, the structured log line ([config.log]) and the response, so
     one request's journey across the connection thread and the worker

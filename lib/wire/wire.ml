@@ -11,31 +11,23 @@
    before anything is allocated, so a tiny hostile frame cannot demand
    a gigabyte list.
 
-   Version 2 prefixes every payload with a u64 correlation id (0 =
-   unassigned; the server allocates one) echoed verbatim on the
-   response; version 1 frames — no id, same body layout — are still
-   accepted and answered in version 1, so old clients keep working
-   against a v2 server.
-
-   A v2 payload may additionally carry a trace context: bit 63 of the
-   correlation-id word flags its presence, and 24 context bytes follow
-   the id — trace id high half, trace id low half, parent span id,
-   each a 63-bit non-negative int in a u64. Context-less v2 frames are
-   byte-identical to the pre-context encoding, and peers built before
-   this extension reject the flag bit with a typed Bad_request instead
-   of crashing, so mixed fleets degrade to unsampled. *)
+   Every payload starts with a u64 correlation id (0 = unassigned; the
+   server allocates one) echoed verbatim on the response. It may carry
+   a trace context: bit 63 of the correlation-id word flags its
+   presence, and 24 context bytes follow the id — trace id high half,
+   trace id low half, parent span id, each a 63-bit non-negative int
+   in a u64. *)
 
 let protocol_version = 2
-let min_protocol_version = 1
 let header_bytes = 8
 let id_bytes = 8
 let max_payload = 16 * 1024 * 1024
 let magic0 = 'L'
 let magic1 = 'C'
 
-type header = { version : int; tag : int; length : int }
+type header = { tag : int; length : int }
 
-(* Distributed-tracing context rides the v2 id prefix: a 126-bit trace
+(* Distributed-tracing context rides the id prefix: a 126-bit trace
    id split across two 63-bit halves plus the sender's span id, which
    becomes the receiver's parent. All-zero means "unsampled" and is
    never encoded — senders pass [None] instead. *)
@@ -199,6 +191,21 @@ let request_tag = function
   | Profile_export -> 0x0C
   | Verify_sampled _ -> 0x0D
 
+let request_kind = function
+  | Prove _ -> "prove"
+  | Verify _ -> "verify"
+  | Forge _ -> "forge"
+  | Stats -> "stats"
+  | Catalog -> "catalog"
+  | Metrics_text -> "metrics"
+  | Health -> "health"
+  | Drain _ -> "drain"
+  | Batch _ -> "batch"
+  | Trace_export -> "trace"
+  | Verify_partition _ -> "verify_partition"
+  | Profile_export -> "profile"
+  | Verify_sampled _ -> "verify_sampled"
+
 let response_tag = function
   | Proved _ -> 0x81
   | Verified _ -> 0x82
@@ -214,6 +221,52 @@ let response_tag = function
   | Profile_export_reply _ -> 0x8C
   | Sampled_verified _ -> 0x8D
   | Error_reply _ -> 0xE0
+
+(* --- compute identity ------------------------------------------------- *)
+
+(* The daemon caches compiled verifiers under [cache_key] and the
+   router places requests by the same string: content-addressed
+   placement is what gives the cluster its cache affinity. *)
+let cache_key scheme identity =
+  scheme ^ "/" ^ Digest.to_hex (Digest.string identity)
+
+(* '\n' never occurs in graph6 (printable columns 63..126 only), so a
+   shard identity cannot collide with a plain graph's, and distinct id
+   tables yield distinct identities. *)
+let shard_identity graph6 ids =
+  let b = Buffer.create (String.length graph6 + (4 * Array.length ids)) in
+  Buffer.add_string b graph6;
+  Array.iter (fun v -> Printf.bprintf b "\n%x" v) ids;
+  Buffer.contents b
+
+(* A batch op's key is the key of the plain request it runs as. A
+   hand-built op with a stray graph index gets an arbitrary key; the
+   daemon answers it with a per-op Bad_request. *)
+let op_key graphs op =
+  let scheme, graph =
+    match op with
+    | Op_prove { scheme; graph }
+    | Op_verify { scheme; graph; _ }
+    | Op_forge { scheme; graph; _ } ->
+        (scheme, graph)
+  in
+  cache_key scheme
+    (if graph >= 0 && graph < Array.length graphs then graphs.(graph) else "")
+
+let request_key = function
+  (* a sampled verify runs on the same compiled image as a plain one *)
+  | Prove { scheme; graph6 }
+  | Verify { scheme; graph6; _ }
+  | Forge { scheme; graph6; _ }
+  | Verify_sampled { scheme; graph6; _ } ->
+      cache_key scheme graph6
+  | Verify_partition { scheme; graph6; ids; _ } ->
+      cache_key scheme (shard_identity graph6 ids)
+  | Batch { graphs; ops = op :: _; _ } -> op_key (Array.of_list graphs) op
+  | Batch { ops = []; _ }
+  | Stats | Catalog | Metrics_text | Health | Drain _ | Trace_export
+  | Profile_export ->
+      ""
 
 (* --- writers ---------------------------------------------------------- *)
 
@@ -327,11 +380,15 @@ let r_bool c =
   | 1 -> true
   | v -> fail "invalid boolean byte %d" v
 
-let r_id ?(what = "request id") c =
+(* The two halves of a u64 id word; bit 63 is the trace-context flag. *)
+let r_word what c =
   if remaining c < id_bytes then
     fail "truncated %s (wanted %d bytes, got %d)" what id_bytes (remaining c);
   let hi = r_u32 c in
-  let lo = r_u32 c in
+  (hi, r_u32 c)
+
+let r_id ?(what = "request id") c =
+  let hi, lo = r_word what c in
   if hi land trace_flag_bit <> 0 then fail "%s out of the 63-bit range" what;
   (hi lsl 32) lor lo
 
@@ -340,13 +397,9 @@ let r_id ?(what = "request id") c =
    any field — lands in [Fail] and therefore in [Error], never in an
    exception at the accept loop. *)
 let r_id_trace c =
-  if remaining c < id_bytes then
-    fail "truncated request id (wanted %d bytes, got %d)" id_bytes (remaining c);
-  let hi = r_u32 c in
-  let lo = r_u32 c in
-  let flagged = hi land trace_flag_bit <> 0 in
+  let hi, lo = r_word "request id" c in
   let id = ((hi land lnot trace_flag_bit) lsl 32) lor lo in
-  if not flagged then (id, None)
+  if hi land trace_flag_bit = 0 then (id, None)
   else
     let trace_hi = r_id ~what:"trace id (high half)" c in
     let trace_lo = r_id ~what:"trace id (low half)" c in
@@ -372,11 +425,11 @@ let r_bits c =
     (List.init len (fun i ->
          Char.code c.s.[base + (i / 8)] land (0x80 lsr (i mod 8)) <> 0))
 
-(* [r_list c ~min_entry_bytes f]: a u32 count whose minimum encoded
-   size is checked against the bytes actually left, then that many
-   elements. *)
-let r_list c ~min_entry_bytes f =
-  let count = r_u32 c in
+(* [r_list c ~min_entry_bytes f]: a count — u32, or u16 for the batch
+   tables, which cap at 65535 entries — whose minimum encoded size is
+   checked against the bytes actually left, then that many elements. *)
+let r_list ?(count = r_u32) c ~min_entry_bytes f =
+  let count = count c in
   if count * min_entry_bytes > remaining c then
     fail "list count %d exceeds the %d bytes present" count (remaining c);
   List.init count (fun _ -> f c)
@@ -386,14 +439,6 @@ let r_proof c =
     (r_list c ~min_entry_bytes:8 (fun c ->
          let v = r_u32 c in
          (v, r_bits c)))
-
-(* Same bound as [r_list] but with a u16 count — batch tables cap at
-   65535 entries by construction. *)
-let r_list16 c ~min_entry_bytes f =
-  let count = r_u16 c in
-  if count * min_entry_bytes > remaining c then
-    fail "list count %d exceeds the %d bytes present" count (remaining c);
-  List.init count (fun _ -> f c)
 
 let r_batch_op c ~n_graphs ~n_proofs =
   let kind = r_u8 c in
@@ -427,20 +472,6 @@ let decoding payload f =
 
 (* --- frames ----------------------------------------------------------- *)
 
-let frame ~version tag payload =
-  let b = Buffer.create (header_bytes + String.length payload) in
-  Buffer.add_char b magic0;
-  Buffer.add_char b magic1;
-  w_u8 b version;
-  w_u8 b tag;
-  w_u32 b (String.length payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
-
-let check_version version =
-  if version < min_protocol_version || version > protocol_version then
-    invalid_arg (Printf.sprintf "Wire: cannot encode protocol version %d" version)
-
 let check_id id =
   if id < 0 then invalid_arg "Wire: request ids are non-negative"
 
@@ -448,39 +479,40 @@ let check_trace { trace_hi; trace_lo; parent_span } =
   if trace_hi < 0 || trace_lo < 0 || parent_span < 0 then
     invalid_arg "Wire: trace context fields are non-negative"
 
-(* A v2 payload is the u64 correlation id followed by the v1 body; a
-   v1 payload is the bare body. A trace context, when present and the
-   version can carry one, is flagged in the id word and inserted
-   between the id and the body; v1 frames silently drop it (a v1 peer
-   could not parse it anyway — the hop degrades to unsampled). *)
-let frame_with_id ~version ~id ?trace tag body =
-  check_version version;
+(* The payload is the u64 correlation id, then the 24 trace-context
+   bytes when a context rides along (flagged in the id word), then the
+   message body. *)
+let frame ~id ?trace tag body =
   check_id id;
   Option.iter check_trace trace;
-  if version = 1 then frame ~version tag body
-  else begin
-    let b = Buffer.create (id_bytes + String.length body) in
-    (match trace with
-    | None -> w_id b id
-    | Some t ->
-        w_id ~flag:true b id;
-        w_trace b t);
-    Buffer.add_string b body;
-    frame ~version tag (Buffer.contents b)
-  end
+  let context_bytes = if trace = None then 0 else 3 * id_bytes in
+  let length = id_bytes + context_bytes + String.length body in
+  let b = Buffer.create (header_bytes + length) in
+  Buffer.add_char b magic0;
+  Buffer.add_char b magic1;
+  w_u8 b protocol_version;
+  w_u8 b tag;
+  w_u32 b length;
+  (match trace with
+  | None -> w_id b id
+  | Some t ->
+      w_id ~flag:true b id;
+      w_trace b t);
+  Buffer.add_string b body;
+  Buffer.contents b
 
 (* Header failures split in two: [Bad_header] means the framing itself
-   cannot be trusted (wrong magic, unknown version, truncation) and the
-   connection must drop; [Oversized] means the frame is well-formed but
-   its payload exceeds the cap — the length field is trustworthy, so a
-   peer can drain exactly that many bytes, answer with a typed error,
-   and keep the connection. Partition shards are the first frames big
-   enough to trip the cap in normal operation. *)
+   cannot be trusted (wrong magic, unsupported version, truncation) and
+   the connection must drop; [Oversized] means the frame is well-formed
+   but its payload exceeds the cap — the length field is trustworthy,
+   so a peer can drain exactly that many bytes, answer with a typed
+   error, and keep the connection. Partition shards are the first
+   frames big enough to trip the cap in normal operation. *)
 type header_error =
   | Bad_header of string
-  | Oversized of { version : int; tag : int; length : int }
+  | Oversized of { tag : int; length : int }
 
-let decode_header_err s =
+let decode_header s =
   if String.length s < header_bytes then
     Error
       (Bad_header
@@ -488,32 +520,26 @@ let decode_header_err s =
             (String.length s)))
   else if s.[0] <> magic0 || s.[1] <> magic1 then
     Error (Bad_header "bad magic bytes")
-  else if
-    Char.code s.[2] < min_protocol_version
-    || Char.code s.[2] > protocol_version
-  then
+  else if Char.code s.[2] <> protocol_version then
     Error
       (Bad_header
          (Printf.sprintf "unsupported protocol version %d" (Char.code s.[2])))
   else
+    let tag = Char.code s.[3] in
     let length =
       (Char.code s.[4] lsl 24)
       lor (Char.code s.[5] lsl 16)
       lor (Char.code s.[6] lsl 8)
       lor Char.code s.[7]
     in
-    if length > max_payload then
-      Error
-        (Oversized { version = Char.code s.[2]; tag = Char.code s.[3]; length })
-    else Ok { version = Char.code s.[2]; tag = Char.code s.[3]; length }
+    if length > max_payload then Error (Oversized { tag; length })
+    else Ok { tag; length }
 
 let header_error_to_string = function
   | Bad_header m -> m
   | Oversized { length; _ } ->
       Printf.sprintf "payload length %d exceeds the %d cap" length max_payload
 
-let decode_header s =
-  Result.map_error header_error_to_string (decode_header_err s)
 
 (* --- requests --------------------------------------------------------- *)
 
@@ -565,12 +591,12 @@ let request_body req =
       ());
   Buffer.contents b
 
-let encode_request ?(version = protocol_version) ?(id = 0) ?trace req =
-  frame_with_id ~version ~id ?trace (request_tag req) (request_body req)
+let encode_request ?(id = 0) ?trace req =
+  frame ~id ?trace (request_tag req) (request_body req)
 
-let decode_request_payload ?(version = protocol_version) ~tag payload =
+let decode_request_payload ~tag payload =
   decoding payload @@ fun c ->
-  let id, trace = if version >= 2 then r_id_trace c else (0, None) in
+  let id, trace = r_id_trace c in
   let req =
     match tag with
     | 0x01 ->
@@ -590,19 +616,16 @@ let decode_request_payload ?(version = protocol_version) ~tag payload =
     | 0x07 -> Health
     | 0x08 -> Drain { enable = r_bool c }
     | 0x09 ->
-        let graphs = r_list16 c ~min_entry_bytes:4 r_string in
+        let graphs = r_list ~count:r_u16 c ~min_entry_bytes:4 r_string in
         let n_graphs = List.length graphs in
-        let proofs = r_list16 c ~min_entry_bytes:4 r_proof in
+        let proofs = r_list ~count:r_u16 c ~min_entry_bytes:4 r_proof in
         let n_proofs = List.length proofs in
-        let ops =
-          r_list16 c ~min_entry_bytes:7 (r_batch_op ~n_graphs ~n_proofs)
-        in
+        let op = r_batch_op ~n_graphs ~n_proofs in
+        let ops = r_list ~count:r_u16 c ~min_entry_bytes:7 op in
         Batch { graphs; proofs; ops }
     | 0x0A -> Trace_export
     | 0x0C -> Profile_export
     | 0x0B ->
-        if version < 2 then
-          fail "Verify_partition requires protocol version 2";
         let scheme = r_string c in
         let graph6 = r_string c in
         let ids = Array.of_list (r_list c ~min_entry_bytes:4 r_u32) in
@@ -626,7 +649,6 @@ let decode_request_payload ?(version = protocol_version) ~tag payload =
         Verify_partition
           { scheme; graph6; ids; owned; proof; radius; shard_index; shard_count }
     | 0x0D ->
-        if version < 2 then fail "Verify_sampled requires protocol version 2";
         let scheme = r_string c in
         let graph6 = r_string c in
         let proof = r_proof c in
@@ -640,76 +662,50 @@ let decode_request_payload ?(version = protocol_version) ~tag payload =
 
 (* --- responses -------------------------------------------------------- *)
 
-(* A reply slot leads with a status byte: 0 = per-op error (code +
-   message follow), 1..3 = success of the prove/verify/forge kind with
-   the same body layout as the corresponding plain response. *)
-let w_batch_item b = function
-  | Item_error { code; message } ->
-      w_u8 b 0;
-      w_u8 b (error_code_to_int code);
-      w_string b message
-  | Item_proved None ->
-      w_u8 b 1;
-      w_u8 b 0
-  | Item_proved (Some proof) ->
-      w_u8 b 1;
+let w_bool b v = w_u8 b (if v then 1 else 0)
+
+let w_proof_opt b = function
+  | None -> w_u8 b 0
+  | Some proof ->
       w_u8 b 1;
       w_proof b proof
+
+(* A batch reply slot is a status byte — 0 = per-op error, 1..3 = the
+   op kind — followed by exactly the body of the matching plain
+   response. *)
+let item_response = function
+  | Item_error { code; message } -> (0, Error_reply { code; message })
+  | Item_proved p -> (1, Proved p)
   | Item_verified { accepted; rejecting } ->
-      w_u8 b 2;
-      w_u8 b (if accepted then 1 else 0);
-      w_int_list b rejecting
+      (2, Verified { accepted; rejecting })
   | Item_forged { fooled; attempts; best_rejections } ->
-      w_u8 b 3;
-      (match fooled with
-      | None -> w_u8 b 0
-      | Some proof ->
-          w_u8 b 1;
-          w_proof b proof);
-      w_u32 b attempts;
-      w_u32 b best_rejections
+      (3, Forged { fooled; attempts; best_rejections })
 
-let r_batch_item c =
-  match r_u8 c with
-  | 0 ->
-      let code_byte = r_u8 c in
-      let code =
-        match error_code_of_int code_byte with
-        | Some code -> code
-        | None -> fail "unknown error code %d in batch item" code_byte
-      in
-      Item_error { code; message = r_string c }
-  | 1 -> Item_proved (if r_bool c then Some (r_proof c) else None)
-  | 2 ->
-      let accepted = r_bool c in
-      Item_verified { accepted; rejecting = r_list c ~min_entry_bytes:4 r_u32 }
-  | 3 ->
-      let fooled = if r_bool c then Some (r_proof c) else None in
-      let attempts = r_u32 c in
-      Item_forged { fooled; attempts; best_rejections = r_u32 c }
-  | s -> fail "unknown batch item status %d" s
+let item_of_response = function
+  | Error_reply { code; message } -> Item_error { code; message }
+  | Proved p -> Item_proved p
+  | Verified { accepted; rejecting } -> Item_verified { accepted; rejecting }
+  | Forged { fooled; attempts; best_rejections } ->
+      Item_forged { fooled; attempts; best_rejections }
+  | _ -> Item_error { code = Internal; message = "non-op response" }
 
-let response_body resp =
-  let b = Buffer.create 64 in
-  (match resp with
-  | Proved None -> w_u8 b 0
-  | Proved (Some proof) ->
-      w_u8 b 1;
-      w_proof b proof
+let rec w_response b = function
+  | Proved p -> w_proof_opt b p
   | Verified { accepted; rejecting } ->
-      w_u8 b (if accepted then 1 else 0);
+      w_bool b accepted;
       w_int_list b rejecting
   | Forged { fooled; attempts; best_rejections } ->
-      (match fooled with
-      | None -> w_u8 b 0
-      | Some proof ->
-          w_u8 b 1;
-          w_proof b proof);
+      w_proof_opt b fooled;
       w_u32 b attempts;
       w_u32 b best_rejections
   | Batch_reply items ->
       w_u16 b (List.length items);
-      List.iter (w_batch_item b) items
+      List.iter
+        (fun item ->
+          let status, resp = item_response item in
+          w_u8 b status;
+          w_response b resp)
+        items
   | Stats_reply st ->
       w_u32 b st.requests;
       w_u32 b st.cache_hits;
@@ -728,151 +724,160 @@ let response_body resp =
           w_string b e.doc)
         entries
   | Partition_verified { all_accept; owned; rejected; rejecting } ->
-      w_u8 b (if all_accept then 1 else 0);
+      w_bool b all_accept;
       w_u32 b owned;
       w_u32 b rejected;
       w_int_list b rejecting
   | Sampled_verified { sampled_accept; escalated; accepted; bits_read; nodes; rejecting }
     ->
-      w_u8 b (if sampled_accept then 1 else 0);
-      w_u8 b (if escalated then 1 else 0);
-      w_u8 b (if accepted then 1 else 0);
+      w_bool b sampled_accept;
+      w_bool b escalated;
+      w_bool b accepted;
       w_u32 b bits_read;
       w_u32 b nodes;
       w_int_list b rejecting
   | Metrics_text_reply text -> w_string b text
   | Health_reply { ready; pending; max_queue; uptime_ms } ->
-      w_u8 b (if ready then 1 else 0);
+      w_bool b ready;
       w_u32 b pending;
       w_u32 b max_queue;
       w_u32 b uptime_ms
   | Drain_reply { draining; pending } ->
-      w_u8 b (if draining then 1 else 0);
+      w_bool b draining;
       w_u32 b pending
   | Trace_export_reply json -> w_string b json
   | Profile_export_reply json -> w_string b json
   | Error_reply { code; message } ->
       w_u8 b (error_code_to_int code);
-      w_string b message);
-  Buffer.contents b
+      w_string b message
 
-let encode_response ?(version = protocol_version) ?(id = 0) ?trace resp =
-  frame_with_id ~version ~id ?trace (response_tag resp) (response_body resp)
+let encode_response ?(id = 0) ?trace resp =
+  let b = Buffer.create 64 in
+  w_response b resp;
+  frame ~id ?trace (response_tag resp) (Buffer.contents b)
 
-let decode_response_payload ?(version = protocol_version) ~tag payload =
-  decoding payload @@ fun c ->
-  let id, trace = if version >= 2 then r_id_trace c else (0, None) in
-  let resp =
-    match tag with
-    | 0x81 -> Proved (if r_bool c then Some (r_proof c) else None)
-    | 0x82 ->
-        let accepted = r_bool c in
-        Verified { accepted; rejecting = r_list c ~min_entry_bytes:4 r_u32 }
-    | 0x83 ->
-        let fooled = if r_bool c then Some (r_proof c) else None in
-        let attempts = r_u32 c in
-        Forged { fooled; attempts; best_rejections = r_u32 c }
-    | 0x84 ->
-        let requests = r_u32 c in
-        let cache_hits = r_u32 c in
-        let cache_misses = r_u32 c in
-        let cache_entries = r_u32 c in
-        let overloaded = r_u32 c in
-        let deadline_exceeded = r_u32 c in
-        let uptime_ms = r_u32 c in
-        Stats_reply
-          {
-            requests;
-            cache_hits;
-            cache_misses;
-            cache_entries;
-            overloaded;
-            deadline_exceeded;
-            uptime_ms;
-            metrics_json = r_string c;
-          }
-    | 0x85 ->
-        Catalog_reply
-          (r_list c ~min_entry_bytes:10 (fun c ->
-               let name = r_string c in
-               let radius = r_u16 c in
-               { name; radius; doc = r_string c }))
-    | 0x86 -> Metrics_text_reply (r_string c)
-    | 0x87 ->
-        let ready = r_bool c in
-        let pending = r_u32 c in
-        let max_queue = r_u32 c in
-        Health_reply { ready; pending; max_queue; uptime_ms = r_u32 c }
-    | 0x88 ->
-        let draining = r_bool c in
-        Drain_reply { draining; pending = r_u32 c }
-    | 0x89 -> Batch_reply (r_list16 c ~min_entry_bytes:2 r_batch_item)
-    | 0x8A -> Trace_export_reply (r_string c)
-    | 0x8C -> Profile_export_reply (r_string c)
-    | 0x8B ->
-        let all_accept = r_bool c in
-        let owned = r_u32 c in
-        let rejected = r_u32 c in
-        let rejecting = r_list c ~min_entry_bytes:4 r_u32 in
-        if all_accept <> (rejected = 0) then
-          fail "all-accept flag disagrees with %d rejections" rejected;
-        if rejected > owned then
-          fail "%d rejections among %d owned nodes" rejected owned;
-        if List.length rejecting > 64 then
-          fail "rejecting sample carries %d ids (cap 64)"
-            (List.length rejecting);
-        if List.length rejecting > rejected then
-          fail "rejecting sample larger than the rejection count";
-        Partition_verified { all_accept; owned; rejected; rejecting }
-    | 0x8D ->
-        let sampled_accept = r_bool c in
-        let escalated = r_bool c in
-        let accepted = r_bool c in
-        let bits_read = r_u32 c in
-        let nodes = r_u32 c in
-        let rejecting = r_list c ~min_entry_bytes:4 r_u32 in
-        if escalated = sampled_accept then
-          fail "escalation flag disagrees with the sampled verdict";
-        if sampled_accept && not accepted then
-          fail "sampled accept downgraded without escalation";
-        if accepted && rejecting <> [] then
-          fail "accepted verdict carries %d rejecting nodes"
-            (List.length rejecting);
-        if List.length rejecting > 64 then
-          fail "rejecting sample carries %d ids (cap 64)"
-            (List.length rejecting);
-        Sampled_verified
-          { sampled_accept; escalated; accepted; bits_read; nodes; rejecting }
-    | 0xE0 ->
-        let code_byte = r_u8 c in
-        let code =
-          match error_code_of_int code_byte with
-          | Some code -> code
-          | None -> fail "unknown error code %d" code_byte
-        in
-        Error_reply { code; message = r_string c }
-    | t -> fail "unknown response tag 0x%02x" t
+let r_proof_opt c = if r_bool c then Some (r_proof c) else None
+
+let rec r_response ~tag c =
+  match tag with
+  | 0x81 -> Proved (r_proof_opt c)
+  | 0x82 ->
+      let accepted = r_bool c in
+      Verified { accepted; rejecting = r_list c ~min_entry_bytes:4 r_u32 }
+  | 0x83 ->
+      let fooled = r_proof_opt c in
+      let attempts = r_u32 c in
+      Forged { fooled; attempts; best_rejections = r_u32 c }
+  | 0x84 ->
+      let requests = r_u32 c in
+      let cache_hits = r_u32 c in
+      let cache_misses = r_u32 c in
+      let cache_entries = r_u32 c in
+      let overloaded = r_u32 c in
+      let deadline_exceeded = r_u32 c in
+      let uptime_ms = r_u32 c in
+      Stats_reply
+        {
+          requests;
+          cache_hits;
+          cache_misses;
+          cache_entries;
+          overloaded;
+          deadline_exceeded;
+          uptime_ms;
+          metrics_json = r_string c;
+        }
+  | 0x85 ->
+      Catalog_reply
+        (r_list c ~min_entry_bytes:10 (fun c ->
+             let name = r_string c in
+             let radius = r_u16 c in
+             { name; radius; doc = r_string c }))
+  | 0x86 -> Metrics_text_reply (r_string c)
+  | 0x87 ->
+      let ready = r_bool c in
+      let pending = r_u32 c in
+      let max_queue = r_u32 c in
+      Health_reply { ready; pending; max_queue; uptime_ms = r_u32 c }
+  | 0x88 ->
+      let draining = r_bool c in
+      Drain_reply { draining; pending = r_u32 c }
+  | 0x89 -> Batch_reply (r_list ~count:r_u16 c ~min_entry_bytes:2 r_batch_item)
+  | 0x8A -> Trace_export_reply (r_string c)
+  | 0x8C -> Profile_export_reply (r_string c)
+  | 0x8B ->
+      let all_accept = r_bool c in
+      let owned = r_u32 c in
+      let rejected = r_u32 c in
+      let rejecting = r_list c ~min_entry_bytes:4 r_u32 in
+      if all_accept <> (rejected = 0) then
+        fail "all-accept flag disagrees with %d rejections" rejected;
+      if rejected > owned then
+        fail "%d rejections among %d owned nodes" rejected owned;
+      if List.length rejecting > 64 then
+        fail "rejecting sample carries %d ids (cap 64)"
+          (List.length rejecting);
+      if List.length rejecting > rejected then
+        fail "rejecting sample larger than the rejection count";
+      Partition_verified { all_accept; owned; rejected; rejecting }
+  | 0x8D ->
+      let sampled_accept = r_bool c in
+      let escalated = r_bool c in
+      let accepted = r_bool c in
+      let bits_read = r_u32 c in
+      let nodes = r_u32 c in
+      let rejecting = r_list c ~min_entry_bytes:4 r_u32 in
+      if escalated = sampled_accept then
+        fail "escalation flag disagrees with the sampled verdict";
+      if sampled_accept && not accepted then
+        fail "sampled accept downgraded without escalation";
+      if accepted && rejecting <> [] then
+        fail "accepted verdict carries %d rejecting nodes"
+          (List.length rejecting);
+      if List.length rejecting > 64 then
+        fail "rejecting sample carries %d ids (cap 64)"
+          (List.length rejecting);
+      Sampled_verified
+        { sampled_accept; escalated; accepted; bits_read; nodes; rejecting }
+  | 0xE0 ->
+      let code_byte = r_u8 c in
+      let code =
+        match error_code_of_int code_byte with
+        | Some code -> code
+        | None -> fail "unknown error code %d" code_byte
+      in
+      Error_reply { code; message = r_string c }
+  | t -> fail "unknown response tag 0x%02x" t
+
+and r_batch_item c =
+  let tag =
+    match r_u8 c with
+    | 0 -> 0xE0 (* an Error_reply body *)
+    | (1 | 2 | 3) as kind -> 0x80 + kind
+    | s -> fail "unknown batch item status %d" s
   in
-  (id, trace, resp)
+  item_of_response (r_response ~tag c)
+
+let decode_response_payload ~tag payload =
+  decoding payload @@ fun c ->
+  let id, trace = r_id_trace c in
+  (id, trace, r_response ~tag c)
 
 (* --- whole-frame convenience ------------------------------------------ *)
 
 let split_frame decode_payload s =
   match decode_header s with
-  | Error _ as e -> e
-  | Ok { version; tag; length } ->
+  | Error e -> Error (header_error_to_string e)
+  | Ok { tag; length } ->
       if String.length s <> header_bytes + length then
         Error
           (Printf.sprintf "frame announces %d payload bytes but carries %d"
              length
              (String.length s - header_bytes))
-      else decode_payload ~version ~tag (String.sub s header_bytes length)
+      else decode_payload ~tag (String.sub s header_bytes length)
 
-let decode_request s =
-  split_frame (fun ~version ~tag p -> decode_request_payload ~version ~tag p) s
-
-let decode_response s =
-  split_frame (fun ~version ~tag p -> decode_response_payload ~version ~tag p) s
+let decode_request s = split_frame decode_request_payload s
+let decode_response s = split_frame decode_response_payload s
 
 (* --- equality (round-trip tests) -------------------------------------- *)
 
@@ -917,27 +922,13 @@ let equal_request a b =
   | Drain a, Drain b -> a.enable = b.enable
   | _ -> false
 
-let equal_trace_context (a : trace_context) (b : trace_context) = a = b
-
 let equal_proof_opt a b =
   match (a, b) with
   | None, None -> true
   | Some a, Some b -> Proof.equal a b
   | _ -> false
 
-let equal_batch_item a b =
-  match (a, b) with
-  | Item_proved a, Item_proved b -> equal_proof_opt a b
-  | Item_verified a, Item_verified b ->
-      a.accepted = b.accepted && a.rejecting = b.rejecting
-  | Item_forged a, Item_forged b ->
-      equal_proof_opt a.fooled b.fooled
-      && a.attempts = b.attempts
-      && a.best_rejections = b.best_rejections
-  | Item_error a, Item_error b -> a.code = b.code && a.message = b.message
-  | _ -> false
-
-let equal_response a b =
+let rec equal_response a b =
   match (a, b) with
   | Proved a, Proved b -> equal_proof_opt a b
   | Verified a, Verified b ->
@@ -956,7 +947,11 @@ let equal_response a b =
       && a.bits_read = b.bits_read && a.nodes = b.nodes
       && a.rejecting = b.rejecting
   | Batch_reply a, Batch_reply b ->
-      List.length a = List.length b && List.for_all2 equal_batch_item a b
+      List.length a = List.length b
+      && List.for_all2
+           (fun a b ->
+             equal_response (snd (item_response a)) (snd (item_response b)))
+           a b
   | Stats_reply a, Stats_reply b -> a = b
   | Catalog_reply a, Catalog_reply b -> a = b
   | Metrics_text_reply a, Metrics_text_reply b -> a = b

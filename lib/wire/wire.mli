@@ -1,39 +1,33 @@
-(** The lcp verification-service wire protocol, versions 1 and 2.
+(** The lcp verification-service wire protocol, version 2.
 
     Length-prefixed binary frames over a byte stream:
 
     {v
       +-------+---------+---------+--------------------+---------....
       | 'L'   | 'C'     | version | tag                | length (u32,
-      | magic byte 0    | (1 or 2)| message type       |  big-endian)
+      | magic byte 0    | (2)     | message type       |  big-endian)
       +-------+---------+---------+--------------------+---------....
       then exactly [length] payload bytes.
     v}
 
-    The 8-byte header is fixed for every version, so a reader can
-    always frame a message before interpreting it. Payload fields are
-    fixed-width big-endian integers and length-prefixed byte strings;
-    graphs travel as graph6 text ({!Graph6}), proofs as per-node bit
-    strings packed 8 bits per byte.
+    The 8-byte header is fixed, so a reader can always frame a message
+    before interpreting it. Payload fields are fixed-width big-endian
+    integers and length-prefixed byte strings; graphs travel as graph6
+    text ({!Graph6}), proofs as per-node bit strings packed 8 bits per
+    byte.
 
-    {b Version 2} (the current default) prefixes every payload with a
-    u64 {e correlation id}: a client may pick its own (any 63-bit
-    non-negative value; 0 means "unassigned" and the server allocates
-    one), and the server echoes the request's id on its response, so
-    one request can be followed across the connection thread, the pool
-    domain, the structured log and the trace. Version 1 frames — the
-    same body layout, no id — are still accepted and answered in
-    version 1.
+    Every payload starts with a u64 {e correlation id}: a client may
+    pick its own (any 63-bit non-negative value; 0 means "unassigned"
+    and the server allocates one), and the server echoes the request's
+    id on its response, so one request can be followed across the
+    connection thread, the pool domain, the structured log and the
+    trace.
 
-    A v2 payload may additionally carry a {e trace context} for
+    A payload may additionally carry a {e trace context} for
     distributed tracing: bit 63 of the correlation-id word (otherwise
     always zero — ids are 63-bit) flags its presence, and 24 bytes
     follow the id word: the 126-bit trace id as two u64 halves, then
-    the sender's span id (the receiver's parent). Context-less v2
-    frames are byte-for-byte identical to the pre-context encoding,
-    and a peer built before this extension rejects the flag bit as an
-    out-of-range id — a typed [Bad_request], never a crash — so mixed
-    fleets degrade to unsampled tracing.
+    the sender's span id (the receiver's parent).
 
     Everything that parses bytes from the peer is {e total}: malformed
     input — bad magic, unknown version or tag, oversized length,
@@ -44,39 +38,29 @@
     {!Client} only ever feed it untrusted bytes. *)
 
 val protocol_version : int
-(** The newest (and default) version: 2. *)
-
-val min_protocol_version : int
-(** The oldest version still accepted: 1. *)
+(** The only version spoken and accepted: 2. *)
 
 val header_bytes : int
 (** Size of the fixed frame header: 8. *)
 
 val id_bytes : int
-(** Size of the v2 correlation-id payload prefix: 8. *)
+(** Size of the correlation-id payload prefix: 8. *)
 
 val max_payload : int
 (** Upper bound on a frame payload (16 MiB); a header announcing more
     is rejected before any payload is read. *)
 
-type header = { version : int; tag : int; length : int }
+type header = { tag : int; length : int }
 
 type trace_context = { trace_hi : int; trace_lo : int; parent_span : int }
-(** Distributed-tracing context carried on the v2 id prefix: the
+(** Distributed-tracing context carried on the id prefix: the
     126-bit trace id split across two 63-bit halves, plus the sending
     span's id, which the receiver uses as the parent of its own
     request span. All-zero means "unsampled"; senders encode [None]
     instead. *)
 
-val decode_header : string -> (header, string) result
-(** Parse the first {!header_bytes} bytes of a frame. Checks magic,
-    version (within [min_protocol_version ..  protocol_version]) and
-    the {!max_payload} bound; the tag is {e not} checked here (the
-    payload decoders own that), so a framing layer can skip messages
-    it does not understand. *)
-
 (** Typed form of a header failure. [Bad_header] means the framing is
-    untrustworthy (bad magic, unknown version, truncation) and the
+    untrustworthy (bad magic, unsupported version, truncation) and the
     connection must be dropped; [Oversized] means the frame is
     well-formed but announces a payload over {!max_payload} — the
     length is trustworthy, so the peer can drain exactly [length]
@@ -84,11 +68,14 @@ val decode_header : string -> (header, string) result
     the connection. *)
 type header_error =
   | Bad_header of string
-  | Oversized of { version : int; tag : int; length : int }
+  | Oversized of { tag : int; length : int }
 
-val decode_header_err : string -> (header, header_error) result
-(** {!decode_header} with the typed error — what the server and router
-    accept loops use to survive oversized shards. *)
+val decode_header : string -> (header, header_error) result
+(** Parse the first {!header_bytes} bytes of a frame. Checks magic,
+    version (exactly {!protocol_version}) and the {!max_payload}
+    bound; the tag is {e not} checked here (the payload decoders own
+    that), so a framing layer can skip messages it does not
+    understand. *)
 
 val header_error_to_string : header_error -> string
 
@@ -124,8 +111,7 @@ type request =
       shard_index : int;
       shard_count : int;
     }
-      (** One shard of a partitioned verification (v2-only; a v1 frame
-          with this tag is rejected as [Bad_request]). [graph6] is the
+      (** One shard of a partitioned verification. [graph6] is the
           shard subgraph on local ids [0 .. ns-1]; [ids] maps local ids
           back to original identifiers (strictly increasing — the
           decoder enforces it); [owned] carries one bit per local id
@@ -142,11 +128,9 @@ type request =
       queries : int;
       budget_id : string;
     }
-      (** Error-budgeted sampled verification (v2-only; a v1 frame with
-          this tag is rejected as [Bad_request], exactly like
-          {!request.Verify_partition}). The server runs the scheme's
-          sampled verifier over a [seed]-chosen probe set, each probed
-          node reading at most [queries] proof/label cells
+      (** Error-budgeted sampled verification. The server runs the
+          scheme's sampled verifier over a [seed]-chosen probe set,
+          each probed node reading at most [queries] proof/label cells
           ([queries] is a u16 the decoder requires ≥ 1; [seed] is a
           63-bit non-negative value carried as a u64 — a set sign bit
           is a typed decode error). [budget_id] pins the client's idea
@@ -281,43 +265,39 @@ type response =
 
 val error_code_to_string : error_code -> string
 
+val item_of_response : response -> batch_item
+(** The batch reply slot carrying a prove, verify or forge response or
+    an error; any other response becomes an [Internal] item error. *)
+
 (** {1 Codecs}
 
-    Encoders take the protocol [version] to emit (default
-    {!protocol_version}) and, for v2, the correlation [id] (default 0
-    = unassigned) plus an optional [trace] context. Encoding raises
-    [Invalid_argument] on a version outside the supported range, a
-    negative id, or a negative trace field — those are caller bugs,
-    not wire input; a [trace] passed with [version = 1] is silently
-    dropped (the hop degrades to unsampled). Decoders return the id
-    and the trace context alongside the message; v1 frames always
-    decode with id 0 and no context. *)
+    Encoders take the correlation [id] (default 0 = unassigned) and an
+    optional [trace] context. Encoding raises [Invalid_argument] on a
+    negative id or a negative trace field — those are caller bugs, not
+    wire input. Decoders return the id and the trace context alongside
+    the message. *)
 
-val encode_request :
-  ?version:int -> ?id:int -> ?trace:trace_context -> request -> string
+val encode_request : ?id:int -> ?trace:trace_context -> request -> string
 (** A complete frame: header plus payload. *)
 
-val encode_response :
-  ?version:int -> ?id:int -> ?trace:trace_context -> response -> string
+val encode_response : ?id:int -> ?trace:trace_context -> response -> string
 
 val request_tag : request -> int
 val response_tag : response -> int
 
+val request_kind : request -> string
+(** The kind's name in logs and metrics: ["prove"], ["verify"],
+    ["verify_partition"], ["metrics"], ... — one per tag. *)
+
 val decode_request_payload :
-  ?version:int ->
-  tag:int ->
-  string ->
-  (int * trace_context option * request, string) result
-(** Decode the payload of a frame whose header carried [tag] and
-    [version]. Total; rejects unknown tags, truncated fields
-    (including a short or out-of-range v2 request id and a truncated
-    or out-of-range trace context) and trailing bytes. *)
+  tag:int -> string -> (int * trace_context option * request, string) result
+(** Decode the payload of a frame whose header carried [tag]. Total;
+    rejects unknown tags, truncated fields (including a short or
+    out-of-range request id and a truncated or out-of-range trace
+    context) and trailing bytes. *)
 
 val decode_response_payload :
-  ?version:int ->
-  tag:int ->
-  string ->
-  (int * trace_context option * response, string) result
+  tag:int -> string -> (int * trace_context option * response, string) result
 
 val decode_request : string -> (int * trace_context option * request, string) result
 (** Decode one complete frame (header and payload, nothing after). *)
@@ -325,9 +305,33 @@ val decode_request : string -> (int * trace_context option * request, string) re
 val decode_response :
   string -> (int * trace_context option * response, string) result
 
+(** {1 Compute identity}
+
+    The daemon caches a compiled verifier under {!cache_key} and the
+    router places a request by the same string, so identical instances
+    keep landing on the daemon whose cache holds them. *)
+
+val cache_key : string -> string -> string
+(** [cache_key scheme identity]: the scheme name plus the MD5 of the
+    bytes that name the compiled image. *)
+
+val shard_identity : string -> int array -> string
+(** [shard_identity graph6 ids]: a shard's image identity — its
+    subgraph bytes plus its local→original id table. Two shards with
+    equal subgraphs but different id maps are different verification
+    jobs. *)
+
+val op_key : string array -> batch_op -> string
+(** The key of a batch op over the batch's graph table: the key of the
+    plain request the op runs as. *)
+
+val request_key : request -> string
+(** The key of a compute request: graph6 identity for prove, verify,
+    forge and sampled verify; {!shard_identity} for a shard; the first
+    op's key for a batch. [""] for every other request. *)
+
 val equal_request : request -> request -> bool
 (** Structural equality (proofs via [Proof.equal]); the round-trip
     property tests pin [decode (encode m) = m] with these. *)
 
 val equal_response : response -> response -> bool
-val equal_trace_context : trace_context -> trace_context -> bool

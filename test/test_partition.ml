@@ -234,30 +234,23 @@ let wire_shard_request c =
 
 let wire_partition_roundtrip () =
   let req = wire_shard_request (Csr.of_graph (Builders.cycle 20)) in
-  (match Wire.decode_request (Wire.encode_request ~version:2 ~id:77 req) with
+  (match Wire.decode_request (Wire.encode_request ~id:77 req) with
   | Ok (id, _, req') ->
       check_int "rid echoed" 77 id;
-      check "request roundtrips on v2" true (Wire.equal_request req req')
+      check "request roundtrips" true (Wire.equal_request req req')
   | Error m -> Alcotest.failf "request decode: %s" m);
   let resp =
     Wire.Partition_verified
       { all_accept = false; owned = 10; rejected = 2; rejecting = [ 3; 17 ] }
   in
-  match Wire.decode_response (Wire.encode_response ~version:2 resp) with
+  match Wire.decode_response (Wire.encode_response resp) with
   | Ok (_, _, resp') ->
-      check "response roundtrips on v2" true (Wire.equal_response resp resp')
+      check "response roundtrips" true (Wire.equal_response resp resp')
   | Error m -> Alcotest.failf "response decode: %s" m
-
-let wire_partition_v1_rejected () =
-  (* the version gate fires before any field is read, so any payload
-     presented as v1 under tag 0x0B must be refused *)
-  match Wire.decode_request_payload ~version:1 ~tag:0x0B "" with
-  | Error m -> check "v1 rejection is explained" true (String.length m > 0)
-  | Ok _ -> Alcotest.fail "a v1 Verify_partition frame decoded"
 
 let wire_partition_validation () =
   let encode_with ~ids ~owned =
-    Wire.encode_request ~version:2
+    Wire.encode_request
       (Wire.Verify_partition
          {
            scheme = "eulerian";
@@ -402,33 +395,7 @@ let server_shard_execution () =
 (* ------------------------------------------------------------------ *)
 (* Oversized frames: a header whose length exceeds the 16 MiB cap gets
    a typed error naming the size, the payload is drained, and the
-   connection keeps working — previously the link was just dropped. *)
-
-let read_exact fd len =
-  let buf = Bytes.create len in
-  let rec go off =
-    if off = len then Some (Bytes.to_string buf)
-    else
-      match Unix.read fd buf off (len - off) with
-      | 0 -> None
-      | k -> go (off + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
-  in
-  go 0
-
-let read_response fd =
-  match read_exact fd Wire.header_bytes with
-  | None -> Alcotest.fail "connection closed before a response"
-  | Some raw -> (
-      match Wire.decode_header raw with
-      | Error m -> Alcotest.failf "bad response header: %s" m
-      | Ok { Wire.version; tag; length } -> (
-          match read_exact fd length with
-          | None -> Alcotest.fail "truncated response"
-          | Some payload -> (
-              match Wire.decode_response_payload ~version ~tag payload with
-              | Ok (_, _, r) -> r
-              | Error m -> Alcotest.failf "bad response payload: %s" m)))
+   connection keeps working — on the daemon and on a router. *)
 
 let write_all fd s =
   let len = String.length s in
@@ -438,11 +405,8 @@ let write_all fd s =
   go 0
 
 let oversized_frame_is_survivable () =
-  with_server { Server.default_config with jobs = 1 } @@ fun _ port ->
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect ~finally:(fun () -> try Unix.close fd with _ -> ())
-  @@ fun () ->
-  Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+  Test_server.on_each_endpoint @@ fun ~port ~bad_frames ->
+  Test_server.with_raw_socket port @@ fun fd ->
   let len = Wire.max_payload + 1 in
   let header = Bytes.create Wire.header_bytes in
   Bytes.blit_string "LC" 0 header 0 2;
@@ -453,7 +417,7 @@ let oversized_frame_is_survivable () =
   Bytes.set header 6 (Char.chr ((len lsr 8) land 0xff));
   Bytes.set header 7 (Char.chr (len land 0xff));
   write_all fd (Bytes.to_string header);
-  (* the server answers from the header alone and then drains; stream
+  (* the endpoint answers from the header alone and then drains; stream
      the bogus payload in chunks while it does *)
   let chunk = String.make 65536 '\x00' in
   let rec flood sent =
@@ -464,24 +428,20 @@ let oversized_frame_is_survivable () =
     end
   in
   flood 0;
-  (match read_response fd with
+  (match Test_server.read_response fd with
   | Wire.Error_reply { code = Wire.Bad_request; message } ->
       check "error names the offending size" true
-        (let needle = string_of_int len in
-         let n = String.length message and m = String.length needle in
-         let rec has i =
-           i + m <= n && (String.sub message i m = needle || has (i + 1))
-         in
-         has 0)
+        (Test_server.contains ~sub:(string_of_int len) message)
   | Wire.Error_reply { code; _ } ->
       Alcotest.failf "oversized frame: expected Bad_request, got %s"
         (Wire.error_code_to_string code)
   | _ -> Alcotest.fail "oversized frame: expected Bad_request, got success");
   (* same connection, next frame: still alive and well *)
-  write_all fd (Wire.encode_request ~version:2 Wire.Stats);
-  match read_response fd with
+  write_all fd (Wire.encode_request Wire.Stats);
+  (match Test_server.read_response fd with
   | Wire.Stats_reply _ -> ()
-  | _ -> Alcotest.fail "connection did not survive the oversized frame"
+  | _ -> Alcotest.fail "connection did not survive the oversized frame");
+  check_int "oversized frame counted" 1 (bad_frames ())
 
 (* ------------------------------------------------------------------ *)
 (* Scatter-gather end to end: Fanout through a router over two
@@ -577,8 +537,6 @@ let suite =
       Alcotest.test_case "shard file rejects malformed input" `Quick
         shard_file_malformed;
       Alcotest.test_case "wire roundtrip (v2)" `Quick wire_partition_roundtrip;
-      Alcotest.test_case "wire rejects v1 shard frames" `Quick
-        wire_partition_v1_rejected;
       Alcotest.test_case "wire validates shard frames" `Quick
         wire_partition_validation;
       Alcotest.test_case "daemon executes shards" `Quick server_shard_execution;

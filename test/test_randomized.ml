@@ -1,6 +1,5 @@
 (* The randomized verification subsystem: wire totality for the
-   Verify_sampled / Sampled_verified frames (v2-only tags, the 0x0B
-   precedent), determinism of the sampled read set across worker
+   Verify_sampled / Sampled_verified frames, determinism of the sampled read set across worker
    counts, the query-budget hard failure, exact completeness of every
    catalog sampled variant, the measured error budget, the daemon's
    escalation path with its counters, and the BENCH_lcp.json section
@@ -75,29 +74,21 @@ let proof_for (rs : Randomized_scheme.t) inst =
 let wire_sampled_roundtrip () =
   (match
      Wire.decode_request
-       (Wire.encode_request ~version:2 ~id:41 (sampled_request ()))
+       (Wire.encode_request ~id:41 (sampled_request ()))
    with
   | Ok (id, _, req') ->
       check_int "rid echoed" 41 id;
-      check "request roundtrips on v2" true
+      check "request roundtrips" true
         (Wire.equal_request (sampled_request ()) req')
   | Error m -> Alcotest.failf "request decode: %s" m);
   List.iter
     (fun resp ->
-      match Wire.decode_response (Wire.encode_response ~version:2 resp) with
+      match Wire.decode_response (Wire.encode_response resp) with
       | Ok (_, _, resp') ->
-          check "response roundtrips on v2" true
+          check "response roundtrips" true
             (Wire.equal_response resp resp')
       | Error m -> Alcotest.failf "response decode: %s" m)
     [ accept_reply; escalated_reply ]
-
-let wire_sampled_v1_rejected () =
-  (* the version gate fires before any field is read, so any payload
-     presented as v1 under tag 0x0D must be refused — the same
-     contract Verify_partition pins for 0x0B *)
-  match Wire.decode_request_payload ~version:1 ~tag:0x0D "" with
-  | Error m -> check "v1 rejection is explained" true (String.length m > 0)
-  | Ok _ -> Alcotest.fail "a v1 Verify_sampled frame decoded"
 
 let wire_sampled_truncation () =
   let sweep what decode frame =
@@ -110,9 +101,9 @@ let wire_sampled_truncation () =
       (Result.is_error (decode (frame ^ "\x00")))
   in
   sweep "request" Wire.decode_request
-    (Wire.encode_request ~version:2 ~id:3 (sampled_request ()));
+    (Wire.encode_request ~id:3 (sampled_request ()));
   sweep "response" Wire.decode_response
-    (Wire.encode_response ~version:2 escalated_reply)
+    (Wire.encode_response escalated_reply)
 
 (* Locate a field inside an encoded frame by diffing two encodings
    that differ only in that field, then corrupt it in place. *)
@@ -128,26 +119,26 @@ let wire_sampled_bad_fields () =
   (* encoding guards are caller bugs: they raise *)
   check "negative seed raises" true
     (match
-       Wire.encode_request ~version:2 (sampled_request ~seed:(-1) ())
+       Wire.encode_request (sampled_request ~seed:(-1) ())
      with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check "zero queries raises" true
     (match
-       Wire.encode_request ~version:2 (sampled_request ~queries:0 ())
+       Wire.encode_request (sampled_request ~queries:0 ())
      with
     | exception Invalid_argument _ -> true
     | _ -> false);
   check "oversized queries raises" true
     (match
-       Wire.encode_request ~version:2 (sampled_request ~queries:0x10000 ())
+       Wire.encode_request (sampled_request ~queries:0x10000 ())
      with
     | exception Invalid_argument _ -> true
     | _ -> false);
   (* wire input with the seed's sign bit set is a typed error: the
      seed is a u64 whose top bit cannot land in a 63-bit OCaml int *)
-  let f0 = Wire.encode_request ~version:2 ~id:1 (sampled_request ~seed:0 ()) in
-  let f1 = Wire.encode_request ~version:2 ~id:1 (sampled_request ~seed:1 ()) in
+  let f0 = Wire.encode_request ~id:1 (sampled_request ~seed:0 ()) in
+  let f1 = Wire.encode_request ~id:1 (sampled_request ~seed:1 ()) in
   let last = first_diff f0 f1 in
   (* seeds 0 and 1 differ exactly in the final byte of the big-endian
      u64, so the field starts 7 bytes earlier *)
@@ -157,8 +148,8 @@ let wire_sampled_bad_fields () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "sign-bit seed decoded");
   (* a zero query bound coming *from* the wire is also typed *)
-  let q1 = Wire.encode_request ~version:2 ~id:1 (sampled_request ~queries:1 ()) in
-  let q2 = Wire.encode_request ~version:2 ~id:1 (sampled_request ~queries:2 ()) in
+  let q1 = Wire.encode_request ~id:1 (sampled_request ~queries:1 ()) in
+  let q2 = Wire.encode_request ~id:1 (sampled_request ~queries:2 ()) in
   let qlast = first_diff q1 q2 in
   let zeroed = Bytes.of_string q1 in
   Bytes.set zeroed qlast '\x00';
@@ -168,7 +159,7 @@ let wire_sampled_bad_fields () =
 
 let wire_sampled_reply_invariants () =
   (* the decoder refuses replies whose flags contradict the escalation
-     protocol; bool bytes live right after the 8-byte v2 id *)
+     protocol; bool bytes live right after the 8-byte id *)
   let corrupt frame i v =
     let b = Bytes.of_string frame in
     Bytes.set b (8 + 8 + i) v;
@@ -179,9 +170,9 @@ let wire_sampled_reply_invariants () =
     | Error _ -> ()
     | Ok _ -> Alcotest.failf "%s: contradictory reply decoded" what
   in
-  let accept_frame = Wire.encode_response ~version:2 ~id:0 accept_reply in
+  let accept_frame = Wire.encode_response ~id:0 accept_reply in
   let escalated_frame =
-    Wire.encode_response ~version:2 ~id:0 escalated_reply
+    Wire.encode_response ~id:0 escalated_reply
   in
   expect_reject "escalation on a sampled accept" (corrupt accept_frame 1 '\x01');
   expect_reject "sampled accept downgraded without escalation"
@@ -189,7 +180,7 @@ let wire_sampled_reply_invariants () =
   expect_reject "accepted verdict with rejecting ids"
     (corrupt escalated_frame 2 '\x01');
   expect_reject "rejecting sample over the 64-id cap"
-    (Wire.encode_response ~version:2
+    (Wire.encode_response
        (Wire.Sampled_verified
           {
             sampled_accept = false;
@@ -530,8 +521,6 @@ let suite =
     [
       Alcotest.test_case "wire: sampled frames roundtrip" `Quick
         wire_sampled_roundtrip;
-      Alcotest.test_case "wire: v1 Verify_sampled rejected" `Quick
-        wire_sampled_v1_rejected;
       Alcotest.test_case "wire: truncation and trailing bytes" `Quick
         wire_sampled_truncation;
       Alcotest.test_case "wire: seed and query field validation" `Quick

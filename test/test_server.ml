@@ -237,12 +237,13 @@ let read_response fd =
   | None -> Alcotest.fail "connection closed before a response"
   | Some raw -> (
       match Wire.decode_header raw with
-      | Error m -> Alcotest.failf "bad response header: %s" m
-      | Ok { Wire.version; tag; length } -> (
+      | Error e ->
+          Alcotest.failf "bad response header: %s" (Wire.header_error_to_string e)
+      | Ok { Wire.tag; length } -> (
           match read_exact fd length with
           | None -> Alcotest.fail "truncated response"
           | Some payload -> (
-              match Wire.decode_response_payload ~version ~tag payload with
+              match Wire.decode_response_payload ~tag payload with
               | Ok (_, _, r) -> r
               | Error m -> Alcotest.failf "bad response payload: %s" m)))
 
@@ -267,8 +268,36 @@ let raw_frame ~version ~tag payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
+(* Both wire endpoints frame through [Frame_server]: run a framing
+   test against a bare daemon and against a router in front of one.
+   [f] gets the endpoint's port and its bad-frame count; bad frames
+   sent to the router must never reach the daemon behind it. *)
+let on_each_endpoint f =
+  with_server Server.default_config (fun t port ->
+      f ~port ~bad_frames:(fun () -> (Server.stats t).Server.bad_frames));
+  with_server Server.default_config @@ fun t daemon_port ->
+  let r =
+    Router.create
+      {
+        Router.default_config with
+        port = 0;
+        backends = [ ("127.0.0.1", daemon_port) ];
+        probe_interval_ms = 0;
+      }
+  in
+  let th = Router.start r in
+  Fun.protect
+    ~finally:(fun () ->
+      Router.stop r;
+      Thread.join th)
+    (fun () ->
+      f ~port:(Router.port r)
+        ~bad_frames:(fun () -> (Router.stats r).Router.bad_frames);
+      check_int "no bad frame reached the daemon" 0
+        (Server.stats t).Server.bad_frames)
+
 let garbage_frames () =
-  with_server Server.default_config @@ fun t port ->
+  on_each_endpoint @@ fun ~port ~bad_frames ->
   (* pure noise: one Bad_frame reply, then the server drops the link *)
   with_raw_socket port (fun fd ->
       ignore (Unix.write_substring fd "GARBAGE!" 0 8);
@@ -277,15 +306,22 @@ let garbage_frames () =
       | r -> expect_error Wire.Bad_frame "garbage" r);
       check "connection closed after garbage" true
         (read_exact fd 1 = None));
-  (* right magic, future version: the typed answer, then drop *)
-  with_raw_socket port (fun fd ->
-      let frame = raw_frame ~version:(Wire.protocol_version + 1) ~tag:5 "" in
-      ignore (Unix.write_substring fd frame 0 (String.length frame));
-      (match read_response fd with
-      | Wire.Error_reply { code = Wire.Unsupported_version; _ } -> ()
-      | r -> expect_error Wire.Unsupported_version "version" r);
-      check "connection closed after version mismatch" true
-        (read_exact fd 1 = None));
+  (* right magic, another version — a future one, or a well-formed
+     frame of the retired version 1: the typed answer, then drop *)
+  List.iter
+    (fun frame ->
+      with_raw_socket port (fun fd ->
+          ignore (Unix.write_substring fd frame 0 (String.length frame));
+          (match read_response fd with
+          | Wire.Error_reply { code = Wire.Unsupported_version; _ } -> ()
+          | r -> expect_error Wire.Unsupported_version "version" r);
+          check "connection closed after version mismatch" true
+            (read_exact fd 1 = None)))
+    [
+      raw_frame ~version:(Wire.protocol_version + 1) ~tag:5 "";
+      (* a v1 Stats frame: no id prefix, empty body *)
+      raw_frame ~version:1 ~tag:(Wire.request_tag Wire.Stats) "";
+    ];
   (* well-framed but undecodable payload: Bad_request, and the
      connection keeps working afterwards *)
   with_raw_socket port (fun fd ->
@@ -299,7 +335,7 @@ let garbage_frames () =
       match read_response fd with
       | Wire.Stats_reply _ -> ()
       | r -> expect_error Wire.Internal "stats after bad payload" r);
-  check "bad frames counted" true ((Server.stats t).Server.bad_frames >= 3)
+  check_int "bad frames counted" 4 (bad_frames ())
 
 (* ------------------------------------------------------------------ *)
 (* The load generator against a live server: every response must be
@@ -349,20 +385,10 @@ let correlation_ids () =
   | Error m -> Alcotest.failf "call_id: %s" m);
   (* a compute request's id survives the pool round trip too *)
   let g6 = Graph6.encode (Builders.cycle 16) in
-  (match Client.call_id c ~id:4242 (Wire.Prove { scheme = "eulerian"; graph6 = g6 }) with
+  match Client.call_id c ~id:4242 (Wire.Prove { scheme = "eulerian"; graph6 = g6 }) with
   | Ok (id, Wire.Proved _) -> check_int "compute id echoed" 4242 id
   | Ok (_, r) -> expect_error Wire.Internal "prove" r
-  | Error m -> Alcotest.failf "call_id: %s" m);
-  (* a v1 client on the same server: ids never touch the wire, the
-     reply arrives in v1 and decodes with id 0 *)
-  match Client.connect ~version:1 ~port () with
-  | Error m -> Alcotest.failf "v1 connect: %s" m
-  | Ok c1 ->
-      Fun.protect ~finally:(fun () -> Client.close c1) @@ fun () ->
-      (match Client.call_id c1 ~id:55 Wire.Stats with
-      | Ok (id, Wire.Stats_reply _) -> check_int "v1 reply has no id" 0 id
-      | Ok (_, r) -> expect_error Wire.Internal "v1 stats" r
-      | Error m -> Alcotest.failf "v1 call: %s" m)
+  | Error m -> Alcotest.failf "call_id: %s" m
 
 let health_readiness () =
   (* a normally-configured server is ready *)

@@ -259,10 +259,8 @@ let gen_response =
          return (Wire.Error_reply { code; message }));
       ])
 
-(* every message round-trips in both protocol versions; the
-   correlation id survives on v2 and is elided (decoding as 0) on v1,
-   and an attached trace context survives on v2 and is dropped
-   (degrading the hop to unsampled) on v1 *)
+(* every message round-trips with its correlation id and, when one is
+   attached, its trace context *)
 let gen_trace =
   QCheck.Gen.(
     let* trace_hi = int_bound 0x3FFF_FFFF_FFFF in
@@ -270,44 +268,30 @@ let gen_trace =
     let* parent_span = int_bound 0x3FFF_FFFF_FFFF in
     return { Wire.trace_hi; trace_lo; parent_span })
 
-let gen_version_id =
-  QCheck.Gen.(
-    let* version = oneofl [ 1; 2 ] in
-    let* id = if version = 1 then return 0 else int_bound 0x3FFF_FFFF in
-    let* trace = opt gen_trace in
-    return (version, id, trace))
+let gen_id_trace = QCheck.Gen.(pair (int_bound 0x3FFF_FFFF) (opt gen_trace))
 
-let check_trace_echo ~version ~trace trace' =
-  match (version, trace, trace') with
-  | 1, _, None -> true (* v1 never carries a context *)
-  | 2, None, None -> true
-  | 2, Some t, Some t' -> Wire.equal_trace_context t t'
+let same_trace trace trace' =
+  match (trace, trace') with
+  | None, None -> true
+  | Some t, Some t' -> t = t'
   | _ -> false
 
 let request_roundtrip_prop =
-  QCheck.Test.make ~name:"request roundtrip (v1 and v2)" ~count:300
-    (QCheck.make QCheck.Gen.(pair gen_version_id gen_request))
-    (fun ((version, id, trace), r) ->
-      match
-        Wire.decode_request (Wire.encode_request ~version ~id ?trace r)
-      with
+  QCheck.Test.make ~name:"request roundtrip" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_id_trace gen_request))
+    (fun ((id, trace), r) ->
+      match Wire.decode_request (Wire.encode_request ~id ?trace r) with
       | Ok (id', trace', r') ->
-          id' = (if version = 1 then 0 else id)
-          && check_trace_echo ~version ~trace trace'
-          && Wire.equal_request r r'
+          id' = id && same_trace trace trace' && Wire.equal_request r r'
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
 
 let response_roundtrip_prop =
-  QCheck.Test.make ~name:"response roundtrip (v1 and v2)" ~count:300
-    (QCheck.make QCheck.Gen.(pair gen_version_id gen_response))
-    (fun ((version, id, trace), r) ->
-      match
-        Wire.decode_response (Wire.encode_response ~version ~id ?trace r)
-      with
+  QCheck.Test.make ~name:"response roundtrip" ~count:300
+    (QCheck.make QCheck.Gen.(pair gen_id_trace gen_response))
+    (fun ((id, trace), r) ->
+      match Wire.decode_response (Wire.encode_response ~id ?trace r) with
       | Ok (id', trace', r') ->
-          id' = (if version = 1 then 0 else id)
-          && check_trace_echo ~version ~trace trace'
-          && Wire.equal_response r r'
+          id' = id && same_trace trace trace' && Wire.equal_response r r'
       | Error msg -> QCheck.Test.fail_reportf "decode failed: %s" msg)
 
 (* ------------------------------------------------------------------ *)
@@ -324,9 +308,12 @@ let header_rejects () =
     (Result.is_ok (Wire.decode_header frame));
   reject "short" (String.sub frame 0 (Wire.header_bytes - 1));
   reject "bad magic" ("XC" ^ String.sub frame 2 (Wire.header_bytes - 2));
-  let bad_version = Bytes.of_string (String.sub frame 0 Wire.header_bytes) in
-  Bytes.set bad_version 2 '\x63';
-  reject "unsupported version" (Bytes.to_string bad_version);
+  List.iter
+    (fun v ->
+      let bad_version = Bytes.of_string (String.sub frame 0 Wire.header_bytes) in
+      Bytes.set bad_version 2 v;
+      reject "unsupported version" (Bytes.to_string bad_version))
+    [ '\x01'; '\x63' ];
   (* length field claiming more than max_payload: must die at the
      header, before anyone allocates the payload *)
   let huge = Bytes.of_string (String.sub frame 0 Wire.header_bytes) in
@@ -357,25 +344,20 @@ let truncated_frames () =
 
 let payload_garbage_total_prop =
   QCheck.Test.make ~name:"payload decoders never raise" ~count:300
-    QCheck.(
-      triple (int_range 1 2) (int_range 0 255)
-        (string_of_size (Gen.int_bound 64)))
-    (fun (version, tag, payload) ->
+    QCheck.(pair (int_range 0 255) (string_of_size (Gen.int_bound 64)))
+    (fun (tag, payload) ->
       let no_raise what f =
         match f () with
         | (_ : (_, string) result) -> true
         | exception e ->
-            QCheck.Test.fail_reportf "%s raised %s on v%d tag %d payload %S"
-              what
-              (Printexc.to_string e) version tag payload
+            QCheck.Test.fail_reportf "%s raised %s on tag %d payload %S" what
+              (Printexc.to_string e) tag payload
       in
-      no_raise "request" (fun () ->
-          Wire.decode_request_payload ~version ~tag payload)
-      && no_raise "response" (fun () ->
-             Wire.decode_response_payload ~version ~tag payload))
+      no_raise "request" (fun () -> Wire.decode_request_payload ~tag payload)
+      && no_raise "response" (fun () -> Wire.decode_response_payload ~tag payload))
 
 (* hand-rolled frame: 'L' 'C' version tag u32-length payload *)
-let raw_frame ~version ~tag payload =
+let raw_frame ?(version = Wire.protocol_version) ~tag payload =
   let b = Buffer.create (Wire.header_bytes + String.length payload) in
   Buffer.add_char b 'L';
   Buffer.add_char b 'C';
@@ -389,50 +371,6 @@ let raw_frame ~version ~tag payload =
   Buffer.add_string b payload;
   Buffer.contents b
 
-let cross_version_matrix () =
-  (* a v2 endpoint accepts v1 frames: every request kind encodes and
-     decodes in both versions, the id surviving only on v2 *)
-  let requests =
-    [
-      Wire.Stats;
-      Wire.Catalog;
-      Wire.Metrics_text;
-      Wire.Health;
-      Wire.Drain { enable = true };
-      Wire.Drain { enable = false };
-      Wire.Prove { scheme = "eulerian"; graph6 = "A_" };
-      Wire.Verify
-        {
-          scheme = "eulerian";
-          graph6 = "A_";
-          proof = Proof.of_list [ (0, Bits.of_bools [ true ]) ];
-        };
-      Wire.Forge { scheme = "eulerian"; graph6 = "A_"; max_bits = 4 };
-    ]
-  in
-  List.iter
-    (fun req ->
-      List.iter
-        (fun version ->
-          let id = if version = 1 then 0 else 0x1234_5678_9abc in
-          let frame = Wire.encode_request ~version ~id req in
-          check_int "version byte on the wire" version (Char.code frame.[2]);
-          match Wire.decode_request frame with
-          | Error m -> Alcotest.failf "v%d decode failed: %s" version m
-          | Ok (id', trace', req') ->
-              check_int "echoed id" (if version = 1 then 0 else id) id';
-              check "context-less frame decodes to no trace" true
-                (trace' = None);
-              check "request survives" true (Wire.equal_request req req'))
-        [ 1; 2 ])
-    requests;
-  (* a v1 frame is byte-identical to what a v2 encoder emits minus the
-     id prefix: same body, 8 fewer payload bytes *)
-  let v1 = Wire.encode_request ~version:1 Wire.Stats in
-  let v2 = Wire.encode_request ~version:2 ~id:5 Wire.Stats in
-  check_int "v2 payload = v1 payload + id" (String.length v1 + Wire.id_bytes)
-    (String.length v2)
-
 let id_codec_edges () =
   let tag = Wire.request_tag Wire.Stats in
   let expect_error what frame =
@@ -442,27 +380,22 @@ let id_codec_edges () =
     | exception e ->
         Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
   in
-  (* a v2 payload shorter than the 8-byte id is a typed error *)
-  expect_error "truncated request id" (raw_frame ~version:2 ~tag "\x00\x00\x01");
+  (* a payload shorter than the 8-byte id is a typed error *)
+  expect_error "truncated request id" (raw_frame ~tag "\x00\x00\x01");
   (* the sign bit is not representable in a 63-bit OCaml int: reject *)
   expect_error "id out of the 63-bit range"
-    (raw_frame ~version:2 ~tag "\xff\xff\xff\xff\xff\xff\xff\xff");
-  (* unknown tags stay typed errors in both versions *)
-  expect_error "unknown tag v1" (raw_frame ~version:1 ~tag:0x55 "");
-  expect_error "unknown tag v2"
-    (raw_frame ~version:2 ~tag:0x55 "\x00\x00\x00\x00\x00\x00\x00\x01");
+    (raw_frame ~tag "\xff\xff\xff\xff\xff\xff\xff\xff");
+  (* unknown tags stay typed errors *)
+  expect_error "unknown tag"
+    (raw_frame ~tag:0x55 "\x00\x00\x00\x00\x00\x00\x00\x01");
   (* encoding guards are caller bugs, not wire input: they raise *)
   check "negative id raises" true
-    (match Wire.encode_request ~version:2 ~id:(-1) Wire.Stats with
+    (match Wire.encode_request ~id:(-1) Wire.Stats with
     | exception Invalid_argument _ -> true
     | _ -> false);
-  check "unknown version raises" true
-    (match Wire.encode_request ~version:3 Wire.Stats with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* the largest representable id survives a v2 round trip *)
+  (* the largest representable id survives a round trip *)
   let big = max_int in
-  match Wire.decode_request (Wire.encode_request ~version:2 ~id:big Wire.Stats) with
+  match Wire.decode_request (Wire.encode_request ~id:big Wire.Stats) with
   | Ok (id, _, Wire.Stats) -> check_int "max_int id" big id
   | Ok _ -> Alcotest.fail "wrong request back"
   | Error m -> Alcotest.failf "max_int id rejected: %s" m
@@ -475,36 +408,28 @@ let trace_context_edges () =
       parent_span = 42;
     }
   in
-  (* the context survives a v2 round trip in both directions *)
-  (match
-     Wire.decode_request (Wire.encode_request ~version:2 ~id:9 ~trace:ctx Wire.Stats)
-   with
+  (* the context survives a round trip in both directions *)
+  (match Wire.decode_request (Wire.encode_request ~id:9 ~trace:ctx Wire.Stats) with
   | Ok (id, Some ctx', Wire.Stats) ->
       check_int "traced request id" 9 id;
-      check "request context survives" true (Wire.equal_trace_context ctx ctx')
+      check "request context survives" true (ctx = ctx')
   | Ok _ -> Alcotest.fail "request trace context lost"
   | Error m -> Alcotest.failf "traced request rejected: %s" m);
   (match
      Wire.decode_response
-       (Wire.encode_response ~version:2 ~id:9 ~trace:ctx
+       (Wire.encode_response ~id:9 ~trace:ctx
           (Wire.Trace_export_reply "{}"))
    with
   | Ok (id, Some ctx', Wire.Trace_export_reply "{}") ->
       check_int "traced response id" 9 id;
-      check "response context survives" true (Wire.equal_trace_context ctx ctx')
+      check "response context survives" true (ctx = ctx')
   | Ok _ -> Alcotest.fail "response trace context lost"
   | Error m -> Alcotest.failf "traced response rejected: %s" m);
-  (* the context costs exactly 24 payload bytes on v2 — and nothing on
-     v1, whose frames stay byte-identical whether or not the caller
-     attached one (old peers cannot tell tracing exists) *)
-  let plain = Wire.encode_request ~version:2 ~id:9 Wire.Stats in
-  let traced = Wire.encode_request ~version:2 ~id:9 ~trace:ctx Wire.Stats in
+  (* the context costs exactly 24 payload bytes *)
+  let plain = Wire.encode_request ~id:9 Wire.Stats in
+  let traced = Wire.encode_request ~id:9 ~trace:ctx Wire.Stats in
   check_int "context adds 24 bytes" (String.length plain + 24)
     (String.length traced);
-  check "v1 drops the context byte-for-byte" true
-    (String.equal
-       (Wire.encode_request ~version:1 Wire.Stats)
-       (Wire.encode_request ~version:1 ~trace:ctx Wire.Stats));
   (* adversarial frames: a flagged id word promising a context that is
      truncated, absent or out of range is a typed error, never a raise *)
   let tag = Wire.request_tag Wire.Stats in
@@ -516,18 +441,17 @@ let trace_context_edges () =
         Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
   in
   let flagged_id = "\x80\x00\x00\x00\x00\x00\x00\x07" in
-  expect_error "flag set with no context bytes"
-    (raw_frame ~version:2 ~tag flagged_id);
+  expect_error "flag set with no context bytes" (raw_frame ~tag flagged_id);
   expect_error "truncated trace context"
-    (raw_frame ~version:2 ~tag (flagged_id ^ "\x00\x01"));
+    (raw_frame ~tag (flagged_id ^ "\x00\x01"));
   expect_error "trace field with the sign bit set"
-    (raw_frame ~version:2 ~tag
+    (raw_frame ~tag
        (flagged_id ^ "\xff\xff\xff\xff\xff\xff\xff\xff"
       ^ String.make 16 '\x00'));
   (* encoder guard: negative trace fields are caller bugs and raise *)
   check "negative trace field raises" true
     (match
-       Wire.encode_request ~version:2 ~id:1
+       Wire.encode_request ~id:1
          ~trace:{ Wire.trace_hi = -1; trace_lo = 0; parent_span = 0 }
          Wire.Stats
      with
@@ -555,15 +479,11 @@ let mixed_batch () =
 
 let batch_roundtrip () =
   let req = mixed_batch () in
-  List.iter
-    (fun version ->
-      let id = if version = 1 then 0 else 42 in
-      match Wire.decode_request (Wire.encode_request ~version ~id req) with
-      | Error m -> Alcotest.failf "v%d batch decode failed: %s" version m
-      | Ok (id', _, req') ->
-          check_int "batch id" id id';
-          check "batch survives" true (Wire.equal_request req req'))
-    [ 1; 2 ];
+  (match Wire.decode_request (Wire.encode_request ~id:42 req) with
+  | Error m -> Alcotest.failf "batch decode failed: %s" m
+  | Ok (id', _, req') ->
+      check_int "batch id" 42 id';
+      check "batch survives" true (Wire.equal_request req req'));
   (* an empty batch is legal: zero graphs, zero ops *)
   let empty = Wire.Batch { graphs = []; proofs = []; ops = [] } in
   check "empty batch roundtrips" true
@@ -622,48 +542,42 @@ let batch_rejects () =
             ops = [ Wire.Op_verify { scheme = "eulerian"; graph = 0; proof = 0 } ];
           }));
   let tag = Wire.request_tag (Wire.Batch { graphs = []; proofs = []; ops = [] }) in
+  (* bodies after an 8-byte zero id *)
+  let id = String.make Wire.id_bytes '\x00' in
   (* unknown op kind byte: 1 graph "A_", 0 proofs, 1 op of kind 9 *)
   reject "unknown op kind"
-    (raw_frame ~version:1 ~tag
-       "\x00\x01\x00\x00\x00\x02A_\x00\x00\x00\x01\x09\x00\x00\x00\x01x\x00\x00");
+    (raw_frame ~tag
+       (id
+      ^ "\x00\x01\x00\x00\x00\x02A_\x00\x00\x00\x01\x09\x00\x00\x00\x01x\x00\x00"));
   (* inflated op count with no op bytes: the count guard must reject
      before any allocation *)
-  reject "inflated op count"
-    (raw_frame ~version:1 ~tag "\x00\x00\x00\x00\xff\xff");
+  reject "inflated op count" (raw_frame ~tag (id ^ "\x00\x00\x00\x00\xff\xff"));
   (* inflated proof count likewise *)
-  reject "inflated proof count" (raw_frame ~version:1 ~tag "\x00\x00\xff\xff");
+  reject "inflated proof count" (raw_frame ~tag (id ^ "\x00\x00\xff\xff"));
   (* and the graph count *)
-  reject "inflated graph count" (raw_frame ~version:1 ~tag "\xff\xff");
+  reject "inflated graph count" (raw_frame ~tag (id ^ "\xff\xff"));
   (* reply side: unknown per-op status byte *)
   let rtag = Wire.response_tag (Wire.Batch_reply []) in
   check "unknown item status rejected" true
     (Result.is_error
-       (Wire.decode_response (raw_frame ~version:1 ~tag:rtag "\x00\x01\x09")))
+       (Wire.decode_response (raw_frame ~tag:rtag (id ^ "\x00\x01\x09"))))
 
 (* Pin the profile-export frames deterministically (the QCheck
    roundtrips also draw them, but a shrunk seed could skip the arm):
-   request 0x0C carries no payload, the reply carries one JSON blob,
-   and both work on v1 — profiling predates no wire capability. *)
+   request 0x0C carries no body, the reply carries one JSON blob. *)
 let profile_export_roundtrip () =
-  List.iter
-    (fun version ->
-      (match
-         Wire.decode_request
-           (Wire.encode_request ~version ~id:7 Wire.Profile_export)
-       with
-      | Ok (_, _, Wire.Profile_export) -> ()
-      | Ok _ -> Alcotest.failf "v%d: decoded to a different request" version
-      | Error m -> Alcotest.failf "v%d: decode failed: %s" version m);
-      let json = {|{"samples":3,"collapsed":"a;b 3\n"}|} in
-      match
-        Wire.decode_response
-          (Wire.encode_response ~version ~id:7 (Wire.Profile_export_reply json))
-      with
-      | Ok (_, _, Wire.Profile_export_reply j) ->
-          check_str "reply json survives" json j
-      | Ok _ -> Alcotest.failf "v%d: decoded to a different response" version
-      | Error m -> Alcotest.failf "v%d: reply decode failed: %s" version m)
-    [ 1; 2 ]
+  (match Wire.decode_request (Wire.encode_request ~id:7 Wire.Profile_export) with
+  | Ok (_, _, Wire.Profile_export) -> ()
+  | Ok _ -> Alcotest.fail "decoded to a different request"
+  | Error m -> Alcotest.failf "decode failed: %s" m);
+  let json = {|{"samples":3,"collapsed":"a;b 3\n"}|} in
+  match
+    Wire.decode_response
+      (Wire.encode_response ~id:7 (Wire.Profile_export_reply json))
+  with
+  | Ok (_, _, Wire.Profile_export_reply j) -> check_str "reply json survives" json j
+  | Ok _ -> Alcotest.fail "decoded to a different response"
+  | Error m -> Alcotest.failf "reply decode failed: %s" m
 
 let count_mismatch () =
   (* a Verify payload whose binding count claims more entries than the
@@ -694,7 +608,6 @@ let suite =
       Alcotest.test_case "header rejects malformed" `Quick header_rejects;
       Alcotest.test_case "truncated frames rejected" `Quick truncated_frames;
       QCheck_alcotest.to_alcotest payload_garbage_total_prop;
-      Alcotest.test_case "cross-version matrix" `Quick cross_version_matrix;
       Alcotest.test_case "correlation id edge cases" `Quick id_codec_edges;
       Alcotest.test_case "trace context edge cases" `Quick trace_context_edges;
       Alcotest.test_case "batch roundtrip" `Quick batch_roundtrip;
