@@ -1026,16 +1026,9 @@ let partition_bench () =
     | Error m -> failwith ("partition bench: fanout: " ^ m)
   in
   let counter text name =
-    List.fold_left
-      (fun acc line ->
-        match String.split_on_char ' ' line with
-        | [ n; v ] when n = name -> (
-            match float_of_string_opt v with
-            | Some f -> int_of_float f
-            | None -> acc)
-        | _ -> acc)
-      0
-      (String.split_on_char '\n' text)
+    match Obs.Export.find_sample text ~name ~labels:[] with
+    | Some v -> int_of_float v
+    | None -> 0
   in
   let metrics port =
     match Client.connect ~port () with
@@ -1083,6 +1076,10 @@ let partition_bench () =
   in
   Format.printf "backend shards: %d + %d, rejects %d + %d@." shards1 shards2
     rej1 rej2;
+  if not (List.for_all (fun (_, _, _, _, equal) -> equal) rows) then begin
+    prerr_endline "partition bench: sharded verdicts differ from whole-graph";
+    exit 1
+  end;
   let largest_ratio =
     match List.rev rows with (_, _, _, r, _) :: _ -> r | [] -> 0.0
   in

@@ -32,11 +32,9 @@ let get s i =
   s.[i] = '1'
 
 let append = ( ^ )
-let concat = String.concat ""
 let sub s pos len = String.sub s pos len
 let take k s = String.sub s 0 (min k (String.length s))
 let equal = String.equal
-let compare = String.compare
 let pp ppf s = Format.fprintf ppf "%s" (if s = "" then "ε" else s)
 let zero k = String.make k '0'
 let one_bit b = if b then "1" else "0"

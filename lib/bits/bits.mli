@@ -31,7 +31,6 @@ val get : t -> int -> bool
     of range. *)
 
 val append : t -> t -> t
-val concat : t list -> t
 
 val sub : t -> int -> int -> t
 (** [sub b pos len] is the [len]-bit substring starting at [pos]. *)
@@ -41,11 +40,7 @@ val take : int -> t -> t
     truncate proofs to an adversarial bit budget. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
-
-val zero : int -> t
-(** [zero k] is a run of [k] zero bits. *)
 
 val one_bit : bool -> t
 (** [one_bit b] is the single-bit string [b]. *)

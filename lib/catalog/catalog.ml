@@ -9,7 +9,6 @@ type entry = {
 let of_g g = Instance.of_graph g
 let even n = if n mod 2 = 0 then max 4 n else n + 1
 let odd n = if n mod 2 = 1 then max 5 n else n + 1
-let none2 _ _ = None
 
 (* Disjoint union of two cycles, for disconnection-style no-instances. *)
 let two_cycles n =
@@ -260,7 +259,3 @@ let all =
       no = (fun _ n -> Some (of_g (Builders.cycle (odd (min n 9)))));
     };
   ]
-
-let _ = none2
-
-let find id = List.find_opt (fun e -> e.id = id) all

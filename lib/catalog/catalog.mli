@@ -19,5 +19,3 @@ type entry = {
 val all : entry list
 (** Every row of Table 1(a) and (b) that has an executable scheme. *)
 
-val find : string -> entry option
-(** Look up by table id. *)

@@ -69,6 +69,7 @@ let fail t =
 
 let add_leg t = locked t @@ fun () -> t.legs <- t.legs + 1
 
+(* [Some] winner / [All_failed], or [None] while legs are racing. *)
 let poll t =
   locked t @@ fun () ->
   match t.value with

@@ -41,10 +41,6 @@ val await : 'a t -> timeout_ms:int -> 'a outcome
     awaits the hedge delay, then awaits again after adding the hedge
     leg. *)
 
-val poll : 'a t -> 'a outcome option
-(** Non-blocking view: [Some] winner / [All_failed], or [None] while
-    legs are still racing. *)
-
 val dispose : 'a t -> unit
 (** Close the cell's pipe. Late offers and fails become no-ops;
     idempotent. Call exactly when the routed request is decided. *)

@@ -63,4 +63,3 @@ let order t key =
   done;
   List.rev !out
 
-let owner t key = List.hd (order t key)

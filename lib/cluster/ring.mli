@@ -25,6 +25,3 @@ val order : t -> string -> int list
     exactly once, the owner first. The routing rule is "first usable
     backend in this list". *)
 
-val owner : t -> string -> int
-(** [List.hd (order t key)]: the assignment when every backend is
-    usable. *)

@@ -545,6 +545,9 @@ let forward_batch t ~rid ~tctx ~graphs ~proofs ~ops =
 
 (* --- non-compute requests --------------------------------------------- *)
 
+(* Readiness: [ready] iff not stopping and at least one backend is not
+   ejected; [pending] is the in-flight forward count ([max_queue] is 0:
+   the router does not queue). *)
 let health t =
   {
     Wire.ready =

@@ -93,18 +93,6 @@ val request_key : Wire.request -> string
     daemon's own compiled-verifier cache key, which is what yields
     cluster-wide cache affinity. [""] for non-compute requests. *)
 
-val health : t -> Wire.health
-(** Router readiness: [ready] iff not stopping and at least one
-    backend is not ejected; [pending] is the in-flight forward count
-    ([max_queue] is 0 — the router does not queue). *)
-
-val metrics_text : t -> string
-(** The router's Prometheus exposition ([lcp_router_*]): request /
-    retry / hedge / no-backend counters, per-backend labelled
-    attempt/error/retry/hedge counters with liveness and in-flight
-    gauges, and rolling latency windows. Served as the
-    {!Wire.Metrics_text} reply and on the sidecar's [/metrics]. *)
-
 type backend_stats = {
   name : string;  (** "host:port" *)
   state : Health.state;

@@ -65,58 +65,59 @@ let m_samples = Obs.Metrics.counter "checker.samples"
 let m_rejected = Obs.Metrics.counter "checker.forgeries_rejected"
 let m_accepted = Obs.Metrics.counter "checker.forgeries_accepted"
 
-let soundness_random_body ~seed ~jobs scheme inst ~samples ~max_bits =
+(* Trial [i] of a forgery run: a random proof giving each node a string
+   of uniform length [0..max_bits], drawn from a stream keyed by
+   [(seed, i)] only — so trial [i] forges the same proof at any [jobs] —
+   and whether the scheme's full verifier accepts it. *)
+let forger ~seed ~max_bits scheme inst =
   let compiled = Simulator.compile inst in
   let nodes = Graph.nodes (Instance.graph inst) in
-  let sample st =
-    List.fold_left
-      (fun p v ->
-        let len = Random.State.int st (max_bits + 1) in
-        Proof.set p v (Bits.random st len))
-      Proof.empty nodes
-  in
-  let forged proof =
-    Obs.Metrics.incr m_samples;
-    let accepted =
+  let forge i =
+    let st = Random.State.make [| seed; i |] in
+    let proof =
+      List.fold_left
+        (fun p v ->
+          let len = Random.State.int st (max_bits + 1) in
+          Proof.set p v (Bits.random st len))
+        Proof.empty nodes
+    in
+    ( proof,
       Simulator.all_accept compiled proof ~radius:scheme.Scheme.radius
-        scheme.Scheme.verifier
-    in
-    if accepted then begin
-      Obs.Metrics.incr m_accepted;
-      Obs.Trace.instant "checker.first_accept"
-    end
-    else Obs.Metrics.incr m_rejected;
-    accepted
+        scheme.Scheme.verifier )
   in
-  if jobs <= 1 then begin
-    (* Sequential: per-sample states derived from (seed, i), exactly as
-       the parallel path below, so the sampled proof set — and with it
-       the verdict and every deterministic metric — is identical for
-       any jobs value. Stops at the first accepted forgery. *)
-    let rec go i =
-      i = samples
-      || ((not (forged (sample (Random.State.make [| seed; i |])))) && go (i + 1))
-    in
-    go 0
-  end
-  else begin
-    (* Parallel: same (seed, i) derivation; workers bail out once any
-       forgery lands. *)
-    let fooled = Atomic.make false in
-    Pool.run ~jobs (fun pool ->
-        match pool with
-        | None -> assert false
-        | Some pool ->
-            Pool.parallel_for pool ~chunks:(Pool.size pool) ~n:samples
-              (fun _c lo hi ->
-                let i = ref lo in
-                while (not (Atomic.get fooled)) && !i < hi do
-                  if forged (sample (Random.State.make [| seed; !i |])) then
-                    Atomic.set fooled true;
-                  incr i
-                done));
-    not (Atomic.get fooled)
-  end
+  (compiled, forge)
+
+(* Run [trial 0 .. samples-1] until one returns [false]: in order when
+   [jobs <= 1], otherwise fanned out over a [jobs]-domain pool whose
+   workers bail out once any trial has stopped the run. True when no
+   trial stopped it. *)
+let run_trials ~jobs ~samples trial =
+  let stopped = Atomic.make false in
+  let range lo hi =
+    let i = ref lo in
+    while (not (Atomic.get stopped)) && !i < hi do
+      if not (trial !i) then Atomic.set stopped true;
+      incr i
+    done
+  in
+  Pool.run ~jobs (function
+    | None -> range 0 samples
+    | Some pool ->
+        Pool.parallel_for pool ~chunks:(Pool.size pool) ~n:samples
+          (fun _c lo hi -> range lo hi));
+  not (Atomic.get stopped)
+
+let soundness_random_body ~seed ~jobs scheme inst ~samples ~max_bits =
+  let _, forge = forger ~seed ~max_bits scheme inst in
+  run_trials ~jobs ~samples (fun i ->
+      Obs.Metrics.incr m_samples;
+      let _, accepted = forge i in
+      if accepted then begin
+        Obs.Metrics.incr m_accepted;
+        Obs.Trace.instant "checker.first_accept"
+      end
+      else Obs.Metrics.incr m_rejected;
+      not accepted)
 
 let soundness_random ?(seed = 0xC0FFEE) ?(jobs = 1) scheme inst ~samples ~max_bits
     =
@@ -158,48 +159,24 @@ let m_empirical_fooled = Obs.Metrics.counter "checker.empirical_fooled"
 
 let soundness_empirical ?(seed = 0xE9C0) ?(jobs = 1) scheme inst ~samples
     ~max_bits ~sampled =
-  let compiled = Simulator.compile inst in
-  let nodes = Graph.nodes (Instance.graph inst) in
-  let forge st =
-    List.fold_left
-      (fun p v ->
-        let len = Random.State.int st (max_bits + 1) in
-        Proof.set p v (Bits.random st len))
-      Proof.empty nodes
-  in
+  let compiled, forge = forger ~seed ~max_bits scheme inst in
   let invalid = Atomic.make 0 in
   let fooled = Atomic.make 0 in
-  (* Per-trial proof and sampled-run seed both derive from (seed, i)
-     only, so the measured counts are identical at any [jobs]. *)
-  let trial i =
-    Obs.Metrics.incr m_empirical_trials;
-    let proof = forge (Random.State.make [| seed; i |]) in
-    let valid =
-      Simulator.all_accept compiled proof ~radius:scheme.Scheme.radius
-        scheme.Scheme.verifier
-    in
-    if not valid then begin
-      Atomic.incr invalid;
-      if sampled ~seed:(seed lxor ((i + 1) * 0x9E3779B1)) compiled proof then begin
-        Obs.Metrics.incr m_empirical_fooled;
-        Atomic.incr fooled
-      end
-    end
-  in
-  (if jobs <= 1 then
-     for i = 0 to samples - 1 do
-       trial i
-     done
-   else
-     Pool.run ~jobs (fun pool ->
-         match pool with
-         | None -> assert false
-         | Some pool ->
-             Pool.parallel_for pool ~chunks:(Pool.size pool) ~n:samples
-               (fun _c lo hi ->
-                 for i = lo to hi - 1 do
-                   trial i
-                 done)));
+  (* the sampled-run seed, like the proof, derives from (seed, i) only,
+     so the measured counts are identical at any [jobs] *)
+  ignore
+    (run_trials ~jobs ~samples (fun i ->
+         Obs.Metrics.incr m_empirical_trials;
+         let proof, valid = forge i in
+         if not valid then begin
+           Atomic.incr invalid;
+           if sampled ~seed:(seed lxor ((i + 1) * 0x9E3779B1)) compiled proof
+           then begin
+             Obs.Metrics.incr m_empirical_fooled;
+             Atomic.incr fooled
+           end
+         end;
+         true));
   let invalid = Atomic.get invalid and fooled = Atomic.get fooled in
   let low, high = wilson ~fooled ~invalid in
   {
@@ -225,10 +202,6 @@ let all_strings max_bits =
     end
   in
   go 0 []
-
-let exhaustive_proof_count ~n ~max_bits =
-  let per_node = float_of_int ((1 lsl (max_bits + 1)) - 1) in
-  per_node ** float_of_int n
 
 let soundness_exhaustive scheme inst ~max_bits =
   let nodes = Array.of_list (Graph.nodes (Instance.graph inst)) in

@@ -31,12 +31,10 @@ val soundness_random :
 (** True when every sampled random proof is rejected somewhere. The
     instance is compiled to CSR once and probed via
     {!Simulator.all_accept}, stopping at the first accepted forgery.
-    With [jobs > 1] the sample range is fanned out over that many
-    domains; each sample then draws from its own [(seed, index)]-keyed
-    stream, so the verdict is deterministic and independent of the
-    worker count (though the sampled proofs differ from the sequential
-    [jobs <= 1] stream, which keeps the original single-stream
-    behaviour). *)
+    Sample [i] draws from its own [(seed, i)]-keyed stream, so the
+    sampled proofs, and with them the verdict, are the same at every
+    [jobs]; with [jobs > 1] the sample range is fanned out over that
+    many domains. *)
 
 type empirical = {
   trials : int;  (** Forgery trials attempted. *)
@@ -62,13 +60,10 @@ val soundness_empirical :
     those the [sampled] closure (a seeded sampled-verification run —
     see [Randomized_scheme.run]; the closure receives a per-trial
     seed) accepts anyway. The declared error budget ε is violated when
-    [wilson_low] exceeds it. Trial proofs and sampled-run seeds derive
+    [wilson_low] exceeds it; with nothing invalid the interval is the
+    vacuous [(0, 1)]. Trial proofs and sampled-run seeds derive
     from [(seed, index)] only, so the counts are independent of
     [jobs]. *)
-
-val wilson : fooled:int -> invalid:int -> float * float
-(** The 95% Wilson score interval on a [fooled/invalid] proportion;
-    [(0, 1)] when [invalid = 0]. *)
 
 val soundness_exhaustive :
   Scheme.t -> Instance.t -> max_bits:int -> bool
@@ -78,6 +73,3 @@ val soundness_exhaustive :
 val prover_refuses : Scheme.t -> Instance.t -> bool
 (** The prover returns [None] (it recognises a no-instance). *)
 
-val exhaustive_proof_count : n:int -> max_bits:int -> float
-(** Number of proofs {!soundness_exhaustive} would enumerate — guard
-    against accidentally expensive calls. *)

@@ -14,14 +14,9 @@ type growth =
 val label : growth -> string
 (** "0", "Θ(1)", "Θ(log n)", "Θ(n)", "Θ(n²)", "Θ(n²/log n)". *)
 
-val model : growth -> int -> float
-(** The comparison function itself (log base 2; [Zero] maps to 0). *)
-
 val classify : (int * int) list -> growth
 (** [classify [(n, bits); …]] picks the model minimising the relative
     spread of [bits / model n] over the series. All-zero series
     classify as [Zero]; needs at least two distinct [n] for a
     meaningful answer. *)
 
-val fit_ratio : (int * int) list -> growth -> float
-(** Coefficient of variation of [bits / model n] — lower is better. *)

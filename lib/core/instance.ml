@@ -40,13 +40,7 @@ let with_edge_label i u v b =
     invalid_arg "Instance.with_edge_label: not an edge";
   { i with edge_labels = EdgeMap.add (ekey u v) b i.edge_labels }
 
-let with_edge_labels i l =
-  List.fold_left (fun i ((u, v), b) -> with_edge_label i u v b) i l
-
 let with_globals i b = { i with globals = b }
-
-let mark_nodes i l =
-  with_node_labels i (List.map (fun (v, b) -> (v, Bits.one_bit b)) l)
 
 let marked_exactly_one i =
   let marked =
@@ -138,6 +132,3 @@ let equal i1 i2 =
        (fun u v acc -> acc && Bits.equal (edge_label i1 u v) (edge_label i2 u v))
        i1.graph true
 
-let pp ppf i =
-  Format.fprintf ppf "@[<v 2>instance:@ %a@ globals=%a@]" Graph.pp i.graph
-    Bits.pp i.globals

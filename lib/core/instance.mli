@@ -26,12 +26,7 @@ val globals : t -> Bits.t
 val with_node_label : t -> Graph.node -> Bits.t -> t
 val with_node_labels : t -> (Graph.node * Bits.t) list -> t
 val with_edge_label : t -> Graph.node -> Graph.node -> Bits.t -> t
-val with_edge_labels : t -> ((Graph.node * Graph.node) * Bits.t) list -> t
 val with_globals : t -> Bits.t -> t
-
-val mark_nodes : t -> (Graph.node * bool) list -> t
-(** Single-bit node labels: [(v, b)] sets node [v]'s label to the one
-    bit [b]. *)
 
 val marked_exactly_one : t -> Graph.node option
 (** When exactly one node has label "1", that node; else [None].
@@ -58,4 +53,3 @@ val union_disjoint : t -> t -> t
 (** Disjoint union of graphs and labels; globals must agree. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

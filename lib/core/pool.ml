@@ -109,12 +109,12 @@ let submit_res ?max_pending p task =
   Mutex.unlock p.lock;
   verdict
 
-let submit_opt ?max_pending p task =
-  Result.is_ok (submit_res ?max_pending p task)
-
 let submit p task =
-  if not (submit_opt p task) then invalid_arg "Pool.submit: pool is shut down"
+  if Result.is_error (submit_res p task) then
+    invalid_arg "Pool.submit: pool is shut down"
 
+(* Block until every submitted task has finished, then re-raise the
+   first exception a task raised, if any. *)
 let wait p =
   Mutex.lock p.lock;
   while p.pending > 0 do

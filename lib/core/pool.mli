@@ -29,9 +29,6 @@ val pending : t -> int
     the server's readiness probe ([pending < max_queue] means a new
     request would still be accepted). *)
 
-val submit : t -> (unit -> unit) -> unit
-(** Enqueue a task. Raises [Invalid_argument] after {!shutdown}. *)
-
 (** Why a bounded submit was declined. [Queue_full] is transient —
     backpressure that clears as workers drain; [Shutting_down] is
     terminal for this pool. The server maps them to distinct wire
@@ -42,20 +39,12 @@ type decline = Queue_full | Shutting_down
 
 val submit_res :
   ?max_pending:int -> t -> (unit -> unit) -> (unit, decline) result
-(** Non-raising, optionally bounded {!submit}: declines — instead of
+(** Enqueue a task, optionally bounded: declines — instead of
     raising or blocking — with [Error Shutting_down] when the pool has
     been shut down, or [Error Queue_full] when [max_pending] is given
     and [pending] (queued + running) tasks are already in flight. This
     is the server's load-shedding primitive. [max_pending = 0] rejects
     every task. *)
-
-val submit_opt : ?max_pending:int -> t -> (unit -> unit) -> bool
-(** [submit_res] with the reason erased — [false] on any decline. *)
-
-val wait : t -> unit
-(** Block until every submitted task has finished. If any task raised,
-    the first such exception is re-raised here (remaining tasks still
-    run to completion). *)
 
 val shutdown : t -> unit
 (** Drain outstanding work, then join all worker domains. Idempotent. *)
@@ -69,8 +58,10 @@ val run : jobs:int -> (t option -> 'a) -> 'a
 val parallel_for : t -> chunks:int -> n:int -> (int -> int -> int -> unit) -> unit
 (** [parallel_for pool ~chunks ~n body] splits [0 .. n-1] into at most
     [chunks] contiguous ranges, submits [body chunk_index lo hi] for
-    each (half-open [lo, hi)), and {!wait}s. Each chunk index is used
-    by exactly one task, so per-chunk scratch is race-free. *)
+    each (half-open [lo, hi)), and waits for all of them; the first
+    exception a task raised is re-raised once every task has finished.
+    Each chunk index is used by exactly one task, so per-chunk scratch
+    is race-free. Raises [Invalid_argument] after {!shutdown}. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] — what [--jobs 0] resolves to

@@ -26,7 +26,6 @@ let union_disjoint p1 p2 =
           (Printf.sprintf "Proof.union_disjoint: node %d assigned twice" v))
     p1 p2
 
-let truncate b p = IntMap.map (Bits.take b) p
 let map f p = IntMap.mapi f p
 (* Unassigned nodes read as the empty string, so proofs are compared up
    to explicit-ε bindings. *)

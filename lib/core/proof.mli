@@ -27,10 +27,6 @@ val union_disjoint : t -> t -> t
     proof labels from several yes-instances). Raises
     [Invalid_argument] on an overlap with conflicting values. *)
 
-val truncate : int -> t -> t
-(** [truncate b p] keeps the first [b] bits at each node — an
-    adversarial bit-budget restriction for lower-bound experiments. *)
-
 val map : (Graph.node -> Bits.t -> Bits.t) -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

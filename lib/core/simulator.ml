@@ -329,8 +329,6 @@ let arena_fit a n =
   if Array.length a.a_verdicts < n then a.a_verdicts <- Array.make n false;
   if Array.length a.a_payloads < n then a.a_payloads <- Array.make n 0
 
-let arena_capacity a = Csr.scratch_capacity a.a_scratch
-
 let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
   if radius < 0 then invalid_arg "Simulator.run_verifier: negative radius";
   let c = match compiled with Some c -> c | None -> compile inst in

@@ -86,9 +86,6 @@ type arena
 val arena : unit -> arena
 (** An empty arena; buffers are sized on first use. *)
 
-val arena_capacity : arena -> int
-(** Largest node count the arena currently fits without growing. *)
-
 val view_at : compiled -> Proof.t -> radius:int -> Graph.node -> View.t
 (** Direct radius-r view extraction via bounded CSR BFS. Structurally
     identical to {!View.make} on the same arguments (it funnels through

@@ -47,7 +47,6 @@ let centre v = v.centre
 let radius v = v.radius
 let graph v = Instance.graph v.sub
 let instance v = v.sub
-let proof v = v.proof
 let proof_of v u = Proof.get v.proof u
 let label_of v u = Instance.node_label v.sub u
 let edge_label_of v a b = Instance.edge_label v.sub a b
@@ -61,13 +60,9 @@ let dist_to_centre v u =
   | Some d -> d
   | None -> invalid_arg "View.dist_to_centre: node not in view"
 
-let on_boundary v u = dist_to_centre v u = v.radius
 
 let equal v1 v2 =
   v1.centre = v2.centre && v1.radius = v2.radius
   && Instance.equal v1.sub v2.sub
   && Proof.equal v1.proof v2.proof
 
-let pp ppf v =
-  Format.fprintf ppf "@[<v 2>view centre=%d radius=%d@ %a@ %a@]" v.centre
-    v.radius Graph.pp (graph v) Proof.pp v.proof

@@ -38,9 +38,6 @@ val instance : t -> Instance.t
     inner verifier on the same ball with a different proof or label
     assignment. *)
 
-val proof : t -> Proof.t
-(** The proof restricted to the ball. *)
-
 val proof_of : t -> Graph.node -> Bits.t
 val label_of : t -> Graph.node -> Bits.t
 val edge_label_of : t -> Graph.node -> Graph.node -> Bits.t
@@ -50,16 +47,13 @@ val globals : t -> Bits.t
 val neighbours : t -> Graph.node -> Graph.node list
 val degree_in_view : t -> Graph.node -> int
 
-val on_boundary : t -> Graph.node -> bool
-(** [on_boundary view u] is true when [u] is at distance exactly
-    [radius] from the centre — such a node's own neighbourhood is not
-    fully visible, and verifiers must not trust its degree. *)
-
 val dist_to_centre : t -> Graph.node -> int
+(** A node at distance exactly [radius] is on the boundary: its own
+    neighbourhood is not fully visible, and verifiers must not trust
+    its degree. *)
 
 val equal : t -> t -> bool
 (** Structural equality of views — used to validate the round-based
     simulator against direct extraction, and by "indistinguishability"
     assertions in the lower-bound tests. *)
 
-val pp : Format.formatter -> t -> unit

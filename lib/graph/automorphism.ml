@@ -55,18 +55,6 @@ let search g ~stop =
   (try go 0 with Stop -> ());
   List.rev !results
 
-let automorphisms g =
-  let mappings = search g ~stop:(fun _ -> false) in
-  List.map
-    (fun mapping ->
-      let tbl = Hashtbl.create 16 in
-      List.iter (fun (u, v) -> Hashtbl.replace tbl u v) mapping;
-      fun v ->
-        match Hashtbl.find_opt tbl v with
-        | Some w -> w
-        | None -> invalid_arg "Automorphism: unknown node")
-    mappings
-
 let count_automorphisms g = List.length (search g ~stop:(fun _ -> false))
 
 let is_identity mapping = List.for_all (fun (u, v) -> u = v) mapping

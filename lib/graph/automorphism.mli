@@ -3,10 +3,6 @@
     fixpoint-free automorphisms of trees. Backtracking with degree
     pruning — fine for the experiment sizes. *)
 
-val automorphisms : Graph.t -> (Graph.node -> Graph.node) list
-(** All automorphisms (including the identity), as functions defined on
-    the graph's nodes. Exponential in the worst case. *)
-
 val count_automorphisms : Graph.t -> int
 
 val nontrivial_automorphism : Graph.t -> (Graph.node * Graph.node) list option

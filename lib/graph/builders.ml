@@ -34,12 +34,6 @@ let complete n =
   in
   Graph.create ~nodes:vs ~edges
 
-let complete_bipartite a b =
-  let left = List.init a Fun.id in
-  let right = List.init b (fun i -> a + i) in
-  let edges = List.concat_map (fun u -> List.map (fun v -> (u, v)) right) left in
-  Graph.create ~nodes:(left @ right) ~edges
-
 let star k =
   Graph.create
     ~nodes:(List.init (k + 1) Fun.id)
@@ -58,63 +52,9 @@ let grid rows cols =
   done;
   Graph.create ~nodes ~edges:!edges
 
-let hypercube d =
-  if d < 0 then invalid_arg "Builders.hypercube: negative dimension";
-  let size = 1 lsl d in
-  let nodes = List.init size Fun.id in
-  let edges = ref [] in
-  List.iter
-    (fun v ->
-      for b = 0 to d - 1 do
-        let u = v lxor (1 lsl b) in
-        if v < u then edges := (v, u) :: !edges
-      done)
-    nodes;
-  Graph.create ~nodes ~edges:!edges
-
-let petersen =
-  let outer = List.init 5 (fun i -> (i, (i + 1) mod 5)) in
-  let inner = List.init 5 (fun i -> (5 + i, 5 + ((i + 2) mod 5))) in
-  let spokes = List.init 5 (fun i -> (i, 5 + i)) in
-  Graph.create ~nodes:(List.init 10 Fun.id) ~edges:(outer @ inner @ spokes)
-
-let binary_tree depth =
-  if depth < 0 then invalid_arg "Builders.binary_tree: negative depth";
-  let size = (1 lsl (depth + 1)) - 1 in
-  let nodes = List.init size Fun.id in
-  let edges =
-    List.concat_map
-      (fun v ->
-        List.filter (fun (_, c) -> c < size) [ (v, (2 * v) + 1); (v, (2 * v) + 2) ])
-      nodes
-  in
-  Graph.create ~nodes ~edges
-
-let caterpillar spine legs =
-  if spine < 1 || legs < 0 then invalid_arg "Builders.caterpillar";
-  let g = ref (path spine) in
-  let next = ref spine in
-  for s = 0 to spine - 1 do
-    for _ = 1 to legs do
-      g := Graph.add_edge !g s !next;
-      incr next
-    done
-  done;
-  !g
-
 let wheel k =
   if k < 3 then invalid_arg "Builders.wheel: need k >= 3";
   let rim = cycle k in
   let hub = k in
   List.fold_left (fun g v -> Graph.add_edge g hub v) rim (List.init k Fun.id)
 
-let disjoint_cycles lengths =
-  let _, g =
-    List.fold_left
-      (fun (base, acc) len ->
-        if len < 3 then invalid_arg "Builders.disjoint_cycles: length < 3";
-        let ids = List.init len (fun i -> base + i) in
-        (base + len, Graph.union_disjoint acc (cycle_of_ids ids)))
-      (0, Graph.empty) lengths
-  in
-  g

@@ -13,11 +13,7 @@ val cycle_of_ids : int list -> Graph.t
 val path : int -> Graph.t
 (** [path n] is the path with [n >= 1] nodes. *)
 
-val path_of_ids : int list -> Graph.t
 val complete : int -> Graph.t
-val complete_bipartite : int -> int -> Graph.t
-(** [complete_bipartite a b] is K_{a,b}: side A is [0..a-1], side B is
-    [a..a+b-1]. *)
 
 val star : int -> Graph.t
 (** [star k] has centre 0 and leaves [1..k]. *)
@@ -25,23 +21,7 @@ val star : int -> Graph.t
 val grid : int -> int -> Graph.t
 (** [grid rows cols]; node at (r, c) has id [r * cols + c]. Planar. *)
 
-val hypercube : int -> Graph.t
-(** [hypercube d] is the d-dimensional cube on [2^d] nodes. *)
-
-val petersen : Graph.t
-(** The Petersen graph: 3-regular, non-planar, chromatic number 3. *)
-
-val binary_tree : int -> Graph.t
-(** [binary_tree depth] is the complete binary tree (heap numbering,
-    root 0). *)
-
-val caterpillar : int -> int -> Graph.t
-(** [caterpillar spine legs] is a spine path with [legs] pendant leaves
-    on each spine node; a tree. *)
-
 val wheel : int -> Graph.t
 (** [wheel k] is a k-cycle plus a hub adjacent to all; chromatic number
     4 when [k] is odd. *)
 
-val disjoint_cycles : int list -> Graph.t
-(** One cycle per listed length, node ids consecutive blocks. *)

@@ -24,6 +24,3 @@ val is_k_colourable : Graph.t -> int -> bool
 val chromatic_number : Graph.t -> int
 (** Smallest k with a proper k-colouring (0 for the empty graph). *)
 
-val greedy : Graph.t -> colouring
-(** Greedy colouring in decreasing-degree order; an upper bound used to
-    prune {!chromatic_number}. *)

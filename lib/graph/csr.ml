@@ -55,13 +55,6 @@ let iter_neighbours t i f =
     f t.targets.(k)
   done
 
-let fold_neighbours t i f init =
-  let acc = ref init in
-  for k = t.offsets.(i) to t.offsets.(i + 1) - 1 do
-    acc := f !acc t.targets.(k)
-  done;
-  !acc
-
 type scratch = {
   dist_ : int array; (* -1 = untouched since last reset *)
   order : int array; (* BFS queue; first [count] entries are the ball *)
@@ -105,10 +98,6 @@ let ball t s ~centre ~radius =
 
 let visited s i = s.order.(i)
 let dist s v = s.dist_.(v)
-
-let ball_ids t s ~centre ~radius =
-  let count = ball t s ~centre:(index t centre) ~radius in
-  List.init count (fun i -> t.ids.(s.order.(i))) |> List.sort Int.compare
 
 (* --- induced subgraph extraction (partition shards) ------------------- *)
 

@@ -41,8 +41,6 @@ val iter_neighbours : t -> int -> (int -> unit) -> unit
     (equivalently: increasing identifier order, matching
     {!Graph.neighbours}). *)
 
-val fold_neighbours : t -> int -> ('a -> int -> 'a) -> 'a -> 'a
-
 (** {1 Reusable-scratch bounded BFS} *)
 
 type scratch
@@ -74,10 +72,6 @@ val visited : scratch -> int -> int
 
 val dist : scratch -> int -> int
 (** Distance from the last centre; [-1] for unvisited indices. *)
-
-val ball_ids : t -> scratch -> centre:int -> radius:int -> Graph.node list
-(** Convenience for tests: the ball of the {e identifier}-named centre
-    as a sorted identifier list, exactly like {!Traversal.ball}. *)
 
 (** {1 Induced subgraphs} *)
 

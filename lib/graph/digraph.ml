@@ -2,80 +2,32 @@ module IntMap = Map.Make (Int)
 module IntSet = Set.Make (Int)
 
 type node = int
-type t = { out : IntSet.t IntMap.t; into : IntSet.t IntMap.t }
+type t = IntSet.t IntMap.t (* node -> out-neighbours *)
 
-let empty = { out = IntMap.empty; into = IntMap.empty }
-let mem_node g v = IntMap.mem v g.out
+let empty = IntMap.empty
+let mem_node g v = IntMap.mem v g
 
 let mem_arc g u v =
-  match IntMap.find_opt u g.out with
+  match IntMap.find_opt u g with
   | None -> false
   | Some s -> IntSet.mem v s
 
 let add_node g v =
   if v < 0 then invalid_arg "Digraph.add_node: negative identifier";
-  if mem_node g v then g
-  else
-    { out = IntMap.add v IntSet.empty g.out;
-      into = IntMap.add v IntSet.empty g.into }
+  if mem_node g v then g else IntMap.add v IntSet.empty g
 
 let add_arc g u v =
   if u = v then invalid_arg "Digraph.add_arc: self-loop";
   let g = add_node (add_node g u) v in
-  { out = IntMap.add u (IntSet.add v (IntMap.find u g.out)) g.out;
-    into = IntMap.add v (IntSet.add u (IntMap.find v g.into)) g.into }
-
-let remove_arc g u v =
-  if not (mem_arc g u v) then g
-  else
-    { out = IntMap.add u (IntSet.remove v (IntMap.find u g.out)) g.out;
-      into = IntMap.add v (IntSet.remove u (IntMap.find v g.into)) g.into }
-
-let create ~nodes ~arcs =
-  let g = List.fold_left add_node empty nodes in
-  List.fold_left
-    (fun g (u, v) ->
-      if not (mem_node g u && mem_node g v) then
-        invalid_arg
-          (Printf.sprintf "Digraph.create: arc (%d, %d) has unknown endpoint" u v);
-      add_arc g u v)
-    g arcs
+  IntMap.add u (IntSet.add v (IntMap.find u g)) g
 
 let of_arcs arcs = List.fold_left (fun g (u, v) -> add_arc g u v) empty arcs
 
-let nodes g = IntMap.fold (fun v _ acc -> v :: acc) g.out [] |> List.rev
-let n g = IntMap.cardinal g.out
-
-let arcs g =
-  IntMap.fold
-    (fun u s acc -> IntSet.fold (fun v acc -> (u, v) :: acc) s acc)
-    g.out []
-  |> List.rev
-
-let succ g v =
-  match IntMap.find_opt v g.out with
-  | None -> invalid_arg (Printf.sprintf "Digraph.succ: unknown node %d" v)
-  | Some s -> IntSet.elements s
-
-let pred g v =
-  match IntMap.find_opt v g.into with
-  | None -> invalid_arg (Printf.sprintf "Digraph.pred: unknown node %d" v)
-  | Some s -> IntSet.elements s
-
-let out_degree g v = List.length (succ g v)
-let in_degree g v = List.length (pred g v)
-
-let reverse g = { out = g.into; into = g.out }
-
 let underlying g =
-  List.fold_left
-    (fun acc (u, v) -> Graph.add_edge acc u v)
-    (List.fold_left Graph.add_node Graph.empty (nodes g))
-    (arcs g)
-
-let of_undirected g =
-  let base = List.fold_left add_node empty (Graph.nodes g) in
-  Graph.fold_edges (fun u v acc -> add_arc (add_arc acc u v) v u) g base
+  IntMap.fold
+    (fun u s acc -> IntSet.fold (fun v acc -> Graph.add_edge acc u v) s acc)
+    g
+    (IntMap.fold (fun v _ acc -> Graph.add_node acc v) g Graph.empty)
 
 let reachable g s =
   if not (mem_node g s) then invalid_arg "Digraph.reachable: unknown node";
@@ -83,13 +35,6 @@ let reachable g s =
     | [] -> seen
     | v :: rest ->
         if IntSet.mem v seen then go seen rest
-        else go (IntSet.add v seen) (succ g v @ rest)
+        else go (IntSet.add v seen) (IntSet.elements (IntMap.find v g) @ rest)
   in
   IntSet.elements (go IntSet.empty [ s ])
-
-let pp ppf g =
-  Format.fprintf ppf "@[<hov 2>digraph{n=%d;@ arcs=[%a]}@]" (n g)
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ";")
-       (fun ppf (u, v) -> Format.fprintf ppf "%d->%d" u v))
-    (arcs g)

@@ -1,42 +1,21 @@
 (** Simple directed graphs, used for the directed s–t (un)reachability
-    schemes of Section 4.1 and as the internal representation of flow
-    networks. *)
+    schemes of Section 4.1. *)
 
 type node = int
 type t
 
 val empty : t
-val create : nodes:node list -> arcs:(node * node) list -> t
 val of_arcs : (node * node) list -> t
 
-val nodes : t -> node list
-val n : t -> int
-val arcs : t -> (node * node) list
-val mem_node : t -> node -> bool
 val mem_arc : t -> node -> node -> bool
-
-val succ : t -> node -> node list
-(** Out-neighbours, sorted. *)
-
-val pred : t -> node -> node list
-(** In-neighbours, sorted. *)
-
-val out_degree : t -> node -> int
-val in_degree : t -> node -> int
 
 val add_node : t -> node -> t
 val add_arc : t -> node -> node -> t
-val remove_arc : t -> node -> node -> t
 
-val reverse : t -> t
 val underlying : t -> Graph.t
 (** Forget orientations (antiparallel arcs merge into one edge). *)
-
-val of_undirected : Graph.t -> t
-(** Replace each edge by two antiparallel arcs. *)
 
 val reachable : t -> node -> node list
 (** Nodes reachable from the given node by directed paths (sorted,
     includes the node itself). *)
 
-val pp : Format.formatter -> t -> unit

@@ -37,13 +37,3 @@ let of_graph ?(name = "G") ?(node_attrs = fun _ -> []) ?(edge_attrs = fun _ _ ->
   Buffer.add_string buf "}\n";
   Buffer.contents buf
 
-let of_digraph ?(name = "G") d =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "digraph \"%s\" {\n" (escape name));
-  Buffer.add_string buf "  node [shape=circle];\n";
-  List.iter (fun v -> Buffer.add_string buf (Printf.sprintf "  %d;\n" v)) (Digraph.nodes d);
-  List.iter
-    (fun (u, v) -> Buffer.add_string buf (Printf.sprintf "  %d -> %d;\n" u v))
-    (Digraph.arcs d);
-  Buffer.add_string buf "}\n";
-  Buffer.contents buf

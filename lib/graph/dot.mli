@@ -10,7 +10,3 @@ val of_graph :
 (** Undirected DOT ([graph { … }]). Attribute callbacks return
     [(key, value)] pairs rendered as [key="value"]. *)
 
-val of_digraph : ?name:string -> Digraph.t -> string
-
-val escape : string -> string
-(** Escape for a double-quoted DOT string. *)

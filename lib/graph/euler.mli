@@ -2,8 +2,6 @@
     graph is Eulerian iff every degree is even, a condition each node
     checks with zero communication. *)
 
-val all_degrees_even : Graph.t -> bool
-
 val is_eulerian : Graph.t -> bool
 (** Connected and all degrees even. *)
 

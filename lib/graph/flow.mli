@@ -16,10 +16,6 @@ val max_flow : flow_network -> source:int -> sink:int -> int * ((int * int) * in
 (** Edmonds–Karp. Returns the flow value and the positive flow on each
     arc. *)
 
-val min_cut_side : flow_network -> source:int -> sink:int -> int list
-(** Nodes reachable from the source in the residual graph of a maximum
-    flow (the source side of a minimum cut), sorted. *)
-
 val vertex_disjoint_paths :
   Graph.t -> s:Graph.node -> t:Graph.node -> Graph.node list list
 (** A maximum set of internally-vertex-disjoint s–t paths (each path is

@@ -120,7 +120,6 @@ let union_disjoint g1 g2 =
   { adj; m = g1.m + g2.m }
 
 let equal g1 g2 = IntMap.equal IntSet.equal g1.adj g2.adj
-let compare g1 g2 = IntMap.compare IntSet.compare g1.adj g2.adj
 
 let pp ppf g =
   Format.fprintf ppf "@[<hov 2>graph{n=%d; m=%d;@ nodes=[%a];@ edges=[%a]}@]"
@@ -134,19 +133,6 @@ let pp ppf g =
        (fun ppf (u, v) -> Format.fprintf ppf "%d-%d" u v))
     (edges g)
 
-let is_subgraph h ~of_:g =
-  List.for_all (mem_node g) (nodes h)
-  && List.for_all (fun (u, v) -> mem_edge g u v) (edges h)
-
-let complement g =
-  let vs = nodes g in
-  List.fold_left
-    (fun acc u ->
-      List.fold_left
-        (fun acc v -> if u < v && not (mem_edge g u v) then add_edge acc u v else acc)
-        acc vs)
-    (List.fold_left add_node empty vs)
-    vs
 
 let line_graph g =
   let es = edges g in

@@ -69,7 +69,6 @@ val union_disjoint : t -> t -> t
 val equal : t -> t -> bool
 (** Equality of labelled graphs: same node set, same edge set. *)
 
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val fold_nodes : (node -> 'a -> 'a) -> t -> 'a -> 'a
@@ -86,12 +85,6 @@ val iter_neighbours : (node -> unit) -> t -> node -> unit
 val fold_neighbours : (node -> 'a -> 'a) -> t -> node -> 'a -> 'a
 (** Allocation-free fold over the neighbours of a node, in increasing
     identifier order. *)
-
-val is_subgraph : t -> of_:t -> bool
-(** [is_subgraph h ~of_:g] checks node and edge containment. *)
-
-val complement : t -> t
-(** Complement on the same node set. *)
 
 val line_graph : t -> t * (node * (node * node)) list
 (** [line_graph g] is the line graph [L(g)] together with the mapping

@@ -130,7 +130,5 @@ let decode_res s =
       done;
       Ok (Graph.create ~nodes:(List.init n Fun.id) ~edges:!edges)
 
-let decode_opt s = Result.to_option (decode_res s)
-
 let decode s =
   match decode_res s with Ok g -> g | Error msg -> invalid_arg msg

@@ -2,16 +2,13 @@
     importing standard test graphs, exporting counterexamples to other
     tools, and as the graph payload of the wire protocol. Nodes are
     [0..n-1]. Graphs with n <= 62 use the classic single-byte size
-    header; larger graphs (up to {!max_nodes}) use nauty's standard
+    header; larger graphs (up to 2^20 nodes, a cap that bounds the work
+    and memory a small hostile header can demand) use nauty's standard
     ['~'] / ["~~"] multi-byte headers, so bench-sized instances
     (n = 4096) round-trip over the wire. *)
 
-val max_nodes : int
-(** Hard cap on n (2^20), bounding the work and memory a decoder can
-    be made to spend by a small hostile header. *)
-
 val encode : Graph.t -> string
-(** Raises [Invalid_argument] when n > {!max_nodes} or the node ids are
+(** Raises [Invalid_argument] when n > 2^20 or the node ids are
     not exactly [0..n-1] (relabel first). For n <= 62 the output is
     byte-identical to the historic single-byte format. *)
 
@@ -24,5 +21,3 @@ val decode_res : string -> (Graph.t, string) result
     is an [Error], never an exception. This is the entry point for
     untrusted network bytes. *)
 
-val decode_opt : string -> Graph.t option
-(** {!decode_res} with the reason discarded. *)

@@ -40,4 +40,3 @@ let decode bits =
   Bits.Reader.expect_end c;
   !g
 
-let size_bits g = Bits.length (encode g)

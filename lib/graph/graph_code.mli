@@ -11,5 +11,3 @@ val encode : Graph.t -> Bits.t
 val decode : Bits.t -> Graph.t
 (** Raises [Bits.Reader.Decode_error] on malformed input. *)
 
-val size_bits : Graph.t -> int
-(** [Bits.length (encode g)]. *)

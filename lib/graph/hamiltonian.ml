@@ -13,21 +13,16 @@ let is_hamiltonian_cycle g seq =
       && List.sort_uniq Int.compare seq = Graph.nodes g
       && edges_ok seq
 
-let search g ~cycle =
+let hamiltonian_cycle g =
   let n = Graph.n g in
-  if n = 0 then None
-  else if n = 1 then if cycle then None else Some (Graph.nodes g)
-  else if cycle && n = 2 then None
+  if n < 3 then None
   else begin
+    (* a cycle visits every node, so anchoring it anywhere is enough *)
     let start = List.hd (Graph.nodes g) in
-    (* For a cycle we may anchor at any node; for a path we must try
-       all start nodes. *)
-    let starts = if cycle then [ start ] else Graph.nodes g in
     let exception Found of Graph.node list in
     let rec extend acc seen v depth =
       if depth = n then begin
-        if (not cycle) || Graph.mem_edge g v (List.nth (List.rev acc) 0) then
-          raise (Found (List.rev acc))
+        if Graph.mem_edge g v start then raise (Found (List.rev acc))
       end
       else
         List.iter
@@ -37,12 +32,8 @@ let search g ~cycle =
           (Graph.neighbours g v)
     in
     try
-      List.iter
-        (fun s -> extend [ s ] (IntSet.singleton s) s 1)
-        starts;
+      extend [ start ] (IntSet.singleton start) start 1;
       None
     with Found seq -> Some seq
   end
 
-let hamiltonian_cycle g = search g ~cycle:true
-let hamiltonian_path g = search g ~cycle:false

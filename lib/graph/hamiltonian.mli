@@ -7,9 +7,6 @@ val hamiltonian_cycle : Graph.t -> Graph.node list option
     or [None]. Graphs with fewer than 3 nodes have no Hamiltonian
     cycle. *)
 
-val hamiltonian_path : Graph.t -> Graph.node list option
-(** A Hamiltonian path, or [None]. A single node counts as a path. *)
-
 val is_hamiltonian_cycle : Graph.t -> Graph.node list -> bool
 (** Checks that the sequence visits every node exactly once along
     edges of the graph and closes up. *)

@@ -2,14 +2,6 @@
     small patterns that matter here (Beineke's nine forbidden line
     graphs have at most 6 nodes). *)
 
-val isomorphism : Graph.t -> Graph.t -> (Graph.node * Graph.node) list option
-(** [isomorphism g h] is a bijection showing [g ≅ h], or [None]. *)
-
 val are_isomorphic : Graph.t -> Graph.t -> bool
-
-val find_induced : pattern:Graph.t -> Graph.t -> (Graph.node * Graph.node) list option
-(** [find_induced ~pattern g] finds an injective map from the pattern's
-    nodes into [g] whose image induces exactly the pattern (edges and
-    non-edges both preserved), or [None]. *)
 
 val contains_induced : pattern:Graph.t -> Graph.t -> bool

@@ -34,9 +34,6 @@ val dfs_intervals : Graph.t -> Graph.node -> (Graph.node * (int * int)) list
     count node events: each node is discovered once and finished once,
     so times range over [0 .. 2·size-1]. *)
 
-val eccentricity : Graph.t -> Graph.node -> int
-(** Largest distance from the node within its component. *)
-
 val diameter : Graph.t -> int
 (** Largest eccentricity; raises [Invalid_argument] if the graph is
     empty or disconnected. *)

@@ -23,14 +23,6 @@ let traversal g ~root =
   in
   List.rev (visit (-1) root [])
 
-let position_of g ~root v =
-  let order = traversal g ~root in
-  let rec index i = function
-    | [] -> invalid_arg "Tree_code.position_of: unknown node"
-    | x :: rest -> if x = v then i else index (i + 1) rest
-  in
-  index 0 order
-
 let encode_structure g ~root =
   check_tree g;
   let buf = Bits.Writer.create () in

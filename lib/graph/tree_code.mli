@@ -17,12 +17,5 @@ val encode_structure : Graph.t -> root:Graph.node -> Bits.t
 val decode_structure : Bits.t -> Tree_enum.rooted
 (** Rebuilds the canonical representative on nodes [0..n-1], root 0. *)
 
-val position_of : Graph.t -> root:Graph.node -> Graph.node -> int
-(** The index of a node in the canonical depth-first traversal used by
-    {!encode_structure}; node positions are [0 .. n-1] with the root at
-    0. When siblings are exchangeable (equal canonical codes) the
-    position is still well-defined because exchangeable nodes play
-    isomorphic roles; ties are broken by identifier. *)
-
 val traversal : Graph.t -> root:Graph.node -> Graph.node list
 (** The canonical depth-first order itself ([position_of] inverts it). *)

@@ -35,12 +35,6 @@ type sentence = {
   phi : t;
 }
 
-val locality_radius : t -> int
-(** Largest quantifier bound occurring in the formula. *)
-
-val free_vars : t -> var list
-(** Free variables, sorted; a well-formed φ has free vars ⊆ {x, y}. *)
-
 val well_formed : sentence -> bool
 (** Checks: free vars of φ are within {"x", "y"} (minus "x" when
     [uses_x] is false), every [In_set] index is < k, every quantifier

@@ -18,11 +18,8 @@ val holds : Formula.sentence -> Graph.t -> bool
 (** Brute-force model checking: ∃A₁…A_k ∃a ∀y φ — exponential in
     [k · n(G)]; for small graphs and tests. *)
 
-val find_witness : Formula.sentence -> Graph.t -> witness option
-(** The witness behind {!holds}, when one exists. *)
-
 val scheme :
   ?find:(Graph.t -> witness option) -> Formula.sentence -> Scheme.t
-(** The compiled scheme. The prover uses [find] (defaulting to
-    {!find_witness}) to obtain the second-order witness. The instance
+(** The compiled scheme. The prover uses [find] (defaulting to a
+    brute-force search) to obtain the second-order witness. The instance
     family is connected graphs. *)

@@ -20,8 +20,6 @@ type outcome =
   | Prover_failed of (int * int) list
 
 val complement : k:int -> (int * int) list -> (int * int) list
-val subsets : k:int -> (int * int) list list
-val window_signature : Proof.t -> Graph.node list -> string
 
 val attack :
   ?k:int -> ?r:int -> ?sets:(int * int) list list option -> Scheme.t -> outcome

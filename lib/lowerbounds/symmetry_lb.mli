@@ -24,20 +24,6 @@ type outcome =
   | Resisted of { family_size : int; distinct_windows : int }
   | Prover_failed of Graph.t
 
-val window_signature : Proof.t -> radius:int -> string
-
-val splice : k:int -> radius:int -> Proof.t -> Proof.t -> Proof.t
-(** The paper's inheritance: copy-1 block and window from the first
-    proof, everything else from the second. *)
-
-val attack_with :
-  Scheme.t ->
-  family:'a list ->
-  combine:('a -> 'a -> Graph.t) ->
-  size:int ->
-  is_yes:(Graph.t -> bool) ->
-  outcome
-
 val attack_symmetric : Scheme.t -> family:Graph.t list -> outcome
 (** Section 6.1; seeds from {!Enumerate.asymmetric_connected}. *)
 

@@ -7,9 +7,6 @@
     what costs Θ(log n)); claims schemes replace global encodings by
     locally cross-checkable but globally groundless assertions. *)
 
-val mod_of_bits : int -> int
-(** [2^bits]; raises below 2 bits. *)
-
 val odd_n_cycle : bits:int -> Scheme.t
 (** Odd n(G) on cycles with O(1) bits (even modulus preserves parity);
     complete, and fooled by gluing two odd cycles. *)

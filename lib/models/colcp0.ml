@@ -53,6 +53,3 @@ let complement (inner : Scheme.t) =
     non-Eulerian connected graphs. *)
 let non_eulerian = complement Eulerian.scheme
 
-let non_eulerian_is_yes inst =
-  let g = Instance.graph inst in
-  Traversal.is_connected g && not (Euler.is_eulerian g)

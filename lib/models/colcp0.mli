@@ -11,4 +11,3 @@ val non_eulerian : Scheme.t
 (** [complement Eulerian.scheme] — Table 1(a)'s "coLCP(0) properties"
     representative. *)
 
-val non_eulerian_is_yes : Instance.t -> bool

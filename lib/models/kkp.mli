@@ -32,9 +32,6 @@ type t = {
   verifier : kkp_view -> bool;
 }
 
-val view_at : Instance.t -> Proof.t -> Graph.node -> kkp_view
-
-val decide : t -> Instance.t -> Proof.t -> Scheme.verdict
 val accepts : t -> Instance.t -> Proof.t -> bool
 
 val to_lcp : t -> Scheme.t

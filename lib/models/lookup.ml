@@ -49,4 +49,3 @@ let decide t inst proof =
   match rejecting with [] -> Scheme.Accept | vs -> Scheme.Reject (List.rev vs)
 
 let entries t = Hashtbl.length t.cells
-let max_key_bits t = t.max_key

@@ -23,13 +23,8 @@ type table
 val tabulate : Scheme.t -> table
 (** A fresh memoised clone; entries are added on first use. *)
 
-val run : table -> Instance.t -> Proof.t -> Graph.node -> bool
-(** Table-driven verification of one node (fills the table on miss). *)
-
 val decide : table -> Instance.t -> Proof.t -> Scheme.verdict
 
 val entries : table -> int
 (** Current table size — the paper's 2^O(log n) bound in the flesh. *)
 
-val max_key_bits : table -> int
-(** Longest fingerprint seen — the O(log n) input-size bound. *)

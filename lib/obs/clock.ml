@@ -3,9 +3,4 @@ external now_ns : unit -> int = "lcp_obs_monotonic_ns" [@@noalloc]
 let elapsed_ns t0 = now_ns () - t0
 let ns_to_s ns = float_of_int ns *. 1e-9
 let ns_to_us ns = float_of_int ns *. 1e-3
-let now_s () = ns_to_s (now_ns ())
 
-let time f =
-  let t0 = now_ns () in
-  let r = f () in
-  (r, ns_to_s (now_ns () - t0))

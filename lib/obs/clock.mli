@@ -10,15 +10,9 @@ val now_ns : unit -> int
 (** Nanoseconds since an arbitrary (boot-time) epoch. Allocation-free;
     only differences are meaningful. *)
 
-val now_s : unit -> float
-(** {!now_ns} in seconds. *)
-
 val elapsed_ns : int -> int
 (** [elapsed_ns t0] is [now_ns () - t0]. *)
 
 val ns_to_s : int -> float
 val ns_to_us : int -> float
 
-val time : (unit -> 'a) -> 'a * float
-(** [time f] runs [f] and also returns its monotonic duration in
-    seconds. *)

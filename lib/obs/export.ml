@@ -1,6 +1,7 @@
 (* Prometheus text exposition (format version 0.0.4) over the repo's
-   own telemetry types: a small append-only buffer that writes
-   "# HELP" / "# TYPE" once per metric name, then samples. Everything
+   own telemetry types: one group per metric family — its "# HELP" /
+   "# TYPE" preamble, then every sample of it, however the caller's
+   calls interleave families — rendered in first-appearance order. Everything
    is rendered from values the caller already holds (server atomics,
    {!Window.stats}, a {!Metrics.snapshot}) — this module never reads
    global state, so the same renderer serves the wire endpoint, the
@@ -12,12 +13,16 @@
    cumulative [le] buckets at the 2^b - 1 bucket edges. *)
 
 type t = {
-  buf : Buffer.t;
-  mutable typed : string list;  (* names that already have HELP/TYPE *)
+  families : (string, Buffer.t) Hashtbl.t;  (* name -> preamble + samples *)
+  mutable order : Buffer.t list;  (* family groups, newest first *)
 }
 
-let create () = { buf = Buffer.create 1024; typed = [] }
-let contents t = Buffer.contents t.buf
+let create () = { families = Hashtbl.create 32; order = [] }
+
+let contents t =
+  let b = Buffer.create 1024 in
+  List.iter (Buffer.add_buffer b) (List.rev t.order);
+  Buffer.contents b
 
 let is_name_char c =
   (c >= 'a' && c <= 'z')
@@ -59,13 +64,17 @@ let escape_label s =
     s;
   Buffer.contents b
 
-let header t ~name ~help ~kind =
-  if not (List.mem name t.typed) then begin
-    t.typed <- name :: t.typed;
-    Buffer.add_string t.buf
-      (Printf.sprintf "# HELP %s %s\n# TYPE %s %s\n" name (escape_help help)
-         name kind)
-  end
+(* The group of family [name], opened with its preamble on first use. *)
+let family t ~name ~help ~kind =
+  match Hashtbl.find_opt t.families name with
+  | Some b -> b
+  | None ->
+      let b = Buffer.create 256 in
+      Printf.bprintf b "# HELP %s %s\n# TYPE %s %s\n" name (escape_help help)
+        name kind;
+      Hashtbl.add t.families name b;
+      t.order <- b :: t.order;
+      b
 
 let labels_string = function
   | [] -> ""
@@ -85,9 +94,8 @@ let number v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%.6g" v
 
-let sample t ~name ?(labels = []) v =
-  Buffer.add_string t.buf
-    (Printf.sprintf "%s%s %s\n" name (labels_string labels) (number v))
+let sample b ~name ?(labels = []) v =
+  Printf.bprintf b "%s%s %s\n" name (labels_string labels) (number v)
 
 let counter t ?(help = "") ?labels name v =
   let base = full_name name in
@@ -97,48 +105,46 @@ let counter t ?(help = "") ?labels name v =
     then base
     else base ^ "_total"
   in
-  header t ~name ~help ~kind:"counter";
-  sample t ~name ?labels (float_of_int v)
+  sample (family t ~name ~help ~kind:"counter") ~name ?labels (float_of_int v)
 
 let gauge t ?(help = "") ?labels name v =
   let name = full_name name in
-  header t ~name ~help ~kind:"gauge";
-  sample t ~name ?labels v
+  sample (family t ~name ~help ~kind:"gauge") ~name ?labels v
 
 let histogram t ?(help = "") name (h : Metrics.hist) =
   let name = full_name name in
-  header t ~name ~help ~kind:"histogram";
+  let b = family t ~name ~help ~kind:"histogram" in
   let cum = ref 0 in
   List.iter
-    (fun (b, n) ->
+    (fun (bucket, n) ->
       cum := !cum + n;
-      let le = if b <= 0 then 0 else (1 lsl b) - 1 in
-      sample t ~name:(name ^ "_bucket")
+      let le = if bucket <= 0 then 0 else (1 lsl bucket) - 1 in
+      sample b ~name:(name ^ "_bucket")
         ~labels:[ ("le", string_of_int le) ]
         (float_of_int !cum))
     h.Metrics.buckets;
-  sample t ~name:(name ^ "_bucket")
+  sample b ~name:(name ^ "_bucket")
     ~labels:[ ("le", "+Inf") ]
     (float_of_int h.Metrics.count);
-  sample t ~name:(name ^ "_sum") (float_of_int h.Metrics.sum);
-  sample t ~name:(name ^ "_count") (float_of_int h.Metrics.count)
+  sample b ~name:(name ^ "_sum") (float_of_int h.Metrics.sum);
+  sample b ~name:(name ^ "_count") (float_of_int h.Metrics.count)
 
 (* A {!Window.stats} as a Prometheus summary (quantile-labelled
    samples) plus rate gauges, all labelled with the window length. *)
 let window_summary t ?(help = "") name (w : Window.stats) =
   let name = full_name name in
-  header t ~name ~help ~kind:"summary";
+  let b = family t ~name ~help ~kind:"summary" in
   let wl = Printf.sprintf "%ds" w.Window.seconds in
   List.iter
     (fun (q, v) ->
-      sample t ~name
+      sample b ~name
         ~labels:[ ("window", wl); ("quantile", q) ]
         (float_of_int v))
     [ ("0.5", w.Window.p50); ("0.95", w.Window.p95); ("0.99", w.Window.p99) ];
-  sample t ~name:(name ^ "_sum")
+  sample b ~name:(name ^ "_sum")
     ~labels:[ ("window", wl) ]
     (float_of_int w.Window.sum);
-  sample t ~name:(name ^ "_count")
+  sample b ~name:(name ^ "_count")
     ~labels:[ ("window", wl) ]
     (float_of_int w.Window.count)
 

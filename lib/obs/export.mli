@@ -1,8 +1,10 @@
 (** Prometheus text exposition, format version 0.0.4.
 
-    An append-only buffer: each [counter] / [gauge] / [histogram] /
-    [window_summary] call emits the "# HELP" and "# TYPE" preamble the
-    first time a metric name appears, then one or more samples. Names
+    Each [counter] / [gauge] / [histogram] / [window_summary] call adds
+    samples to its metric family; {!contents} renders each family as
+    one group — the "# HELP" and "# TYPE" preamble, then all of its
+    samples — in the order the families first appeared, however the
+    calls interleaved. Names
     are sanitised to the Prometheus charset ([[a-zA-Z0-9_:]]) and
     prefixed ["lcp_"]; counters gain the conventional ["_total"]
     suffix. The module reads no global state — the caller hands it the
@@ -15,21 +17,10 @@ type t
 val create : unit -> t
 val contents : t -> string
 
-val sanitize : string -> string
-(** Replace characters outside [[a-zA-Z0-9_:]] with ['_'] (and guard a
-    leading digit); [full_name] below also prefixes ["lcp_"]. *)
-
-val full_name : string -> string
-
 val counter : t -> ?help:string -> ?labels:(string * string) list -> string -> int -> unit
 (** Monotonic counter; the rendered name ends in ["_total"]. *)
 
 val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> float -> unit
-
-val histogram : t -> ?help:string -> string -> Metrics.hist -> unit
-(** A log₂ registry histogram as a native Prometheus histogram:
-    cumulative [le] buckets at the [2^b - 1] bucket edges, then
-    [le="+Inf"], [_sum] and [_count]. *)
 
 val window_summary : t -> ?help:string -> string -> Window.stats -> unit
 (** A rolling window as a summary: [quantile]-labelled samples for

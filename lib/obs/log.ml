@@ -3,8 +3,8 @@
    caller passes a flat field list and this module only does JSON
    escaping, a monotonic timestamp and per-second sampling: at most
    [max_per_sec] lines are written in any one second, the rest are
-   counted and surfaced on the next line that does get through (and in
-   [dropped]), so a load spike degrades to a sampled log instead of
+   counted and surfaced on the next line that does get through, so a
+   load spike degrades to a sampled log instead of
    turning the log device into the bottleneck. *)
 
 type field =
@@ -22,7 +22,6 @@ type t = {
   mutable written_this_sec : int;
   mutable dropped_pending : int;  (* since the last written line *)
   mutable dropped_since_ns : int;  (* timestamp of the first of those *)
-  mutable dropped_total : int;
   mutable closed : bool;
 }
 
@@ -36,7 +35,6 @@ let of_channel ?(max_per_sec = 0) ~owns_channel oc =
     written_this_sec = 0;
     dropped_pending = 0;
     dropped_since_ns = 0;
-    dropped_total = 0;
     closed = false;
   }
 
@@ -44,12 +42,6 @@ let to_stderr ?max_per_sec () = of_channel ?max_per_sec ~owns_channel:false stde
 
 let to_file ?max_per_sec path =
   of_channel ?max_per_sec ~owns_channel:true (open_out path)
-
-let dropped t =
-  Mutex.lock t.lock;
-  let d = t.dropped_total in
-  Mutex.unlock t.lock;
-  d
 
 let escape b s =
   Buffer.add_char b '"';
@@ -108,7 +100,6 @@ let write ?now_ns t fields =
       if t.max_per_sec > 0 && t.written_this_sec >= t.max_per_sec then begin
         if t.dropped_pending = 0 then t.dropped_since_ns <- now_ns;
         t.dropped_pending <- t.dropped_pending + 1;
-        t.dropped_total <- t.dropped_total + 1;
         false
       end
       else begin

@@ -31,9 +31,6 @@ val write : ?now_ns:int -> t -> (string * field) list -> bool
     the sink is closed). Lines are flushed immediately — a crash loses
     at most the line being formatted. *)
 
-val dropped : t -> int
-(** Total lines sampled out so far. *)
-
 val close : t -> unit
 (** Flush, and close the channel if {!to_file} opened it. Idempotent;
     subsequent {!write}s return [false]. *)

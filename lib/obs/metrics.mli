@@ -93,8 +93,6 @@ val snapshot : unit -> snapshot
 (** Merge all shards. Take it at a quiescent point: the reader does not
     synchronise with concurrently-recording domains. *)
 
-val filter : (string -> bool) -> snapshot -> snapshot
-
 val deterministic : snapshot -> snapshot
 (** Drop metrics whose value depends on timing or worker count: names
     suffixed [_ns] (accumulated durations) and prefixed [pool.]

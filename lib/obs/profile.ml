@@ -206,11 +206,6 @@ let speedscope_into b =
     (json_escape !Trace.process)
     !total (Buffer.contents samples) (Buffer.contents weights)
 
-let speedscope () =
-  let b = Buffer.create 2048 in
-  speedscope_into b;
-  Buffer.contents b
-
 let gc_json () =
   let st = Gc.quick_stat () in
   Printf.sprintf

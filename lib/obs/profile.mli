@@ -43,9 +43,6 @@ val sample_now : unit -> unit
     telemetry. The sampler thread calls this; tests call it directly
     for deterministic counts. *)
 
-val hz : unit -> int
-(** The configured sampling rate (what one sample is worth). *)
-
 val samples : unit -> int
 (** Total sampling ticks taken ([lcp_profile_samples_total]). *)
 
@@ -57,19 +54,6 @@ val account : scheme:string -> cpu_ns:int -> alloc_bytes:float -> unit
 (** Attribute one request's measured CPU time and allocation delta to
     [scheme] — the exact (non-sampled) channel, called from the pool
     worker with [Gc.allocated_bytes] bracketing. No-op when disabled. *)
-
-val schemes : unit -> (string * int * float * int) list
-(** Per-scheme accounts, sorted by descending CPU:
-    [(scheme, cpu_ns, alloc_bytes, requests)]. *)
-
-val collapsed : unit -> string
-(** The attribution tree as collapsed-stack text — one
-    ["frame;frame;frame count"] line per distinct stack, sorted by
-    descending count — ready for [flamegraph.pl] or speedscope. *)
-
-val speedscope : unit -> string
-(** The attribution tree as a speedscope-compatible JSON document
-    ("sampled" profile, nanosecond weights at 1/hz per sample). *)
 
 val export_string : unit -> string
 (** The full profile as one JSON object — the

@@ -225,9 +225,6 @@ let complete ?(arg_name = "") ?(arg = 0) ?(ctx = null_ctx) name ~t0_ns ~dur_ns =
 let instant ?(arg_name = "") ?(arg = 0) ?(ctx = null_ctx) name =
   if !enabled then emit_ctx 'i' name arg_name arg ctx (Clock.now_ns ()) 0
 
-let counter_event name v =
-  if !enabled then emit 'C' name "value" v (Clock.now_ns ()) 0
-
 let recorded () =
   let b = !buf in
   min (Atomic.get b.cursor) (b.mask + 1)

@@ -39,20 +39,17 @@ val sample : every:int -> int -> bool
     backend always agree on whether a given rid is traced. [every <=
     0] never samples, [every = 1] always does. *)
 
-val trace_of_rid : int -> int * int
-(** The (high, low) trace-id halves derived deterministically from a
-    correlation id; never (0, 0). Used by whichever process is the
-    trace head (no incoming context) so that retries and hedges of the
-    same rid still land in one trace. *)
-
 val new_span_id : unit -> int
 (** A fresh nonzero span id, unique within this process and — thanks
     to a per-process clock seed — not colliding across the processes
     of one trace in practice. *)
 
 val ctx_of_rid : ?parent:int -> int -> ctx
-(** Trace id from {!trace_of_rid}, fresh span id, given parent
-    (default 0 = root). *)
+(** The trace id derived deterministically from a correlation id
+    (never all-zero), a fresh span id and the given parent (default
+    0 = root). Used by whichever process is the trace head (no incoming
+    context) so that retries and hedges of the same rid still land in
+    one trace. *)
 
 val hex_id : int -> int -> string
 (** [hex_id hi lo] — the 32-hex-digit rendering of a trace id, as it
@@ -125,25 +122,18 @@ val complete :
 val instant : ?arg_name:string -> ?arg:int -> ?ctx:ctx -> string -> unit
 (** A point event ("ph":"i") — e.g. "first accepted forgery". *)
 
-val counter_event : string -> int -> unit
-(** A "ph":"C" counter sample; renders as a stacked chart in the
-    trace viewer. *)
-
 val recorded : unit -> int
 (** Events currently held in the ring. *)
 
 val dropped : unit -> int
 (** Events lost to ring wrap-around since the last {!clear}. *)
 
-val export_channel : out_channel -> unit
-(** Write {["{"traceEvents":[...]}"]} JSON: events sorted by
-    timestamp, each with [name], [ph], [ts], [dur], [pid], [tid] and
-    optional [args]. The top-level object also carries a ["dropped"]
-    footer — the {!dropped} count at export time — so a reader can
-    tell a quiet trace from one the ring lapped. *)
-
 val export : string -> unit
-(** {!export_channel} to a fresh file. *)
+(** Write {["{"traceEvents":[...]}"]} JSON to a fresh file: events
+    sorted by timestamp, each with [name], [ph], [ts], [dur], [pid],
+    [tid] and optional [args]. The top-level object also carries a
+    ["dropped"] footer — the {!dropped} count at export time — so a
+    reader can tell a quiet trace from one the ring lapped. *)
 
 val export_string : unit -> string
 (** The same JSON as a string — the {!Wire.request.Trace_export}

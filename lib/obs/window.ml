@@ -46,8 +46,6 @@ let create ?(horizon = 60) ?(counters = 0) () =
     horizon;
   }
 
-let horizon t = t.horizon
-
 (* Same bucketing as {!Metrics}: 0 for v <= 0, else the bit length of
    v, so bucket b covers [2^(b-1), 2^b). *)
 let bucket_of v =

@@ -21,8 +21,6 @@ val create : ?horizon:int -> ?counters:int -> unit -> t
     [horizon]-second query. Raises [Invalid_argument] if [horizon < 1]
     or [counters < 0]. *)
 
-val horizon : t -> int
-
 val observe : ?now_ns:int -> t -> int -> unit
 (** Record one histogram observation (e.g. a latency in µs) into the
     current second's slice. *)

@@ -12,13 +12,6 @@ let shard_n s = Array.length s.ids
 let owned_count s =
   Array.fold_left (fun acc o -> if o then acc + 1 else acc) 0 s.owned
 
-let owned_nodes s =
-  let out = ref [] in
-  for i = Array.length s.ids - 1 downto 0 do
-    if s.owned.(i) then out := s.ids.(i) :: !out
-  done;
-  Array.of_list !out
-
 (* --- region growth ---------------------------------------------------- *)
 
 (* Assign every dense index an owner in [0 .. k-1]: k seeds spread
@@ -233,17 +226,6 @@ let proof_slice s proof =
       if Bits.length bits > 0 then acc := Proof.set !acc i bits)
     s.ids;
   !acc
-
-let merge_rejecting s rejecting =
-  let ns = shard_n s in
-  List.map
-    (fun i ->
-      if i < 0 || i >= ns then
-        invalid_arg
-          (Printf.sprintf "Partition.merge_rejecting: local id %d out of range" i)
-      else s.ids.(i))
-    rejecting
-  |> List.sort_uniq Int.compare
 
 (* --- shard files ------------------------------------------------------- *)
 

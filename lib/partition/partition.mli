@@ -34,9 +34,6 @@ val shard_n : shard -> int
 
 val owned_count : shard -> int
 
-val owned_nodes : shard -> int array
-(** Original identifiers of the owned nodes, increasing. *)
-
 val make : Csr.t -> k:int -> radius:int -> shard array
 (** Partition a compiled graph into [k] balanced shards by
     round-robin multi-source BFS region growth (k spread seeds, each
@@ -63,11 +60,6 @@ val proof_slice : shard -> Proof.t -> Proof.t
     and rekey it to local ids — what rides the wire next to the shard
     graph. Ghost nodes keep their proof bits: owned views reach into
     the halo. *)
-
-val merge_rejecting : shard -> int list -> int list
-(** Map a backend's rejecting {e local} ids back to original
-    identifiers (sorted). Out-of-range local ids raise
-    [Invalid_argument]. *)
 
 (** {1 Shard files}
 

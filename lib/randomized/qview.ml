@@ -2,7 +2,6 @@ exception Budget_exceeded of { centre : Graph.node; queries : int }
 
 let kind_proof_bit = 0
 let kind_proof_cell = 1
-let kind_label_cell = 2
 let kind_edge_cell = 3
 
 (* splitmix64-style finalizer truncated to OCaml's 63-bit int — the
@@ -38,13 +37,8 @@ let make view ~seed ~queries =
   }
 
 let centre t = View.centre t.view
-let queries t = t.queries
 let neighbours t = View.neighbours t.view (View.centre t.view)
-let degree t = View.degree_in_view t.view (View.centre t.view)
 let my_label t = View.label_of t.view (View.centre t.view)
-let globals t = View.globals t.view
-let arc_exists t u v = View.arc_exists t.view u v
-let on_boundary t u = View.on_boundary t.view u
 
 let charge t ~node ~kind ~index ~bits =
   if t.spent >= t.queries then
@@ -61,11 +55,6 @@ let proof_bit t u i =
 let proof_cell t u =
   let b = View.proof_of t.view u in
   charge t ~node:u ~kind:kind_proof_cell ~index:0 ~bits:(Bits.length b);
-  b
-
-let label_cell t u =
-  let b = View.label_of t.view u in
-  charge t ~node:u ~kind:kind_label_cell ~index:0 ~bits:(Bits.length b);
   b
 
 let edge_cell t u v =
@@ -95,7 +84,6 @@ let sample_neighbours t k =
     Array.to_list (Array.sub ns 0 k)
   end
 
-let units_spent t = t.spent
 let units_left t = t.queries - t.spent
 let bits_read t = t.bits
 let reads t = List.rev t.log

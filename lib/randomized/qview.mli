@@ -28,13 +28,6 @@ type t
 exception Budget_exceeded of { centre : Graph.node; queries : int }
 (** Raised by a charged read once the per-node budget is exhausted. *)
 
-(** Read-log entry kinds. *)
-val kind_proof_bit : int
-
-val kind_proof_cell : int
-val kind_label_cell : int
-val kind_edge_cell : int
-
 val make : View.t -> seed:int -> queries:int -> t
 (** Wrap a view with budget [queries] (must be ≥ 1) and a PRG derived
     from [seed] and the view's centre. *)
@@ -42,16 +35,10 @@ val make : View.t -> seed:int -> queries:int -> t
 (** {1 Free (structural) accessors} *)
 
 val centre : t -> Graph.node
-val queries : t -> int
 val neighbours : t -> Graph.node list
-val degree : t -> int
 
 val my_label : t -> Bits.t
 (** The centre's own input label — local input, never charged. *)
-
-val globals : t -> Bits.t
-val arc_exists : t -> Graph.node -> Graph.node -> bool
-val on_boundary : t -> Graph.node -> bool
 
 (** {1 Charged reads — one query unit each} *)
 
@@ -62,17 +49,10 @@ val proof_bit : t -> Graph.node -> int -> bool option
 val proof_cell : t -> Graph.node -> Bits.t
 (** A node's whole proof string. One unit, [length] bits. *)
 
-val label_cell : t -> Graph.node -> Bits.t
-(** A {e neighbour}'s input label. One unit. *)
-
 val edge_cell : t -> Graph.node -> Graph.node -> Bits.t
 (** The label of edge [(u, v)] inside the view. One unit. *)
 
 (** {1 Randomness and sampling} *)
-
-val rand_int : t -> int -> int
-(** Next PRG value in [0 .. bound-1]; [bound] must be positive.
-    Deterministic in [(seed, centre)] and the draw index. *)
 
 val mix : int -> int
 (** The splitmix-style finalizer behind the PRG, truncated to OCaml's
@@ -89,7 +69,6 @@ val sample_neighbours : t -> int -> Graph.node list
 
 (** {1 Accounting} *)
 
-val units_spent : t -> int
 val units_left : t -> int
 
 val bits_read : t -> int
@@ -98,5 +77,6 @@ val bits_read : t -> int
 
 val reads : t -> (Graph.node * int * int) list
 (** The charged-read log, oldest first: [(node, kind, index)] where
-    [index] is the bit index for {!proof_bit}, the other endpoint for
-    {!edge_cell}, and [0] for whole-cell reads. *)
+    [kind] is 0 for {!proof_bit}, 1 for {!proof_cell} and 3 for
+    {!edge_cell}, and [index] is the bit index for {!proof_bit}, the
+    other endpoint for {!edge_cell}, and [0] for whole-cell reads. *)

@@ -6,6 +6,8 @@
    remaining budget is skipped, never force-read: small q degrades
    detection power, not safety. *)
 
+(* 2-colouring spot-check: read the centre's colour bit, then the bits
+   of up to [q−1] sampled neighbours, requiring opposition. *)
 let bipartite =
   Randomized_scheme.make ~base:Bipartite_scheme.scheme ~epsilon:0.02 ~queries:4
     ~probes:24
@@ -20,6 +22,11 @@ let bipartite =
               | None -> false)
             (Qview.sample_neighbours qv (Qview.units_left qv)))
 
+(* KKP certificate spot-check: decode the centre's certificate, check
+   its root/distance sanity and its parent edge's flag, then decode up
+   to [(q−2)/2] sampled neighbours' certificates and check root
+   agreement, parent–distance consistency and flagged-edge membership
+   pairwise. *)
 let spanning_tree =
   Randomized_scheme.make ~base:Spanning_tree_scheme.scheme ~epsilon:0.02
     ~queries:6 ~probes:24
@@ -57,6 +64,9 @@ let spanning_tree =
              || cu.Tree_cert.parent = Some v))
         chosen)
 
+(* Cut spot-check (undirected s–t unreachability): read the centre's
+   mark and the s/t promise from its own label, then compare against up
+   to [q−1] sampled neighbours' marks. *)
 let st_unreach =
   Randomized_scheme.make ~base:Reachability.undirected_unreach ~epsilon:0.02
     ~queries:4 ~probes:24

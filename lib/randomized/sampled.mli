@@ -6,22 +6,6 @@
     daemon's compiled-graph cache and the router's affinity key all
     agree with the deterministic paths. *)
 
-val bipartite : Randomized_scheme.t
-(** 2-colouring spot-check: read the centre's colour bit, then the
-    bits of up to [q−1] sampled neighbours, requiring opposition. *)
-
-val spanning_tree : Randomized_scheme.t
-(** KKP certificate spot-check: decode the centre's certificate, check
-    its root/distance sanity and its parent edge's flag, then decode
-    up to [(q−2)/2] sampled neighbours' certificates and check root
-    agreement, parent–distance consistency and flagged-edge
-    membership pairwise. *)
-
-val st_unreach : Randomized_scheme.t
-(** Cut spot-check (undirected s–t unreachability): read the centre's
-    mark and the s/t promise from its own label, then compare against
-    up to [q−1] sampled neighbours' marks. *)
-
 val all : (string * Randomized_scheme.t) list
 (** [(registry name, sampled variant)] for every wrapped scheme. *)
 

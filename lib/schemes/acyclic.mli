@@ -2,9 +2,4 @@
     rooted spanning tree plus two aggregated counters (node count and
     degree sum), letting the component root check m = n − 1. *)
 
-type cert = { tree : Tree_cert.t; count : int; degree_sum : int }
-
-val encode : cert -> Bits.t
-val cert_of : View.t -> Graph.node -> cert
-val is_yes : Instance.t -> bool
 val scheme : Scheme.t

@@ -23,4 +23,3 @@ let scheme =
       let mine = bit v in
       List.for_all (fun u -> bit u <> mine) (View.neighbours view v))
 
-let is_yes inst = Bipartite.is_bipartite (Instance.graph inst)

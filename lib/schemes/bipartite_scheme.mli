@@ -4,4 +4,3 @@
     the matching Ω(log n) lower bound for its complement (Section 5). *)
 
 val scheme : Scheme.t
-val is_yes : Instance.t -> bool

@@ -46,4 +46,3 @@ let scheme =
       mine < k
       && List.for_all (fun u -> colour_of u <> mine) (View.neighbours view v))
 
-let is_yes k inst = Coloring.is_k_colourable (Instance.graph inst) k

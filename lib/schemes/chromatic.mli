@@ -6,4 +6,3 @@ val globals_of_k : int -> Bits.t
 val k_of_globals : View.t -> int
 val instance_with_k : Graph.t -> int -> Instance.t
 val scheme : Scheme.t
-val is_yes : int -> Instance.t -> bool

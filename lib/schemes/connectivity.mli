@@ -7,17 +7,6 @@
 
     [k] is a global input ("given as input to all nodes"). *)
 
-type region = S | C | T
-
-type label = { region : region; path : (int * int) option }
-(** [(index-or-colour, dist-from-s mod 3)] for path nodes. *)
-
-val write_label : Bits.Writer.buf -> label -> unit
-val read_label : Bits.Reader.cursor -> label
-
-val globals_of_k : int -> Bits.t
-val k_of_globals : View.t -> int
-
 val instance : Graph.t -> s:Graph.node -> t:Graph.node -> k:int -> Instance.t
 (** Terminal marks plus the global [k]. *)
 

@@ -3,15 +3,6 @@
     decidable predicate of it — Θ(log n) bits, tight by the gluing
     lower bound for non-trivial predicates such as parity. *)
 
-type cert = { tree : Tree_cert.t; count : int }
-
-val encode : cert -> Bits.t
-val cert_of : View.t -> Graph.node -> cert
-
-val scheme :
-  name:string -> accept_n:(int -> bool) -> is_yes:(Instance.t -> bool) -> Scheme.t
-(** Generic counting scheme on connected graphs. *)
-
 val odd_n : Scheme.t
 (** Table 1(a): odd n(G) — Θ(log n) on cycles. *)
 

@@ -10,7 +10,3 @@ let scheme =
     ~verifier:(fun view ->
       View.degree_in_view view (View.centre view) mod 2 = 0)
 
-(** Complement example used by the coLCP(0) ⊆ LogLCP construction
-    (Section 7.3): [Models] turns {!scheme} into a scheme for
-    non-Eulerian connected graphs. *)
-let is_yes inst = Euler.is_eulerian (Instance.graph inst)

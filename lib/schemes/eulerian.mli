@@ -4,5 +4,3 @@
 val scheme : Scheme.t
 (** Zero proof bits, radius 1. *)
 
-val is_yes : Instance.t -> bool
-(** Ground truth on the connected family. *)

@@ -86,18 +86,3 @@ let scheme =
           | [ u ] -> claims_me u || Tree_cert.is_root (cert_of u)
           | _ -> false))
 
-let is_yes inst =
-  let g = Instance.graph inst in
-  let cycle_edges = Instance.flagged_edges inst in
-  let n = Graph.n g in
-  n >= 3
-  && List.length cycle_edges = n
-  &&
-  let sub =
-    List.fold_left
-      (fun acc (u, v) -> Graph.add_edge acc u v)
-      (Graph.fold_nodes (fun v acc -> Graph.add_node acc v) g Graph.empty)
-      cycle_edges
-  in
-  Graph.fold_nodes (fun v acc -> acc && Graph.degree sub v = 2) sub true
-  && Traversal.is_connected sub

@@ -3,6 +3,4 @@
     rooted spanning tree whose every node has at most one child; the
     closing edge returns to the root. *)
 
-val flagged : View.t -> Graph.node -> Graph.node -> bool
 val scheme : Scheme.t
-val is_yes : Instance.t -> bool

@@ -4,12 +4,8 @@
     picks it, so the mark lives in the proof) are provided; the gluing
     lower bound applies to both (Section 7.2). *)
 
-val leader_bit : Bits.t -> bool
 val mark_leader : Instance.t -> Graph.node -> Instance.t
 (** Mark one node as leader, all others as non-leaders. *)
-
-val tree_proof : Graph.t -> Graph.node -> Proof.t
-(** The rooted-spanning-tree certificate used by both flavours. *)
 
 val strong : Scheme.t
 val weak : Scheme.t

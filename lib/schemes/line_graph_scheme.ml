@@ -21,4 +21,3 @@ let scheme =
            (fun pattern -> Subgraph_iso.contains_induced ~pattern ball)
            (Line_graph.forbidden_subgraphs ())))
 
-let is_yes inst = Line_graph.is_line_graph (Instance.graph inst)

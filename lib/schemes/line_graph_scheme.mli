@@ -3,9 +3,4 @@
     verifier needs no proof at all. The forbidden list itself is
     {e derived} by {!Line_graph.forbidden_subgraphs}. *)
 
-val radius : int
-(** 5 — enough to contain any forbidden pattern around one of its
-    nodes. *)
-
 val scheme : Scheme.t
-val is_yes : Instance.t -> bool

@@ -39,9 +39,6 @@ let maximal =
       | [ _ ] -> true
       | _ -> false)
 
-let maximal_is_yes inst =
-  Matching.is_maximal (Instance.graph inst) (Instance.flagged_edges inst)
-
 (* --- maximum matching in bipartite graphs: LCP(1). --- *)
 
 let cover_bit view u =
@@ -82,12 +79,6 @@ let maximum_bipartite =
                matched
           (* Covered nodes are matched. *)
           && ((not (cover_bit view v)) || matched <> []))
-
-let maximum_bipartite_is_yes inst =
-  let g = Instance.graph inst in
-  let m = Instance.flagged_edges inst in
-  Matching.is_matching g m
-  && List.length m = List.length (Matching.maximum_bipartite g)
 
 (* --- maximum-weight matching in bipartite graphs: LCP(O(log W)). --- *)
 
@@ -146,14 +137,6 @@ let maximum_weight_bipartite =
           && List.for_all (fun u -> y v + y u = weight v u) matched
           && (matched <> [] || y v = 0))
 
-let maximum_weight_is_yes inst =
-  let g = Instance.graph inst in
-  let m = Instance.flagged_edges inst in
-  let w = instance_weights inst in
-  Matching.is_matching g m
-  && Weighted_matching.weight_of_matching w m
-     = Weighted_matching.weight_of_matching w (Weighted_matching.maximum_weight g w)
-
 (* --- maximum matching on cycles: Θ(log n). --- *)
 
 let maximum_on_cycle =
@@ -193,5 +176,3 @@ let maximum_on_cycle =
       | [ _ ] -> true
       | _ -> false)
 
-let maximum_on_cycle_is_yes inst =
-  Matching.is_maximum_on_cycle (Instance.graph inst) (Instance.flagged_edges inst)

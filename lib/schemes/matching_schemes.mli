@@ -2,23 +2,13 @@
     Table 1(b)). Matchings travel as edge labels: bit 0 flags
     membership; the weighted scheme appends a gamma-coded weight. *)
 
-val flagged : View.t -> Graph.node -> Graph.node -> bool
-val matched_neighbours : View.t -> Graph.node -> Graph.node list
-
 val maximal : Scheme.t
 (** LCP(0), radius 2: validity plus local maximality. *)
-
-val maximal_is_yes : Instance.t -> bool
 
 val maximum_bipartite : Scheme.t
 (** LCP(1): a König minimum vertex cover — one bit per node — with
     "every matched edge has exactly one covered endpoint" and "every
     covered node is matched" making |C| = |M| locally evident. *)
-
-val maximum_bipartite_is_yes : Instance.t -> bool
-
-val weighted_edge_label : in_matching:bool -> weight:int -> Bits.t
-val weight_of_label : Bits.t -> int
 
 val weighted_instance :
   Graph.t -> Weighted_matching.weights -> Matching.matching -> Instance.t
@@ -29,11 +19,8 @@ val maximum_weight_bipartite : Scheme.t
 (** LCP(O(log W)): LP-dual potentials; the verifier checks dual
     feasibility on incident edges and complementary slackness. *)
 
-val maximum_weight_is_yes : Instance.t -> bool
-
 val maximum_on_cycle : Scheme.t
 (** Θ(log n) on cycles: a spanning tree rooted at the unmatched node
     (if any); every unmatched node must be the root, so at most one
     node is unmatched — maximum on a cycle. *)
 
-val maximum_on_cycle_is_yes : Instance.t -> bool

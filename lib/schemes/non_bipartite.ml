@@ -42,10 +42,6 @@ let cert_of view u =
   Bits.Reader.expect_end cur;
   { tree; cycle }
 
-let is_yes inst =
-  let g = Instance.graph inst in
-  Traversal.is_connected g && not (Bipartite.is_bipartite g)
-
 let scheme =
   Scheme.make ~name:"chromatic-gt-2" ~radius:1
     ~size_bound:(fun n -> Tree_cert.size_bound n + (8 * Bits.int_width (max 2 n)) + 4)

@@ -5,9 +5,4 @@
     so the certified closed walk is odd — impossible in a bipartite
     graph. Tight by the gluing lower bound. *)
 
-type cert = { tree : Tree_cert.t; cycle : (int * Graph.node) option }
-
-val encode : cert -> Bits.t
-val cert_of : View.t -> Graph.node -> cert
-val is_yes : Instance.t -> bool
 val scheme : Scheme.t

@@ -41,15 +41,3 @@ let scheme =
              || (cert_of view u).Tree_cert.parent = Some v)
            (View.neighbours view v))
 
-let is_yes inst =
-  let g = Instance.graph inst in
-  let edges = Instance.flagged_edges inst in
-  let t =
-    Graph.fold_nodes
-      (fun v acc -> Graph.add_node acc v)
-      g
-      (List.fold_left (fun acc (u, v) -> Graph.add_edge acc u v) Graph.empty edges)
-  in
-  (not (Graph.is_empty g))
-  && Graph.m t = Graph.n g - 1
-  && Traversal.is_connected t

@@ -3,4 +3,3 @@
     tree chosen by the adversary is certifiable. *)
 
 val scheme : Scheme.t
-val is_yes : Instance.t -> bool

@@ -6,9 +6,6 @@
 val s_label : Bits.t
 val t_label : Bits.t
 
-val mark : Instance.t -> s:Graph.node -> t:Graph.node -> Instance.t
-(** Mark two distinct existing nodes. *)
-
 val of_graph : Graph.t -> s:Graph.node -> t:Graph.node -> Instance.t
 val of_digraph : Digraph.t -> s:Graph.node -> t:Graph.node -> Instance.t
 

@@ -78,7 +78,4 @@ let check_at view ~cert_of =
         && List.mem p neighbours
         && (cert_of p).dist = c.dist - 1
 
-let parent_claims view ~cert_of u =
-  List.filter (fun w -> (cert_of w).parent = Some u) (View.neighbours view u)
-
 let is_root c = c.dist = 0

@@ -45,8 +45,4 @@ val check_at :
     already-parsed certificate by the calling scheme); it may raise
     [Bits.Reader.Decode_error] to reject. Requires radius ≥ 1. *)
 
-val parent_claims : View.t -> cert_of:(Graph.node -> t) -> Graph.node -> Graph.node list
-(** Neighbours of the given node (in the view) whose certificate names
-    it as parent — its tree children, as far as the view can see. *)
-
 val is_root : t -> bool

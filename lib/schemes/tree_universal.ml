@@ -75,6 +75,3 @@ let fixpoint_free_symmetry =
   scheme ~name:"tree-fixpoint-free-symmetry" (fun t ->
       Automorphism.has_fixpoint_free_symmetry t.Tree_enum.tree)
 
-let fixpoint_free_is_yes inst =
-  let g = Instance.graph inst in
-  Tree_enum.is_tree g && Automorphism.has_fixpoint_free_symmetry g

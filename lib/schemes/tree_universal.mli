@@ -7,8 +7,6 @@
 val encode_node : Bits.t -> int -> Bits.t
 (** [encode_node structure pos] — the per-node proof layout. *)
 
-val decode_node : Bits.t -> Bits.t * int
-
 val scheme : name:string -> (Tree_enum.rooted -> bool) -> Scheme.t
 (** Universal scheme for any computable property of (canonically
     rooted) trees. *)
@@ -17,4 +15,3 @@ val fixpoint_free_symmetry : Scheme.t
 (** Table 1(a): trees with a fixpoint-free automorphism — Θ(n), tight
     by Section 6.2. *)
 
-val fixpoint_free_is_yes : Instance.t -> bool

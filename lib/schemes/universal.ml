@@ -46,18 +46,10 @@ let scheme ~name (predicate : Graph.t -> bool) =
     Θ(n²). *)
 let symmetric = scheme ~name:"symmetric-graph" Automorphism.is_symmetric
 
-let symmetric_is_yes inst =
-  let g = Instance.graph inst in
-  Traversal.is_connected g && Automorphism.is_symmetric g
-
 (** Table 1(a): chromatic number > 3 — Ω(n²/log n) by the fooling-set
     argument, O(n²) by this scheme. *)
 let non_3_colourable =
   scheme ~name:"chromatic-gt-3" (fun g -> not (Coloring.is_k_colourable g 3))
-
-let non_3_colourable_is_yes inst =
-  let g = Instance.graph inst in
-  Traversal.is_connected g && not (Coloring.is_k_colourable g 3)
 
 (** Any computable property, for the "computable properties / O(n²)"
     row. *)

@@ -3,17 +3,13 @@
     complete encoded graph; local agreement + neighbourhood-match +
     connectivity of the decoding force the encoding to be exactly G. *)
 
-val scheme : name:string -> (Graph.t -> bool) -> Scheme.t
 val of_predicate : name:string -> (Graph.t -> bool) -> Scheme.t
 (** Alias of {!scheme}. *)
 
 val symmetric : Scheme.t
 (** Table 1(a): symmetric graphs — Θ(n²), tight by Section 6.1. *)
 
-val symmetric_is_yes : Instance.t -> bool
-
 val non_3_colourable : Scheme.t
 (** Table 1(a): chromatic number > 3 — O(n²), nearly tight by the
     Ω(n²/log n) fooling set of Section 6.3. *)
 
-val non_3_colourable_is_yes : Instance.t -> bool

@@ -31,11 +31,6 @@ module Backoff : sig
   val delay_ms : t -> seed:int -> attempt:int -> float
   (** The delay before retry number [attempt] (1-based; values < 1 are
       clamped to 1). Deterministic in [(seed, attempt)]. *)
-
-  val unit_float : seed:int -> attempt:int -> float
-  (** The underlying uniform draw in [0, 1) — exposed for callers that
-      need a deterministic coin with the same decorrelation
-      properties. *)
 end
 
 val connect :
@@ -71,19 +66,6 @@ val call_id :
 (** {!call} carrying correlation id [id] (0 = let the server assign
     one); returns the id from the response alongside it. [trace]
     attaches a distributed-tracing context to the request frame. *)
-
-val send :
-  ?id:int -> ?trace:Wire.trace_context -> t -> Wire.request ->
-  (unit, string) result
-(** Fire without waiting — paired with {!recv_full}, lets a caller
-    keep a slow request in flight while talking on other connections
-    (the deadline tests drive the server into saturation this way). *)
-
-val recv_full :
-  t -> (int * Wire.trace_context option * Wire.response, string) result
-(** Read one response: the echoed id, the trace context the server
-    echoed (it mirrors the request's verbatim; [None] on untraced
-    requests) and the message. *)
 
 val wire_trace : Obs.Trace.ctx -> Wire.trace_context option
 (** The wire form of a local span: [None] for {!Obs.Trace.null_ctx},

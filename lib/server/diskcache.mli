@@ -15,9 +15,6 @@
     answers [None] on any corruption, truncation, version or identity
     mismatch, leaving the caller to fall back to compiling. *)
 
-val path : dir:string -> string -> string
-(** Cache file for a key, with non-filename characters sanitised. *)
-
 val store :
   dir:string ->
   key:string ->

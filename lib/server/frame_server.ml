@@ -5,7 +5,6 @@ type t = {
   name : string;
   trace_sample : int;
   log : Obs.Log.t option;
-  registry : (Obs.Metrics.counter * Obs.Metrics.counter) option;
   request_span : string;
   sock : Unix.file_descr;
   actual_port : int;
@@ -56,7 +55,7 @@ let listen_on host port =
   in
   (sock, actual)
 
-let create ~name ~host ~port ~http_port ~trace_sample ~log ?registry () =
+let create ~name ~host ~port ~http_port ~trace_sample ~log () =
   let sock, actual_port = listen_on host port in
   let http_sock, actual_http_port =
     if http_port < 0 then (None, -1)
@@ -71,7 +70,6 @@ let create ~name ~host ~port ~http_port ~trace_sample ~log ?registry () =
     name;
     trace_sample;
     log;
-    registry;
     request_span = name ^ ".request";
     sock;
     actual_port;
@@ -145,9 +143,7 @@ let export_reply = function
       Wire.Profile_export_reply (Obs.Profile.export_string ())
   | _ -> invalid_arg "Frame_server.export_reply"
 
-let count_bad_frame t =
-  Atomic.incr t.c_bad_frames;
-  Option.iter (fun (m, _) -> Obs.Metrics.incr m) t.registry
+let count_bad_frame t = Atomic.incr t.c_bad_frames
 
 (* Skips 0, the "unassigned" sentinel, on wrap-around. *)
 let fresh_rid t =
@@ -407,7 +403,6 @@ let run t service =
          answers leave as soon as they are written *)
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ -> ());
-      Atomic.incr t.c_connections;
-      Option.iter (fun (_, m) -> Obs.Metrics.incr m) t.registry)
+      Atomic.incr t.c_connections)
     (serve_conn t service);
   Option.iter Thread.join http_thread

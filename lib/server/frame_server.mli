@@ -32,7 +32,6 @@ val create :
   http_port:int ->
   trace_sample:int ->
   log:Obs.Log.t option ->
-  ?registry:Obs.Metrics.counter * Obs.Metrics.counter ->
   unit ->
   t
 (** Bind and listen; raises [Unix.Unix_error] if a port is taken.
@@ -42,9 +41,7 @@ val create :
     back with {!port}; [http_port] < 0 disables the sidecar, 0 picks a
     port; [trace_sample] head-samples 1 in N requests that arrive
     without a wire trace context ({!Obs.Trace.sample}; <= 0
-    disables); [log] is the per-request log sink; [registry] names
-    [(bad_frames, connections)] counters of the {!Obs.Metrics}
-    registry to bump alongside the always-on atomics. *)
+    disables); [log] is the per-request log sink. *)
 
 val port : t -> int
 val http_port : t -> int

@@ -18,8 +18,6 @@ type 'a t = {
   tbl : (string, 'a entry) Hashtbl.t;
   mutable clock : int;
   mutable hits : int;
-  mutable misses : int;
-  mutable evictions : int;
 }
 
 let create ~capacity =
@@ -29,8 +27,6 @@ let create ~capacity =
     tbl = Hashtbl.create (max 16 capacity);
     clock = 0;
     hits = 0;
-    misses = 0;
-    evictions = 0;
   }
 
 let tick t =
@@ -43,9 +39,7 @@ let find t key =
       e.stamp <- tick t;
       t.hits <- t.hits + 1;
       Some e.value
-  | None ->
-      t.misses <- t.misses + 1;
-      None
+  | None -> None
 
 let evict_oldest t =
   let victim =
@@ -57,9 +51,7 @@ let evict_oldest t =
       t.tbl None
   in
   match victim with
-  | Some (key, _) ->
-      Hashtbl.remove t.tbl key;
-      t.evictions <- t.evictions + 1
+  | Some (key, _) -> Hashtbl.remove t.tbl key
   | None -> ()
 
 let put t key value =
@@ -74,5 +66,3 @@ let put t key value =
 
 let length t = Hashtbl.length t.tbl
 let hits t = t.hits
-let misses t = t.misses
-let evictions t = t.evictions

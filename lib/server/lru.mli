@@ -2,8 +2,8 @@
     for the server's compiled-verifier cache. Lookups and inserts are
     O(1); evicting from a full cache scans the table (O(capacity)),
     which is deliberate — capacities are small and the scan is noise
-    next to the compile a hit avoids. Hit / miss / eviction counters
-    ride along for the [stats] endpoint.
+    next to the compile a hit avoids. A hit counter rides along for
+    the [stats] endpoint.
 
     Not thread-safe; callers sharing a cache across domains or threads
     must serialise access (see {!Server}). *)
@@ -15,7 +15,7 @@ val create : capacity:int -> 'a t
     negative capacities raise [Invalid_argument]. *)
 
 val find : 'a t -> string -> 'a option
-(** Refreshes the entry's recency and counts a hit or a miss. *)
+(** Refreshes the entry's recency and counts a hit. *)
 
 val put : 'a t -> string -> 'a -> unit
 (** Insert or overwrite; evicts the least recently used entry when the
@@ -23,5 +23,3 @@ val put : 'a t -> string -> 'a -> unit
 
 val length : 'a t -> int
 val hits : 'a t -> int
-val misses : 'a t -> int
-val evictions : 'a t -> int

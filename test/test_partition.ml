@@ -136,7 +136,12 @@ let shard_verdicts c proof ~k ~radius =
                 (Proof.bindings (Partition.proof_slice s proof)))
          in
          Simulator.run_verifier_on compiled proof' ~radius
-           ~nodes:(Partition.owned_nodes s) fingerprint_verifier)
+           ~nodes:
+             (Array.of_list
+                (List.filteri
+                   (fun i _ -> s.Partition.owned.(i))
+                   (Array.to_list s.Partition.ids)))
+           fingerprint_verifier)
 
 let verdict_bit_identity () =
   let rng = st 42 in

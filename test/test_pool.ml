@@ -26,11 +26,9 @@ let more_workers_than_work () =
   let q = Pool.create 1 in
   Fun.protect ~finally:(fun () -> Pool.shutdown q) @@ fun () ->
   let total = Atomic.make 0 in
-  for _ = 1 to 500 do
-    Pool.submit q (fun () -> ignore (Atomic.fetch_and_add total 1))
-  done;
-  Pool.wait q;
-  check_int "500 submits all ran" 500 (Atomic.get total)
+  Pool.parallel_for q ~chunks:500 ~n:500 (fun _ _ _ ->
+      ignore (Atomic.fetch_and_add total 1));
+  check_int "500 tasks all ran" 500 (Atomic.get total)
 
 exception Boom
 
@@ -40,17 +38,14 @@ let exception_does_not_lose_tasks () =
   let done_count = Atomic.make 0 in
   let raised =
     try
-      for i = 1 to 64 do
-        Pool.submit p (fun () ->
-            if i = 13 then raise Boom
-            else ignore (Atomic.fetch_and_add done_count 1))
-      done;
-      Pool.wait p;
+      Pool.parallel_for p ~chunks:64 ~n:64 (fun _ lo _ ->
+          if lo = 12 then raise Boom
+          else ignore (Atomic.fetch_and_add done_count 1));
       false
     with Boom -> true
   in
-  check "wait re-raises the task's exception" true raised;
-  (* the other 63 tasks must still have completed: wait drains the
+  check "parallel_for re-raises the task's exception" true raised;
+  (* the other 63 tasks must still have completed: the pool drains the
      queue before propagating *)
   check_int "remaining tasks completed" 63 (Atomic.get done_count);
   (* and the pool remains usable for the next batch *)
@@ -64,22 +59,27 @@ let submit_after_shutdown () =
   Pool.parallel_for p ~chunks:2 ~n:10 (fun _ _ _ -> ());
   Pool.shutdown p;
   Pool.shutdown p (* idempotent *);
-  check "submit after shutdown raises" true
-    (match Pool.submit p (fun () -> ()) with
+  check "parallel_for after shutdown raises" true
+    (match Pool.parallel_for p ~chunks:2 ~n:10 (fun _ _ _ -> ()) with
     | exception Invalid_argument _ -> true
     | _ -> false);
-  check "submit_opt after shutdown declines" false
-    (Pool.submit_opt p (fun () -> ()));
   check "submit_res names the shutdown" true
     (Pool.submit_res p (fun () -> ()) = Error Pool.Shutting_down)
 
-(* submit_res is submit_opt with the decline reason made typed: the
-   server maps Queue_full to Overloaded and Shutting_down to
-   Unavailable, so the two must stay distinguishable. *)
+(* submit_res with ~max_pending is the server's backpressure valve:
+   while [max_pending] tasks are submitted-but-unfinished it must
+   decline, and a declined task must never run. The decline reason is
+   typed: the server maps Queue_full to Overloaded and Shutting_down
+   to Unavailable, so the two must stay distinguishable. *)
 let submit_res_reasons () =
   let p = Pool.create 1 in
   let gate = Atomic.make false in
   let ran = Atomic.make 0 in
+  let drain () =
+    while Pool.pending p > 0 do
+      Domain.cpu_relax ()
+    done
+  in
   Fun.protect
     ~finally:(fun () ->
       Atomic.set gate true;
@@ -92,47 +92,27 @@ let submit_res_reasons () =
          done;
          Atomic.incr ran)
     = Ok ());
+  (* pending = 1 from the moment of submission (queued or running),
+     so the bound is already saturated *)
   check "saturated bound is Queue_full" true
     (Pool.submit_res ~max_pending:1 p (fun () -> Atomic.incr ran)
     = Error Pool.Queue_full);
+  (* without a bound the same pool still accepts *)
+  check "unbounded submit accepted" true
+    (Pool.submit_res p (fun () -> Atomic.incr ran) = Ok ());
   Atomic.set gate true;
-  Pool.wait p;
-  check_int "declined task never ran" 1 (Atomic.get ran);
+  drain ();
+  check_int "declined task never ran" 2 (Atomic.get ran);
+  check "bound clears once pending drains" true
+    (Pool.submit_res ~max_pending:1 p (fun () -> Atomic.incr ran) = Ok ());
+  drain ();
+  check_int "accepted task ran" 3 (Atomic.get ran);
   Pool.shutdown p;
   (* after shutdown even a saturated-looking bound reports the
      shutdown, not the queue *)
   check "stopped pool is Shutting_down" true
     (Pool.submit_res ~max_pending:0 p (fun () -> Atomic.incr ran)
     = Error Pool.Shutting_down)
-
-(* submit_opt with ~max_pending is the server's backpressure valve:
-   while [max_pending] tasks are submitted-but-unfinished it must
-   decline, and a declined task must never run. *)
-let submit_opt_bound () =
-  let p = Pool.create 1 in
-  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
-  let gate = Atomic.make false in
-  let ran = Atomic.make 0 in
-  check "first task accepted" true
-    (Pool.submit_opt ~max_pending:1 p (fun () ->
-         while not (Atomic.get gate) do
-           Domain.cpu_relax ()
-         done;
-         Atomic.incr ran));
-  (* pending = 1 from the moment of submission (queued or running),
-     so the bound is already saturated *)
-  check "bound saturated: declined" false
-    (Pool.submit_opt ~max_pending:1 p (fun () -> Atomic.incr ran));
-  (* without a bound the same pool still accepts *)
-  check "unbounded submit accepted" true
-    (Pool.submit_opt p (fun () -> Atomic.incr ran));
-  Atomic.set gate true;
-  Pool.wait p;
-  check_int "declined task never ran" 2 (Atomic.get ran);
-  check "bound clears once pending drains" true
-    (Pool.submit_opt ~max_pending:1 p (fun () -> Atomic.incr ran));
-  Pool.wait p;
-  check_int "accepted task ran" 3 (Atomic.get ran)
 
 (* The same verification workload, metrics on, at jobs=1 and jobs=4:
    after Obs.Metrics.deterministic (which drops timing and scheduling
@@ -176,8 +156,6 @@ let suite =
       Alcotest.test_case "exception completes remaining tasks" `Quick
         exception_does_not_lose_tasks;
       Alcotest.test_case "submit after shutdown" `Quick submit_after_shutdown;
-      Alcotest.test_case "submit_opt backpressure bound" `Quick
-        submit_opt_bound;
       Alcotest.test_case "submit_res decline reasons" `Quick
         submit_res_reasons;
       Alcotest.test_case "metrics snapshots jobs-invariant" `Quick

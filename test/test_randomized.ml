@@ -7,6 +7,7 @@
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+let sampled_bipartite = Option.get (Sampled.find "bipartite")
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures *)
@@ -225,7 +226,7 @@ let sampled_run_deterministic_across_jobs () =
     Sampled.all
 
 let probe_nodes_deterministic () =
-  let rs = Sampled.bipartite in
+  let rs = sampled_bipartite in
   let compiled = Simulator.compile (Instance.of_graph (Builders.cycle 120)) in
   let p1 = Randomized_scheme.probe_nodes rs compiled ~seed:5 in
   let p2 = Randomized_scheme.probe_nodes rs compiled ~seed:5 in
@@ -252,7 +253,7 @@ let budget_exceeded_is_hard () =
   in
   let inst = Instance.of_graph (Builders.cycle 6) in
   let compiled = Simulator.compile inst in
-  let proof = proof_for Sampled.bipartite inst in
+  let proof = proof_for sampled_bipartite inst in
   check "over-budget read raises" true
     (match
        Randomized_scheme.run greedy compiled proof ~seed:1 ~queries:1
@@ -263,24 +264,22 @@ let budget_exceeded_is_hard () =
 let qview_accounting () =
   let inst = Instance.of_graph (Builders.cycle 6) in
   let compiled = Simulator.compile inst in
-  let proof = proof_for Sampled.bipartite inst in
+  let proof = proof_for sampled_bipartite inst in
   let view = Simulator.view_at compiled proof ~radius:1 0 in
   let qv = Qview.make view ~seed:3 ~queries:4 in
-  check_int "fresh view spent nothing" 0 (Qview.units_spent qv);
+  check_int "fresh view spent nothing" 4 (Qview.units_left qv);
   ignore (Qview.proof_bit qv 0 0);
-  check_int "one unit per bit read" 1 (Qview.units_spent qv);
+  check_int "one unit per bit read" 3 (Qview.units_left qv);
   check_int "one bit obtained" 1 (Qview.bits_read qv);
   let cell = Qview.proof_cell qv 1 in
-  check_int "two units after a cell" 2 (Qview.units_spent qv);
+  check_int "two units after a cell" 2 (Qview.units_left qv);
   check_int "cells add their length" (1 + Bits.length cell)
     (Qview.bits_read qv);
-  check_int "units left" 2 (Qview.units_left qv);
   check_int "read log has both entries" 2 (List.length (Qview.reads qv));
   (* structure stays free *)
   ignore (Qview.neighbours qv);
-  ignore (Qview.degree qv);
   ignore (Qview.my_label qv);
-  check_int "structural reads cost nothing" 2 (Qview.units_spent qv)
+  check_int "structural reads cost nothing" 2 (Qview.units_left qv)
 
 (* ------------------------------------------------------------------ *)
 (* Completeness and the error budget *)
@@ -326,7 +325,7 @@ let sampled_variants_within_budget () =
     Sampled.all
 
 let empirical_counts_job_independent () =
-  let rs = Sampled.bipartite in
+  let rs = sampled_bipartite in
   let inst = instance_for "bipartite" in
   let measure jobs =
     Checker.soundness_empirical ~jobs rs.Randomized_scheme.base inst
@@ -342,19 +341,36 @@ let empirical_counts_job_independent () =
   check_int "fooled independent of jobs" a.Checker.fooled b.Checker.fooled
 
 let wilson_interval () =
-  let low0, high0 = Checker.wilson ~fooled:0 ~invalid:0 in
+  (* the interval as soundness_empirical reports it: on an odd cycle
+     every forged 2-colouring is invalid, and the sampled closure
+     accepts every [fool_every]-th one it is shown *)
+  let inst = Instance.of_graph (Builders.cycle 5) in
+  let wilson ~fooled ~invalid =
+    let calls = ref 0 in
+    let fool_every = if fooled = 0 then 0 else invalid / fooled in
+    let e =
+      Checker.soundness_empirical Bipartite_scheme.scheme inst ~samples:invalid
+        ~max_bits:2 ~sampled:(fun ~seed:_ _ _ ->
+          incr calls;
+          fool_every > 0 && !calls mod fool_every = 0)
+    in
+    check_int "every forgery invalid" invalid e.Checker.invalid;
+    check_int "fooled as told" fooled e.Checker.fooled;
+    (e.Checker.wilson_low, e.Checker.wilson_high)
+  in
+  let low0, high0 = wilson ~fooled:0 ~invalid:0 in
   check "no data: vacuous interval" true (low0 = 0.0 && high0 = 1.0);
-  let low, high = Checker.wilson ~fooled:0 ~invalid:400 in
+  let low, high = wilson ~fooled:0 ~invalid:400 in
   check "0/400: lower bound at zero" true (low = 0.0);
   check "0/400: upper bound is tight but positive" true
     (high > 0.0 && high < 0.02);
-  let low1, high1 = Checker.wilson ~fooled:400 ~invalid:400 in
+  let low1, high1 = wilson ~fooled:400 ~invalid:400 in
   check "400/400: upper bound at one" true (high1 > 0.98 && high1 <= 1.0);
   check "400/400: lower bound close to one" true (low1 > 0.95);
-  let low_a, _ = Checker.wilson ~fooled:10 ~invalid:100 in
-  let low_b, _ = Checker.wilson ~fooled:20 ~invalid:100 in
+  let low_a, _ = wilson ~fooled:10 ~invalid:100 in
+  let low_b, _ = wilson ~fooled:20 ~invalid:100 in
   check "interval moves with the rate" true (low_a < low_b);
-  let l, h = Checker.wilson ~fooled:5 ~invalid:50 in
+  let l, h = wilson ~fooled:5 ~invalid:50 in
   check "interval brackets the point estimate" true (l < 0.1 && h > 0.1)
 
 (* ------------------------------------------------------------------ *)
@@ -385,7 +401,7 @@ let server_sampled_fast_path () =
   let g = Builders.cycle 16 in
   let g6 = Graph6.encode g in
   let inst = Instance.of_graph g in
-  let rs = Sampled.bipartite in
+  let rs = sampled_bipartite in
   let honest = proof_for rs inst in
   let corrupt =
     Proof.map

@@ -34,7 +34,7 @@ let line_graphs () =
     (fun g ->
       check "rejects non-line-graph" false
         (Scheme.accepts Line_graph_scheme.scheme (of_g g) Proof.empty))
-    [ Builders.star 3; Builders.complete_bipartite 1 3; Builders.wheel 5 ]
+    [ Builders.star 3; Test_util.complete_bipartite 1 3; Builders.wheel 5 ]
 
 (* --- bipartite: LCP(1) --- *)
 
@@ -43,12 +43,12 @@ let bipartite () =
     [
       of_g (Builders.cycle 8);
       of_g (Builders.grid 4 5);
-      of_g (Builders.complete_bipartite 3 4);
+      of_g (Test_util.complete_bipartite 3 4);
       of_g (Random_graphs.tree (st 3) 20);
-      of_g (Builders.hypercube 4);
+      of_g (Test_util.hypercube 4);
     ];
   assert_refuses Bipartite_scheme.scheme
-    [ of_g (Builders.cycle 5); of_g Builders.petersen ];
+    [ of_g (Builders.cycle 5); of_g Test_util.petersen ];
   assert_sound_random Bipartite_scheme.scheme
     [ of_g (Builders.cycle 9); of_g (Builders.wheel 5) ];
   assert_sound_exhaustive ~max_bits:1 Bipartite_scheme.scheme
@@ -152,7 +152,7 @@ let connectivity_general () =
     [
       (Builders.grid 3 3, 0, 8);
       (Builders.grid 4 4, 0, 15);
-      (Builders.hypercube 3, 0, 7);
+      (Test_util.hypercube 3, 0, 7);
       (Builders.cycle 8, 0, 4);
       (Random_graphs.connected_gnp (st 6) 12 0.3, 0, 11);
     ]
@@ -191,7 +191,7 @@ let chromatic () =
     [
       (Builders.cycle 5, 3);
       (Builders.complete 5, 5);
-      (Builders.petersen, 3);
+      (Test_util.petersen, 3);
       (Builders.wheel 5, 4);
       (Builders.grid 3 4, 2);
     ];
@@ -257,7 +257,7 @@ let maximum_matching_bipartite () =
       assert_complete Matching_schemes.maximum_bipartite [ inst ];
       check_int "1 bit" 1 (proof_size Matching_schemes.maximum_bipartite inst))
     [
-      Builders.complete_bipartite 3 5;
+      Test_util.complete_bipartite 3 5;
       Builders.cycle 10;
       Builders.path 7;
       Random_graphs.bipartite (st 7) 5 6 0.5;

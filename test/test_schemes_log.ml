@@ -114,7 +114,7 @@ let non_bipartite () =
   assert_complete Non_bipartite.scheme
     [
       of_g (Builders.cycle 7);
-      of_g Builders.petersen;
+      of_g Test_util.petersen;
       of_g (Builders.wheel 5);
       of_g (Builders.complete 4);
       of_g (Random_graphs.connected_gnp (st 11) 13 0.35);
@@ -144,7 +144,7 @@ let hamiltonian () =
           in
           assert_complete Hamiltonian_scheme.scheme
             [ Instance.flag_edges (of_g g) edges ])
-    [ Builders.cycle 8; Builders.complete 5; Builders.hypercube 3; Builders.grid 2 4 ];
+    [ Builders.cycle 8; Builders.complete 5; Test_util.hypercube 3; Builders.grid 2 4 ];
   (* two disjoint triangles inside K6: 2-regular, spanning, but not a cycle *)
   let k6 = Builders.complete 6 in
   let two_triangles =
@@ -196,7 +196,7 @@ let acyclic () =
 
 let colcp0 () =
   assert_complete Colcp0.non_eulerian
-    [ of_g (Builders.path 5); of_g (Builders.complete 4); of_g Builders.petersen ];
+    [ of_g (Builders.path 5); of_g (Builders.complete 4); of_g Test_util.petersen ];
   assert_refuses Colcp0.non_eulerian
     [ of_g (Builders.cycle 6); of_g (Builders.complete 5) ];
   assert_sound_random ~max_bits:8 Colcp0.non_eulerian

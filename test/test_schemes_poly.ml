@@ -47,7 +47,7 @@ let symmetric () =
   assert_complete Universal.symmetric
     [
       of_g (Builders.cycle 7);
-      of_g (Builders.complete_bipartite 2 3);
+      of_g (Test_util.complete_bipartite 2 3);
       of_g (Builders.grid 2 3);
       of_g (Builders.star 4);
     ];
@@ -62,7 +62,7 @@ let non_3_colourable () =
   assert_complete Universal.non_3_colourable
     [ of_g (Builders.complete 4); of_g (Builders.wheel 5); of_g (Builders.complete 5) ];
   assert_refuses Universal.non_3_colourable
-    [ of_g Builders.petersen; of_g (Builders.cycle 7); of_g (Builders.wheel 6) ];
+    [ of_g Test_util.petersen; of_g (Builders.cycle 7); of_g (Builders.wheel 6) ];
   assert_sound_random ~samples:60 ~max_bits:10 Universal.non_3_colourable
     [ of_g (Builders.cycle 5) ]
 
