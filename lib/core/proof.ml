@@ -9,14 +9,6 @@ let get p v = Option.value ~default:Bits.empty (IntMap.find_opt v p)
 let set p v b = IntMap.add v b p
 let size p = IntMap.fold (fun _ b acc -> max acc (Bits.length b)) p 0
 
-let restrict p vs =
-  List.fold_left
-    (fun m v ->
-      match IntMap.find_opt v p with
-      | Some b -> IntMap.add v b m
-      | None -> m)
-    IntMap.empty vs
-
 let union_disjoint p1 p2 =
   IntMap.union
     (fun v b1 b2 ->

@@ -19,9 +19,6 @@ val set : t -> Graph.node -> Bits.t -> t
 val size : t -> int
 (** [|P|]: maximum bits per node. *)
 
-val restrict : t -> Graph.node list -> t
-(** [P[v, r]] — the restriction used when building a view. *)
-
 val union_disjoint : t -> t -> t
 (** Merge proofs on disjoint node sets (gluing constructions inherit
     proof labels from several yes-instances). Raises

@@ -213,118 +213,82 @@ let record_sizes_into c proof sizes =
     sizes.(i) <- c.static_bits.(i) + Bits.length (Proof.get proof (Csr.node c.csr i))
   done
 
-(* Sort the first [k] entries of [a] in place. Balls on the serving
-   path are small, so insertion sort wins; past the cutoff fall back
-   to a copying [Array.sort]. *)
-let sort_prefix a k =
-  if k > 48 then begin
-    let tmp = Array.sub a 0 k in
-    Array.sort Int.compare tmp;
-    Array.blit tmp 0 a 0 k
-  end
-  else
-    for i = 1 to k - 1 do
-      let x = a.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && a.(!j) > x do
-        a.(!j + 1) <- a.(!j);
-        decr j
-      done;
-      a.(!j + 1) <- x
-    done
+(* A window onto [inst] and [proof] whose ball is the last [Csr.ball]
+   run on [scratch] over [csr]: nothing is copied, so the view is only
+   valid until that scratch's next ball. *)
+let window inst csr scratch proof ~centre_idx ~radius =
+  View.window inst proof ~centre:(Csr.node csr centre_idx) ~radius
+    ~dist:(Csr.node_dist csr scratch)
+    ~neighbours:(Csr.ball_neighbours csr scratch)
 
-(* Extract one view with a bounded BFS, plus (when [payload] is given)
-   the size of the knowledge payload this node would send in the final
-   gather round — the sum of record sizes over its radius-(r-1) ball —
-   which is what reproduces the reference transcript exactly.
-
-   [ids_buf] / [dists_buf] are arena buffers: when given (and big
-   enough) the ball's identifier prefix and distance table live in
-   them instead of fresh allocations. The returned view aliases
-   [dists_buf], so it is only valid until the buffer's next reuse. *)
-let view_of_scratch c proof scratch ?ids_buf ?dists_buf ?payload ?sizes
-    ~centre_idx ~radius () =
+(* Run one bounded BFS and return the ball's size, plus (when
+   [payload] is given) the size of the knowledge payload this node
+   would send in the final gather round — the sum of record sizes over
+   its radius-(r-1) ball — which is what reproduces the reference
+   transcript exactly. *)
+let extract c scratch ?payload ?sizes ~centre_idx ~radius () =
   let t0 = if !Obs.Metrics.enabled then Obs.Clock.now_ns () else 0 in
   let count = Csr.ball c.csr scratch ~centre:centre_idx ~radius in
-  let ids =
-    match ids_buf with
-    | Some b when Array.length b >= count -> b
-    | _ -> Array.make count 0
-  in
-  let dists =
-    match dists_buf with
-    | Some h ->
-        Hashtbl.reset h;
-        h
-    | None -> Hashtbl.create 32
-  in
   (match (payload, sizes) with
   | Some cell, Some sizes ->
       let sum = ref 0 in
       for i = 0 to count - 1 do
         let idx = Csr.visited scratch i in
-        let d = Csr.dist scratch idx in
-        ids.(i) <- Csr.node c.csr idx;
-        Hashtbl.replace dists ids.(i) d;
-        if d < radius then sum := !sum + sizes.(idx)
+        if Csr.dist scratch idx < radius then sum := !sum + sizes.(idx)
       done;
       cell := !sum
-  | _ ->
-      for i = 0 to count - 1 do
-        let idx = Csr.visited scratch i in
-        ids.(i) <- Csr.node c.csr idx;
-        Hashtbl.replace dists ids.(i) (Csr.dist scratch idx)
-      done);
-  sort_prefix ids count;
-  let ball = List.init count (fun i -> ids.(i)) in
-  let view =
-    View.of_ball c.inst proof ~centre:(Csr.node c.csr centre_idx) ~radius ~ball
-      ~dists
-  in
+  | _ -> ());
   if t0 <> 0 then begin
     Obs.Metrics.incr m_balls;
     Obs.Metrics.observe m_ball_size count;
     Obs.Metrics.add m_ball_ns (Obs.Clock.now_ns () - t0)
   end;
-  view
+  count
 
+let view_of_scratch c proof scratch ?payload ?sizes ~centre_idx ~radius () =
+  ignore (extract c scratch ?payload ?sizes ~centre_idx ~radius ());
+  window c.inst c.csr scratch proof ~centre_idx ~radius
+
+(* A view that outlives any sweep: the ball is cut out of the CSR and
+   searched again on its own ball-sized scratch, so the view holds
+   O(ball) memory rather than an O(n) scratch. *)
 let view_at c proof ~radius v =
   if radius < 0 then invalid_arg "Simulator.view_at: negative radius";
   let scratch = Csr.scratch c.csr in
-  view_of_scratch c proof scratch ~centre_idx:(Csr.index c.csr v) ~radius ()
+  let count = extract c scratch ~centre_idx:(Csr.index c.csr v) ~radius () in
+  let ball, _ = Csr.extract_subgraph c.csr (Array.init count (Csr.visited scratch)) in
+  let s = Csr.scratch ball in
+  let centre_idx = Csr.index ball v in
+  ignore (Csr.ball ball s ~centre:centre_idx ~radius);
+  window c.inst ball s proof ~centre_idx ~radius
 
 (* --- arena: per-domain buffers reused across verification runs ------- *)
 
 (* Extends [Csr.scratch]'s lazy-reset idea up through the whole
    sequential sweep: one arena owns every per-run buffer (BFS scratch,
-   ball ids, record sizes, verdict and payload arrays, the view's
-   distance table), grown monotonically to the largest graph seen, so
-   a warm [run_verifier ~arena] run allocates nothing per node beyond
-   the view's own persistent sub-instance. Single-owner, like a
-   scratch: never share one arena between domains. *)
+   record sizes, verdict and payload arrays), grown monotonically to
+   the largest graph seen. Views read the arena's scratch in place, so
+   a warm [run_verifier ~arena] run allocates only each view's small
+   window record per node. Single-owner, like a scratch: never share
+   one arena between domains. *)
 type arena = {
   mutable a_scratch : Csr.scratch;
-  mutable a_ids : int array;
   mutable a_sizes : int array;
   mutable a_verdicts : bool array;
   mutable a_payloads : int array;
-  a_dists : (Graph.node, int) Hashtbl.t;
 }
 
 let arena () =
   {
     a_scratch = Csr.scratch_of_capacity 1;
-    a_ids = [||];
     a_sizes = [||];
     a_verdicts = [||];
     a_payloads = [||];
-    a_dists = Hashtbl.create 64;
   }
 
 let arena_fit a n =
   if Csr.scratch_capacity a.a_scratch < n then
     a.a_scratch <- Csr.scratch_of_capacity n;
-  if Array.length a.a_ids < n then a.a_ids <- Array.make n 0;
   if Array.length a.a_sizes < n then a.a_sizes <- Array.make n 0;
   if Array.length a.a_verdicts < n then a.a_verdicts <- Array.make n false;
   if Array.length a.a_payloads < n then a.a_payloads <- Array.make n 0
@@ -356,18 +320,15 @@ let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
       Obs.Metrics.incr m_decode_errors;
       false
   in
-  let process ?ids_buf ?dists_buf scratch i =
+  let process scratch i =
     let payload = ref 0 in
     let tracing = Obs.Trace.on () in
     let view =
       if tracing then
         Obs.Trace.span_arg "simulator.ball" "node" (Csr.node c.csr i)
           (fun () ->
-            view_of_scratch c proof scratch ?ids_buf ?dists_buf ~payload ~sizes
-              ~centre_idx:i ~radius ())
-      else
-        view_of_scratch c proof scratch ?ids_buf ?dists_buf ~payload ~sizes
-          ~centre_idx:i ~radius ()
+            view_of_scratch c proof scratch ~payload ~sizes ~centre_idx:i ~radius ())
+      else view_of_scratch c proof scratch ~payload ~sizes ~centre_idx:i ~radius ()
     in
     payloads.(i) <- !payload;
     let t0 = if !Obs.Metrics.enabled then Obs.Clock.now_ns () else 0 in
@@ -385,17 +346,13 @@ let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
   let sweep () =
     Pool.run ~jobs (fun pool ->
         match pool with
-        | None -> (
-            match arena with
-            | Some a ->
-                for i = 0 to n - 1 do
-                  process ~ids_buf:a.a_ids ~dists_buf:a.a_dists a.a_scratch i
-                done
-            | None ->
-                let scratch = Csr.scratch c.csr in
-                for i = 0 to n - 1 do
-                  process scratch i
-                done)
+        | None ->
+            let scratch =
+              match arena with Some a -> a.a_scratch | None -> Csr.scratch c.csr
+            in
+            for i = 0 to n - 1 do
+              process scratch i
+            done
         | Some pool ->
             Pool.parallel_for pool ~chunks:(Pool.size pool) ~n (fun _c lo hi ->
                 let scratch = Csr.scratch c.csr in
@@ -447,11 +404,8 @@ let run_verifier_on ?(jobs = 1) ?arena c proof ~radius ~nodes verifier =
       Obs.Metrics.incr m_decode_errors;
       false
   in
-  let process ?ids_buf ?dists_buf scratch j =
-    let view =
-      view_of_scratch c proof scratch ?ids_buf ?dists_buf
-        ~centre_idx:idxs.(j) ~radius ()
-    in
+  let process scratch j =
+    let view = view_of_scratch c proof scratch ~centre_idx:idxs.(j) ~radius () in
     Obs.Metrics.incr m_calls;
     let ok = eval view in
     if not ok then Obs.Metrics.incr m_rejects;
@@ -460,17 +414,13 @@ let run_verifier_on ?(jobs = 1) ?arena c proof ~radius ~nodes verifier =
   let sweep () =
     Pool.run ~jobs (fun pool ->
         match pool with
-        | None -> (
-            match arena with
-            | Some a ->
-                for j = 0 to k - 1 do
-                  process ~ids_buf:a.a_ids ~dists_buf:a.a_dists a.a_scratch j
-                done
-            | None ->
-                let scratch = Csr.scratch c.csr in
-                for j = 0 to k - 1 do
-                  process scratch j
-                done)
+        | None ->
+            let scratch =
+              match arena with Some a -> a.a_scratch | None -> Csr.scratch c.csr
+            in
+            for j = 0 to k - 1 do
+              process scratch j
+            done
         | Some pool ->
             Pool.parallel_for pool ~chunks:(Pool.size pool) ~n:k (fun _c lo hi ->
                 let scratch = Csr.scratch c.csr in

@@ -70,16 +70,17 @@ val compiled_of_parts : Instance.t -> Csr.t -> int array -> compiled
 
     {!Csr.scratch}'s reuse discipline extended to the whole
     verification sweep: an arena owns every buffer a sequential
-    {!run_verifier} needs — BFS scratch, ball-id prefix, record-size,
-    verdict and payload arrays, and the view's distance table — grown
-    monotonically to the largest graph seen and reused across runs, so
-    a warm batch of verifications allocates nothing per node beyond
-    each view's persistent sub-instance.
+    {!run_verifier} needs — BFS scratch, record-size, verdict and
+    payload arrays — grown monotonically to the largest graph seen and
+    reused across runs.
 
-    Lifetime rule: a view handed to the verifier callback {e aliases}
-    arena buffers and is valid only for the duration of that call —
-    a verifier must not retain views when an arena is in play. Like a
-    scratch, an arena belongs to exactly one domain. *)
+    Lifetime rule: the fast path's views are windows that read the BFS
+    scratch in place (see {!View.window}) — the arena's when one is in
+    play, the sweep's own otherwise. A view is valid only for the
+    duration of the verifier call it was handed to: a view kept past
+    that call, or a later [View.graph] / [View.instance] on it, would
+    read another node's ball. Like a scratch, an arena belongs to
+    exactly one domain. *)
 
 type arena
 
@@ -87,9 +88,11 @@ val arena : unit -> arena
 (** An empty arena; buffers are sized on first use. *)
 
 val view_at : compiled -> Proof.t -> radius:int -> Graph.node -> View.t
-(** Direct radius-r view extraction via bounded CSR BFS. Structurally
-    identical to {!View.make} on the same arguments (it funnels through
-    {!View.of_ball}). *)
+(** Direct radius-r view extraction via bounded CSR BFS. Equal to
+    {!View.make} on the same arguments, accessor by accessor. Unlike the
+    sweep's views it stays valid indefinitely: it reads its own copy of
+    the ball's CSR rows, so it holds memory in the ball's size, not
+    the graph's. *)
 
 val run_verifier :
   ?jobs:int ->

@@ -1,68 +1,94 @@
 type t = {
   centre : Graph.node;
   radius : int;
-  sub : Instance.t; (* instance restricted to the ball *)
-  proof : Proof.t;
-  dists : (Graph.node, int) Hashtbl.t;
+  inst : Instance.t; (* the whole enclosing instance *)
+  proof : Proof.t; (* the whole proof *)
+  dist : Graph.node -> int; (* -1 outside the ball *)
+  nbrs : Graph.node -> Graph.node list; (* ball node's in-ball neighbours *)
+  sub : Instance.t Lazy.t; (* instance restricted to the ball, on demand *)
 }
 
-(* Shared assembly: [ball] must be the sorted radius-[radius] ball of
-   [centre] and [dists] its exact distance table. Both the direct
-   extraction below and the CSR fast path in [Simulator] funnel through
-   this single constructor, which is what keeps the two paths
-   behaviourally identical. *)
-let of_ball inst proof ~centre ~radius ~ball ~dists =
-  let g = Instance.graph inst in
-  let sub_graph = Graph.induced g ball in
-  let sub = Instance.of_graph sub_graph in
-  let sub = Instance.with_globals sub (Instance.globals inst) in
+(* The ball is what a walk over in-ball neighbours reaches from the
+   centre; the graph built along the way is exactly G[v,r]. *)
+let materialize inst ~centre ~nbrs =
+  let seen = Hashtbl.create 16 in
+  let rec visit g u =
+    if Hashtbl.mem seen u then g
+    else begin
+      Hashtbl.replace seen u ();
+      let ns = nbrs u in
+      List.fold_left visit
+        (List.fold_left (fun g w -> Graph.add_edge g u w) (Graph.add_node g u) ns)
+        ns
+    end
+  in
+  let sub_graph = visit Graph.empty centre in
+  let sub = Instance.with_globals (Instance.of_graph sub_graph) (Instance.globals inst) in
   let sub =
-    List.fold_left
-      (fun acc v ->
+    Graph.fold_nodes
+      (fun v acc ->
         let l = Instance.node_label inst v in
         if Bits.length l > 0 then Instance.with_node_label acc v l else acc)
-      sub ball
-  in
-  let sub =
-    Graph.fold_edges
-      (fun u v acc ->
-        let l = Instance.edge_label inst u v in
-        if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
       sub_graph sub
   in
-  { centre; radius; sub; proof = Proof.restrict proof ball; dists }
+  Graph.fold_edges
+    (fun u v acc ->
+      let l = Instance.edge_label inst u v in
+      if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
+    sub_graph sub
+
+let window inst proof ~centre ~radius ~dist ~neighbours =
+  {
+    centre;
+    radius;
+    inst;
+    proof;
+    dist;
+    nbrs = neighbours;
+    sub = lazy (materialize inst ~centre ~nbrs:neighbours);
+  }
 
 let make inst proof ~centre ~radius =
   let g = Instance.graph inst in
   if not (Graph.mem_node g centre) then invalid_arg "View.make: unknown centre";
   if radius < 0 then invalid_arg "View.make: negative radius";
-  let ball = Traversal.ball g centre radius in
   let dists = Hashtbl.create 32 in
   List.iter
     (fun (u, d) -> if d <= radius then Hashtbl.replace dists u d)
     (Traversal.bfs_distances g centre);
-  of_ball inst proof ~centre ~radius ~ball ~dists
+  let dist u = Option.value ~default:(-1) (Hashtbl.find_opt dists u) in
+  let neighbours u = List.filter (fun w -> Hashtbl.mem dists w) (Graph.neighbours g u) in
+  window inst proof ~centre ~radius ~dist ~neighbours
 
+let in_ball v u = v.dist u >= 0
 let centre v = v.centre
 let radius v = v.radius
-let graph v = Instance.graph v.sub
-let instance v = v.sub
-let proof_of v u = Proof.get v.proof u
-let label_of v u = Instance.node_label v.sub u
-let edge_label_of v a b = Instance.edge_label v.sub a b
-let arc_exists v a b = Instance.arc_exists v.sub a b
-let globals v = Instance.globals v.sub
-let neighbours v u = Graph.neighbours (graph v) u
-let degree_in_view v u = Graph.degree (graph v) u
+let instance v = Lazy.force v.sub
+let graph v = Instance.graph (instance v)
+let proof_of v u = if in_ball v u then Proof.get v.proof u else Bits.empty
+let label_of v u = if in_ball v u then Instance.node_label v.inst u else Bits.empty
+
+let edge_label_of v a b =
+  if in_ball v a && in_ball v b then Instance.edge_label v.inst a b else Bits.empty
+
+let arc_exists v a b = in_ball v a && in_ball v b && Instance.arc_exists v.inst a b
+let globals v = Instance.globals v.inst
+
+let neighbours v u =
+  if in_ball v u then v.nbrs u
+  else invalid_arg (Printf.sprintf "View.neighbours: node %d not in view" u)
+
+let degree_in_view v u =
+  if in_ball v u then List.length (v.nbrs u)
+  else invalid_arg (Printf.sprintf "View.degree_in_view: node %d not in view" u)
 
 let dist_to_centre v u =
-  match Hashtbl.find_opt v.dists u with
-  | Some d -> d
-  | None -> invalid_arg "View.dist_to_centre: node not in view"
-
+  let d = v.dist u in
+  if d >= 0 then d else invalid_arg "View.dist_to_centre: node not in view"
 
 let equal v1 v2 =
   v1.centre = v2.centre && v1.radius = v2.radius
-  && Instance.equal v1.sub v2.sub
-  && Proof.equal v1.proof v2.proof
-
+  && Instance.equal (instance v1) (instance v2)
+  && Graph.fold_nodes
+       (fun u acc -> acc && Bits.equal (proof_of v1 u) (proof_of v2 u))
+       (graph v1) true

@@ -99,6 +99,21 @@ let ball t s ~centre ~radius =
 let visited s i = s.order.(i)
 let dist s v = s.dist_.(v)
 
+let node_dist t s v =
+  match Hashtbl.find t.idx v with
+  | i -> s.dist_.(i)
+  | exception Not_found -> -1
+
+let ball_neighbours t s v =
+  let i = index t v in
+  (* walk the row backwards so the list comes out increasing *)
+  let acc = ref [] in
+  for k = t.offsets.(i + 1) - 1 downto t.offsets.(i) do
+    let u = t.targets.(k) in
+    if s.dist_.(u) >= 0 then acc := t.ids.(u) :: !acc
+  done;
+  !acc
+
 (* --- induced subgraph extraction (partition shards) ------------------- *)
 
 let extract_subgraph t sel =

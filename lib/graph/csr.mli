@@ -73,6 +73,15 @@ val visited : scratch -> int -> int
 val dist : scratch -> int -> int
 (** Distance from the last centre; [-1] for unvisited indices. *)
 
+val node_dist : t -> scratch -> Graph.node -> int
+(** {!dist} by identifier; [-1] also for identifiers not in the
+    graph. Allocation-free. *)
+
+val ball_neighbours : t -> scratch -> Graph.node -> Graph.node list
+(** Identifiers of a node's neighbours that the last {!ball} visited,
+    in increasing order: its adjacency in the subgraph induced by the
+    ball. Raises [Invalid_argument] for identifiers not in the graph. *)
+
 (** {1 Induced subgraphs} *)
 
 val extract_subgraph : t -> int array -> t * int array

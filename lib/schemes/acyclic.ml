@@ -63,15 +63,16 @@ let scheme =
              Proof.empty (Traversal.components g)))
     ~verifier:(fun view ->
       let v = View.centre view in
-      let c = cert_of view v in
-      Tree_cert.check_at view ~cert_of:(fun u -> (cert_of view u).tree)
+      let cert_of = Tree_cert.memo (cert_of view) in
+      let c = cert_of v in
+      Tree_cert.check_at view ~cert_of:(fun u -> (cert_of u).tree)
       &&
       let children =
         List.filter
-          (fun u -> (cert_of view u).tree.Tree_cert.parent = Some v)
+          (fun u -> (cert_of u).tree.Tree_cert.parent = Some v)
           (View.neighbours view v)
       in
-      let sum f = List.fold_left (fun acc u -> acc + f (cert_of view u)) 0 children in
+      let sum f = List.fold_left (fun acc u -> acc + f (cert_of u)) 0 children in
       c.count = 1 + sum (fun c -> c.count)
       && c.degree_sum = View.degree_in_view view v + sum (fun c -> c.degree_sum)
       &&

@@ -48,13 +48,14 @@ let scheme ~name ~accept_n ~is_yes =
     ~prover:(fun inst -> if is_yes inst then prove inst else None)
     ~verifier:(fun view ->
       let v = View.centre view in
-      let c = cert_of view v in
-      Tree_cert.check_at view ~cert_of:(fun u -> (cert_of view u).tree)
+      let cert_of = Tree_cert.memo (cert_of view) in
+      let c = cert_of v in
+      Tree_cert.check_at view ~cert_of:(fun u -> (cert_of u).tree)
       &&
       let child_sum =
         List.fold_left
           (fun acc u ->
-            let cu = cert_of view u in
+            let cu = cert_of u in
             if cu.tree.Tree_cert.parent = Some v then acc + cu.count else acc)
           0 (View.neighbours view v)
       in

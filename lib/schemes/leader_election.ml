@@ -33,7 +33,7 @@ let strong =
         | Some leader -> Some (tree_proof g leader))
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of u = Tree_cert.decode (View.proof_of view u) in
+      let cert_of = Tree_cert.memo (fun u -> Tree_cert.decode (View.proof_of view u)) in
       Tree_cert.check_at view ~cert_of
       && Bool.equal
            (leader_bit (View.label_of view v))
@@ -68,6 +68,7 @@ let weak =
       end)
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of u = snd (weak_cert_of view u) in
+      let weak = Tree_cert.memo (weak_cert_of view) in
+      let cert_of u = snd (weak u) in
       Tree_cert.check_at view ~cert_of
-      && Bool.equal (fst (weak_cert_of view v)) (Tree_cert.is_root (cert_of v)))
+      && Bool.equal (fst (weak v)) (Tree_cert.is_root (cert_of v)))

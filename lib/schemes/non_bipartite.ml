@@ -68,15 +68,16 @@ let scheme =
                  Proof.empty certs))
     ~verifier:(fun view ->
       let v = View.centre view in
-      let c = cert_of view v in
+      let cert_of = Tree_cert.memo (cert_of view) in
+      let c = cert_of v in
       let neighbours = View.neighbours view v in
-      Tree_cert.check_at view ~cert_of:(fun u -> (cert_of view u).tree)
+      Tree_cert.check_at view ~cert_of:(fun u -> (cert_of u).tree)
       &&
-      let on_cycle u = (cert_of view u).cycle <> None in
+      let on_cycle u = (cert_of u).cycle <> None in
       let preds =
         List.filter
           (fun u ->
-            match (cert_of view u).cycle with
+            match (cert_of u).cycle with
             | Some (_, succ) -> succ = v
             | None -> false)
           neighbours
@@ -91,7 +92,7 @@ let scheme =
           && List.mem succ neighbours
           && on_cycle succ
           && (pos = 0) = Tree_cert.is_root c.tree
-          && (match (cert_of view succ).cycle with
+          && (match (cert_of succ).cycle with
              | Some (spos, _) ->
                  if spos = 0 then pos mod 2 = 0 && pos > 0
                  else spos = pos + 1

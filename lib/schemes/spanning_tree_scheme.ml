@@ -23,12 +23,13 @@ let scheme =
                    Proof.empty certs)))
     ~verifier:(fun view ->
       let v = View.centre view in
-      let c = cert_of view v in
+      let cert_of = Tree_cert.memo (cert_of view) in
+      let c = cert_of v in
       let flagged u =
         let l = View.edge_label_of view v u in
         Bits.length l >= 1 && Bits.get l 0
       in
-      Tree_cert.check_at view ~cert_of:(cert_of view)
+      Tree_cert.check_at view ~cert_of
       && (match c.Tree_cert.parent with
          | None -> true
          | Some p -> flagged p)
@@ -38,6 +39,6 @@ let scheme =
                 the two directions — flagged = tree edges exactly. *)
              (not (flagged u))
              || c.Tree_cert.parent = Some u
-             || (cert_of view u).Tree_cert.parent = Some v)
+             || (cert_of u).Tree_cert.parent = Some v)
            (View.neighbours view v))
 

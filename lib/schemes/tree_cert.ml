@@ -79,3 +79,14 @@ let check_at view ~cert_of =
         && (cert_of p).dist = c.dist - 1
 
 let is_root c = c.dist = 0
+
+let memo f =
+  let cache = ref [] in
+  let rec find u = function
+    | [] ->
+        let c = f u in
+        cache := (u, c) :: !cache;
+        c
+    | (w, c) :: rest -> if w = u then c else find u rest
+  in
+  fun (u : Graph.node) -> find u !cache

@@ -46,3 +46,10 @@ val check_at :
     [Bits.Reader.Decode_error] to reject. Requires radius ≥ 1. *)
 
 val is_root : t -> bool
+
+val memo : (Graph.node -> 'a) -> Graph.node -> 'a
+(** [memo decode] answers each node from the first successful
+    [decode], so a verifier reads every ball node's certificate at most
+    once. Failures are not cached: a malformed certificate raises
+    [Bits.Reader.Decode_error] on its first read as before. Build one
+    per verifier call — the cache is the view's. *)

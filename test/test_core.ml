@@ -7,10 +7,7 @@ let proof_basics () =
   check_int "size" 3 (Proof.size p);
   check "get" true (Bits.equal (Proof.get p 1) (Bits.of_string "101"));
   check "missing is empty" true (Bits.equal (Proof.get p 99) Bits.empty);
-  check_int "map" 2 (Proof.size (Proof.map (fun _ b -> Bits.take 2 b) p));
-  let q = Proof.restrict p [ 2 ] in
-  check "restrict drops" true (Bits.equal (Proof.get q 1) Bits.empty);
-  check "restrict keeps" true (Bits.equal (Proof.get q 2) (Bits.of_string "1"))
+  check_int "map" 2 (Proof.size (Proof.map (fun _ b -> Bits.take 2 b) p))
 
 let proof_union () =
   let p1 = Proof.of_list [ (1, Bits.of_string "1") ] in

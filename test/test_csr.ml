@@ -106,6 +106,138 @@ let fast_views_identical () =
         [ 0; 1; 2 ])
     (List.filter (fun (_, g) -> Graph.n g <= 60) family)
 
+(* [decorated] over a digraph: every edge carries an [Instance.of_digraph]
+   arc label (one way, the other way, or both), plus node labels,
+   globals and proof bits. *)
+let decorated_arcs g =
+  let d =
+    Graph.fold_edges
+      (fun u v acc ->
+        match (u * 31 + v) mod 3 with
+        | 0 -> Digraph.add_arc acc u v
+        | 1 -> Digraph.add_arc acc v u
+        | _ -> Digraph.add_arc (Digraph.add_arc acc u v) v u)
+      g
+      (Graph.fold_nodes (fun v acc -> Digraph.add_node acc v) g Digraph.empty)
+  in
+  let inst, proof = decorated g in
+  let arcs = Instance.of_digraph d in
+  let arcs =
+    Instance.with_node_labels arcs
+      (List.map (fun v -> (v, Instance.node_label inst v)) (Graph.nodes g))
+  in
+  (Instance.with_globals arcs (Instance.globals inst), proof)
+
+(* Every window accessor on [view] against [View.make]'s view of the
+   same ball (values and Invalid_argument messages alike) and against
+   the seed's semantics rebuilt here from the induced subgraph, at
+   every node of [g] and one identifier outside it, and at every pair
+   for the two-node accessors — without forcing the view's
+   sub-instance. *)
+let same_accessors label g inst proof view =
+  let centre = View.centre view and radius = View.radius view in
+  let reference = View.make inst proof ~centre ~radius in
+  let sub = Graph.induced g (Traversal.ball g centre radius) in
+  let dists = Traversal.bfs_distances sub centre in
+  let in_ball u = Graph.mem_node sub u in
+  let edge a b =
+    if Graph.mem_edge sub a b then Instance.edge_label inst a b else Bits.empty
+  in
+  let masked f u = if in_ball u then f u else Bits.empty in
+  let known f u = if in_ball u then Ok (f u) else Error () in
+  let res f = match f () with x -> Ok x | exception Invalid_argument m -> Error m in
+  let same what f oracle =
+    let got = res (fun () -> f view) in
+    if got <> res (fun () -> f reference) || Result.map_error ignore got <> oracle
+    then Alcotest.failf "%s: %s differs" label (what ())
+  in
+  let nodes = (Graph.max_id g + 1) :: Graph.nodes g in
+  same (fun () -> "globals") View.globals (Ok (Instance.globals inst));
+  List.iter
+    (fun u ->
+      let at what f oracle =
+        same (fun () -> Printf.sprintf "%s %d" what u) (fun v -> f v u) oracle
+      in
+      at "neighbours" View.neighbours (known (Graph.neighbours sub) u);
+      at "degree_in_view" View.degree_in_view (known (Graph.degree sub) u);
+      at "proof_of" View.proof_of (Ok (masked (Proof.get proof) u));
+      at "label_of" View.label_of (Ok (masked (Instance.node_label inst) u));
+      at "dist_to_centre" View.dist_to_centre (known (fun u -> List.assoc u dists) u);
+      List.iter
+        (fun w ->
+          let pair what f oracle =
+            same (fun () -> Printf.sprintf "%s %d %d" what u w) (fun v -> f v u w)
+              (Ok oracle)
+          in
+          let l = edge u w in
+          pair "edge_label_of" View.edge_label_of l;
+          pair "arc_exists" View.arc_exists
+            (Bits.length l >= 2 && Bits.get l (if u < w then 0 else 1)))
+        nodes)
+    nodes
+
+let window_accessors_match () =
+  let small = List.filter (fun (_, g) -> Graph.n g <= 60) family in
+  let arena = Simulator.arena () in
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun (kind, (inst, proof)) ->
+          let c = Simulator.compile inst in
+          List.iter
+            (fun radius ->
+              let label = Printf.sprintf "%s %s r=%d" name kind radius in
+              Graph.iter_nodes
+                (fun v ->
+                  same_accessors
+                    (Printf.sprintf "%s view_at v=%d" label v)
+                    g inst proof
+                    (Simulator.view_at c proof ~radius v))
+                g;
+              let verdicts, _ =
+                Simulator.run_verifier ~compiled:c ~arena inst proof ~radius
+                  (fun view ->
+                    same_accessors
+                      (Printf.sprintf "%s arena v=%d" label (View.centre view))
+                      g inst proof view;
+                    true)
+              in
+              check (label ^ " arena sweep ran") true
+                (List.for_all snd verdicts))
+            [ 0; 1; 2 ])
+        [ ("labels", decorated g); ("arcs", decorated_arcs g) ])
+    small
+
+(* The fast path builds no per-node sub-instance: a warm arena run
+   with a constant verifier stays within a fixed per-node word budget
+   (a view materialized per node costs several hundred). *)
+let window_allocation_budget () =
+  let g = Random_graphs.connected_gnp (st 21) 1024 (6.0 /. 1024.0) in
+  let inst, proof = decorated g in
+  let compiled = Simulator.compile inst in
+  let arena = Simulator.arena () in
+  let run () =
+    ignore
+      (Simulator.run_verifier ~compiled ~arena inst proof ~radius:1 (fun _ -> true))
+  in
+  let metrics = !Obs.Metrics.enabled and trace = !Obs.Trace.enabled in
+  Obs.disable ();
+  let words =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.enabled := metrics;
+        Obs.Trace.enabled := trace)
+      (fun () ->
+        run ();
+        let w0 = Gc.minor_words () in
+        run ();
+        Gc.minor_words () -. w0)
+  in
+  let per_node = words /. 1024.0 in
+  if per_node > 100.0 then
+    Alcotest.failf "warm run_verifier allocates %.1f minor words per node (> 100)"
+      per_node
+
 let run_verifier_matches_reference () =
   (* A verifier exercising graph structure, labels, proof bits and
      distances of the view. *)
@@ -320,6 +452,10 @@ let suite =
       Alcotest.test_case "csr structure mirrors graph" `Quick csr_structure;
       Alcotest.test_case "csr balls = Traversal.ball" `Quick csr_balls;
       Alcotest.test_case "fast views = View.make" `Quick fast_views_identical;
+      Alcotest.test_case "window accessors = View.make (unforced)" `Quick
+        window_accessors_match;
+      Alcotest.test_case "warm run_verifier allocation budget" `Quick
+        window_allocation_budget;
       Alcotest.test_case "run_verifier = reference (verdicts + transcript)"
         `Quick run_verifier_matches_reference;
       Alcotest.test_case "scheme verdicts identical (jobs 1 and 4)" `Quick
