@@ -36,6 +36,32 @@ let sub s pos len = String.sub s pos len
 let take k s = String.sub s 0 (min k (String.length s))
 let equal = String.equal
 let pp ppf s = Format.fprintf ppf "%s" (if s = "" then "ε" else s)
+let packed_bytes len = (len + 7) / 8
+
+let pack s buf off =
+  let len = String.length s in
+  let nbytes = packed_bytes len in
+  if off < 0 || off > Bytes.length buf - nbytes then
+    invalid_arg "Bits.pack: out of range";
+  for j = 0 to nbytes - 1 do
+    let byte = ref 0 in
+    for i = 8 * j to min len ((8 * j) + 8) - 1 do
+      if String.unsafe_get s i = '1' then byte := !byte lor (0x80 lsr (i land 7))
+    done;
+    Bytes.unsafe_set buf (off + j) (Char.unsafe_chr !byte)
+  done
+
+let unpack s off len =
+  if off < 0 || len < 0 || off > String.length s - packed_bytes len then
+    invalid_arg "Bits.unpack: out of range";
+  let out = Bytes.create len in
+  for i = 0 to len - 1 do
+    let byte = Char.code (String.unsafe_get s (off + (i lsr 3))) in
+    Bytes.unsafe_set out i
+      (if byte land (0x80 lsr (i land 7)) <> 0 then '1' else '0')
+  done;
+  Bytes.unsafe_to_string out
+
 let zero k = String.make k '0'
 let one_bit b = if b then "1" else "0"
 

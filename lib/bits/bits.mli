@@ -42,6 +42,26 @@ val take : int -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
+(** {1 Packed form}
+
+    The byte layout the wire protocol carries: 8 bits per byte, the
+    first bit in the most significant position, the last byte padded
+    with zeros. *)
+
+val packed_bytes : int -> int
+(** [packed_bytes len] is the number of bytes [len] packed bits
+    occupy: [(len + 7) / 8]. *)
+
+val pack : t -> Bytes.t -> int -> unit
+(** [pack b buf off] writes [b] into the [packed_bytes (length b)]
+    bytes of [buf] starting at [off]. Raises [Invalid_argument] when
+    they do not fit. *)
+
+val unpack : string -> int -> int -> t
+(** [unpack s off len] is the [len]-bit string packed in [s] from
+    byte [off]; padding bits are ignored. Raises [Invalid_argument]
+    when [s] holds fewer than [packed_bytes len] bytes from [off]. *)
+
 val one_bit : bool -> t
 (** [one_bit b] is the single-bit string [b]. *)
 

@@ -3,12 +3,34 @@
     any node. *)
 
 type t
+(** Two stores behind one type. A {e dense} array binds every id in
+    [0 .. k-1] and is read by index: the wire decoder builds it in one
+    pass ({!of_dense}), and the verifier's per-node {!get} is then an
+    array read. A persistent map {e overlay} binds every other id and
+    every {!set} made afterwards, shadowing the array where both bind,
+    so a prover still grows its proof by O(log n) [set]s. Every
+    operation below sees only the merged bindings. *)
 
 val empty : t
 (** The empty proof [ε], size 0 — what LCP(0) verifiers receive. *)
 
 val of_list : (Graph.node * Bits.t) list -> t
+
+val of_dense : Bits.t array -> t
+(** [of_dense a] binds node [v] to [a.(v)] for every [v] below
+    [Array.length a], explicit [ε] entries included. The proof takes
+    the array over: the caller must not mutate it afterwards. *)
+
 val bindings : t -> (Graph.node * Bits.t) list
+(** In increasing node order. *)
+
+val iter : (Graph.node -> Bits.t -> unit) -> t -> unit
+(** [iter f p] applies [f] to every binding in increasing node order,
+    allocating nothing per binding. *)
+
+val extent : t -> int
+(** One more than the largest bound node, 0 when nothing is bound:
+    the length of the table that lists the proof by node id. *)
 
 val get : t -> Graph.node -> Bits.t
 (** Unassigned nodes read the empty string, so that the empty proof is

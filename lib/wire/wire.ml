@@ -1,7 +1,8 @@
 (* Codecs for the verification-service protocol. Two halves:
 
-   - writers append fixed-width big-endian fields to a [Buffer] — the
-     encoder can assume well-typed OCaml values and never fails;
+   - writers put fixed-width big-endian fields into a [sink] — the
+     encoder can assume well-typed OCaml values and fails only on a
+     caller bug (a negative id, a proof node no table can list);
    - readers walk a cursor over the received payload. Internally they
      raise a private [Fail] exception for brevity, but every public
      decoder catches it at the boundary and returns [Error reason]:
@@ -18,7 +19,7 @@
    trace id low half, parent span id, each a 63-bit non-negative int
    in a u64. *)
 
-let protocol_version = 2
+let protocol_version = 3
 let header_bytes = 8
 let id_bytes = 8
 let max_payload = 16 * 1024 * 1024
@@ -270,7 +271,15 @@ let request_key = function
 
 (* --- writers ---------------------------------------------------------- *)
 
-let w_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
+(* The same writer code runs twice per frame: into a counting sink
+   ([write = false]) that only advances [pos], then into a [Bytes] of
+   exactly the size counted. Encoding thus allocates the frame once and
+   nothing that grows with it. *)
+type sink = { buf : Bytes.t; mutable pos : int; write : bool }
+
+let w_u8 b v =
+  if b.write then Bytes.set b.buf b.pos (Char.unsafe_chr (v land 0xff));
+  b.pos <- b.pos + 1
 
 let w_u16 b v =
   w_u8 b (v lsr 8);
@@ -283,8 +292,10 @@ let w_u32 b v =
   w_u8 b v
 
 let w_string b s =
-  w_u32 b (String.length s);
-  Buffer.add_string b s
+  let len = String.length s in
+  w_u32 b len;
+  if b.write then Bytes.blit_string s 0 b.buf b.pos len;
+  b.pos <- b.pos + len
 
 (* Correlation ids are 63-bit non-negative ints carried as a u64; the
    encoder owns the range check so hostile values cannot be ours. Bit
@@ -303,24 +314,31 @@ let w_trace b { trace_hi; trace_lo; parent_span } =
 let w_bits b bits =
   let len = Bits.length bits in
   w_u32 b len;
-  let byte = ref 0 in
-  for i = 0 to len - 1 do
-    if Bits.get bits i then byte := !byte lor (0x80 lsr (i mod 8));
-    if i mod 8 = 7 then begin
-      w_u8 b !byte;
-      byte := 0
-    end
-  done;
-  if len mod 8 <> 0 then w_u8 b !byte
+  if b.write then Bits.pack bits b.buf b.pos;
+  b.pos <- b.pos + Bits.packed_bytes len
 
+(* A proof table lists node ids 0 .. k-1 in order, each as a bit
+   string, with no ids on the wire: graph6 nodes are already 0..n-1. A
+   node the proof leaves unbound travels as ε. Node ids are range
+   checked here, like correlation ids: a negative one would otherwise
+   wrap to a different node, and a table past [max_payload / 4]
+   entries cannot fit any frame. *)
 let w_proof b proof =
-  let entries = Proof.bindings proof in
-  w_u32 b (List.length entries);
-  List.iter
-    (fun (v, bits) ->
-      w_u32 b v;
-      w_bits b bits)
-    entries
+  let k = Proof.extent proof in
+  if k > max_payload / 4 then
+    invalid_arg (Printf.sprintf "Wire: proof node %d does not fit a frame" (k - 1));
+  w_u32 b k;
+  let next = ref 0 in
+  Proof.iter
+    (fun v bits ->
+      if v < 0 then invalid_arg "Wire: proof node ids are non-negative";
+      while !next < v do
+        w_u32 b 0;
+        incr next
+      done;
+      w_bits b bits;
+      incr next)
+    proof
 
 let w_int_list b l =
   w_u32 b (List.length l);
@@ -416,14 +434,12 @@ let r_string c =
 
 let r_bits c =
   let len = r_u32 c in
-  let bytes = (len + 7) / 8 in
+  let bytes = Bits.packed_bytes len in
   if bytes > remaining c then
     fail "bit-string length %d exceeds the %d bytes present" len (remaining c);
-  let base = c.pos in
+  let bits = Bits.unpack c.s c.pos len in
   c.pos <- c.pos + bytes;
-  Bits.of_bools
-    (List.init len (fun i ->
-         Char.code c.s.[base + (i / 8)] land (0x80 lsr (i mod 8)) <> 0))
+  bits
 
 (* [r_list c ~min_entry_bytes f]: a count — u32, or u16 for the batch
    tables, which cap at 65535 entries — whose minimum encoded size is
@@ -434,11 +450,18 @@ let r_list ?(count = r_u32) c ~min_entry_bytes f =
     fail "list count %d exceeds the %d bytes present" count (remaining c);
   List.init count (fun _ -> f c)
 
+(* One pass straight into the dense by-id array. Every entry costs at
+   least its u32 length, so the count is checked against the bytes
+   present before [Array.make]: a claimed count never allocates. *)
 let r_proof c =
-  Proof.of_list
-    (r_list c ~min_entry_bytes:8 (fun c ->
-         let v = r_u32 c in
-         (v, r_bits c)))
+  let k = r_u32 c in
+  if k * 4 > remaining c then
+    fail "proof table of %d entries exceeds the %d bytes present" k (remaining c);
+  let dense = Array.make k Bits.empty in
+  for v = 0 to k - 1 do
+    dense.(v) <- r_bits c
+  done;
+  Proof.of_dense dense
 
 let r_batch_op c ~n_graphs ~n_proofs =
   let kind = r_u8 c in
@@ -460,8 +483,9 @@ let r_batch_op c ~n_graphs ~n_proofs =
 let expect_end c =
   if remaining c > 0 then fail "%d trailing bytes after the payload" (remaining c)
 
-let decoding payload f =
-  let c = { s = payload; pos = 0 } in
+(* Decode [s] from byte [pos] to its end, in place. *)
+let decoding s pos f =
+  let c = { s; pos } in
   match
     let v = f c in
     expect_end c;
@@ -481,15 +505,18 @@ let check_trace { trace_hi; trace_lo; parent_span } =
 
 (* The payload is the u64 correlation id, then the 24 trace-context
    bytes when a context rides along (flagged in the id word), then the
-   message body. *)
+   message body that [body] writes: once to size the frame, once into
+   it. *)
 let frame ~id ?trace tag body =
   check_id id;
   Option.iter check_trace trace;
+  let counted = { buf = Bytes.empty; pos = 0; write = false } in
+  body counted;
   let context_bytes = if trace = None then 0 else 3 * id_bytes in
-  let length = id_bytes + context_bytes + String.length body in
-  let b = Buffer.create (header_bytes + length) in
-  Buffer.add_char b magic0;
-  Buffer.add_char b magic1;
+  let length = id_bytes + context_bytes + counted.pos in
+  let b = { buf = Bytes.create (header_bytes + length); pos = 0; write = true } in
+  w_u8 b (Char.code magic0);
+  w_u8 b (Char.code magic1);
   w_u8 b protocol_version;
   w_u8 b tag;
   w_u32 b length;
@@ -498,8 +525,9 @@ let frame ~id ?trace tag body =
   | Some t ->
       w_id ~flag:true b id;
       w_trace b t);
-  Buffer.add_string b body;
-  Buffer.contents b
+  body b;
+  assert (b.pos = Bytes.length b.buf);
+  Bytes.unsafe_to_string b.buf
 
 (* Header failures split in two: [Bad_header] means the framing itself
    cannot be trusted (wrong magic, unsupported version, truncation) and
@@ -543,9 +571,8 @@ let header_error_to_string = function
 
 (* --- requests --------------------------------------------------------- *)
 
-let request_body req =
-  let b = Buffer.create 64 in
-  (match req with
+let w_request b req =
+  match req with
   | Prove { scheme; graph6 } ->
       w_string b scheme;
       w_string b graph6
@@ -588,14 +615,13 @@ let request_body req =
   | Drain { enable } -> w_u8 b (if enable then 1 else 0)
   | Stats | Catalog | Metrics_text | Health | Trace_export | Profile_export
     ->
-      ());
-  Buffer.contents b
+      ()
 
 let encode_request ?(id = 0) ?trace req =
-  frame ~id ?trace (request_tag req) (request_body req)
+  frame ~id ?trace (request_tag req) (fun b -> w_request b req)
 
-let decode_request_payload ~tag payload =
-  decoding payload @@ fun c ->
+let request_from ~tag s pos =
+  decoding s pos @@ fun c ->
   let id, trace = r_id_trace c in
   let req =
     match tag with
@@ -659,6 +685,8 @@ let decode_request_payload ~tag payload =
     | t -> fail "unknown request tag 0x%02x" t
   in
   (id, trace, req)
+
+let decode_request_payload ~tag payload = request_from ~tag payload 0
 
 (* --- responses -------------------------------------------------------- *)
 
@@ -752,9 +780,7 @@ let rec w_response b = function
       w_string b message
 
 let encode_response ?(id = 0) ?trace resp =
-  let b = Buffer.create 64 in
-  w_response b resp;
-  frame ~id ?trace (response_tag resp) (Buffer.contents b)
+  frame ~id ?trace (response_tag resp) (fun b -> w_response b resp)
 
 let r_proof_opt c = if r_bool c then Some (r_proof c) else None
 
@@ -858,14 +884,17 @@ and r_batch_item c =
   in
   item_of_response (r_response ~tag c)
 
-let decode_response_payload ~tag payload =
-  decoding payload @@ fun c ->
+let response_from ~tag s pos =
+  decoding s pos @@ fun c ->
   let id, trace = r_id_trace c in
   (id, trace, r_response ~tag c)
 
+let decode_response_payload ~tag payload = response_from ~tag payload 0
+
 (* --- whole-frame convenience ------------------------------------------ *)
 
-let split_frame decode_payload s =
+(* The payload is decoded in place from [header_bytes]: no copy of it. *)
+let split_frame decode_from s =
   match decode_header s with
   | Error e -> Error (header_error_to_string e)
   | Ok { tag; length } ->
@@ -874,10 +903,10 @@ let split_frame decode_payload s =
           (Printf.sprintf "frame announces %d payload bytes but carries %d"
              length
              (String.length s - header_bytes))
-      else decode_payload ~tag (String.sub s header_bytes length)
+      else decode_from ~tag s header_bytes
 
-let decode_request s = split_frame decode_request_payload s
-let decode_response s = split_frame decode_response_payload s
+let decode_request s = split_frame request_from s
+let decode_response s = split_frame response_from s
 
 (* --- equality (round-trip tests) -------------------------------------- *)
 

@@ -1,11 +1,11 @@
-(** The lcp verification-service wire protocol, version 2.
+(** The lcp verification-service wire protocol, version 3.
 
     Length-prefixed binary frames over a byte stream:
 
     {v
       +-------+---------+---------+--------------------+---------....
       | 'L'   | 'C'     | version | tag                | length (u32,
-      | magic byte 0    | (2)     | message type       |  big-endian)
+      | magic byte 0    | (3)     | message type       |  big-endian)
       +-------+---------+---------+--------------------+---------....
       then exactly [length] payload bytes.
     v}
@@ -13,8 +13,12 @@
     The 8-byte header is fixed, so a reader can always frame a message
     before interpreting it. Payload fields are fixed-width big-endian
     integers and length-prefixed byte strings; graphs travel as graph6
-    text ({!Graph6}), proofs as per-node bit strings packed 8 bits per
-    byte.
+    text ({!Graph6}). A proof travels as a table by node id: a u32
+    count [k], then for each node [0 .. k-1] in order a u32 bit length
+    and its bits packed 8 per byte ({!Bits.pack}). The table carries
+    no ids, since graph6 nodes are already [0 .. n-1]; a node the proof
+    leaves unbound travels as the empty string, and the decoder reads
+    the table straight into the dense form of {!Proof.t}.
 
     Every payload starts with a u64 {e correlation id}: a client may
     pick its own (any 63-bit non-negative value; 0 means "unassigned"
@@ -38,7 +42,7 @@
     {!Client} only ever feed it untrusted bytes. *)
 
 val protocol_version : int
-(** The only version spoken and accepted: 2. *)
+(** The only version spoken and accepted: 3. *)
 
 val header_bytes : int
 (** Size of the fixed frame header: 8. *)
@@ -273,12 +277,14 @@ val item_of_response : response -> batch_item
 
     Encoders take the correlation [id] (default 0 = unassigned) and an
     optional [trace] context. Encoding raises [Invalid_argument] on a
-    negative id or a negative trace field — those are caller bugs, not
-    wire input. Decoders return the id and the trace context alongside
-    the message. *)
+    negative id, a negative trace field, or a proof bound to a negative
+    node or to one past what a frame's proof table can list — those
+    are caller bugs, not wire input. Decoders return the id and the
+    trace context alongside the message. *)
 
 val encode_request : ?id:int -> ?trace:trace_context -> request -> string
-(** A complete frame: header plus payload. *)
+(** A complete frame: header plus payload, sized first and then
+    written into one buffer. *)
 
 val encode_response : ?id:int -> ?trace:trace_context -> response -> string
 
@@ -300,7 +306,8 @@ val decode_response_payload :
   tag:int -> string -> (int * trace_context option * response, string) result
 
 val decode_request : string -> (int * trace_context option * request, string) result
-(** Decode one complete frame (header and payload, nothing after). *)
+(** Decode one complete frame (header and payload, nothing after),
+    reading the payload in place. *)
 
 val decode_response :
   string -> (int * trace_context option * response, string) result

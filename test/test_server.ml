@@ -322,6 +322,24 @@ let garbage_frames () =
       (* a v1 Stats frame: no id prefix, empty body *)
       raw_frame ~version:1 ~tag:(Wire.request_tag Wire.Stats) "";
     ];
+  (* a well-formed frame of the retired version 2, whose proof tables
+     carried node ids: the same typed answer and drop. Its 8-byte
+     payload is still unread when the endpoint closes, so the close
+     may arrive as a reset rather than end-of-stream *)
+  with_raw_socket port (fun fd ->
+      let frame =
+        raw_frame ~version:2 ~tag:(Wire.request_tag Wire.Stats)
+          (String.make Wire.id_bytes '\x00')
+      in
+      ignore (Unix.write_substring fd frame 0 (String.length frame));
+      (match read_response fd with
+      | Wire.Error_reply { code = Wire.Unsupported_version; _ } -> ()
+      | r -> expect_error Wire.Unsupported_version "v2 frame" r);
+      check "connection closed after a v2 frame" true
+        (match read_exact fd 1 with
+        | None -> true
+        | Some _ -> false
+        | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true));
   (* well-framed but undecodable payload: Bad_request, and the
      connection keeps working afterwards *)
   with_raw_socket port (fun fd ->
@@ -335,7 +353,7 @@ let garbage_frames () =
       match read_response fd with
       | Wire.Stats_reply _ -> ()
       | r -> expect_error Wire.Internal "stats after bad payload" r);
-  check_int "bad frames counted" 4 (bad_frames ())
+  check_int "bad frames counted" 5 (bad_frames ())
 
 (* ------------------------------------------------------------------ *)
 (* The load generator against a live server: every response must be

@@ -312,7 +312,7 @@ let header_rejects () =
       let bad_version = Bytes.of_string (String.sub frame 0 Wire.header_bytes) in
       Bytes.set bad_version 2 v;
       reject "unsupported version" (Bytes.to_string bad_version))
-    [ '\x01'; '\x63' ];
+    [ '\x01'; '\x02'; '\x63' ];
   (* length field claiming more than max_payload: must die at the
      header, before anyone allocates the payload *)
   let huge = Bytes.of_string (String.sub frame 0 Wire.header_bytes) in
@@ -594,6 +594,172 @@ let count_mismatch () =
   check "inflated count rejected" true
     (Result.is_error (Wire.decode_request (Bytes.to_string b)))
 
+(* ------------------------------------------------------------------ *)
+(* Proof tables (v3): the dense by-id form behind Proof.t. *)
+
+(* Bindings with gaps and explicit ε entries, plus [set]s to apply
+   after decoding (some shadow decoded entries, some land past them). *)
+let gen_proof_model =
+  QCheck.Gen.(
+    let gen_entry =
+      pair (int_bound 40) (frequency [ (1, return Bits.empty); (4, gen_bits) ])
+    in
+    let* bindings = list_size (int_bound 12) gen_entry in
+    let* sets = list_size (int_bound 4) (pair (int_bound 50) gen_bits) in
+    return (bindings, sets))
+
+let print_proof_model (bindings, sets) =
+  let show l =
+    String.concat "; "
+      (List.map (fun (v, b) -> Printf.sprintf "%d:%S" v (Bits.to_string b)) l)
+  in
+  Printf.sprintf "bindings [%s] sets [%s]" (show bindings) (show sets)
+
+let via_wire proof =
+  match
+    Wire.decode_request
+      (Wire.encode_request (Wire.Verify { scheme = "s"; graph6 = "A_"; proof }))
+  with
+  | Ok (_, _, Wire.Verify { proof; _ }) -> proof
+  | Ok _ -> Alcotest.fail "decoded to a different request"
+  | Error m -> Alcotest.failf "proof table rejected: %s" m
+
+let same_bindings a b =
+  List.equal (fun (v, x) (u, y) -> v = u && Bits.equal x y) a b
+
+let get_equal p q =
+  List.for_all
+    (fun v -> Bits.equal (Proof.get p v) (Proof.get q v))
+    (List.init 62 (fun v -> v - 2))
+
+let proof_table_roundtrip_prop =
+  QCheck.Test.make ~name:"proof table roundtrip" ~count:300
+    (QCheck.make ~print:print_proof_model gen_proof_model)
+    (fun (bindings, _) ->
+      let p = Proof.of_list bindings in
+      let d = via_wire p in
+      Proof.equal p d && Proof.equal d p && get_equal p d)
+
+(* The decoded proof binds exactly what the table lists — every id
+   below k, gaps as ε — so the model is [of_list] over those ids. Every
+   operation must agree between the two, also after [set]s. *)
+let proof_dense_model_prop =
+  QCheck.Test.make ~name:"dense proof agrees with the of_list model"
+    ~count:300
+    (QCheck.make ~print:print_proof_model gen_proof_model)
+    (fun (bindings, sets) ->
+      let p = Proof.of_list bindings in
+      let listed = List.init (Proof.extent p) (fun v -> (v, Proof.get p v)) in
+      let apply p = List.fold_left (fun p (v, b) -> Proof.set p v b) p sets in
+      let d = apply (via_wire p) and m = apply (Proof.of_list listed) in
+      let agree d m =
+        same_bindings (Proof.bindings d) (Proof.bindings m)
+        && Proof.size d = Proof.size m
+        && Proof.extent d = Proof.extent m
+        && get_equal d m && Proof.equal d m && Proof.equal m d
+      in
+      let grow v b = if v mod 2 = 0 then Bits.append b (Bits.one_bit true) else b in
+      let far = Proof.of_list [ (100, Bits.of_string "1"); (-3, Bits.empty) ] in
+      let clash = Proof.of_list [ (0, Bits.of_string "0110011") ] in
+      let raises f = match f () with _ -> false | exception Invalid_argument _ -> true in
+      agree d m
+      && agree (Proof.map grow d) (Proof.map grow m)
+      && agree (Proof.union_disjoint d far) (Proof.union_disjoint m far)
+      && agree (Proof.union_disjoint far d) (Proof.union_disjoint far m)
+      && raises (fun () -> Proof.union_disjoint d clash)
+         = raises (fun () -> Proof.union_disjoint m clash)
+      && Proof.equal d p = Proof.equal m p
+      && Proof.equal d far = Proof.equal m far)
+
+let proof_node_range () =
+  let raises what v =
+    let proof = Proof.of_list [ (v, Bits.of_string "1") ] in
+    check (what ^ " raises on encode") true
+      (match
+         Wire.encode_request (Wire.Verify { scheme = "s"; graph6 = "A_"; proof })
+       with
+      | exception Invalid_argument _ -> true
+      | _ -> false);
+    check (what ^ " raises in a response") true
+      (match Wire.encode_response (Wire.Proved (Some proof)) with
+      | exception Invalid_argument _ -> true
+      | _ -> false)
+  in
+  (* a u32 would wrap node -1 to 4294967295, a different node *)
+  raises "node -1" (-1);
+  raises "node min_int" min_int;
+  raises "node past the table bound" (Wire.max_payload / 4);
+  (* the largest listable node still encodes *)
+  let p = Proof.of_list [ (5, Bits.of_string "101") ] in
+  check "sparse proof survives" true (Proof.equal p (via_wire p))
+
+(* Words allocated by [f ()], minor and major heap alike. [Gc.minor_words]
+   is exact; [Gc.allocated_bytes] can lag behind the minor heap. *)
+let allocated_words f =
+  let total () =
+    let _, promoted, major = Gc.counters () in
+    Gc.minor_words () +. major -. promoted
+  in
+  let before = total () in
+  ignore (Sys.opaque_identity (f ()));
+  total () -. before
+
+let proof_table_rejects () =
+  let id = String.make Wire.id_bytes '\x00' in
+  let tag = Wire.request_tag (Wire.Verify { scheme = ""; graph6 = ""; proof = Proof.empty }) in
+  (* scheme "s", graph6 "A_", then the proof table *)
+  let verify table = raw_frame ~tag (id ^ "\x00\x00\x00\x01s\x00\x00\x00\x02A_" ^ table) in
+  let reject what frame =
+    match Wire.decode_request frame with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  check "sanity: a well-formed table decodes" true
+    (Result.is_ok (Wire.decode_request (verify "\x00\x00\x00\x01\x00\x00\x00\x03\xa0")));
+  reject "count larger than the bytes present"
+    (verify "\x00\x00\x00\x03\x00\x00\x00\x01\x80");
+  reject "bit length past the end" (verify "\x00\x00\x00\x01\x00\x00\x00\x11\xff\xff");
+  reject "bit length past the end, second entry"
+    (verify "\x00\x00\x00\x02\x00\x00\x00\x01\x80\x00\x00\x01\x00");
+  reject "k = 2^32-1" (verify "\xff\xff\xff\xff");
+  (* the count guard runs before Array.make: a claim allocates nothing
+     that grows with it *)
+  List.iter
+    (fun (what, table) ->
+      let words = allocated_words (fun () -> Wire.decode_request (verify table)) in
+      if words > 256. then
+        Alcotest.failf "a claimed %s entry table allocated %.0f words" what words)
+    [ ("2^32-1", "\xff\xff\xff\xff"); ("2^20", "\x00\x10\x00\x00\x00\x00\x00\x00") ]
+
+(* Allocation pins for the codec on a hot-verify sized frame: n = 1024,
+   8 proof bits per node. Measured on OCaml 5.1, 64-bit: decoding
+   allocates the graph6 copy, 4 words per proof node (the 8-bit string
+   is 3 words, its array slot 1) and 48 words of fixed cost; encoding
+   allocates the frame and 72 words besides. The pins allow 5 words per
+   node and 128 fixed words. *)
+let codec_allocation_pins () =
+  let n = 1024 in
+  let st = Random.State.make [| 16 |] in
+  let graph6 = Graph6.encode (Random_graphs.connected_gnp st n (6.0 /. float n)) in
+  let proof = Proof.of_list (List.init n (fun v -> (v, Bits.random st 8))) in
+  let req = Wire.Verify { scheme = "bipartite"; graph6; proof } in
+  let frame = Wire.encode_request req in
+  let word = float_of_int (Sys.word_size / 8) in
+  let encode_words = allocated_words (fun () -> Wire.encode_request req) in
+  let frame_words = float_of_int (String.length frame) /. word in
+  if encode_words > frame_words +. 128. then
+    Alcotest.failf "encode_request allocates %.0f words for a %.0f-word frame"
+      encode_words frame_words;
+  let decoded = via_wire proof in
+  check "pinned frame decodes" true (Proof.equal proof decoded);
+  let decode_words = allocated_words (fun () -> Wire.decode_request frame) in
+  let graph6_words = float_of_int (String.length graph6) /. word in
+  let per_node = (decode_words -. graph6_words -. 128.) /. float n in
+  if per_node > 5. then
+    Alcotest.failf "decoding a Verify frame allocates %.1f words per proof node (> 5)"
+      per_node
+
 let suite =
   ( "wire",
     [
@@ -615,4 +781,9 @@ let suite =
       Alcotest.test_case "inflated count rejected" `Quick count_mismatch;
       Alcotest.test_case "profile export roundtrip" `Quick
         profile_export_roundtrip;
+      QCheck_alcotest.to_alcotest proof_table_roundtrip_prop;
+      QCheck_alcotest.to_alcotest proof_dense_model_prop;
+      Alcotest.test_case "proof node ids range-checked" `Quick proof_node_range;
+      Alcotest.test_case "hostile proof tables rejected" `Quick proof_table_rejects;
+      Alcotest.test_case "codec allocation pins" `Quick codec_allocation_pins;
     ] )
