@@ -655,26 +655,13 @@ let print_result { row = r; outcome; wall_s; metrics = _; profile = _ } =
       Format.printf "%-7s %-28s %-10s %-18s %-32s %-12s %-8s %.3fs@." r.id r.what
         r.family r.paper series_str (Complexity.label fit) verdict wall_s
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_of_result { row = r; outcome; wall_s; metrics; profile } =
   let common =
     Printf.sprintf
       "\"id\":\"%s\",\"what\":\"%s\",\"family\":\"%s\",\"paper\":\"%s\",\"param\":\"%s\",\"wall_s\":%.6f"
-      (json_escape r.id) (json_escape r.what) (json_escape r.family)
-      (json_escape r.paper) (json_escape r.param) wall_s
+      (Obs.Json.escape r.id) (Obs.Json.escape r.what)
+      (Obs.Json.escape r.family) (Obs.Json.escape r.paper)
+      (Obs.Json.escape r.param) wall_s
   in
   let common =
     match metrics with
@@ -687,7 +674,8 @@ let json_of_result { row = r; outcome; wall_s; metrics; profile } =
     | None -> common
   in
   match outcome with
-  | Failed msg -> Printf.sprintf "    {%s,\"error\":\"%s\"}" common (json_escape msg)
+  | Failed msg ->
+      Printf.sprintf "    {%s,\"error\":\"%s\"}" common (Obs.Json.escape msg)
   | Fitted (series, fit, matches) ->
       let n_max = List.fold_left (fun acc (n, _) -> max acc n) 0 series in
       let series_str =
@@ -697,11 +685,11 @@ let json_of_result { row = r; outcome; wall_s; metrics; profile } =
       Printf.sprintf
         "    {%s,\"n_max\":%d,\"series\":[%s],\"fit\":\"%s\",\"verdict\":\"%s\"}"
         common n_max series_str
-        (json_escape (Complexity.label fit))
+        (Obs.Json.escape (Complexity.label fit))
         (if matches then "MATCH" else "DIFFERS")
 
-let write_json path ~smoke ~total_wall_s ?service ?partition ?randomized
-    ?profile results =
+let write_json path ~smoke ~total_wall_s ?partition ?randomized ?profile
+    results =
   let fresh =
     Printf.sprintf
       "{\n\
@@ -714,14 +702,10 @@ let write_json path ~smoke ~total_wall_s ?service ?partition ?randomized
        %s\
        %s\
        %s\
-       %s\
       \  \"rows\": [\n%s\n  ]\n\
        }\n"
       (if !use_reference then "reference" else "csr")
       !jobs smoke !collect_metrics total_wall_s
-      (match service with
-      | None -> ""
-      | Some s -> Printf.sprintf "  \"service\": %s,\n" s)
       (match partition with
       | None -> ""
       | Some p -> Printf.sprintf "  \"partition\": %s,\n" p)
@@ -733,7 +717,7 @@ let write_json path ~smoke ~total_wall_s ?service ?partition ?randomized
       | Some p -> Printf.sprintf "  \"profile\": %s,\n" p)
       (String.concat ",\n" (List.map json_of_result results))
   in
-  (* A run that skips a section (say, --service without --partition)
+  (* A run that skips a section (say, --partition without --randomized)
      must not clobber the section a previous run wrote: merge the
      fresh document over the file's current top level, fresh keys
      winning. An unreadable or unparsable old file degrades to a
@@ -792,85 +776,6 @@ let write_prom path ~total_wall_s results =
   output_string oc (Obs.Export.contents e);
   close_out oc;
   Format.printf "prometheus exposition written to %s@." path
-
-(* --- service bench (--service) --------------------------------------- *)
-
-(* The serving-path benchmark behind the "service" section of
-   BENCH_lcp.json: spin the verification daemon in-process on an
-   ephemeral port, drive it with the CI mix (eulerian 1:4 over cycle
-   sizes 64/128/256) through the real loadgen — once with plain
-   per-request frames, once with 64-op Batch frames — and record
-   req-equivalent throughput plus warm latency percentiles for both.
-   The loadgen setup pass warms the compiled-verifier cache, so every
-   measured request is warm. *)
-let service_bench () =
-  let config =
-    {
-      Server.default_config with
-      Server.port = 0;
-      jobs = 1;
-      cache_size = 128;
-    }
-  in
-  let server = Server.create config in
-  let th = Server.start server in
-  Fun.protect
-    ~finally:(fun () ->
-      Server.stop server;
-      Thread.join th)
-  @@ fun () ->
-  let port = Server.port server in
-  let sizes = [ 64; 128; 256 ] in
-  let run ~batch ~requests =
-    match
-      Client.loadgen ~port ~batch ~connections:2 ~requests ~mix:(1, 4, 0)
-        ~scheme:"eulerian" ~sizes ()
-    with
-    | Error m -> failwith ("service bench: " ^ m)
-    | Ok r -> r
-  in
-  Format.printf "@.=== service bench (in-process daemon, port %d) ===@." port;
-  let plain = run ~batch:1 ~requests:400 in
-  let batched = run ~batch:64 ~requests:25 in
-  let pcts (s : Client.lat_summary) =
-    match s.Client.latency with
-    | None -> (0.0, 0.0, 0.0)
-    | Some l -> (l.Client.p50_us, l.Client.p95_us, l.Client.p99_us)
-  in
-  let leg_json name (r : Client.report) =
-    let p50, p95, p99 = pcts r.Client.overall in
-    Printf.sprintf
-      "\"%s\":{\"batch\":%d,\"ops\":%d,\"errors\":%d,\"total_s\":%.4f,\"throughput_rps\":%.1f,\"throughput_ops\":%.1f,\"p50_us\":%.1f,\"p95_us\":%.1f,\"p99_us\":%.1f}"
-      name r.Client.batch
-      (r.Client.ok + r.Client.errors)
-      r.Client.errors r.Client.total_s r.Client.throughput_rps
-      r.Client.throughput_ops p50 p95 p99
-  in
-  let speedup =
-    if plain.Client.throughput_ops > 0.0 then
-      batched.Client.throughput_ops /. plain.Client.throughput_ops
-    else 0.0
-  in
-  let describe name (r : Client.report) =
-    let p50, p95, p99 = pcts r.Client.overall in
-    Format.printf
-      "%-10s %6d ops in %6.3fs  %9.1f op/s  p50 %8.1f us  p95 %8.1f us  p99 \
-       %8.1f us  (%d error(s))@."
-      name
-      (r.Client.ok + r.Client.errors)
-      r.Client.total_s r.Client.throughput_ops p50 p95 p99 r.Client.errors
-  in
-  describe "unbatched" plain;
-  describe "batch-64" batched;
-  Format.printf "speedup:   %.1fx req-equivalent throughput@." speedup;
-  let st = Server.stats server in
-  Printf.sprintf
-    "{\"scheme\":\"eulerian\",\"mix\":\"1:4\",\"sizes\":[%s],\"connections\":2,%s,%s,\"speedup_ops\":%.2f,\"server\":{\"requests\":%d,\"batch_ops\":%d,\"cache_hits\":%d,\"cache_misses\":%d}}"
-    (String.concat "," (List.map string_of_int sizes))
-    (leg_json "unbatched" plain)
-    (leg_json "batch64" batched)
-    speedup st.Server.requests st.Server.batch_ops st.Server.cache_hits
-    st.Server.cache_misses
 
 (* --- partition bench (--partition) ----------------------------------- *)
 
@@ -1624,9 +1529,9 @@ let exit_unless_all_match results =
 
 let usage () =
   prerr_endline
-    "usage: main.exe [--smoke] [--timing] [--service] [--partition] \
-     [--randomized] [--reference] [--jobs N] [--metrics] [--trace FILE] \
-     [--prom FILE] [--profile-hz HZ] [--profile-dir DIR] (N=0: all cores)";
+    "usage: main.exe [--smoke] [--timing] [--partition] [--randomized] \
+     [--reference] [--jobs N] [--metrics] [--trace FILE] [--prom FILE] \
+     [--profile-hz HZ] [--profile-dir DIR] (N=0: all cores)";
   exit 2
 
 (* Wrap a whole bench section in a trace span when tracing is on. *)
@@ -1693,7 +1598,7 @@ let () =
          String.length a > 1 && a.[0] = '-'
          && not
               (List.mem a
-                 [ "--smoke"; "--timing"; "--service"; "--partition";
+                 [ "--smoke"; "--timing"; "--partition";
                    "--randomized"; "--reference"; "--jobs"; "--metrics";
                    "--trace"; "--prom"; "--profile-hz"; "--profile-dir" ]))
        (flags_only (List.tl args))
@@ -1704,7 +1609,6 @@ let () =
       usage ());
   use_reference := List.mem "--reference" args;
   collect_metrics := List.mem "--metrics" args;
-  let with_service = List.mem "--service" args in
   let with_partition = List.mem "--partition" args in
   let with_randomized = List.mem "--randomized" args in
   if !collect_metrics || trace_file <> None then
@@ -1750,7 +1654,6 @@ let () =
       !jobs;
     let t0 = Obs.Clock.now_ns () in
     let results = run_table "smoke sweep" smoke_table in
-    let service = if with_service then Some (service_bench ()) else None in
     let partition =
       if with_partition then Some (partition_bench ()) else None
     in
@@ -1760,8 +1663,8 @@ let () =
     let total = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0) in
     Format.printf "@.total wall time: %.3fs@." total;
     let profile = finish_profile () in
-    write_json "BENCH_lcp.json" ~smoke:true ~total_wall_s:total ?service
-      ?partition ?randomized ?profile results;
+    write_json "BENCH_lcp.json" ~smoke:true ~total_wall_s:total ?partition
+      ?randomized ?profile results;
     Option.iter (fun p -> write_prom p ~total_wall_s:total results) prom_file;
     finish ();
     exit_unless_all_match results
@@ -1780,10 +1683,6 @@ let () =
     section "bench.lower_bounds" lower_bounds;
     section "bench.ablations" ablations;
     section "bench.hierarchy" hierarchy;
-    let service =
-      if with_service then Some (section "bench.service" service_bench)
-      else None
-    in
     let partition =
       if with_partition then Some (section "bench.partition" partition_bench)
       else None
@@ -1794,8 +1693,8 @@ let () =
     in
     let total = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0) in
     let profile = finish_profile () in
-    write_json "BENCH_lcp.json" ~smoke:false ~total_wall_s:total ?service
-      ?partition ?randomized ?profile (results_a @ results_b);
+    write_json "BENCH_lcp.json" ~smoke:false ~total_wall_s:total ?partition
+      ?randomized ?profile (results_a @ results_b);
     Option.iter
       (fun p -> write_prom p ~total_wall_s:total (results_a @ results_b))
       prom_file;

@@ -11,7 +11,7 @@
      lcp info   -g FILE                   instance statistics
      lcp serve   [--port ...]             run the TCP verification daemon
      lcp route   [--backend ...]          run the cluster routing frontend
-     lcp loadgen [--port|--connect ...]   drive daemon(s) with a request mix
+     lcp loadgen [--port ...]             drive a daemon or router with a mix
      lcp top     [--port ...]             live telemetry dashboard for a daemon
      lcp trace fetch HOST:PORT            pull a live process's trace ring
      lcp trace merge FILES -o OUT         join per-process lanes, align clocks
@@ -1332,13 +1332,6 @@ let loadgen_cmd =
              or 1:2:2. Sampled ops send Verify_sampled frames over the \
              proofs the setup pass stored.")
   in
-  let queries_arg =
-    Arg.(
-      value
-      & opt int 4
-      & info [ "queries" ] ~docv:"Q"
-          ~doc:"Per-node query bound carried by sampled-verify ops.")
-  in
   let scheme_name_arg =
     Arg.(
       value
@@ -1362,16 +1355,6 @@ let loadgen_cmd =
       & info [ "o"; "output" ] ~docv:"FILE"
           ~doc:"Also write the summary as JSON to $(docv).")
   in
-  let connect_arg =
-    Arg.(
-      value
-      & opt_all hostport_conv []
-      & info [ "connect" ] ~docv:"HOST:PORT"
-          ~doc:
-            "Target endpoint — a daemon or a router (repeatable: worker \
-             connections round-robin over the targets and the summary gains \
-             a per-target breakdown). Overrides --host/--port.")
-  in
   let batch_arg =
     Arg.(
       value
@@ -1382,17 +1365,16 @@ let loadgen_cmd =
              plain requests). The mix and graph rotation are identical per \
              operation, so ops/s is directly comparable across batch sizes.")
   in
-  let run host port targets connections requests batch mix queries scheme
-      sizes out trace_sample trace_dir profile_hz profile_dir =
-    let targets = match targets with [] -> None | l -> Some l in
+  let run host port connections requests batch mix scheme sizes out
+      trace_sample trace_dir profile_hz profile_dir =
     with_trace_spool
       ~process:(Printf.sprintf "loadgen-%d" (Unix.getpid ()))
       ~trace_sample ~trace_dir
     @@ fun () ->
     with_profile ~profile_hz ~profile_dir @@ fun () ->
     match
-      Client.loadgen ~host ?targets ~batch ~trace_sample ~queries ~port
-        ~connections ~requests ~mix ~scheme ~sizes ()
+      Client.loadgen ~host ~batch ~trace_sample ~port ~connections ~requests
+        ~mix ~scheme ~sizes ()
     with
     | Error m -> prerr_endline m; 1
     | Ok report ->
@@ -1410,13 +1392,12 @@ let loadgen_cmd =
   Cmd.v
     (Cmd.info "loadgen"
        ~doc:
-         "Drive a running daemon (or several, or a router) with a \
-          prove/verify mix and report throughput and latency percentiles")
+         "Drive a running daemon or router with a prove/verify mix and \
+          report throughput and latency percentiles")
     Term.(
-      const run $ host_arg $ port_arg $ connect_arg $ connections_arg
-      $ requests_arg $ batch_arg $ mix_arg $ queries_arg $ scheme_name_arg
-      $ sizes_arg $ out_arg $ trace_sample_arg $ trace_dir_arg
-      $ profile_hz_arg $ profile_dir_arg)
+      const run $ host_arg $ port_arg $ connections_arg $ requests_arg
+      $ batch_arg $ mix_arg $ scheme_name_arg $ sizes_arg $ out_arg
+      $ trace_sample_arg $ trace_dir_arg $ profile_hz_arg $ profile_dir_arg)
 
 let trace_cmd =
   let merge_cmd =

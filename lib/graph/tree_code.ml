@@ -4,14 +4,8 @@ let check_tree g =
 (* Children ordered by (canonical code desc, id asc) — deterministic
    and isomorphism-respecting. *)
 let ordered_children g parent v =
-  let children = List.filter (fun u -> u <> parent) (Graph.neighbours g v) in
-  let rec code parent v =
-    let cs = List.filter (fun u -> u <> parent) (Graph.neighbours g v) in
-    let sub = List.map (code v) cs |> List.sort (fun a b -> String.compare b a) in
-    "(" ^ String.concat "" sub ^ ")"
-  in
-  children
-  |> List.map (fun c -> (code v c, c))
+  List.filter (fun u -> u <> parent) (Graph.neighbours g v)
+  |> List.map (fun c -> (Tree_enum.rooted_code g ~parent:v c, c))
   |> List.sort (fun (c1, v1) (c2, v2) ->
          match String.compare c2 c1 with 0 -> Int.compare v1 v2 | d -> d)
   |> List.map snd

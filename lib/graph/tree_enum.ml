@@ -3,19 +3,47 @@ type rooted = { root : Graph.node; tree : Graph.t }
 let is_tree g =
   (not (Graph.is_empty g)) && Traversal.is_connected g && Graph.m g = Graph.n g - 1
 
-(* Canonical code: "(" codes-of-children-sorted ")". *)
+(* Canonical code: "(" codes-of-children-sorted ")". Children come in
+   non-increasing code order, matching the order used by the shape
+   generator below. *)
+let rec rooted_code g ~parent v =
+  let sub =
+    List.filter (fun u -> u <> parent) (Graph.neighbours g v)
+    |> List.map (fun u -> rooted_code g ~parent:v u)
+    |> List.sort (fun a b -> String.compare b a)
+  in
+  "(" ^ String.concat "" sub ^ ")"
+
 let canonical_code g root =
   if not (is_tree g) then invalid_arg "Tree_enum.canonical_code: not a tree";
-  let rec code parent v =
-    let children = List.filter (fun u -> u <> parent) (Graph.neighbours g v) in
-    (* Children in non-increasing code order, matching the order used
-       by the shape generator below. *)
-    let sub =
-      List.map (code v) children |> List.sort (fun a b -> String.compare b a)
-    in
-    "(" ^ String.concat "" sub ^ ")"
+  rooted_code g ~parent:(-1) root
+
+(* The middle one or two nodes of a longest path: every automorphism
+   fixes this centre (as a set). *)
+let centre g =
+  let farthest v =
+    List.fold_left
+      (fun (bv, bd) (u, d) -> if d > bd then (u, d) else (bv, bd))
+      (v, 0)
+      (Traversal.bfs_distances g v)
+    |> fst
   in
-  code (-1) root
+  let a = farthest (List.hd (Graph.nodes g)) in
+  match Traversal.shortest_path g a (farthest a) with
+  | None -> assert false (* a tree is connected *)
+  | Some path ->
+      let path = Array.of_list path in
+      let l = Array.length path in
+      if l mod 2 = 1 then [ path.(l / 2) ]
+      else [ path.((l / 2) - 1); path.(l / 2) ]
+
+let has_fixpoint_free_symmetry g =
+  if not (is_tree g) then
+    invalid_arg "Tree_enum.has_fixpoint_free_symmetry: not a tree";
+  match centre g with
+  | [ a; b ] ->
+      String.equal (rooted_code g ~parent:b a) (rooted_code g ~parent:a b)
+  | _ -> false
 
 (* Abstract rooted trees as lists of children, generated in canonical
    (sorted) order so each isomorphism class appears once. *)

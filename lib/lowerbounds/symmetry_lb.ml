@@ -162,7 +162,7 @@ let attack_trees scheme ~family =
       let k = Graph.n t0.Tree_enum.tree in
       if k mod 2 = 1 then invalid_arg "Symmetry_lb.attack_trees: need even k";
       attack_with scheme ~family ~combine:odot_rooted ~size:k
-        ~is_yes:Automorphism.has_fixpoint_free_symmetry
+        ~is_yes:Tree_enum.has_fixpoint_free_symmetry
 
 (** The paper's counting inequality, made explicit for the report:
     a scheme of [bits] per node has at most [2^(bits·(2r+1)+1)]

@@ -24,8 +24,8 @@ val merge_objects : old:t -> fresh:t -> t
     Values are {e not} merged recursively — a section is replaced
     wholesale. Either argument that is not an [Obj] yields [fresh]
     unchanged, so a corrupt or missing old document degrades to a
-    plain overwrite. This is how the bench merges its [service] /
-    [partition] / [randomized] sections into an existing
+    plain overwrite. This is how the bench merges its [partition] /
+    [randomized] / [profile] sections into an existing
     [BENCH_lcp.json] instead of clobbering the other sections. *)
 
 val to_list : t -> t list option

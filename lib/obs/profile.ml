@@ -144,20 +144,6 @@ let collapsed () =
     (sorted_stacks ());
   Buffer.contents b
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let ns_per_sample () = 1_000_000_000 / hz ()
 
 (* Speedscope "sampled" profile: one entry per distinct stack (frame
@@ -176,7 +162,7 @@ let speedscope_into b =
         incr n_frames;
         Hashtbl.add frame_ids name i;
         if i > 0 then Buffer.add_char frames ',';
-        Printf.bprintf frames "{\"name\":\"%s\"}" (json_escape name);
+        Printf.bprintf frames "{\"name\":\"%s\"}" (Json.escape name);
         i
   in
   let samples = Buffer.create 256 in
@@ -201,9 +187,9 @@ let speedscope_into b =
     stacks;
   Printf.bprintf b
     "{\"$schema\":\"https://www.speedscope.app/file-format-schema.json\",\"exporter\":\"lcp\",\"name\":\"%s\",\"shared\":{\"frames\":[%s]},\"profiles\":[{\"type\":\"sampled\",\"name\":\"%s\",\"unit\":\"nanoseconds\",\"startValue\":0,\"endValue\":%d,\"samples\":[%s],\"weights\":[%s]}]}"
-    (json_escape !Trace.process)
+    (Json.escape !Trace.process)
     (Buffer.contents frames)
-    (json_escape !Trace.process)
+    (Json.escape !Trace.process)
     !total (Buffer.contents samples) (Buffer.contents weights)
 
 let gc_json () =
@@ -220,17 +206,17 @@ let export_string () =
   let b = Buffer.create 4096 in
   Printf.bprintf b
     "{\"process\":\"%s\",\"enabled\":%b,\"hz\":%d,\"samples\":%d,\"stack_samples\":%d,\"gc\":%s,\"schemes\":["
-    (json_escape !Trace.process)
+    (Json.escape !Trace.process)
     !enabled (hz ()) (samples ()) (stack_samples ()) (gc_json ());
   List.iteri
     (fun i (s, cpu, alloc, n) ->
       if i > 0 then Buffer.add_char b ',';
       Printf.bprintf b
         "{\"scheme\":\"%s\",\"cpu_ns\":%d,\"alloc_bytes\":%.0f,\"requests\":%d}"
-        (json_escape s) cpu alloc n)
+        (Json.escape s) cpu alloc n)
     (schemes ());
   Printf.bprintf b "],\"collapsed\":\"%s\",\"speedscope\":"
-    (json_escape (collapsed ()));
+    (Json.escape (collapsed ()));
   speedscope_into b;
   Buffer.add_char b '}';
   Buffer.contents b

@@ -233,20 +233,6 @@ let dropped () =
   let b = !buf in
   max 0 (Atomic.get b.cursor - (b.mask + 1))
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c when Char.code c < 32 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 (* [keep] filters on the event's relative start timestamp; the
    "dropped" footer counts ring-wrap losses, so readers of the JSON
    can tell a quiet trace from a lapped one. Traced events carry their
@@ -267,14 +253,14 @@ let render_filtered bb keep =
       let ph = Bytes.get b.ph i in
       Printf.bprintf bb
         "\n {\"name\":\"%s\",\"cat\":\"lcp\",\"ph\":\"%c\",\"pid\":0,\"tid\":%d,\"ts\":%.3f"
-        (json_escape b.name.(i)) ph b.tid.(i)
+        (Json.escape b.name.(i)) ph b.tid.(i)
         (Clock.ns_to_us b.ts.(i));
       if ph = 'X' then Printf.bprintf bb ",\"dur\":%.3f" (Clock.ns_to_us b.dur.(i));
       let traced = b.e_hi.(i) <> 0 || b.e_lo.(i) <> 0 in
       if b.arg_name.(i) <> "" || traced then begin
         Buffer.add_string bb ",\"args\":{";
         if b.arg_name.(i) <> "" then
-          Printf.bprintf bb "\"%s\":%d" (json_escape b.arg_name.(i)) b.arg.(i);
+          Printf.bprintf bb "\"%s\":%d" (Json.escape b.arg_name.(i)) b.arg.(i);
         if traced then begin
           if b.arg_name.(i) <> "" then Buffer.add_string bb ",";
           Printf.bprintf bb "\"trace\":\"%s\",\"span\":%d,\"parent\":%d"
@@ -288,7 +274,7 @@ let render_filtered bb keep =
   Printf.bprintf bb
     "\n],\"dropped\":%d,\"process\":\"%s\",\"displayTimeUnit\":\"ms\"}\n"
     (dropped ())
-    (json_escape !process)
+    (Json.escape !process)
 
 let export_filtered oc keep =
   let bb = Buffer.create 65536 in

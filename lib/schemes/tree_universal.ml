@@ -73,5 +73,5 @@ let scheme ~name (predicate : Tree_enum.rooted -> bool) =
 
 let fixpoint_free_symmetry =
   scheme ~name:"tree-fixpoint-free-symmetry" (fun t ->
-      Automorphism.has_fixpoint_free_symmetry t.Tree_enum.tree)
+      Tree_enum.has_fixpoint_free_symmetry t.Tree_enum.tree)
 

@@ -2,16 +2,16 @@
    generator behind `lcp loadgen`.
 
    The load generator replays a deterministic prove/verify mix over a
-   small set of cycle graphs: a setup pass proves each graph once
-   (which also warms the server's compiled-verifier cache), then
-   [connections] threads each issue [requests] requests round-robin
-   over the graphs, recording per-request latency with {!Obs.Clock}.
-   Every request carries a distinct correlation id and the reply's
-   echo is checked — a mismatch is counted, not ignored, since it
-   means request/response framing slipped. The summary reports
-   throughput, p50/p95/p99 overall and per request type, a per-code
-   error breakdown, and closes with the server's own stats (so a run
-   shows its cache hit rate). *)
+   small set of cycle graphs against one target: a setup pass proves
+   each graph once (which also warms the server's compiled-verifier
+   cache), then [connections] threads each send [requests] frames
+   round-robin over the graphs, recording latency with {!Obs.Clock}.
+   Every frame carries a distinct correlation id and the reply's echo
+   is checked — a mismatch fails the frame's ops, since it means
+   request/response framing slipped. The summary reports throughput,
+   p50/p95/p99 overall and per request type, a per-code error
+   breakdown, and closes with the server's own stats (so a run shows
+   its cache hit rate). *)
 
 type t = { fd : Unix.file_descr }
 
@@ -152,7 +152,8 @@ type percentiles = {
 type lat_summary = { count : int; latency : percentiles option }
 
 (* Error classification: one slot per wire error code, plus transport
-   failures and well-formed-but-wrong responses. *)
+   failures, well-formed-but-wrong responses and replies whose echoed
+   correlation id is not the request's. *)
 let error_codes =
   [
     Wire.Bad_frame;
@@ -169,7 +170,8 @@ let error_codes =
 let n_codes = List.length error_codes
 let slot_transport = n_codes
 let slot_unexpected = n_codes + 1
-let n_slots = n_codes + 2
+let slot_id_mismatch = n_codes + 2
+let n_slots = n_codes + 3
 
 let slot_of_code code =
   let rec idx i = function
@@ -181,15 +183,8 @@ let slot_of_code code =
 let slot_name i =
   if i = slot_transport then "transport"
   else if i = slot_unexpected then "unexpected"
+  else if i = slot_id_mismatch then "id_mismatch"
   else Wire.error_code_to_string (List.nth error_codes i)
-
-type target_stat = {
-  t_host : string;
-  t_port : int;
-  t_connections : int;
-  t_ok : int;
-  t_errors : int;
-}
 
 type report = {
   connections : int;
@@ -207,14 +202,12 @@ type report = {
   ok : int;
   errors : int;
   errors_by_code : (string * int) list;
-  id_mismatches : int;
   overall : lat_summary;
   prove : lat_summary;
   verify : lat_summary;
   sampled : lat_summary;
   escalations : int;
   batch_frames : lat_summary;
-  targets : target_stat list;
   server : Wire.server_stats option;
   gc_alloc_bytes : float;
   gc_minor : int;
@@ -249,143 +242,126 @@ type worker_result = {
   mutable w_ok : int;
   mutable w_errors : int;
   w_by_slot : int array;  (* n_slots entries *)
-  mutable w_id_mismatches : int;
   mutable w_prove_ns : int list;
   mutable w_verify_ns : int list;
   mutable w_sampled_ns : int list;
   mutable w_escalations : int;
-  mutable w_batch_ns : int list;  (* per-frame latency, batched mode only *)
+  mutable w_batch_ns : int list;  (* per-frame latency, batch > 1 only *)
 }
 
 let fail res slot n =
   res.w_errors <- res.w_errors + n;
   res.w_by_slot.(slot) <- res.w_by_slot.(slot) + n
 
-let slot_of_reply = function
-  | Ok (Wire.Error_reply { code; _ }) -> slot_of_code code
-  | Ok _ -> slot_unexpected
-  | Error _ -> slot_transport
+(* The one classifier every op's reply goes through — a plain
+   response, or the response its batch slot encodes; [Error slot] is
+   a failure that never produced a response. Returns whether the
+   semantically right answer came back; anything else is tallied in
+   its error slot. *)
+let classify res kind reply =
+  match (kind, reply) with
+  | `P, Ok (Wire.Proved (Some _)) | `V, Ok (Wire.Verified { accepted = true; _ })
+    ->
+      res.w_ok <- res.w_ok + 1;
+      true
+  | `S, Ok (Wire.Sampled_verified { accepted = true; escalated; _ }) ->
+      res.w_ok <- res.w_ok + 1;
+      if escalated then res.w_escalations <- res.w_escalations + 1;
+      true
+  | _, Ok (Wire.Error_reply { code; _ }) ->
+      fail res (slot_of_code code) 1;
+      false
+  | _, Ok _ ->
+      fail res slot_unexpected 1;
+      false
+  | _, Error slot ->
+      fail res slot 1;
+      false
 
-(* One timed round trip carrying correlation id [id], head-sampled for
-   tracing; the echoed id is checked — a mismatch is counted, not
-   ignored, since it means request/response framing slipped. *)
-let timed_call client ~trace_sample ~id res req =
-  let tctx =
-    if Obs.Trace.sample ~every:trace_sample id then Obs.Trace.ctx_of_rid id
-    else Obs.Trace.null_ctx
-  in
-  let t0 = Obs.Clock.now_ns () in
-  let outcome =
-    Obs.Trace.span_ctx "client.request" "rid" id tctx (fun () ->
-        call_id ?trace:(wire_trace tctx) client ~id req)
-  in
-  let dt = Obs.Clock.now_ns () - t0 in
-  (match outcome with
-  | Ok (rid, _) when rid <> id ->
-      res.w_id_mismatches <- res.w_id_mismatches + 1
-  | _ -> ());
-  (Result.map snd outcome, dt)
-
-(* Batched worker loop: each frame carries [batch] ops following the
-   same deterministic mix as the plain loop (op [k = i * batch + j]
-   behaves exactly like plain request [k]), with every cycle graph
-   and its proof listed once in the frame's shared tables — op [j]'s
-   proof index equals its graph index. ok/errors count {e ops}, so a
-   batched and an unbatched run of equal op volume are directly
-   comparable; latency is per frame ([w_batch_ns]). *)
-let run_batch_worker ~client ~requests ~batch ~mix:(p, v) ~graphs ~conn_id
-    ~trace_sample res =
-  let ngraphs = Array.length graphs in
-  let gtable = Array.to_list (Array.map fst graphs) in
-  let ptable = Array.to_list (Array.map (fun (_, (_, p)) -> p) graphs) in
-  let is_prove k = k mod (p + v) < p in
-  for i = 0 to requests - 1 do
-    let ops =
-      List.init batch (fun j ->
-          let k = (i * batch) + j in
-          let gi = (conn_id + k) mod ngraphs in
-          let _, (scheme, _) = graphs.(gi) in
-          if is_prove k then Wire.Op_prove { scheme; graph = gi }
-          else Wire.Op_verify { scheme; graph = gi; proof = gi })
-    in
-    let id = (conn_id * requests) + i + 1 in
-    let outcome, dt =
-      timed_call client ~trace_sample ~id res
-        (Wire.Batch { graphs = gtable; proofs = ptable; ops })
-    in
-    match outcome with
-    | Ok (Wire.Batch_reply items) when List.length items = batch ->
-        res.w_batch_ns <- dt :: res.w_batch_ns;
-        List.iteri
-          (fun j item ->
-            match item with
-            | Wire.Item_proved (Some _) when is_prove ((i * batch) + j) ->
-                res.w_ok <- res.w_ok + 1
-            | Wire.Item_verified { accepted = true; _ }
-              when not (is_prove ((i * batch) + j)) ->
-                res.w_ok <- res.w_ok + 1
-            | Wire.Item_error { code; _ } -> fail res (slot_of_code code) 1
-            | _ -> fail res slot_unexpected 1)
-          items
-    | r -> fail res (slot_of_reply r) batch
-  done
-
-let run_worker ~host ~port ~requests ~batch ~mix:(p, v, s) ~queries ~graphs
+(* One worker: frame [i] carries ops [i * batch .. i * batch + batch - 1]
+   of the connection's deterministic mix, op [k] on graph
+   [(conn_id + k) mod ngraphs]. With [batch = 1] the frame is that op's
+   plain request; otherwise it is a Batch frame whose shared tables
+   list every graph and its proof once, so op [k]'s proof index equals
+   its graph index. Every frame carries a distinct correlation id,
+   head-sampled for tracing, and a reply echoing any other id fails
+   every op in the frame. ok/errors count ops, so runs of equal op
+   volume compare across batch sizes; latency is per op kind when
+   [batch = 1] and per frame otherwise. *)
+let run_worker ~host ~port ~requests ~batch ~kind ~queries ~graphs ~scheme
     ~conn_id ~trace_sample res =
   match connect ~host ~port ~retries:2 ~backoff_seed:conn_id () with
-  | Error _ -> fail res slot_transport (requests * max 1 batch)
-  | Ok client when batch > 1 ->
-      Fun.protect ~finally:(fun () -> close client) @@ fun () ->
-      (* batched mode never carries sampled ops (loadgen rejects the
-         combination), so the (p, v) mix is the whole story here *)
-      run_batch_worker ~client ~requests ~batch ~mix:(p, v) ~graphs ~conn_id
-        ~trace_sample res
+  | Error _ -> fail res slot_transport (requests * batch)
   | Ok client ->
       Fun.protect ~finally:(fun () -> close client) @@ fun () ->
       let ngraphs = Array.length graphs in
+      let graph k = (conn_id + k) mod ngraphs in
+      let gtable = Array.to_list (Array.map fst graphs)
+      and ptable = Array.to_list (Array.map snd graphs) in
+      let plain k ~id =
+        let g6, proof = graphs.(graph k) in
+        match kind k with
+        | `P -> Wire.Prove { scheme; graph6 = g6 }
+        | `V -> Wire.Verify { scheme; graph6 = g6; proof }
+        | `S ->
+            (* the request id doubles as the PRG seed: distinct per
+               request, deterministic per run *)
+            Wire.Verify_sampled
+              { scheme; graph6 = g6; proof; seed = id; queries; budget_id = "" }
+      in
+      let op k =
+        match kind k with
+        | `P -> Wire.Op_prove { scheme; graph = graph k }
+        | `V | `S (* never: sampled ops do not ride batch frames *) ->
+            Wire.Op_verify { scheme; graph = graph k; proof = graph k }
+      in
       for i = 0 to requests - 1 do
-        let g6, (scheme, proof) = graphs.((conn_id + i) mod ngraphs) in
-        let k = i mod (p + v + s) in
-        let kind = if k < p then `P else if k < p + v then `V else `S in
-        (* distinct per request across all workers, never 0 *)
+        let ks = List.init batch (fun j -> (i * batch) + j) in
+        (* distinct per frame across all workers, never 0 *)
         let id = (conn_id * requests) + i + 1 in
         let req =
-          match kind with
-          | `P -> Wire.Prove { scheme; graph6 = g6 }
-          | `V -> Wire.Verify { scheme; graph6 = g6; proof }
-          | `S ->
-              (* the request id doubles as the PRG seed: distinct per
-                 request, deterministic per run *)
-              Wire.Verify_sampled
-                { scheme; graph6 = g6; proof; seed = id; queries;
-                  budget_id = "" }
+          if batch = 1 then plain i ~id
+          else Wire.Batch { graphs = gtable; proofs = ptable; ops = List.map op ks }
         in
-        let outcome, dt = timed_call client ~trace_sample ~id res req in
-        match outcome with
-        | Ok (Wire.Proved (Some _)) when kind = `P ->
-            res.w_ok <- res.w_ok + 1;
-            res.w_prove_ns <- dt :: res.w_prove_ns
-        | Ok (Wire.Verified { accepted = true; _ }) when kind = `V ->
-            res.w_ok <- res.w_ok + 1;
-            res.w_verify_ns <- dt :: res.w_verify_ns
-        | Ok (Wire.Sampled_verified { accepted = true; escalated; _ })
-          when kind = `S ->
-            res.w_ok <- res.w_ok + 1;
-            if escalated then res.w_escalations <- res.w_escalations + 1;
-            res.w_sampled_ns <- dt :: res.w_sampled_ns
-        | r -> fail res (slot_of_reply r) 1
+        let tctx =
+          if Obs.Trace.sample ~every:trace_sample id then
+            Obs.Trace.ctx_of_rid id
+          else Obs.Trace.null_ctx
+        in
+        let t0 = Obs.Clock.now_ns () in
+        let outcome =
+          Obs.Trace.span_ctx "client.request" "rid" id tctx (fun () ->
+              call_id ?trace:(wire_trace tctx) client ~id req)
+        in
+        let dt = Obs.Clock.now_ns () - t0 in
+        let replies =
+          match outcome with
+          | Ok (rid, _) when rid <> id ->
+              List.map (fun _ -> Error slot_id_mismatch) ks
+          | Ok (_, Wire.Batch_reply items)
+            when batch > 1 && List.length items = batch ->
+              res.w_batch_ns <- dt :: res.w_batch_ns;
+              List.map (fun item -> Ok (snd (Wire.item_response item))) items
+          | Ok (_, resp) -> List.map (fun _ -> Ok resp) ks
+          | Error _ -> List.map (fun _ -> Error slot_transport) ks
+        in
+        List.iter2
+          (fun k reply ->
+            if classify res (kind k) reply && batch = 1 then
+              match kind k with
+              | `P -> res.w_prove_ns <- dt :: res.w_prove_ns
+              | `V -> res.w_verify_ns <- dt :: res.w_verify_ns
+              | `S -> res.w_sampled_ns <- dt :: res.w_sampled_ns)
+          ks replies
       done
 
-let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
-    ?(queries = 4) ~port ~connections ~requests ~mix:(p, v, s) ~scheme ~sizes
-    () =
-  (* The endpoint list: explicit [targets] (router / multi-daemon runs)
-     or the single [host]:[port]. Workers round-robin over it. *)
-  let endpoints =
-    match targets with Some ((_ :: _) as l) -> l | _ -> [ (host, port) ]
+let loadgen ?(host = "127.0.0.1") ?(batch = 1) ?(trace_sample = 0) ~port
+    ~connections ~requests ~mix:(p, v, s) ~scheme ~sizes () =
+  let queries =
+    match Sampled.find scheme with
+    | Some rs -> rs.Randomized_scheme.queries
+    | None -> 0
   in
-  let n_ep = List.length endpoints in
-  let endpoint conn_id = List.nth endpoints (conn_id mod n_ep) in
   if connections < 1 then Error "loadgen: connections must be >= 1"
   else if requests < 1 then Error "loadgen: requests must be >= 1"
   else if batch < 1 || batch > 0xFFFF then
@@ -394,16 +370,15 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
     Error "loadgen: the mix needs non-negative weights summing to >= 1"
   else if batch > 1 && s > 0 then
     Error "loadgen: sampled ops cannot ride batch frames (drop --batch or the S weight)"
-  else if queries < 1 then Error "loadgen: queries must be >= 1"
+  else if s > 0 && queries = 0 then
+    Error (Printf.sprintf "loadgen: scheme %S has no sampled variant" scheme)
   else if sizes = [] then Error "loadgen: need at least one graph size"
   else if List.exists (fun s -> s < 3) sizes then
     Error "loadgen: cycle sizes must be >= 3"
   else
-    (* Setup pass, one connection per endpoint: prove every graph once
-       on each (warming every cache); the proofs the verify mix
-       replays come from the first endpoint — proving is
-       deterministic, so they all agree. *)
-    let setup_on (host, port) =
+    (* Setup pass: prove every graph once (warming the server's cache);
+       the verify ops replay these proofs. *)
+    let setup () =
       match connect ~host ~port () with
       | Error _ as e -> e
       | Ok client ->
@@ -413,8 +388,7 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
             | size :: rest -> (
                 let g6 = Graph6.encode (Builders.cycle size) in
                 match call client (Wire.Prove { scheme; graph6 = g6 }) with
-                | Ok (Wire.Proved (Some proof)) ->
-                    build ((g6, (scheme, proof)) :: acc) rest
+                | Ok (Wire.Proved (Some proof)) -> build ((g6, proof) :: acc) rest
                 | Ok (Wire.Proved None) ->
                     Error
                       (Printf.sprintf
@@ -431,27 +405,19 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
           in
           build [] sizes
     in
-    let graphs_res =
-      let rec warm first = function
-        | [] -> ( match first with Some g -> Ok g | None -> Error "loadgen: no endpoints")
-        | ep :: rest -> (
-            match setup_on ep with
-            | Error _ as e -> e
-            | Ok g ->
-                warm (match first with None -> Some g | Some _ -> first) rest)
-      in
-      warm None endpoints
-    in
-    match graphs_res with
+    match setup () with
     | Error _ as e -> e
     | Ok graphs ->
+        let kind k =
+          let m = k mod (p + v + s) in
+          if m < p then `P else if m < p + v then `V else `S
+        in
         let results =
           Array.init connections (fun _ ->
               {
                 w_ok = 0;
                 w_errors = 0;
                 w_by_slot = Array.make n_slots 0;
-                w_id_mismatches = 0;
                 w_prove_ns = [];
                 w_verify_ns = [];
                 w_sampled_ns = [];
@@ -467,11 +433,10 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
         let t0 = Obs.Clock.now_ns () in
         let threads =
           List.init connections (fun conn_id ->
-              let host, port = endpoint conn_id in
               Thread.create
                 (fun () ->
-                  run_worker ~host ~port ~requests ~batch ~mix:(p, v, s)
-                    ~queries ~graphs ~conn_id ~trace_sample results.(conn_id))
+                  run_worker ~host ~port ~requests ~batch ~kind ~queries
+                    ~graphs ~scheme ~conn_id ~trace_sample results.(conn_id))
                 ())
         in
         List.iter Thread.join threads;
@@ -480,24 +445,7 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
         let gc1 = Gc.quick_stat () in
         let gc_minor = gc1.Gc.minor_collections - gc0.Gc.minor_collections in
         let gc_major = gc1.Gc.major_collections - gc0.Gc.major_collections in
-        let per_target =
-          List.mapi
-            (fun i (t_host, t_port) ->
-              let own = ref [] in
-              Array.iteri
-                (fun conn_id r -> if conn_id mod n_ep = i then own := r :: !own)
-                results;
-              {
-                t_host;
-                t_port;
-                t_connections = List.length !own;
-                t_ok = List.fold_left (fun a r -> a + r.w_ok) 0 !own;
-                t_errors = List.fold_left (fun a r -> a + r.w_errors) 0 !own;
-              })
-            endpoints
-        in
         let server_stats =
-          let host, port = List.hd endpoints in
           match connect ~host ~port () with
           | Error _ -> None
           | Ok client ->
@@ -506,41 +454,26 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
               | Ok (Wire.Stats_reply st) -> Some st
               | _ -> None)
         in
-        let ok = Array.fold_left (fun a r -> a + r.w_ok) 0 results in
-        let errors = Array.fold_left (fun a r -> a + r.w_errors) 0 results in
-        let id_mismatches =
-          Array.fold_left (fun a r -> a + r.w_id_mismatches) 0 results
+        let sum f = Array.fold_left (fun a r -> a + f r) 0 results in
+        let concat f =
+          Array.fold_left (fun a r -> List.rev_append (f r) a) [] results
         in
+        let ok = sum (fun r -> r.w_ok) in
+        let errors = sum (fun r -> r.w_errors) in
         let errors_by_code =
           List.filter_map
             (fun slot ->
-              let n =
-                Array.fold_left (fun a r -> a + r.w_by_slot.(slot)) 0 results
-              in
+              let n = sum (fun r -> r.w_by_slot.(slot)) in
               if n = 0 then None else Some (slot_name slot, n))
             (List.init n_slots Fun.id)
         in
-        let prove_ns =
-          Array.fold_left (fun a r -> List.rev_append r.w_prove_ns a) [] results
-        in
-        let verify_ns =
-          Array.fold_left (fun a r -> List.rev_append r.w_verify_ns a) [] results
-        in
-        let sampled_ns =
-          Array.fold_left
-            (fun a r -> List.rev_append r.w_sampled_ns a)
-            [] results
-        in
-        let escalations =
-          Array.fold_left (fun a r -> a + r.w_escalations) 0 results
-        in
-        let batch_ns =
-          Array.fold_left (fun a r -> List.rev_append r.w_batch_ns a) [] results
-        in
-        (* ok + errors counts ops in both modes (each op lands in
-           exactly one bucket, including the failure paths), so ops/s
-           is the req-equivalent throughput and frames/s = ops/s ÷
-           batch. *)
+        let prove_ns = concat (fun r -> r.w_prove_ns) in
+        let verify_ns = concat (fun r -> r.w_verify_ns) in
+        let sampled_ns = concat (fun r -> r.w_sampled_ns) in
+        let batch_ns = concat (fun r -> r.w_batch_ns) in
+        (* ok + errors counts ops (each op lands in exactly one bucket,
+           including the failure paths), so ops/s is the req-equivalent
+           throughput and frames/s = ops/s ÷ batch. *)
         let ops_per_s =
           if total_s > 0. then float_of_int (ok + errors) /. total_s else 0.
         in
@@ -561,7 +494,6 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
             ok;
             errors;
             errors_by_code;
-            id_mismatches;
             overall =
               summarise
                 (List.rev_append batch_ns
@@ -570,9 +502,8 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
             prove = summarise prove_ns;
             verify = summarise verify_ns;
             sampled = summarise sampled_ns;
-            escalations;
+            escalations = sum (fun r -> r.w_escalations);
             batch_frames = summarise batch_ns;
-            targets = per_target;
             server = server_stats;
             gc_alloc_bytes;
             gc_minor;
@@ -580,20 +511,6 @@ let loadgen ?(host = "127.0.0.1") ?targets ?(batch = 1) ?(trace_sample = 0)
           }
 
 (* --- rendering -------------------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let summary_json { count; latency } =
   match latency with
@@ -618,31 +535,22 @@ let report_json r =
   let by_code =
     String.concat ","
       (List.map
-         (fun (name, n) -> Printf.sprintf {|"%s":%d|} (json_escape name) n)
+         (fun (name, n) -> Printf.sprintf {|"%s":%d|} (Obs.Json.escape name) n)
          r.errors_by_code)
   in
-  let targets_json =
-    String.concat ","
-      (List.map
-         (fun t ->
-           Printf.sprintf
-             {|{"host":"%s","port":%d,"connections":%d,"ok":%d,"errors":%d}|}
-             (json_escape t.t_host) t.t_port t.t_connections t.t_ok t.t_errors)
-         r.targets)
-  in
   Printf.sprintf
-    {|{"scheme":"%s","sizes":[%s],"connections":%d,"requests_per_connection":%d,"batch":%d,"mix":{"prove":%d,"verify":%d,"sampled":%d},"queries":%d,"total_s":%.4f,"throughput_rps":%.1f,"throughput_ops":%.1f,"ok":%d,"errors":%d,"errors_by_code":{%s},"id_mismatches":%d,"overall":%s,"prove":%s,"verify":%s,"sampled":%s,"escalations":%d,"batch_frames":%s,"targets":[%s],"server":%s,"gc":{"allocated_bytes":%.0f,"minor_collections":%d,"major_collections":%d}}|}
-    (json_escape r.scheme)
+    {|{"scheme":"%s","sizes":[%s],"connections":%d,"requests_per_connection":%d,"batch":%d,"mix":{"prove":%d,"verify":%d,"sampled":%d},"queries":%d,"total_s":%.4f,"throughput_rps":%.1f,"throughput_ops":%.1f,"ok":%d,"errors":%d,"errors_by_code":{%s},"overall":%s,"prove":%s,"verify":%s,"sampled":%s,"escalations":%d,"batch_frames":%s,"server":%s,"gc":{"allocated_bytes":%.0f,"minor_collections":%d,"major_collections":%d}}|}
+    (Obs.Json.escape r.scheme)
     (String.concat "," (List.map string_of_int r.sizes))
     r.connections r.requests_per_connection r.batch r.prove_weight
     r.verify_weight r.sampled_weight r.queries r.total_s r.throughput_rps
-    r.throughput_ops r.ok r.errors by_code r.id_mismatches
+    r.throughput_ops r.ok r.errors by_code
     (summary_json r.overall) (summary_json r.prove)
     (summary_json r.verify)
     (summary_json r.sampled)
     r.escalations
     (summary_json r.batch_frames)
-    targets_json server r.gc_alloc_bytes r.gc_minor r.gc_major
+    server r.gc_alloc_bytes r.gc_minor r.gc_major
 
 let pp_summary ppf name { count; latency } =
   match latency with
@@ -674,8 +582,6 @@ let pp_report ppf r =
          (List.map
             (fun (name, n) -> Printf.sprintf "%s %d" name n)
             r.errors_by_code));
-  if r.id_mismatches > 0 then
-    Format.fprintf ppf "warning: %d response id mismatch(es)@." r.id_mismatches;
   pp_summary ppf "overall" r.overall;
   if r.batch > 1 then pp_summary ppf "frame" r.batch_frames
   else begin
@@ -687,13 +593,6 @@ let pp_report ppf r =
         r.escalations
     end
   end;
-  if List.length r.targets > 1 then
-    List.iter
-      (fun t ->
-        Format.fprintf ppf
-          "target:  %s:%d  %d connection(s), %d ok, %d error(s)@." t.t_host
-          t.t_port t.t_connections t.t_ok t.t_errors)
-      r.targets;
   if r.gc_alloc_bytes > 0.0 then
     Format.fprintf ppf
       "client:  %.1f MB allocated, %d minor / %d major collection(s)@."

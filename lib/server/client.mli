@@ -85,15 +85,6 @@ type percentiles = {
 
 type lat_summary = { count : int; latency : percentiles option }
 
-type target_stat = {
-  t_host : string;
-  t_port : int;
-  t_connections : int;  (** worker connections assigned to this target *)
-  t_ok : int;
-  t_errors : int;
-}
-(** Per-endpoint slice of a multi-target run. *)
-
 type report = {
   connections : int;
   requests_per_connection : int;
@@ -103,7 +94,10 @@ type report = {
   verify_weight : int;
   sampled_weight : int;
       (** Sampled-verify ops per mix cycle (the [S] in [P:V:S]). *)
-  queries : int;  (** Per-node query bound sampled ops carried. *)
+  queries : int;
+      (** The scheme's declared per-node query bound
+          ([Randomized_scheme.queries]), which sampled ops carry; 0 when
+          the scheme has no sampled variant. *)
   scheme : string;
   sizes : int list;
   total_s : float;
@@ -116,13 +110,11 @@ type report = {
   errors : int;
   errors_by_code : (string * int) list;
       (** Non-zero error tallies by wire error code, plus the
-          pseudo-codes ["transport"] (connection/framing failures) and
+          pseudo-codes ["transport"] (connection/framing failures),
           ["unexpected"] (well-formed but semantically wrong
-          responses). Empty on a clean run. *)
-  id_mismatches : int;
-      (** Responses whose echoed correlation id differed from the
-          request's — always 0 unless request/response framing
-          slipped. *)
+          responses) and ["id_mismatch"] (ops whose frame's reply
+          echoed another correlation id — request/response framing
+          slipped). Empty on a clean run. *)
   overall : lat_summary;
   prove : lat_summary;
   verify : lat_summary;
@@ -136,12 +128,9 @@ type report = {
       (** Per-frame round-trip latency in batched mode (empty when
           [batch = 1]; [prove]/[verify] are empty in batched mode —
           per-op latency is not observable inside a frame). *)
-  targets : target_stat list;
-      (** One entry per endpoint, in the order given; a single entry
-          for a plain single-target run. *)
   server : Wire.server_stats option;
-      (** The first endpoint's own stats, fetched after the run —
-          shows the cache hit rate the workload achieved. *)
+      (** The target's own stats, fetched after the run — shows the
+          cache hit rate the workload achieved. *)
   gc_alloc_bytes : float;
       (** Bytes the loadgen process itself allocated during the timed
           run — the client side of the cost ledger, next to the
@@ -152,10 +141,8 @@ type report = {
 
 val loadgen :
   ?host:string ->
-  ?targets:(string * int) list ->
   ?batch:int ->
   ?trace_sample:int ->
-  ?queries:int ->
   port:int ->
   connections:int ->
   requests:int ->
@@ -164,38 +151,32 @@ val loadgen :
   sizes:int list ->
   unit ->
   (report, string) result
-(** Replay a deterministic prove/verify/sampled-verify mix. A setup
-    pass proves one cycle graph per listed size (warming the server
-    cache), then [connections] threads each send [requests] requests
-    round-robin over the graphs; [mix = (p, v, s)] interleaves [p]
-    proves, [v] verifies, then [s] sampled verifies per [p + v + s]
-    requests. A request only counts as [ok] if the semantically right
-    response came back (a proof, an all-nodes-accept verdict, or an
-    accepting {!Wire.response.Sampled_verified}). Sampled ops carry
-    the stored valid proof, [queries] (default 4) as the per-node
-    bound, the request's correlation id as the PRG seed, and an empty
-    budget id; their escalation count surfaces in the report. Each
-    request carries a distinct correlation id and the echo is
-    verified.
+(** Replay a deterministic prove/verify/sampled-verify mix against one
+    target, [host]:[port] — a daemon or a router. A setup pass proves
+    one cycle graph per listed size (warming the server cache), then
+    [connections] threads each send [requests] frames; [mix = (p, v,
+    s)] interleaves [p] proves, [v] verifies, then [s] sampled
+    verifies per [p + v + s] ops, round-robin over the graphs. An op
+    only counts as [ok] if the semantically right response came back
+    (a proof, an all-nodes-accept verdict, or an accepting
+    {!Wire.response.Sampled_verified}). Sampled ops carry the stored
+    valid proof, the scheme's declared query bound, the frame's
+    correlation id as the PRG seed, and an empty budget id; their
+    escalation count surfaces in the report. A scheme with no sampled
+    variant and [s > 0] is an [Error] up front.
 
-    Sampled ops require [batch = 1] — the batch op table has no
-    sampled kind, and mixing the two would make op-granular
-    accounting ambiguous; the combination is an [Error] up front.
+    Frame [i] of a connection carries ops [i * batch .. i * batch +
+    batch - 1]. With [batch = 1] (the default) it is that op's plain
+    request; with [batch > 1] it is a {!Wire.Batch} frame whose graph
+    table lists every cycle graph once, and each reply slot is
+    classified as the plain response it encodes
+    ({!Wire.item_response}) — so [ok], [errors] and [throughput_ops]
+    stay op-granular and comparable across batch sizes. Requires
+    [batch <= 65535] (the wire's u16 op count). Sampled ops require
+    [batch = 1]: the batch op table has no sampled kind.
 
-    [batch] (default 1) > 1 switches every worker to {!Wire.Batch}
-    frames of that many ops: op [k = i * batch + j] of a connection
-    follows exactly the mix/graph rotation plain request [k] would,
-    each frame's graph table lists every cycle graph once, and each
-    per-op reply slot is checked like a plain response — so [ok],
-    [errors] and [throughput_ops] stay op-granular and comparable with
-    an unbatched run of the same op volume. Requires [batch <= 65535]
-    (the wire's u16 op count).
-
-    A non-empty [targets] list overrides [host]:[port]: worker
-    connections round-robin over the endpoints (the setup pass warms
-    every one) and the report carries a per-target breakdown — how
-    [lcp loadgen] drives several daemons, or a router plus direct
-    backends, in one run.
+    Every frame carries a distinct correlation id; a reply echoing any
+    other id fails every op in the frame as ["id_mismatch"].
 
     [trace_sample] (default 0 = off) head-samples 1 in that many
     correlation ids with {!Obs.Trace.sample}: a sampled request gets a

@@ -273,6 +273,10 @@ val item_of_response : response -> batch_item
 (** The batch reply slot carrying a prove, verify or forge response or
     an error; any other response becomes an [Internal] item error. *)
 
+val item_response : batch_item -> int * response
+(** The inverse: the slot's status byte (0 = error, else the op kind)
+    and the plain response its body encodes. *)
+
 (** {1 Codecs}
 
     Encoders take the correlation [id] (default 0 = unassigned) and an

@@ -700,7 +700,91 @@ let loadgen_error_breakdown () =
         (match List.assoc_opt "overloaded" r.Client.errors_by_code with
         | Some n -> n = r.Client.errors
         | None -> false);
-      check_int "ids all echoed" 0 r.Client.id_mismatches
+      check "ids all echoed" false
+        (List.mem_assoc "id_mismatch" r.Client.errors_by_code)
+
+(* A stub endpoint that answers every Prove (and every op of a Batch)
+   with a proof, but under correlation id + 1 — request/response
+   framing that slipped. Anything else gets an error reply. *)
+let with_off_by_one_stub f =
+  let lsock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt lsock Unix.SO_REUSEADDR true;
+  Unix.bind lsock (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen lsock 16;
+  let port =
+    match Unix.getsockname lsock with
+    | Unix.ADDR_INET (_, p) -> p
+    | _ -> assert false
+  in
+  let stop = Atomic.make false in
+  let rec serve fd =
+    let frame =
+      Option.bind (read_exact fd Wire.header_bytes) (fun raw ->
+          match Wire.decode_header raw with
+          | Error _ -> None
+          | Ok { Wire.tag; length } ->
+              Option.map
+                (fun payload -> Wire.decode_request_payload ~tag payload)
+                (read_exact fd length))
+    in
+    match frame with
+    | None | Some (Error _) -> ()
+    | Some (Ok (id, _, req)) ->
+        let resp =
+          match req with
+          | Wire.Prove _ -> Wire.Proved (Some Proof.empty)
+          | Wire.Batch { ops; _ } ->
+              Wire.Batch_reply
+                (List.map (fun _ -> Wire.Item_proved (Some Proof.empty)) ops)
+          | _ -> Wire.Error_reply { code = Wire.Internal; message = "stub" }
+        in
+        let out = Wire.encode_response ~id:(id + 1) resp in
+        ignore (Unix.write_substring fd out 0 (String.length out));
+        serve fd
+  in
+  let rec accept_loop () =
+    if not (Atomic.get stop) then begin
+      (match Unix.select [ lsock ] [] [] 0.05 with
+      | [], _, _ -> ()
+      | _ ->
+          let fd, _ = Unix.accept lsock in
+          ignore
+            (Thread.create
+               (fun () ->
+                 Fun.protect
+                   ~finally:(fun () -> Unix.close fd)
+                   (fun () -> try serve fd with Unix.Unix_error _ -> ()))
+               ()));
+      accept_loop ()
+    end
+  in
+  let th = Thread.create accept_loop () in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join th;
+      Unix.close lsock)
+    (fun () -> f port)
+
+let loadgen_id_mismatch () =
+  with_off_by_one_stub @@ fun port ->
+  List.iter
+    (fun batch ->
+      match
+        Client.loadgen ~port ~batch ~connections:2 ~requests:3 ~mix:(1, 0, 0)
+          ~scheme:"eulerian" ~sizes:[ 16 ] ()
+      with
+      | Error m -> Alcotest.failf "loadgen (batch %d): %s" batch m
+      | Ok r ->
+          let ops = 2 * 3 * batch in
+          check_int (Printf.sprintf "batch %d: no op ok" batch) 0 r.Client.ok;
+          check_int (Printf.sprintf "batch %d: every op failed" batch) ops
+            r.Client.errors;
+          check
+            (Printf.sprintf "batch %d: all id mismatches" batch)
+            true
+            (r.Client.errors_by_code = [ ("id_mismatch", ops) ]))
+    [ 1; 4 ]
 
 (* ------------------------------------------------------------------ *)
 (* Batch frames end to end, and the disk cache. *)
@@ -912,7 +996,8 @@ let loadgen_batched () =
   | Ok r ->
       check_int "all ops ok" (2 * 5 * 8) r.Client.ok;
       check_int "no errors" 0 r.Client.errors;
-      check_int "ids all echoed" 0 r.Client.id_mismatches;
+      check "ids all echoed" false
+        (List.mem_assoc "id_mismatch" r.Client.errors_by_code);
       check "frame latencies recorded" true
         (r.Client.batch_frames.Client.count = 2 * 5);
       check "ops/s = frames/s x batch" true
@@ -1109,6 +1194,8 @@ let suite =
       Alcotest.test_case "cache-dir restart serves warm" `Quick
         cache_dir_warm_restart;
       Alcotest.test_case "loadgen batched mode" `Quick loadgen_batched;
+      Alcotest.test_case "loadgen fails ops on an echoed id mismatch" `Quick
+        loadgen_id_mismatch;
       Alcotest.test_case "wire trace context parents spans" `Quick
         wire_trace_parentage;
       Alcotest.test_case "trace export while disabled" `Quick

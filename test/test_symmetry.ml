@@ -39,6 +39,20 @@ let fixpoint_free () =
   check "star fixes centre" false
     (Automorphism.has_fixpoint_free_symmetry (Builders.star 4))
 
+(* The centre-edge check against the backtracking oracle on every
+   rooted tree up to 9 nodes (every free tree appears among them). *)
+let fixpoint_free_trees_agree () =
+  for k = 1 to 9 do
+    List.iter
+      (fun (t : Tree_enum.rooted) ->
+        let g = t.Tree_enum.tree in
+        check
+          (Printf.sprintf "k=%d %s" k (Tree_enum.canonical_code g 0))
+          (Automorphism.has_fixpoint_free_symmetry g)
+          (Tree_enum.has_fixpoint_free_symmetry g))
+      (Tree_enum.rooted_trees k)
+  done
+
 let canonical_forms () =
   let g1 = Builders.cycle 5 in
   let g2 = Graph.relabel g1 (fun v -> ((v * 3) mod 5) + 20) in
@@ -204,6 +218,8 @@ let suite =
       Alcotest.test_case "asymmetric graphs" `Quick asymmetric_graphs;
       Alcotest.test_case "automorphism validity" `Quick automorphism_validity;
       Alcotest.test_case "fixpoint-free" `Quick fixpoint_free;
+      Alcotest.test_case "fixpoint-free trees agree with the search" `Quick
+        fixpoint_free_trees_agree;
       Alcotest.test_case "canonical forms" `Quick canonical_forms;
       QCheck_alcotest.to_alcotest qcheck_canonical;
       Alcotest.test_case "enumeration counts" `Quick enumeration_counts;
