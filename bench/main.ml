@@ -15,14 +15,17 @@
                     per-row metrics object (balls extracted, max ball
                     size, verifier calls, forgeries tried) in
                     BENCH_lcp.json;
-          --trace FILE  record structured spans and export them as
-                    Chrome trace-event JSON (chrome://tracing,
-                    Perfetto);
-          --prom FILE  write the run's telemetry as a Prometheus text
-                    exposition (per-row wall-time gauges plus, with
-                    --metrics, the full cumulative registry) — lets a
-                    CI job push bench health into the same dashboards
-                    that scrape `lcp serve`.
+          --obs-dir DIR  record structured spans and spool them to
+                    DIR/trace-<lane>.json (Chrome trace-event JSON:
+                    chrome://tracing, Perfetto), plus the run's
+                    telemetry as a Prometheus text exposition in
+                    DIR/metrics-<lane>.prom (per-row wall-time gauges
+                    plus, with --metrics, the registry) — lets a CI
+                    job push bench health into the same dashboards
+                    that scrape `lcp serve`;
+          --profile  sample span stacks at 97 Hz: a "profile" section
+                    in BENCH_lcp.json, per-row GC deltas and, with
+                    --obs-dir, DIR/profile-<lane>.json.
 
    All timing uses the monotonic Obs.Clock (the seed harness used
    Unix.gettimeofday, which NTP can skew mid-run). Sweep runs write a
@@ -311,7 +314,7 @@ let table_1a =
       series =
         sweep Tree_universal.fixpoint_free_symmetry
           (fun n -> of_g (doubled_tree (n / 2) (100 + n)))
-          ns_small;
+          ns_log;
     };
     {
       id = "T1a-16";
@@ -571,7 +574,7 @@ type row_result = {
   outcome : row_outcome;
   wall_s : float;
   metrics : string option;  (* pre-rendered JSON object, with --metrics *)
-  profile : string option;  (* per-row GC deltas, with --profile-hz/-dir *)
+  profile : string option;  (* per-row GC deltas, with --profile *)
 }
 
 (* One row: monotonic wall time, an optional trace span, and — with
@@ -748,10 +751,9 @@ let write_json path ~smoke ~total_wall_s ?partition ?randomized ?profile
 (* Prometheus text exposition of the same run — through the exact
    renderer the server's /metrics endpoint uses, so CI can validate
    both with one scraper. Per-row wall time and verdicts become
-   labelled gauges; with --metrics the cumulative registry (including
+   labelled gauges; with --metrics the registry (including
    trace.dropped) rides along. *)
-let write_prom path ~total_wall_s results =
-  let e = Obs.Export.create () in
+let exposition ~total_wall_s results e =
   Obs.Export.gauge e ~help:"total bench wall time" "bench.wall_seconds"
     total_wall_s;
   Obs.Export.counter e ~help:"rows attempted" "bench.rows"
@@ -771,11 +773,7 @@ let write_prom path ~total_wall_s results =
     results;
   if !collect_metrics then
     Obs.Export.metrics_snapshot e (Obs.Metrics.snapshot ());
-  Obs.Profile.exposition e;
-  let oc = open_out path in
-  output_string oc (Obs.Export.contents e);
-  close_out oc;
-  Format.printf "prometheus exposition written to %s@." path
+  Obs.Profile.exposition e
 
 (* --- partition bench (--partition) ----------------------------------- *)
 
@@ -1530,8 +1528,8 @@ let exit_unless_all_match results =
 let usage () =
   prerr_endline
     "usage: main.exe [--smoke] [--timing] [--partition] [--randomized] \
-     [--reference] [--jobs N] [--metrics] [--trace FILE] [--prom FILE] \
-     [--profile-hz HZ] [--profile-dir DIR] (N=0: all cores)";
+     [--reference] [--jobs N] [--metrics] [--obs-dir DIR] [--profile] \
+     (N=0: all cores)";
   exit 2
 
 (* Wrap a whole bench section in a trace span when tracing is on. *)
@@ -1552,43 +1550,20 @@ let () =
     | _ :: rest -> find_jobs rest
     | [] -> 1
   in
-  let rec find_file flag = function
-    | f :: v :: _ when f = flag ->
-        if String.length v > 0 && v.[0] = '-' then begin
-          prerr_endline (flag ^ " needs a file argument");
-          usage ()
-        end;
-        Some v
-    | [ f ] when f = flag ->
-        prerr_endline (flag ^ " needs a file argument");
+  let rec find_dir = function
+    | "--obs-dir" :: v :: _ when String.length v = 0 || v.[0] <> '-' -> Some v
+    | [ "--obs-dir" ] | "--obs-dir" :: _ ->
+        prerr_endline "--obs-dir needs a directory argument";
         usage ()
-    | _ :: rest -> find_file flag rest
+    | _ :: rest -> find_dir rest
     | [] -> None
   in
-  let find_trace = find_file "--trace" in
-  let find_prom = find_file "--prom" in
   jobs := (match find_jobs args with 0 -> Pool.default_jobs () | j -> j);
-  let trace_file = find_trace args in
-  let prom_file = find_prom args in
-  let profile_hz =
-    match find_file "--profile-hz" args with
-    | None -> 0
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some hz when hz > 0 -> hz
-        | _ ->
-            Printf.eprintf "--profile-hz: expected a positive integer, got %S\n"
-              v;
-            usage ())
-  in
-  let profile_dir = find_file "--profile-dir" args in
-  let profile_on = profile_hz > 0 || profile_dir <> None in
-  (* Drop option arguments (the values after --jobs / --trace / --prom)
+  let obs = { Obs.off with dir = find_dir args; profile = List.mem "--profile" args } in
+  (* Drop option arguments (the values after --jobs / --obs-dir)
      before scanning for unknown flags. *)
   let rec flags_only = function
-    | ("--jobs" | "--trace" | "--prom" | "--profile-hz" | "--profile-dir")
-      :: _ :: rest ->
-        flags_only rest
+    | ("--jobs" | "--obs-dir") :: _ :: rest -> flags_only rest
     | a :: rest -> a :: flags_only rest
     | [] -> []
   in
@@ -1600,7 +1575,7 @@ let () =
               (List.mem a
                  [ "--smoke"; "--timing"; "--partition";
                    "--randomized"; "--reference"; "--jobs"; "--metrics";
-                   "--trace"; "--prom"; "--profile-hz"; "--profile-dir" ]))
+                   "--obs-dir"; "--profile" ]))
        (flags_only (List.tl args))
    with
   | [] -> ()
@@ -1611,96 +1586,67 @@ let () =
   collect_metrics := List.mem "--metrics" args;
   let with_partition = List.mem "--partition" args in
   let with_randomized = List.mem "--randomized" args in
-  if !collect_metrics || trace_file <> None then
-    Obs.enable ~metrics:!collect_metrics ~trace:(trace_file <> None) ();
-  if profile_on then begin
-    Obs.Trace.process := Printf.sprintf "bench-%d" (Unix.getpid ());
-    Obs.Profile.start ~hz:(if profile_hz > 0 then profile_hz else 97) ()
-  end;
-  (* The profiler must stop before the JSON/spool reads so the counts
-     are final; returns the "profile" section for BENCH_lcp.json. *)
-  let finish_profile () =
-    if not profile_on then None
-    else begin
-      Obs.Profile.stop ();
-      let section = Obs.Profile.export_string () in
-      (match profile_dir with
-      | None -> ()
-      | Some dir ->
-          let path = Obs.Profile.spool ~dir in
-          Format.printf "profile (%d sample(s), %d stack(s)) spooled to %s@."
-            (Obs.Profile.samples ())
-            (Obs.Profile.stack_samples ())
-            path);
-      Some section
-    end
-  in
-  let finish () =
-    match trace_file with
-    | Some path ->
-        Obs.Trace.export path;
-        Format.printf "trace (%d events%s) written to %s@." (Obs.Trace.recorded ())
-          (match Obs.Trace.dropped () with
-          | 0 -> ""
-          | d -> Printf.sprintf ", %d dropped" d)
-          path
-    | None -> ()
-  in
+  (* --metrics resets the registry at every row, so its end state is no
+     run summary: the registry is enabled here, not through the
+     session, which would print that table on exit. *)
+  if !collect_metrics then Obs.enable ();
   if List.mem "--timing" args then timing ()
-  else if List.mem "--smoke" args then begin
-    Format.printf
-      "Locally Checkable Proofs: smoke sweep (engine=%s, jobs=%d)@."
-      (if !use_reference then "reference" else "csr")
-      !jobs;
-    let t0 = Obs.Clock.now_ns () in
-    let results = run_table "smoke sweep" smoke_table in
-    let partition =
-      if with_partition then Some (partition_bench ()) else None
-    in
-    let randomized =
-      if with_randomized then Some (randomized_bench ()) else None
-    in
-    let total = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0) in
-    Format.printf "@.total wall time: %.3fs@." total;
-    let profile = finish_profile () in
-    write_json "BENCH_lcp.json" ~smoke:true ~total_wall_s:total ?partition
-      ?randomized ?profile results;
-    Option.iter (fun p -> write_prom p ~total_wall_s:total results) prom_file;
-    finish ();
-    exit_unless_all_match results
-  end
   else begin
-    Format.printf
-      "Locally Checkable Proofs (Göös & Suomela, PODC 2011): experiment harness \
-       (engine=%s, jobs=%d)@."
-      (if !use_reference then "reference" else "csr")
-      !jobs;
-    let t0 = Obs.Clock.now_ns () in
-    let results_a = run_table "Table 1(a): graph properties" table_1a in
-    let results_b =
-      run_table "Table 1(b): graph problems (solution verification)" table_1b
+    let smoke = List.mem "--smoke" args in
+    let engine = if !use_reference then "reference" else "csr" in
+    if smoke then
+      Format.printf "Locally Checkable Proofs: smoke sweep (engine=%s, jobs=%d)@."
+        engine !jobs
+    else
+      Format.printf
+        "Locally Checkable Proofs (Göös & Suomela, PODC 2011): experiment \
+         harness (engine=%s, jobs=%d)@."
+        engine !jobs;
+    let tables () =
+      if smoke then run_table "smoke sweep" smoke_table
+      else begin
+        let results_a = run_table "Table 1(a): graph properties" table_1a in
+        let results_b =
+          run_table "Table 1(b): graph problems (solution verification)"
+            table_1b
+        in
+        section "bench.lower_bounds" lower_bounds;
+        section "bench.ablations" ablations;
+        section "bench.hierarchy" hierarchy;
+        results_a @ results_b
+      end
     in
-    section "bench.lower_bounds" lower_bounds;
-    section "bench.ablations" ablations;
-    section "bench.hierarchy" hierarchy;
-    let partition =
-      if with_partition then Some (section "bench.partition" partition_bench)
-      else None
+    let results, total, partition, randomized =
+      Obs.session
+        ~process:(Printf.sprintf "bench-%d" (Unix.getpid ()))
+        ~exposition:(fun (results, total_wall_s, _, _) ->
+          exposition ~total_wall_s results)
+        obs
+      @@ fun () ->
+      let t0 = Obs.Clock.now_ns () in
+      let results = tables () in
+      let partition =
+        if with_partition then Some (section "bench.partition" partition_bench)
+        else None
+      in
+      let randomized =
+        if with_randomized then
+          Some (section "bench.randomized" randomized_bench)
+        else None
+      in
+      (results, Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0), partition,
+       randomized)
     in
-    let randomized =
-      if with_randomized then Some (section "bench.randomized" randomized_bench)
-      else None
+    if smoke then Format.printf "@.total wall time: %.3fs@." total;
+    (* the session stopped the sampler, so the counts are final *)
+    let profile =
+      if obs.Obs.profile then Some (Obs.Profile.export_string ()) else None
     in
-    let total = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0) in
-    let profile = finish_profile () in
-    write_json "BENCH_lcp.json" ~smoke:false ~total_wall_s:total ?partition
-      ?randomized ?profile (results_a @ results_b);
-    Option.iter
-      (fun p -> write_prom p ~total_wall_s:total (results_a @ results_b))
-      prom_file;
-    finish ();
-    Format.printf
-      "@.run with --timing for Bechamel verifier micro-benchmarks, --smoke for \
-       the CI sweep.@.";
-    exit_unless_all_match (results_a @ results_b)
+    write_json "BENCH_lcp.json" ~smoke ~total_wall_s:total ?partition
+      ?randomized ?profile results;
+    if not smoke then
+      Format.printf
+        "@.run with --timing for Bechamel verifier micro-benchmarks, --smoke \
+         for the CI sweep.@.";
+    exit_unless_all_match results
   end

@@ -16,8 +16,10 @@
      lcp trace fetch HOST:PORT            pull a live process's trace ring
      lcp trace merge FILES -o OUT         join per-process lanes, align clocks
 
-   prove/verify/forge/stats accept [--metrics] (print engine counters on
-   exit) and [--trace FILE] (write a Chrome trace-event JSON timeline).
+   prove/verify/forge accept [--metrics] (print engine counters on
+   exit); they and stats accept [--obs-dir DIR] (spool a Chrome
+   trace-event JSON timeline there). The flags live in [Obs_flags], one
+   lifecycle ([Obs.session]) runs them.
    Graph files are described in [Graph_file]; the by-name scheme
    registry lives in [Registry], shared with the daemon. *)
 
@@ -127,130 +129,6 @@ let scheme_name scheme =
   | Some e -> e.Registry.name
   | None -> invalid_arg "scheme not in registry"
 
-(* --- observability ---------------------------------------------------- *)
-
-let metrics_arg =
-  Arg.(
-    value & flag
-    & info [ "metrics" ]
-        ~doc:"Collect engine metrics and print them when the command exits.")
-
-let trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace" ] ~docv:"FILE"
-        ~doc:
-          "Record a structured trace and write it to $(docv) as Chrome \
-           trace-event JSON (open in chrome://tracing or Perfetto).")
-
-let trace_sample_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "trace-sample" ] ~docv:"N"
-        ~doc:
-          "Distributed tracing: trace 1 in $(docv) requests. Sampling is \
-           head-based and deterministic in the correlation id, so client, \
-           router and backend all keep the same requests; a request \
-           arriving with a trace context on the wire is always traced. \
-           Implies tracing is on. 0 (the default) disables sampling.")
-
-let trace_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-dir" ] ~docv:"DIR"
-        ~doc:
-          "On exit, spool this process's trace ring to \
-           $(docv)/trace-<process>.json — one lane per process; join the \
-           lanes of a cluster run with 'lcp trace merge'. Implies tracing \
-           is on.")
-
-let profile_hz_arg =
-  Arg.(
-    value
-    & opt int 0
-    & info [ "profile-hz" ] ~docv:"HZ"
-        ~doc:
-          "Continuous profiling: sample every domain's active-span stack \
-           $(docv) times per second and track GC/runtime telemetry. Fetch \
-           the live profile with 'lcp profile fetch'. 0 (the default) \
-           disables the profiler; 97 is a good prime choice.")
-
-let profile_dir_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "profile-dir" ] ~docv:"DIR"
-        ~doc:
-          "On exit, spool the accumulated profile to \
-           $(docv)/profile-<process>.json (collapsed stacks, speedscope \
-           JSON, GC and per-scheme accounts). Implies profiling is on at \
-           97 Hz unless --profile-hz overrides the rate.")
-
-(* Distributed-tracing setup shared by serve / route / loadgen: name
-   this process's lane, turn the ring on when sampling or spooling was
-   requested, and spool on the way out. *)
-let with_trace_spool ~process ~trace_sample ~trace_dir f =
-  Obs.Trace.process := process;
-  if trace_sample > 0 || trace_dir <> None then
-    Obs.enable ~metrics:false ~trace:true ();
-  let code = f () in
-  (match trace_dir with
-  | None -> ()
-  | Some dir ->
-      let path = Obs.Trace.spool ~dir in
-      Format.printf "trace lane %S (%d events%s) spooled to %s@."
-        !Obs.Trace.process (Obs.Trace.recorded ())
-        (match Obs.Trace.dropped () with
-        | 0 -> ""
-        | d -> Printf.sprintf ", %d dropped" d)
-        path);
-  code
-
-(* Profiler lifecycle shared by serve / route / loadgen: start the
-   sampler when either flag asks for it, stop and spool on the way
-   out. Runs inside [with_trace_spool] so the lane name is set. *)
-let with_profile ~profile_hz ~profile_dir f =
-  let on = profile_hz > 0 || profile_dir <> None in
-  if on then
-    Obs.Profile.start ~hz:(if profile_hz > 0 then profile_hz else 97) ();
-  let code = f () in
-  if on then begin
-    Obs.Profile.stop ();
-    match profile_dir with
-    | None -> ()
-    | Some dir ->
-        let path = Obs.Profile.spool ~dir in
-        Format.printf "profile (%d sample(s), %d stack(s)) spooled to %s@."
-          (Obs.Profile.samples ())
-          (Obs.Profile.stack_samples ())
-          path
-  end;
-  code
-
-(* Enable the requested observability, run the command body, then export
-   the trace / print the metrics table. Exit codes pass through; the
-   extra output goes last so the command's own output stays first. *)
-let with_obs ~metrics ~trace f =
-  if metrics || trace <> None then
-    Obs.enable ~metrics ~trace:(trace <> None) ();
-  let code = f () in
-  (match trace with
-  | Some path ->
-      Obs.Trace.export path;
-      Format.printf "trace (%d events%s) written to %s@."
-        (Obs.Trace.recorded ())
-        (match Obs.Trace.dropped () with
-        | 0 -> ""
-        | d -> Printf.sprintf ", %d dropped" d)
-        path
-  | None -> ());
-  if metrics then
-    Format.printf "@.metrics:@.%a" Obs.Metrics.pp (Obs.Metrics.snapshot ());
-  code
-
 (* --- commands --------------------------------------------------------- *)
 
 let schemes_cmd =
@@ -270,12 +148,22 @@ let load_instance path =
   | Failure msg -> Error (`Msg msg)
   | Sys_error msg -> Error (`Msg msg)
 
+(* The session for the one-shot commands: their lane is the command
+   name and pid. *)
+let one_shot name obs f =
+  Obs.session ~process:(Printf.sprintf "%s-%d" name (Unix.getpid ())) obs f
+
+let one_shot_flags =
+  Term.(
+    const (fun metrics dir -> { Obs.off with metrics; dir })
+    $ Obs_flags.metrics $ Obs_flags.obs_dir)
+
 let prove_cmd =
-  let run scheme graph output jobs metrics trace =
+  let run scheme graph output jobs obs =
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst ->
-        with_obs ~metrics ~trace @@ fun () ->
+        one_shot "prove" obs @@ fun () ->
         (
         let prove_and_check inst =
           match scheme.Scheme.prover inst with
@@ -320,8 +208,8 @@ let prove_cmd =
   Cmd.v
     (Cmd.info "prove" ~doc:"Run a scheme's prover on an instance")
     Term.(
-      const run $ scheme_arg $ graph_arg $ out_arg $ jobs_arg $ metrics_arg
-      $ trace_arg)
+      const run $ scheme_arg $ graph_arg $ out_arg $ jobs_arg
+      $ one_shot_flags)
 
 let verify_cmd =
   let sampled_arg =
@@ -409,12 +297,12 @@ let verify_cmd =
                     (String.concat "; " (List.map string_of_int vs));
                   2))
   in
-  let run scheme graph proof jobs metrics trace cluster partitions sampled
-      queries seed =
+  let run scheme graph proof jobs obs cluster partitions sampled queries
+      seed =
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst ->
-        with_obs ~metrics ~trace @@ fun () ->
+        one_shot "verify" obs @@ fun () ->
         (
         let proof =
           try Ok (Graph_file.load_proof proof)
@@ -479,9 +367,9 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Run a scheme's verifier at every node")
     Term.(
-      const run $ scheme_arg $ graph_arg $ proof_arg $ jobs_arg $ metrics_arg
-      $ trace_arg $ cluster_arg $ partitions_arg $ sampled_arg $ queries_arg
-      $ seed_arg)
+      const run $ scheme_arg $ graph_arg $ proof_arg $ jobs_arg
+      $ one_shot_flags $ cluster_arg $ partitions_arg $ sampled_arg
+      $ queries_arg $ seed_arg)
 
 let partition_cmd =
   let radius_arg =
@@ -568,11 +456,11 @@ let partition_cmd =
       $ prefix_arg)
 
 let forge_cmd =
-  let run scheme graph bits metrics trace =
+  let run scheme graph bits obs =
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst ->
-        with_obs ~metrics ~trace @@ fun () ->
+        one_shot "forge" obs @@ fun () ->
         (
         match Adversary.forge scheme inst ~max_bits:bits with
         | Adversary.Fooled proof ->
@@ -593,7 +481,7 @@ let forge_cmd =
   Cmd.v
     (Cmd.info "forge"
        ~doc:"Try to forge an accepted proof (soundness stress test)")
-    Term.(const run $ scheme_arg $ graph_arg $ bits_arg 4 $ metrics_arg $ trace_arg)
+    Term.(const run $ scheme_arg $ graph_arg $ bits_arg 4 $ one_shot_flags)
 
 let stats_cmd =
   let samples_arg =
@@ -603,13 +491,13 @@ let stats_cmd =
       & info [ "samples" ] ~docv:"N"
           ~doc:"Random forgeries for the soundness probe.")
   in
-  let run scheme graph jobs samples bits trace =
+  let run scheme graph jobs samples bits dir =
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst -> (
         (* The whole point of this command is the metrics table, so
-           metrics are always on here; --trace is still opt-in. *)
-        with_obs ~metrics:true ~trace @@ fun () ->
+           metrics are always on here; --obs-dir is still opt-in. *)
+        one_shot "stats" { Obs.off with metrics = true; dir } @@ fun () ->
         let jobs = resolve_jobs jobs in
         let g = Instance.graph inst in
         Format.printf "scheme:    %s (radius %d)@." scheme.Scheme.name
@@ -715,7 +603,7 @@ let stats_cmd =
           engine metrics")
     Term.(
       const run $ scheme_arg $ graph_arg $ jobs_arg $ samples_arg $ bits_arg 4
-      $ trace_arg)
+      $ Obs_flags.obs_dir)
 
 let info_cmd =
   let run graph =
@@ -973,8 +861,8 @@ let serve_cmd =
       & info [ "http-port" ] ~docv:"PORT"
           ~doc:
             "Also serve plain-HTTP telemetry on $(docv): /metrics (Prometheus \
-             text), /metrics.json, /healthz and /readyz. 0 picks an ephemeral \
-             port; negative (the default) disables the sidecar.")
+             text), /healthz and /readyz. 0 picks an ephemeral port; \
+             negative (the default) disables the sidecar.")
   in
   let log_arg =
     Arg.(
@@ -1000,15 +888,8 @@ let serve_cmd =
       & opt int 0
       & info [ "slow-ms" ] ~docv:"MS"
           ~doc:
-            "Flag requests slower than $(docv) ms; with --trace, each dumps \
-             its trace-ring slice to --slow-dir/slow-<id>.json. 0 disables.")
-  in
-  let slow_dir_arg =
-    Arg.(
-      value
-      & opt string "."
-      & info [ "slow-dir" ] ~docv:"DIR"
-          ~doc:"Directory for slow-request trace slices.")
+            "Flag requests slower than $(docv) ms; with --obs-dir, each \
+             dumps its trace-ring slice to DIR/slow-<id>.json. 0 disables.")
   in
   let cache_dir_arg =
     Arg.(
@@ -1022,14 +903,11 @@ let serve_cmd =
              tier.")
   in
   let run host port jobs cache_size deadline_ms max_queue http_port log_path
-      log_sample slow_ms slow_dir cache_dir trace_sample trace_dir profile_hz
-      profile_dir metrics trace =
-    with_obs ~metrics ~trace @@ fun () ->
-    with_trace_spool
+      log_sample slow_ms cache_dir obs metrics =
+    Obs.session
       ~process:(Printf.sprintf "serve-%d-%d" port (Unix.getpid ()))
-      ~trace_sample ~trace_dir
+      { obs with Obs.metrics }
     @@ fun () ->
-    with_profile ~profile_hz ~profile_dir @@ fun () ->
     let log =
       match log_path with
       | None -> None
@@ -1046,10 +924,10 @@ let serve_cmd =
         max_queue;
         http_port;
         slow_ms;
-        slow_dir;
+        obs_dir = obs.Obs.dir;
         cache_dir;
         log;
-        trace_sample;
+        trace_sample = obs.Obs.trace_sample;
       }
     in
     match Server.create config with
@@ -1100,8 +978,7 @@ let serve_cmd =
     Term.(
       const run $ host_arg $ port_arg $ jobs_arg $ cache_arg $ deadline_arg
       $ queue_arg $ http_port_arg $ log_arg $ log_sample_arg $ slow_ms_arg
-      $ slow_dir_arg $ cache_dir_arg $ trace_sample_arg $ trace_dir_arg
-      $ profile_hz_arg $ profile_dir_arg $ metrics_arg $ trace_arg)
+      $ cache_dir_arg $ Obs_flags.term $ Obs_flags.metrics)
 
 let route_cmd =
   let backend_arg =
@@ -1197,18 +1074,16 @@ let route_cmd =
              $(docv) ('-' means stderr).")
   in
   let run host port backends retries hedge_ms probe_interval_ms load_factor
-      vnodes fail_threshold cooldown_ms http_port log_path trace_sample
-      trace_dir profile_hz profile_dir =
+      vnodes fail_threshold cooldown_ms http_port log_path obs =
     if backends = [] then begin
       prerr_endline "lcp route: need at least one --backend HOST:PORT";
       1
     end
     else begin
-      with_trace_spool
+      Obs.session
         ~process:(Printf.sprintf "route-%d-%d" port (Unix.getpid ()))
-        ~trace_sample ~trace_dir
+        obs
       @@ fun () ->
-      with_profile ~profile_hz ~profile_dir @@ fun () ->
       let log =
         match log_path with
         | None -> None
@@ -1230,7 +1105,7 @@ let route_cmd =
           cooldown_ms;
           http_port;
           log;
-          trace_sample;
+          trace_sample = obs.Obs.trace_sample;
         }
       in
       match Router.create config with
@@ -1293,7 +1168,7 @@ let route_cmd =
       const run $ host_arg $ route_port_arg $ backend_arg $ retries_arg
       $ hedge_arg $ probe_arg $ load_factor_arg $ vnodes_arg
       $ fail_threshold_arg $ cooldown_arg $ http_port_arg $ log_arg
-      $ trace_sample_arg $ trace_dir_arg $ profile_hz_arg $ profile_dir_arg)
+      $ Obs_flags.term)
 
 let loadgen_cmd =
   let connections_arg =
@@ -1365,16 +1240,12 @@ let loadgen_cmd =
              plain requests). The mix and graph rotation are identical per \
              operation, so ops/s is directly comparable across batch sizes.")
   in
-  let run host port connections requests batch mix scheme sizes out
-      trace_sample trace_dir profile_hz profile_dir =
-    with_trace_spool
-      ~process:(Printf.sprintf "loadgen-%d" (Unix.getpid ()))
-      ~trace_sample ~trace_dir
+  let run host port connections requests batch mix scheme sizes out obs =
+    Obs.session ~process:(Printf.sprintf "loadgen-%d" (Unix.getpid ())) obs
     @@ fun () ->
-    with_profile ~profile_hz ~profile_dir @@ fun () ->
     match
-      Client.loadgen ~host ~batch ~trace_sample ~port ~connections ~requests
-        ~mix ~scheme ~sizes ()
+      Client.loadgen ~host ~batch ~trace_sample:obs.Obs.trace_sample ~port
+        ~connections ~requests ~mix ~scheme ~sizes ()
     with
     | Error m -> prerr_endline m; 1
     | Ok report ->
@@ -1397,7 +1268,7 @@ let loadgen_cmd =
     Term.(
       const run $ host_arg $ port_arg $ connections_arg $ requests_arg
       $ batch_arg $ mix_arg $ scheme_name_arg $ sizes_arg $ out_arg
-      $ trace_sample_arg $ trace_dir_arg $ profile_hz_arg $ profile_dir_arg)
+      $ Obs_flags.term)
 
 let trace_cmd =
   let merge_cmd =
@@ -1407,7 +1278,7 @@ let trace_cmd =
         & info [] ~docv:"FILE"
             ~doc:
               "Per-process trace spools — the Chrome trace-event JSON files \
-               written by --trace-dir or fetched with 'lcp trace fetch'.")
+               written by --obs-dir or fetched with 'lcp trace fetch'.")
     in
     let out_arg =
       Arg.(

@@ -13,7 +13,7 @@ value, and that specific metrics are present at all:
     check_prometheus.py FILE [--counter-at-least NAME MIN]
                              [--require NAME]...
 
-Used by CI against both the bench --prom export and a live scrape of
+Used by CI against both the bench --obs-dir exposition and a live scrape of
 `lcp serve --http-port`.
 """
 

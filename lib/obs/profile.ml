@@ -264,20 +264,3 @@ let exposition e =
       Export.counter e ~labels ~help:"requests attributed to scheme"
         "scheme_requests" n)
     (schemes ())
-
-let spool ~dir =
-  Trace.mkdir_p dir;
-  let safe =
-    String.map
-      (fun c ->
-        match c with
-        | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.' -> c
-        | _ -> '_')
-      !Trace.process
-  in
-  let path = Filename.concat dir (Printf.sprintf "profile-%s.json" safe) in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (export_string ()));
-  path

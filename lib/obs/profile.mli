@@ -73,8 +73,3 @@ val exposition : Export.t -> unit
     labelled by scheme) to a Prometheus exposition. GC telemetry is
     live [Gc.quick_stat] — present and correct even when the sampler
     is off, so dashboards and [lcp top] can always read it. *)
-
-val spool : dir:string -> string
-(** Write {!export_string} to [dir/profile-<process>.json] (creating
-    [dir], mkdir -p) and return the path — the [--profile-dir] exit
-    hook, mirroring {!Trace.spool}. *)

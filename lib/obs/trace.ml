@@ -311,21 +311,3 @@ let rec mkdir_p dir =
     mkdir_p (Filename.dirname dir);
     try Sys.mkdir dir 0o755 with Sys_error _ -> ()
   end
-
-let sanitize_process () =
-  String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.' -> c
-      | _ -> '_')
-    !process
-
-(* One spool file per process under [dir], named after [process] so
-   `lcp trace merge dir/*.json` picks up every lane. *)
-let spool ~dir =
-  mkdir_p dir;
-  let path =
-    Filename.concat dir (Printf.sprintf "trace-%s.json" (sanitize_process ()))
-  in
-  export path;
-  path

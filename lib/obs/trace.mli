@@ -29,9 +29,10 @@ type ctx = { t_hi : int; t_lo : int; span : int; parent : int }
 val null_ctx : ctx
 
 val process : string ref
-(** Lane name stamped into every export (["process"] footer); set it
-    to something unique per OS process — e.g. ["serve:7421#<pid>"] —
-    before spooling so merged timelines get distinct lanes. *)
+(** Lane name stamped into every export (["process"] footer) and, made
+    safe for a file name, into every {!Obs.session} spool file. Keep it
+    unique per OS process — e.g. ["serve-7421-<pid>"] — so merged
+    timelines get distinct lanes. *)
 
 val sample : every:int -> int -> bool
 (** [sample ~every rid] — deterministic 1-in-[every] head sampling
@@ -89,8 +90,8 @@ val stack_snapshot : int -> string array
 val mkdir_p : string -> unit
 (** Create [dir] and any missing parents (mkdir -p semantics);
     existing components and races are silently fine. Used by every
-    [--trace-dir] / [--slow-dir] / [--profile-dir] sink so a fresh
-    deployment's first write cannot fail on a missing directory. *)
+    [--obs-dir] sink so a fresh deployment's first write cannot fail
+    on a missing directory. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** Run the thunk and record a complete ("ph":"X") event with its
@@ -142,10 +143,5 @@ val export_string : unit -> string
 val export_slice : string -> since_ns:int -> until_ns:int -> unit
 (** {!export} restricted to events whose start timestamp (absolute
     {!Clock.now_ns} terms) falls within [since_ns, until_ns] — the
-    slow-request flight recorder's dump format. *)
-
-val spool : dir:string -> string
-(** Export the full ring to [dir/trace-<process>.json] (creating [dir]
-    if needed, process name sanitised for the filesystem) and return
-    the path written — the [--trace-dir] exit hook, one file per
-    process, ready for [lcp trace merge]. *)
+    slow-request flight recorder's dump format. {!Obs.session} writes
+    the whole ring with {!export} to [<obs-dir>/trace-<lane>.json]. *)

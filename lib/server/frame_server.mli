@@ -50,11 +50,10 @@ val http_port : t -> int
 val stopping : t -> bool
 
 val window : t -> Obs.Window.t
-(** Latency in µs plus counter slots: requests, error replies
-    ({!w_errors}), ops (batch sub-ops counted singly), then two of the
-    owner's, {!w_first_extra} and the one after it. *)
+(** Latency in µs plus counter slots: requests, error replies, ops
+    (batch sub-ops counted singly), then two of the owner's,
+    {!w_first_extra} and the one after it. *)
 
-val w_errors : int
 val w_first_extra : int
 
 val requests : t -> int
@@ -111,12 +110,8 @@ type 'a service = {
   metrics_text : unit -> string;  (** The sidecar's [/metrics] body. *)
   http : string -> string option;
       (** Sidecar paths beyond [/metrics] and [/healthz]: a complete
-          {!http_response}, or [None] for a 404. *)
+          HTTP response (see {!http_text}), or [None] for a 404. *)
 }
-
-val http_response : status:string -> content_type:string -> string -> string
-(** A complete HTTP/1.0 response: status line, [Content-Type],
-    [Content-Length], [Connection: close], body. *)
 
 val http_text : ready:bool -> string -> string
 (** A [text/plain] response, 200 when [ready] and 503 otherwise — the

@@ -55,7 +55,8 @@ type config = {
   max_queue : int;
   http_port : int;  (** < 0 disables the sidecar; 0 picks a port. *)
   slow_ms : int;  (** <= 0 disables the slow-request recorder. *)
-  slow_dir : string;  (** Where [slow-<id>.json] trace slices land. *)
+  obs_dir : string option;
+      (** Where [slow-<id>.json] trace slices land; [None] writes none. *)
   cache_dir : string;  (** "" disables the persistent compiled cache. *)
   log : Obs.Log.t option;  (** Structured per-request log sink. *)
   trace_sample : int;
@@ -75,7 +76,7 @@ let default_config =
     max_queue = 256;
     http_port = -1;
     slow_ms = 0;
-    slow_dir = ".";
+    obs_dir = None;
     cache_dir = "";
     log = None;
     trace_sample = 0;
@@ -136,8 +137,7 @@ let create config =
   (* the slow-request recorder writes its first slice mid-request;
      create the sink directory now so a fresh deployment cannot lose
      the very slice that would explain its first slow request *)
-  if config.slow_ms > 0 && config.slow_dir <> "" then
-    Obs.Trace.mkdir_p config.slow_dir;
+  if config.slow_ms > 0 then Option.iter Obs.Trace.mkdir_p config.obs_dir;
   let fs =
     Frame_server.create ~name:"server" ~host:config.host ~port:config.port
       ~http_port:config.http_port ~trace_sample:config.trace_sample
@@ -840,45 +840,6 @@ let metrics_text t =
     Obs.Export.metrics_snapshot e (Obs.Metrics.snapshot ());
   Obs.Export.contents e
 
-let metrics_json t =
-  let s = stats t in
-  let b = Buffer.create 512 in
-  Buffer.add_char b '{';
-  Printf.bprintf b
-    "\"server\":{\"requests\":%d,\"batch_ops\":%d,\"overloaded\":%d,\
-     \"unavailable\":%d,\"deadline_exceeded\":%d,\
-     \"bad_frames\":%d,\"connections\":%d,\"slow_requests\":%d,\
-     \"cache_hits\":%d,\"cache_misses\":%d,\"cache_entries\":%d,\
-     \"disk_hits\":%d,\"uptime_ms\":%d}"
-    s.requests s.batch_ops s.overloaded s.unavailable s.deadline_exceeded
-    s.bad_frames s.connections s.slow_requests s.cache_hits s.cache_misses
-    s.cache_entries s.disk_hits (Frame_server.uptime_ms t.fs);
-  let h = health t in
-  Printf.bprintf b
-    ",\"health\":{\"ready\":%b,\"pending\":%d,\"max_queue\":%d}"
-    h.Wire.ready h.Wire.pending h.Wire.max_queue;
-  Buffer.add_string b ",\"windows\":{";
-  List.iteri
-    (fun i seconds ->
-      if i > 0 then Buffer.add_char b ',';
-      let w = Obs.Window.stats ~seconds (Frame_server.window t.fs) in
-      Printf.bprintf b
-        "\"%ds\":{\"count\":%d,\"rate\":%g,\"p50_us\":%d,\"p95_us\":%d,\
-         \"p99_us\":%d,\"max_us\":%d,\"errors\":%d,\"cache_hits\":%d,\
-         \"cache_misses\":%d}"
-        w.Obs.Window.seconds w.Obs.Window.count w.Obs.Window.rate
-        w.Obs.Window.p50 w.Obs.Window.p95 w.Obs.Window.p99 w.Obs.Window.max
-        w.Obs.Window.counters.(Frame_server.w_errors)
-        w.Obs.Window.counters.(w_hits)
-        w.Obs.Window.counters.(w_misses))
-    Frame_server.windows;
-  Buffer.add_char b '}';
-  Printf.bprintf b ",\"metrics\":%s"
-    (if !Obs.Metrics.enabled then Obs.Metrics.to_json (Obs.Metrics.snapshot ())
-     else "{}");
-  Buffer.add_char b '}';
-  Buffer.contents b
-
 (* --- per-request telemetry -------------------------------------------- *)
 
 (* The daemon's share of the bookkeeping once the response is known:
@@ -898,16 +859,16 @@ let finish t (ctx : ctx) _req _resp ~latency_ns =
     Atomic.incr t.c_slow;
     Obs.Trace.instant ~arg_name:"rid" ~arg:ctx.rid ~ctx:(child_trace ctx)
       "server.slow_request";
-    if !Obs.Trace.enabled then begin
-      let path =
-        Filename.concat t.config.slow_dir
-          (Printf.sprintf "slow-%d.json" ctx.rid)
-      in
-      try
-        Obs.Trace.export_slice path ~since_ns:ctx.arrival_ns
-          ~until_ns:(ctx.arrival_ns + latency_ns)
-      with Sys_error _ -> () (* a bad slow_dir must not kill the request *)
-    end
+    match t.config.obs_dir with
+    | Some dir when !Obs.Trace.enabled -> (
+        let path =
+          Filename.concat dir (Printf.sprintf "slow-%d.json" ctx.rid)
+        in
+        try
+          Obs.Trace.export_slice path ~since_ns:ctx.arrival_ns
+            ~until_ns:(ctx.arrival_ns + latency_ns)
+        with Sys_error _ -> () (* a bad obs_dir must not kill the request *))
+    | _ -> ()
   end;
   slow
 
@@ -949,10 +910,6 @@ let handle_request t ctx req =
 (* --- HTTP sidecar ----------------------------------------------------- *)
 
 let http_reply t = function
-  | "/metrics.json" ->
-      Some
-        (Frame_server.http_response ~status:"200 OK"
-           ~content_type:"application/json" (metrics_json t))
   | "/readyz" ->
       let h = health t in
       Some

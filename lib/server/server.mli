@@ -33,11 +33,12 @@
     quantiles, request and error rate, cache hit ratio — always on,
     like the [stats] atomics) feed the Prometheus exposition served as
     a {!Wire.Metrics_text} reply and, when [http_port >= 0], over a
-    plain-HTTP sidecar: [/metrics] (text format 0.0.4),
-    [/metrics.json], [/healthz] (liveness) and [/readyz] (readiness —
-    503 once the pool backlog reaches [max_queue]). Requests slower
-    than [slow_ms] bump [server.slow_requests] and, with tracing on,
-    dump their trace-ring slice to [slow_dir/slow-<id>.json].
+    plain-HTTP sidecar: [/metrics] (text format 0.0.4), [/healthz]
+    (liveness) and [/readyz] (readiness — 503 once the pool backlog
+    reaches [max_queue]). Requests slower than [slow_ms] bump
+    [server.slow_requests] and, with tracing on and [obs_dir] set,
+    dump their trace-ring slice to [obs_dir/slow-<id>.json] — the
+    directory [lcp serve --obs-dir] also spools its trace lane to.
 
     The server takes {!Obs.Metrics.guard_reset} for the lifetime of
     its worker pool (released when {!run} returns), so a concurrent
@@ -54,7 +55,9 @@ type config = {
       (** Telemetry sidecar port; < 0 (default) disables it, 0 picks
           an ephemeral port — read it back with {!http_port}. *)
   slow_ms : int;  (** Slow-request threshold; <= 0 disables. *)
-  slow_dir : string;  (** Directory for slow-request trace slices. *)
+  obs_dir : string option;
+      (** Directory for slow-request trace slices; [None] (default)
+          counts slow requests but writes no slice. *)
   cache_dir : string;
       (** Persistent compiled-image cache directory ({!Diskcache});
           [""] (default) disables it. With it set, every compile also

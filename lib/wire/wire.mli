@@ -159,8 +159,8 @@ type request =
           it. *)
   | Trace_export
       (** Fetch the process's trace ring as Chrome trace-event JSON —
-          the same bytes a [--trace-dir] spool file holds, served over
-          the wire so a merger can collect live processes without
+          the same bytes an [--obs-dir] trace spool file holds, served
+          over the wire so a merger can collect live processes without
           filesystem access. *)
   | Profile_export
       (** Fetch the process's continuous profile (attribution tree,

@@ -82,6 +82,38 @@ let end_to_end () =
         (Scheme.accepts Bipartite_scheme.scheme inst (Graph_file.load_proof path))
   | _ -> Alcotest.fail "prove failed"
 
+(* The shared observability flags parse like the rest of the CLI: a
+   negative sampling rate is a usage error, not a silent "off". *)
+let obs_flags_parse () =
+  let eval argv =
+    let err = Format.make_formatter (fun _ _ _ -> ()) ignore in
+    Cmdliner.Cmd.eval_value ~err ~help:err
+      ~argv:(Array.append [| "lcp" |] argv)
+      (Cmdliner.Cmd.v (Cmdliner.Cmd.info "lcp") Obs_flags.term)
+  in
+  let parses argv =
+    match eval argv with Ok (`Ok cfg) -> Some cfg | _ -> None
+  in
+  (* "=" hands "-1" to the converter; without it cmdliner already
+     reads "-1" as an unknown option *)
+  check "--trace-sample=-1 is a parse error" true
+    (eval [| "--trace-sample=-1" |] = Error `Parse);
+  check "--trace-sample -1 is an error" true
+    (Result.is_error (eval [| "--trace-sample"; "-1" |]));
+  (match parses [| "--trace-sample"; "0" |] with
+  | Some cfg -> check_int "0 parses" 0 cfg.Obs.trace_sample
+  | None -> Alcotest.fail "--trace-sample 0 rejected");
+  (match parses [| "--trace-sample"; "8"; "--obs-dir"; "d"; "--profile" |] with
+  | Some cfg ->
+      check_int "8 parses" 8 cfg.Obs.trace_sample;
+      check "obs-dir" true (cfg.Obs.dir = Some "d");
+      check "profile" true cfg.Obs.profile;
+      check "metrics is not in the group" false cfg.Obs.metrics
+  | None -> Alcotest.fail "--trace-sample 8 rejected");
+  match parses [||] with
+  | Some cfg -> check "defaults are off" true (cfg = Obs.off)
+  | None -> Alcotest.fail "empty argv rejected"
+
 let suite =
   ( "cli-format",
     [
@@ -95,4 +127,5 @@ let suite =
       Alcotest.test_case "proof file roundtrip" `Quick proof_roundtrip;
       Alcotest.test_case "bad input" `Quick bad_input;
       Alcotest.test_case "file-driven prove/verify" `Quick end_to_end;
+      Alcotest.test_case "observability flags parse" `Quick obs_flags_parse;
     ] )

@@ -687,32 +687,114 @@ let profile_exports_parse () =
   | Ok _ -> ()
   | Error m -> Alcotest.failf "zero-sample export unparseable: %s" m
 
-(* Satellite: every spool directory option means mkdir -p. A nested
-   path that does not exist yet must be created, and spooling into an
-   existing directory must stay idempotent. *)
+let fresh_dir tag =
+  Filename.concat
+    (Filename.get_temp_dir_name ())
+    (Printf.sprintf "lcp_obs_%s_%d" tag (Unix.getpid ()))
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+let sorted_entries dir = List.sort compare (Array.to_list (Sys.readdir dir))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  really_input_string ic (in_channel_length ic)
+
+(* Every session runs under its own lane; put the default back. *)
+let with_lane_restored f =
+  let saved = !Obs.Trace.process in
+  Fun.protect ~finally:(fun () -> Obs.Trace.process := saved) f
+
+(* Every spool directory means mkdir -p. A nested path that does not
+   exist yet must be created, and spooling into an existing directory
+   must stay idempotent. *)
 let spool_mkdir_p () =
   with_profile_reset @@ fun () ->
-  let base =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "lcp_obs_%d" (Unix.getpid ()))
-  in
+  with_lane_restored @@ fun () ->
+  let base = fresh_dir "mkdir" in
+  Fun.protect ~finally:(fun () -> rm_rf base) @@ fun () ->
   let nested = Filename.concat (Filename.concat base "a") "b" in
   check "nested dir absent before" false (Sys.file_exists nested);
   Obs.Trace.mkdir_p nested;
   check "nested dir created" true
     (Sys.file_exists nested && Sys.is_directory nested);
   Obs.Trace.mkdir_p nested (* idempotent *);
-  let saved = !Obs.Trace.process in
-  Obs.Trace.process := "spool-test";
-  Fun.protect ~finally:(fun () -> Obs.Trace.process := saved) @@ fun () ->
   let deeper = Filename.concat nested "c" in
-  let tpath = Obs.Trace.spool ~dir:deeper in
-  check "trace spool created its dir" true (Sys.file_exists tpath);
-  let ppath = Obs.Profile.spool ~dir:(Filename.concat nested "d") in
-  check "profile spool created its dir" true (Sys.file_exists ppath);
+  Obs.session ~process:"spool-test" { Obs.off with dir = Some deeper } ignore;
+  check "trace spool created its dir" true
+    (Sys.file_exists (Filename.concat deeper "trace-spool-test.json"));
+  let d = Filename.concat nested "d" in
+  Obs.session ~process:"spool-test"
+    { Obs.off with dir = Some d; profile = true }
+    ignore;
   check "profile spool named after process" true
-    (Filename.basename ppath = "profile-spool-test.json")
+    (Sys.file_exists (Filename.concat d "profile-spool-test.json"))
+
+(* One session with tracing and profiling on writes exactly its two
+   lane files; the lane name is sanitised for the file name but kept
+   verbatim in the trace footer. *)
+let session_spools_lane () =
+  with_profile_reset @@ fun () ->
+  with_lane_restored @@ fun () ->
+  let dir = fresh_dir "session" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let lane = "serve:7411#1" in
+  let r =
+    Obs.session ~process:lane
+      { Obs.off with dir = Some dir; profile = true }
+      (fun () ->
+        check "tracing on" true !Obs.Trace.enabled;
+        check "profiling on" true !Obs.Profile.enabled;
+        Obs.Trace.span "session.body" (fun () -> 42))
+  in
+  check_int "body result passes through" 42 r;
+  check "sampler stopped on exit" false !Obs.Profile.enabled;
+  let trace = "trace-serve_7411_1.json"
+  and profile = "profile-serve_7411_1.json" in
+  Alcotest.(check (list string))
+    "exactly the trace and profile lanes" [ profile; trace ]
+    (sorted_entries dir);
+  let parse name =
+    match Obs.Json.parse (read_file (Filename.concat dir name)) with
+    | Ok j -> j
+    | Error m -> Alcotest.failf "%s does not parse: %s" name m
+  in
+  let process j =
+    Option.bind (Obs.Json.member "process" j) Obs.Json.to_string_opt
+  in
+  Alcotest.(check (option string))
+    "trace footer names the lane" (Some lane)
+    (process (parse trace));
+  Alcotest.(check (option string))
+    "profile names the lane" (Some lane)
+    (process (parse profile))
+
+(* Without a directory the session writes no file, whatever else it
+   turned on. *)
+let session_without_dir_writes_nothing () =
+  with_profile_reset @@ fun () ->
+  with_lane_restored @@ fun () ->
+  let dir = fresh_dir "nodir" in
+  Obs.Trace.mkdir_p dir;
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      rm_rf dir)
+  @@ fun () ->
+  Sys.chdir dir;
+  Obs.session ~process:"no-dir"
+    { Obs.off with trace_sample = 1; profile = true }
+    (fun () -> Obs.Trace.span "session.body" ignore);
+  check "ring was on" true (Obs.Trace.recorded () > 0);
+  Alcotest.(check (list string)) "no file written" [] (sorted_entries dir)
 
 let suite =
   ( "obs",
@@ -742,4 +824,8 @@ let suite =
       Alcotest.test_case "profile attribution tree" `Quick profile_attribution;
       Alcotest.test_case "profile exports parse" `Quick profile_exports_parse;
       Alcotest.test_case "spool dirs are mkdir -p" `Quick spool_mkdir_p;
+      Alcotest.test_case "session spools one file per lane" `Quick
+        session_spools_lane;
+      Alcotest.test_case "session without a dir writes nothing" `Quick
+        session_without_dir_writes_nothing;
     ] )

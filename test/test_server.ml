@@ -572,10 +572,8 @@ let http_sidecar () =
       (match Obs.Export.find_sample body ~name:"lcp_server_requests_total" ~labels:[] with
       | Some v -> check "scraped requests_total >= 1" true (v >= 1.0)
       | None -> Alcotest.fail "requests_total not scraped over HTTP");
-      let status, body = http_get hp "/metrics.json" in
-      check "GET /metrics.json is 200" true (String.sub status 9 3 = "200");
-      check "json body is an object" true
-        (String.length body > 2 && body.[0] = '{');
+      let status, _ = http_get hp "/metrics.json" in
+      check "GET /metrics.json is 404" true (String.sub status 9 3 = "404");
       let status, _ = http_get hp "/healthz" in
       check "GET /healthz is 200" true (String.sub status 9 3 = "200");
       let status, _ = http_get hp "/readyz" in
@@ -643,7 +641,7 @@ let slow_recorder () =
   Obs.enable ~metrics:false ~trace:true ();
   Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
   with_server
-    { Server.default_config with slow_ms = 1; slow_dir = dir }
+    { Server.default_config with slow_ms = 1; obs_dir = Some dir }
     (fun t port ->
       with_client port @@ fun c ->
       (* a cold prove of a 2048-cycle decodes + compiles for well over
@@ -666,7 +664,20 @@ let slow_recorder () =
       let body = really_input_string ic len in
       close_in ic;
       check "dump carries the dropped footer" true
-        (contains ~sub:"\"dropped\":" body))
+        (contains ~sub:"\"dropped\":" body));
+  (* without an obs_dir the slow request still counts, and no slice
+     lands anywhere — in particular not in the working directory *)
+  with_server { Server.default_config with slow_ms = 1 } (fun t port ->
+      with_client port @@ fun c ->
+      let g6 = Graph6.encode (Builders.cycle 2048) in
+      (match Client.call_id c ~id:31338 (Wire.Prove { scheme = "eulerian"; graph6 = g6 }) with
+      | Ok (_, Wire.Proved _) -> ()
+      | Ok (_, r) -> expect_error Wire.Internal "prove" r
+      | Error m -> Alcotest.failf "prove: %s" m);
+      check "slow request counted without a dir" true
+        ((Server.stats t).Server.slow_requests >= 1);
+      check "no slice in the working directory" false
+        (Sys.file_exists "slow-31338.json"))
 
 let reset_guard () =
   with_server Server.default_config (fun _t _port ->
