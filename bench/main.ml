@@ -81,7 +81,7 @@ let measured scheme inst =
             Simulator.run_verifier ~jobs:!jobs inst proof
               ~radius:scheme.Scheme.radius scheme.Scheme.verifier
           in
-          List.filter_map (fun (v, ok) -> if ok then None else Some v) verdicts
+          Simulator.rejecting verdicts
       in
       match rejecting with
       | [] -> Proof.size proof
@@ -1560,6 +1560,9 @@ let () =
   in
   jobs := (match find_jobs args with 0 -> Pool.default_jobs () | j -> j);
   let obs = { Obs.off with dir = find_dir args; profile = List.mem "--profile" args } in
+  (* A traced --smoke --partition --randomized run records about 480k
+     events; the default ring would keep only the last 65536. *)
+  if obs.Obs.dir <> None then Obs.Trace.set_capacity (1 lsl 20);
   (* Drop option arguments (the values after --jobs / --obs-dir)
      before scanning for unknown flags. *)
   let rec flags_only = function

@@ -173,11 +173,7 @@ let prove_cmd =
                 Simulator.run_verifier ~jobs:(resolve_jobs jobs) inst proof
                   ~radius:scheme.Scheme.radius scheme.Scheme.verifier
               in
-              match
-                List.filter_map
-                  (fun (v, ok) -> if ok then None else Some v)
-                  verdicts
-              with
+              match Simulator.rejecting verdicts with
               | [] -> `Accepted proof
               | vs -> `Rejected (proof, vs))
         in
@@ -254,12 +250,12 @@ let verify_cmd =
           1
         end
         else
-          let compiled = Simulator.compile inst in
           match
-            Randomized_scheme.run ~jobs rs compiled proof ~seed ~queries
+            Randomized_scheme.verify ~jobs rs (Simulator.compile inst) proof
+              ~seed ~queries
           with
           | exception Invalid_argument m -> prerr_endline m; 1
-          | o when o.Randomized_scheme.accepted ->
+          | { Randomized_scheme.probe = o; final = None } ->
               Format.printf
                 "ACCEPT (sampled): %d of %d node(s) probed, %d bit(s) \
                  read, budget %s, seed %d@."
@@ -267,25 +263,18 @@ let verify_cmd =
                 o.Randomized_scheme.bits_read rs.Randomized_scheme.budget
                 seed;
               0
-          | o -> (
-              (* A sampled rejection is only a suspicion — escalate to
-                 the full verifier so the verdict is exact. *)
+          | { Randomized_scheme.probe = o; final = Some final } -> (
+              (* A sampled rejection is only a suspicion; the escalated
+                 full verification makes the verdict exact. *)
               Format.printf
                 "sampled REJECT at [%s] (%d probed, %d bit(s) read) — \
                  escalating to a full verification@."
                 (String.concat "; "
-                   (List.map string_of_int o.Randomized_scheme.rejecting))
+                   (List.map string_of_int
+                      (Wire.rejecting_sample o.Randomized_scheme.rejecting)))
                 o.Randomized_scheme.nodes_checked
                 o.Randomized_scheme.bits_read;
-              let verdicts, _ =
-                Simulator.run_verifier ~jobs inst proof
-                  ~radius:scheme.Scheme.radius scheme.Scheme.verifier
-              in
-              match
-                List.filter_map
-                  (fun (v, ok) -> if ok then None else Some v)
-                  verdicts
-              with
+              match final with
               | [] ->
                   Format.printf
                     "ACCEPT: all %d nodes accept (sampled suspicion not \
@@ -350,11 +339,7 @@ let verify_cmd =
                   Simulator.run_verifier ~jobs:(resolve_jobs jobs) inst proof
                     ~radius:scheme.Scheme.radius scheme.Scheme.verifier
                 in
-                match
-                  List.filter_map
-                    (fun (v, ok) -> if ok then None else Some v)
-                    verdicts
-                with
+                match Simulator.rejecting verdicts with
                 | [] ->
                     Format.printf "ACCEPT: all %d nodes accept@."
                       (Instance.n inst);
@@ -571,9 +556,7 @@ let stats_cmd =
               Simulator.run_verifier ~jobs inst proof
                 ~radius:scheme.Scheme.radius scheme.Scheme.verifier
             in
-            let rejecting =
-              List.filter_map (fun (v, ok) -> if ok then None else Some v) verdicts
-            in
+            let rejecting = Simulator.rejecting verdicts in
             Format.printf "verify:    %.3f ms, %s@."
               (Obs.Clock.ns_to_us (Obs.Clock.elapsed_ns t1) /. 1000.)
               (if rejecting = [] then "all nodes accept"
@@ -889,7 +872,7 @@ let serve_cmd =
       & info [ "slow-ms" ] ~docv:"MS"
           ~doc:
             "Flag requests slower than $(docv) ms; with --obs-dir, each \
-             dumps its trace-ring slice to DIR/slow-<id>.json. 0 disables.")
+             dumps its trace-ring slice to DIR/slow-<id>-<seq>.json. 0 disables.")
   in
   let cache_dir_arg =
     Arg.(

@@ -21,7 +21,7 @@ let obs_dir =
            file to $(docv) (created if missing): trace-<lane>.json (Chrome \
            trace-event JSON; join a cluster's lanes with 'lcp trace \
            merge'), profile-<lane>.json with --profile, and \
-           slow-<id>.json per request over --slow-ms. Without it no \
+           slow-<id>-<seq>.json per request over --slow-ms. Without it no \
            telemetry file is written.")
 
 (* Not [Arg.int]: [Obs.Trace.sample] reads a negative rate as "off",

@@ -58,11 +58,6 @@ let run_leg ~host ~port req =
            message)
   | Ok _ -> Error "backend answered a shard with a non-partition response"
 
-let rec take n = function
-  | [] -> []
-  | _ when n = 0 -> []
-  | x :: rest -> x :: take (n - 1) rest
-
 let verify ?(host = "127.0.0.1") ?(endpoints = []) ~port ~scheme ~csr ~proof
     ~radius ~k () =
   let endpoints = if endpoints = [] then [ (host, port) ] else endpoints in
@@ -112,7 +107,8 @@ let verify ?(host = "127.0.0.1") ?(endpoints = []) ~port ~scheme ~csr ~proof
             owned;
             rejected;
             rejecting =
-              take 64 (List.sort_uniq compare (List.concat rejecting));
+              Wire.rejecting_sample
+                (List.sort_uniq compare (List.concat rejecting));
             shards = n;
           })
         merged

@@ -221,33 +221,29 @@ let window inst csr scratch proof ~centre_idx ~radius =
     ~dist:(Csr.node_dist csr scratch)
     ~neighbours:(Csr.ball_neighbours csr scratch)
 
-(* Run one bounded BFS and return the ball's size, plus (when
-   [payload] is given) the size of the knowledge payload this node
-   would send in the final gather round — the sum of record sizes over
-   its radius-(r-1) ball — which is what reproduces the reference
-   transcript exactly. *)
-let extract c scratch ?payload ?sizes ~centre_idx ~radius () =
+(* Run one bounded BFS and return the ball's size. With [acct = (sizes,
+   payloads)] also store at [payloads.(centre_idx)] the size of the
+   knowledge payload this node would send in the final gather round —
+   the sum of record sizes over its radius-(r-1) ball — which is what
+   reproduces the reference transcript exactly. *)
+let extract c scratch ?acct ~centre_idx ~radius () =
   let t0 = if !Obs.Metrics.enabled then Obs.Clock.now_ns () else 0 in
   let count = Csr.ball c.csr scratch ~centre:centre_idx ~radius in
-  (match (payload, sizes) with
-  | Some cell, Some sizes ->
+  (match acct with
+  | Some (sizes, payloads) ->
       let sum = ref 0 in
       for i = 0 to count - 1 do
         let idx = Csr.visited scratch i in
         if Csr.dist scratch idx < radius then sum := !sum + sizes.(idx)
       done;
-      cell := !sum
-  | _ -> ());
+      payloads.(centre_idx) <- !sum
+  | None -> ());
   if t0 <> 0 then begin
     Obs.Metrics.incr m_balls;
     Obs.Metrics.observe m_ball_size count;
     Obs.Metrics.add m_ball_ns (Obs.Clock.now_ns () - t0)
   end;
   count
-
-let view_of_scratch c proof scratch ?payload ?sizes ~centre_idx ~radius () =
-  ignore (extract c scratch ?payload ?sizes ~centre_idx ~radius ());
-  window c.inst c.csr scratch proof ~centre_idx ~radius
 
 (* A view that outlives any sweep: the ball is cut out of the CSR and
    searched again on its own ball-sized scratch, so the view holds
@@ -293,26 +289,48 @@ let arena_fit a n =
   if Array.length a.a_verdicts < n then a.a_verdicts <- Array.make n false;
   if Array.length a.a_payloads < n then a.a_payloads <- Array.make n 0
 
-let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
-  if radius < 0 then invalid_arg "Simulator.run_verifier: negative radius";
-  let c = match compiled with Some c -> c | None -> compile inst in
+(* --- the sweep: one loop behind every fast-path entry point ---------- *)
+
+(* Run [verifier] at the dense indices [idxs] (every node, in dense
+   order, when absent) and write position j's verdict to the returned
+   array's slot j. Everything the entry points share lives here, once:
+   the decode-error catch (a malformed proof string rejects at that
+   node, as in [Scheme.decide]), the metrics and per-node ball/eval
+   spans, the arena fit, the payload accounting ([transcript] only:
+   the third result is the largest final-round payload) and the split
+   between the sequential loop and [Pool.parallel_for]. With
+   [early_exit] the sweep stops at the first rejection and keeps no
+   verdicts (the first result is empty); the second result says
+   whether any node rejected. *)
+let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
+    ~span c proof ~radius verifier =
   let n = Csr.n c.csr in
+  let k = match idxs with Some a -> Array.length a | None -> n in
+  let idx j = match idxs with Some a -> a.(j) | None -> j in
   (* The arena only serves the sequential sweep: chunked workers each
      need their own scratch, so [jobs > 1] ignores it. *)
   let arena = if jobs <= 1 then arena else None in
-  (match arena with Some a -> arena_fit a n | None -> ());
-  let sizes =
-    match arena with
-    | Some a ->
-        record_sizes_into c proof a.a_sizes;
-        a.a_sizes
-    | None -> record_sizes c proof
-  in
+  (match arena with Some a -> arena_fit a (max n k) | None -> ());
+  (* an early-exit sweep answers only "did any node reject?" *)
   let verdicts =
-    match arena with Some a -> a.a_verdicts | None -> Array.make n false
+    match arena with
+    | _ when early_exit -> [||]
+    | Some a -> a.a_verdicts
+    | None -> Array.make k false
   in
-  let payloads =
-    match arena with Some a -> a.a_payloads | None -> Array.make n 0
+  let acct =
+    if not transcript then None
+    else
+      match arena with
+      | Some a ->
+          record_sizes_into c proof a.a_sizes;
+          Some (a.a_sizes, a.a_payloads)
+      | None -> Some (record_sizes c proof, Array.make n 0)
+  in
+  let rejected = Atomic.make false in
+  let ball scratch i =
+    ignore (extract c scratch ?acct ~centre_idx:i ~radius ());
+    window c.inst c.csr scratch proof ~centre_idx:i ~radius
   in
   let eval view =
     try verifier view
@@ -320,17 +338,15 @@ let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
       Obs.Metrics.incr m_decode_errors;
       false
   in
-  let process scratch i =
-    let payload = ref 0 in
+  let process scratch j =
+    let i = idx j in
     let tracing = Obs.Trace.on () in
     let view =
       if tracing then
         Obs.Trace.span_arg "simulator.ball" "node" (Csr.node c.csr i)
-          (fun () ->
-            view_of_scratch c proof scratch ~payload ~sizes ~centre_idx:i ~radius ())
-      else view_of_scratch c proof scratch ~payload ~sizes ~centre_idx:i ~radius ()
+          (fun () -> ball scratch i)
+      else ball scratch i
     in
-    payloads.(i) <- !payload;
     let t0 = if !Obs.Metrics.enabled then Obs.Clock.now_ns () else 0 in
     let ok =
       if tracing then
@@ -340,118 +356,86 @@ let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
     in
     if t0 <> 0 then Obs.Metrics.add m_eval_ns (Obs.Clock.now_ns () - t0);
     Obs.Metrics.incr m_calls;
-    if not ok then Obs.Metrics.incr m_rejects;
-    verdicts.(i) <- ok
+    if not ok then begin
+      Obs.Metrics.incr m_rejects;
+      Atomic.set rejected true
+    end;
+    if not early_exit then verdicts.(j) <- ok
   in
-  let sweep () =
+  let range scratch lo hi =
+    let j = ref lo in
+    while !j < hi && not (early_exit && Atomic.get rejected) do
+      process scratch !j;
+      incr j
+    done
+  in
+  let go () =
     Pool.run ~jobs (fun pool ->
         match pool with
         | None ->
             let scratch =
               match arena with Some a -> a.a_scratch | None -> Csr.scratch c.csr
             in
-            for i = 0 to n - 1 do
-              process scratch i
-            done
+            range scratch 0 k
         | Some pool ->
-            Pool.parallel_for pool ~chunks:(Pool.size pool) ~n (fun _c lo hi ->
+            Pool.parallel_for pool ~chunks:(Pool.size pool) ~n:k (fun _c lo hi ->
                 let scratch = Csr.scratch c.csr in
                 if Obs.Trace.on () then
                   Obs.Trace.span_arg "simulator.chunk" "nodes" (hi - lo)
-                    (fun () ->
-                      for i = lo to hi - 1 do
-                        process scratch i
-                      done)
-                else
-                  for i = lo to hi - 1 do
-                    process scratch i
-                  done))
+                    (fun () -> range scratch lo hi)
+                else range scratch lo hi))
   in
-  if Obs.Trace.on () then
-    Obs.Trace.span_arg "simulator.run_verifier" "nodes" n sweep
-  else sweep ();
+  if Obs.Trace.on () then Obs.Trace.span_arg span "nodes" k go else go ();
+  let max_payload =
+    match acct with
+    | Some (_, payloads) when radius > 0 ->
+        let mx = ref 0 in
+        for j = 0 to k - 1 do
+          let i = idx j in
+          if Csr.degree c.csr i > 0 && payloads.(i) > !mx then mx := payloads.(i)
+        done;
+        !mx
+    | _ -> 0
+  in
+  (verdicts, Atomic.get rejected, max_payload)
+
+let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
+  if radius < 0 then invalid_arg "Simulator.run_verifier: negative radius";
+  let c = match compiled with Some c -> c | None -> compile inst in
+  let verdicts, _, max_message_bits =
+    sweep ~jobs ?arena ~transcript:true ~span:"simulator.run_verifier" c proof
+      ~radius verifier
+  in
   (* Transcript of the synchronous exchange, computed in closed form:
      every node sends its whole knowledge to every neighbour each
      round, so messages = radius * Σ deg(v), and the largest message is
      the final-round payload of the best-informed sender — exactly what
      [gather] counts, without re-running the exchange. *)
-  let messages_sent = radius * 2 * Csr.m c.csr in
-  let max_message_bits =
-    let mx = ref 0 in
-    for i = 0 to n - 1 do
-      if Csr.degree c.csr i > 0 && payloads.(i) > !mx then mx := payloads.(i)
-    done;
-    if radius = 0 then 0 else !mx
-  in
-  ( List.init n (fun i -> (Csr.node c.csr i, verdicts.(i))),
-    { rounds = radius; messages_sent; max_message_bits } )
+  ( List.init (Csr.n c.csr) (fun i -> (Csr.node c.csr i, verdicts.(i))),
+    { rounds = radius; messages_sent = radius * 2 * Csr.m c.csr; max_message_bits } )
 
-(* Partition shards verify only their owned nodes: same per-node path
-   as [run_verifier], swept over an explicit identifier subset. No
-   transcript — a shard's exchange accounting is the whole graph's
-   business, not the slice's. *)
+(* Partition shards verify only their owned nodes. No transcript — a
+   shard's exchange accounting is the whole graph's business, not the
+   slice's. *)
 let run_verifier_on ?(jobs = 1) ?arena c proof ~radius ~nodes verifier =
   if radius < 0 then invalid_arg "Simulator.run_verifier_on: negative radius";
-  let k = Array.length nodes in
   let idxs = Array.map (Csr.index c.csr) nodes in
-  let n = Csr.n c.csr in
-  let arena = if jobs <= 1 then arena else None in
-  (match arena with Some a -> arena_fit a n | None -> ());
-  let verdicts = Array.make (max k 1) false in
-  let eval view =
-    try verifier view
-    with Bits.Reader.Decode_error _ ->
-      Obs.Metrics.incr m_decode_errors;
-      false
+  let verdicts, _, _ =
+    sweep ~jobs ?arena ~idxs ~span:"simulator.run_verifier_on" c proof ~radius
+      verifier
   in
-  let process scratch j =
-    let view = view_of_scratch c proof scratch ~centre_idx:idxs.(j) ~radius () in
-    Obs.Metrics.incr m_calls;
-    let ok = eval view in
-    if not ok then Obs.Metrics.incr m_rejects;
-    verdicts.(j) <- ok
-  in
-  let sweep () =
-    Pool.run ~jobs (fun pool ->
-        match pool with
-        | None ->
-            let scratch =
-              match arena with Some a -> a.a_scratch | None -> Csr.scratch c.csr
-            in
-            for j = 0 to k - 1 do
-              process scratch j
-            done
-        | Some pool ->
-            Pool.parallel_for pool ~chunks:(Pool.size pool) ~n:k (fun _c lo hi ->
-                let scratch = Csr.scratch c.csr in
-                for j = lo to hi - 1 do
-                  process scratch j
-                done))
-  in
-  if !Obs.Trace.enabled then
-    Obs.Trace.span_arg "simulator.run_verifier_on" "nodes" k sweep
-  else sweep ();
-  List.init k (fun j -> (nodes.(j), verdicts.(j)))
+  List.init (Array.length nodes) (fun j -> (nodes.(j), verdicts.(j)))
 
 let all_accept c proof ~radius verifier =
   if radius < 0 then invalid_arg "Simulator.all_accept: negative radius";
-  let n = Csr.n c.csr in
-  let scratch = Csr.scratch c.csr in
-  let rec go i =
-    i = n
-    ||
-    let view = view_of_scratch c proof scratch ~centre_idx:i ~radius () in
-    Obs.Metrics.incr m_calls;
-    let ok =
-      try verifier view
-      with Bits.Reader.Decode_error _ ->
-        Obs.Metrics.incr m_decode_errors;
-        false
-    in
-    if not ok then Obs.Metrics.incr m_rejects;
-    ok && go (i + 1)
+  let _, rejected, _ =
+    sweep ~jobs:1 ~early_exit:true ~span:"simulator.all_accept" c proof ~radius
+      verifier
   in
-  go 0
+  not rejected
+
+let rejecting verdicts =
+  List.filter_map (fun (v, ok) -> if ok then None else Some v) verdicts
 
 let agrees_with_direct inst proof ~radius =
   let c = compile inst in

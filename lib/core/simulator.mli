@@ -12,12 +12,22 @@
     Two implementations coexist:
     - {!gather} / {!run_verifier_reference} — the persistent-map
       round-by-round exchange, kept verbatim as the semantic reference;
-    - {!run_verifier} — a fast engine that compiles the instance to a
-      {!Csr.t} once, extracts every ball with a bounded scratch BFS,
-      reproduces the reference transcript in closed form, and can fan
-      the per-node verifier loop out over a {!Pool} of domains. The
-      test suite asserts verdict- and transcript-identity between the
-      two on sampled graphs. *)
+    - the compiled fast path — {!run_verifier}, {!run_verifier_on} and
+      {!all_accept} — which compiles the instance to a {!Csr.t} once
+      and runs one private sweep: a bounded scratch BFS per node, the
+      verifier on a window over it, and (for {!run_verifier}) the
+      reference transcript in closed form. The three differ only in
+      which nodes the sweep visits and whether it stops at the first
+      rejection. The sweep is the one place a
+      [Bits.Reader.Decode_error] raised by a verifier is caught — it
+      rejects at that node, as in {!Scheme.decide} — and it owns the
+      metrics, the per-node [simulator.ball] / [simulator.eval] spans,
+      the arena and the split over a {!Pool} of domains. The test
+      suite asserts verdict- and transcript-identity with the
+      reference on sampled graphs.
+
+    A proof is accepted exactly when no node rejects: {!rejecting}
+    turns verdicts into that set. *)
 
 type transcript = {
   rounds : int;
@@ -121,21 +131,29 @@ val run_verifier_on :
   nodes:Graph.node array ->
   (View.t -> bool) ->
   (Graph.node * bool) list
-(** {!run_verifier} restricted to the given identifier subset — the
+(** The fast-path sweep over the given identifier subset — the
     partition-shard sweep: a backend holding a shard verifies exactly
-    its owned nodes against views cut from the shard's graph. Verdicts
-    are returned in the order of [nodes]; each equals what
-    {!run_verifier} would report for that node on the same compiled
-    instance. Raises [Invalid_argument] on identifiers outside the
+    its owned nodes against views cut from the shard's graph, and the
+    sampled verifier checks exactly its probes. Verdicts are returned
+    in the order of [nodes]; each equals what {!run_verifier} would
+    report for that node on the same compiled instance, decode errors
+    included. Raises [Invalid_argument] on identifiers outside the
     compiled graph. No transcript: message accounting belongs to the
     whole graph, not a slice. *)
 
 val all_accept :
   compiled -> Proof.t -> radius:int -> (View.t -> bool) -> bool
-(** True when the verifier accepts at every node; stops at the first
-    rejecting node. Agrees with {!Scheme.accepts} — the soundness
-    samplers use it to probe thousands of proofs against one compiled
-    instance. *)
+(** True when the verifier accepts at every node: the same sweep as
+    {!run_verifier}, sequential, stopping at the first rejecting node
+    (a decode error rejects there too). Agrees with {!Scheme.accepts}
+    — the soundness samplers use it to probe thousands of proofs
+    against one compiled instance. *)
+
+val rejecting : (Graph.node * bool) list -> Graph.node list
+(** The rejecting nodes of a verdict list, in sweep order — the
+    verifier's outcome; the proof is accepted exactly when it is
+    empty. Every caller that turns verdicts into a rejecting set goes
+    through this. *)
 
 val agrees_with_direct : Instance.t -> Proof.t -> radius:int -> bool
 (** True when every simulated view equals the directly extracted one —

@@ -55,14 +55,6 @@ let probe_nodes t compiled ~seed =
     Array.of_list (List.map (fun i -> Csr.node csr i) (IS.elements set))
   end
 
-let take_at_most k l =
-  let rec go k acc = function
-    | [] -> List.rev acc
-    | _ when k = 0 -> List.rev acc
-    | x :: rest -> go (k - 1) (x :: acc) rest
-  in
-  go k [] l
-
 let run ?(jobs = 1) ?arena ?(collect_reads = false) t compiled proof ~seed
     ~queries =
   if queries < 1 then invalid_arg "Randomized_scheme.run: queries must be >= 1";
@@ -70,29 +62,26 @@ let run ?(jobs = 1) ?arena ?(collect_reads = false) t compiled proof ~seed
   let bits = Atomic.make 0 in
   let mu = Mutex.create () in
   let logs = ref [] in
+  (* reads count even when the verifier raises; the sweep turns a
+     decode error into a reject *)
   let verifier view =
     let qv = Qview.make view ~seed ~queries in
-    let ok =
-      try t.sampled_verifier qv with Bits.Reader.Decode_error _ -> false
-    in
-    ignore (Atomic.fetch_and_add bits (Qview.bits_read qv));
-    if collect_reads then begin
-      Mutex.lock mu;
-      logs := (Qview.centre qv, Qview.reads qv) :: !logs;
-      Mutex.unlock mu
-    end;
-    ok
+    Fun.protect (fun () -> t.sampled_verifier qv) ~finally:(fun () ->
+        ignore (Atomic.fetch_and_add bits (Qview.bits_read qv));
+        if collect_reads then begin
+          Mutex.lock mu;
+          logs := (Qview.centre qv, Qview.reads qv) :: !logs;
+          Mutex.unlock mu
+        end)
   in
   let verdicts =
     Simulator.run_verifier_on ~jobs ?arena compiled proof
       ~radius:t.base.Scheme.radius ~nodes verifier
   in
-  let rejecting =
-    List.filter_map (fun (v, ok) -> if ok then None else Some v) verdicts
-  in
+  let rejecting = Simulator.rejecting verdicts in
   {
     accepted = rejecting = [];
-    rejecting = take_at_most 64 rejecting;
+    rejecting;
     nodes_checked = Array.length nodes;
     bits_read = Atomic.get bits;
     reads =
@@ -100,6 +89,22 @@ let run ?(jobs = 1) ?arena ?(collect_reads = false) t compiled proof ~seed
          List.sort (fun (a, _) (b, _) -> compare a b) !logs
        else []);
   }
+
+type verdict = { probe : outcome; final : Graph.node list option }
+
+(* The serving rule: a sampled accept stands, a sampled reject is only
+   a suspicion and escalates to the base verifier at every node, on
+   the same compiled instance and arena. *)
+let verify ?jobs ?arena t compiled proof ~seed ~queries =
+  let probe = run ?jobs ?arena t compiled proof ~seed ~queries in
+  if probe.accepted then { probe; final = None }
+  else
+    let verdicts, _ =
+      Simulator.run_verifier ?jobs ~compiled ?arena
+        (Simulator.compiled_instance compiled)
+        proof ~radius:t.base.Scheme.radius t.base.Scheme.verifier
+    in
+    { probe; final = Some (Simulator.rejecting verdicts) }
 
 let soundness ?(seed = 0xBAD5EED) ?(jobs = 1) ?queries t inst ~samples
     ~max_bits =

@@ -48,7 +48,7 @@ val make :
 
 type outcome = {
   accepted : bool;  (** Sampled-ACCEPT: every probed node accepted. *)
-  rejecting : Graph.node list;  (** First ≤ 64 rejecting probes. *)
+  rejecting : Graph.node list;  (** Rejecting probes, in probe order. *)
   nodes_checked : int;
   bits_read : int;  (** Summed over probed nodes (jobs-independent). *)
   reads : (Graph.node * (Graph.node * int * int) list) list;
@@ -77,6 +77,31 @@ val run :
     must be ≥ 1. A [Bits.Reader.Decode_error] from the verifier
     rejects that node; {!Qview.Budget_exceeded} propagates — it means
     the sampled verifier itself is broken. *)
+
+type verdict = {
+  probe : outcome;  (** The sampled pass. *)
+  final : Graph.node list option;
+      (** [None] when the sampled pass accepted (no escalation; the
+          verdict accepts). Otherwise [Some] of the base verifier's
+          full rejecting set, in node order; the verdict accepts
+          exactly when it is empty. *)
+}
+
+val verify :
+  ?jobs:int ->
+  ?arena:Simulator.arena ->
+  t ->
+  Simulator.compiled ->
+  Proof.t ->
+  seed:int ->
+  queries:int ->
+  verdict
+(** Sampled verification with escalation — the one place the rule
+    lives that the daemon's [Verify_sampled] and [lcp verify
+    --sampled] both follow: {!run}, and on a sampled reject only, the
+    base scheme's verifier at every node ({!Simulator.run_verifier})
+    on the same compiled instance and arena. A sampled accept is
+    final, so a rejecting verdict is always exact. *)
 
 val soundness :
   ?seed:int ->

@@ -56,7 +56,7 @@ type config = {
   http_port : int;  (** < 0 disables the sidecar; 0 picks a port. *)
   slow_ms : int;  (** <= 0 disables the slow-request recorder. *)
   obs_dir : string option;
-      (** Where [slow-<id>.json] trace slices land; [None] writes none. *)
+      (** Where [slow-<id>-<seq>.json] trace slices land; [None] writes none. *)
   cache_dir : string;  (** "" disables the persistent compiled cache. *)
   log : Obs.Log.t option;  (** Structured per-request log sink. *)
   trace_sample : int;
@@ -383,25 +383,6 @@ let deadline_error t stage =
    batch verify allocates no per-run scratch at all. *)
 let arena_key = Domain.DLS.new_key Simulator.arena
 
-(* A malformed proof string means "reject here", exactly as in
-   [Scheme.decide] — it must not escape as an exception. *)
-let safe_verifier scheme view =
-  try scheme.Scheme.verifier view with Bits.Reader.Decode_error _ -> false
-
-let rejecting verdicts =
-  List.filter_map (fun (v, ok) -> if ok then None else Some v) verdicts
-
-let rec take n = function x :: tl when n > 0 -> x :: take (n - 1) tl | _ -> []
-
-(* Every node's verdict on the whole compiled instance: the rejecting
-   nodes, in order. *)
-let verify_all scheme compiled proof =
-  rejecting
-    (fst
-       (Simulator.run_verifier ~compiled ~arena:(Domain.DLS.get arena_key)
-          (Simulator.compiled_instance compiled)
-          proof ~radius:scheme.Scheme.radius (safe_verifier scheme)))
-
 (* One prove/verify/forge against the cache — the shared body of both
    the plain compute path and every batch sub-op. Runs on a worker
    domain. *)
@@ -414,7 +395,13 @@ let compute_one t ctx req =
                (Simulator.compiled_instance compiled)))
   | Wire.Verify { scheme; graph6; proof } ->
       with_compiled t ctx ~scheme ~graph6 (fun entry compiled ->
-          let rejecting = verify_all entry.Registry.scheme compiled proof in
+          let sch = entry.Registry.scheme in
+          let verdicts, _ =
+            Simulator.run_verifier ~compiled ~arena:(Domain.DLS.get arena_key)
+              (Simulator.compiled_instance compiled)
+              proof ~radius:sch.Scheme.radius sch.Scheme.verifier
+          in
+          let rejecting = Simulator.rejecting verdicts in
           Wire.Verified { accepted = rejecting = []; rejecting })
   | Wire.Forge { scheme; graph6; max_bits } ->
       if max_bits < 0 || max_bits > 64 then
@@ -468,14 +455,14 @@ let compute_one t ctx req =
             let run () =
               Simulator.run_verifier_on ~arena:(Domain.DLS.get arena_key)
                 compiled proof ~radius:scheme_v.Scheme.radius ~nodes
-                (safe_verifier scheme_v)
+                scheme_v.Scheme.verifier
             in
-            let verdicts =
-              if !Obs.Trace.enabled then
-                Obs.Trace.span_arg "server.shard" "shard" shard_index run
-              else run ()
+            let rejecting =
+              Simulator.rejecting
+                (if Obs.Trace.on () then
+                   Obs.Trace.span_arg "server.shard" "shard" shard_index run
+                 else run ())
             in
-            let rejecting = rejecting verdicts in
             let rejected = List.length rejecting in
             if rejected > 0 then
               ignore (Atomic.fetch_and_add t.c_partition_reject rejected);
@@ -484,7 +471,7 @@ let compute_one t ctx req =
                 all_accept = rejected = 0;
                 owned = Array.length nodes;
                 rejected;
-                rejecting = take 64 rejecting;
+                rejecting = Wire.rejecting_sample rejecting;
               }
           end)
   | Wire.Verify_sampled { scheme; graph6; proof; seed; queries; budget_id } -> (
@@ -502,47 +489,31 @@ let compute_one t ctx req =
               "budget %S does not match the server's %S for scheme %S"
               budget_id rs.Randomized_scheme.budget scheme
           else
-            with_compiled t ctx ~scheme ~graph6 (fun entry compiled ->
+            with_compiled t ctx ~scheme ~graph6 (fun _entry compiled ->
                 Atomic.incr t.c_sampled_requests;
-                (* the sampled probe pass on the arena fast path; a
-                   [Qview.Budget_exceeded] is a scheme bug and lands
+                (* a [Qview.Budget_exceeded] is a scheme bug and lands
                    as [Internal] via the dispatch wrapper *)
-                let outcome =
-                  Randomized_scheme.run ~arena:(Domain.DLS.get arena_key) rs
-                    compiled proof ~seed ~queries
+                let v =
+                  Randomized_scheme.verify ~arena:(Domain.DLS.get arena_key)
+                    rs compiled proof ~seed ~queries
                 in
-                let bits_read = outcome.Randomized_scheme.bits_read in
-                let nodes = outcome.Randomized_scheme.nodes_checked in
+                let probe = v.Randomized_scheme.probe in
+                let bits_read = probe.Randomized_scheme.bits_read in
                 ignore (Atomic.fetch_and_add t.c_sampled_bits bits_read);
-                if outcome.Randomized_scheme.accepted then
-                  Wire.Sampled_verified
-                    {
-                      sampled_accept = true;
-                      escalated = false;
-                      accepted = true;
-                      bits_read;
-                      nodes;
-                      rejecting = [];
-                    }
-                else begin
-                  (* escalation: the sampled pass rejected, so the
-                     final verdict comes from the full verifier — the
-                     fast path can only ever be {e overruled towards}
-                     acceptance, never away from it *)
-                  Atomic.incr t.c_sampled_escalations;
-                  let rejecting =
-                    verify_all entry.Registry.scheme compiled proof
-                  in
-                  Wire.Sampled_verified
-                    {
-                      sampled_accept = false;
-                      escalated = true;
-                      accepted = rejecting = [];
-                      bits_read;
-                      nodes;
-                      rejecting = take 64 rejecting;
-                    }
-                end))
+                let final =
+                  Option.value v.Randomized_scheme.final ~default:[]
+                in
+                let escalated = Option.is_some v.Randomized_scheme.final in
+                if escalated then Atomic.incr t.c_sampled_escalations;
+                Wire.Sampled_verified
+                  {
+                    sampled_accept = probe.Randomized_scheme.accepted;
+                    escalated;
+                    accepted = final = [];
+                    bits_read;
+                    nodes = probe.Randomized_scheme.nodes_checked;
+                    rejecting = Wire.rejecting_sample final;
+                  }))
   | Wire.Batch _ | Wire.Stats | Wire.Catalog | Wire.Metrics_text | Wire.Health
   | Wire.Drain _ | Wire.Trace_export | Wire.Profile_export ->
       err Wire.Internal "request dispatched to a worker by mistake"
@@ -856,13 +827,15 @@ let finish t (ctx : ctx) _req _resp ~latency_ns =
     t.config.slow_ms > 0 && latency_ns >= t.config.slow_ms * 1_000_000
   in
   if slow then begin
-    Atomic.incr t.c_slow;
+    let seq = Atomic.fetch_and_add t.c_slow 1 in
     Obs.Trace.instant ~arg_name:"rid" ~arg:ctx.rid ~ctx:(child_trace ctx)
       "server.slow_request";
     match t.config.obs_dir with
     | Some dir when !Obs.Trace.enabled -> (
+        (* the rid is the client's choice and may repeat; the sequence
+           number keeps every slice *)
         let path =
-          Filename.concat dir (Printf.sprintf "slow-%d.json" ctx.rid)
+          Filename.concat dir (Printf.sprintf "slow-%d-%d.json" ctx.rid seq)
         in
         try
           Obs.Trace.export_slice path ~since_ns:ctx.arrival_ns

@@ -37,7 +37,9 @@
     (liveness) and [/readyz] (readiness — 503 once the pool backlog
     reaches [max_queue]). Requests slower than [slow_ms] bump
     [server.slow_requests] and, with tracing on and [obs_dir] set,
-    dump their trace-ring slice to [obs_dir/slow-<id>.json] — the
+    dump their trace-ring slice to [obs_dir/slow-<id>-<seq>.json]
+    ([seq] numbers the slow requests, so a repeated id keeps every
+    slice) — the
     directory [lcp serve --obs-dir] also spools its trace lane to.
 
     The server takes {!Obs.Metrics.guard_reset} for the lifetime of

@@ -26,6 +26,11 @@ let max_payload = 16 * 1024 * 1024
 let magic0 = 'L'
 let magic1 = 'C'
 
+(* Shard and sampled replies carry at most this many rejecting ids;
+   [r_sample] refuses more. *)
+let rejecting_cap = 64
+let rejecting_sample l = List.filteri (fun i _ -> i < rejecting_cap) l
+
 type header = { tag : int; length : int }
 
 (* Distributed-tracing context rides the id prefix: a 126-bit trace
@@ -784,6 +789,13 @@ let encode_response ?(id = 0) ?trace resp =
 
 let r_proof_opt c = if r_bool c then Some (r_proof c) else None
 
+let r_sample c =
+  let l = r_list c ~min_entry_bytes:4 r_u32 in
+  if List.length l > rejecting_cap then
+    fail "rejecting sample carries %d ids (cap %d)" (List.length l)
+      rejecting_cap;
+  l
+
 let rec r_response ~tag c =
   match tag with
   | 0x81 -> Proved (r_proof_opt c)
@@ -835,14 +847,11 @@ let rec r_response ~tag c =
       let all_accept = r_bool c in
       let owned = r_u32 c in
       let rejected = r_u32 c in
-      let rejecting = r_list c ~min_entry_bytes:4 r_u32 in
+      let rejecting = r_sample c in
       if all_accept <> (rejected = 0) then
         fail "all-accept flag disagrees with %d rejections" rejected;
       if rejected > owned then
         fail "%d rejections among %d owned nodes" rejected owned;
-      if List.length rejecting > 64 then
-        fail "rejecting sample carries %d ids (cap 64)"
-          (List.length rejecting);
       if List.length rejecting > rejected then
         fail "rejecting sample larger than the rejection count";
       Partition_verified { all_accept; owned; rejected; rejecting }
@@ -852,16 +861,13 @@ let rec r_response ~tag c =
       let accepted = r_bool c in
       let bits_read = r_u32 c in
       let nodes = r_u32 c in
-      let rejecting = r_list c ~min_entry_bytes:4 r_u32 in
+      let rejecting = r_sample c in
       if escalated = sampled_accept then
         fail "escalation flag disagrees with the sampled verdict";
       if sampled_accept && not accepted then
         fail "sampled accept downgraded without escalation";
       if accepted && rejecting <> [] then
         fail "accepted verdict carries %d rejecting nodes"
-          (List.length rejecting);
-      if List.length rejecting > 64 then
-        fail "rejecting sample carries %d ids (cap 64)"
           (List.length rejecting);
       Sampled_verified
         { sampled_accept; escalated; accepted; bits_read; nodes; rejecting }

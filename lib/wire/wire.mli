@@ -54,6 +54,12 @@ val max_payload : int
 (** Upper bound on a frame payload (16 MiB); a header announcing more
     is rejected before any payload is read. *)
 
+val rejecting_sample : int list -> int list
+(** The first ≤64 entries of a rejecting set: the sample a
+    {!response.Partition_verified} or {!response.Sampled_verified}
+    reply carries. The cap is part of the wire format — the decoder
+    rejects a longer list — so every sender cuts through this. *)
+
 type header = { tag : int; length : int }
 
 type trace_context = { trace_hi : int; trace_lo : int; parent_span : int }

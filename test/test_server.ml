@@ -653,13 +653,17 @@ let slow_recorder () =
       | Error m -> Alcotest.failf "prove: %s" m);
       let s = Server.stats t in
       check "slow request counted" true (s.Server.slow_requests >= 1);
-      check "slice dumped under the request's id" true
-        (Sys.file_exists (Filename.concat dir "slow-31337.json"));
+      let slices =
+        List.filter
+          (String.starts_with ~prefix:"slow-31337-")
+          (Array.to_list (Sys.readdir dir))
+      in
+      check "slice dumped under the request's id" true (slices <> []);
       (* exactly one dump per offending request: files and counter agree *)
       check_int "one file per slow request" s.Server.slow_requests
         (Array.length (Sys.readdir dir));
       (* the dump is a trace JSON with the dropped footer *)
-      let ic = open_in (Filename.concat dir "slow-31337.json") in
+      let ic = open_in (Filename.concat dir (List.hd slices)) in
       let len = in_channel_length ic in
       let body = really_input_string ic len in
       close_in ic;
@@ -677,7 +681,50 @@ let slow_recorder () =
       check "slow request counted without a dir" true
         ((Server.stats t).Server.slow_requests >= 1);
       check "no slice in the working directory" false
-        (Sys.file_exists "slow-31338.json"))
+        (Array.exists
+           (String.starts_with ~prefix:"slow-31338-")
+           (Sys.readdir ".")))
+
+(* The rid is the client's choice: two connections that both send rid
+   1 must still leave one slice per slow request, not overwrite each
+   other's. Every graph is distinct, so every request is a cold
+   decode + compile well over 1 ms. *)
+let slow_recorder_reused_rid () =
+  let dir = Filename.temp_file "lcp_slow" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let cleanup () =
+    Array.iter
+      (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
+      (Sys.readdir dir);
+    try Unix.rmdir dir with Unix.Unix_error _ -> ()
+  in
+  Fun.protect ~finally:cleanup @@ fun () ->
+  Obs.enable ~metrics:false ~trace:true ();
+  Fun.protect ~finally:(fun () -> Obs.disable ()) @@ fun () ->
+  with_server
+    { Server.default_config with slow_ms = 1; obs_dir = Some dir }
+    (fun t port ->
+      List.iter
+        (fun sizes ->
+          with_client port @@ fun c ->
+          List.iter
+            (fun n ->
+              let g6 = Graph6.encode (Builders.cycle n) in
+              match
+                Client.call_id c ~id:1
+                  (Wire.Prove { scheme = "eulerian"; graph6 = g6 })
+              with
+              | Ok (_, Wire.Proved _) -> ()
+              | Ok (_, r) -> expect_error Wire.Internal "prove" r
+              | Error m -> Alcotest.failf "prove: %s" m)
+            sizes)
+        [ [ 2048; 2050 ]; [ 2052; 2054 ] ];
+      let s = Server.stats t in
+      check "repeated rid requests counted slow" true
+        (s.Server.slow_requests >= 2);
+      check_int "one file per slow request" s.Server.slow_requests
+        (Array.length (Sys.readdir dir)))
 
 let reset_guard () =
   with_server Server.default_config (fun _t _port ->
@@ -1194,6 +1241,8 @@ let suite =
       Alcotest.test_case "http sidecar endpoints" `Quick http_sidecar;
       Alcotest.test_case "structured request log" `Quick structured_log;
       Alcotest.test_case "slow-request flight recorder" `Quick slow_recorder;
+      Alcotest.test_case "slow slices survive a reused rid" `Quick
+        slow_recorder_reused_rid;
       Alcotest.test_case "metrics reset guarded while serving" `Quick
         reset_guard;
       Alcotest.test_case "loadgen per-code error breakdown" `Quick
