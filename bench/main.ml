@@ -1424,16 +1424,18 @@ let timing () =
   let open Toolkit in
   (* The serving path: one compiled instance and a warm arena, as the
      daemon keeps them, verified at every node per run. *)
+  let timed name scheme inst proof =
+    let compiled = Simulator.compile inst in
+    let arena = Simulator.arena () in
+    Test.make ~name
+      (Staged.stage (fun () ->
+           ignore
+             (Simulator.run_verifier ~compiled ~arena inst proof
+                ~radius:scheme.Scheme.radius scheme.Scheme.verifier)))
+  in
   let verifier_test name scheme inst =
     match Scheme.prove_and_check scheme inst with
-    | `Accepted proof ->
-        let compiled = Simulator.compile inst in
-        let arena = Simulator.arena () in
-        Test.make ~name
-          (Staged.stage (fun () ->
-               ignore
-                 (Simulator.run_verifier ~compiled ~arena inst proof
-                    ~radius:scheme.Scheme.radius scheme.Scheme.verifier)))
+    | `Accepted proof -> timed name scheme inst proof
     | _ -> failwith ("prover failed for " ^ name)
   in
   let n = 64 in
@@ -1449,6 +1451,12 @@ let timing () =
           (spanning_tree_inst (Random_graphs.connected_gnp (st 5) n 0.1));
         verifier_test "odd-n-C65" Counting.odd_n (of_g (Builders.cycle 65));
         verifier_test "non-bipartite-C65" Non_bipartite.scheme (of_g (Builders.cycle 65));
+        (* mean degree 6, where each certificate is read deg + 1 times
+           per sweep: odd-n's verifier over even-n's certificate (the
+           same format; on 1024 nodes only the root rejects) *)
+        (let inst = of_g (Random_graphs.connected_gnp (st 7) 1024 (6.0 /. 1024.0)) in
+         timed "odd-n-G1024" Counting.odd_n inst
+           (Option.get (Counting.even_n.Scheme.prover inst)));
         verifier_test "maxw-matching-C16"
           Matching_schemes.maximum_weight_bipartite
           (let g = Builders.cycle 16 in

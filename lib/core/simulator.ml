@@ -213,13 +213,15 @@ let record_sizes_into c proof sizes =
     sizes.(i) <- c.static_bits.(i) + Bits.length (Proof.get proof (Csr.node c.csr i))
   done
 
-(* A window onto [inst] and [proof] whose ball is the last [Csr.ball]
-   run on [scratch] over [csr]: nothing is copied, so the view is only
-   valid until that scratch's next ball. *)
-let window inst csr scratch proof ~centre_idx ~radius =
-  View.window inst proof ~centre:(Csr.node csr centre_idx) ~radius
-    ~dist:(Csr.node_dist csr scratch)
-    ~neighbours:(Csr.ball_neighbours csr scratch)
+(* Windows onto [inst] and [proof] whose ball is the last [Csr.ball]
+   run on [scratch] over [csr], all on one decoding plane: nothing is
+   copied, so a view is only valid until that scratch's next ball. *)
+let windows inst csr scratch proof plane ~radius =
+  let dist = Csr.node_dist csr scratch
+  and neighbours = Csr.ball_neighbours csr scratch in
+  fun centre_idx ->
+    View.window inst proof ~plane ~centre:(Csr.node csr centre_idx) ~radius
+      ~dist ~neighbours
 
 (* Run one bounded BFS and return the ball's size. With [acct = (sizes,
    payloads)] also store at [payloads.(centre_idx)] the size of the
@@ -256,7 +258,7 @@ let view_at c proof ~radius v =
   let s = Csr.scratch ball in
   let centre_idx = Csr.index ball v in
   ignore (Csr.ball ball s ~centre:centre_idx ~radius);
-  window c.inst ball s proof ~centre_idx ~radius
+  windows c.inst ball s proof (View.plane (Csr.index ball)) ~radius centre_idx
 
 (* --- arena: per-domain buffers reused across verification runs ------- *)
 
@@ -328,9 +330,12 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
       | None -> Some (record_sizes c proof, Array.make n 0)
   in
   let rejected = Atomic.make false in
-  let ball scratch i =
+  (* one stamp per sweep: every view below shares its decoded
+     certificates, keyed by dense index *)
+  let plane = View.plane (Csr.index c.csr) in
+  let ball scratch window i =
     ignore (extract c scratch ?acct ~centre_idx:i ~radius ());
-    window c.inst c.csr scratch proof ~centre_idx:i ~radius
+    window i
   in
   let eval view =
     try verifier view
@@ -338,14 +343,14 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
       Obs.Metrics.incr m_decode_errors;
       false
   in
-  let process scratch j =
+  let process scratch window j =
     let i = idx j in
     let tracing = Obs.Trace.on () in
     let view =
       if tracing then
         Obs.Trace.span_arg "simulator.ball" "node" (Csr.node c.csr i)
-          (fun () -> ball scratch i)
-      else ball scratch i
+          (fun () -> ball scratch window i)
+      else ball scratch window i
     in
     let t0 = if !Obs.Metrics.enabled then Obs.Clock.now_ns () else 0 in
     let ok =
@@ -363,9 +368,10 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
     if not early_exit then verdicts.(j) <- ok
   in
   let range scratch lo hi =
+    let window = windows c.inst c.csr scratch proof plane ~radius in
     let j = ref lo in
     while !j < hi && not (early_exit && Atomic.get rejected) do
-      process scratch !j;
+      process scratch window !j;
       incr j
     done
   in

@@ -1,4 +1,15 @@
+(* A decoding plane: the identity of one sweep (or of one [make] view)
+   and its node -> dense index map. A codec's cells are keyed by dense
+   index and tagged with the stamp that wrote them, so a cell answers
+   only reads under the same stamp: the same proof over the same
+   graph. *)
+type plane = { stamp : int; index : Graph.node -> int }
+
+let stamps = Atomic.make 1
+let plane index = { stamp = Atomic.fetch_and_add stamps 1; index }
+
 type t = {
+  plane : plane;
   centre : Graph.node;
   radius : int;
   inst : Instance.t; (* the whole enclosing instance *)
@@ -37,8 +48,9 @@ let materialize inst ~centre ~nbrs =
       if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
     sub_graph sub
 
-let window inst proof ~centre ~radius ~dist ~neighbours =
+let window inst proof ~plane ~centre ~radius ~dist ~neighbours =
   {
+    plane;
     centre;
     radius;
     inst;
@@ -52,13 +64,17 @@ let make inst proof ~centre ~radius =
   let g = Instance.graph inst in
   if not (Graph.mem_node g centre) then invalid_arg "View.make: unknown centre";
   if radius < 0 then invalid_arg "View.make: negative radius";
+  (* ball node -> (distance, position in BFS order); the position is
+     the view's own dense index, under a stamp no other view shares *)
   let dists = Hashtbl.create 32 in
   List.iter
-    (fun (u, d) -> if d <= radius then Hashtbl.replace dists u d)
+    (fun (u, d) ->
+      if d <= radius then Hashtbl.replace dists u (d, Hashtbl.length dists))
     (Traversal.bfs_distances g centre);
-  let dist u = Option.value ~default:(-1) (Hashtbl.find_opt dists u) in
+  let dist u = match Hashtbl.find_opt dists u with Some (d, _) -> d | None -> -1 in
   let neighbours u = List.filter (fun w -> Hashtbl.mem dists w) (Graph.neighbours g u) in
-  window inst proof ~centre ~radius ~dist ~neighbours
+  let plane = plane (fun u -> snd (Hashtbl.find dists u)) in
+  window inst proof ~plane ~centre ~radius ~dist ~neighbours
 
 let in_ball v u = v.dist u >= 0
 let centre v = v.centre
@@ -66,6 +82,42 @@ let radius v = v.radius
 let instance v = Lazy.force v.sub
 let graph v = Instance.graph (instance v)
 let proof_of v u = if in_ball v u then Proof.get v.proof u else Bits.empty
+
+(* --- decoded certificates ---------------------------------------------- *)
+
+(* One immutable (stamp, value) pair per cell, replaced by a single
+   store: a reader sees an old pair or a new one, never half of each,
+   so systhreads sharing a domain's storage stay correct (at worst one
+   evicts the other's cell and it decodes again). Each domain owns its
+   storage, so [Pool] workers never share a cell. *)
+type 'a cell = Empty | Cell of int * 'a
+type 'a codec = { decode : Bits.t -> 'a; cells : 'a cell array Domain.DLS.key }
+
+let codec decode = { decode; cells = Domain.DLS.new_key (fun () -> [||]) }
+
+let storage c i =
+  let a = Domain.DLS.get c.cells in
+  if i < Array.length a then a
+  else begin
+    let a' = Array.make (max (i + 1) (2 * Array.length a)) Empty in
+    Array.blit a 0 a' 0 (Array.length a);
+    Domain.DLS.set c.cells a';
+    a'
+  end
+
+let decoded c v u =
+  if not (in_ball v u) then c.decode Bits.empty
+  else
+    let i = v.plane.index u in
+    let a = storage c i in
+    match a.(i) with
+    | Cell (s, x) when s = v.plane.stamp -> x
+    | _ ->
+        (* a decode that raises stores nothing *)
+        let x = c.decode (Proof.get v.proof u) in
+        a.(i) <- Cell (v.plane.stamp, x);
+        x
+
 let label_of v u = if in_ball v u then Instance.node_label v.inst u else Bits.empty
 
 let edge_label_of v a b =

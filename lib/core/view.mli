@@ -11,9 +11,25 @@
     accessor answers by reading through them, masking what lies outside
     the ball. The sub-instance [G[v,r]] with its labels is built only
     when {!graph}, {!instance} or {!equal} asks for it, and then once
-    per view. *)
+    per view.
+
+    Decoded certificates live on a {e plane}: a stamp naming one proof
+    over one graph, plus that graph's node -> dense index map. A
+    verifier sweep puts all its views on one plane, so {!decoded}
+    decodes each ball node's string at most once per sweep (per
+    domain), however many views read it; a {!make} view gets a plane
+    of its own. *)
 
 type t
+
+type plane
+(** One decoding plane; immutable and shareable across domains. *)
+
+val plane : (Graph.node -> int) -> plane
+(** [plane index] is a plane with a fresh stamp over [index], which
+    must map every node a view on this plane may hold in its ball to a
+    dense index [0 .. k-1], injectively. {!Simulator}'s sweep takes one
+    per call. *)
 
 val make :
   Instance.t -> Proof.t -> centre:Graph.node -> radius:int -> t
@@ -22,6 +38,7 @@ val make :
 val window :
   Instance.t ->
   Proof.t ->
+  plane:plane ->
   centre:Graph.node ->
   radius:int ->
   dist:(Graph.node -> int) ->
@@ -34,7 +51,8 @@ val window :
     so the view reads whatever the two functions read when it is
     queried. {!Simulator}'s CSR fast path builds its views with this
     from a BFS scratch; they are only valid until that scratch's next
-    ball. *)
+    ball. Views sharing [plane] must read the same proof over the same
+    graph. *)
 
 val centre : t -> Graph.node
 val radius : t -> int
@@ -75,3 +93,18 @@ val equal : t -> t -> bool
     simulator against direct extraction, and by "indistinguishability"
     assertions in the lower-bound tests. *)
 
+(** {1 Decoded certificates} *)
+
+type 'a codec
+(** A pure decoder of proof strings with per-domain storage for its
+    results. Make one per certificate format, at module level. *)
+
+val codec : (Bits.t -> 'a) -> 'a codec
+
+val decoded : 'a codec -> t -> Graph.node -> 'a
+(** [decoded c v u] is [decode (proof_of v u)] for [c]'s decoder. An
+    in-ball read is answered from a cell keyed by [u]'s dense index and
+    the view's plane, so each string is decoded at most once per plane
+    and domain; an out-of-ball read decodes the empty string. Only
+    successes are stored: a malformed string raises
+    [Bits.Reader.Decode_error] at every read. *)

@@ -4,33 +4,51 @@ type t = {
   offsets : int array; (* length n + 1 *)
   targets : int array; (* length 2m, dense indices, increasing per row *)
   ids : int array; (* dense index -> identifier, strictly increasing *)
-  idx : (int, int) Hashtbl.t; (* identifier -> dense index *)
 }
 
 let n t = t.n
 let m t = t.m
 let node t i = t.ids.(i)
 
-let index_opt t v = Hashtbl.find_opt t.idx v
+(* Identifier -> dense index, -1 when absent. [ids] is strictly
+   increasing, so [ids.(v) = v] pins [v] at index [v]: O(1) on the
+   graphs every graph6 decode yields (ids 0..n-1). Otherwise (a shard,
+   relabelled ids) binary-search; since ids are distinct non-negative
+   integers, [v]'s index is at most [v]. *)
+let find_in ids n v =
+  if v >= 0 && v < n && Array.unsafe_get ids v = v then v
+  else
+    let rec go lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) lsr 1 in
+        let x = Array.unsafe_get ids mid in
+        if x = v then mid else if x < v then go (mid + 1) hi else go lo mid
+    in
+    if v < 0 then -1 else go 0 (min n (v + 1))
+
+let find t v = find_in t.ids t.n v
+
+let index_opt t v =
+  let i = find t v in
+  if i < 0 then None else Some i
 
 let index t v =
-  match Hashtbl.find_opt t.idx v with
-  | Some i -> i
-  | None -> invalid_arg (Printf.sprintf "Csr.index: unknown node %d" v)
+  let i = find t v in
+  if i < 0 then invalid_arg (Printf.sprintf "Csr.index: unknown node %d" v)
+  else i
 
 let degree t i = t.offsets.(i + 1) - t.offsets.(i)
 
 let of_graph g =
   let n = Graph.n g in
   let ids = Array.make n 0 in
-  let idx = Hashtbl.create (2 * n) in
   let next = ref 0 in
   (* Graph.iter_nodes runs in increasing identifier order, so dense
      indices preserve the identifier order. *)
   Graph.iter_nodes
     (fun v ->
       ids.(!next) <- v;
-      Hashtbl.replace idx v !next;
       incr next)
     g;
   let offsets = Array.make (n + 1) 0 in
@@ -44,11 +62,11 @@ let of_graph g =
        order = dense order, so each row ends up sorted. *)
     Graph.iter_neighbours
       (fun u ->
-        targets.(offsets.(i) + fill.(i)) <- Hashtbl.find idx u;
+        targets.(offsets.(i) + fill.(i)) <- find_in ids n u;
         fill.(i) <- fill.(i) + 1)
       g ids.(i)
   done;
-  { n; m = Graph.m g; offsets; targets; ids; idx }
+  { n; m = Graph.m g; offsets; targets; ids }
 
 let iter_neighbours t i f =
   for k = t.offsets.(i) to t.offsets.(i + 1) - 1 do
@@ -100,9 +118,8 @@ let visited s i = s.order.(i)
 let dist s v = s.dist_.(v)
 
 let node_dist t s v =
-  match Hashtbl.find t.idx v with
-  | i -> s.dist_.(i)
-  | exception Not_found -> -1
+  let i = find t v in
+  if i < 0 then -1 else s.dist_.(i)
 
 let ball_neighbours t s v =
   let i = index t v in
@@ -155,9 +172,7 @@ let extract_subgraph t sel =
     done
   done;
   let ids = Array.map (fun old -> t.ids.(old)) sorted in
-  let idx = Hashtbl.create (2 * k) in
-  Array.iteri (fun i v -> Hashtbl.replace idx v i) ids;
-  ({ n = k; m = Array.length targets / 2; offsets; targets; ids; idx }, sorted)
+  ({ n = k; m = Array.length targets / 2; offsets; targets; ids }, sorted)
 
 (* --- raw image access (disk-cache serialisation) ---------------------- *)
 
@@ -190,8 +205,5 @@ let import ~offsets ~targets ~ids =
       targets;
     match !ok with
     | Error _ as err -> err
-    | Ok () ->
-        let idx = Hashtbl.create (2 * n) in
-        Array.iteri (fun i v -> Hashtbl.replace idx v i) ids;
-        Ok { n; m = Array.length targets / 2; offsets; targets; ids; idx }
+    | Ok () -> Ok { n; m = Array.length targets / 2; offsets; targets; ids }
   end

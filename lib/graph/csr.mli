@@ -31,7 +31,11 @@ val node : t -> int -> Graph.node
 
 val index : t -> Graph.node -> int
 (** Dense index of an identifier; raises [Invalid_argument] for nodes
-    not in the compiled graph. *)
+    not in the compiled graph. O(1) when the identifier sits at its own
+    index ([node t v = v], as for every graph with ids [0 .. n-1], which
+    graph6 yields); otherwise a binary search over the sorted
+    identifiers (partition shards, relabelled graphs). No table is
+    kept. *)
 
 val index_opt : t -> Graph.node -> int option
 val degree : t -> int -> int
@@ -75,12 +79,13 @@ val dist : scratch -> int -> int
 
 val node_dist : t -> scratch -> Graph.node -> int
 (** {!dist} by identifier; [-1] also for identifiers not in the
-    graph. Allocation-free. *)
+    graph. Allocation-free; the identifier costs what {!index} costs. *)
 
 val ball_neighbours : t -> scratch -> Graph.node -> Graph.node list
 (** Identifiers of a node's neighbours that the last {!ball} visited,
     in increasing order: its adjacency in the subgraph induced by the
-    ball. Raises [Invalid_argument] for identifiers not in the graph. *)
+    ball. Raises [Invalid_argument] for identifiers not in the graph.
+    The identifier costs what {!index} costs. *)
 
 (** {1 Induced subgraphs} *)
 

@@ -31,7 +31,7 @@ let complement (inner : Scheme.t) =
                  Proof.empty (Tree_cert.prove g ~root:a))
       end)
     ~verifier:(fun view ->
-      let cert_of u = Tree_cert.decode (View.proof_of view u) in
+      let cert_of = View.decoded Tree_cert.codec view in
       Tree_cert.check_at view ~cert_of
       &&
       let c = cert_of (View.centre view) in

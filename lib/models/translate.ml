@@ -25,7 +25,8 @@ let encode_m1 ~leader ~cert ~inner =
   Bits.Writer.bits buf inner;
   Bits.Writer.contents buf
 
-let decode_m1 b =
+let m1_codec =
+  View.codec @@ fun b ->
   let cur = Bits.Reader.of_bits b in
   let leader = Bits.Reader.bool cur in
   let cert = Tree_cert.read cur in
@@ -67,12 +68,13 @@ let m1_of_m2 (inner : Scheme.t) =
                  Proof.empty certs)
       end)
     ~verifier:(fun view ->
+      let m1 = View.decoded m1_codec view in
       let cert_of u =
-        let _, c, _ = decode_m1 (View.proof_of view u) in
+        let _, c, _ = m1 u in
         c
       in
       let v = View.centre view in
-      let leader, cert, _ = decode_m1 (View.proof_of view v) in
+      let leader, cert, _ = m1 v in
       Tree_cert.check_at view ~cert_of
       && Bool.equal leader (Tree_cert.is_root cert)
       &&
@@ -83,14 +85,14 @@ let m1_of_m2 (inner : Scheme.t) =
         Instance.with_node_labels (View.instance view)
           (List.map
              (fun u ->
-               let l, _, _ = decode_m1 (View.proof_of view u) in
+               let l, _, _ = m1 u in
                (u, Bits.one_bit l))
              ball)
       in
       let inner_proof =
         List.fold_left
           (fun p u ->
-            let _, _, ib = decode_m1 (View.proof_of view u) in
+            let _, _, ib = m1 u in
             Proof.set p u ib)
           Proof.empty ball
       in
@@ -115,7 +117,8 @@ let encode_m2 ~interval ~inner =
   Bits.Writer.bits buf inner;
   Bits.Writer.contents buf
 
-let decode_m2 b =
+let m2_codec =
+  View.codec @@ fun b ->
   let cur = Bits.Reader.of_bits b in
   let interval = Dfs_labels.read cur in
   let len = Bits.Reader.int_gamma cur in
@@ -203,7 +206,7 @@ let m2_of_m1 (inner : Scheme.t) =
           end)
     ~verifier:(fun view ->
       let v = View.centre view in
-      let parse u = decode_m2 (View.proof_of view u) in
+      let parse = View.decoded m2_codec view in
       let interval, _ = parse v in
       let leader_bit =
         let l = View.label_of view v in

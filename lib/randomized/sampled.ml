@@ -7,20 +7,17 @@
    detection power, not safety. *)
 
 (* 2-colouring spot-check: read the centre's colour bit, then the bits
-   of up to [q−1] sampled neighbours, requiring opposition. *)
+   of up to [q−1] sampled neighbours, requiring opposition. A missing
+   bit is colour 0, as the base verifier reads it. *)
 let bipartite =
   Randomized_scheme.make ~base:Bipartite_scheme.scheme ~epsilon:0.02 ~queries:4
     ~probes:24
     ~sampled_verifier:(fun qv ->
-      match Qview.proof_bit qv (Qview.centre qv) 0 with
-      | None -> false
-      | Some mine ->
-          List.for_all
-            (fun u ->
-              match Qview.proof_bit qv u 0 with
-              | Some b -> b <> mine
-              | None -> false)
-            (Qview.sample_neighbours qv (Qview.units_left qv)))
+      let colour u = Qview.proof_bit qv u 0 = Some true in
+      let mine = colour (Qview.centre qv) in
+      List.for_all
+        (fun u -> colour u <> mine)
+        (Qview.sample_neighbours qv (Qview.units_left qv)))
 
 (* KKP certificate spot-check: decode the centre's certificate, check
    its root/distance sanity and its parent edge's flag, then decode up

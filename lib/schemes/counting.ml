@@ -12,8 +12,9 @@ let encode c =
   Bits.Writer.int_gamma buf c.count;
   Bits.Writer.contents buf
 
-let cert_of view u =
-  let cur = Bits.Reader.of_bits (View.proof_of view u) in
+let codec =
+  View.codec @@ fun b ->
+  let cur = Bits.Reader.of_bits b in
   let tree = Tree_cert.read cur in
   let count = Bits.Reader.int_gamma cur in
   Bits.Reader.expect_end cur;
@@ -48,7 +49,7 @@ let scheme ~name ~accept_n ~is_yes =
     ~prover:(fun inst -> if is_yes inst then prove inst else None)
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of = Tree_cert.memo (cert_of view) in
+      let cert_of = View.decoded codec view in
       let c = cert_of v in
       Tree_cert.check_at view ~cert_of:(fun u -> (cert_of u).tree)
       &&

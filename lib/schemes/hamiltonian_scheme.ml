@@ -66,7 +66,7 @@ let scheme =
       end)
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of = Tree_cert.memo (fun u -> Tree_cert.decode (View.proof_of view u)) in
+      let cert_of = View.decoded Tree_cert.codec view in
       let c = cert_of v in
       let flagged_nbrs = List.filter (flagged view v) (View.neighbours view v) in
       Tree_cert.check_at view ~cert_of

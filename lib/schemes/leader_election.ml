@@ -33,15 +33,16 @@ let strong =
         | Some leader -> Some (tree_proof g leader))
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of = Tree_cert.memo (fun u -> Tree_cert.decode (View.proof_of view u)) in
+      let cert_of = View.decoded Tree_cert.codec view in
       Tree_cert.check_at view ~cert_of
       && Bool.equal
            (leader_bit (View.label_of view v))
            (Tree_cert.is_root (cert_of v)))
 
 (* Weak flavour: proof = leader bit ++ tree certificate. *)
-let weak_cert_of view u =
-  let cur = Bits.Reader.of_bits (View.proof_of view u) in
+let weak_codec =
+  View.codec @@ fun b ->
+  let cur = Bits.Reader.of_bits b in
   let is_leader = Bits.Reader.bool cur in
   let c = Tree_cert.read cur in
   Bits.Reader.expect_end cur;
@@ -68,7 +69,7 @@ let weak =
       end)
     ~verifier:(fun view ->
       let v = View.centre view in
-      let weak = Tree_cert.memo (weak_cert_of view) in
+      let weak = View.decoded weak_codec view in
       let cert_of u = snd (weak u) in
       Tree_cert.check_at view ~cert_of
       && Bool.equal (fst (weak v)) (Tree_cert.is_root (cert_of v)))

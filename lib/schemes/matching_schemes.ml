@@ -168,7 +168,7 @@ let maximum_on_cycle =
       end)
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of = Tree_cert.memo (fun u -> Tree_cert.decode (View.proof_of view u)) in
+      let cert_of = View.decoded Tree_cert.codec view in
       Tree_cert.check_at view ~cert_of
       &&
       match matched_neighbours view v with

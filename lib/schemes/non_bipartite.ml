@@ -28,8 +28,9 @@ let encode c =
       Bits.Writer.int_gamma buf succ);
   Bits.Writer.contents buf
 
-let cert_of view u =
-  let cur = Bits.Reader.of_bits (View.proof_of view u) in
+let codec =
+  View.codec @@ fun b ->
+  let cur = Bits.Reader.of_bits b in
   let tree = Tree_cert.read cur in
   let cycle =
     if Bits.Reader.bool cur then begin
@@ -68,7 +69,7 @@ let scheme =
                  Proof.empty certs))
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of = Tree_cert.memo (cert_of view) in
+      let cert_of = View.decoded codec view in
       let c = cert_of v in
       let neighbours = View.neighbours view v in
       Tree_cert.check_at view ~cert_of:(fun u -> (cert_of u).tree)

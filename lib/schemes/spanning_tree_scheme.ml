@@ -4,8 +4,6 @@
     prover must certify whatever it is given — any spanning tree can be
     rooted anywhere and equipped with root/distance/parent labels. *)
 
-let cert_of view u = Tree_cert.decode (View.proof_of view u)
-
 let scheme =
   Scheme.make ~name:"spanning-tree" ~radius:1 ~size_bound:Tree_cert.size_bound
     ~prover:(fun inst ->
@@ -23,7 +21,7 @@ let scheme =
                    Proof.empty certs)))
     ~verifier:(fun view ->
       let v = View.centre view in
-      let cert_of = Tree_cert.memo (cert_of view) in
+      let cert_of = View.decoded Tree_cert.codec view in
       let c = cert_of v in
       let flagged u =
         let l = View.edge_label_of view v u in

@@ -28,6 +28,8 @@ let decode b =
   Bits.Reader.expect_end cur;
   c
 
+let codec = View.codec decode
+
 (* root id + parent id: ids are poly(n), gamma codes cost 2·log+1 each;
    dist <= n. A wide constant absorbs the id-polynomial's degree for
    every construction in this repository (ids up to ~n^4). *)
@@ -80,13 +82,3 @@ let check_at view ~cert_of =
 
 let is_root c = c.dist = 0
 
-let memo f =
-  let cache = ref [] in
-  let rec find u = function
-    | [] ->
-        let c = f u in
-        cache := (u, c) :: !cache;
-        c
-    | (w, c) :: rest -> if w = u then c else find u rest
-  in
-  fun (u : Graph.node) -> find u !cache

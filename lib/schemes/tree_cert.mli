@@ -24,6 +24,11 @@ val read : Bits.Reader.cursor -> t
 val encode : t -> Bits.t
 val decode : Bits.t -> t
 
+val codec : t View.codec
+(** {!decode} as a {!View.codec}: [View.decoded codec view u] decodes
+    [u]'s certificate at most once per sweep, however many views of the
+    sweep read it. *)
+
 val size_bound : int -> int
 (** Generous bit bound for graphs whose identifiers are polynomial in
     [n] (the paper's standing assumption). *)
@@ -41,15 +46,9 @@ val prove_tree :
 val check_at :
   View.t -> cert_of:(Graph.node -> t) -> bool
 (** The local verification at the view's centre. [cert_of] decodes the
-    certificate embedded in a node's proof string (it is given the
-    already-parsed certificate by the calling scheme); it may raise
-    [Bits.Reader.Decode_error] to reject. Requires radius ≥ 1. *)
+    certificate embedded in a node's proof string (the calling schemes
+    read it through a {!View.codec}, so each string is decoded once per
+    sweep); it may raise [Bits.Reader.Decode_error] to reject. Requires
+    radius ≥ 1. *)
 
 val is_root : t -> bool
-
-val memo : (Graph.node -> 'a) -> Graph.node -> 'a
-(** [memo decode] answers each node from the first successful
-    [decode], so a verifier reads every ball node's certificate at most
-    once. Failures are not cached: a malformed certificate raises
-    [Bits.Reader.Decode_error] on its first read as before. Build one
-    per verifier call — the cache is the view's. *)

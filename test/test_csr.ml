@@ -238,6 +238,84 @@ let window_allocation_budget () =
     Alcotest.failf "warm run_verifier allocates %.1f minor words per node (> 100)"
       per_node
 
+(* A warm sweep decodes each proof string once: every view of the sweep
+   reads its centre and each neighbour through one counting codec, so
+   without sharing a node's string would be decoded deg + 1 times. At
+   jobs 2 each worker domain has its own cells, so each decodes at most
+   n strings. *)
+let decode_once_per_sweep () =
+  let g = Random_graphs.connected_gnp (st 31) 300 (6.0 /. 300.0) in
+  let inst, proof = decorated g in
+  let n = Graph.n g in
+  let lock = Mutex.create () in
+  let calls = Hashtbl.create 4 in
+  let codec =
+    View.codec (fun b ->
+        Mutex.protect lock (fun () ->
+            let d = (Domain.self () :> int) in
+            Hashtbl.replace calls d
+              (1 + Option.value ~default:0 (Hashtbl.find_opt calls d)));
+        Bits.length b)
+  in
+  let verifier view =
+    let v = View.centre view in
+    let len = View.decoded codec view in
+    List.for_all (fun u -> len u + len v >= 0) (View.neighbours view v)
+  in
+  let compiled = Simulator.compile inst in
+  let arena = Simulator.arena () in
+  let sweep jobs =
+    Hashtbl.reset calls;
+    let verdicts, _ =
+      Simulator.run_verifier ~jobs ~compiled ~arena inst proof ~radius:1 verifier
+    in
+    check (Printf.sprintf "jobs=%d all accept" jobs) true (List.for_all snd verdicts);
+    Hashtbl.fold (fun _ k acc -> k :: acc) calls []
+  in
+  ignore (sweep 1);
+  check_int "warm jobs=1 sweep decodes n strings" n
+    (List.fold_left ( + ) 0 (sweep 1));
+  let per_domain = sweep 2 in
+  check "jobs=2: at most n decodes per domain" true
+    (List.for_all (fun k -> k <= n) per_domain);
+  check "jobs=2: every string decoded" true (List.fold_left ( + ) 0 per_domain >= n)
+
+(* What decoding once buys on a tree-certificate scheme: a warm odd-n
+   sweep (the even-n prover writes the same counting certificate, so
+   on this 1024-node graph only the root rejects) over mean degree ~6
+   stays within 180 minor words per node; decoding per read costs
+   about 250. *)
+let odd_n_allocation_budget () =
+  let g = Random_graphs.connected_gnp (st 21) 1024 (6.0 /. 1024.0) in
+  let inst = Instance.of_graph g in
+  let proof = Option.get (Counting.even_n.Scheme.prover inst) in
+  let compiled = Simulator.compile inst in
+  let arena = Simulator.arena () in
+  let run () =
+    Simulator.run_verifier ~compiled ~arena inst proof ~radius:1
+      Counting.odd_n.Scheme.verifier
+  in
+  let metrics = !Obs.Metrics.enabled and trace = !Obs.Trace.enabled in
+  Obs.disable ();
+  let words =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Metrics.enabled := metrics;
+        Obs.Trace.enabled := trace)
+      (fun () ->
+        ignore (run ());
+        let w0 = Gc.minor_words () in
+        let verdicts, _ = run () in
+        let words = Gc.minor_words () -. w0 in
+        check_int "only the root rejects" 1
+          (List.length (Simulator.rejecting verdicts));
+        words)
+  in
+  let per_node = words /. 1024.0 in
+  if per_node > 180.0 then
+    Alcotest.failf "warm odd-n sweep allocates %.1f minor words per node (> 180)"
+      per_node
+
 let run_verifier_matches_reference () =
   (* A verifier exercising graph structure, labels, proof bits and
      distances of the view. *)
@@ -456,6 +534,10 @@ let suite =
         window_accessors_match;
       Alcotest.test_case "warm run_verifier allocation budget" `Quick
         window_allocation_budget;
+      Alcotest.test_case "warm sweep decodes each string once" `Quick
+        decode_once_per_sweep;
+      Alcotest.test_case "warm odd-n sweep allocation budget" `Quick
+        odd_n_allocation_budget;
       Alcotest.test_case "run_verifier = reference (verdicts + transcript)"
         `Quick run_verifier_matches_reference;
       Alcotest.test_case "scheme verdicts identical (jobs 1 and 4)" `Quick

@@ -23,7 +23,12 @@ let with_chords rs t extra =
   go t extra
 
 (* Catalog schemes, each with an instance family where its prover
-   usually succeeds (and sometimes, deliberately, does not). *)
+   usually succeeds (and sometimes, deliberately, does not). The
+   tree-certificate rows are the codecs a warm sweep shares across
+   views; the relabelled row has identifiers that are not 0..n-1, so
+   the CSR answers identifier lookups by binary search. *)
+let connected rs n = Random_graphs.connected_gnp rs n (4.0 /. float (max 4 n))
+
 let cases =
   [|
     ( "bipartite",
@@ -55,12 +60,19 @@ let cases =
           0 );
     ( "eulerian",
       fun rs n -> Instance.of_graph (Random_graphs.gnp rs n 0.3) );
+    ("odd-n", fun rs n -> Instance.of_graph (connected rs n));
+    ("even-n", fun rs n -> Instance.of_graph (connected rs n));
+    ("non-bipartite", fun rs n -> Instance.of_graph (connected rs n));
+    ( "non-bipartite",
+      fun rs n ->
+        Instance.of_graph
+          (Random_graphs.permuted_ids rs ~factor:5 (connected rs n)) );
   |]
 
 (* The prover's proof (random strings when it refuses), then, two
-   times in three, a flipped bit or a truncated string at 1–3 random
-   nodes — truncation drives the decode-error path. The flag says
-   whether the proof is the prover's, untouched. *)
+   times in three, a flipped bit, a truncated string or an empty string
+   at 1–3 random nodes — truncation drives the decode-error path, and
+   an empty string is what the base verifiers read outside a ball. *)
 let proof_for rs sch inst =
   let g = Instance.graph inst in
   let proved = sch.Scheme.prover inst in
@@ -72,7 +84,7 @@ let proof_for rs sch inst =
           (fun v p -> Proof.set p v (Bits.random rs (Random.State.int rs 6)))
           g Proof.empty
   in
-  if Random.State.int rs 3 = 0 then (base, proved <> None)
+  if Random.State.int rs 3 = 0 then base
   else
     let nodes = Array.of_list (Graph.nodes g) in
     let rec tamper p k =
@@ -83,12 +95,15 @@ let proof_for rs sch inst =
         let len = Bits.length b in
         let b' =
           if len = 0 then Bits.random rs (1 + Random.State.int rs 4)
-          else if Random.State.bool rs then Bits.flip b (Random.State.int rs len)
-          else Bits.take (Random.State.int rs len) b
+          else
+            match Random.State.int rs 3 with
+            | 0 -> Bits.flip b (Random.State.int rs len)
+            | 1 -> Bits.take (Random.State.int rs len) b
+            | _ -> Bits.empty
         in
         tamper (Proof.set p v b') (k - 1)
     in
-    (tamper base (1 + Random.State.int rs 3), false)
+    tamper base (1 + Random.State.int rs 3)
 
 (* Shared across every generated case, so warm reuse over graphs of
    different sizes is exercised too. *)
@@ -99,7 +114,7 @@ let differential (case, seed, n) =
   let sch = scheme name in
   let rs = Random.State.make [| seed |] in
   let inst = make rs n in
-  let proof, honest = proof_for rs sch inst in
+  let proof = proof_for rs sch inst in
   let radius = sch.Scheme.radius and verifier = sch.Scheme.verifier in
   let expected =
     sorted
@@ -151,9 +166,10 @@ let differential (case, seed, n) =
     QCheck.Test.fail_reportf "%s n=%d seed=%d: all_accept disagrees" name n
       seed;
   (* sampled+escalate: an escalation reports the full rejecting set and
-     a sampled accept stands. Completeness is exact on the prover's
-     proofs; a tampered proof the base verifier still accepts may
-     escalate, and the escalation then accepts. *)
+     a sampled accept stands. The sampled verifiers check a subset of
+     the base verifier's conditions, so a proof the reference accepts
+     (the prover's, or a tampered one that still passes) never
+     escalates. *)
   (match Sampled.find name with
   | None -> ()
   | Some rsch ->
@@ -165,9 +181,10 @@ let differential (case, seed, n) =
       if escalated = v.Randomized_scheme.probe.Randomized_scheme.accepted then
         QCheck.Test.fail_reportf "%s: escalation disagrees with the probe" name;
       Option.iter (same "sampled, escalated") v.Randomized_scheme.final;
-      if honest && escalated then
-        QCheck.Test.fail_reportf "%s n=%d seed=%d: the prover's proof escalated"
-          name n seed);
+      if expected = [] && escalated then
+        QCheck.Test.fail_reportf
+          "%s n=%d seed=%d: a proof the reference accepts escalated" name n
+          seed);
   true
 
 let qcheck_differential =
@@ -175,12 +192,50 @@ let qcheck_differential =
     ~name:"every verify path = reference rejecting set"
     (QCheck.make
        ~print:(fun (case, seed, n) ->
-         Printf.sprintf "%s seed=%d n=%d" (fst cases.(case)) seed n)
+         Printf.sprintf "case %d (%s) seed=%d n=%d" case (fst cases.(case)) seed n)
        QCheck.Gen.(
          triple
            (int_bound (Array.length cases - 1))
            (int_bound 1_000_000) (int_range 1 40)))
     differential
+
+(* The sampled bipartite check reads a missing colour bit as the base
+   verifier does, as colour 0. Every node of a 32-cycle is probed:
+   emptying a colour-0 string leaves a proof both accept, so nothing
+   escalates; emptying a colour-1 string makes three nodes reject, and
+   the escalation reports exactly them. *)
+let sampled_empty_string () =
+  let b = Option.get (Sampled.find "bipartite") in
+  let rsch =
+    Randomized_scheme.make ~base:b.Randomized_scheme.base
+      ~epsilon:b.Randomized_scheme.epsilon ~queries:b.Randomized_scheme.queries
+      ~probes:0 ~sampled_verifier:b.Randomized_scheme.sampled_verifier
+  in
+  let n = 32 in
+  let inst = Instance.of_graph (Builders.cycle n) in
+  let c = Simulator.compile inst in
+  let proof = Option.get (Bipartite_scheme.scheme.Scheme.prover inst) in
+  let verify proof =
+    Randomized_scheme.verify rsch c proof ~seed:5
+      ~queries:rsch.Randomized_scheme.queries
+  in
+  List.iter
+    (fun (v, expected) ->
+      let tampered = Proof.set proof v Bits.empty in
+      let reference =
+        sorted
+          (Simulator.rejecting
+             (fst
+                (Simulator.run_verifier_reference inst tampered ~radius:1
+                   Bipartite_scheme.scheme.Scheme.verifier)))
+      in
+      check (Printf.sprintf "node %d emptied: reference" v) true
+        (reference = expected);
+      let r = verify tampered in
+      check (Printf.sprintf "node %d emptied: escalated iff rejected" v) true
+        (Option.map sorted r.Randomized_scheme.final
+        = if expected = [] then None else Some expected))
+    [ (10, []); (11, [ 10; 11; 12 ]) ]
 
 (* A sampled run keeps every rejecting probe; only a wire reply (and
    [lcp verify --sampled]'s line) cuts to the first 64 through
@@ -285,6 +340,8 @@ let suite =
       QCheck_alcotest.to_alcotest qcheck_differential;
       Alcotest.test_case "sampled run keeps every rejecting probe" `Quick
         rejecting_sample_cap;
+      Alcotest.test_case "sampled bipartite reads an empty string as colour 0"
+        `Quick sampled_empty_string;
       Alcotest.test_case "per-node spans on shard and sampled sweeps" `Quick
         per_node_spans;
       Alcotest.test_case "shard sweep span under the profiler alone" `Quick
