@@ -8,9 +8,6 @@
 
    Flags: --jobs N  fan the per-node verifier loop over N domains
                     (0 = all recommended cores);
-          --reference  verify on the seed View.make-per-node path
-                    instead of the compiled CSR engine (for
-                    before/after speedup measurements);
           --metrics  enable the observability counters and embed a
                     per-row metrics object (balls extracted, max ball
                     size, verifier calls, forgeries tried) in
@@ -32,58 +29,39 @@
    machine-readable BENCH_lcp.json (per-row wall time, largest
    parameter reached, fit, verdict) next to the table.
 
-   For each upper-bound row we run the scheme's prover over a sweep of
-   instance sizes, check that every proof is accepted by all nodes,
-   record the maximum proof size in bits per node, and fit the measured
-   series against the growth models {0, Θ(1), Θ(log), Θ(n), Θ(n²),
-   Θ(n²/log n)}; the verdict column compares the fit against the
-   paper's claim. For each lower-bound row we run the corresponding
+   The rows are the Registry entries that carry a Table 1 row; --smoke
+   runs the ones that carry smoke sizes. For each upper-bound row we
+   run the scheme's prover over a sweep of instance sizes, check that
+   every proof is accepted by all nodes, record the maximum proof size
+   in bits per node, and fit the measured series against the growth
+   models {0, Θ(1), Θ(log), Θ(n), Θ(n²), Θ(n²/log n)}; the verdict
+   column compares the fit against the paper's claim. For each lower-bound row we run the corresponding
    attack: undersized-but-complete schemes are fooled (an accepted
    no-instance is constructed), honest schemes resist (signatures stay
    distinct). *)
 
 let st seed = Random.State.make [| seed |]
+let of_g g = Instance.of_graph g
 
 (* --- measurement ---------------------------------------------------- *)
 
-type row = {
-  id : string;
-  what : string;
-  family : string;
-  paper : string;
-  ok_classes : Complexity.growth list;
-  param : string;
-  series : unit -> (int * int) list;
-}
-
 exception Measure_failure of string
 
-(* Engine selection, set from the command line in [main]. *)
+(* Set from the command line in [main]. *)
 let jobs = ref 1
-let use_reference = ref false
 let collect_metrics = ref false
 
-(* Prove and fully verify; return bits per node. Verification runs on
-   the compiled CSR engine (optionally multicore) unless --reference
-   asks for the seed View.make-per-node path. *)
+(* Prove and fully verify; return bits per node. *)
 let measured scheme inst =
   match scheme.Scheme.prover inst with
   | None ->
       raise (Measure_failure (scheme.Scheme.name ^ ": prover refused a yes-instance"))
   | Some proof -> (
-      let rejecting =
-        if !use_reference then
-          match Scheme.decide scheme inst proof with
-          | Scheme.Accept -> []
-          | Scheme.Reject vs -> vs
-        else
-          let verdicts, _ =
-            Simulator.run_verifier ~jobs:!jobs inst proof
-              ~radius:scheme.Scheme.radius scheme.Scheme.verifier
-          in
-          Simulator.rejecting verdicts
+      let verdicts, _ =
+        Simulator.run_verifier ~jobs:!jobs inst proof
+          ~radius:scheme.Scheme.radius scheme.Scheme.verifier
       in
-      match rejecting with
+      match Simulator.rejecting verdicts with
       | [] -> Proof.size proof
       | vs ->
           raise
@@ -99,469 +77,21 @@ let measured_prover_only scheme inst =
   | None ->
       raise (Measure_failure (scheme.Scheme.name ^ ": prover refused a yes-instance"))
 
-let sweep ?(measure = measured) scheme mk ns () =
-  List.map (fun n -> (n, measure scheme (mk n))) ns
+(* One row's yes-instance at size [n], measured the way the row says. *)
+let measure_row (e : Registry.entry) (r : Registry.row) n =
+  (if r.Registry.prover_only then measured_prover_only else measured)
+    e.Registry.scheme (r.Registry.make n)
 
-let ns_log = [ 8; 16; 32; 64; 128; 256 ]
-let ns_small = [ 8; 16; 32; 64 ]
+(* The entries that carry a Table 1 row, in registry (= table) order. *)
+let rows =
+  List.filter_map
+    (fun (e : Registry.entry) -> Option.map (fun r -> (e, r)) e.Registry.row)
+    Registry.all
 
-(* --- instance makers ------------------------------------------------ *)
-
-let of_g g = Instance.of_graph g
-let even n = if n mod 2 = 0 then n else n + 1
-let odd n = if n mod 2 = 1 then n else n + 1
-
-let spanning_tree_inst g =
-  let pairs = Traversal.spanning_tree g (List.hd (Graph.nodes g)) in
-  Instance.flag_edges (of_g g) (List.map (fun (v, p) -> (min v p, max v p)) pairs)
-
-(* s and t joined by k internally-disjoint paths of length 3:
-   vertex connectivity exactly k. *)
-let theta_graph k =
-  let s = 0 and t = 1 in
-  let g = ref (Graph.add_node (Graph.add_node Graph.empty s) t) in
-  for i = 0 to k - 1 do
-    let a = 2 + (2 * i) and b = 3 + (2 * i) in
-    g := Graph.add_edge !g s a;
-    g := Graph.add_edge !g a b;
-    g := Graph.add_edge !g b t
-  done;
-  (!g, s, t)
-
-let doubled_tree k seed =
-  let t = Random_graphs.tree (st seed) k in
-  let t' = Canonical.shifted t k in
-  Graph.add_edge (Graph.union_disjoint t t') (List.hd (Graph.nodes t))
-    (List.hd (Graph.nodes t'))
-
-let two_components n =
-  let half = max 3 (n / 2) in
-  Graph.union_disjoint (Builders.cycle half)
-    (Canonical.shifted (Builders.cycle half) (2 * half))
-
-(* --- Table 1(a) ----------------------------------------------------- *)
-
-let table_1a =
-  [
-    {
-      id = "T1a-1";
-      what = "Eulerian graph";
-      family = "connected";
-      paper = "0";
-      ok_classes = [ Complexity.Zero ];
-      param = "n";
-      series = sweep Eulerian.scheme (fun n -> of_g (Builders.cycle n)) ns_log;
-    };
-    {
-      id = "T1a-2";
-      what = "line graph";
-      family = "general";
-      paper = "0";
-      ok_classes = [ Complexity.Zero ];
-      param = "n";
-      series =
-        sweep Line_graph_scheme.scheme
-          (fun n -> of_g (Line_graph.of_root_graph (Builders.path (n + 1))))
-          [ 8; 16; 32; 64 ];
-    };
-    {
-      id = "T1a-3";
-      what = "s-t reachability";
-      family = "undirected";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series =
-        sweep Reachability.undirected_reach
-          (fun n -> St.of_graph (Builders.cycle n) ~s:0 ~t:(n / 2))
-          ns_log;
-    };
-    {
-      id = "T1a-4";
-      what = "s-t unreachability";
-      family = "undirected";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series =
-        sweep Reachability.undirected_unreach
-          (fun n ->
-            let g = two_components n in
-            St.of_graph g ~s:0 ~t:(Graph.max_id g))
-          ns_log;
-    };
-    {
-      id = "T1a-5";
-      what = "s-t unreachability";
-      family = "directed";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series =
-        sweep Reachability.directed_unreach
-          (fun n ->
-            (* a directed path plus a reversed tail: t unreachable *)
-            let fwd = List.init (n / 2) (fun i -> (i, i + 1)) in
-            let bwd = List.init (n / 2) (fun i -> (n - i, n - i - 1)) in
-            St.of_digraph (Digraph.of_arcs (fwd @ bwd)) ~s:0 ~t:n)
-          ns_log;
-    };
-    {
-      id = "T1a-6";
-      what = "s-t connectivity = k";
-      family = "planar";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series =
-        sweep Connectivity.planar
-          (fun rows ->
-            let g = Builders.grid rows rows in
-            Connectivity.instance g ~s:0 ~t:((rows * rows) - 1) ~k:2)
-          [ 3; 4; 5; 6; 8 ];
-    };
-    {
-      id = "T1a-7";
-      what = "bipartite graph";
-      family = "general";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series = sweep Bipartite_scheme.scheme (fun n -> of_g (Builders.cycle (even n))) ns_log;
-    };
-    {
-      id = "T1a-8";
-      what = "even n(G)";
-      family = "cycles";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series = sweep Counting.even_cycle (fun n -> of_g (Builders.cycle (even n))) ns_log;
-    };
-    {
-      id = "T1a-9";
-      what = "s-t connectivity = k";
-      family = "general";
-      paper = "O(log k)";
-      ok_classes = [ Complexity.Logarithmic; Complexity.Constant ];
-      param = "k";
-      series =
-        sweep Connectivity.general
-          (fun k ->
-            let g, s, t = theta_graph k in
-            Connectivity.instance g ~s ~t ~k)
-          [ 2; 4; 8; 16; 32; 64 ];
-    };
-    {
-      id = "T1a-10";
-      what = "chromatic number <= k";
-      family = "general";
-      paper = "O(log k)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "k";
-      series =
-        sweep Chromatic.scheme
-          (fun k -> Chromatic.instance_with_k (Builders.complete k) k)
-          [ 2; 4; 8; 16; 32 ];
-    };
-    {
-      id = "T1a-11";
-      what = "coLCP(0): non-Eulerian";
-      family = "connected";
-      paper = "O(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series = sweep Colcp0.non_eulerian (fun n -> of_g (Builders.star (n - 1))) ns_log;
-    };
-    {
-      id = "T1a-12";
-      what = "monadic Σ¹₁: has-triangle";
-      family = "connected";
-      paper = "O(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep
-          (Sigma11.scheme Sentences.has_triangle)
-          (fun n -> of_g (Builders.wheel (n - 1)))
-          [ 8; 16; 32; 64 ];
-    };
-    {
-      id = "T1a-13";
-      what = "odd n(G)";
-      family = "cycles";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series = sweep Counting.odd_n (fun n -> of_g (Builders.cycle (odd n))) ns_log;
-    };
-    {
-      id = "T1a-14";
-      what = "chromatic number > 2";
-      family = "connected";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series = sweep Non_bipartite.scheme (fun n -> of_g (Builders.cycle (odd n))) ns_log;
-    };
-    {
-      id = "T1a-15";
-      what = "fixpoint-free symmetry";
-      family = "trees";
-      paper = "Θ(n)";
-      ok_classes = [ Complexity.Linear ];
-      param = "n";
-      series =
-        sweep Tree_universal.fixpoint_free_symmetry
-          (fun n -> of_g (doubled_tree (n / 2) (100 + n)))
-          ns_log;
-    };
-    {
-      id = "T1a-16";
-      what = "symmetric graph";
-      family = "connected";
-      paper = "Θ(n²)";
-      ok_classes = [ Complexity.Quadratic; Complexity.Quadratic_over_log ];
-      param = "n";
-      series =
-        sweep ~measure:measured_prover_only Universal.symmetric
-          (fun n -> of_g (Builders.cycle n))
-          ns_small;
-    };
-    {
-      id = "T1a-17";
-      what = "chromatic number > 3";
-      family = "connected";
-      paper = "Ω(n²/log n)..O(n²)";
-      ok_classes = [ Complexity.Quadratic; Complexity.Quadratic_over_log ];
-      param = "n";
-      series =
-        sweep ~measure:measured_prover_only Universal.non_3_colourable
-          (fun n -> of_g (Builders.wheel (odd (n - 1))))
-          ns_small;
-    };
-    {
-      id = "T1a-18";
-      what = "computable property";
-      family = "connected";
-      paper = "O(n²)";
-      ok_classes = [ Complexity.Quadratic; Complexity.Quadratic_over_log ];
-      param = "n";
-      series =
-        sweep ~measure:measured_prover_only
-          (Universal.of_predicate ~name:"connected-universal" Traversal.is_connected)
-          (fun n -> of_g (Random_graphs.connected_gnp (st n) n 0.2))
-          ns_small;
-    };
-  ]
-
-(* --- Table 1(b) ----------------------------------------------------- *)
-
-let table_1b =
-  [
-    {
-      id = "T1b-1";
-      what = "maximal matching";
-      family = "general";
-      paper = "0";
-      ok_classes = [ Complexity.Zero ];
-      param = "n";
-      series =
-        sweep Matching_schemes.maximal
-          (fun n ->
-            let g = Builders.cycle n in
-            Instance.flag_edges (of_g g) (Matching.greedy_maximal g))
-          ns_log;
-    };
-    {
-      id = "T1b-2";
-      what = "LCL: maximal independent set";
-      family = "general";
-      paper = "0";
-      ok_classes = [ Complexity.Zero ];
-      param = "n";
-      series =
-        sweep Lcl.maximal_independent_set
-          (fun n ->
-            let g = Builders.cycle (even n) in
-            Instance.with_node_labels (of_g g)
-              (List.map (fun v -> (v, Bits.one_bit (v mod 2 = 0))) (Graph.nodes g)))
-          ns_log;
-    };
-    {
-      id = "T1b-3";
-      what = "maximum matching";
-      family = "bipartite";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series =
-        sweep Matching_schemes.maximum_bipartite
-          (fun n ->
-            let g = Builders.cycle (even n) in
-            Instance.flag_edges (of_g g) (Matching.maximum_bipartite g))
-          ns_log;
-    };
-    {
-      id = "T1b-4";
-      what = "max-weight matching";
-      family = "bipartite";
-      paper = "O(log W)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "W";
-      series =
-        (fun () ->
-          (* fixed topology, growing weight range *)
-          let g = Builders.cycle 16 in
-          List.map
-            (fun w_max ->
-              let weights (u, v) = 1 + (((u * 13) + (v * 7)) mod w_max) in
-              let m = Weighted_matching.maximum_weight g weights in
-              let inst = Matching_schemes.weighted_instance g weights m in
-              (w_max, measured Matching_schemes.maximum_weight_bipartite inst))
-            [ 2; 4; 16; 64; 256; 1024 ]);
-    };
-    {
-      id = "T1b-5";
-      what = "leader election";
-      family = "connected";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Leader_election.strong
-          (fun n -> Leader_election.mark_leader (of_g (Builders.cycle n)) 0)
-          ns_log;
-    };
-    {
-      id = "T1b-6";
-      what = "spanning tree";
-      family = "connected";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Spanning_tree_scheme.scheme
-          (fun n -> spanning_tree_inst (Random_graphs.connected_gnp (st n) n 0.1))
-          [ 8; 16; 32; 64; 128 ];
-    };
-    {
-      id = "T1b-7";
-      what = "maximum matching";
-      family = "cycles";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Matching_schemes.maximum_on_cycle
-          (fun n ->
-            let g = Builders.cycle (odd n) in
-            Instance.flag_edges (of_g g) (Matching.maximum_on_cycle g))
-          ns_log;
-    };
-    {
-      id = "T1b-8";
-      what = "Hamiltonian cycle";
-      family = "connected";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Hamiltonian_scheme.scheme
-          (fun n ->
-            let g = Builders.cycle n in
-            Instance.flag_edges (of_g g) (Graph.edges g))
-          ns_log;
-    };
-    {
-      id = "T1b-9";
-      what = "acyclicity";
-      family = "general";
-      paper = "O(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Acyclic.scheme (fun n -> of_g (Random_graphs.tree (st n) n)) ns_log;
-    };
-  ]
-
-(* --- smoke sweep (CI) ------------------------------------------------ *)
-
-(* A representative, verifier-bound subset that finishes in seconds on
-   the CSR engine: the largest rows are exactly where per-node
-   View.make extraction used to go quadratic. *)
-let smoke_table =
-  [
-    {
-      id = "S-1";
-      what = "Eulerian graph";
-      family = "connected";
-      paper = "0";
-      ok_classes = [ Complexity.Zero ];
-      param = "n";
-      series =
-        sweep Eulerian.scheme (fun n -> of_g (Builders.cycle n)) [ 128; 256; 512 ];
-    };
-    {
-      id = "S-2";
-      what = "bipartite graph";
-      family = "general";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series =
-        sweep Bipartite_scheme.scheme
-          (fun n -> of_g (Builders.cycle (even n)))
-          [ 128; 256; 512 ];
-    };
-    {
-      id = "S-3";
-      what = "odd n(G)";
-      family = "cycles";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Counting.odd_n (fun n -> of_g (Builders.cycle (odd n)))
-          [ 129; 257; 513 ];
-    };
-    {
-      id = "S-4";
-      what = "leader election";
-      family = "connected";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Leader_election.strong
-          (fun n -> Leader_election.mark_leader (of_g (Builders.cycle n)) 0)
-          [ 128; 256; 512 ];
-    };
-    {
-      id = "S-5";
-      what = "spanning tree";
-      family = "connected";
-      paper = "Θ(log n)";
-      ok_classes = [ Complexity.Logarithmic ];
-      param = "n";
-      series =
-        sweep Spanning_tree_scheme.scheme
-          (fun n -> spanning_tree_inst (Random_graphs.connected_gnp (st n) n 0.1))
-          [ 32; 64; 128 ];
-    };
-    {
-      id = "S-6";
-      what = "s-t reachability";
-      family = "undirected";
-      paper = "Θ(1)";
-      ok_classes = [ Complexity.Constant ];
-      param = "n";
-      series =
-        sweep Reachability.undirected_reach
-          (fun n -> St.of_graph (Builders.cycle n) ~s:0 ~t:(n / 2))
-          [ 512; 1024; 2048; 4096 ];
-    };
-  ]
+let row name =
+  match Registry.find name with
+  | Some ({ Registry.row = Some r; _ } as e) -> (e, r)
+  | _ -> failwith ("bench: no Table 1 row for " ^ name)
 
 (* --- printing + JSON ------------------------------------------------- *)
 
@@ -570,7 +100,7 @@ type row_outcome =
   | Fitted of (int * int) list * Complexity.growth * bool (* series, fit, match *)
 
 type row_result = {
-  row : row;
+  row : Registry.row;
   outcome : row_outcome;
   wall_s : float;
   metrics : string option;  (* pre-rendered JSON object, with --metrics *)
@@ -581,14 +111,14 @@ type row_result = {
    --metrics — a per-row snapshot of the deterministic engine counters
    (the metrics registry is reset at row entry, so each row sees only
    its own work). *)
-let eval_row r =
+let eval_row ~sizes (e, (r : Registry.row)) =
   if !collect_metrics then Obs.Metrics.reset ();
   let measure () =
-    match r.series () with
+    match List.map (fun n -> (n, measure_row e r n)) sizes with
     | exception Measure_failure msg -> Failed msg
     | series ->
         let fit = Complexity.classify series in
-        Fitted (series, fit, List.mem fit r.ok_classes)
+        Fitted (series, fit, List.mem fit r.Registry.fits)
   in
   (* With the profiler on, bracket the row with the coordinating
      domain's GC counters — worker-domain allocations show up in the
@@ -697,7 +227,6 @@ let write_json path ~smoke ~total_wall_s ?partition ?randomized ?profile
     Printf.sprintf
       "{\n\
       \  \"bench\": \"lcp\",\n\
-      \  \"engine\": \"%s\",\n\
       \  \"jobs\": %d,\n\
       \  \"smoke\": %b,\n\
       \  \"metrics\": %b,\n\
@@ -707,7 +236,6 @@ let write_json path ~smoke ~total_wall_s ?partition ?randomized ?profile
        %s\
       \  \"rows\": [\n%s\n  ]\n\
        }\n"
-      (if !use_reference then "reference" else "csr")
       !jobs smoke !collect_metrics total_wall_s
       (match partition with
       | None -> ""
@@ -1245,51 +773,24 @@ let randomized_bench () =
 
 (* --- lower-bound attack experiments --------------------------------- *)
 
-let gluing_outcome name scheme family =
-  match Gluing.attack ~rows:4 scheme family with
-  | Gluing.Fooled { instance; genuinely_no; quad = (a1, b1), (a2, b2); _ } ->
-      Format.printf
-        "%-34s FOOLED: glued C(%d,%d)+C(%d,%d) -> accepted %d-node no-instance (no=%b)@."
-        name a1 b1 a2 b2 (Instance.n instance) genuinely_no
-  | Gluing.Resisted { pairs; distinct_signatures } ->
-      Format.printf "%-34s resisted: %d/%d signatures distinct@." name
-        distinct_signatures pairs
-  | Gluing.Prover_failed (a, b) ->
-      Format.printf "%-34s prover failed on C(%d,%d)@." name a b
+let outcome pp name o = Format.printf "%-34s %a@." name pp o
 
-let symmetry_outcome name outcome =
-  match outcome with
-  | Symmetry_lb.Fooled { glued; genuinely_no; _ } ->
-      Format.printf "%-34s FOOLED: accepted %d-node spliced graph (no=%b)@." name
-        (Graph.n glued) genuinely_no
-  | Symmetry_lb.Resisted { family_size; distinct_windows } ->
-      Format.printf "%-34s resisted: %d/%d windows distinct@." name distinct_windows
-        family_size
-  | Symmetry_lb.Prover_failed _ -> Format.printf "%-34s prover failed@." name
-
-let non3col_outcome name outcome =
-  match outcome with
-  | Non3col_lb.Fooled { instance; genuinely_no; _ } ->
-      Format.printf "%-34s FOOLED: accepted %d-node spliced gadget (3-colourable=%b)@."
-        name (Instance.n instance) genuinely_no
-  | Non3col_lb.Resisted { family_size; distinct_windows } ->
-      Format.printf "%-34s resisted: %d/%d windows distinct@." name distinct_windows
-        family_size
-  | Non3col_lb.Prover_failed _ -> Format.printf "%-34s prover failed@." name
+let gluing name scheme family =
+  outcome Gluing.pp_outcome name (Gluing.attack ~rows:4 scheme family)
 
 let lower_bounds () =
   Format.printf "@.=== Figure 1 / Section 5.3: gluing cycles ===@.";
   Format.printf "(undersized-but-complete schemes must be FOOLED; honest Θ(log n) schemes must resist)@.";
-  gluing_outcome "odd-n, 2-bit counters" (Truncated.odd_n_cycle ~bits:2)
+  gluing "odd-n, 2-bit counters" (Truncated.odd_n_cycle ~bits:2)
     (Gluing.odd_cycles ~n:9);
-  gluing_outcome "odd-n, honest Θ(log n)" Counting.odd_n (Gluing.odd_cycles ~n:9);
-  gluing_outcome "leader, 2-bit counters" (Truncated.leader_cycle ~bits:2)
+  gluing "odd-n, honest Θ(log n)" Counting.odd_n (Gluing.odd_cycles ~n:9);
+  gluing "leader, 2-bit counters" (Truncated.leader_cycle ~bits:2)
     (Gluing.leader_cycles ~n:8);
-  gluing_outcome "leader, honest Θ(log n)" Leader_election.strong
+  gluing "leader, honest Θ(log n)" Leader_election.strong
     (Gluing.leader_cycles ~n:8);
-  gluing_outcome "max-matching, 2-bit counters" (Truncated.max_matching_cycle ~bits:2)
+  gluing "max-matching, 2-bit counters" (Truncated.max_matching_cycle ~bits:2)
     (Gluing.matching_cycles ~n:9);
-  gluing_outcome "max-matching, honest Θ(log n)" Matching_schemes.maximum_on_cycle
+  gluing "max-matching, honest Θ(log n)" Matching_schemes.maximum_on_cycle
     (Gluing.matching_cycles ~n:9);
 
   Format.printf "@.--- general k (the paper's arbitrary constant) ---@.";
@@ -1324,17 +825,17 @@ let lower_bounds () =
   let family = Enumerate.asymmetric_connected 6 in
   Format.printf "family F_6: %d pairwise non-isomorphic asymmetric connected graphs@."
     (List.length family);
-  symmetry_outcome "claims scheme, O(Δ log n) bits"
+  outcome Symmetry_lb.pp_outcome "claims scheme, O(Δ log n) bits"
     (Symmetry_lb.attack_symmetric Truncated.symmetric_claims ~family);
-  symmetry_outcome "universal scheme, Θ(n²) bits"
+  outcome Symmetry_lb.pp_outcome "universal scheme, Θ(n²) bits"
     (Symmetry_lb.attack_symmetric Universal.symmetric ~family);
 
   Format.printf "@.=== Section 6.2: fixpoint-free tree symmetry needs Ω(n) ===@.";
   let trees = Tree_enum.rooted_trees 6 in
   Format.printf "family: %d rooted trees on 6 nodes (A000081)@." (List.length trees);
-  symmetry_outcome "claims scheme, O(Δ log n) bits"
+  outcome Symmetry_lb.pp_outcome "claims scheme, O(Δ log n) bits"
     (Symmetry_lb.attack_trees Truncated.fixpoint_free_claims ~family:trees);
-  symmetry_outcome "tree-universal scheme, Θ(n) bits"
+  outcome Symmetry_lb.pp_outcome "tree-universal scheme, Θ(n) bits"
     (Symmetry_lb.attack_trees Tree_universal.fixpoint_free_symmetry ~family:trees);
 
   Format.printf "@.=== Section 6.3: non-3-colourability needs Ω(n²/log n) ===@.";
@@ -1345,19 +846,17 @@ let lower_bounds () =
     Truncated.ball_claims ~name:"non3col-ball-claims" (fun g ->
         not (Coloring.is_k_colourable g 3))
   in
-  non3col_outcome "ball-claims scheme, O(Δ² log n)"
+  outcome Non3col_lb.pp_outcome "ball-claims scheme, O(Δ² log n)"
     (Non3col_lb.attack ~k:1 ~r:1 ~sets ball_claims);
-  non3col_outcome "universal scheme, Θ(n²)"
+  outcome Non3col_lb.pp_outcome "universal scheme, Θ(n²)"
     (Non3col_lb.attack ~k:1 ~r:1 ~sets Universal.non_3_colourable);
 
   Format.printf
     "@.=== Table 1(a) dash row: connectivity has NO scheme of any size ===@.";
-  let conn_universal =
-    Universal.of_predicate ~name:"connected-universal" Traversal.is_connected
-  in
+  let conn_universal, _ = row "connected-universal" in
   Format.printf
     "disjoint-union attack vs the universal O(n²) scheme: fooled = %b@."
-    (No_scheme.connectivity_has_no_scheme conn_universal)
+    (No_scheme.connectivity_has_no_scheme conn_universal.Registry.scheme)
 
 (* --- design ablations ------------------------------------------------- *)
 
@@ -1401,20 +900,18 @@ let ablations () =
 
 let hierarchy () =
   Format.printf "@.=== The LCP hierarchy at n = 64 (bits per node, measured) ===@.";
-  let entries =
+  List.iter
+    (fun (level, name) ->
+      let e, r = row name in
+      Format.printf "  %-10s %-24s %6d bits@." level r.Registry.what
+        (measure_row e r 64))
     [
-      ("LCP(0)     eulerian", measured Eulerian.scheme (of_g (Builders.cycle 64)));
-      ("LCP(1)     bipartite", measured Bipartite_scheme.scheme (of_g (Builders.cycle 64)));
-      ( "LogLCP     leader election",
-        measured Leader_election.strong
-          (Leader_election.mark_leader (of_g (Builders.cycle 64)) 0) );
-      ( "LCP(n)     tree symmetry",
-        measured Tree_universal.fixpoint_free_symmetry (of_g (doubled_tree 32 7)) );
-      ( "LCP(n²)    symmetric graph",
-        measured_prover_only Universal.symmetric (of_g (Builders.cycle 64)) );
-    ]
-  in
-  List.iter (fun (name, bits) -> Format.printf "  %-28s %6d bits@." name bits) entries;
+      ("LCP(0)", "eulerian");
+      ("LCP(1)", "bipartite");
+      ("LogLCP", "leader");
+      ("LCP(n)", "tree-ffsym");
+      ("LCP(n²)", "symmetric");
+    ];
   Format.printf "  (each level separated by the lower-bound attacks above)@."
 
 (* --- Bechamel timing ------------------------------------------------- *)
@@ -1446,9 +943,8 @@ let timing () =
         verifier_test "bipartite-C64" Bipartite_scheme.scheme (of_g (Builders.cycle n));
         verifier_test "leader-C64" Leader_election.strong
           (Leader_election.mark_leader (of_g (Builders.cycle n)) 0);
-        verifier_test "spanning-tree-G64"
-          Spanning_tree_scheme.scheme
-          (spanning_tree_inst (Random_graphs.connected_gnp (st 5) n 0.1));
+        verifier_test "spanning-tree-G64" Spanning_tree_scheme.scheme
+          ((snd (row "spanning-tree")).Registry.make n);
         verifier_test "odd-n-C65" Counting.odd_n (of_g (Builders.cycle 65));
         verifier_test "non-bipartite-C65" Non_bipartite.scheme (of_g (Builders.cycle 65));
         (* mean degree 6, where each certificate is read deg + 1 times
@@ -1509,11 +1005,12 @@ let timing () =
 
 (* --- main ------------------------------------------------------------ *)
 
-let run_table title rows =
+let run_table ?(smoke = false) title rows =
   print_header title;
   List.map
-    (fun r ->
-      let result = eval_row r in
+    (fun ((_, r) as er) ->
+      let sizes = if smoke then r.Registry.smoke else r.Registry.sizes in
+      let result = eval_row ~sizes er in
       print_result result;
       result)
     rows
@@ -1536,8 +1033,7 @@ let exit_unless_all_match results =
 let usage () =
   prerr_endline
     "usage: main.exe [--smoke] [--timing] [--partition] [--randomized] \
-     [--reference] [--jobs N] [--metrics] [--obs-dir DIR] [--profile] \
-     (N=0: all cores)";
+     [--jobs N] [--metrics] [--obs-dir DIR] [--profile] (N=0: all cores)";
   exit 2
 
 (* Wrap a whole bench section in a trace span when tracing is on. *)
@@ -1585,7 +1081,7 @@ let () =
          && not
               (List.mem a
                  [ "--smoke"; "--timing"; "--partition";
-                   "--randomized"; "--reference"; "--jobs"; "--metrics";
+                   "--randomized"; "--jobs"; "--metrics";
                    "--obs-dir"; "--profile" ]))
        (flags_only (List.tl args))
    with
@@ -1593,7 +1089,6 @@ let () =
   | bad :: _ ->
       Printf.eprintf "unknown option %S\n" bad;
       usage ());
-  use_reference := List.mem "--reference" args;
   collect_metrics := List.mem "--metrics" args;
   let with_partition = List.mem "--partition" args in
   let with_randomized = List.mem "--randomized" args in
@@ -1604,22 +1099,29 @@ let () =
   if List.mem "--timing" args then timing ()
   else begin
     let smoke = List.mem "--smoke" args in
-    let engine = if !use_reference then "reference" else "csr" in
     if smoke then
-      Format.printf "Locally Checkable Proofs: smoke sweep (engine=%s, jobs=%d)@."
-        engine !jobs
+      Format.printf "Locally Checkable Proofs: smoke sweep (jobs=%d)@." !jobs
     else
       Format.printf
         "Locally Checkable Proofs (Göös & Suomela, PODC 2011): experiment \
-         harness (engine=%s, jobs=%d)@."
-        engine !jobs;
+         harness (jobs=%d)@."
+        !jobs;
+    let table prefix =
+      List.filter
+        (fun (_, r) -> String.starts_with ~prefix r.Registry.id)
+        rows
+    in
     let tables () =
-      if smoke then run_table "smoke sweep" smoke_table
+      if smoke then
+        run_table ~smoke "smoke sweep"
+          (List.filter (fun (_, r) -> r.Registry.smoke <> []) rows)
       else begin
-        let results_a = run_table "Table 1(a): graph properties" table_1a in
+        let results_a =
+          run_table "Table 1(a): graph properties" (table "T1a-")
+        in
         let results_b =
           run_table "Table 1(b): graph problems (solution verification)"
-            table_1b
+            (table "T1b-")
         in
         section "bench.lower_bounds" lower_bounds;
         section "bench.ablations" ablations;

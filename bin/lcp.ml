@@ -27,11 +27,12 @@ open Cmdliner
 
 (* --- arguments -------------------------------------------------------- *)
 
+(* [-s NAME] yields the registry entry, so a command holds both the
+   scheme and the name the wire and [Sampled] key on. *)
+let scheme_conv =
+  Arg.enum (List.map (fun e -> (e.Registry.name, e)) Registry.all)
+
 let scheme_arg =
-  let scheme_conv =
-    Arg.enum
-      (List.map (fun e -> (e.Registry.name, e.Registry.scheme)) Registry.all)
-  in
   Arg.(
     required
     & opt (some scheme_conv) None
@@ -119,16 +120,6 @@ let partitions_arg =
     & info [ "partitions" ] ~docv:"K"
         ~doc:"Shards to cut the graph into for --cluster (default 2).")
 
-(* scheme_arg converts the name to the scheme itself; the wire wants
-   the name back. Entries are unique and the conv only ever hands out
-   registry values, so physical equality recovers it. *)
-let scheme_name scheme =
-  match
-    List.find_opt (fun e -> e.Registry.scheme == scheme) Registry.all
-  with
-  | Some e -> e.Registry.name
-  | None -> invalid_arg "scheme not in registry"
-
 (* --- commands --------------------------------------------------------- *)
 
 let schemes_cmd =
@@ -159,7 +150,8 @@ let one_shot_flags =
     $ Obs_flags.metrics $ Obs_flags.obs_dir)
 
 let prove_cmd =
-  let run scheme graph output jobs obs =
+  let run (e : Registry.entry) graph output jobs obs =
+    let scheme = e.Registry.scheme in
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst ->
@@ -235,11 +227,10 @@ let verify_cmd =
             "PRG seed for --sampled; the probe set and every charged read \
              are a pure function of it.")
   in
-  let run_sampled scheme inst proof jobs queries seed =
-    match Sampled.find (scheme_name scheme) with
+  let run_sampled name inst proof jobs queries seed =
+    match Sampled.find name with
     | None ->
-        Format.eprintf "scheme %s has no sampled variant@."
-          (scheme_name scheme);
+        Format.eprintf "scheme %s has no sampled variant@." name;
         1
     | Some rs -> (
         let queries =
@@ -286,8 +277,9 @@ let verify_cmd =
                     (String.concat "; " (List.map string_of_int vs));
                   2))
   in
-  let run scheme graph proof jobs obs cluster partitions sampled queries
-      seed =
+  let run (e : Registry.entry) graph proof jobs obs cluster partitions
+      sampled queries seed =
+    let scheme = e.Registry.scheme in
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst ->
@@ -307,14 +299,14 @@ let verify_cmd =
                    path is 'lcp loadgen --mix P:V:S')";
                 1
             | None ->
-                run_sampled scheme inst proof (resolve_jobs jobs) queries
-                  seed)
+                run_sampled e.Registry.name inst proof (resolve_jobs jobs)
+                  queries seed)
         | Ok proof -> (
             match cluster with
             | Some (host, port) -> (
                 let csr = Csr.of_graph (Instance.graph inst) in
                 match
-                  Fanout.verify ~host ~port ~scheme:(scheme_name scheme) ~csr
+                  Fanout.verify ~host ~port ~scheme:e.Registry.name ~csr
                     ~proof ~radius:scheme.Scheme.radius ~k:partitions ()
                 with
                 | Error m ->
@@ -367,10 +359,6 @@ let partition_cmd =
              --scheme is given. One of the two is required.")
   in
   let scheme_opt_arg =
-    let scheme_conv =
-      Arg.enum
-        (List.map (fun e -> (e.Registry.name, e.Registry.scheme)) Registry.all)
-    in
     Arg.(
       value
       & opt (some scheme_conv) None
@@ -388,7 +376,7 @@ let partition_cmd =
     match
       match (radius, scheme) with
       | Some r, _ -> Ok r
-      | None, Some s -> Ok s.Scheme.radius
+      | None, Some e -> Ok e.Registry.scheme.Scheme.radius
       | None, None -> Error "one of --radius or --scheme is required"
     with
     | Error m ->
@@ -441,13 +429,13 @@ let partition_cmd =
       $ prefix_arg)
 
 let forge_cmd =
-  let run scheme graph bits obs =
+  let run (e : Registry.entry) graph bits obs =
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst ->
         one_shot "forge" obs @@ fun () ->
         (
-        match Adversary.forge scheme inst ~max_bits:bits with
+        match Adversary.forge e.Registry.scheme inst ~max_bits:bits with
         | Adversary.Fooled proof ->
             Format.printf
               "FOOLED: found a proof of <= %d bits accepted by every node!@." bits;
@@ -476,7 +464,8 @@ let stats_cmd =
       & info [ "samples" ] ~docv:"N"
           ~doc:"Random forgeries for the soundness probe.")
   in
-  let run scheme graph jobs samples bits dir =
+  let run (e : Registry.entry) graph jobs samples bits dir =
+    let scheme = e.Registry.scheme in
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
     | Ok inst -> (
@@ -485,7 +474,7 @@ let stats_cmd =
         one_shot "stats" { Obs.off with metrics = true; dir } @@ fun () ->
         let jobs = resolve_jobs jobs in
         let g = Instance.graph inst in
-        Format.printf "scheme:    %s (radius %d)@." scheme.Scheme.name
+        Format.printf "scheme:    %s (radius %d)@." e.Registry.name
           scheme.Scheme.radius;
         Format.printf "instance:  %d nodes, %d edges, max degree %d, jobs %d@."
           (Instance.n inst) (Graph.m g) (Graph.max_degree g) jobs;
@@ -505,7 +494,7 @@ let stats_cmd =
         let budget_line () =
           (* Error budget of the scheme's sampled variant, measured
              against the same forgery distribution the probe uses. *)
-          match Sampled.find (scheme_name scheme) with
+          match Sampled.find e.Registry.name with
           | None -> ()
           | Some rs ->
               let t = Obs.Clock.now_ns () in
@@ -684,33 +673,27 @@ let attack_cmd =
     Arg.(value & opt int 9 & info [ "n" ] ~docv:"N" ~doc:"Cycle length (gluing).")
   in
   let run attack honest n =
-    let gluing_report = function
-      | Gluing.Fooled { instance; quad = (a1, b1), (a2, b2); genuinely_no; _ } ->
-          Format.printf
-            "FOOLED: glued C(%d,%d) and C(%d,%d) into an accepted %d-node \
-             no-instance (genuinely no: %b)@."
-            a1 b1 a2 b2 (Instance.n instance) genuinely_no;
-          2
-      | Gluing.Resisted { pairs; distinct_signatures } ->
-          Format.printf "resisted: %d/%d signatures distinct@." distinct_signatures
-            pairs;
-          0
-      | Gluing.Prover_failed (a, b) ->
-          Format.printf "prover failed on C(%d,%d)@." a b;
-          1
+    (* exit 2 when the attack fools the scheme, 0 when it resists *)
+    let gluing_report o =
+      Format.printf "%a@." Gluing.pp_outcome o;
+      match o with
+      | Gluing.Fooled _ -> 2
+      | Gluing.Resisted _ -> 0
+      | Gluing.Prover_failed _ -> 1
     in
-    let sym_report = function
-      | Symmetry_lb.Fooled { glued; genuinely_no; _ } ->
-          Format.printf "FOOLED: accepted spliced %d-node graph (genuinely no: %b)@."
-            (Graph.n glued) genuinely_no;
-          2
-      | Symmetry_lb.Resisted { family_size; distinct_windows } ->
-          Format.printf "resisted: %d/%d windows distinct@." distinct_windows
-            family_size;
-          0
-      | Symmetry_lb.Prover_failed _ ->
-          Format.printf "prover failed@.";
-          1
+    let sym_report o =
+      Format.printf "%a@." Symmetry_lb.pp_outcome o;
+      match o with
+      | Symmetry_lb.Fooled _ -> 2
+      | Symmetry_lb.Resisted _ -> 0
+      | Symmetry_lb.Prover_failed _ -> 1
+    in
+    let non3col_report o =
+      Format.printf "%a@." Non3col_lb.pp_outcome o;
+      match o with
+      | Non3col_lb.Fooled _ -> 2
+      | Non3col_lb.Resisted _ -> 0
+      | Non3col_lb.Prover_failed _ -> 1
     in
     match attack with
     | `Gluing_odd ->
@@ -741,7 +724,7 @@ let attack_cmd =
           else Truncated.fixpoint_free_claims
         in
         sym_report (Symmetry_lb.attack_trees scheme ~family:(Tree_enum.rooted_trees 6))
-    | `Non3col -> (
+    | `Non3col ->
         let scheme =
           if honest then Universal.non_3_colourable
           else
@@ -751,19 +734,7 @@ let attack_cmd =
         let sets =
           Some [ [ (0, 1) ]; [ (1, 0) ]; [ (0, 0); (1, 1) ]; [ (0, 1); (1, 0) ] ]
         in
-        match Non3col_lb.attack ~k:1 ~r:1 ~sets scheme with
-        | Non3col_lb.Fooled { instance; genuinely_no; _ } ->
-            Format.printf
-              "FOOLED: accepted spliced %d-node gadget (3-colourable: %b)@."
-              (Instance.n instance) genuinely_no;
-            2
-        | Non3col_lb.Resisted { family_size; distinct_windows } ->
-            Format.printf "resisted: %d/%d windows distinct@." distinct_windows
-              family_size;
-            0
-        | Non3col_lb.Prover_failed _ ->
-            Format.printf "prover failed@.";
-            1)
+        non3col_report (Non3col_lb.attack ~k:1 ~r:1 ~sets scheme)
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run one of the paper's lower-bound attacks")
@@ -771,23 +742,33 @@ let attack_cmd =
 
 let table_cmd =
   let run () =
-    let st = Random.State.make [| 0xCAFE |] in
-    Format.printf "%-8s %-38s %-14s %s@." "id" "scheme" "paper" "bits/node at n=8,12,16";
-    Format.printf "%s@." (String.make 80 '-');
+    Format.printf "%-8s %-20s %-20s %s@." "id" "scheme" "paper"
+      "bits/node at the first three sweep sizes";
+    Format.printf "%s@." (String.make 90 '-');
     List.iter
-      (fun (e : Catalog.entry) ->
-        let bits_at size =
-          match e.Catalog.yes st size with
-          | None -> "-"
-          | Some inst -> (
-              match Scheme.prove_and_check e.Catalog.scheme inst with
-              | `Accepted proof -> string_of_int (Proof.size proof)
-              | _ -> "!")
-        in
-        Format.printf "%-8s %-38s %-14s %s@." e.Catalog.id
-          e.Catalog.scheme.Scheme.name e.Catalog.paper_class
-          (String.concat ", " (List.map bits_at [ 8; 12; 16 ])))
-      Catalog.all;
+      (fun (e : Registry.entry) ->
+        match e.Registry.row with
+        | None -> ()
+        | Some r ->
+            let scheme = e.Registry.scheme in
+            let bits_at size =
+              let bits =
+                if r.Registry.prover_only then
+                  Option.fold ~none:"!"
+                    ~some:(fun p -> string_of_int (Proof.size p))
+                    (scheme.Scheme.prover (r.Registry.make size))
+                else
+                  match Scheme.prove_and_check scheme (r.Registry.make size) with
+                  | `Accepted proof -> string_of_int (Proof.size proof)
+                  | _ -> "!"
+              in
+              Printf.sprintf "%s=%d:%s" r.Registry.param size bits
+            in
+            Format.printf "%-8s %-20s %-20s %s@." r.Registry.id e.Registry.name
+              r.Registry.paper
+              (String.concat " "
+                 (List.map bits_at (List.filteri (fun i _ -> i < 3) r.Registry.sizes))))
+      Registry.all;
     Format.printf
       "@.(the full sweep with growth fits and attacks: dune exec bench/main.exe)@.";
     0

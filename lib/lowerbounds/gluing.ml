@@ -62,6 +62,17 @@ type outcome =
   | Resisted of { pairs : int; distinct_signatures : int }
   | Prover_failed of int * int
 
+let pp_outcome ppf = function
+  | Fooled { instance; genuinely_no; quad = (a1, b1), (a2, b2); _ } ->
+      Format.fprintf ppf
+        "FOOLED: glued C(%d,%d)+C(%d,%d) -> accepted %d-node instance \
+         (genuinely no: %b)"
+        a1 b1 a2 b2 (Instance.n instance) genuinely_no
+  | Resisted { pairs; distinct_signatures } ->
+      Format.fprintf ppf "resisted: %d/%d signatures distinct"
+        distinct_signatures pairs
+  | Prover_failed (a, b) -> Format.fprintf ppf "prover failed on C(%d,%d)" a b
+
 (* Find a monochromatic rectangle: two rows a₁ < a₂ and two columns
    b₁ < b₂ with equal signatures on all four pairs. *)
 let find_rectangle signatures =

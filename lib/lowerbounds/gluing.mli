@@ -35,6 +35,10 @@ type outcome =
   | Resisted of { pairs : int; distinct_signatures : int }
   | Prover_failed of int * int
 
+val pp_outcome : Format.formatter -> outcome -> unit
+(** One line, no newline: FOOLED (with the glued instance's size),
+    resisted (distinct signatures) or prover failed. *)
+
 val attack : ?rows:int -> Scheme.t -> family -> outcome
 (** Run the whole construction at k = 2. [rows] bounds |A| = |B| (the
     tests use 3–4; the paper's asymptotic argument takes the full n). *)

@@ -26,6 +26,16 @@ type outcome =
   | Resisted of { family_size : int; distinct_windows : int }
   | Prover_failed of (int * int) list
 
+let pp_outcome ppf = function
+  | Fooled { instance; genuinely_no; _ } ->
+      Format.fprintf ppf
+        "FOOLED: accepted %d-node spliced gadget (3-colourable: %b)"
+        (Instance.n instance) genuinely_no
+  | Resisted { family_size; distinct_windows } ->
+      Format.fprintf ppf "resisted: %d/%d windows distinct" distinct_windows
+        family_size
+  | Prover_failed _ -> Format.fprintf ppf "prover failed"
+
 let complement ~k a_set =
   List.filter (fun p -> not (List.mem p a_set)) (Gadgets.all_pairs k)
 

@@ -19,6 +19,10 @@ type outcome =
   | Resisted of { family_size : int; distinct_windows : int }
   | Prover_failed of (int * int) list
 
+val pp_outcome : Format.formatter -> outcome -> unit
+(** One line, no newline: FOOLED (with the spliced gadget's size),
+    resisted (distinct windows) or prover failed. *)
+
 val complement : k:int -> (int * int) list -> (int * int) list
 
 val attack :

@@ -68,6 +68,16 @@ type outcome =
   | Resisted of { family_size : int; distinct_windows : int }
   | Prover_failed of Graph.t
 
+let pp_outcome ppf = function
+  | Fooled { glued; genuinely_no; _ } ->
+      Format.fprintf ppf
+        "FOOLED: accepted %d-node spliced graph (genuinely no: %b)"
+        (Graph.n glued) genuinely_no
+  | Resisted { family_size; distinct_windows } ->
+      Format.fprintf ppf "resisted: %d/%d windows distinct" distinct_windows
+        family_size
+  | Prover_failed _ -> Format.fprintf ppf "prover failed"
+
 let window_signature proof ~radius =
   let nodes = List.init ((2 * radius) + 1) (fun i -> i + 1) in
   String.concat "|" (List.map (fun v -> Bits.to_string (Proof.get proof v)) nodes)

@@ -24,6 +24,10 @@ type outcome =
   | Resisted of { family_size : int; distinct_windows : int }
   | Prover_failed of Graph.t
 
+val pp_outcome : Format.formatter -> outcome -> unit
+(** One line, no newline: FOOLED (with the spliced graph's size),
+    resisted (distinct windows) or prover failed. *)
+
 val attack_symmetric : Scheme.t -> family:Graph.t list -> outcome
 (** Section 6.1; seeds from {!Enumerate.asymmetric_connected}. *)
 

@@ -7,8 +7,8 @@ let check = Alcotest.(check bool)
 let garbage_proofs_rejected_not_crashing () =
   let st = Random.State.make [| 99 |] in
   List.iter
-    (fun (e : Catalog.entry) ->
-      match e.Catalog.yes st 8 with
+    (fun (e : Registry.entry) ->
+      match e.Registry.yes st 8 with
       | None -> ()
       | Some inst ->
           let g = Instance.graph inst in
@@ -20,10 +20,10 @@ let garbage_proofs_rejected_not_crashing () =
                 g Proof.empty
             in
             (* must return a verdict (never raise) *)
-            match Scheme.decide e.Catalog.scheme inst proof with
+            match Scheme.decide e.Registry.scheme inst proof with
             | Scheme.Accept | Scheme.Reject _ -> ()
           done)
-    Catalog.all;
+    Registry.all;
   check "no verifier crashed on garbage" true true
 
 let truncated_proofs_rejected () =
