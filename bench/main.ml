@@ -163,18 +163,26 @@ let eval_row ~sizes (e, (r : Registry.row)) =
   in
   { row = r; outcome; wall_s; metrics; profile }
 
+(* One table line: every cell but the last padded to its column's
+   display width (paper classes and fits hold multi-byte symbols). *)
+let print_line cells =
+  let widths = [| 7; 28; 10; 18; 32; 12; 8 |] in
+  let last = List.length cells - 1 in
+  Format.printf "%s@."
+    (String.concat " "
+       (List.mapi (fun i c -> if i = last then c else Cli.pad widths.(i) c) cells))
+
 let print_header title =
   Format.printf "@.=== %s ===@." title;
-  Format.printf "%-7s %-28s %-10s %-18s %-32s %-12s %-8s %s@." "id"
-    "property/problem" "family" "paper" "measured bits per node" "fit" "verdict"
-    "wall";
+  print_line
+    [ "id"; "property/problem"; "family"; "paper"; "measured bits per node";
+      "fit"; "verdict"; "wall" ];
   Format.printf "%s@." (String.make 126 '-')
 
 let print_result { row = r; outcome; wall_s; metrics = _; profile = _ } =
   match outcome with
   | Failed msg ->
-      Format.printf "%-7s %-28s %-10s %-18s MEASUREMENT FAILED: %s@." r.id r.what
-        r.family r.paper msg
+      print_line [ r.id; r.what; r.family; r.paper; "MEASUREMENT FAILED: " ^ msg ]
   | Fitted (series, fit, matches) ->
       let verdict = if matches then "MATCH" else "DIFFERS" in
       let series_str =
@@ -185,8 +193,9 @@ let print_result { row = r; outcome; wall_s; metrics = _; profile = _ } =
         if String.length series_str <= 32 then series_str
         else String.sub series_str 0 29 ^ "..."
       in
-      Format.printf "%-7s %-28s %-10s %-18s %-32s %-12s %-8s %.3fs@." r.id r.what
-        r.family r.paper series_str (Complexity.label fit) verdict wall_s
+      print_line
+        [ r.id; r.what; r.family; r.paper; series_str; Complexity.label fit;
+          verdict; Printf.sprintf "%.3fs" wall_s ]
 
 let json_of_result { row = r; outcome; wall_s; metrics; profile } =
   let common =
@@ -1030,75 +1039,23 @@ let exit_unless_all_match results =
     exit 1
   end
 
-let usage () =
-  prerr_endline
-    "usage: main.exe [--smoke] [--timing] [--partition] [--randomized] \
-     [--jobs N] [--metrics] [--obs-dir DIR] [--profile] (N=0: all cores)";
-  exit 2
-
 (* Wrap a whole bench section in a trace span when tracing is on. *)
 let section name f = if !Obs.Trace.enabled then Obs.Trace.span name f else f ()
 
-let () =
-  let args = Array.to_list Sys.argv in
-  let rec find_jobs = function
-    | "--jobs" :: v :: _ -> (
-        match int_of_string_opt v with
-        | Some j when j >= 0 -> j
-        | _ ->
-            Printf.eprintf "--jobs: expected a non-negative integer, got %S\n" v;
-            usage ())
-    | [ "--jobs" ] ->
-        prerr_endline "--jobs needs an argument";
-        usage ()
-    | _ :: rest -> find_jobs rest
-    | [] -> 1
-  in
-  let rec find_dir = function
-    | "--obs-dir" :: v :: _ when String.length v = 0 || v.[0] <> '-' -> Some v
-    | [ "--obs-dir" ] | "--obs-dir" :: _ ->
-        prerr_endline "--obs-dir needs a directory argument";
-        usage ()
-    | _ :: rest -> find_dir rest
-    | [] -> None
-  in
-  jobs := (match find_jobs args with 0 -> Pool.default_jobs () | j -> j);
-  let obs = { Obs.off with dir = find_dir args; profile = List.mem "--profile" args } in
+let main smoke timing_only with_partition with_randomized jobs_n metrics dir
+    profile =
+  jobs := Cli.resolve_jobs jobs_n;
+  let obs = { Obs.off with dir; profile } in
   (* A traced --smoke --partition --randomized run records about 480k
      events; the default ring would keep only the last 65536. *)
-  if obs.Obs.dir <> None then Obs.Trace.set_capacity (1 lsl 20);
-  (* Drop option arguments (the values after --jobs / --obs-dir)
-     before scanning for unknown flags. *)
-  let rec flags_only = function
-    | ("--jobs" | "--obs-dir") :: _ :: rest -> flags_only rest
-    | a :: rest -> a :: flags_only rest
-    | [] -> []
-  in
-  (match
-     List.filter
-       (fun a ->
-         String.length a > 1 && a.[0] = '-'
-         && not
-              (List.mem a
-                 [ "--smoke"; "--timing"; "--partition";
-                   "--randomized"; "--jobs"; "--metrics";
-                   "--obs-dir"; "--profile" ]))
-       (flags_only (List.tl args))
-   with
-  | [] -> ()
-  | bad :: _ ->
-      Printf.eprintf "unknown option %S\n" bad;
-      usage ());
-  collect_metrics := List.mem "--metrics" args;
-  let with_partition = List.mem "--partition" args in
-  let with_randomized = List.mem "--randomized" args in
+  if dir <> None then Obs.Trace.set_capacity (1 lsl 20);
+  collect_metrics := metrics;
   (* --metrics resets the registry at every row, so its end state is no
      run summary: the registry is enabled here, not through the
      session, which would print that table on exit. *)
-  if !collect_metrics then Obs.enable ();
-  if List.mem "--timing" args then timing ()
+  if metrics then Obs.enable ();
+  if timing_only then timing ()
   else begin
-    let smoke = List.mem "--smoke" args in
     if smoke then
       Format.printf "Locally Checkable Proofs: smoke sweep (jobs=%d)@." !jobs
     else
@@ -1163,3 +1120,35 @@ let () =
          for the CI sweep.@.";
     exit_unless_all_match results
   end
+
+(* The eight flags, parsed with the lcp CLI's own terms: the
+   observability group from [Obs_flags] and the [--jobs] converter. *)
+let () =
+  let open Cmdliner in
+  let switch name doc = Arg.(value & flag & info [ name ] ~doc) in
+  let jobs =
+    Arg.(
+      value
+      & opt Cli.jobs_conv 1
+      & info [ "jobs" ] ~docv:"N"
+          ~doc:
+            "Fan the per-node verifier loop over $(docv) domains (0 = all \
+             recommended cores).")
+  in
+  let term =
+    Term.(
+      const main
+      $ switch "smoke" "The tiny CI sweep over the smoke rows."
+      $ switch "timing"
+          "Bechamel timings of the serving verify path and the provers \
+           instead of the sweep."
+      $ switch "partition" "Add the partitioned-verification section."
+      $ switch "randomized" "Add the sampled-verification section."
+      $ jobs $ Obs_flags.metrics $ Obs_flags.obs_dir $ Obs_flags.profile)
+  in
+  exit
+    (Cmd.eval
+       (Cmd.v
+          (Cmd.info "main"
+             ~doc:"Regenerate Table 1 and the lower-bound experiments")
+          term))

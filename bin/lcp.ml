@@ -62,29 +62,6 @@ let bits_arg default =
     & opt int default
     & info [ "b"; "bits" ] ~docv:"BITS" ~doc:"Adversary's per-node bit budget.")
 
-let jobs_arg =
-  (* Not [Arg.int]: a plain int converter would accept "--jobs -3" and
-     let it reach [Pool.create]. Same contract as the bench driver:
-     0 means "all recommended cores", anything negative is an error. *)
-  let jobs_conv =
-    let parse s =
-      match int_of_string_opt s with
-      | Some j when j >= 0 -> Ok j
-      | Some _ -> Error (`Msg "JOBS must be >= 0 (0 = all recommended cores)")
-      | None -> Error (`Msg (Printf.sprintf "invalid JOBS value %S" s))
-    in
-    Arg.conv (parse, Format.pp_print_int)
-  in
-  Arg.(
-    value
-    & opt jobs_conv 1
-    & info [ "j"; "jobs" ] ~docv:"JOBS"
-        ~doc:
-          "Worker domains for the verification engine: 1 runs \
-           sequentially (default), 0 uses all recommended cores.")
-
-let resolve_jobs j = if j = 0 then Pool.default_jobs () else j
-
 let hostport_conv =
   let parse s =
     let fail () =
@@ -162,7 +139,7 @@ let prove_cmd =
           | None -> `No_proof
           | Some proof -> (
               let verdicts, _ =
-                Simulator.run_verifier ~jobs:(resolve_jobs jobs) inst proof
+                Simulator.run_verifier ~jobs:(Cli.resolve_jobs jobs) inst proof
                   ~radius:scheme.Scheme.radius scheme.Scheme.verifier
               in
               match Simulator.rejecting verdicts with
@@ -196,7 +173,7 @@ let prove_cmd =
   Cmd.v
     (Cmd.info "prove" ~doc:"Run a scheme's prover on an instance")
     Term.(
-      const run $ scheme_arg $ graph_arg $ out_arg $ jobs_arg
+      const run $ scheme_arg $ graph_arg $ out_arg $ Cli.jobs
       $ one_shot_flags)
 
 let verify_cmd =
@@ -299,7 +276,7 @@ let verify_cmd =
                    path is 'lcp loadgen --mix P:V:S')";
                 1
             | None ->
-                run_sampled e.Registry.name inst proof (resolve_jobs jobs)
+                run_sampled e.Registry.name inst proof (Cli.resolve_jobs jobs)
                   queries seed)
         | Ok proof -> (
             match cluster with
@@ -328,7 +305,7 @@ let verify_cmd =
                     2)
             | None -> (
                 let verdicts, _ =
-                  Simulator.run_verifier ~jobs:(resolve_jobs jobs) inst proof
+                  Simulator.run_verifier ~jobs:(Cli.resolve_jobs jobs) inst proof
                     ~radius:scheme.Scheme.radius scheme.Scheme.verifier
                 in
                 match Simulator.rejecting verdicts with
@@ -344,7 +321,7 @@ let verify_cmd =
   Cmd.v
     (Cmd.info "verify" ~doc:"Run a scheme's verifier at every node")
     Term.(
-      const run $ scheme_arg $ graph_arg $ proof_arg $ jobs_arg
+      const run $ scheme_arg $ graph_arg $ proof_arg $ Cli.jobs
       $ one_shot_flags $ cluster_arg $ partitions_arg $ sampled_arg
       $ queries_arg $ seed_arg)
 
@@ -472,7 +449,7 @@ let stats_cmd =
         (* The whole point of this command is the metrics table, so
            metrics are always on here; --obs-dir is still opt-in. *)
         one_shot "stats" { Obs.off with metrics = true; dir } @@ fun () ->
-        let jobs = resolve_jobs jobs in
+        let jobs = Cli.resolve_jobs jobs in
         let g = Instance.graph inst in
         Format.printf "scheme:    %s (radius %d)@." e.Registry.name
           scheme.Scheme.radius;
@@ -574,7 +551,7 @@ let stats_cmd =
          "Prove, verify and soundness-probe one instance, then print the \
           engine metrics")
     Term.(
-      const run $ scheme_arg $ graph_arg $ jobs_arg $ samples_arg $ bits_arg 4
+      const run $ scheme_arg $ graph_arg $ Cli.jobs $ samples_arg $ bits_arg 4
       $ Obs_flags.obs_dir)
 
 let info_cmd =
@@ -742,8 +719,11 @@ let attack_cmd =
 
 let table_cmd =
   let run () =
-    Format.printf "%-8s %-20s %-20s %s@." "id" "scheme" "paper"
-      "bits/node at the first three sweep sizes";
+    let line id scheme paper sizes =
+      Format.printf "%s %s %s %s@." (Cli.pad 8 id) (Cli.pad 20 scheme)
+        (Cli.pad 20 paper) sizes
+    in
+    line "id" "scheme" "paper" "bits/node at the first three sweep sizes";
     Format.printf "%s@." (String.make 90 '-');
     List.iter
       (fun (e : Registry.entry) ->
@@ -764,8 +744,7 @@ let table_cmd =
               in
               Printf.sprintf "%s=%d:%s" r.Registry.param size bits
             in
-            Format.printf "%-8s %-20s %-20s %s@." r.Registry.id e.Registry.name
-              r.Registry.paper
+            line r.Registry.id e.Registry.name r.Registry.paper
               (String.concat " "
                  (List.map bits_at (List.filteri (fun i _ -> i < 3) r.Registry.sizes))))
       Registry.all;
@@ -808,15 +787,6 @@ let serve_cmd =
           ~doc:
             "Per-request deadline, measured from arrival (queue wait \
              counts); 0 disables.")
-  in
-  let queue_arg =
-    Arg.(
-      value
-      & opt int 256
-      & info [ "max-queue" ] ~docv:"N"
-          ~doc:
-            "Pending-task bound: beyond it requests are shed with an \
-             Overloaded response.")
   in
   let http_port_arg =
     Arg.(
@@ -866,8 +836,8 @@ let serve_cmd =
              without recompiling. Empty (the default) disables the disk \
              tier.")
   in
-  let run host port jobs cache_size deadline_ms max_queue http_port log_path
-      log_sample slow_ms cache_dir obs metrics =
+  let run host port jobs cache_size deadline_ms http_port log_path log_sample
+      slow_ms cache_dir obs metrics =
     Obs.session
       ~process:(Printf.sprintf "serve-%d-%d" port (Unix.getpid ()))
       { obs with Obs.metrics }
@@ -880,12 +850,12 @@ let serve_cmd =
     in
     let config =
       {
+        Server.default_config with
         Server.host;
         port;
-        jobs = max 1 (resolve_jobs jobs);
+        jobs = max 1 (Cli.resolve_jobs jobs);
         cache_size;
         deadline_ms;
-        max_queue;
         http_port;
         slow_ms;
         obs_dir = obs.Obs.dir;
@@ -918,7 +888,7 @@ let serve_cmd =
           (List.length Registry.all) host (Server.port server) config.Server.jobs
           config.Server.cache_size
           (if deadline_ms <= 0 then "off" else Printf.sprintf "%d ms" deadline_ms)
-          max_queue
+          config.Server.max_queue
           (if Server.http_port server < 0 then ""
            else Printf.sprintf ", telemetry on http://%s:%d/metrics" host
                (Server.http_port server));
@@ -940,9 +910,9 @@ let serve_cmd =
          "Run the TCP verification daemon (amortises graph parsing and \
           verifier compilation across requests)")
     Term.(
-      const run $ host_arg $ port_arg $ jobs_arg $ cache_arg $ deadline_arg
-      $ queue_arg $ http_port_arg $ log_arg $ log_sample_arg $ slow_ms_arg
-      $ cache_dir_arg $ Obs_flags.term $ Obs_flags.metrics)
+      const run $ host_arg $ port_arg $ Cli.jobs $ cache_arg $ deadline_arg
+      $ http_port_arg $ log_arg $ log_sample_arg $ slow_ms_arg $ cache_dir_arg
+      $ Obs_flags.term $ Obs_flags.metrics)
 
 let route_cmd =
   let backend_arg =
@@ -979,45 +949,6 @@ let route_cmd =
              race the request on a second backend and take the first reply. \
              0 (the default) disables hedging.")
   in
-  let probe_arg =
-    Arg.(
-      value
-      & opt int 200
-      & info [ "probe-interval-ms" ] ~docv:"MS"
-          ~doc:"Health-probe period; 0 disables active probing.")
-  in
-  let load_factor_arg =
-    Arg.(
-      value
-      & opt float 1.25
-      & info [ "load-factor" ] ~docv:"F"
-          ~doc:
-            "Bounded-load spill threshold: a backend may run at most $(docv) \
-             times the mean in-flight load before its keys spill to the next \
-             ring node.")
-  in
-  let vnodes_arg =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "vnodes" ] ~docv:"N"
-          ~doc:"Consistent-hash ring points per backend.")
-  in
-  let fail_threshold_arg =
-    Arg.(
-      value
-      & opt int 3
-      & info [ "fail-threshold" ] ~docv:"N"
-          ~doc:"Consecutive failures before a backend is ejected.")
-  in
-  let cooldown_arg =
-    Arg.(
-      value
-      & opt int 1000
-      & info [ "cooldown-ms" ] ~docv:"MS"
-          ~doc:"How long an ejected backend stays out before a successful \
-                probe may reinstate it.")
-  in
   let http_port_arg =
     Arg.(
       value
@@ -1037,8 +968,7 @@ let route_cmd =
             "Write one structured JSON log line per routed request to \
              $(docv) ('-' means stderr).")
   in
-  let run host port backends retries hedge_ms probe_interval_ms load_factor
-      vnodes fail_threshold cooldown_ms http_port log_path obs =
+  let run host port backends retries hedge_ms http_port log_path obs =
     if backends = [] then begin
       prerr_endline "lcp route: need at least one --backend HOST:PORT";
       1
@@ -1060,13 +990,8 @@ let route_cmd =
           Router.host;
           port;
           backends;
-          vnodes;
-          load_factor;
           retries;
           hedge_ms;
-          probe_interval_ms;
-          fail_threshold;
-          cooldown_ms;
           http_port;
           log;
           trace_sample = obs.Obs.trace_sample;
@@ -1096,7 +1021,7 @@ let route_cmd =
                (List.map (fun (h, p) -> Printf.sprintf "%s:%d" h p) backends))
             retries
             (if hedge_ms <= 0 then "off" else Printf.sprintf "%d ms" hedge_ms)
-            probe_interval_ms
+            config.Router.probe_interval_ms
             (if Router.http_port router < 0 then ""
              else
                Printf.sprintf ", telemetry on http://%s:%d/metrics" host
@@ -1130,9 +1055,7 @@ let route_cmd =
           checks, retries and hedged requests")
     Term.(
       const run $ host_arg $ route_port_arg $ backend_arg $ retries_arg
-      $ hedge_arg $ probe_arg $ load_factor_arg $ vnodes_arg
-      $ fail_threshold_arg $ cooldown_arg $ http_port_arg $ log_arg
-      $ Obs_flags.term)
+      $ hedge_arg $ http_port_arg $ log_arg $ Obs_flags.term)
 
 let loadgen_cmd =
   let connections_arg =

@@ -9,7 +9,9 @@ let metrics =
   Arg.(
     value & flag
     & info [ "metrics" ]
-        ~doc:"Collect engine metrics and print them when the command exits.")
+        ~doc:
+          "Collect engine metrics: a command prints them when it exits, \
+           bench embeds them per row in BENCH_lcp.json.")
 
 let obs_dir =
   Arg.(

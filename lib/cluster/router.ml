@@ -31,14 +31,9 @@ type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port}. *)
   backends : (string * int) list;
-  vnodes : int;
-  load_factor : float;
   retries : int;  (** extra forwarding attempts after the first *)
-  backoff : Client.Backoff.t;
   hedge_ms : int;  (** <= 0 disables hedging *)
   probe_interval_ms : int;  (** <= 0 disables the probe thread *)
-  fail_threshold : int;
-  cooldown_ms : int;
   http_port : int;  (** < 0 disables the sidecar; 0 picks a port. *)
   log : Obs.Log.t option;
   trace_sample : int;
@@ -52,14 +47,9 @@ let default_config =
     host = "127.0.0.1";
     port = 7412;
     backends = [];
-    vnodes = 64;
-    load_factor = 1.25;
     retries = 2;
-    backoff = { Client.Backoff.default with base_ms = 5.0; max_ms = 200.0 };
     hedge_ms = 0;
     probe_interval_ms = 200;
-    fail_threshold = 3;
-    cooldown_ms = 1_000;
     http_port = -1;
     log = None;
     trace_sample = 0;
@@ -67,6 +57,12 @@ let default_config =
 
 (* cap on waiting for an in-flight leg once we are committed to it *)
 let leg_wait_cap_ms = 60_000
+
+(* Delays between forwarding attempts: 5 ms base, x2 growth, 200 ms
+   cap, 50% jitter. Placement and ejection run on the defaults of
+   {!Ring} (64 vnodes per backend), {!Balancer} (load factor 1.25) and
+   {!Health} (eject after 3 consecutive failures, 1 s cooldown). *)
+let backoff = { Client.Backoff.default with base_ms = 5.0; max_ms = 200.0 }
 
 (* The router's own counter slots in the rolling window. *)
 let w_retries = Frame_server.w_first_extra
@@ -107,11 +103,8 @@ let create (config : config) =
       ~http_port:config.http_port ~trace_sample:config.trace_sample
       ~log:config.log ()
   in
-  let ring = Ring.create ~vnodes:config.vnodes n in
-  let health =
-    Health.create ~fail_threshold:config.fail_threshold
-      ~cooldown_ms:config.cooldown_ms n
-  in
+  let ring = Ring.create n in
+  let health = Health.create n in
   {
     config;
     fs;
@@ -133,7 +126,7 @@ let create (config : config) =
            config.backends);
     ring;
     health;
-    balancer = Balancer.create ~load_factor:config.load_factor ring health;
+    balancer = Balancer.create ring health;
     c_retries = Atomic.make 0;
     c_hedges = Atomic.make 0;
     c_hedge_wins = Atomic.make 0;
@@ -427,7 +420,7 @@ let forward_compute t ~rid ~tctx req =
                 (fun b -> Atomic.incr t.backends.(b).b_retries)
                 used;
               let delay =
-                Client.Backoff.delay_ms t.config.backoff ~seed:rid ~attempt
+                Client.Backoff.delay_ms backoff ~seed:rid ~attempt
               in
               if delay > 0.0 then Thread.delay (delay /. 1000.0);
               go (attempt + 1) (used @ avoid) last
@@ -442,8 +435,6 @@ let remap_op ~newgraph ~newproof = function
       Wire.Op_prove { scheme; graph = newgraph graph }
   | Wire.Op_verify { scheme; graph; proof } ->
       Wire.Op_verify { scheme; graph = newgraph graph; proof = newproof proof }
-  | Wire.Op_forge { scheme; graph; max_bits } ->
-      Wire.Op_forge { scheme; graph = newgraph graph; max_bits }
 
 (* A batch whose ops route to different backends is split by routing
    key: one sub-batch per key, each with minimal remapped graph and
@@ -591,22 +582,6 @@ let stats_reply t =
       Wire.Stats_reply { s with Wire.uptime_ms = Frame_server.uptime_ms t.fs }
   | None -> err Wire.Internal "no backend answered stats"
 
-let catalog_reply t =
-  let rec go i =
-    if i >= Array.length t.backends then
-      err Wire.Internal "no backend answered the catalog"
-    else if Health.state t.health i = Health.Dead then go (i + 1)
-    else
-      match
-        ask t i Wire.Catalog (function
-          | Wire.Catalog_reply _ as r -> Some r
-          | _ -> None)
-      with
-      | Ok r -> r
-      | Error _ -> go (i + 1)
-  in
-  go 0
-
 (* --- exposition -------------------------------------------------------- *)
 
 let metrics_text t =
@@ -725,7 +700,6 @@ let handle_request t (ctx : unit Frame_server.ctx) req =
   | Wire.Health -> Wire.Health_reply (health t)
   | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
   | Wire.Stats -> stats_reply t
-  | Wire.Catalog -> catalog_reply t
   | Wire.Trace_export | Wire.Profile_export ->
       (* each process in the cluster exports its own lane *)
       Frame_server.export_reply req
@@ -740,7 +714,7 @@ let handle_request t (ctx : unit Frame_server.ctx) req =
       Obs.Trace.instant ~arg_name:"shard" ~arg:shard_index
         ~ctx:(Frame_server.child_span tctx) "router.shard";
       forward_compute t ~rid ~tctx req
-  | Wire.Prove _ | Wire.Verify _ | Wire.Forge _ | Wire.Verify_sampled _ ->
+  | Wire.Prove _ | Wire.Verify _ | Wire.Verify_sampled _ ->
       forward_compute t ~rid ~tctx req
 
 (* --- HTTP sidecar ------------------------------------------------------ *)

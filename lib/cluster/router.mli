@@ -4,7 +4,7 @@
 
     {2 Placement}
 
-    Compute requests (prove / verify / forge) route by content: the
+    Compute requests (prove / verify) route by content: the
     key is the backend's own compiled-verifier cache key — scheme name
     plus MD5 of the graph6 payload ({!request_key}) — walked over a
     {!Ring} with bounded-load spill ({!Balancer}). Identical instances
@@ -15,10 +15,10 @@
 
     Backend health ({!Health}) is driven by a probe loop sending
     {!Wire.Health} every [probe_interval_ms] and by passive forwarding
-    failures; a backend is ejected after [fail_threshold] consecutive
-    failures and reinstated after [cooldown_ms]. Each compute request
-    has a budget of [1 + retries] attempts with jittered exponential
-    backoff ({!Client.Backoff}, seeded by the correlation id), never
+    failures; a backend is ejected after 3 consecutive failures and
+    reinstated after a 1 s cooldown. Each compute request has a budget
+    of [1 + retries] attempts with jittered exponential backoff
+    ({!Client.Backoff}, seeded by the correlation id), never
     re-trying a backend that already failed the request. Only
     transport failures and typed [Overloaded] sheds retry. With
     [hedge_ms > 0] the first attempt races a second backend after the
@@ -31,7 +31,7 @@
     (router readiness = at least one backend alive; router Prometheus
     exposition; the router's own trace-ring lane — fetch each process
     separately and join with [lcp trace merge]);
-    [Stats] aggregates every live backend; [Catalog] is forwarded;
+    [Stats] aggregates every live backend;
     [Drain] is refused with [Bad_request] — it is a backend-local
     admin operation. The optional HTTP sidecar serves [/metrics],
     [/healthz] and [/readyz] (503 when no backend is usable). *)
@@ -40,14 +40,9 @@ type config = {
   host : string;
   port : int;  (** 0 picks an ephemeral port; read it back with {!port}. *)
   backends : (string * int) list;
-  vnodes : int;  (** ring points per backend *)
-  load_factor : float;  (** bounded-load spill threshold (>= 1) *)
   retries : int;  (** extra forwarding attempts after the first *)
-  backoff : Client.Backoff.t;
   hedge_ms : int;  (** <= 0 disables hedging *)
   probe_interval_ms : int;  (** <= 0 disables the probe thread *)
-  fail_threshold : int;
-  cooldown_ms : int;
   http_port : int;  (** < 0 disables the sidecar; 0 picks a port. *)
   log : Obs.Log.t option;
   trace_sample : int;
@@ -60,10 +55,11 @@ type config = {
 }
 
 val default_config : config
-(** 127.0.0.1:7412, no backends (callers must fill them in), 64
-    vnodes, load factor 1.25, 2 retries with a 5ms-base/200ms-cap
-    backoff, hedging off, 200ms probes, eject after 3 failures with a
-    1s cooldown, no sidecar, no log. *)
+(** 127.0.0.1:7412, no backends (callers must fill them in), 2
+    retries, hedging off, 200ms probes, no sidecar, no log. The rest
+    is fixed: 64 vnodes per backend, load factor 1.25, a
+    5ms-base/200ms-cap backoff between attempts, ejection after 3
+    failures with a 1s cooldown. *)
 
 type t
 

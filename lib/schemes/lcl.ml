@@ -4,10 +4,16 @@
     proof at all, which is exactly the class LCP(0) of this paper
     (Section 3). *)
 
+(* The prover has nothing to certify, but it still knows the answer:
+   an instance whose labelling breaks the constraint at some node is a
+   no-instance, refused like any other prover refuses one. *)
 let of_constraint ~name ~radius ~check =
   Scheme.make ~name ~radius
     ~size_bound:(fun _ -> 0)
-    ~prover:(fun _ -> Some Proof.empty)
+    ~prover:(fun inst ->
+      if Simulator.all_accept (Simulator.compile inst) Proof.empty ~radius check
+      then Some Proof.empty
+      else None)
     ~verifier:check
 
 (** Solutions of "proper colouring with labels" — node labels carry the

@@ -4,7 +4,9 @@
 
 val of_constraint :
   name:string -> radius:int -> check:(View.t -> bool) -> Scheme.t
-(** Wrap a local constraint as an LCP(0) scheme (trivial prover). *)
+(** Wrap a local constraint as an LCP(0) scheme. The prover returns
+    the empty proof when the constraint holds at every node and [None]
+    (a no-instance) otherwise. *)
 
 val proper_colouring : Scheme.t
 (** Node labels are colours; neighbours must differ. *)

@@ -1,7 +1,7 @@
 (* The verification daemon.
 
    Thread/domain layout: the accept loop and one system thread per
-   connection do only IO and framing; every prove/verify/forge lands
+   connection do only IO and framing; every prove and verify lands
    on the shared {!Pool} of worker domains, so CPU concurrency is
    bounded by [jobs] no matter how many clients connect. A connection
    thread parks on a one-shot cell (mutex + condition) until its
@@ -35,15 +35,7 @@
    reply and over the plain-HTTP sidecar. Sockets, framing, ids, the
    window's common slots and the log line live in {!Frame_server}. *)
 
-let m_req_prove = Obs.Metrics.counter "server.req_prove"
-let m_req_verify = Obs.Metrics.counter "server.req_verify"
-let m_req_forge = Obs.Metrics.counter "server.req_forge"
-let m_req_batch = Obs.Metrics.counter "server.req_batch"
-let m_req_sampled = Obs.Metrics.counter "server.req_sampled"
 let m_batch_coalesced = Obs.Metrics.counter "server.batch_ops_coalesced"
-let m_req_stats = Obs.Metrics.counter "server.req_stats"
-let m_req_catalog = Obs.Metrics.counter "server.req_catalog"
-let m_req_telemetry = Obs.Metrics.counter "server.req_telemetry"
 let m_queue_wait_us = Obs.Metrics.histogram "server.queue_wait_us"
 
 type config = {
@@ -383,7 +375,7 @@ let deadline_error t stage =
    batch verify allocates no per-run scratch at all. *)
 let arena_key = Domain.DLS.new_key Simulator.arena
 
-(* One prove/verify/forge against the cache — the shared body of both
+(* One prove or verify against the cache — the shared body of both
    the plain compute path and every batch sub-op. Runs on a worker
    domain. *)
 let compute_one t ctx req =
@@ -403,21 +395,6 @@ let compute_one t ctx req =
           in
           let rejecting = Simulator.rejecting verdicts in
           Wire.Verified { accepted = rejecting = []; rejecting })
-  | Wire.Forge { scheme; graph6; max_bits } ->
-      if max_bits < 0 || max_bits > 64 then
-        err Wire.Bad_request "max_bits %d outside [0, 64]" max_bits
-      else
-        with_compiled t ctx ~scheme ~graph6 (fun entry compiled ->
-            match
-              Adversary.forge entry.Registry.scheme
-                (Simulator.compiled_instance compiled)
-                ~max_bits
-            with
-            | Adversary.Fooled proof ->
-                Wire.Forged
-                  { fooled = Some proof; attempts = 0; best_rejections = 0 }
-            | Adversary.Resisted { best_rejections; attempts } ->
-                Wire.Forged { fooled = None; attempts; best_rejections })
   | Wire.Verify_partition
       { scheme; graph6; ids; owned; proof; radius; shard_index; shard_count = _ }
     ->
@@ -514,17 +491,15 @@ let compute_one t ctx req =
                     nodes = probe.Randomized_scheme.nodes_checked;
                     rejecting = Wire.rejecting_sample final;
                   }))
-  | Wire.Batch _ | Wire.Stats | Wire.Catalog | Wire.Metrics_text | Wire.Health
-  | Wire.Drain _ | Wire.Trace_export | Wire.Profile_export ->
+  | Wire.Batch _ | Wire.Stats | Wire.Metrics_text | Wire.Health | Wire.Drain _
+  | Wire.Trace_export | Wire.Profile_export ->
       err Wire.Internal "request dispatched to a worker by mistake"
 
 (* The plain request a batch op runs as. *)
 let op_request ~graphs ~proofs op =
   let within a i = i >= 0 && i < Array.length a in
   match op with
-  | Wire.Op_prove { graph; _ }
-  | Wire.Op_verify { graph; _ }
-  | Wire.Op_forge { graph; _ }
+  | (Wire.Op_prove { graph; _ } | Wire.Op_verify { graph; _ })
     when not (within graphs graph) ->
       Error (Printf.sprintf "graph index %d out of range" graph)
   | Wire.Op_verify { proof; _ } when not (within proofs proof) ->
@@ -534,8 +509,6 @@ let op_request ~graphs ~proofs op =
   | Wire.Op_verify { scheme; graph; proof } ->
       Ok
         (Wire.Verify { scheme; graph6 = graphs.(graph); proof = proofs.(proof) })
-  | Wire.Op_forge { scheme; graph; max_bits } ->
-      Ok (Wire.Forge { scheme; graph6 = graphs.(graph); max_bits })
 
 (* A whole batch runs as one pool task: one queue round trip and one
    worker-domain arena for up to 65535 ops. Ops are evaluated in
@@ -608,21 +581,19 @@ let compute_batch t (ctx : ctx) ~deadline ~graphs ~proofs ~ops =
 let request_scheme = function
   | Wire.Prove { scheme; _ }
   | Wire.Verify { scheme; _ }
-  | Wire.Forge { scheme; _ }
   | Wire.Verify_partition { scheme; _ }
   | Wire.Verify_sampled { scheme; _ } ->
       scheme
   | Wire.Batch { ops; _ } -> (
-      (* batches are routed by their first op's scheme; mixed-scheme
-         batches log the same way *)
+      (* a batch logs and is costed under its first op's scheme, even
+         when its ops mix schemes (the router places each op by its own
+         key and splits mixed batches before they get here) *)
       match ops with
-      | Wire.Op_prove { scheme; _ } :: _
-      | Wire.Op_verify { scheme; _ } :: _
-      | Wire.Op_forge { scheme; _ } :: _ ->
+      | (Wire.Op_prove { scheme; _ } | Wire.Op_verify { scheme; _ }) :: _ ->
           scheme
       | [] -> "-")
-  | Wire.Stats | Wire.Catalog | Wire.Metrics_text | Wire.Health
-  | Wire.Drain _ | Wire.Trace_export | Wire.Profile_export ->
+  | Wire.Stats | Wire.Metrics_text | Wire.Health | Wire.Drain _
+  | Wire.Trace_export | Wire.Profile_export ->
       "-"
 
 (* Runs on a worker domain. The deadline is measured from the
@@ -712,17 +683,6 @@ let stats_reply t =
            Obs.Metrics.to_json (Obs.Metrics.snapshot ())
          else "{}");
     }
-
-let catalog_reply () =
-  Wire.Catalog_reply
-    (List.map
-       (fun e ->
-         {
-           Wire.name = e.Registry.name;
-           radius = e.Registry.scheme.Scheme.radius;
-           doc = e.Registry.doc;
-         })
-       Registry.all)
 
 (* --- exposition -------------------------------------------------------- *)
 
@@ -855,21 +815,8 @@ let log_fields (ctx : ctx) req =
   ]
 
 let handle_request t ctx req =
-  Obs.Metrics.incr
-    (match req with
-    | Wire.Prove _ -> m_req_prove
-    | Wire.Verify _ | Wire.Verify_partition _ -> m_req_verify
-    | Wire.Verify_sampled _ -> m_req_sampled
-    | Wire.Forge _ -> m_req_forge
-    | Wire.Batch _ -> m_req_batch
-    | Wire.Stats -> m_req_stats
-    | Wire.Catalog -> m_req_catalog
-    | Wire.Metrics_text | Wire.Health | Wire.Drain _ | Wire.Trace_export
-    | Wire.Profile_export ->
-        m_req_telemetry);
   match req with
   | Wire.Stats -> stats_reply t
-  | Wire.Catalog -> catalog_reply ()
   | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
   | Wire.Health -> Wire.Health_reply (health t)
   | Wire.Trace_export | Wire.Profile_export -> Frame_server.export_reply req

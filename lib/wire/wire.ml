@@ -45,12 +45,10 @@ type trace_context = { trace_hi : int; trace_lo : int; parent_span : int }
 type batch_op =
   | Op_prove of { scheme : string; graph : int }
   | Op_verify of { scheme : string; graph : int; proof : int }
-  | Op_forge of { scheme : string; graph : int; max_bits : int }
 
 type request =
   | Prove of { scheme : string; graph6 : string }
   | Verify of { scheme : string; graph6 : string; proof : Proof.t }
-  | Forge of { scheme : string; graph6 : string; max_bits : int }
   | Batch of { graphs : string list; proofs : Proof.t list; ops : batch_op list }
   | Verify_partition of {
       scheme : string;
@@ -74,7 +72,6 @@ type request =
               any other mismatch is a typed [Bad_request]. *)
     }
   | Stats
-  | Catalog
   | Metrics_text
   | Health
   | Drain of { enable : bool }
@@ -91,8 +88,6 @@ type error_code =
   | Deadline_exceeded
   | Internal
   | Unavailable
-
-type catalog_entry = { name : string; radius : int; doc : string }
 
 type server_stats = {
   requests : int;
@@ -113,17 +108,11 @@ type health = { ready : bool; pending : int; max_queue : int; uptime_ms : int }
 type batch_item =
   | Item_proved of Proof.t option
   | Item_verified of { accepted : bool; rejecting : int list }
-  | Item_forged of {
-      fooled : Proof.t option;
-      attempts : int;
-      best_rejections : int;
-    }
   | Item_error of { code : error_code; message : string }
 
 type response =
   | Proved of Proof.t option
   | Verified of { accepted : bool; rejecting : int list }
-  | Forged of { fooled : Proof.t option; attempts : int; best_rejections : int }
   | Partition_verified of {
       all_accept : bool;
       owned : int;  (** Owned nodes verified. *)
@@ -140,7 +129,6 @@ type response =
     }
   | Batch_reply of batch_item list
   | Stats_reply of server_stats
-  | Catalog_reply of catalog_entry list
   | Metrics_text_reply of string
   | Health_reply of health
   | Drain_reply of { draining : bool; pending : int }
@@ -185,9 +173,7 @@ let error_code_to_string = function
 let request_tag = function
   | Prove _ -> 0x01
   | Verify _ -> 0x02
-  | Forge _ -> 0x03
   | Stats -> 0x04
-  | Catalog -> 0x05
   | Metrics_text -> 0x06
   | Health -> 0x07
   | Drain _ -> 0x08
@@ -200,9 +186,7 @@ let request_tag = function
 let request_kind = function
   | Prove _ -> "prove"
   | Verify _ -> "verify"
-  | Forge _ -> "forge"
   | Stats -> "stats"
-  | Catalog -> "catalog"
   | Metrics_text -> "metrics"
   | Health -> "health"
   | Drain _ -> "drain"
@@ -215,9 +199,7 @@ let request_kind = function
 let response_tag = function
   | Proved _ -> 0x81
   | Verified _ -> 0x82
-  | Forged _ -> 0x83
   | Stats_reply _ -> 0x84
-  | Catalog_reply _ -> 0x85
   | Metrics_text_reply _ -> 0x86
   | Health_reply _ -> 0x87
   | Drain_reply _ -> 0x88
@@ -251,9 +233,7 @@ let shard_identity graph6 ids =
 let op_key graphs op =
   let scheme, graph =
     match op with
-    | Op_prove { scheme; graph }
-    | Op_verify { scheme; graph; _ }
-    | Op_forge { scheme; graph; _ } ->
+    | Op_prove { scheme; graph } | Op_verify { scheme; graph; _ } ->
         (scheme, graph)
   in
   cache_key scheme
@@ -263,15 +243,13 @@ let request_key = function
   (* a sampled verify runs on the same compiled image as a plain one *)
   | Prove { scheme; graph6 }
   | Verify { scheme; graph6; _ }
-  | Forge { scheme; graph6; _ }
   | Verify_sampled { scheme; graph6; _ } ->
       cache_key scheme graph6
   | Verify_partition { scheme; graph6; ids; _ } ->
       cache_key scheme (shard_identity graph6 ids)
   | Batch { graphs; ops = op :: _; _ } -> op_key (Array.of_list graphs) op
   | Batch { ops = []; _ }
-  | Stats | Catalog | Metrics_text | Health | Drain _ | Trace_export
-  | Profile_export ->
+  | Stats | Metrics_text | Health | Drain _ | Trace_export | Profile_export ->
       ""
 
 (* --- writers ---------------------------------------------------------- *)
@@ -364,11 +342,6 @@ let w_batch_op b = function
       w_string b scheme;
       w_u16 b graph;
       w_u16 b proof
-  | Op_forge { scheme; graph; max_bits } ->
-      w_u8 b 3;
-      w_string b scheme;
-      w_u16 b graph;
-      w_u16 b max_bits
 
 (* --- readers ---------------------------------------------------------- *)
 
@@ -482,7 +455,6 @@ let r_batch_op c ~n_graphs ~n_proofs =
         fail "batch op references proof %d but the frame carries %d" proof
           n_proofs;
       Op_verify { scheme; graph; proof }
-  | 3 -> Op_forge { scheme; graph; max_bits = r_u16 c }
   | k -> fail "unknown batch op kind %d" k
 
 let expect_end c =
@@ -585,10 +557,6 @@ let w_request b req =
       w_string b scheme;
       w_string b graph6;
       w_proof b proof
-  | Forge { scheme; graph6; max_bits } ->
-      w_string b scheme;
-      w_string b graph6;
-      w_u16 b max_bits
   | Batch { graphs; proofs; ops } ->
       w_u16 b (List.length graphs);
       List.iter (w_string b) graphs;
@@ -618,9 +586,7 @@ let w_request b req =
       w_u16 b queries;
       w_string b budget_id
   | Drain { enable } -> w_u8 b (if enable then 1 else 0)
-  | Stats | Catalog | Metrics_text | Health | Trace_export | Profile_export
-    ->
-      ()
+  | Stats | Metrics_text | Health | Trace_export | Profile_export -> ()
 
 let encode_request ?(id = 0) ?trace req =
   frame ~id ?trace (request_tag req) (fun b -> w_request b req)
@@ -637,12 +603,7 @@ let request_from ~tag s pos =
         let scheme = r_string c in
         let graph6 = r_string c in
         Verify { scheme; graph6; proof = r_proof c }
-    | 0x03 ->
-        let scheme = r_string c in
-        let graph6 = r_string c in
-        Forge { scheme; graph6; max_bits = r_u16 c }
     | 0x04 -> Stats
-    | 0x05 -> Catalog
     | 0x06 -> Metrics_text
     | 0x07 -> Health
     | 0x08 -> Drain { enable = r_bool c }
@@ -703,7 +664,7 @@ let w_proof_opt b = function
       w_u8 b 1;
       w_proof b proof
 
-(* A batch reply slot is a status byte — 0 = per-op error, 1..3 = the
+(* A batch reply slot is a status byte — 0 = per-op error, 1..2 = the
    op kind — followed by exactly the body of the matching plain
    response. *)
 let item_response = function
@@ -711,15 +672,11 @@ let item_response = function
   | Item_proved p -> (1, Proved p)
   | Item_verified { accepted; rejecting } ->
       (2, Verified { accepted; rejecting })
-  | Item_forged { fooled; attempts; best_rejections } ->
-      (3, Forged { fooled; attempts; best_rejections })
 
 let item_of_response = function
   | Error_reply { code; message } -> Item_error { code; message }
   | Proved p -> Item_proved p
   | Verified { accepted; rejecting } -> Item_verified { accepted; rejecting }
-  | Forged { fooled; attempts; best_rejections } ->
-      Item_forged { fooled; attempts; best_rejections }
   | _ -> Item_error { code = Internal; message = "non-op response" }
 
 let rec w_response b = function
@@ -727,10 +684,6 @@ let rec w_response b = function
   | Verified { accepted; rejecting } ->
       w_bool b accepted;
       w_int_list b rejecting
-  | Forged { fooled; attempts; best_rejections } ->
-      w_proof_opt b fooled;
-      w_u32 b attempts;
-      w_u32 b best_rejections
   | Batch_reply items ->
       w_u16 b (List.length items);
       List.iter
@@ -748,14 +701,6 @@ let rec w_response b = function
       w_u32 b st.deadline_exceeded;
       w_u32 b st.uptime_ms;
       w_string b st.metrics_json
-  | Catalog_reply entries ->
-      w_u32 b (List.length entries);
-      List.iter
-        (fun e ->
-          w_string b e.name;
-          w_u16 b e.radius;
-          w_string b e.doc)
-        entries
   | Partition_verified { all_accept; owned; rejected; rejecting } ->
       w_bool b all_accept;
       w_u32 b owned;
@@ -802,10 +747,6 @@ let rec r_response ~tag c =
   | 0x82 ->
       let accepted = r_bool c in
       Verified { accepted; rejecting = r_list c ~min_entry_bytes:4 r_u32 }
-  | 0x83 ->
-      let fooled = r_proof_opt c in
-      let attempts = r_u32 c in
-      Forged { fooled; attempts; best_rejections = r_u32 c }
   | 0x84 ->
       let requests = r_u32 c in
       let cache_hits = r_u32 c in
@@ -825,12 +766,6 @@ let rec r_response ~tag c =
           uptime_ms;
           metrics_json = r_string c;
         }
-  | 0x85 ->
-      Catalog_reply
-        (r_list c ~min_entry_bytes:10 (fun c ->
-             let name = r_string c in
-             let radius = r_u16 c in
-             { name; radius; doc = r_string c }))
   | 0x86 -> Metrics_text_reply (r_string c)
   | 0x87 ->
       let ready = r_bool c in
@@ -885,7 +820,7 @@ and r_batch_item c =
   let tag =
     match r_u8 c with
     | 0 -> 0xE0 (* an Error_reply body *)
-    | (1 | 2 | 3) as kind -> 0x80 + kind
+    | (1 | 2) as kind -> 0x80 + kind
     | s -> fail "unknown batch item status %d" s
   in
   item_of_response (r_response ~tag c)
@@ -921,8 +856,6 @@ let equal_batch_op a b =
   | Op_prove a, Op_prove b -> a.scheme = b.scheme && a.graph = b.graph
   | Op_verify a, Op_verify b ->
       a.scheme = b.scheme && a.graph = b.graph && a.proof = b.proof
-  | Op_forge a, Op_forge b ->
-      a.scheme = b.scheme && a.graph = b.graph && a.max_bits = b.max_bits
   | _ -> false
 
 let equal_request a b =
@@ -930,8 +863,6 @@ let equal_request a b =
   | Prove a, Prove b -> a.scheme = b.scheme && a.graph6 = b.graph6
   | Verify a, Verify b ->
       a.scheme = b.scheme && a.graph6 = b.graph6 && Proof.equal a.proof b.proof
-  | Forge a, Forge b ->
-      a.scheme = b.scheme && a.graph6 = b.graph6 && a.max_bits = b.max_bits
   | Batch a, Batch b ->
       a.graphs = b.graphs
       && List.length a.proofs = List.length b.proofs
@@ -950,7 +881,7 @@ let equal_request a b =
       && Proof.equal a.proof b.proof
       && a.seed = b.seed && a.queries = b.queries
       && a.budget_id = b.budget_id
-  | Stats, Stats | Catalog, Catalog -> true
+  | Stats, Stats -> true
   | Metrics_text, Metrics_text | Health, Health -> true
   | Trace_export, Trace_export -> true
   | Profile_export, Profile_export -> true
@@ -968,10 +899,6 @@ let rec equal_response a b =
   | Proved a, Proved b -> equal_proof_opt a b
   | Verified a, Verified b ->
       a.accepted = b.accepted && a.rejecting = b.rejecting
-  | Forged a, Forged b ->
-      equal_proof_opt a.fooled b.fooled
-      && a.attempts = b.attempts
-      && a.best_rejections = b.best_rejections
   | Partition_verified a, Partition_verified b ->
       a.all_accept = b.all_accept && a.owned = b.owned
       && a.rejected = b.rejected
@@ -988,7 +915,6 @@ let rec equal_response a b =
              equal_response (snd (item_response a)) (snd (item_response b)))
            a b
   | Stats_reply a, Stats_reply b -> a = b
-  | Catalog_reply a, Catalog_reply b -> a = b
   | Metrics_text_reply a, Metrics_text_reply b -> a = b
   | Health_reply a, Health_reply b -> a = b
   | Drain_reply a, Drain_reply b ->

@@ -100,12 +100,10 @@ val header_error_to_string : header_error -> string
 type batch_op =
   | Op_prove of { scheme : string; graph : int }
   | Op_verify of { scheme : string; graph : int; proof : int }
-  | Op_forge of { scheme : string; graph : int; max_bits : int }
 
 type request =
   | Prove of { scheme : string; graph6 : string }
   | Verify of { scheme : string; graph6 : string; proof : Proof.t }
-  | Forge of { scheme : string; graph6 : string; max_bits : int }
   | Batch of { graphs : string list; proofs : Proof.t list; ops : batch_op list }
       (** Up to 65535 sub-ops behind one header and one round trip.
           The reply is a {!response.Batch_reply} with one
@@ -151,7 +149,6 @@ type request =
           verify on the server, so the final verdict never has false
           {e rejects}; the reply says whether escalation happened. *)
   | Stats
-  | Catalog
   | Metrics_text
       (** The telemetry exposition in Prometheus text format v0.0.4 —
           same bytes the HTTP sidecar serves on [/metrics]. *)
@@ -189,8 +186,6 @@ type error_code =
           condition will not clear, so retry {e elsewhere}, not
           later. *)
 
-type catalog_entry = { name : string; radius : int; doc : string }
-
 type server_stats = {
   requests : int;
   cache_hits : int;
@@ -217,18 +212,12 @@ type health = { ready : bool; pending : int; max_queue : int; uptime_ms : int }
 type batch_item =
   | Item_proved of Proof.t option
   | Item_verified of { accepted : bool; rejecting : int list }
-  | Item_forged of {
-      fooled : Proof.t option;
-      attempts : int;
-      best_rejections : int;
-    }
   | Item_error of { code : error_code; message : string }
 
 type response =
   | Proved of Proof.t option
       (** [None]: the prover recognised a no-instance. *)
   | Verified of { accepted : bool; rejecting : int list }
-  | Forged of { fooled : Proof.t option; attempts : int; best_rejections : int }
   | Partition_verified of {
       all_accept : bool;
       owned : int;
@@ -259,7 +248,6 @@ type response =
           an empty [rejecting] list on acceptance. *)
   | Batch_reply of batch_item list
   | Stats_reply of server_stats
-  | Catalog_reply of catalog_entry list
   | Metrics_text_reply of string
   | Health_reply of health
   | Drain_reply of { draining : bool; pending : int }
@@ -276,8 +264,8 @@ type response =
 val error_code_to_string : error_code -> string
 
 val item_of_response : response -> batch_item
-(** The batch reply slot carrying a prove, verify or forge response or
-    an error; any other response becomes an [Internal] item error. *)
+(** The batch reply slot carrying a prove or verify response or an
+    error; any other response becomes an [Internal] item error. *)
 
 val item_response : batch_item -> int * response
 (** The inverse: the slot's status byte (0 = error, else the op kind)
@@ -343,8 +331,8 @@ val op_key : string array -> batch_op -> string
     plain request the op runs as. *)
 
 val request_key : request -> string
-(** The key of a compute request: graph6 identity for prove, verify,
-    forge and sampled verify; {!shard_identity} for a shard; the first
+(** The key of a compute request: graph6 identity for prove, verify
+    and sampled verify; {!shard_identity} for a shard; the first
     op's key for a batch. [""] for every other request. *)
 
 val equal_request : request -> request -> bool

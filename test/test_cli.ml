@@ -114,6 +114,23 @@ let obs_flags_parse () =
   | Some cfg -> check "defaults are off" true (cfg = Obs.off)
   | None -> Alcotest.fail "empty argv rejected"
 
+(* [lcp table] and bench pad their columns by display width: each
+   Table 1 row's paper class, padded, fills the same number of terminal
+   columns, whatever its bytes. *)
+let table_padding () =
+  check_int "Σ¹₁ is three columns" 3 (Cli.display_width "Σ¹₁");
+  let papers =
+    List.filter_map
+      (fun e -> Option.map (fun r -> r.Registry.paper) e.Registry.row)
+      Registry.all
+  in
+  check_int "every Table 1 row" 27 (List.length papers);
+  check "some class is multi-byte" true
+    (List.exists (fun p -> Cli.display_width p < String.length p) papers);
+  List.iter
+    (fun p -> check_int (Printf.sprintf "%S padded" p) 20 (Cli.display_width (Cli.pad 20 p)))
+    papers
+
 let suite =
   ( "cli-format",
     [
@@ -128,4 +145,6 @@ let suite =
       Alcotest.test_case "bad input" `Quick bad_input;
       Alcotest.test_case "file-driven prove/verify" `Quick end_to_end;
       Alcotest.test_case "observability flags parse" `Quick obs_flags_parse;
+      Alcotest.test_case "table columns pad by display width" `Quick
+        table_padding;
     ] )

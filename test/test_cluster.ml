@@ -341,9 +341,10 @@ let router_ready r =
       | Wire.Health_reply h -> h.Wire.ready
       | _ -> Alcotest.fail "router health")
 
-(* the ring the router builds for two backends — Ring placement is
-   deterministic, so the test can predict every assignment *)
-let two_ring = Ring.create ~vnodes:Router.default_config.Router.vnodes 2
+(* the ring the router builds for two backends (it keeps Ring's
+   default vnodes) — Ring placement is deterministic, so the test can
+   predict every assignment *)
+let two_ring = Ring.create 2
 
 (* the smallest cycle size >= from whose compute request is owned by
    [idx] on a two-backend ring *)
@@ -448,7 +449,7 @@ let router_probe_cycle () =
   check "no alive backend: router not ready" false (router_ready r)
 
 let router_admin_endpoints () =
-  with_cluster @@ fun r _s1 _s2 ->
+  with_cluster @@ fun r s1 s2 ->
   with_client (Router.port r) @@ fun c ->
   (* one compute request so the counters are nonzero *)
   let g6 = Graph6.encode (Builders.cycle 16) in
@@ -465,12 +466,11 @@ let router_admin_endpoints () =
   (match call c Wire.Stats with
   | Wire.Stats_reply s -> check "aggregated requests > 0" true (s.Wire.requests > 0)
   | _ -> Alcotest.fail "stats through router");
-  (* Catalog is forwarded verbatim *)
-  (match call c Wire.Catalog with
-  | Wire.Catalog_reply entries ->
-      check "catalog forwarded" true
-        (List.exists (fun e -> e.Wire.name = "eulerian") entries)
-  | _ -> Alcotest.fail "catalog through router");
+  (* the retired forge and catalog tags are refused by the router
+     itself, never forwarded, and the connection serves on *)
+  Test_server.retired_tags_refused (Router.port r);
+  check_int "retired tags never reach a backend" 0
+    ((Server.stats s1).Server.bad_frames + (Server.stats s2).Server.bad_frames);
   (* Profile_export is answered by the router itself (its own
      attribution, not a backend's), valid even with the profiler off,
      and the GC families ride its exposition below *)

@@ -235,6 +235,38 @@ let lcl () =
   in
   check "agreement accepted" true (Scheme.accepts Lcl.agreement agree Proof.empty)
 
+(* An LCL prover certifies nothing, but it must still refuse an
+   instance whose labelling breaks the constraint: a labelling that is
+   not a solution is a no-instance, not a proof the verifier rejects. *)
+let lcl_provers_refuse () =
+  let c8 = Builders.cycle 8 in
+  check "unlabelled C8 is no MIS" true
+    (Lcl.maximal_independent_set.Scheme.prover (of_g c8) = None);
+  let mono =
+    Instance.with_node_labels (of_g c8)
+      (List.map (fun v -> (v, Bits.encode_int 1)) (Graph.nodes c8))
+  in
+  check "monochrome C8 is no proper colouring" true
+    (Lcl.proper_colouring.Scheme.prover mono = None);
+  let two_coloured =
+    Instance.with_node_labels (of_g c8)
+      (List.map (fun v -> (v, Bits.encode_int (v mod 2))) (Graph.nodes c8))
+  in
+  let empty_proof what = function
+    | Some p -> check_int (what ^ ": 0 bits") 0 (Proof.size p)
+    | None -> Alcotest.failf "%s: yes-instance refused" what
+  in
+  empty_proof "2-coloured C8" (Lcl.proper_colouring.Scheme.prover two_coloured);
+  match Registry.find "lcl-mis" with
+  | Some { Registry.row = Some row; scheme; _ } ->
+      List.iter
+        (fun n ->
+          empty_proof
+            (Printf.sprintf "%s at n = %d" row.Registry.id n)
+            (scheme.Scheme.prover (row.Registry.make n)))
+        row.Registry.sizes
+  | _ -> Alcotest.fail "lcl-mis has no Table 1 row"
+
 (* --- matchings: LCP(0) and LCP(1) --- *)
 
 let maximal_matching () =
@@ -319,6 +351,8 @@ let suite =
       Alcotest.test_case "T1a-6 connectivity planar" `Slow connectivity_planar;
       Alcotest.test_case "T1a-10 chromatic <= k" `Quick chromatic;
       Alcotest.test_case "T1b-2 LCL problems" `Quick lcl;
+      Alcotest.test_case "LCL provers refuse no-instances" `Quick
+        lcl_provers_refuse;
       Alcotest.test_case "T1b-1 maximal matching" `Quick maximal_matching;
       Alcotest.test_case "T1b-3 maximum matching bipartite" `Quick maximum_matching_bipartite;
       Alcotest.test_case "T1b-4 maximum weight matching" `Quick maximum_weight;

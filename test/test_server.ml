@@ -41,9 +41,7 @@ let expect_error code what = function
         | Wire.Error_reply e -> Wire.error_code_to_string e.code
         | Wire.Proved _ -> "Proved"
         | Wire.Verified _ -> "Verified"
-        | Wire.Forged _ -> "Forged"
         | Wire.Stats_reply _ -> "Stats_reply"
-        | Wire.Catalog_reply _ -> "Catalog_reply"
         | Wire.Metrics_text_reply _ -> "Metrics_text_reply"
         | Wire.Health_reply _ -> "Health_reply"
         | Wire.Drain_reply _ -> "Drain_reply"
@@ -90,19 +88,12 @@ let registry_unit () =
     (List.length names = List.length (List.sort_uniq compare names))
 
 (* ------------------------------------------------------------------ *)
-(* Loopback: catalog, prove/verify, the compiled-verifier cache. *)
+(* Loopback: prove/verify, the compiled-verifier cache. *)
 
 let loopback_cache () =
   with_server { Server.default_config with jobs = 2; cache_size = 8 }
   @@ fun t port ->
   with_client port @@ fun c ->
-  (* catalog mirrors the registry *)
-  (match call c Wire.Catalog with
-  | Wire.Catalog_reply entries ->
-      check_int "catalog size" (List.length Registry.all) (List.length entries);
-      check "catalog has eulerian" true
-        (List.exists (fun e -> e.Wire.name = "eulerian") entries)
-  | r -> expect_error Wire.Internal "catalog" r);
   (* typed errors for bad scheme / bad graph *)
   expect_error Wire.Unknown_scheme "unknown scheme"
     (call c (Wire.Prove { scheme = "no-such-scheme"; graph6 = "A_" }));
@@ -355,6 +346,30 @@ let garbage_frames () =
       | r -> expect_error Wire.Internal "stats after bad payload" r);
   check_int "bad frames counted" 5 (bad_frames ())
 
+(* The retired forge (0x03) and catalog (0x05) request tags: each is
+   answered Bad_request by the endpoint on [port] itself, and the
+   connection stays in sync for the next frame. The cluster tests run
+   this against a router. *)
+let retired_tags_refused port =
+  with_raw_socket port @@ fun fd ->
+  let send frame = ignore (Unix.write_substring fd frame 0 (String.length frame)) in
+  List.iter
+    (fun tag ->
+      send
+        (raw_frame ~version:Wire.protocol_version ~tag
+           (String.make Wire.id_bytes '\x00'));
+      (match read_response fd with
+      | Wire.Error_reply { code = Wire.Bad_request; _ } -> ()
+      | r -> expect_error Wire.Bad_request (Printf.sprintf "tag 0x%02x" tag) r);
+      send (Wire.encode_request Wire.Health);
+      match read_response fd with
+      | Wire.Health_reply _ -> ()
+      | r -> expect_error Wire.Internal "health after a retired tag" r)
+    [ 0x03; 0x05 ]
+
+let retired_tags_answered () =
+  with_server Server.default_config @@ fun _t port -> retired_tags_refused port
+
 (* ------------------------------------------------------------------ *)
 (* The load generator against a live server: every response must be
    semantically ok and repeated graphs must hit the cache. *)
@@ -396,10 +411,10 @@ let correlation_ids () =
   | Ok (_, r) -> expect_error Wire.Internal "stats" r
   | Error m -> Alcotest.failf "call_id: %s" m);
   (* id 0 means "assign me one": the server picks a nonzero id *)
-  (match Client.call_id c ~id:0 Wire.Catalog with
-  | Ok (id, Wire.Catalog_reply _) ->
+  (match Client.call_id c ~id:0 Wire.Health with
+  | Ok (id, Wire.Health_reply _) ->
       check "server assigns a nonzero id" true (id > 0)
-  | Ok (_, r) -> expect_error Wire.Internal "catalog" r
+  | Ok (_, r) -> expect_error Wire.Internal "health" r
   | Error m -> Alcotest.failf "call_id: %s" m);
   (* a compute request's id survives the pool round trip too *)
   let g6 = Graph6.encode (Builders.cycle 16) in
@@ -1231,6 +1246,8 @@ let suite =
         overload_sheds;
       Alcotest.test_case "deadline returns typed error" `Quick deadline_exceeded;
       Alcotest.test_case "garbage frames get typed errors" `Quick garbage_frames;
+      Alcotest.test_case "retired tags answered Bad_request" `Quick
+        retired_tags_answered;
       Alcotest.test_case "loadgen loopback mix" `Quick loadgen_loopback;
       Alcotest.test_case "correlation ids echo end to end" `Quick
         correlation_ids;

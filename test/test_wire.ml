@@ -122,9 +122,6 @@ let gen_batch_op n_graphs n_proofs =
         (let* scheme = gen_name in
          let* proof = int_bound (n_proofs - 1) in
          return (Wire.Op_verify { scheme; graph; proof }));
-        (let* scheme = gen_name in
-         let* max_bits = int_bound 0xffff in
-         return (Wire.Op_forge { scheme; graph; max_bits }));
       ])
 
 let gen_batch =
@@ -146,10 +143,6 @@ let gen_batch_item =
         (let* accepted = bool in
          let* rejecting = list_size (int_bound 6) (int_bound 5000) in
          return (Wire.Item_verified { accepted; rejecting }));
-        (let* fooled = opt gen_proof in
-         let* attempts = int_bound 100000 in
-         let* best_rejections = int_bound 5000 in
-         return (Wire.Item_forged { fooled; attempts; best_rejections }));
         (let* code =
            oneofl [ Wire.Unknown_scheme; Wire.Deadline_exceeded; Wire.Internal ]
          in
@@ -169,12 +162,7 @@ let gen_request =
          let* graph6 = gen_blob in
          let* proof = gen_proof in
          return (Wire.Verify { scheme; graph6; proof }));
-        (let* scheme = gen_name in
-         let* graph6 = gen_blob in
-         let* max_bits = int_bound 0xffff in
-         return (Wire.Forge { scheme; graph6; max_bits }));
         return Wire.Stats;
-        return Wire.Catalog;
         return Wire.Metrics_text;
         return Wire.Health;
         return Wire.Trace_export;
@@ -192,10 +180,6 @@ let gen_response =
         (let* accepted = bool in
          let* rejecting = list_size (int_bound 10) (int_bound 5000) in
          return (Wire.Verified { accepted; rejecting }));
-        (let* fooled = opt gen_proof in
-         let* attempts = int_bound 100000 in
-         let* best_rejections = int_bound 5000 in
-         return (Wire.Forged { fooled; attempts; best_rejections }));
         (let* requests = int_bound 1_000_000 in
          let* cache_hits = int_bound 1_000_000 in
          let* cache_misses = int_bound 1_000_000 in
@@ -216,14 +200,6 @@ let gen_response =
                 uptime_ms;
                 metrics_json;
               }));
-        (let* entries =
-           list_size (int_bound 6)
-             (let* name = gen_name in
-              let* radius = int_bound 0xffff in
-              let* doc = gen_blob in
-              return { Wire.name; radius; doc })
-         in
-         return (Wire.Catalog_reply entries));
         (let* text = gen_blob in
          return (Wire.Metrics_text_reply text));
         (let* ready = bool in
@@ -471,7 +447,7 @@ let mixed_batch () =
         [
           Wire.Op_prove { scheme = "eulerian"; graph = 0 };
           Wire.Op_verify { scheme = "eulerian"; graph = 1; proof = 0 };
-          Wire.Op_forge { scheme = "bipartite"; graph = 0; max_bits = 4 };
+          Wire.Op_verify { scheme = "bipartite"; graph = 0; proof = 0 };
           Wire.Op_prove { scheme = "eulerian"; graph = 0 };
         ];
     }
@@ -495,7 +471,7 @@ let batch_roundtrip () =
       [
         Wire.Item_proved (Some (Proof.of_list [ (3, Bits.of_bools [ true ]) ]));
         Wire.Item_verified { accepted = false; rejecting = [ 1; 4 ] };
-        Wire.Item_forged { fooled = None; attempts = 7; best_rejections = 2 };
+        Wire.Item_verified { accepted = true; rejecting = [] };
         Wire.Item_error { code = Wire.Deadline_exceeded; message = "late" };
       ]
   in
@@ -560,6 +536,53 @@ let batch_rejects () =
   check "unknown item status rejected" true
     (Result.is_error
        (Wire.decode_response (raw_frame ~tag:rtag (id ^ "\x00\x01\x09"))))
+
+(* The retired forge (0x03 / reply 0x83, batch op kind 3) and catalog
+   (0x05 / reply 0x85) frames: a payload shaped exactly as they were
+   sent is now an unknown tag or kind, a typed error like any other.
+   The same bytes under a live tag or kind still decode, so each
+   rejection is the tag's doing. *)
+let retired_tags () =
+  let id = String.make Wire.id_bytes '\x00' in
+  let str s = Printf.sprintf "\x00\x00\x00%c%s" (Char.chr (String.length s)) s in
+  let reject what decode frame =
+    match decode frame with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: accepted" what
+    | exception e -> Alcotest.failf "%s: raised %s" what (Printexc.to_string e)
+  in
+  let accept what decode frame =
+    check what true (Result.is_ok (decode frame))
+  in
+  let instance = str "bipartite" ^ str "A_" in
+  accept "prove request" Wire.decode_request (raw_frame ~tag:0x01 (id ^ instance));
+  reject "forge request" Wire.decode_request
+    (raw_frame ~tag:0x03 (id ^ instance ^ "\x00\x04"));
+  accept "stats request" Wire.decode_request (raw_frame ~tag:0x04 id);
+  reject "catalog request" Wire.decode_request (raw_frame ~tag:0x05 id);
+  reject "forged reply" Wire.decode_response
+    (raw_frame ~tag:0x83 (id ^ "\x00" ^ "\x00\x00\x00\x07\x00\x00\x00\x02"));
+  reject "catalog reply" Wire.decode_response
+    (raw_frame ~tag:0x85 (id ^ "\x00\x00\x00\x00"));
+  let batch = Wire.request_tag (Wire.Batch { graphs = []; proofs = []; ops = [] }) in
+  (* 1 graph "A_", 0 proofs, 1 op of kind 1 (prove) or 3 (forge, with
+     max_bits 4) on graph 0 *)
+  let op_frame kind tail =
+    raw_frame ~tag:batch
+      (id ^ "\x00\x01" ^ str "A_" ^ "\x00\x00\x00\x01" ^ kind ^ str "x"
+     ^ "\x00\x00" ^ tail)
+  in
+  accept "prove batch op" Wire.decode_request (op_frame "\x01" "");
+  reject "forge batch op" Wire.decode_request (op_frame "\x03" "\x00\x04");
+  (* one reply slot: status 2 with a verified body, or status 3 with a
+     forged one *)
+  let item_frame slot =
+    raw_frame ~tag:(Wire.response_tag (Wire.Batch_reply [])) (id ^ "\x00\x01" ^ slot)
+  in
+  accept "verified batch item" Wire.decode_response
+    (item_frame "\x02\x01\x00\x00\x00\x00");
+  reject "forged batch item" Wire.decode_response
+    (item_frame "\x03\x00\x00\x00\x00\x07\x00\x00\x00\x02")
 
 (* Pin the profile-export frames deterministically (the QCheck
    roundtrips also draw them, but a shrunk seed could skip the arm):
@@ -778,6 +801,8 @@ let suite =
       Alcotest.test_case "batch roundtrip" `Quick batch_roundtrip;
       Alcotest.test_case "batch truncations rejected" `Quick batch_truncations;
       Alcotest.test_case "batch rejects malformed" `Quick batch_rejects;
+      Alcotest.test_case "retired forge and catalog tags rejected" `Quick
+        retired_tags;
       Alcotest.test_case "inflated count rejected" `Quick count_mismatch;
       Alcotest.test_case "profile export roundtrip" `Quick
         profile_export_roundtrip;
