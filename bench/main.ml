@@ -1,47 +1,31 @@
 (* Benchmark harness: regenerates every row of Table 1(a) and 1(b) and
    the Figure 1 / Section 6 lower-bound experiments.
 
-     dune exec bench/main.exe              (proof-size + attack harness)
-     dune exec bench/main.exe -- --timing  (Bechamel timings of the serving
-                                           verify path and the provers)
+     dune exec bench/main.exe              (Table 1 + attacks + hierarchy)
      dune exec bench/main.exe -- --smoke   (tiny CI sweep, < 10 s)
+     dune exec bench/main.exe -- --help    (the seven flags: --partition,
+                                           --randomized, --jobs and the
+                                           observability group)
 
-   Flags: --jobs N  fan the per-node verifier loop over N domains
-                    (0 = all recommended cores);
-          --metrics  enable the observability counters and embed a
-                    per-row metrics object (balls extracted, max ball
-                    size, verifier calls, forgeries tried) in
-                    BENCH_lcp.json;
-          --obs-dir DIR  record structured spans and spool them to
-                    DIR/trace-<lane>.json (Chrome trace-event JSON:
-                    chrome://tracing, Perfetto), plus the run's
-                    telemetry as a Prometheus text exposition in
-                    DIR/metrics-<lane>.prom (per-row wall-time gauges
-                    plus, with --metrics, the registry) — lets a CI
-                    job push bench health into the same dashboards
-                    that scrape `lcp serve`;
-          --profile  sample span stacks at 97 Hz: a "profile" section
-                    in BENCH_lcp.json, per-row GC deltas and, with
-                    --obs-dir, DIR/profile-<lane>.json.
-
-   All timing uses the monotonic Obs.Clock (the seed harness used
-   Unix.gettimeofday, which NTP can skew mid-run). Sweep runs write a
-   machine-readable BENCH_lcp.json (per-row wall time, largest
-   parameter reached, fit, verdict) next to the table.
+   Every run writes BENCH_lcp.json (per row: wall time, series, fit,
+   verdict and cost), merged over the file's other sections; --obs-dir
+   adds the trace lane and a Prometheus exposition of the per-row walls
+   and verdicts. All timing uses the monotonic Obs.Clock.
 
    The rows are the Registry entries that carry a Table 1 row; --smoke
-   runs the ones that carry smoke sizes. For each upper-bound row we
-   run the scheme's prover over a sweep of instance sizes, check that
-   every proof is accepted by all nodes, record the maximum proof size
-   in bits per node, and fit the measured series against the growth
-   models {0, Θ(1), Θ(log), Θ(n), Θ(n²), Θ(n²/log n)}; the verdict
-   column compares the fit against the paper's claim. For each lower-bound row we run the corresponding
-   attack: undersized-but-complete schemes are fooled (an accepted
-   no-instance is constructed), honest schemes resist (signatures stay
-   distinct). *)
+   runs the ones that carry smoke sizes. Each size of a row goes through
+   the one prove-and-check (Registry.prove_and_check): prove, compile,
+   verify at every node on the serving path. The bits per node of the
+   accepted proofs are fitted against the growth models {0, Θ(1),
+   Θ(log), Θ(n), Θ(n²), Θ(n²/log n)} and the verdict compares the fit
+   with the paper's claim. At the largest size the same pass records
+   the row's cost (Registry.prove_and_cost). For each lower bound the
+   attack runs against both schemes of its pair (Attacks.all):
+   undersized-but-complete schemes are fooled (an accepted no-instance
+   is constructed), honest schemes resist. *)
 
-let st seed = Random.State.make [| seed |]
 let of_g g = Instance.of_graph g
+let int i = Obs.Json.Num (float_of_int i)
 
 (* --- measurement ---------------------------------------------------- *)
 
@@ -51,36 +35,19 @@ exception Measure_failure of string
 let jobs = ref 1
 let collect_metrics = ref false
 
-(* Prove and fully verify; return bits per node. *)
+(* The bits per node of a proof every node accepted. *)
+let bits_of scheme = function
+  | Registry.Accepted proof -> Proof.size proof
+  | Registry.No_proof ->
+      raise (Measure_failure (scheme.Scheme.name ^ ": prover refused a yes-instance"))
+  | Registry.Rejected vs ->
+      raise
+        (Measure_failure
+           (Printf.sprintf "%s: own proof rejected at [%s]" scheme.Scheme.name
+              (String.concat "," (List.map string_of_int vs))))
+
 let measured scheme inst =
-  match scheme.Scheme.prover inst with
-  | None ->
-      raise (Measure_failure (scheme.Scheme.name ^ ": prover refused a yes-instance"))
-  | Some proof -> (
-      let verdicts, _ =
-        Simulator.run_verifier ~jobs:!jobs inst proof
-          ~radius:scheme.Scheme.radius scheme.Scheme.verifier
-      in
-      match Simulator.rejecting verdicts with
-      | [] -> Proof.size proof
-      | vs ->
-          raise
-            (Measure_failure
-               (Printf.sprintf "%s: own proof rejected at [%s]" scheme.Scheme.name
-                  (String.concat "," (List.map string_of_int vs)))))
-
-(* Prove only (for the O(n²) rows, where running the verifier at every
-   node of every sweep point would dominate the harness). *)
-let measured_prover_only scheme inst =
-  match scheme.Scheme.prover inst with
-  | Some proof -> Proof.size proof
-  | None ->
-      raise (Measure_failure (scheme.Scheme.name ^ ": prover refused a yes-instance"))
-
-(* One row's yes-instance at size [n], measured the way the row says. *)
-let measure_row (e : Registry.entry) (r : Registry.row) n =
-  (if r.Registry.prover_only then measured_prover_only else measured)
-    e.Registry.scheme (r.Registry.make n)
+  bits_of scheme (Registry.prove_and_check ~jobs:!jobs scheme inst)
 
 (* The entries that carry a Table 1 row, in registry (= table) order. *)
 let rows =
@@ -88,201 +55,200 @@ let rows =
     (fun (e : Registry.entry) -> Option.map (fun r -> (e, r)) e.Registry.row)
     Registry.all
 
-let row name =
+let entry name =
   match Registry.find name with
-  | Some ({ Registry.row = Some r; _ } as e) -> (e, r)
-  | _ -> failwith ("bench: no Table 1 row for " ^ name)
+  | Some e -> e
+  | None -> failwith ("bench: no scheme " ^ name)
+
+(* The best of [reps] runs, not the mean: any one run can eat an
+   unrelated scheduler or GC stall, so the minimum is the reproducible
+   cost of the path itself. *)
+let best_of reps f =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    let t0 = Obs.Clock.now_ns () in
+    f ();
+    best := Float.min !best (Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0))
+  done;
+  !best
 
 (* --- printing + JSON ------------------------------------------------- *)
 
 type row_outcome =
   | Failed of string
-  | Fitted of (int * int) list * Complexity.growth * bool (* series, fit, match *)
+  | Fitted of {
+      series : (int * int) list;
+      fit : Complexity.growth;
+      matches : bool;
+      cost : Registry.cost;  (* at the largest size *)
+    }
 
 type row_result = {
   row : Registry.row;
   outcome : row_outcome;
   wall_s : float;
-  metrics : string option;  (* pre-rendered JSON object, with --metrics *)
-  profile : string option;  (* per-row GC deltas, with --profile *)
+  metrics : Obs.Json.t option;  (* with --metrics *)
 }
 
-(* One row: monotonic wall time, an optional trace span, and — with
+(* One row: every size through the one prove-and-check, the largest
+   also costed; monotonic wall time, an optional trace span, and — with
    --metrics — a per-row snapshot of the deterministic engine counters
    (the metrics registry is reset at row entry, so each row sees only
    its own work). *)
-let eval_row ~sizes (e, (r : Registry.row)) =
+let eval_row ~sizes ((e : Registry.entry), (r : Registry.row)) =
   if !collect_metrics then Obs.Metrics.reset ();
+  let scheme = e.Registry.scheme in
+  let largest = List.length sizes - 1 in
   let measure () =
-    match List.map (fun n -> (n, measure_row e r n)) sizes with
+    match
+      List.mapi
+        (fun i n ->
+          let inst = r.Registry.make n in
+          let checked, cost =
+            if i = largest then Registry.prove_and_cost ~jobs:!jobs scheme inst
+            else (Registry.prove_and_check ~jobs:!jobs scheme inst, None)
+          in
+          ((n, bits_of scheme checked), cost))
+        sizes
+    with
     | exception Measure_failure msg -> Failed msg
-    | series ->
+    | points ->
+        let series = List.map fst points in
         let fit = Complexity.classify series in
-        Fitted (series, fit, List.mem fit r.Registry.fits)
+        Fitted
+          {
+            series;
+            fit;
+            matches = List.mem fit r.Registry.fits;
+            cost = Option.get (List.find_map snd points);
+          }
   in
-  (* With the profiler on, bracket the row with the coordinating
-     domain's GC counters — worker-domain allocations show up in the
-     pool.task_alloc_bytes metric instead. *)
-  let prof_on = !Obs.Profile.enabled in
-  let gc0 = if prof_on then Some (Gc.quick_stat ()) else None in
-  let alloc0 = if prof_on then Gc.allocated_bytes () else 0.0 in
   let t0 = Obs.Clock.now_ns () in
   let outcome =
     if Obs.Trace.on () then Obs.Trace.span ("bench.row:" ^ r.id) measure
     else measure ()
   in
   let wall_s = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0) in
-  let profile =
-    match gc0 with
-    | None -> None
-    | Some g0 ->
-        let g1 = Gc.quick_stat () in
-        Some
-          (Printf.sprintf
-             "{\"alloc_bytes\":%.0f,\"minor_collections\":%d,\"major_collections\":%d}"
-             (Gc.allocated_bytes () -. alloc0)
-             (g1.Gc.minor_collections - g0.Gc.minor_collections)
-             (g1.Gc.major_collections - g0.Gc.major_collections))
-  in
   let metrics =
     if not !collect_metrics then None
     else begin
       let snap = Obs.Metrics.deterministic (Obs.Metrics.snapshot ()) in
+      let count name = int (Obs.Metrics.count snap name) in
       Some
-        (Printf.sprintf
-           "{\"balls_extracted\":%d,\"max_ball_size\":%d,\"verifier_calls\":%d,\"verifier_rejects\":%d,\"forgeries_tried\":%d,\"decode_errors\":%d,\"compiles\":%d}"
-           (Obs.Metrics.count snap "simulator.balls_extracted")
-           (Obs.Metrics.max_value snap "simulator.ball_size")
-           (Obs.Metrics.count snap "simulator.verifier_calls")
-           (Obs.Metrics.count snap "simulator.verifier_rejects")
-           (Obs.Metrics.count snap "checker.samples"
-           + Obs.Metrics.count snap "adversary.attempts")
-           (Obs.Metrics.count snap "simulator.decode_errors")
-           (Obs.Metrics.count snap "simulator.compiles"))
+        (Obs.Json.Obj
+           [
+             ("balls_extracted", count "simulator.balls_extracted");
+             ("max_ball_size", int (Obs.Metrics.max_value snap "simulator.ball_size"));
+             ("verifier_calls", count "simulator.verifier_calls");
+             ("verifier_rejects", count "simulator.verifier_rejects");
+             ( "forgeries_tried",
+               int
+                 (Obs.Metrics.count snap "checker.samples"
+                 + Obs.Metrics.count snap "adversary.attempts") );
+             ("decode_errors", count "simulator.decode_errors");
+             ("compiles", count "simulator.compiles");
+           ])
     end
   in
-  { row = r; outcome; wall_s; metrics; profile }
+  { row = r; outcome; wall_s; metrics }
 
 (* One table line: every cell but the last padded to its column's
    display width (paper classes and fits hold multi-byte symbols). *)
-let print_line cells =
-  let widths = [| 7; 28; 10; 18; 32; 12; 8 |] in
+let print_line widths cells =
   let last = List.length cells - 1 in
   Format.printf "%s@."
     (String.concat " "
        (List.mapi (fun i c -> if i = last then c else Cli.pad widths.(i) c) cells))
 
+let table_widths = [| 7; 28; 10; 18; 32; 12; 8 |]
+
 let print_header title =
   Format.printf "@.=== %s ===@." title;
-  print_line
+  print_line table_widths
     [ "id"; "property/problem"; "family"; "paper"; "measured bits per node";
       "fit"; "verdict"; "wall" ];
   Format.printf "%s@." (String.make 126 '-')
 
-let print_result { row = r; outcome; wall_s; metrics = _; profile = _ } =
+let point r (n, b) = Printf.sprintf "%s=%d:%d" r.Registry.param n b
+let n_max series = List.fold_left (fun acc (n, _) -> max acc n) 0 series
+
+let print_result { row = r; outcome; wall_s; metrics = _ } =
   match outcome with
   | Failed msg ->
-      print_line [ r.id; r.what; r.family; r.paper; "MEASUREMENT FAILED: " ^ msg ]
-  | Fitted (series, fit, matches) ->
-      let verdict = if matches then "MATCH" else "DIFFERS" in
-      let series_str =
-        String.concat " "
-          (List.map (fun (n, b) -> Printf.sprintf "%s=%d:%d" r.param n b) series)
-      in
+      print_line table_widths
+        [ r.id; r.what; r.family; r.paper; "MEASUREMENT FAILED: " ^ msg ]
+  | Fitted { series; fit; matches; cost = _ } ->
+      let series_str = String.concat " " (List.map (point r) series) in
       let series_str =
         if String.length series_str <= 32 then series_str
         else String.sub series_str 0 29 ^ "..."
       in
-      print_line
+      print_line table_widths
         [ r.id; r.what; r.family; r.paper; series_str; Complexity.label fit;
-          verdict; Printf.sprintf "%.3fs" wall_s ]
+          (if matches then "MATCH" else "DIFFERS"); Printf.sprintf "%.3fs" wall_s ]
 
-let json_of_result { row = r; outcome; wall_s; metrics; profile } =
-  let common =
-    Printf.sprintf
-      "\"id\":\"%s\",\"what\":\"%s\",\"family\":\"%s\",\"paper\":\"%s\",\"param\":\"%s\",\"wall_s\":%.6f"
-      (Obs.Json.escape r.id) (Obs.Json.escape r.what)
-      (Obs.Json.escape r.family) (Obs.Json.escape r.paper)
-      (Obs.Json.escape r.param) wall_s
-  in
-  let common =
-    match metrics with
-    | Some m -> Printf.sprintf "%s,\"metrics\":%s" common m
-    | None -> common
-  in
-  let common =
-    match profile with
-    | Some pr -> Printf.sprintf "%s,\"profile\":%s" common pr
-    | None -> common
-  in
-  match outcome with
-  | Failed msg ->
-      Printf.sprintf "    {%s,\"error\":\"%s\"}" common (Obs.Json.escape msg)
-  | Fitted (series, fit, matches) ->
-      let n_max = List.fold_left (fun acc (n, _) -> max acc n) 0 series in
-      let series_str =
-        String.concat ","
-          (List.map (fun (n, b) -> Printf.sprintf "[%d,%d]" n b) series)
-      in
-      Printf.sprintf
-        "    {%s,\"n_max\":%d,\"series\":[%s],\"fit\":\"%s\",\"verdict\":\"%s\"}"
-        common n_max series_str
-        (Obs.Json.escape (Complexity.label fit))
-        (if matches then "MATCH" else "DIFFERS")
+(* The cost of each measured row at its largest size. *)
+let print_costs results =
+  Format.printf
+    "@.--- cost at the largest size (verify: jobs 1, compiled, warm arena) ---@.";
+  let widths = [| 7; 8; 12; 12; 16 |] in
+  print_line widths
+    [ "id"; "size"; "prove"; "compile"; "verify ns/node"; "minor words/node" ];
+  List.iter
+    (function
+      | { row = r; outcome = Fitted { series; cost = c; _ }; _ } ->
+          let ms s = Printf.sprintf "%.3fms" (s *. 1000.0) in
+          print_line widths
+            [ r.id; Printf.sprintf "%s=%d" r.param (n_max series);
+              ms c.Registry.prove_s; ms c.Registry.compile_s;
+              Printf.sprintf "%.0f" c.Registry.verify_ns_per_node;
+              Printf.sprintf "%.1f" c.Registry.minor_words_per_node ]
+      | _ -> ())
+    results
 
-let write_json path ~smoke ~total_wall_s ?partition ?randomized ?profile
-    results =
+let json_of_result { row = r; outcome; wall_s; metrics } =
+  let open Obs.Json in
+  Obj
+    ([ ("id", Str r.id); ("what", Str r.what); ("family", Str r.family);
+       ("paper", Str r.paper); ("param", Str r.param); ("wall_s", Num wall_s) ]
+    @ Option.fold ~none:[] ~some:(fun m -> [ ("metrics", m) ]) metrics
+    @
+    match outcome with
+    | Failed msg -> [ ("error", Str msg) ]
+    | Fitted { series; fit; matches; cost = c } ->
+        [ ("n_max", int (n_max series));
+          ("series", Arr (List.map (fun (n, b) -> Arr [ int n; int b ]) series));
+          ("fit", Str (Complexity.label fit));
+          ("verdict", Str (if matches then "MATCH" else "DIFFERS"));
+          ("prove_s", Num c.Registry.prove_s);
+          ("compile_s", Num c.Registry.compile_s);
+          ("verify_ns_per_node", Num c.Registry.verify_ns_per_node);
+          ("minor_words_per_node", Num c.Registry.minor_words_per_node) ])
+
+(* A run that skips a section (say, --partition without --randomized)
+   must not clobber the section a previous run wrote: the fresh
+   document is merged over the file's current top level, fresh keys
+   winning. An unreadable or unparsable old file degrades to a plain
+   overwrite. *)
+let write_json path ~smoke ~total_wall_s sections results =
   let fresh =
-    Printf.sprintf
-      "{\n\
-      \  \"bench\": \"lcp\",\n\
-      \  \"jobs\": %d,\n\
-      \  \"smoke\": %b,\n\
-      \  \"metrics\": %b,\n\
-      \  \"total_wall_s\": %.6f,\n\
-       %s\
-       %s\
-       %s\
-      \  \"rows\": [\n%s\n  ]\n\
-       }\n"
-      !jobs smoke !collect_metrics total_wall_s
-      (match partition with
-      | None -> ""
-      | Some p -> Printf.sprintf "  \"partition\": %s,\n" p)
-      (match randomized with
-      | None -> ""
-      | Some r -> Printf.sprintf "  \"randomized\": %s,\n" r)
-      (match profile with
-      | None -> ""
-      | Some p -> Printf.sprintf "  \"profile\": %s,\n" p)
-      (String.concat ",\n" (List.map json_of_result results))
+    Obs.Json.Obj
+      ([ ("bench", Obs.Json.Str "lcp"); ("jobs", int !jobs);
+         ("smoke", Obs.Json.Bool smoke); ("metrics", Obs.Json.Bool !collect_metrics);
+         ("total_wall_s", Obs.Json.Num total_wall_s) ]
+      @ sections
+      @ [ ("rows", Obs.Json.Arr (List.map json_of_result results)) ])
   in
-  (* A run that skips a section (say, --partition without --randomized)
-     must not clobber the section a previous run wrote: merge the
-     fresh document over the file's current top level, fresh keys
-     winning. An unreadable or unparsable old file degrades to a
-     plain overwrite. *)
-  let out =
-    match
-      (try
-         let ic = open_in_bin path in
-         let n = in_channel_length ic in
-         let s = really_input_string ic n in
-         close_in ic;
-         Obs.Json.parse s
-       with Sys_error _ | End_of_file -> Error "unreadable")
-    with
-    | Error _ -> fresh
-    | Ok old -> (
-        match Obs.Json.parse fresh with
-        | Error _ -> fresh
-        | Ok fresh_doc ->
-            Obs.Json.to_string (Obs.Json.merge_objects ~old ~fresh:fresh_doc)
-            ^ "\n")
+  let doc =
+    match In_channel.with_open_bin path In_channel.input_all with
+    | exception Sys_error _ -> fresh
+    | s -> (
+        match Obs.Json.parse s with
+        | Ok old -> Obs.Json.merge_objects ~old ~fresh
+        | Error _ -> fresh)
   in
-  let oc = open_out path in
-  output_string oc out;
-  close_out oc;
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Obs.Json.to_string doc ^ "\n"));
   Format.printf "@.machine-readable results written to %s@." path
 
 (* Prometheus text exposition of the same run — through the exact
@@ -296,14 +262,14 @@ let exposition ~total_wall_s results e =
   Obs.Export.counter e ~help:"rows attempted" "bench.rows"
     (List.length results);
   List.iter
-    (fun { row = r; outcome; wall_s; metrics = _; profile = _ } ->
+    (fun { row = r; outcome; wall_s; metrics = _ } ->
       let labels = [ ("id", r.id) ] in
       Obs.Export.gauge e ~help:"per-row wall time" ~labels
         "bench.row_wall_seconds" wall_s;
       let verdict =
         match outcome with
-        | Failed _ -> 0.0
-        | Fitted (_, _, matches) -> if matches then 1.0 else 0.0
+        | Fitted { matches = true; _ } -> 1.0
+        | _ -> 0.0
       in
       Obs.Export.gauge e ~help:"1 = fit matches the paper's bound" ~labels
         "bench.row_verdict" verdict)
@@ -338,37 +304,10 @@ let partition_bench () =
      encode + decode of the instance itself. A cycle accepts; a cycle
      plus one chord has two odd-degree endpoints and must reject at
      them, in both paths, with identical node ids. *)
-  let scheme =
-    match Registry.find "eulerian" with
-    | Some e -> e.Registry.scheme
-    | None -> failwith "partition bench: eulerian not registered"
-  in
-  let cycle ?chord n =
-    let g =
-      List.fold_left
-        (fun g i -> Graph.add_edge g i ((i + 1) mod n))
-        (List.fold_left
-           (fun g i -> Graph.add_node g i)
-           Graph.empty
-           (List.init n (fun i -> i)))
-        (List.init n (fun i -> i))
-    in
-    match chord with None -> g | Some (u, v) -> Graph.add_edge g u v
-  in
+  let scheme = (entry "eulerian").Registry.scheme in
+  (* best-of-reps: the client and both daemons time-share one box *)
   let reps = 5 in
-  (* best-of-reps, not mean: the client and both daemons time-share
-     one box, so any rep can eat an unrelated scheduler or GC stall —
-     the minimum is the reproducible cost of the path itself *)
-  let wall f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Obs.Clock.now_ns () in
-      f ();
-      let s = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0) in
-      if s < !best then best := s
-    done;
-    !best
-  in
+  let wall = best_of reps in
   let proof = Proof.empty in
   (* the largest row is sized just under the 16 MiB frame cap:
      graph6 at n=13312 is ~14.8 MiB whole, ~3.7 MiB per half shard *)
@@ -376,8 +315,8 @@ let partition_bench () =
   let graphs =
     List.map
       (fun n ->
-        let g = cycle n in
-        (n, g, Csr.of_graph g, cycle ~chord:(2, n / 2) n))
+        let g = Builders.cycle n in
+        (n, g, Csr.of_graph g, Graph.add_edge g 2 (n / 2)))
       sizes
   in
   (* child-process plumbing: the lcp binary lives next to this bench
@@ -428,20 +367,22 @@ let partition_bench () =
     pid
   in
   let p_single = 7471 and p_b1 = 7472 and p_b2 = 7473 in
-  (* phase 1: whole-graph requests against one daemon *)
-  let call_whole port g =
+  (* one request on a fresh connection *)
+  let call port req =
     match Client.connect ~port () with
     | Error m -> failwith ("partition bench: " ^ m)
     | Ok c -> (
-        let r =
-          Client.call c
-            (Wire.Verify { scheme = "eulerian"; graph6 = Graph6.encode g; proof })
-        in
+        let r = Client.call c req in
         Client.close c;
-        match r with
-        | Ok (Wire.Verified { accepted; rejecting }) -> (accepted, rejecting)
-        | Ok _ -> failwith "partition bench: unexpected reply"
-        | Error m -> failwith ("partition bench: " ^ m))
+        match r with Ok r -> r | Error m -> failwith ("partition bench: " ^ m))
+  in
+  (* phase 1: whole-graph requests against one daemon *)
+  let call_whole port g =
+    match
+      call port (Wire.Verify { scheme = "eulerian"; graph6 = Graph6.encode g; proof })
+    with
+    | Wire.Verified { accepted; rejecting } -> (accepted, rejecting)
+    | _ -> failwith "partition bench: unexpected reply"
   in
   let whole_rows =
     let pid = serve p_single in
@@ -472,14 +413,9 @@ let partition_bench () =
     | None -> 0
   in
   let metrics port =
-    match Client.connect ~port () with
-    | Error m -> failwith ("partition bench: " ^ m)
-    | Ok c -> (
-        let r = Client.call c Wire.Metrics_text in
-        Client.close c;
-        match r with
-        | Ok (Wire.Metrics_text_reply s) -> s
-        | _ -> failwith "partition bench: metrics scrape failed")
+    match call port Wire.Metrics_text with
+    | Wire.Metrics_text_reply s -> s
+    | _ -> failwith "partition bench: metrics scrape failed"
   in
   let sharded_rows, shards1, rej1, shards2, rej2 =
     let b1 = serve p_b1 in
@@ -524,17 +460,21 @@ let partition_bench () =
   let largest_ratio =
     match List.rev rows with (_, _, _, r, _) :: _ -> r | [] -> 0.0
   in
-  Printf.sprintf
-    "{\"scheme\":\"eulerian\",\"partitions\":4,\"backends\":2,\"transport\":\"direct\",\"reps\":%d,\"rows\":[%s],\"largest_ratio\":%.3f,\"backend_shards\":[%d,%d]}"
-    reps
-    (String.concat ","
-       (List.map
-          (fun (n, single_s, sharded_s, ratio, equal) ->
-            Printf.sprintf
-              "{\"n\":%d,\"single_s\":%.6f,\"sharded_s\":%.6f,\"ratio\":%.3f,\"verdict_equal\":%b}"
-              n single_s sharded_s ratio equal)
-          rows))
-    largest_ratio shards1 shards2
+  let open Obs.Json in
+  Obj
+    [ ("scheme", Str "eulerian"); ("partitions", int 4); ("backends", int 2);
+      ("transport", Str "direct"); ("reps", int reps);
+      ( "rows",
+        Arr
+          (List.map
+             (fun (n, single_s, sharded_s, ratio, equal) ->
+               Obj
+                 [ ("n", int n); ("single_s", Num single_s);
+                   ("sharded_s", Num sharded_s); ("ratio", Num ratio);
+                   ("verdict_equal", Bool equal) ])
+             rows) );
+      ("largest_ratio", Num largest_ratio);
+      ("backend_shards", Arr [ int shards1; int shards2 ]) ]
 
 (* --- randomized bench (--randomized) --------------------------------- *)
 
@@ -556,27 +496,8 @@ let partition_bench () =
      escalates with certainty). *)
 let randomized_bench () =
   Format.printf "@.=== randomized bench (sampled verification) ===@.";
-  let reps = 5 in
-  (* best-of-reps for the same reason the partition bench uses it: the
-     minimum is the reproducible cost of the path itself *)
-  let wall f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Obs.Clock.now_ns () in
-      f ();
-      let s = Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0) in
-      if s < !best then best := s
-    done;
-    !best
-  in
-  let cycle ?(base = 0) n =
-    let ids = List.init n (fun i -> base + i) in
-    let g = List.fold_left Graph.add_node Graph.empty ids in
-    List.fold_left
-      (fun g i -> Graph.add_edge g (base + i) (base + ((i + 1) mod n)))
-      g
-      (List.init n (fun i -> i))
-  in
+  let wall = best_of 5 in
+  let cycle = Builders.cycle in
   (* even-cycle yes-instances per sampled scheme: bipartite plain, a
      flagged hamiltonian path as the spanning tree, and s/t dropped
      into two separate components for unreachability *)
@@ -590,7 +511,7 @@ let randomized_bench () =
     | "st-unreach" ->
         let h = n / 2 in
         let g =
-          Graph.union_disjoint (cycle h) (cycle ~base:h h)
+          Graph.union_disjoint (cycle h) (Canonical.shifted (cycle h) h)
         in
         St.of_graph g ~s:0 ~t:h
     | _ -> failwith ("randomized bench: no instance builder for " ^ name)
@@ -636,10 +557,14 @@ let randomized_bench () =
             name n (Proof.size proof) (sampled_s *. 1000.0)
             o.Randomized_scheme.nodes_checked o.Randomized_scheme.bits_read
             (full_s *. 1000.0) speedup;
-          Printf.sprintf
-            "{\"n\":%d,\"proof_bits\":%d,\"queries\":%d,\"nodes_checked\":%d,\"bits_read\":%d,\"sampled_s\":%.6f,\"full_s\":%.6f,\"speedup\":%.3f}"
-            n (Proof.size proof) queries o.Randomized_scheme.nodes_checked
-            o.Randomized_scheme.bits_read sampled_s full_s speedup)
+          let open Obs.Json in
+          Obj
+            [ ("n", int n); ("proof_bits", int (Proof.size proof));
+              ("queries", int queries);
+              ("nodes_checked", int o.Randomized_scheme.nodes_checked);
+              ("bits_read", int o.Randomized_scheme.bits_read);
+              ("sampled_s", Num sampled_s); ("full_s", Num full_s);
+              ("speedup", Num speedup) ])
         sizes
     in
     (* measured one-sided error at the smallest size: forge, keep what
@@ -656,22 +581,26 @@ let randomized_bench () =
       name e.Checker.fooled e.Checker.invalid e.Checker.rate
       e.Checker.wilson_low e.Checker.wilson_high rs.Randomized_scheme.epsilon
       (if within then "within budget" else "EXCEEDED");
-    Printf.sprintf
-      "{\"scheme\":\"%s\",\"epsilon\":%g,\"queries\":%d,\"probes\":%d,\"budget\":\"%s\",\"soundness\":{\"n\":%d,\"samples\":400,\"trials\":%d,\"invalid\":%d,\"fooled\":%d,\"rate\":%.6f,\"wilson_low\":%.6f,\"wilson_high\":%.6f,\"within_budget\":%b},\"rows\":[%s]}"
-      name rs.Randomized_scheme.epsilon rs.Randomized_scheme.queries
-      rs.Randomized_scheme.probes rs.Randomized_scheme.budget (List.hd sizes)
-      e.Checker.trials e.Checker.invalid e.Checker.fooled e.Checker.rate
-      e.Checker.wilson_low e.Checker.wilson_high within
-      (String.concat "," rows)
+    let open Obs.Json in
+    Obj
+      [ ("scheme", Str name); ("epsilon", Num rs.Randomized_scheme.epsilon);
+        ("queries", int rs.Randomized_scheme.queries);
+        ("probes", int rs.Randomized_scheme.probes);
+        ("budget", Str rs.Randomized_scheme.budget);
+        ( "soundness",
+          Obj
+            [ ("n", int (List.hd sizes)); ("samples", int 400);
+              ("trials", int e.Checker.trials); ("invalid", int e.Checker.invalid);
+              ("fooled", int e.Checker.fooled); ("rate", Num e.Checker.rate);
+              ("wilson_low", Num e.Checker.wilson_low);
+              ("wilson_high", Num e.Checker.wilson_high);
+              ("within_budget", Bool within) ] );
+        ("rows", Arr rows) ]
   in
   let schemes = List.map scheme_json Sampled.all in
   (* serving gate: the wire path, always-full vs sampled + escalate *)
   let serving =
-    let rs =
-      match Sampled.find "bipartite" with
-      | Some rs -> rs
-      | None -> failwith "randomized bench: bipartite has no sampled variant"
-    in
+    let rs = Option.get (Sampled.find "bipartite") in
     let config =
       { Server.default_config with Server.port = 0; jobs = 1; cache_size = 128 }
     in
@@ -764,45 +693,45 @@ let randomized_bench () =
                  speedup %5.2fx   verdicts %s@."
                 n full_rps sampled_rps speedup
                 (if verdict_equal then "equal" else "DIFFER");
-              Printf.sprintf
-                "{\"n\":%d,\"full_rps\":%.1f,\"sampled_rps\":%.1f,\"speedup\":%.3f,\"verdict_equal\":%b}"
-                n full_rps sampled_rps speedup verdict_equal)
+              let open Obs.Json in
+              Obj
+                [ ("n", int n); ("full_rps", Num full_rps);
+                  ("sampled_rps", Num sampled_rps); ("speedup", Num speedup);
+                  ("verdict_equal", Bool verdict_equal) ])
         [ 512; 2048 ]
     in
     let st = Server.stats server in
-    Printf.sprintf
-      "{\"scheme\":\"bipartite\",\"queries\":%d,\"reqs_per_leg\":%d,\"rows\":[%s],\"server\":{\"sampled_requests\":%d,\"sampled_escalations\":%d,\"sampled_bits_read\":%d}}"
-      queries reqs (String.concat "," rows)
-      st.Server.sampled_requests st.Server.sampled_escalations
-      st.Server.sampled_bits_read
+    let open Obs.Json in
+    Obj
+      [ ("scheme", Str "bipartite"); ("queries", int queries);
+        ("reqs_per_leg", int reqs); ("rows", Arr rows);
+        ( "server",
+          Obj
+            [ ("sampled_requests", int st.Server.sampled_requests);
+              ("sampled_escalations", int st.Server.sampled_escalations);
+              ("sampled_bits_read", int st.Server.sampled_bits_read) ] ) ]
   in
-  Printf.sprintf "{\"schemes\":[%s],\"serving\":%s}"
-    (String.concat "," schemes)
-    serving
+  Obs.Json.Obj [ ("schemes", Obs.Json.Arr schemes); ("serving", serving) ]
 
 (* --- lower-bound attack experiments --------------------------------- *)
 
-let outcome pp name o = Format.printf "%-34s %a@." name pp o
-
-let gluing name scheme family =
-  outcome Gluing.pp_outcome name (Gluing.attack ~rows:4 scheme family)
-
 let lower_bounds () =
-  Format.printf "@.=== Figure 1 / Section 5.3: gluing cycles ===@.";
-  Format.printf "(undersized-but-complete schemes must be FOOLED; honest Θ(log n) schemes must resist)@.";
-  gluing "odd-n, 2-bit counters" (Truncated.odd_n_cycle ~bits:2)
-    (Gluing.odd_cycles ~n:9);
-  gluing "odd-n, honest Θ(log n)" Counting.odd_n (Gluing.odd_cycles ~n:9);
-  gluing "leader, 2-bit counters" (Truncated.leader_cycle ~bits:2)
-    (Gluing.leader_cycles ~n:8);
-  gluing "leader, honest Θ(log n)" Leader_election.strong
-    (Gluing.leader_cycles ~n:8);
-  gluing "max-matching, 2-bit counters" (Truncated.max_matching_cycle ~bits:2)
-    (Gluing.matching_cycles ~n:9);
-  gluing "max-matching, honest Θ(log n)" Matching_schemes.maximum_on_cycle
-    (Gluing.matching_cycles ~n:9);
+  Format.printf
+    "@.=== Lower bounds: undersized-but-complete schemes must be FOOLED, \
+     honest ones resist ===@.";
+  ignore
+    (List.fold_left
+       (fun section (a : Attacks.t) ->
+         if a.Attacks.section <> section then
+           Format.printf "@.--- %s ---@." a.Attacks.section;
+         List.iter
+           (fun (label, scheme) ->
+             Format.printf "%s %t@." (Cli.pad 34 label) (snd (a.Attacks.run scheme)))
+           [ a.Attacks.undersized; a.Attacks.honest ];
+         a.Attacks.section)
+       "" Attacks.all);
 
-  Format.printf "@.--- general k (the paper's arbitrary constant) ---@.";
+  Format.printf "@.--- Figure 1, general k (the paper's arbitrary constant) ---@.";
   List.iter
     (fun k ->
       match
@@ -819,7 +748,8 @@ let lower_bounds () =
       | Gluing.Prover_failed_k _ -> Format.printf "odd-n, k=%d: prover failed@." k)
     [ 2; 3; 4 ];
 
-  Format.printf "@.--- budget sweep: where does the attack stop working? ---@.";
+  Format.printf
+    "@.--- Figure 1, budget sweep: where does the attack stop working? ---@.";
   List.iter
     (fun bits ->
       match Gluing.attack ~rows:4 (Truncated.leader_cycle ~bits) (Gluing.leader_cycles ~n:8) with
@@ -830,42 +760,11 @@ let lower_bounds () =
       | Gluing.Prover_failed _ -> Format.printf "%d bits: prover failed@." bits)
     [ 2; 3; 4 ];
 
-  Format.printf "@.=== Section 6.1: symmetric graphs need Ω(n²) bits ===@.";
-  let family = Enumerate.asymmetric_connected 6 in
-  Format.printf "family F_6: %d pairwise non-isomorphic asymmetric connected graphs@."
-    (List.length family);
-  outcome Symmetry_lb.pp_outcome "claims scheme, O(Δ log n) bits"
-    (Symmetry_lb.attack_symmetric Truncated.symmetric_claims ~family);
-  outcome Symmetry_lb.pp_outcome "universal scheme, Θ(n²) bits"
-    (Symmetry_lb.attack_symmetric Universal.symmetric ~family);
-
-  Format.printf "@.=== Section 6.2: fixpoint-free tree symmetry needs Ω(n) ===@.";
-  let trees = Tree_enum.rooted_trees 6 in
-  Format.printf "family: %d rooted trees on 6 nodes (A000081)@." (List.length trees);
-  outcome Symmetry_lb.pp_outcome "claims scheme, O(Δ log n) bits"
-    (Symmetry_lb.attack_trees Truncated.fixpoint_free_claims ~family:trees);
-  outcome Symmetry_lb.pp_outcome "tree-universal scheme, Θ(n) bits"
-    (Symmetry_lb.attack_trees Tree_universal.fixpoint_free_symmetry ~family:trees);
-
-  Format.printf "@.=== Section 6.3: non-3-colourability needs Ω(n²/log n) ===@.";
-  let sets =
-    Some [ [ (0, 1) ]; [ (1, 0) ]; [ (0, 0); (1, 1) ]; [ (0, 1); (1, 0) ] ]
-  in
-  let ball_claims =
-    Truncated.ball_claims ~name:"non3col-ball-claims" (fun g ->
-        not (Coloring.is_k_colourable g 3))
-  in
-  outcome Non3col_lb.pp_outcome "ball-claims scheme, O(Δ² log n)"
-    (Non3col_lb.attack ~k:1 ~r:1 ~sets ball_claims);
-  outcome Non3col_lb.pp_outcome "universal scheme, Θ(n²)"
-    (Non3col_lb.attack ~k:1 ~r:1 ~sets Universal.non_3_colourable);
-
   Format.printf
-    "@.=== Table 1(a) dash row: connectivity has NO scheme of any size ===@.";
-  let conn_universal, _ = row "connected-universal" in
+    "@.--- Table 1(a) dash row: connectivity has NO scheme of any size ---@.";
   Format.printf
     "disjoint-union attack vs the universal O(n²) scheme: fooled = %b@."
-    (No_scheme.connectivity_has_no_scheme conn_universal.Registry.scheme)
+    (No_scheme.connectivity_has_no_scheme (entry "connected-universal").Registry.scheme)
 
 (* --- design ablations ------------------------------------------------- *)
 
@@ -907,13 +806,25 @@ let ablations () =
 
 (* --- hierarchy summary ----------------------------------------------- *)
 
-let hierarchy () =
+(* One row per level, read from the table's own series at n = 64 (every
+   listed row sweeps it). *)
+let hierarchy results =
   Format.printf "@.=== The LCP hierarchy at n = 64 (bits per node, measured) ===@.";
   List.iter
     (fun (level, name) ->
-      let e, r = row name in
-      Format.printf "  %-10s %-24s %6d bits@." level r.Registry.what
-        (measure_row e r 64))
+      let r = Option.get (entry name).Registry.row in
+      let bits =
+        List.find_map
+          (function
+            | { row; outcome = Fitted { series; _ }; _ } when row.id = r.id ->
+                List.assoc_opt 64 series
+            | _ -> None)
+          results
+      in
+      Format.printf "  %s %s %s@." (Cli.pad 10 level) (Cli.pad 24 r.Registry.what)
+        (match bits with
+        | Some b -> Printf.sprintf "%6d bits" b
+        | None -> "not measured"))
     [
       ("LCP(0)", "eulerian");
       ("LCP(1)", "bipartite");
@@ -923,113 +834,28 @@ let hierarchy () =
     ];
   Format.printf "  (each level separated by the lower-bound attacks above)@."
 
-(* --- Bechamel timing ------------------------------------------------- *)
-
-let timing () =
-  let open Bechamel in
-  let open Toolkit in
-  (* The serving path: one compiled instance and a warm arena, as the
-     daemon keeps them, verified at every node per run. *)
-  let timed name scheme inst proof =
-    let compiled = Simulator.compile inst in
-    let arena = Simulator.arena () in
-    Test.make ~name
-      (Staged.stage (fun () ->
-           ignore
-             (Simulator.run_verifier ~compiled ~arena inst proof
-                ~radius:scheme.Scheme.radius scheme.Scheme.verifier)))
-  in
-  let verifier_test name scheme inst =
-    match Scheme.prove_and_check scheme inst with
-    | `Accepted proof -> timed name scheme inst proof
-    | _ -> failwith ("prover failed for " ^ name)
-  in
-  let n = 64 in
-  let tests =
-    Test.make_grouped ~name:"verifiers"
-      [
-        verifier_test "eulerian-C64" Eulerian.scheme (of_g (Builders.cycle n));
-        verifier_test "bipartite-C64" Bipartite_scheme.scheme (of_g (Builders.cycle n));
-        verifier_test "leader-C64" Leader_election.strong
-          (Leader_election.mark_leader (of_g (Builders.cycle n)) 0);
-        verifier_test "spanning-tree-G64" Spanning_tree_scheme.scheme
-          ((snd (row "spanning-tree")).Registry.make n);
-        verifier_test "odd-n-C65" Counting.odd_n (of_g (Builders.cycle 65));
-        verifier_test "non-bipartite-C65" Non_bipartite.scheme (of_g (Builders.cycle 65));
-        (* mean degree 6, where each certificate is read deg + 1 times
-           per sweep: odd-n's verifier over even-n's certificate (the
-           same format; on 1024 nodes only the root rejects) *)
-        (let inst = of_g (Random_graphs.connected_gnp (st 7) 1024 (6.0 /. 1024.0)) in
-         timed "odd-n-G1024" Counting.odd_n inst
-           (Option.get (Counting.even_n.Scheme.prover inst)));
-        verifier_test "maxw-matching-C16"
-          Matching_schemes.maximum_weight_bipartite
-          (let g = Builders.cycle 16 in
-           let w (u, v) = 1 + ((u + v) mod 7) in
-           Matching_schemes.weighted_instance g w (Weighted_matching.maximum_weight g w));
-      ]
-  in
-  let prover_test name scheme inst =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           match scheme.Scheme.prover inst with
-           | Some _ -> ()
-           | None -> failwith "prover refused"))
-  in
-  let prover_tests =
-    Test.make_grouped ~name:"provers"
-      [
-        prover_test "bipartite-C64" Bipartite_scheme.scheme (of_g (Builders.cycle n));
-        prover_test "leader-C64" Leader_election.strong
-          (Leader_election.mark_leader (of_g (Builders.cycle n)) 0);
-        prover_test "non-bipartite-C65" Non_bipartite.scheme (of_g (Builders.cycle 65));
-        prover_test "menger-grid5x5"
-          Connectivity.general
-          (Connectivity.instance (Builders.grid 5 5) ~s:0 ~t:24 ~k:2);
-        prover_test "universal-symmetric-C24" Universal.symmetric
-          (of_g (Builders.cycle 24));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.5) ~stabilize:true () in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let report title raw =
-    let results = Analyze.all ols Instance.monotonic_clock raw in
-    Format.printf "=== %s (ns/run) ===@." title;
-    Hashtbl.iter
-      (fun name ols_result ->
-        let estimate =
-          match Analyze.OLS.estimates ols_result with
-          | Some (e :: _) -> Printf.sprintf "%12.0f ns" e
-          | _ -> "?"
-        in
-        Format.printf "  %-44s %s@." name estimate)
-      results
-  in
-  report "verifier timings (run_verifier, compiled + warm arena, all nodes)"
-    (Benchmark.all cfg Instance.[ monotonic_clock ] tests);
-  report "prover timings (one instance)"
-    (Benchmark.all cfg Instance.[ monotonic_clock ] prover_tests)
-
 (* --- main ------------------------------------------------------------ *)
 
 let run_table ?(smoke = false) title rows =
   print_header title;
-  List.map
-    (fun ((_, r) as er) ->
-      let sizes = if smoke then r.Registry.smoke else r.Registry.sizes in
-      let result = eval_row ~sizes er in
-      print_result result;
-      result)
-    rows
+  let results =
+    List.map
+      (fun ((_, r) as er) ->
+        let sizes = if smoke then r.Registry.smoke else r.Registry.sizes in
+        let result = eval_row ~sizes er in
+        print_result result;
+        result)
+      rows
+  in
+  print_costs results;
+  results
 
 (* A row that fails to measure, or whose fit is not the paper's class,
    fails the run (exit 1) once every artefact is written. *)
 let exit_unless_all_match results =
   let bad =
     List.filter
-      (fun r -> match r.outcome with Fitted (_, _, true) -> false | _ -> true)
+      (fun r -> match r.outcome with Fitted { matches = true; _ } -> false | _ -> true)
       results
   in
   if bad <> [] then begin
@@ -1042,8 +868,7 @@ let exit_unless_all_match results =
 (* Wrap a whole bench section in a trace span when tracing is on. *)
 let section name f = if !Obs.Trace.enabled then Obs.Trace.span name f else f ()
 
-let main smoke timing_only with_partition with_randomized jobs_n metrics dir
-    profile =
+let main smoke with_partition with_randomized jobs_n metrics dir profile =
   jobs := Cli.resolve_jobs jobs_n;
   let obs = { Obs.off with dir; profile } in
   (* A traced --smoke --partition --randomized run records about 480k
@@ -1054,74 +879,71 @@ let main smoke timing_only with_partition with_randomized jobs_n metrics dir
      run summary: the registry is enabled here, not through the
      session, which would print that table on exit. *)
   if metrics then Obs.enable ();
-  if timing_only then timing ()
-  else begin
+  if smoke then
+    Format.printf "Locally Checkable Proofs: smoke sweep (jobs=%d)@." !jobs
+  else
+    Format.printf
+      "Locally Checkable Proofs (Göös & Suomela, PODC 2011): experiment \
+       harness (jobs=%d)@."
+      !jobs;
+  let table prefix =
+    List.filter (fun (_, r) -> String.starts_with ~prefix r.Registry.id) rows
+  in
+  let tables () =
     if smoke then
-      Format.printf "Locally Checkable Proofs: smoke sweep (jobs=%d)@." !jobs
+      run_table ~smoke "smoke sweep"
+        (List.filter (fun (_, r) -> r.Registry.smoke <> []) rows)
+    else begin
+      let results_a = run_table "Table 1(a): graph properties" (table "T1a-") in
+      let results_b =
+        run_table "Table 1(b): graph problems (solution verification)"
+          (table "T1b-")
+      in
+      let results = results_a @ results_b in
+      section "bench.lower_bounds" lower_bounds;
+      section "bench.ablations" ablations;
+      section "bench.hierarchy" (fun () -> hierarchy results);
+      results
+    end
+  in
+  let results, total, sections =
+    Obs.session
+      ~process:(Printf.sprintf "bench-%d" (Unix.getpid ()))
+      ~exposition:(fun (results, total_wall_s, _) ->
+        exposition ~total_wall_s results)
+      obs
+    @@ fun () ->
+    let t0 = Obs.Clock.now_ns () in
+    let results = tables () in
+    let partition =
+      if with_partition then
+        [ ("partition", section "bench.partition" partition_bench) ]
+      else []
+    in
+    let randomized =
+      if with_randomized then
+        [ ("randomized", section "bench.randomized" randomized_bench) ]
+      else []
+    in
+    (results, Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0), partition @ randomized)
+  in
+  if smoke then Format.printf "@.total wall time: %.3fs@." total;
+  (* the session stopped the sampler, so the counts are final; the
+     profile is the profiler's own JSON export, embedded as a value *)
+  let profile =
+    if not obs.Obs.profile then []
     else
-      Format.printf
-        "Locally Checkable Proofs (Göös & Suomela, PODC 2011): experiment \
-         harness (jobs=%d)@."
-        !jobs;
-    let table prefix =
-      List.filter
-        (fun (_, r) -> String.starts_with ~prefix r.Registry.id)
-        rows
-    in
-    let tables () =
-      if smoke then
-        run_table ~smoke "smoke sweep"
-          (List.filter (fun (_, r) -> r.Registry.smoke <> []) rows)
-      else begin
-        let results_a =
-          run_table "Table 1(a): graph properties" (table "T1a-")
-        in
-        let results_b =
-          run_table "Table 1(b): graph problems (solution verification)"
-            (table "T1b-")
-        in
-        section "bench.lower_bounds" lower_bounds;
-        section "bench.ablations" ablations;
-        section "bench.hierarchy" hierarchy;
-        results_a @ results_b
-      end
-    in
-    let results, total, partition, randomized =
-      Obs.session
-        ~process:(Printf.sprintf "bench-%d" (Unix.getpid ()))
-        ~exposition:(fun (results, total_wall_s, _, _) ->
-          exposition ~total_wall_s results)
-        obs
-      @@ fun () ->
-      let t0 = Obs.Clock.now_ns () in
-      let results = tables () in
-      let partition =
-        if with_partition then Some (section "bench.partition" partition_bench)
-        else None
-      in
-      let randomized =
-        if with_randomized then
-          Some (section "bench.randomized" randomized_bench)
-        else None
-      in
-      (results, Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0), partition,
-       randomized)
-    in
-    if smoke then Format.printf "@.total wall time: %.3fs@." total;
-    (* the session stopped the sampler, so the counts are final *)
-    let profile =
-      if obs.Obs.profile then Some (Obs.Profile.export_string ()) else None
-    in
-    write_json "BENCH_lcp.json" ~smoke ~total_wall_s:total ?partition
-      ?randomized ?profile results;
-    if not smoke then
-      Format.printf
-        "@.run with --timing for Bechamel verifier micro-benchmarks, --smoke \
-         for the CI sweep.@.";
-    exit_unless_all_match results
-  end
+      match Obs.Json.parse (Obs.Profile.export_string ()) with
+      | Ok p -> [ ("profile", p) ]
+      | Error _ -> []
+  in
+  write_json "BENCH_lcp.json" ~smoke ~total_wall_s:total (sections @ profile)
+    results;
+  if not smoke then
+    Format.printf "@.run with --smoke for the CI sweep.@.";
+  exit_unless_all_match results
 
-(* The eight flags, parsed with the lcp CLI's own terms: the
+(* The seven flags, parsed with the lcp CLI's own terms: the
    observability group from [Obs_flags] and the [--jobs] converter. *)
 let () =
   let open Cmdliner in
@@ -1139,9 +961,6 @@ let () =
     Term.(
       const main
       $ switch "smoke" "The tiny CI sweep over the smoke rows."
-      $ switch "timing"
-          "Bechamel timings of the serving verify path and the provers \
-           instead of the sweep."
       $ switch "partition" "Add the partitioned-verification section."
       $ switch "randomized" "Add the sampled-verification section."
       $ jobs $ Obs_flags.metrics $ Obs_flags.obs_dir $ Obs_flags.profile)

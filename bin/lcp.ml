@@ -128,34 +128,23 @@ let one_shot_flags =
 
 let prove_cmd =
   let run (e : Registry.entry) graph output jobs obs =
-    let scheme = e.Registry.scheme in
     match load_instance graph with
     | Error (`Msg m) -> prerr_endline m; 1
-    | Ok inst ->
+    | Ok inst -> (
         one_shot "prove" obs @@ fun () ->
-        (
-        let prove_and_check inst =
-          match scheme.Scheme.prover inst with
-          | None -> `No_proof
-          | Some proof -> (
-              let verdicts, _ =
-                Simulator.run_verifier ~jobs:(Cli.resolve_jobs jobs) inst proof
-                  ~radius:scheme.Scheme.radius scheme.Scheme.verifier
-              in
-              match Simulator.rejecting verdicts with
-              | [] -> `Accepted proof
-              | vs -> `Rejected (proof, vs))
-        in
-        match prove_and_check inst with
-        | `No_proof ->
+        match
+          Registry.prove_and_check ~jobs:(Cli.resolve_jobs jobs) e.Registry.scheme
+            inst
+        with
+        | Registry.No_proof ->
             Format.printf
               "no-instance: the prover found no locally checkable proof@.";
             2
-        | `Rejected (_, vs) ->
+        | Registry.Rejected vs ->
             Format.printf "internal error: own proof rejected at [%s]@."
               (String.concat ";" (List.map string_of_int vs));
             3
-        | `Accepted proof ->
+        | Registry.Accepted proof ->
             Format.printf "yes-instance: proof of %d bits per node@."
               (Proof.size proof);
             (match output with
@@ -625,20 +614,12 @@ let dot_cmd =
     Term.(const run $ graph_arg $ proof_opt)
 
 let attack_cmd =
-  let attack_conv =
-    Arg.enum
-      [ ("gluing-odd", `Gluing_odd); ("gluing-leader", `Gluing_leader);
-        ("gluing-matching", `Gluing_matching); ("symmetry", `Symmetry);
-        ("trees", `Trees); ("non3col", `Non3col) ]
-  in
   let attack_arg =
+    let names = List.map (fun a -> a.Attacks.name) Attacks.all in
     Arg.(
       required
-      & pos 0 (some attack_conv) None
-      & info [] ~docv:"ATTACK"
-          ~doc:
-            "One of: gluing-odd, gluing-leader, gluing-matching, symmetry, \
-             trees, non3col.")
+      & pos 0 (some (enum (List.combine names Attacks.all))) None
+      & info [] ~docv:"ATTACK" ~doc:("One of: " ^ String.concat ", " names ^ "."))
   in
   let honest_arg =
     Arg.(
@@ -649,69 +630,15 @@ let attack_cmd =
   let n_arg =
     Arg.(value & opt int 9 & info [ "n" ] ~docv:"N" ~doc:"Cycle length (gluing).")
   in
-  let run attack honest n =
-    (* exit 2 when the attack fools the scheme, 0 when it resists *)
-    let gluing_report o =
-      Format.printf "%a@." Gluing.pp_outcome o;
-      match o with
-      | Gluing.Fooled _ -> 2
-      | Gluing.Resisted _ -> 0
-      | Gluing.Prover_failed _ -> 1
-    in
-    let sym_report o =
-      Format.printf "%a@." Symmetry_lb.pp_outcome o;
-      match o with
-      | Symmetry_lb.Fooled _ -> 2
-      | Symmetry_lb.Resisted _ -> 0
-      | Symmetry_lb.Prover_failed _ -> 1
-    in
-    let non3col_report o =
-      Format.printf "%a@." Non3col_lb.pp_outcome o;
-      match o with
-      | Non3col_lb.Fooled _ -> 2
-      | Non3col_lb.Resisted _ -> 0
-      | Non3col_lb.Prover_failed _ -> 1
-    in
-    match attack with
-    | `Gluing_odd ->
-        let n = if n mod 2 = 0 then n + 1 else n in
-        let scheme = if honest then Counting.odd_n else Truncated.odd_n_cycle ~bits:2 in
-        gluing_report (Gluing.attack ~rows:4 scheme (Gluing.odd_cycles ~n))
-    | `Gluing_leader ->
-        let scheme =
-          if honest then Leader_election.strong else Truncated.leader_cycle ~bits:2
-        in
-        gluing_report (Gluing.attack ~rows:4 scheme (Gluing.leader_cycles ~n))
-    | `Gluing_matching ->
-        let n = if n mod 2 = 0 then n + 1 else n in
-        let scheme =
-          if honest then Matching_schemes.maximum_on_cycle
-          else Truncated.max_matching_cycle ~bits:2
-        in
-        gluing_report (Gluing.attack ~rows:4 scheme (Gluing.matching_cycles ~n))
-    | `Symmetry ->
-        let scheme =
-          if honest then Universal.symmetric else Truncated.symmetric_claims
-        in
-        sym_report
-          (Symmetry_lb.attack_symmetric scheme ~family:(Enumerate.asymmetric_connected 6))
-    | `Trees ->
-        let scheme =
-          if honest then Tree_universal.fixpoint_free_symmetry
-          else Truncated.fixpoint_free_claims
-        in
-        sym_report (Symmetry_lb.attack_trees scheme ~family:(Tree_enum.rooted_trees 6))
-    | `Non3col ->
-        let scheme =
-          if honest then Universal.non_3_colourable
-          else
-            Truncated.ball_claims ~name:"non3col-ball-claims" (fun g ->
-                not (Coloring.is_k_colourable g 3))
-        in
-        let sets =
-          Some [ [ (0, 1) ]; [ (1, 0) ]; [ (0, 0); (1, 1) ]; [ (0, 1); (1, 0) ] ]
-        in
-        non3col_report (Non3col_lb.attack ~k:1 ~r:1 ~sets scheme)
+  (* exit 2 when the attack fools the scheme, 0 when it resists *)
+  let run (a : Attacks.t) honest n =
+    let _, scheme = if honest then a.Attacks.honest else a.Attacks.undersized in
+    let result, report = a.Attacks.run ~n scheme in
+    Format.printf "%t@." report;
+    match result with
+    | Attacks.Fooled -> 2
+    | Attacks.Resisted -> 0
+    | Attacks.Prover_failed -> 1
   in
   Cmd.v
     (Cmd.info "attack" ~doc:"Run one of the paper's lower-bound attacks")
@@ -730,17 +657,13 @@ let table_cmd =
         match e.Registry.row with
         | None -> ()
         | Some r ->
-            let scheme = e.Registry.scheme in
             let bits_at size =
               let bits =
-                if r.Registry.prover_only then
-                  Option.fold ~none:"!"
-                    ~some:(fun p -> string_of_int (Proof.size p))
-                    (scheme.Scheme.prover (r.Registry.make size))
-                else
-                  match Scheme.prove_and_check scheme (r.Registry.make size) with
-                  | `Accepted proof -> string_of_int (Proof.size proof)
-                  | _ -> "!"
+                match
+                  Registry.prove_and_check e.Registry.scheme (r.Registry.make size)
+                with
+                | Registry.Accepted proof -> string_of_int (Proof.size proof)
+                | Registry.No_proof | Registry.Rejected _ -> "!"
               in
               Printf.sprintf "%s=%d:%s" r.Registry.param size bits
             in

@@ -13,7 +13,6 @@ type row = {
   sizes : int list;
   smoke : int list;
   make : int -> Instance.t;
-  prover_only : bool;
 }
 
 type entry = {
@@ -30,9 +29,9 @@ let none _ _ = None
 let mk ?(yes = none) ?(no = none) ?row name doc scheme =
   { name; doc; scheme; yes; no; row }
 
-let row ~id ~what ~family ~paper ~fits ?(param = "n") ?(smoke = [])
-    ?(prover_only = false) sizes make =
-  { id; what; family; paper; fits; param; sizes; smoke; make; prover_only }
+let row ~id ~what ~family ~paper ~fits ?(param = "n") ?(smoke = []) sizes
+    make =
+  { id; what; family; paper; fits; param; sizes; smoke; make }
 
 (* --- instance makers ------------------------------------------------ *)
 
@@ -81,6 +80,16 @@ let st_split n =
   let g = two_cycles (max 6 n) in
   St.of_graph g ~s:0 ~t:(Graph.max_id g)
 
+(* A directed path s = 0 -> .. -> n = t, and the same path with its
+   second half reversed, which leaves t unreachable. *)
+let dir_path n =
+  St.of_digraph (Digraph.of_arcs (List.init n (fun i -> (i, i + 1)))) ~s:0 ~t:n
+
+let dir_split n =
+  let fwd = List.init (n / 2) (fun i -> (i, i + 1)) in
+  let bwd = List.init (n / 2) (fun i -> (n - i, n - i - 1)) in
+  St.of_digraph (Digraph.of_arcs (fwd @ bwd)) ~s:0 ~t:n
+
 (* --- the list ------------------------------------------------------- *)
 
 let quadratic = Complexity.[ Quadratic; Quadratic_over_log ]
@@ -124,13 +133,11 @@ let all =
       Reachability.directed_unreach
       ~row:
         (row ~id:"T1a-5" ~what:"s-t unreachability" ~family:"directed"
-           ~paper:"Θ(1)" ~fits:[ Complexity.Constant ] ns_log (fun n ->
-             (* a directed path plus a reversed tail: t unreachable *)
-             let fwd = List.init (n / 2) (fun i -> (i, i + 1)) in
-             let bwd = List.init (n / 2) (fun i -> (n - i, n - i - 1)) in
-             St.of_digraph (Digraph.of_arcs (fwd @ bwd)) ~s:0 ~t:n));
+           ~paper:"Θ(1)" ~fits:[ Complexity.Constant ] ns_log dir_split);
     mk "st-reach-dir" "directed s-t reachability, O(log Δ) pointers"
-      Reachability.directed_reach_pointer;
+      Reachability.directed_reach_pointer
+      ~yes:(fun _ n -> Some (dir_path (max 2 n)))
+      ~no:(fun _ n -> Some (dir_split (even (max 4 n))));
     mk "connectivity-planar" "planar s-t connectivity = k, O(1)"
       Connectivity.planar
       ~row:
@@ -225,7 +232,7 @@ let all =
         | [] -> None)
       ~row:
         (row ~id:"T1a-16" ~what:"symmetric graph" ~family:"connected"
-           ~paper:"Θ(n²)" ~fits:quadratic ~prover_only:true ns_small (fun n ->
+           ~paper:"Θ(n²)" ~fits:quadratic ns_small (fun n ->
              of_g (Builders.cycle n)));
     mk "non-3-colourable" "chromatic number > 3, O(n²)"
       Universal.non_3_colourable
@@ -233,13 +240,13 @@ let all =
       ~no:(fun _ n -> Some (of_g (Builders.cycle (odd (max 5 n)))))
       ~row:
         (row ~id:"T1a-17" ~what:"chromatic number > 3" ~family:"connected"
-           ~paper:"Ω(n²/log n)..O(n²)" ~fits:quadratic ~prover_only:true ns_small
+           ~paper:"Ω(n²/log n)..O(n²)" ~fits:quadratic ns_small
            (fun n -> of_g (Builders.wheel (odd (n - 1)))));
     mk "connected-universal" "connectivity, universal scheme, O(n²)"
       (Universal.of_predicate ~name:"connected-universal" Traversal.is_connected)
       ~row:
         (row ~id:"T1a-18" ~what:"computable property" ~family:"connected"
-           ~paper:"O(n²)" ~fits:quadratic ~prover_only:true ns_small (fun n ->
+           ~paper:"O(n²)" ~fits:quadratic ns_small (fun n ->
              of_g (Random_graphs.connected_gnp (st n) n 0.2)));
     mk "maximal-matching" "maximal matching (flag edges), LCP(0)"
       Matching_schemes.maximal
@@ -310,7 +317,8 @@ let all =
            ~paper:"Θ(log n)" ~fits:[ Complexity.Logarithmic ]
            ~smoke:[ 128; 256; 512 ] ns_log (fun n ->
              Leader_election.mark_leader (of_g (Builders.cycle n)) 0));
-    mk "leader-weak" "leader election, weak flavour" Leader_election.weak;
+    mk "leader-weak" "leader election, weak flavour" Leader_election.weak
+      ~yes:(fun st n -> Some (of_g (Random_graphs.connected_gnp st (max 3 n) 0.3)));
     mk "spanning-tree" "spanning tree (flag the tree edges)"
       Spanning_tree_scheme.scheme
       ~yes:(fun st n ->
@@ -368,3 +376,76 @@ let by_name =
   t
 
 let find name = Hashtbl.find_opt by_name name
+
+(* --- the one prove-and-check, on the serving path -------------------- *)
+
+type checked = No_proof | Rejected of Graph.node list | Accepted of Proof.t
+
+type cost = {
+  prove_s : float;
+  compile_s : float;
+  verify_ns_per_node : float;
+  minor_words_per_node : float;
+}
+
+let timed f =
+  let t0 = Obs.Clock.now_ns () in
+  let x = f () in
+  (x, Obs.Clock.elapsed_ns t0)
+
+(* The warm sweeps of a cost: one counts minor words, and as many as fit
+   in 20 ms (at least that one) give the best time. They run with
+   metrics and tracing off, so the cost does not depend on the caller's
+   telemetry and the caller's counters see only the checked sweep. *)
+let warm_cost ~sweep n =
+  let metrics = !Obs.Metrics.enabled and trace = !Obs.Trace.enabled in
+  Obs.disable ();
+  Fun.protect ~finally:(fun () ->
+      Obs.Metrics.enabled := metrics;
+      Obs.Trace.enabled := trace)
+  @@ fun () ->
+  let w0 = Gc.minor_words () in
+  let (), first = timed sweep in
+  let words = Gc.minor_words () -. w0 in
+  let rec best b spent =
+    if spent >= 20_000_000 then b
+    else
+      let (), ns = timed sweep in
+      best (min b ns) (spent + ns)
+  in
+  (float (best first first) /. n, words /. n)
+
+let pass ~jobs ~costed (s : Scheme.t) inst =
+  match timed (fun () -> s.Scheme.prover inst) with
+  | None, _ -> (No_proof, None)
+  | Some proof, prove_ns -> (
+      let compiled, compile_ns = timed (fun () -> Simulator.compile inst) in
+      (* run_verifier ignores the arena when jobs > 1 *)
+      let arena = Simulator.arena () in
+      let sweep jobs =
+        fst
+          (Simulator.run_verifier ~jobs ~compiled ~arena inst proof
+             ~radius:s.Scheme.radius s.Scheme.verifier)
+      in
+      match Simulator.rejecting (sweep jobs) with
+      | _ :: _ as vs -> (Rejected vs, None)
+      | [] when not costed -> (Accepted proof, None)
+      | [] ->
+          (* at jobs 1 the checked sweep has warmed the arena *)
+          if jobs > 1 then ignore (sweep 1);
+          let verify_ns_per_node, minor_words_per_node =
+            warm_cost
+              ~sweep:(fun () -> ignore (sweep 1))
+              (float (max 1 (Instance.n inst)))
+          in
+          ( Accepted proof,
+            Some
+              {
+                prove_s = Obs.Clock.ns_to_s prove_ns;
+                compile_s = Obs.Clock.ns_to_s compile_ns;
+                verify_ns_per_node;
+                minor_words_per_node;
+              } ))
+
+let prove_and_check ?(jobs = 1) s inst = fst (pass ~jobs ~costed:false s inst)
+let prove_and_cost ?(jobs = 1) s inst = pass ~jobs ~costed:true s inst

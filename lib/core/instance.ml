@@ -11,10 +11,17 @@ type t = {
   node_labels : Bits.t IntMap.t;
   edge_labels : Bits.t EdgeMap.t;
   globals : Bits.t;
+  arcs : bool;  (* edge labels are the of_digraph arc bits *)
 }
 
 let of_graph graph =
-  { graph; node_labels = IntMap.empty; edge_labels = EdgeMap.empty; globals = Bits.empty }
+  {
+    graph;
+    node_labels = IntMap.empty;
+    edge_labels = EdgeMap.empty;
+    globals = Bits.empty;
+    arcs = false;
+  }
 
 let graph i = i.graph
 let n i = Graph.n i.graph
@@ -78,7 +85,8 @@ let of_digraph d =
     (fun u v acc ->
       let b = Bits.of_bools [ Digraph.mem_arc d u v; Digraph.mem_arc d v u ] in
       with_edge_label acc u v b)
-    g (of_graph g)
+    g
+    { (of_graph g) with arcs = true }
 
 let arc_exists i u v =
   let l = edge_label i u v in
@@ -95,10 +103,11 @@ let relabel i f =
     EdgeMap.fold
       (fun (u, v) b acc ->
         (* The (u<v) normalisation may flip under relabelling; the
-           of_digraph encoding must flip its two bits accordingly. *)
+           of_digraph encoding must flip its two bits accordingly. Any
+           other label (a 2-bit weight label, say) is opaque. *)
         let u' = f u and v' = f v in
         let b =
-          if (u < v) = (u' < v') || Bits.length b <> 2 then b
+          if (u < v) = (u' < v') || (not i.arcs) || Bits.length b <> 2 then b
           else Bits.of_bools [ Bits.get b 1; Bits.get b 0 ]
         in
         EdgeMap.add (ekey u' v') b acc)
@@ -120,6 +129,7 @@ let union_disjoint i1 i2 =
         (fun _ _ _ -> invalid_arg "Instance.union_disjoint: edge overlap")
         i1.edge_labels i2.edge_labels;
     globals = i1.globals;
+    arcs = i1.arcs || i2.arcs;
   }
 
 let equal i1 i2 =

@@ -47,7 +47,10 @@ val arc_exists : t -> Graph.node -> Graph.node -> bool
 (** Reads the {!of_digraph} encoding: is there an arc u→v? *)
 
 val relabel : t -> (Graph.node -> Graph.node) -> t
-(** Rename nodes everywhere (graph, labels); injective maps only. *)
+(** Rename nodes everywhere (graph, labels); injective maps only. On an
+    {!of_digraph} instance (or a union with one) the two arc bits of an
+    edge swap when its endpoints' order does; other edge labels move
+    unchanged. *)
 
 val union_disjoint : t -> t -> t
 (** Disjoint union of graphs and labels; globals must agree. *)

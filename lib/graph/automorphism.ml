@@ -12,11 +12,25 @@ let is_automorphism g mapping =
 (* A bijection preserving edges on a finite simple graph also preserves
    non-edges (edge counts match), so the edge check suffices. *)
 
+(* The nodes component by component, each in breadth-first layers from
+   its smallest node: every node after a component's first has an
+   earlier neighbour, so the consistency check prunes a wrong image at
+   once. (In identifier order, a cycle whose identifiers are shuffled
+   is searched in time exponential in n.) *)
+let bfs_order g =
+  List.concat_map
+    (fun comp ->
+      Traversal.bfs_distances g (List.fold_left min max_int comp)
+      |> List.stable_sort (fun (_, a) (_, b) -> Int.compare a b)
+      |> List.map fst)
+    (Traversal.components g)
+
 (* Backtracking over candidate images, pruned by degree and
    consistency with earlier assignments. [stop] decides whether a
    complete assignment ends the search. *)
 let search g ~stop =
   let nodes = Array.of_list (Graph.nodes g) in
+  let order = Array.of_list (bfs_order g) in
   let n = Array.length nodes in
   let assignment = Hashtbl.create 16 in
   let used = Hashtbl.create 16 in
@@ -40,7 +54,7 @@ let search g ~stop =
       if stop mapping then raise Stop
     end
     else
-      let v = nodes.(i) in
+      let v = order.(i) in
       Array.iter
         (fun w ->
           if (not (Hashtbl.mem used w)) && compatible v w then begin

@@ -110,45 +110,6 @@ let find_rectangle signatures =
     None
   with Found (p, q) -> Some (p, q)
 
-(** Glue C(a₁,b₁) and C(a₂,b₂): remove {aᵢ,bᵢ}, add {b₁,a₂} and
-    {b₂,a₁}; labels and proofs are inherited verbatim. *)
-let glue family proofs ((a1, b1), (a2, b2)) =
-  let i1 = family.make ~a:a1 ~b:b1 in
-  let i2 = family.make ~a:a2 ~b:b2 in
-  let inst = Instance.union_disjoint i1 i2 in
-  let g = Instance.graph inst in
-  let g = Graph.remove_edge g a1 b1 in
-  let g = Graph.remove_edge g a2 b2 in
-  let g = Graph.add_edge g b1 a2 in
-  let g = Graph.add_edge g b2 a1 in
-  (* Instance surgery: rebuild with the new graph, same labels. *)
-  let rebuilt =
-    Graph.fold_nodes
-      (fun v acc ->
-        let l = Instance.node_label inst v in
-        if Bits.length l > 0 then Instance.with_node_label acc v l else acc)
-      g
-      (Instance.with_globals (Instance.of_graph g) (Instance.globals inst))
-  in
-  (* Edge labels: inherited on surviving edges; the two fresh seam
-     edges take the label of the edge they replace ({aᵢ,bᵢ}), matching
-     the paper's per-node auxiliary-information inheritance. *)
-  let rebuilt =
-    Graph.fold_edges
-      (fun u v acc ->
-        let l =
-          if (u, v) = (min b1 a2, max b1 a2) then Instance.edge_label i1 a1 b1
-          else if (u, v) = (min b2 a1, max b2 a1) then Instance.edge_label i2 a2 b2
-          else Instance.edge_label inst u v
-        in
-        if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
-      g rebuilt
-  in
-  let proof =
-    Proof.union_disjoint (List.assoc (a1, b1) proofs) (List.assoc (a2, b2) proofs)
-  in
-  (rebuilt, proof)
-
 (* General k: a monochromatic 2k-cycle a₁-b₁-a₂-b₂-…-a_k-b_k needs all
    pairs (aᵢ, bᵢ) and (aᵢ₊₁, bᵢ) in the same colour class (indices mod
    k). Backtracking over alternating sequences; class sizes are tiny at
@@ -264,6 +225,33 @@ type outcome_k =
   | Resisted_k of { pairs : int; distinct_signatures : int }
   | Prover_failed_k of int * int
 
+(* Prove every C(a, b) with a in 1..rows, b in n+1..n+rows, check the
+   proof, and take its signature: the proofs and signatures, last cell
+   first (the order the collision searches scan, which picks the
+   reported collision), or the first cell the scheme fails on. *)
+let prove_grid ~rows (scheme : Scheme.t) family =
+  let n = family.n in
+  let exception Fail of int * int in
+  let cell a b =
+    let inst = family.make ~a ~b in
+    match scheme.Scheme.prover inst with
+    | Some proof when Scheme.accepts scheme inst proof ->
+        let ids = cycle_ids ~n ~a ~b in
+        let s = signature ~radius:scheme.Scheme.radius inst proof ~a ~b ~ids in
+        (((a, b), proof), ((a, b), s))
+    | _ -> raise (Fail (a, b))
+  in
+  match
+    List.concat_map
+      (fun a -> List.init rows (fun i -> cell a (n + i + 1)))
+      (List.init rows (fun i -> i + 1))
+  with
+  | cells -> Ok (List.split (List.rev cells))
+  | exception Fail (a, b) -> Error (a, b)
+
+let distinct signatures =
+  List.length (List.sort_uniq compare (List.map snd signatures))
+
 (** The general-k attack: glue [k] compatible n-cycles into a kn-cycle.
     For odd n and even k the glued cycle flips the parity; for leader
     election any k ≥ 2 produces k leaders. With odd k and the odd-n
@@ -271,106 +259,43 @@ type outcome_k =
     reports [genuinely_no = false], which is not a soundness
     violation: choosing the parameters is part of the argument. *)
 let attack_k ?rows ~k (scheme : Scheme.t) family =
-  let n = family.n in
-  let rows = Option.value ~default:(max (2 * k) 4) rows in
-  let rows = min rows n in
-  let as_ = List.init rows (fun i -> i + 1) in
-  let bs = List.init rows (fun i -> n + i + 1) in
-  let exception Fail of int * int in
-  try
-    let proofs = ref [] in
-    let signatures = ref [] in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
-            let inst = family.make ~a ~b in
-            match scheme.Scheme.prover inst with
-            | None -> raise (Fail (a, b))
-            | Some proof ->
-                if not (Scheme.accepts scheme inst proof) then raise (Fail (a, b));
-                proofs := ((a, b), proof) :: !proofs;
-                let ids = cycle_ids ~n ~a ~b in
-                signatures :=
-                  ((a, b), signature ~radius:scheme.Scheme.radius inst proof ~a ~b ~ids)
-                  :: !signatures)
-          bs)
-      as_;
-    match find_2k_cycle ~k !signatures with
-    | None ->
+  let rows = min (Option.value ~default:(max (2 * k) 4) rows) family.n in
+  match prove_grid ~rows scheme family with
+  | Error (a, b) -> Prover_failed_k (a, b)
+  | Ok (proofs, signatures) -> (
+      let resisted =
         Resisted_k
-          {
-            pairs = List.length !signatures;
-            distinct_signatures =
-              List.length (List.sort_uniq compare (List.map snd !signatures));
-          }
-    | Some cycle ->
-        let instance, proof = glue_many family !proofs cycle in
-        let accepted = Scheme.accepts scheme instance proof in
-        if accepted then
-          Fooled_k
-            { instance; proof; cycle; genuinely_no = not (family.is_yes instance) }
-        else
-          Resisted_k
-            {
-              pairs = List.length !signatures;
-              distinct_signatures =
-                List.length (List.sort_uniq compare (List.map snd !signatures));
-            }
-  with Fail (a, b) -> Prover_failed_k (a, b)
+          { pairs = List.length signatures; distinct_signatures = distinct signatures }
+      in
+      match find_2k_cycle ~k signatures with
+      | None -> resisted
+      | Some cycle ->
+          let instance, proof = glue_many family proofs cycle in
+          if Scheme.accepts scheme instance proof then
+            Fooled_k
+              { instance; proof; cycle; genuinely_no = not (family.is_yes instance) }
+          else resisted)
 
 (** Run the whole attack. [rows] bounds |A| = |B| (default: the full
     {1..n} of the paper — quadratic in instance count, so tests trim
     it). *)
 let attack ?rows (scheme : Scheme.t) family =
-  let n = family.n in
-  let rows = Option.value ~default:n rows in
-  let as_ = List.init rows (fun i -> i + 1) in
-  let bs = List.init rows (fun i -> n + i + 1) in
-  let exception Fail of int * int in
-  try
-    let proofs = ref [] in
-    let signatures = ref [] in
-    List.iter
-      (fun a ->
-        List.iter
-          (fun b ->
-            let inst = family.make ~a ~b in
-            match scheme.Scheme.prover inst with
-            | None -> raise (Fail (a, b))
-            | Some proof ->
-                if not (Scheme.accepts scheme inst proof) then raise (Fail (a, b));
-                proofs := ((a, b), proof) :: !proofs;
-                let ids = cycle_ids ~n ~a ~b in
-                signatures :=
-                  ((a, b), signature ~radius:scheme.Scheme.radius inst proof ~a ~b ~ids)
-                  :: !signatures)
-          bs)
-      as_;
-    match find_rectangle !signatures with
-    | None ->
+  match prove_grid ~rows:(Option.value ~default:family.n rows) scheme family with
+  | Error (a, b) -> Prover_failed (a, b)
+  | Ok (proofs, signatures) -> (
+      (* A collision that does not fool the verifier (possible when
+         signatures collide for deeper reasons) counts as resistance. *)
+      let resisted =
         Resisted
-          {
-            pairs = List.length !signatures;
-            distinct_signatures =
-              List.length (List.sort_uniq compare (List.map snd !signatures));
-          }
-    | Some quad ->
-        let instance, proof = glue family !proofs quad in
-        let accepted = Scheme.accepts scheme instance proof in
-        let genuinely_no = not (family.is_yes instance) in
-        if accepted then Fooled { instance; proof; quad; genuinely_no }
-        else
-          (* A collision that does not fool the verifier (possible when
-             signatures collide for deeper reasons); report as
-             resistance. *)
-          Resisted
-            {
-              pairs = List.length !signatures;
-              distinct_signatures =
-                List.length (List.sort_uniq compare (List.map snd !signatures));
-            }
-  with Fail (a, b) -> Prover_failed (a, b)
+          { pairs = List.length signatures; distinct_signatures = distinct signatures }
+      in
+      match find_rectangle signatures with
+      | None -> resisted
+      | Some (((a1, b1), (a2, b2)) as quad) ->
+          let instance, proof = glue_many family proofs [ (a1, b1); (a2, b2) ] in
+          if Scheme.accepts scheme instance proof then
+            Fooled { instance; proof; quad; genuinely_no = not (family.is_yes instance) }
+          else resisted)
 
 (* ----- ready-made families ----------------------------------------- *)
 

@@ -113,6 +113,71 @@ let sampled_keys () =
             (rs.Randomized_scheme.base == e.Registry.scheme))
     Sampled.all
 
+(* The allocation of one warm verify per row: each row's yes-instance
+   at its smallest size through the pass the bench costs rows with
+   (Registry.prove_and_cost), against a ceiling per row — the value
+   measured when the ceiling was set plus 5%, rounded up to a whole
+   word. The measurement is deterministic; the headroom is small enough
+   that verifying without the arena (about 6 more words per node)
+   breaks the leanest rows' ceilings. A row without a ceiling fails, so
+   a new row gets one. *)
+let minor_words_ceiling =
+  [
+    ("T1a-1", 48.0); (* measured 45.00 *)
+    ("T1a-2", 3280.0); (* measured 3123.00 *)
+    ("T1a-3", 58.0); (* measured 54.50 *)
+    ("T1a-4", 76.0); (* measured 72.00 *)
+    ("T1a-5", 62.0); (* measured 58.33 *)
+    ("T1a-6", 176.0); (* measured 167.22 *)
+    ("T1a-7", 57.0); (* measured 54.00 *)
+    ("T1a-8", 57.0); (* measured 54.00 *)
+    ("T1a-9", 167.0); (* measured 159.00 *)
+    ("T1a-10", 115.0); (* measured 109.00 *)
+    ("T1a-11", 130.0); (* measured 123.75 *)
+    ("T1a-12", 988.0); (* measured 940.12 *)
+    ("T1a-13", 99.0); (* measured 94.00 *)
+    ("T1a-14", 102.0); (* measured 97.00 *)
+    ("T1a-15", 3115.0); (* measured 2966.25 *)
+    ("T1a-16", 4325.0); (* measured 4119.00 *)
+    ("T1a-17", 5792.0); (* measured 5515.50 *)
+    ("T1a-18", 1869.0); (* measured 1779.25 *)
+    ("T1b-1", 68.0); (* measured 64.00 *)
+    ("T1b-2", 59.0); (* measured 56.00 *)
+    ("T1b-3", 84.0); (* measured 80.00 *)
+    ("T1b-4", 132.0); (* measured 125.00 *)
+    ("T1b-5", 79.0); (* measured 74.75 *)
+    ("T1b-6", 116.0); (* measured 110.38 *)
+    ("T1b-7", 101.0); (* measured 95.67 *)
+    ("T1b-8", 121.0); (* measured 114.50 *)
+    ("T1b-9", 125.0); (* measured 118.62 *)
+  ]
+
+let allocation_pin () =
+  let over =
+    List.filter_map
+      (fun (e : Registry.entry) ->
+        match e.Registry.row with
+        | None -> None
+        | Some r -> (
+            let n = List.hd r.Registry.sizes in
+            match Registry.prove_and_cost e.Registry.scheme (r.Registry.make n) with
+            | Registry.Accepted _, Some c -> (
+                let words = c.Registry.minor_words_per_node in
+                match List.assoc_opt r.Registry.id minor_words_ceiling with
+                | None ->
+                    Some
+                      (Printf.sprintf "%s: no ceiling (%.2f measured)"
+                         r.Registry.id words)
+                | Some ceiling when words > ceiling ->
+                    Some
+                      (Printf.sprintf "%s at %s=%d: %.2f minor words per node > %.0f"
+                         r.Registry.id r.Registry.param n words ceiling)
+                | Some _ -> None)
+            | _ -> Some (r.Registry.id ^ ": the prover's proof is not accepted")))
+      Registry.all
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 let suite =
   ( "catalog",
     [
@@ -120,6 +185,7 @@ let suite =
       Alcotest.test_case "rows well-formed" `Quick rows_well_formed;
       Alcotest.test_case "sampled keys are registry entries" `Quick sampled_keys;
       Alcotest.test_case "sweeps cover the generators" `Quick sweeps_cover;
+      Alcotest.test_case "per-row allocation pin" `Quick allocation_pin;
       Alcotest.test_case "completeness sweep over Table 1" `Slow completeness_sweep;
       Alcotest.test_case "soundness sweep over Table 1" `Slow soundness_sweep;
     ] )

@@ -93,7 +93,16 @@ let relabel_digraph_orientation () =
   (* swap ids so 1 < 2 becomes 10 > 5 *)
   let inst' = Instance.relabel inst (fun v -> if v = 1 then 10 else 5) in
   check "arc follows relabelling" true (Instance.arc_exists inst' 10 5);
-  check "no reverse arc" false (Instance.arc_exists inst' 5 10)
+  check "no reverse arc" false (Instance.arc_exists inst' 5 10);
+  (* ... and only arc bits: a 2-bit label on an undirected instance (a
+     weight-1 edge of a weighted matching instance) moves unchanged *)
+  let weighted =
+    Instance.with_edge_label (Instance.of_graph (Builders.path 2)) 0 1
+      (Bits.of_string "01")
+  in
+  let weighted' = Instance.relabel weighted (fun v -> 10 - v) in
+  check "2-bit weight label unchanged" true
+    (Bits.equal (Instance.edge_label weighted' 10 9) (Bits.of_string "01"))
 
 let empty_proof_is_total () =
   let g = Builders.cycle 4 in

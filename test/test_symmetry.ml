@@ -28,7 +28,14 @@ let automorphism_validity () =
       | Some mapping ->
           check "valid automorphism" true (Automorphism.is_automorphism g mapping);
           check "non-trivial" true (List.exists (fun (u, v) -> u <> v) mapping))
-    [ Builders.cycle 6; Builders.grid 2 3; Random_graphs.tree (st 3) 9 ]
+    [
+      Builders.cycle 6;
+      Builders.grid 2 3;
+      Random_graphs.tree (st 3) 9;
+      (* shuffled ids: the search must not backtrack exponentially *)
+      Random_graphs.permuted_ids (st 4) ~factor:3 (Builders.cycle 40);
+      Random_graphs.permuted_ids (st 5) ~factor:3 (Builders.path 40);
+    ]
 
 let fixpoint_free () =
   check "C6 has fixpoint-free" true

@@ -1,5 +1,6 @@
 (* Every fast-path verification entry point against the reference
-   simulator, on generated inputs. A verifier's outcome is its set of
+   simulator, on generated inputs for every registry entry. A
+   verifier's outcome is its set of
    rejecting nodes; plain, arena, multicore, split-shard, early-exit and
    sampled+escalate verification must all report exactly the set
    [Simulator.run_verifier_reference] reports, valid or tampered proof
@@ -9,65 +10,33 @@
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let sorted l = List.sort compare l
-let scheme name = (Option.get (Registry.find name)).Registry.scheme
 
-(* [t] plus up to [extra] random chords. *)
-let with_chords rs t extra =
-  let n = Graph.n t in
-  let rec go g k =
-    if k = 0 || n < 2 then g
-    else
-      let u = Random.State.int rs n and v = Random.State.int rs n in
-      go (if u = v then g else Graph.add_edge g u v) (k - 1)
+(* The instances an entry is checked on at size [n]: its yes and no
+   generators' outputs, or — for an entry whose generators give none
+   there — its Table 1 row's yes-instance at the row's two smallest
+   sizes. *)
+let instances (e : Registry.entry) rs n =
+  match List.filter_map (fun gen -> gen rs n) [ e.Registry.yes; e.Registry.no ] with
+  | _ :: _ as l -> l
+  | [] -> (
+      match e.Registry.row with
+      | Some r ->
+          List.map r.Registry.make (List.filteri (fun i _ -> i < 2) r.Registry.sizes)
+      | None -> [])
+
+(* [Random_graphs.permuted_ids]'s relabelling — an injective map into
+   0 .. 5n-1 — applied to the whole instance, marks and arcs included:
+   identifiers that are not 0..n-1, so the CSR answers identifier
+   lookups by binary search. *)
+let permuted rs inst =
+  let nodes = Graph.nodes (Instance.graph inst) in
+  let pool =
+    Array.of_list
+      (Random_graphs.shuffle rs (List.init (5 * max 1 (List.length nodes)) Fun.id))
   in
-  go t extra
-
-(* Catalog schemes, each with an instance family where its prover
-   usually succeeds (and sometimes, deliberately, does not). The
-   tree-certificate rows are the codecs a warm sweep shares across
-   views; the relabelled row has identifiers that are not 0..n-1, so
-   the CSR answers identifier lookups by binary search. *)
-let connected rs n = Random_graphs.connected_gnp rs n (4.0 /. float (max 4 n))
-
-let cases =
-  [|
-    ( "bipartite",
-      fun rs n ->
-        Instance.of_graph
-          (if Random.State.bool rs then Random_graphs.tree rs n
-           else Random_graphs.gnp rs n 0.15) );
-    ( "spanning-tree",
-      fun rs n ->
-        let t = Random_graphs.tree rs n in
-        Instance.flag_edges
-          (Instance.of_graph (with_chords rs t (n / 3)))
-          (Graph.edges t) );
-    ( "st-unreach",
-      fun rs n ->
-        let h = max 1 (n / 2) in
-        let g =
-          Graph.union_disjoint (Random_graphs.tree rs h)
-            (Canonical.shifted (Random_graphs.tree rs h) h)
-        in
-        St.of_graph
-          (if Random.State.int rs 4 = 0 then Graph.add_edge g 0 h else g)
-          ~s:0 ~t:h );
-    ("acyclic", fun rs n -> Instance.of_graph (Random_graphs.tree rs n));
-    ( "leader",
-      fun rs n ->
-        Leader_election.mark_leader
-          (Instance.of_graph (Random_graphs.connected_gnp rs n 0.1))
-          0 );
-    ( "eulerian",
-      fun rs n -> Instance.of_graph (Random_graphs.gnp rs n 0.3) );
-    ("odd-n", fun rs n -> Instance.of_graph (connected rs n));
-    ("even-n", fun rs n -> Instance.of_graph (connected rs n));
-    ("non-bipartite", fun rs n -> Instance.of_graph (connected rs n));
-    ( "non-bipartite",
-      fun rs n ->
-        Instance.of_graph
-          (Random_graphs.permuted_ids rs ~factor:5 (connected rs n)) );
-  |]
+  let id = Hashtbl.create 64 in
+  List.iteri (fun i v -> Hashtbl.replace id v pool.(i)) nodes;
+  Instance.relabel inst (Hashtbl.find id)
 
 (* The prover's proof (random strings when it refuses), then, two
    times in three, a flipped bit, a truncated string or an empty string
@@ -109,11 +78,22 @@ let proof_for rs sch inst =
    different sizes is exercised too. *)
 let arena = Simulator.arena ()
 
-let differential (case, seed, n) =
-  let name, make = cases.(case) in
-  let sch = scheme name in
+exception Mismatch of string
+
+(* One case of one entry: an instance drawn from [instances], relabelled
+   half the time; raises [Mismatch] naming the entry on any
+   disagreement with the reference, and when the entry yields no
+   instance at all. *)
+let check_entry (e : Registry.entry) seed n =
+  let name = e.Registry.name and sch = e.Registry.scheme in
   let rs = Random.State.make [| seed |] in
-  let inst = make rs n in
+  let inst =
+    match instances e rs n with
+    | [] -> raise (Mismatch (name ^ ": no case at n=" ^ string_of_int n))
+    | l -> List.nth l (Random.State.int rs (List.length l))
+  in
+  let inst = if Random.State.bool rs then permuted rs inst else inst in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Mismatch m)) fmt in
   let proof = proof_for rs sch inst in
   let radius = sch.Scheme.radius and verifier = sch.Scheme.verifier in
   let expected =
@@ -124,8 +104,8 @@ let differential (case, seed, n) =
   let show l = String.concat ";" (List.map string_of_int l) in
   let same what got =
     if sorted got <> expected then
-      QCheck.Test.fail_reportf "%s n=%d seed=%d %s: [%s], reference [%s]" name
-        n seed what (show (sorted got)) (show expected)
+      fail "%s n=%d seed=%d %s: [%s], reference [%s]" name n seed what
+        (show (sorted got)) (show expected)
   in
   let c = Simulator.compile inst in
   List.iter
@@ -158,13 +138,11 @@ let differential (case, seed, n) =
              ~arena c proof ~radius ~nodes verifier
          in
          if List.map fst verdicts <> Array.to_list nodes then
-           QCheck.Test.fail_reportf "%s: run_verifier_on reordered its nodes"
-             name;
+           fail "%s: run_verifier_on reordered its nodes" name;
          Simulator.rejecting verdicts)
        (Array.to_list shards));
   if Simulator.all_accept c proof ~radius verifier <> (expected = []) then
-    QCheck.Test.fail_reportf "%s n=%d seed=%d: all_accept disagrees" name n
-      seed;
+    fail "%s n=%d seed=%d: all_accept disagrees" name n seed;
   (* sampled+escalate: an escalation reports the full rejecting set and
      a sampled accept stands. The sampled verifiers check a subset of
      the base verifier's conditions, so a proof the reference accepts
@@ -179,24 +157,33 @@ let differential (case, seed, n) =
       in
       let escalated = Option.is_some v.Randomized_scheme.final in
       if escalated = v.Randomized_scheme.probe.Randomized_scheme.accepted then
-        QCheck.Test.fail_reportf "%s: escalation disagrees with the probe" name;
+        fail "%s: escalation disagrees with the probe" name;
       Option.iter (same "sampled, escalated") v.Randomized_scheme.final;
       if expected = [] && escalated then
-        QCheck.Test.fail_reportf
-          "%s n=%d seed=%d: a proof the reference accepts escalated" name n
-          seed);
-  true
+        fail "%s n=%d seed=%d: a proof the reference accepts escalated" name n
+          seed)
+
+(* Each sample checks every registry entry, so a scheme is on every
+   path the day it is registered; the report lists every entry that
+   disagreed, not only the first. *)
+let differential (seed, n) =
+  match
+    List.filter_map
+      (fun e ->
+        match check_entry e seed n with
+        | () -> None
+        | exception Mismatch m -> Some m)
+      Registry.all
+  with
+  | [] -> true
+  | failures -> QCheck.Test.fail_reportf "%s" (String.concat "\n" failures)
 
 let qcheck_differential =
-  QCheck.Test.make ~count:150
-    ~name:"every verify path = reference rejecting set"
+  QCheck.Test.make ~count:25
+    ~name:"every verify path = reference rejecting set, every registry entry"
     (QCheck.make
-       ~print:(fun (case, seed, n) ->
-         Printf.sprintf "case %d (%s) seed=%d n=%d" case (fst cases.(case)) seed n)
-       QCheck.Gen.(
-         triple
-           (int_bound (Array.length cases - 1))
-           (int_bound 1_000_000) (int_range 1 40)))
+       ~print:(fun (seed, n) -> Printf.sprintf "seed=%d n=%d" seed n)
+       QCheck.Gen.(pair (int_bound 1_000_000) (int_range 4 23)))
     differential
 
 (* The sampled bipartite check reads a missing colour bit as the base
