@@ -724,6 +724,7 @@ let lower_bounds () =
        (fun section (a : Attacks.t) ->
          if a.Attacks.section <> section then
            Format.printf "@.--- %s ---@." a.Attacks.section;
+         Option.iter (fun f -> Format.printf "%s@." (Lazy.force f)) a.Attacks.family;
          List.iter
            (fun (label, scheme) ->
              Format.printf "%s %t@." (Cli.pad 34 label) (snd (a.Attacks.run scheme)))

@@ -111,10 +111,17 @@ let schemes_cmd =
   Cmd.v (Cmd.info "schemes" ~doc:"List the available proof labelling schemes")
     Term.(const run $ const ())
 
-let load_instance path =
-  try Ok (Graph_file.load_instance path) with
-  | Failure msg -> Error (`Msg msg)
-  | Sys_error msg -> Error (`Msg msg)
+(* [f] on the instance in [path]; exit code 1 when it does not load. *)
+let with_instance path f =
+  match Graph_file.load_instance path with
+  | inst -> f inst
+  | exception (Failure m | Sys_error m) -> prerr_endline m; 1
+
+let print_proof proof =
+  List.iter
+    (fun (v, b) ->
+      Format.printf "  %d %s@." v (if Bits.length b = 0 then "-" else Bits.to_string b))
+    (Proof.bindings proof)
 
 (* The session for the one-shot commands: their lane is the command
    name and pid. *)
@@ -128,9 +135,7 @@ let one_shot_flags =
 
 let prove_cmd =
   let run (e : Registry.entry) graph output jobs obs =
-    match load_instance graph with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok inst -> (
+    with_instance graph @@ fun inst -> (
         one_shot "prove" obs @@ fun () ->
         match
           Registry.prove_and_check ~jobs:(Cli.resolve_jobs jobs) e.Registry.scheme
@@ -151,12 +156,7 @@ let prove_cmd =
             | Some path ->
                 Graph_file.save_proof path proof;
                 Format.printf "proof written to %s@." path
-            | None ->
-                List.iter
-                  (fun (v, b) ->
-                    Format.printf "  %d %s@." v
-                      (if Bits.length b = 0 then "-" else Bits.to_string b))
-                  (Proof.bindings proof));
+            | None -> print_proof proof);
             0)
   in
   Cmd.v
@@ -246,9 +246,7 @@ let verify_cmd =
   let run (e : Registry.entry) graph proof jobs obs cluster partitions
       sampled queries seed =
     let scheme = e.Registry.scheme in
-    match load_instance graph with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok inst ->
+    with_instance graph @@ fun inst ->
         one_shot "verify" obs @@ fun () ->
         (
         let proof =
@@ -349,11 +347,7 @@ let partition_cmd =
         prerr_endline m;
         1
     | Ok radius -> (
-        match load_instance graph with
-        | Error (`Msg m) ->
-            prerr_endline m;
-            1
-        | Ok inst -> (
+        with_instance graph @@ fun inst -> (
             let csr = Csr.of_graph (Instance.graph inst) in
             match Partition.make csr ~k:partitions ~radius with
             | exception Invalid_argument m ->
@@ -396,20 +390,14 @@ let partition_cmd =
 
 let forge_cmd =
   let run (e : Registry.entry) graph bits obs =
-    match load_instance graph with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok inst ->
+    with_instance graph @@ fun inst ->
         one_shot "forge" obs @@ fun () ->
         (
         match Adversary.forge e.Registry.scheme inst ~max_bits:bits with
         | Adversary.Fooled proof ->
             Format.printf
               "FOOLED: found a proof of <= %d bits accepted by every node!@." bits;
-            List.iter
-              (fun (v, b) ->
-                Format.printf "  %d %s@." v
-                  (if Bits.length b = 0 then "-" else Bits.to_string b))
-              (Proof.bindings proof);
+            print_proof proof;
             2
         | Adversary.Resisted { best_rejections; attempts } ->
             Format.printf
@@ -432,9 +420,7 @@ let stats_cmd =
   in
   let run (e : Registry.entry) graph jobs samples bits dir =
     let scheme = e.Registry.scheme in
-    match load_instance graph with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok inst -> (
+    with_instance graph @@ fun inst -> (
         (* The whole point of this command is the metrics table, so
            metrics are always on here; --obs-dir is still opt-in. *)
         one_shot "stats" { Obs.off with metrics = true; dir } @@ fun () ->
@@ -545,9 +531,7 @@ let stats_cmd =
 
 let info_cmd =
   let run graph =
-    match load_instance graph with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok inst ->
+    with_instance graph @@ fun inst ->
         let g = Instance.graph inst in
         Format.printf "nodes: %d, edges: %d, max degree: %d@." (Graph.n g)
           (Graph.m g) (Graph.max_degree g);
@@ -578,9 +562,7 @@ let dot_cmd =
           ~doc:"Optional proof file; proof bits become node labels.")
   in
   let run graph proof =
-    match load_instance graph with
-    | Error (`Msg m) -> prerr_endline m; 1
-    | Ok inst ->
+    with_instance graph @@ fun inst ->
         let g = Instance.graph inst in
         let proof =
           match proof with

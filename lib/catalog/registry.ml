@@ -168,12 +168,14 @@ let all =
            ~param:"k" [ 2; 4; 8; 16; 32; 64 ] (fun k ->
              let g, s, t = theta_graph k in
              Connectivity.instance g ~s ~t ~k));
+    (* k stays small: refuting a k-colouring of K_(k+1) is a search
+       exponential in k *)
     mk "chromatic" "chromatic number <= k (needs k)" Chromatic.scheme
       ~yes:(fun _ n ->
-        let k = max 2 (n / 4) in
+        let k = max 2 (min 5 (n / 4)) in
         Some (Chromatic.instance_with_k (Builders.complete k) k))
       ~no:(fun _ n ->
-        let k = max 2 (n / 4) in
+        let k = max 2 (min 5 (n / 4)) in
         Some (Chromatic.instance_with_k (Builders.complete (k + 1)) k))
       ~row:
         (row ~id:"T1a-10" ~what:"chromatic number <= k" ~family:"general"

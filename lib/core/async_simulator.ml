@@ -118,8 +118,7 @@ let gather ?(seed = 0xA57) ?(max_deliveries = 1_000_000) inst proof ~radius =
                 (Graph.add_node acc x) r.adjacency)
             ball_set Graph.empty
         in
-        let sub_inst = Instance.of_graph sub_graph in
-        let sub_inst = Instance.with_globals sub_inst (Instance.globals inst) in
+        let sub_inst = Instance.on_graph inst sub_graph in
         let sub_inst =
           IntSet.fold
             (fun x acc ->

@@ -23,6 +23,7 @@ let of_graph graph =
     arcs = false;
   }
 
+let on_graph i graph = { (of_graph graph) with globals = i.globals; arcs = i.arcs }
 let graph i = i.graph
 let n i = Graph.n i.graph
 let node_label i v = Option.value ~default:Bits.empty (IntMap.find_opt v i.node_labels)

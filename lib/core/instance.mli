@@ -12,6 +12,13 @@
 type t
 
 val of_graph : Graph.t -> t
+
+val on_graph : t -> Graph.t -> t
+(** [on_graph inst g]: [g] with no node or edge labels, but [inst]'s
+    globals and edge-label encoding (an {!of_digraph} instance's arc
+    bits stay arc bits under {!relabel}) — the frame a sub-instance of
+    [inst], such as a ball, is filled in on. *)
+
 val graph : t -> Graph.t
 val n : t -> int
 

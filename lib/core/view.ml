@@ -34,7 +34,7 @@ let materialize inst ~centre ~nbrs =
     end
   in
   let sub_graph = visit Graph.empty centre in
-  let sub = Instance.with_globals (Instance.of_graph sub_graph) (Instance.globals inst) in
+  let sub = Instance.on_graph inst sub_graph in
   let sub =
     Graph.fold_nodes
       (fun v acc ->

@@ -84,13 +84,13 @@ let regular_even st n k =
   done;
   !g
 
-let permuted_ids st ~factor g =
+let id_map st ~factor g =
   let nodes = Graph.nodes g in
   let n = List.length nodes in
-  if factor < 1 then invalid_arg "Random_graphs.permuted_ids";
-  let pool = shuffle st (List.init (factor * max 1 n) Fun.id) in
+  if factor < 1 then invalid_arg "Random_graphs.id_map";
+  let pool = Array.of_list (shuffle st (List.init (factor * max 1 n) Fun.id)) in
   let mapping = Hashtbl.create 64 in
-  List.iteri
-    (fun i v -> Hashtbl.replace mapping v (List.nth pool i))
-    nodes;
-  Graph.relabel g (Hashtbl.find mapping)
+  List.iteri (fun i v -> Hashtbl.replace mapping v pool.(i)) nodes;
+  Hashtbl.find mapping
+
+let permuted_ids st ~factor g = Graph.relabel g (id_map st ~factor g)

@@ -19,10 +19,11 @@ val regular_even : Random.State.t -> int -> int -> Graph.t
 (** Random 2k-regular graph on [n] nodes built from [k] random
     Hamiltonian cycles (simple, may merge parallel edges). *)
 
-val permuted_ids : Random.State.t -> factor:int -> Graph.t -> Graph.t
-(** Re-assign identifiers: an injective map into
-    [0 .. factor * n - 1], uniformly random. Models the paper's
+val id_map : Random.State.t -> factor:int -> Graph.t -> Graph.node -> Graph.node
+(** A uniformly random injective map from the nodes of the graph into
+    [0 .. factor * n - 1]. Models the paper's
     [V(G) ⊆ {1, …, poly(n)}] assumption that ids need not be
-    contiguous. *)
+    contiguous; [Instance.relabel] applies it to a labelled instance. *)
 
-val shuffle : Random.State.t -> 'a list -> 'a list
+val permuted_ids : Random.State.t -> factor:int -> Graph.t -> Graph.t
+(** The graph renamed by {!id_map}. *)

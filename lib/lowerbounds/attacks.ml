@@ -8,6 +8,7 @@ type t = {
   section : string;
   undersized : string * Scheme.t;
   honest : string * Scheme.t;
+  family : string Lazy.t option;
   run : ?n:int -> Scheme.t -> result * (Format.formatter -> unit);
 }
 
@@ -39,6 +40,7 @@ let gluing ~name ~what ~default ~family undersized honest =
     section = "Figure 1 / Section 5.3: gluing cycles";
     undersized = (what ^ ", 2-bit counters", undersized);
     honest = (what ^ ", honest Θ(log n)", honest);
+    family = None;
     run =
       (fun ?(n = default) s ->
         gluing_report (Gluing.attack ~rows:4 s (family ~n)));
@@ -46,6 +48,7 @@ let gluing ~name ~what ~default ~family undersized honest =
 
 let asymmetric_6 = lazy (Enumerate.asymmetric_connected 6)
 let rooted_trees_6 = lazy (Tree_enum.rooted_trees 6)
+let sized fmt family = Some (lazy (Printf.sprintf fmt (List.length (Lazy.force family))))
 
 (* four subsets of I×I at k = 1: enough for two windows to collide *)
 let non3col_sets =
@@ -67,6 +70,9 @@ let all =
       section = "Section 6.1: symmetric graphs need Ω(n²) bits";
       undersized = ("claims scheme, O(Δ log n) bits", Truncated.symmetric_claims);
       honest = ("universal scheme, Θ(n²) bits", Universal.symmetric);
+      family =
+        sized "family F_6: %d pairwise non-isomorphic asymmetric connected graphs"
+          asymmetric_6;
       run =
         (fun ?n:_ s ->
           symmetry_report
@@ -79,6 +85,7 @@ let all =
         ("claims scheme, O(Δ log n) bits", Truncated.fixpoint_free_claims);
       honest =
         ("tree-universal scheme, Θ(n) bits", Tree_universal.fixpoint_free_symmetry);
+      family = sized "family: %d rooted trees on 6 nodes (A000081)" rooted_trees_6;
       run =
         (fun ?n:_ s ->
           symmetry_report
@@ -92,6 +99,7 @@ let all =
           Truncated.ball_claims ~name:"non3col-ball-claims" (fun g ->
               not (Coloring.is_k_colourable g 3)) );
       honest = ("universal scheme, Θ(n²)", Universal.non_3_colourable);
+      family = None;
       run =
         (fun ?n:_ s ->
           non3col_report (Non3col_lb.attack ~k:1 ~r:1 ~sets:non3col_sets s));

@@ -9,6 +9,7 @@ type t = {
   section : string;  (** The paper section, as the bench heads it. *)
   undersized : string * Scheme.t;  (** A label and the scheme. *)
   honest : string * Scheme.t;
+  family : string Lazy.t option;  (** The enumerated fooling set and its size. *)
   run : ?n:int -> Scheme.t -> result * (Format.formatter -> unit);
       (** Attack a scheme: the outcome and its one-line report. [n] is
           the cycle length of the gluing attacks (rounded up to odd

@@ -187,7 +187,7 @@ let glue_many family proofs quads =
         let l = Instance.node_label inst v in
         if Bits.length l > 0 then Instance.with_node_label acc v l else acc)
       g
-      (Instance.with_globals (Instance.of_graph g) (Instance.globals inst))
+      (Instance.on_graph inst g)
   in
   let seam_label u v =
     List.find_map

@@ -37,11 +37,7 @@ let port_of g v u =
 let invariant_under_relabelling st scheme inst proof ~factor =
   let g = Instance.graph inst in
   let nodes = Graph.nodes g in
-  let n = List.length nodes in
-  let pool = Random_graphs.shuffle st (List.init (factor * max 1 n) Fun.id) in
-  let mapping = Hashtbl.create 64 in
-  List.iteri (fun i v -> Hashtbl.replace mapping v (List.nth pool i)) nodes;
-  let f = Hashtbl.find mapping in
+  let f = Random_graphs.id_map st ~factor g in
   let inst' = Instance.relabel inst f in
   let proof' =
     List.fold_left

@@ -19,19 +19,20 @@ let scheme =
   Scheme.make ~name:"chromatic-le-k" ~radius:1
     ~size_bound:(fun n -> (2 * Bits.int_width (max 1 n)) + 1)
     ~prover:(fun inst ->
-      let cur = Bits.Reader.of_bits (Instance.globals inst) in
-      let k = Bits.Reader.int_gamma cur in
-      match Coloring.k_colouring (Instance.graph inst) k with
-      | None -> None
-      | Some colouring ->
-          let width = Bits.int_width (max 1 (k - 1)) in
-          Some
-            (List.fold_left
-               (fun p (v, c) ->
-                 let buf = Bits.Writer.create () in
-                 Bits.Writer.int_fixed buf ~width c;
-                 Proof.set p v (Bits.Writer.contents buf))
-               Proof.empty colouring))
+      match Bits.Reader.int_gamma (Bits.Reader.of_bits (Instance.globals inst)) with
+      | exception Bits.Reader.Decode_error _ -> None (* no k given *)
+      | k -> (
+          match Coloring.k_colouring (Instance.graph inst) k with
+          | None -> None
+          | Some colouring ->
+              let width = Bits.int_width (max 1 (k - 1)) in
+              Some
+                (List.fold_left
+                   (fun p (v, c) ->
+                     let buf = Bits.Writer.create () in
+                     Bits.Writer.int_fixed buf ~width c;
+                     Proof.set p v (Bits.Writer.contents buf))
+                   Proof.empty colouring)))
     ~verifier:(fun view ->
       let k = k_of_globals view in
       let width = Bits.int_width (max 1 (k - 1)) in

@@ -51,7 +51,7 @@ let maximum_bipartite =
     ~prover:(fun inst ->
       let g = Instance.graph inst in
       let m = Instance.flagged_edges inst in
-      if not (Matching.is_matching g m) then None
+      if not (Bipartite.is_bipartite g && Matching.is_matching g m) then None
       else if List.length m <> List.length (Matching.maximum_bipartite g) then None
       else begin
         (* Strong scheme: certify the adversary's matching. König's
@@ -114,7 +114,12 @@ let maximum_weight_bipartite =
     ~prover:(fun inst ->
       let g = Instance.graph inst in
       let m = Instance.flagged_edges inst in
-      match Weighted_matching.dual_certificate g (instance_weights inst) m with
+      match
+        if Bipartite.is_bipartite g then
+          Weighted_matching.dual_certificate g (instance_weights inst) m
+        else None
+      with
+      | exception Bits.Reader.Decode_error _ -> None (* an edge has no weight *)
       | None -> None
       | Some dual ->
           Some

@@ -26,6 +26,21 @@ let garbage_proofs_rejected_not_crashing () =
     Registry.all;
   check "no verifier crashed on garbage" true true
 
+(* A prover given an instance its scheme does not decide refuses it;
+   it does not raise. *)
+let provers_refuse_foreign_instances () =
+  let triangle = Instance.of_graph (Builders.cycle 3) in
+  List.iter
+    (fun name ->
+      let e = Option.get (Registry.find name) in
+      check (name ^ " refuses an unlabelled triangle") true
+        (e.Registry.scheme.Scheme.prover triangle = None))
+    [ "chromatic"; "max-matching"; "maxw-matching" ];
+  (* bipartite, but its one edge carries no weight *)
+  let unweighted = Instance.flag_edges (Instance.of_graph (Builders.path 2)) [] in
+  check "maxw-matching refuses an unweighted edge" true
+    (Matching_schemes.maximum_weight_bipartite.Scheme.prover unweighted = None)
+
 let truncated_proofs_rejected () =
   (* cutting a valid proof mid-field must be caught by the decoder *)
   let inst = Instance.of_graph (Builders.cycle 9) in
@@ -102,7 +117,26 @@ let relabel_digraph_orientation () =
   in
   let weighted' = Instance.relabel weighted (fun v -> 10 - v) in
   check "2-bit weight label unchanged" true
-    (Bits.equal (Instance.edge_label weighted' 10 9) (Bits.of_string "01"))
+    (Bits.equal (Instance.edge_label weighted' 10 9) (Bits.of_string "01"));
+  (* a ball's sub-instance, however the view was built, is still a
+     directed instance: relabelling it moves the arc as well *)
+  let path = Instance.of_digraph (Digraph.of_arcs [ (1, 2); (2, 3) ]) in
+  let flip v = 10 - v in
+  List.iter
+    (fun (how, view) ->
+      let ball = Instance.relabel (View.instance view) flip in
+      check (how ^ ": arc follows relabelling") true
+        (Instance.arc_exists ball (flip 1) (flip 2));
+      check (how ^ ": no reverse arc") false
+        (Instance.arc_exists ball (flip 2) (flip 1)))
+    [
+      ("View.make", View.make path Proof.empty ~centre:2 ~radius:1);
+      ( "compiled sweep",
+        Simulator.view_at (Simulator.compile path) Proof.empty ~radius:1 2 );
+      ("Simulator.gather", List.assoc 2 (fst (Simulator.gather path Proof.empty ~radius:1)));
+      ( "Async_simulator.gather",
+        List.assoc 2 (fst (Async_simulator.gather path Proof.empty ~radius:1)) );
+    ]
 
 let empty_proof_is_total () =
   let g = Builders.cycle 4 in
@@ -135,6 +169,8 @@ let suite =
       Alcotest.test_case "garbage proofs never crash" `Slow
         garbage_proofs_rejected_not_crashing;
       Alcotest.test_case "truncated proofs rejected" `Quick truncated_proofs_rejected;
+      Alcotest.test_case "provers refuse foreign instances" `Quick
+        provers_refuse_foreign_instances;
       Alcotest.test_case "single node" `Quick single_node;
       Alcotest.test_case "two nodes" `Quick two_nodes;
       Alcotest.test_case "instance invariants" `Quick instance_invariants;
