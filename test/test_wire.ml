@@ -783,6 +783,160 @@ let codec_allocation_pins () =
     Alcotest.failf "decoding a Verify frame allocates %.1f words per proof node (> 5)"
       per_node
 
+(* ------------------------------------------------------------------ *)
+(* Golden frames: one fixed value of every request and response
+   constructor, encoded and compared with the bytes the protocol put on
+   the wire when this table was written. A change made to the writer
+   and the reader together survives every round trip; it cannot
+   survive this table. Each literal is also decoded and re-encoded, so
+   the reader is pinned to the same bytes. *)
+
+let hex s =
+  String.concat ""
+    (List.map
+       (fun c -> Printf.sprintf "%02x" (Char.code c))
+       (List.of_seq (String.to_seq s)))
+
+let unhex h =
+  String.init
+    (String.length h / 2)
+    (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+(* node 1 unbound: it travels as the empty string *)
+let golden_proof =
+  Proof.of_list [ (0, Bits.of_string "10"); (2, Bits.of_string "1") ]
+
+let golden_requests =
+  [
+    ("prove", Wire.encode_request ~id:1 (Wire.Prove { scheme = "bipartite"; graph6 = "Bw" }), "4c4303010000001b000000000000000100000009626970617274697465000000024277");
+    ( "verify",
+      Wire.encode_request ~id:2 (Wire.Verify { scheme = "bipartite"; graph6 = "Bw"; proof = golden_proof }),
+      "4c4303020000002d000000000000000200000009626970617274697465000000024277000000030000000280000000000000000180" );
+    ( "verify with trace context",
+      Wire.encode_request ~id:3
+        ~trace:{ Wire.trace_hi = 0x0102_0304_0506; trace_lo = 0x0708; parent_span = 0x090A }
+        (Wire.Verify { scheme = "bipartite"; graph6 = "Bw"; proof = golden_proof }),
+      "4c43030200000045800000000000000300000102030405060000000000000708000000000000090a00000009626970617274697465000000024277000000030000000280000000000000000180" );
+    ( "mixed batch",
+      Wire.encode_request ~id:4
+        (Wire.Batch
+           {
+             graphs = [ "A_"; "Bw" ];
+             proofs = [ golden_proof ];
+             ops =
+               [
+                 Wire.Op_prove { scheme = "eulerian"; graph = 0 };
+                 Wire.Op_verify { scheme = "bipartite"; graph = 1; proof = 0 };
+               ];
+           }),
+      "4c4303090000004d0000000000000004000200000002415f00000002427700010000000300000002800000000000000001800002010000000865756c657269616e0000020000000962697061727469746500010000" );
+    ( "verify partition",
+      Wire.encode_request ~id:5
+        (Wire.Verify_partition
+           {
+             scheme = "bipartite";
+             graph6 = "A_";
+             ids = [| 3; 7 |];
+             owned = Bits.of_bools [ true; false ];
+             proof = Proof.of_list [ (0, Bits.of_string "1") ];
+             radius = 1;
+             shard_index = 1;
+             shard_count = 2;
+           }),
+      "4c43030b0000003b00000000000000050000000962697061727469746500000002415f0000000200000003000000070000000280000000010000000180000100010002" );
+    ( "verify sampled",
+      Wire.encode_request ~id:6
+        (Wire.Verify_sampled
+           {
+             scheme = "bipartite";
+             graph6 = "Bw";
+             proof = golden_proof;
+             seed = 12345;
+             queries = 4;
+             budget_id = "eps0.02:q4:m24";
+           }),
+      "4c43030d00000049000000000000000600000009626970617274697465000000024277000000030000000280000000000000000180000000000000303900040000000e657073302e30323a71343a6d3234" );
+    ("stats", Wire.encode_request ~id:7 Wire.Stats, "4c430304000000080000000000000007");
+    ("metrics text", Wire.encode_request ~id:8 Wire.Metrics_text, "4c430306000000080000000000000008");
+    ("health", Wire.encode_request ~id:9 Wire.Health, "4c430307000000080000000000000009");
+    ("drain", Wire.encode_request ~id:10 (Wire.Drain { enable = true }), "4c43030800000009000000000000000a01");
+    ("trace export", Wire.encode_request ~id:11 Wire.Trace_export, "4c43030a00000008000000000000000b");
+    ("profile export", Wire.encode_request ~id:12 Wire.Profile_export, "4c43030c00000008000000000000000c");
+  ]
+
+let golden_responses =
+  [
+    ("proved", Wire.encode_response ~id:1 (Wire.Proved (Some golden_proof)), "4c4303810000001b000000000000000101000000030000000280000000000000000180");
+    ("proved none", Wire.encode_response ~id:1 (Wire.Proved None), "4c43038100000009000000000000000100");
+    ("verified", Wire.encode_response ~id:2 (Wire.Verified { accepted = false; rejecting = [ 1; 2 ] }), "4c43038200000015000000000000000200000000020000000100000002");
+    ( "partition verified",
+      Wire.encode_response ~id:5
+        (Wire.Partition_verified { all_accept = false; owned = 2; rejected = 1; rejecting = [ 7 ] }),
+      "4c43038b0000001900000000000000050000000002000000010000000100000007" );
+    ( "sampled verified",
+      Wire.encode_response ~id:6
+        (Wire.Sampled_verified
+           { sampled_accept = false; escalated = true; accepted = false; bits_read = 17; nodes = 3; rejecting = [ 0 ] }),
+      "4c43038d0000001b000000000000000600010000000011000000030000000100000000" );
+    ( "batch reply",
+      Wire.encode_response ~id:4
+        (Wire.Batch_reply
+           [
+             Wire.Item_proved (Some golden_proof);
+             Wire.Item_proved None;
+             Wire.Item_verified { accepted = false; rejecting = [ 1 ] };
+             Wire.Item_error { code = Wire.Unknown_scheme; message = "no" };
+           ]),
+      "4c430389000000320000000000000004000401010000000300000002800000000000000001800100020000000001000000010003000000026e6f" );
+    ( "stats reply",
+      Wire.encode_response ~id:7
+        (Wire.Stats_reply
+           {
+             Wire.requests = 10;
+             cache_hits = 6;
+             cache_misses = 4;
+             cache_entries = 3;
+             overloaded = 1;
+             deadline_exceeded = 2;
+             uptime_ms = 1500;
+             metrics_json = "{}";
+           }),
+      "4c4303840000002a00000000000000070000000a0000000600000004000000030000000100000002000005dc000000027b7d" );
+    ("metrics text reply", Wire.encode_response ~id:8 (Wire.Metrics_text_reply "up 1\n"), "4c43038600000011000000000000000800000005757020310a");
+    ( "health reply",
+      Wire.encode_response ~id:9 (Wire.Health_reply { Wire.ready = true; pending = 3; max_queue = 256; uptime_ms = 1000 }),
+      "4c430387000000150000000000000009010000000300000100000003e8" );
+    ("drain reply", Wire.encode_response ~id:10 (Wire.Drain_reply { draining = true; pending = 2 }), "4c4303880000000d000000000000000a0100000002");
+    ("trace export reply", Wire.encode_response ~id:11 (Wire.Trace_export_reply "{\"traceEvents\":[]}"), "4c43038a0000001e000000000000000b000000127b2274726163654576656e7473223a5b5d7d");
+    ("profile export reply", Wire.encode_response ~id:12 (Wire.Profile_export_reply "{}"), "4c43038c0000000e000000000000000c000000027b7d");
+    ( "error reply",
+      Wire.encode_response ~id:13
+        ~trace:{ Wire.trace_hi = 1; trace_lo = 2; parent_span = 3 }
+        (Wire.Error_reply { code = Wire.Overloaded; message = "busy" }),
+      "4c4303e000000029800000000000000d000000000000000100000000000000020000000000000003060000000462757379" );
+  ]
+
+let golden_frames () =
+  let pin reencode (name, frame, expected) =
+    check_str (name ^ " bytes") expected (hex frame);
+    check_str
+      (name ^ " decodes to the same bytes")
+      expected
+      (hex (reencode (unhex expected)))
+  in
+  let reencode_request s =
+    match Wire.decode_request s with
+    | Ok (id, trace, r) -> Wire.encode_request ~id ?trace r
+    | Error m -> Alcotest.failf "golden request rejected: %s" m
+  in
+  let reencode_response s =
+    match Wire.decode_response s with
+    | Ok (id, trace, r) -> Wire.encode_response ~id ?trace r
+    | Error m -> Alcotest.failf "golden response rejected: %s" m
+  in
+  List.iter (pin reencode_request) golden_requests;
+  List.iter (pin reencode_response) golden_responses
+
 let suite =
   ( "wire",
     [
@@ -811,4 +965,5 @@ let suite =
       Alcotest.test_case "proof node ids range-checked" `Quick proof_node_range;
       Alcotest.test_case "hostile proof tables rejected" `Quick proof_table_rejects;
       Alcotest.test_case "codec allocation pins" `Quick codec_allocation_pins;
+      Alcotest.test_case "golden frames" `Quick golden_frames;
     ] )
