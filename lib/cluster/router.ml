@@ -698,11 +698,7 @@ let handle_request t (ctx : unit Frame_server.ctx) req =
   let rid = ctx.rid and tctx = ctx.trace in
   match req with
   | Wire.Health -> Wire.Health_reply (health t)
-  | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
   | Wire.Stats -> stats_reply t
-  | Wire.Trace_export | Wire.Profile_export ->
-      (* each process in the cluster exports its own lane *)
-      Frame_server.export_reply req
   | Wire.Drain _ ->
       err Wire.Bad_request
         "drain is a backend-local operation: send it to a daemon, not the \
@@ -714,7 +710,9 @@ let handle_request t (ctx : unit Frame_server.ctx) req =
       Obs.Trace.instant ~arg_name:"shard" ~arg:shard_index
         ~ctx:(Frame_server.child_span tctx) "router.shard";
       forward_compute t ~rid ~tctx req
-  | Wire.Prove _ | Wire.Verify _ | Wire.Verify_sampled _ ->
+  | _ ->
+      (* prove, verify, sampled verify; the frame server answers the
+         telemetry frames itself *)
       forward_compute t ~rid ~tctx req
 
 (* --- HTTP sidecar ------------------------------------------------------ *)
@@ -743,7 +741,7 @@ let run t =
   in
   Frame_server.run t.fs
     {
-      Frame_server.fresh = ignore;
+      Frame_server.fresh = (fun _ _ -> ());
       handle = handle_request t;
       log_fields = (fun _ _ -> []);
       (* every traced line names its trace *)

@@ -33,7 +33,7 @@ type 'a ctx = {
 }
 
 type 'a service = {
-  fresh : Obs.Trace.ctx -> 'a;
+  fresh : Obs.Trace.ctx -> Wire.request -> 'a;
   handle : 'a ctx -> Wire.request -> Wire.response;
   log_fields : 'a ctx -> Wire.request -> (string * Obs.Log.field) list;
   finish : 'a ctx -> Wire.request -> Wire.response -> latency_ns:int -> bool;
@@ -132,17 +132,6 @@ let export t e =
         (family ".error_rate") (per_second w_errors))
     windows
 
-(* Each process exports its own trace ring and profile, answered inline:
-   a saturated pool is exactly when they are wanted. *)
-let export_reply = function
-  | Wire.Trace_export ->
-      Wire.Trace_export_reply
-        (if !Obs.Trace.enabled then Obs.Trace.export_string ()
-         else "{\"traceEvents\":[],\"dropped\":0}")
-  | Wire.Profile_export ->
-      Wire.Profile_export_reply (Obs.Profile.export_string ())
-  | _ -> invalid_arg "Frame_server.export_reply"
-
 let count_bad_frame t = Atomic.incr t.c_bad_frames
 
 (* Skips 0, the "unassigned" sentinel, on wrap-around. *)
@@ -223,17 +212,31 @@ let finish_request t service ctx req resp =
       in
       ignore (Obs.Log.write log fields)
 
+(* The telemetry frames are answered here, inline, for both processes:
+   each exports its own exposition, trace ring and profile, and a
+   saturated pool is exactly when they are wanted. Everything else is
+   the owner's. *)
+let respond service ctx = function
+  | Wire.Metrics_text -> Wire.Metrics_text_reply (service.metrics_text ())
+  | Wire.Trace_export ->
+      Wire.Trace_export_reply
+        (if !Obs.Trace.enabled then Obs.Trace.export_string ()
+         else "{\"traceEvents\":[],\"dropped\":0}")
+  | Wire.Profile_export ->
+      Wire.Profile_export_reply (Obs.Profile.export_string ())
+  | req -> service.handle ctx req
+
 let serve_request t service ~id ~wire_trace req =
   Atomic.incr t.c_requests;
   let rid = if id <> 0 then id else fresh_rid t in
   let trace = trace_ctx t rid wire_trace in
   let arrival_ns = Obs.Clock.now_ns () in
-  let ctx = { rid; arrival_ns; trace; local = service.fresh trace } in
+  let ctx = { rid; arrival_ns; trace; local = service.fresh trace req } in
   let resp =
     if !Obs.Trace.enabled then
       Obs.Trace.span_ctx t.request_span "rid" rid trace (fun () ->
-          service.handle ctx req)
-    else service.handle ctx req
+          respond service ctx req)
+    else respond service ctx req
   in
   finish_request t service ctx req resp;
   (rid, resp)

@@ -19,9 +19,13 @@
     naming the size, and the connection stays; an undecodable payload
     gets [Bad_request]. Each counts as a bad frame.
 
-    The owner supplies one {!service} to {!run}: the handler from a
-    decoded request to its response, plus its own log fields, window
-    slots and sidecar paths. *)
+    The telemetry frames are answered here for every owner:
+    [Metrics_text] with the owner's {!service.metrics_text} (the bytes
+    [/metrics] serves), [Trace_export] with this process's trace ring
+    and [Profile_export] with its profile. The owner supplies one
+    {!service} to {!run}: the handler from any other decoded request to
+    its response, plus its own log fields, window slots and sidecar
+    paths. *)
 
 type t
 
@@ -74,11 +78,6 @@ val export : t -> Obs.Export.t -> unit
     window the [request_us] summary, [request_rate], [op_rate] and
     [error_rate]. *)
 
-val export_reply : Wire.request -> Wire.response
-(** The reply to [Trace_export] (this process's trace ring) or
-    [Profile_export] (its profile), answered inline; raises
-    [Invalid_argument] on any other request. *)
-
 val fresh_rid : t -> int
 (** A locally allocated correlation id, never 0. *)
 
@@ -98,8 +97,10 @@ type 'a ctx = {
 }
 
 type 'a service = {
-  fresh : Obs.Trace.ctx -> 'a;  (** Per-request state for {!ctx.local}. *)
+  fresh : Obs.Trace.ctx -> Wire.request -> 'a;
+      (** Per-request state for {!ctx.local}. *)
   handle : 'a ctx -> Wire.request -> Wire.response;
+      (** Never sees [Metrics_text], [Trace_export] or [Profile_export]. *)
   log_fields : 'a ctx -> Wire.request -> (string * Obs.Log.field) list;
       (** Logged between the common [rid], [rid_hex], [req] and the
           common [latency_us], [outcome]. *)
@@ -107,7 +108,8 @@ type 'a service = {
       (** The owner's bookkeeping once the response is known, after the
           common window slots and before the log line; returns whether
           a traced request's log line names its trace id. *)
-  metrics_text : unit -> string;  (** The sidecar's [/metrics] body. *)
+  metrics_text : unit -> string;
+      (** The [Metrics_text] reply and the sidecar's [/metrics] body. *)
   http : string -> string option;
       (** Sidecar paths beyond [/metrics] and [/healthz]: a complete
           HTTP response (see {!http_text}), or [None] for a 404. *)

@@ -219,6 +219,7 @@ let health t =
    log line, the windows and the trace spans all describe the same
    request. *)
 type local = {
+  identity : Wire.identity option;  (* what the request computes, if anything *)
   mutable tparent : int;  (* span id children emitted right now nest under *)
   mutable cache : string;  (* "hit" | "disk" | "miss" | "-" *)
   mutable queue_wait_ns : int;
@@ -228,8 +229,9 @@ type local = {
 
 type ctx = local Frame_server.ctx
 
-let fresh_local trace =
+let fresh_local trace req =
   {
+    identity = Wire.identity req;
     tparent = trace.Obs.Trace.span;
     cache = "-";
     queue_wait_ns = 0;
@@ -286,44 +288,47 @@ let err = Frame_server.err
 (* Resolve the scheme, then the compiled image — memory tier (LRU),
    disk tier (mmap-validated image, when [cache_dir] is set), or by
    running [decode] + compiling — and hand both to [f]. A compile also
-   warms the disk tier, so the image survives a restart. [identity] is
-   the byte string that names the compiled artefact across all tiers:
-   the raw graph6 payload for plain requests, {!Wire.shard_identity}
-   for partition shards. *)
-let with_compiled_gen t (ctx : ctx) ~scheme ~identity ~decode f =
-  match Registry.find scheme with
-  | None -> err Wire.Unknown_scheme "unknown scheme %S" scheme
+   warms the disk tier, so the image survives a restart. Every tier
+   names the image by the request's {!Wire.identity}. *)
+let with_compiled t (ctx : ctx) (id : Wire.identity) ~decode f =
+  match Registry.find id.scheme with
+  | None -> err Wire.Unknown_scheme "unknown scheme %S" id.scheme
   | Some entry -> (
-      let graph6 = identity in
-      let key = Wire.cache_key scheme graph6 in
-      let resolved tier compiled =
+      let scheme = id.scheme and graph6 = id.image in
+      let key = Wire.cache_key id and dir = t.config.cache_dir in
+      let traced name g =
+        if !Obs.Trace.enabled then
+          Obs.Trace.span_ctx name "rid" ctx.rid (child_trace ctx) g
+        else g ()
+      in
+      (* [tier] names where the image came from; any but a hit fills
+         the memory tier *)
+      let serve tier compiled =
         ctx.local.cache <- tier;
-        ctx.local.n_nodes <- Instance.n (Simulator.compiled_instance compiled)
+        ctx.local.n_nodes <- Instance.n (Simulator.compiled_instance compiled);
+        if tier <> "hit" then begin
+          Mutex.lock t.cache_lock;
+          Lru.put t.cache key compiled;
+          Mutex.unlock t.cache_lock
+        end;
+        f entry compiled
       in
       Mutex.lock t.cache_lock;
       let cached = Lru.find t.cache key in
       Mutex.unlock t.cache_lock;
       match cached with
-      | Some compiled ->
-          resolved "hit" compiled;
-          f entry compiled
+      | Some compiled -> serve "hit" compiled
       | None -> (
           let disk =
-            if t.config.cache_dir = "" then None
-            else if !Obs.Trace.enabled then
-              Obs.Trace.span_ctx "server.cache_load" "rid" ctx.rid
-                (child_trace ctx) (fun () ->
-                  Diskcache.load ~dir:t.config.cache_dir ~key ~scheme ~graph6)
-            else Diskcache.load ~dir:t.config.cache_dir ~key ~scheme ~graph6
+            if dir = "" then None
+            else
+              traced "server.cache_load" (fun () ->
+                  Diskcache.load ~dir ~key ~scheme ~graph6)
           in
           match disk with
           | Some compiled ->
-              resolved "disk" compiled;
               Atomic.incr t.c_disk_hits;
-              Mutex.lock t.cache_lock;
-              Lru.put t.cache key compiled;
-              Mutex.unlock t.cache_lock;
-              f entry compiled
+              serve "disk" compiled
           | None -> (
               ctx.local.cache <- "miss";
               Atomic.incr t.c_compile_misses;
@@ -331,25 +336,14 @@ let with_compiled_gen t (ctx : ctx) ~scheme ~identity ~decode f =
               | Error m -> err Wire.Bad_graph "%s" m
               | Ok inst ->
                   let compiled =
-                    if !Obs.Trace.enabled then
-                      Obs.Trace.span_ctx "server.compile" "rid" ctx.rid
-                        (child_trace ctx) (fun () -> Simulator.compile inst)
-                    else Simulator.compile inst
+                    traced "server.compile" (fun () -> Simulator.compile inst)
                   in
-                  resolved "miss" compiled;
-                  Mutex.lock t.cache_lock;
-                  Lru.put t.cache key compiled;
-                  Mutex.unlock t.cache_lock;
-                  if t.config.cache_dir <> "" then
-                    Diskcache.store ~dir:t.config.cache_dir ~key ~scheme ~graph6
-                      compiled;
-                  f entry compiled)))
+                  if dir <> "" then
+                    Diskcache.store ~dir ~key ~scheme ~graph6 compiled;
+                  serve "miss" compiled)))
 
-let with_compiled t ctx ~scheme ~graph6 f =
-  with_compiled_gen t ctx ~scheme ~identity:graph6
-    ~decode:(fun () ->
-      Result.map Instance.of_graph (Graph6.decode_res graph6))
-    f
+let graph_instance graph6 () =
+  Result.map Instance.of_graph (Graph6.decode_res graph6)
 
 (* Decode a shard into an instance on original identifiers: the local
    graph (ids 0..ns-1) relabelled through the id table. The wire layer
@@ -376,17 +370,19 @@ let deadline_error t stage =
 let arena_key = Domain.DLS.new_key Simulator.arena
 
 (* One prove or verify against the cache — the shared body of both
-   the plain compute path and every batch sub-op. Runs on a worker
-   domain. *)
-let compute_one t ctx req =
-  match req with
-  | Wire.Prove { scheme; graph6 } ->
-      with_compiled t ctx ~scheme ~graph6 (fun entry compiled ->
+   the plain compute path and every batch sub-op — under the request's
+   {!Wire.identity}. Runs on a worker domain. *)
+let compute_one t ctx id req =
+  match (req, id) with
+  | Wire.Prove { graph6; _ }, Some id ->
+      with_compiled t ctx id ~decode:(graph_instance graph6)
+        (fun entry compiled ->
           Wire.Proved
             (entry.Registry.scheme.Scheme.prover
                (Simulator.compiled_instance compiled)))
-  | Wire.Verify { scheme; graph6; proof } ->
-      with_compiled t ctx ~scheme ~graph6 (fun entry compiled ->
+  | Wire.Verify { graph6; proof; _ }, Some id ->
+      with_compiled t ctx id ~decode:(graph_instance graph6)
+        (fun entry compiled ->
           let sch = entry.Registry.scheme in
           let verdicts, _ =
             Simulator.run_verifier ~compiled ~arena:(Domain.DLS.get arena_key)
@@ -395,12 +391,10 @@ let compute_one t ctx req =
           in
           let rejecting = Simulator.rejecting verdicts in
           Wire.Verified { accepted = rejecting = []; rejecting })
-  | Wire.Verify_partition
-      { scheme; graph6; ids; owned; proof; radius; shard_index; shard_count = _ }
-    ->
-      with_compiled_gen t ctx ~scheme
-        ~identity:(Wire.shard_identity graph6 ids)
-        ~decode:(shard_instance ~graph6 ~ids)
+  | ( Wire.Verify_partition
+        { scheme; graph6; ids; owned; proof; radius; shard_index; shard_count = _ },
+      Some id ) ->
+      with_compiled t ctx id ~decode:(shard_instance ~graph6 ~ids)
         (fun entry compiled ->
           let scheme_v = entry.Registry.scheme in
           let ns = Array.length ids in
@@ -451,7 +445,8 @@ let compute_one t ctx req =
                 rejecting = Wire.rejecting_sample rejecting;
               }
           end)
-  | Wire.Verify_sampled { scheme; graph6; proof; seed; queries; budget_id } -> (
+  | Wire.Verify_sampled { scheme; graph6; proof; seed; queries; budget_id }, Some id
+    -> (
       (* budget pinning happens before any graph work: a client that
          believes in a different ε must learn so cheaply *)
       match Sampled.find scheme with
@@ -466,7 +461,8 @@ let compute_one t ctx req =
               "budget %S does not match the server's %S for scheme %S"
               budget_id rs.Randomized_scheme.budget scheme
           else
-            with_compiled t ctx ~scheme ~graph6 (fun _entry compiled ->
+            with_compiled t ctx id ~decode:(graph_instance graph6)
+              (fun _entry compiled ->
                 Atomic.incr t.c_sampled_requests;
                 (* a [Qview.Budget_exceeded] is a scheme bug and lands
                    as [Internal] via the dispatch wrapper *)
@@ -491,9 +487,7 @@ let compute_one t ctx req =
                     nodes = probe.Randomized_scheme.nodes_checked;
                     rejecting = Wire.rejecting_sample final;
                   }))
-  | Wire.Batch _ | Wire.Stats | Wire.Metrics_text | Wire.Health | Wire.Drain _
-  | Wire.Trace_export | Wire.Profile_export ->
-      err Wire.Internal "request dispatched to a worker by mistake"
+  | _ -> err Wire.Internal "request dispatched to a worker by mistake"
 
 (* The plain request a batch op runs as. *)
 let op_request ~graphs ~proofs op =
@@ -563,7 +557,7 @@ let compute_batch t (ctx : ctx) ~deadline ~graphs ~proofs ~ops =
                 | Ok req ->
                     let run () =
                       Wire.item_of_response
-                        (try compute_one t ctx req
+                        (try compute_one t ctx (Wire.identity req) req
                          with e ->
                            err Wire.Internal "%s" (Printexc.to_string e))
                     in
@@ -578,23 +572,11 @@ let compute_batch t (ctx : ctx) ~deadline ~graphs ~proofs ~ops =
   in
   Wire.Batch_reply items
 
-let request_scheme = function
-  | Wire.Prove { scheme; _ }
-  | Wire.Verify { scheme; _ }
-  | Wire.Verify_partition { scheme; _ }
-  | Wire.Verify_sampled { scheme; _ } ->
-      scheme
-  | Wire.Batch { ops; _ } -> (
-      (* a batch logs and is costed under its first op's scheme, even
-         when its ops mix schemes (the router places each op by its own
-         key and splits mixed batches before they get here) *)
-      match ops with
-      | (Wire.Op_prove { scheme; _ } | Wire.Op_verify { scheme; _ }) :: _ ->
-          scheme
-      | [] -> "-")
-  | Wire.Stats | Wire.Metrics_text | Wire.Health | Wire.Drain _
-  | Wire.Trace_export | Wire.Profile_export ->
-      "-"
+(* A request logs and is costed under its identity's scheme: a batch's
+   first op's, even when its ops mix schemes (the router places each op
+   by its own key and splits mixed batches before they get here). *)
+let scheme_of (ctx : ctx) =
+  match ctx.local.identity with Some id -> id.Wire.scheme | None -> "-"
 
 (* Runs on a worker domain. The deadline is measured from the
    request's arrival on the connection thread, so queue wait counts
@@ -617,7 +599,7 @@ let compute t (ctx : ctx) req =
       match req with
       | Wire.Batch { graphs; proofs; ops } ->
           compute_batch t ctx ~deadline ~graphs ~proofs ~ops
-      | req -> compute_one t ctx req
+      | req -> compute_one t ctx ctx.local.identity req
     in
     let run () =
       if !Obs.Trace.enabled then
@@ -632,7 +614,7 @@ let compute t (ctx : ctx) req =
         let p0 = Obs.Clock.now_ns () in
         let a0 = Gc.allocated_bytes () in
         let resp = run () in
-        Obs.Profile.account ~scheme:(request_scheme req)
+        Obs.Profile.account ~scheme:(scheme_of ctx)
           ~cpu_ns:(Obs.Clock.now_ns () - p0)
           ~alloc_bytes:(Gc.allocated_bytes () -. a0);
         resp
@@ -805,9 +787,9 @@ let finish t (ctx : ctx) _req _resp ~latency_ns =
   end;
   slow
 
-let log_fields (ctx : ctx) req =
+let log_fields (ctx : ctx) _req =
   [
-    ("scheme", Obs.Log.Str (request_scheme req));
+    ("scheme", Obs.Log.Str (scheme_of ctx));
     ("n", Obs.Log.Int ctx.local.n_nodes);
     ("cache", Obs.Log.Str ctx.local.cache);
     ("queue_wait_ns", Obs.Log.Int ctx.local.queue_wait_ns);
@@ -817,9 +799,7 @@ let log_fields (ctx : ctx) req =
 let handle_request t ctx req =
   match req with
   | Wire.Stats -> stats_reply t
-  | Wire.Metrics_text -> Wire.Metrics_text_reply (metrics_text t)
   | Wire.Health -> Wire.Health_reply (health t)
-  | Wire.Trace_export | Wire.Profile_export -> Frame_server.export_reply req
   | Wire.Drain { enable } ->
       (* graceful drain: keep serving everything, but report not-ready
          so a routing frontend stops sending new work *)

@@ -170,31 +170,22 @@ let error_code_to_string = function
   | Internal -> "internal"
   | Unavailable -> "unavailable"
 
-let request_tag = function
-  | Prove _ -> 0x01
-  | Verify _ -> 0x02
-  | Stats -> 0x04
-  | Metrics_text -> 0x06
-  | Health -> 0x07
-  | Drain _ -> 0x08
-  | Batch _ -> 0x09
-  | Trace_export -> 0x0A
-  | Verify_partition _ -> 0x0B
-  | Profile_export -> 0x0C
-  | Verify_sampled _ -> 0x0D
+(* A request's tag and its name in logs and metrics, from one match. *)
+let request_tag_kind = function
+  | Prove _ -> (0x01, "prove")
+  | Verify _ -> (0x02, "verify")
+  | Stats -> (0x04, "stats")
+  | Metrics_text -> (0x06, "metrics")
+  | Health -> (0x07, "health")
+  | Drain _ -> (0x08, "drain")
+  | Batch _ -> (0x09, "batch")
+  | Trace_export -> (0x0A, "trace")
+  | Verify_partition _ -> (0x0B, "verify_partition")
+  | Profile_export -> (0x0C, "profile")
+  | Verify_sampled _ -> (0x0D, "verify_sampled")
 
-let request_kind = function
-  | Prove _ -> "prove"
-  | Verify _ -> "verify"
-  | Stats -> "stats"
-  | Metrics_text -> "metrics"
-  | Health -> "health"
-  | Drain _ -> "drain"
-  | Batch _ -> "batch"
-  | Trace_export -> "trace"
-  | Verify_partition _ -> "verify_partition"
-  | Profile_export -> "profile"
-  | Verify_sampled _ -> "verify_sampled"
+let request_tag r = fst (request_tag_kind r)
+let request_kind r = snd (request_tag_kind r)
 
 let response_tag = function
   | Proved _ -> 0x81
@@ -212,45 +203,53 @@ let response_tag = function
 
 (* --- compute identity ------------------------------------------------- *)
 
-(* The daemon caches compiled verifiers under [cache_key] and the
-   router places requests by the same string: content-addressed
-   placement is what gives the cluster its cache affinity. *)
-let cache_key scheme identity =
-  scheme ^ "/" ^ Digest.to_hex (Digest.string identity)
+(* What a compute request runs: its scheme and the bytes that name the
+   compiled image. The daemon caches compiled verifiers under
+   [cache_key] of it and the router places requests by the same string:
+   content-addressed placement is what gives the cluster its cache
+   affinity, and both read it from here. *)
+type identity = { scheme : string; image : string }
+
+let cache_key { scheme; image } =
+  scheme ^ "/" ^ Digest.to_hex (Digest.string image)
 
 (* '\n' never occurs in graph6 (printable columns 63..126 only), so a
    shard identity cannot collide with a plain graph's, and distinct id
    tables yield distinct identities. *)
-let shard_identity graph6 ids =
+let shard_image graph6 ids =
   let b = Buffer.create (String.length graph6 + (4 * Array.length ids)) in
   Buffer.add_string b graph6;
   Array.iter (fun v -> Printf.bprintf b "\n%x" v) ids;
   Buffer.contents b
 
-(* A batch op's key is the key of the plain request it runs as. A
-   hand-built op with a stray graph index gets an arbitrary key; the
-   daemon answers it with a per-op Bad_request. *)
-let op_key graphs op =
-  let scheme, graph =
-    match op with
-    | Op_prove { scheme; graph } | Op_verify { scheme; graph; _ } ->
-        (scheme, graph)
-  in
-  cache_key scheme
-    (if graph >= 0 && graph < Array.length graphs then graphs.(graph) else "")
+(* A batch op runs as the plain request over its graph. A hand-built op
+   with a stray graph index gets an empty image; the daemon answers it
+   with a per-op Bad_request. *)
+let op_identity graphs = function
+  | Op_prove { scheme; graph } | Op_verify { scheme; graph; _ } ->
+      let image =
+        if graph >= 0 && graph < Array.length graphs then graphs.(graph) else ""
+      in
+      { scheme; image }
 
-let request_key = function
+let op_key graphs op = cache_key (op_identity graphs op)
+
+let identity = function
   (* a sampled verify runs on the same compiled image as a plain one *)
   | Prove { scheme; graph6 }
   | Verify { scheme; graph6; _ }
   | Verify_sampled { scheme; graph6; _ } ->
-      cache_key scheme graph6
+      Some { scheme; image = graph6 }
   | Verify_partition { scheme; graph6; ids; _ } ->
-      cache_key scheme (shard_identity graph6 ids)
-  | Batch { graphs; ops = op :: _; _ } -> op_key (Array.of_list graphs) op
+      Some { scheme; image = shard_image graph6 ids }
+  | Batch { graphs; ops = op :: _; _ } ->
+      Some (op_identity (Array.of_list graphs) op)
   | Batch { ops = []; _ }
   | Stats | Metrics_text | Health | Drain _ | Trace_export | Profile_export ->
-      ""
+      None
+
+let request_key req =
+  match identity req with Some id -> cache_key id | None -> ""
 
 (* --- writers ---------------------------------------------------------- *)
 
@@ -849,77 +848,10 @@ let split_frame decode_from s =
 let decode_request s = split_frame request_from s
 let decode_response s = split_frame response_from s
 
-(* --- equality (round-trip tests) -------------------------------------- *)
+(* --- equality ---------------------------------------------------------- *)
 
-let equal_batch_op a b =
-  match (a, b) with
-  | Op_prove a, Op_prove b -> a.scheme = b.scheme && a.graph = b.graph
-  | Op_verify a, Op_verify b ->
-      a.scheme = b.scheme && a.graph = b.graph && a.proof = b.proof
-  | _ -> false
-
-let equal_request a b =
-  match (a, b) with
-  | Prove a, Prove b -> a.scheme = b.scheme && a.graph6 = b.graph6
-  | Verify a, Verify b ->
-      a.scheme = b.scheme && a.graph6 = b.graph6 && Proof.equal a.proof b.proof
-  | Batch a, Batch b ->
-      a.graphs = b.graphs
-      && List.length a.proofs = List.length b.proofs
-      && List.for_all2 Proof.equal a.proofs b.proofs
-      && List.length a.ops = List.length b.ops
-      && List.for_all2 equal_batch_op a.ops b.ops
-  | Verify_partition a, Verify_partition b ->
-      a.scheme = b.scheme && a.graph6 = b.graph6 && a.ids = b.ids
-      && Bits.equal a.owned b.owned
-      && Proof.equal a.proof b.proof
-      && a.radius = b.radius
-      && a.shard_index = b.shard_index
-      && a.shard_count = b.shard_count
-  | Verify_sampled a, Verify_sampled b ->
-      a.scheme = b.scheme && a.graph6 = b.graph6
-      && Proof.equal a.proof b.proof
-      && a.seed = b.seed && a.queries = b.queries
-      && a.budget_id = b.budget_id
-  | Stats, Stats -> true
-  | Metrics_text, Metrics_text | Health, Health -> true
-  | Trace_export, Trace_export -> true
-  | Profile_export, Profile_export -> true
-  | Drain a, Drain b -> a.enable = b.enable
-  | _ -> false
-
-let equal_proof_opt a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b -> Proof.equal a b
-  | _ -> false
-
-let rec equal_response a b =
-  match (a, b) with
-  | Proved a, Proved b -> equal_proof_opt a b
-  | Verified a, Verified b ->
-      a.accepted = b.accepted && a.rejecting = b.rejecting
-  | Partition_verified a, Partition_verified b ->
-      a.all_accept = b.all_accept && a.owned = b.owned
-      && a.rejected = b.rejected
-      && a.rejecting = b.rejecting
-  | Sampled_verified a, Sampled_verified b ->
-      a.sampled_accept = b.sampled_accept
-      && a.escalated = b.escalated && a.accepted = b.accepted
-      && a.bits_read = b.bits_read && a.nodes = b.nodes
-      && a.rejecting = b.rejecting
-  | Batch_reply a, Batch_reply b ->
-      List.length a = List.length b
-      && List.for_all2
-           (fun a b ->
-             equal_response (snd (item_response a)) (snd (item_response b)))
-           a b
-  | Stats_reply a, Stats_reply b -> a = b
-  | Metrics_text_reply a, Metrics_text_reply b -> a = b
-  | Health_reply a, Health_reply b -> a = b
-  | Drain_reply a, Drain_reply b ->
-      a.draining = b.draining && a.pending = b.pending
-  | Trace_export_reply a, Trace_export_reply b -> a = b
-  | Profile_export_reply a, Profile_export_reply b -> a = b
-  | Error_reply a, Error_reply b -> a.code = b.code && a.message = b.message
-  | _ -> false
+(* The encoding is canonical, so two messages are equal exactly when
+   they put the same bytes on the wire: the writer's own walk, not a
+   third one beside it and the reader. *)
+let equal_request a b = encode_request a = encode_request b
+let equal_response a b = encode_response a = encode_response b

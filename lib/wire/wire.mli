@@ -169,7 +169,7 @@ type request =
       (** Fetch the process's continuous profile (attribution tree,
           GC telemetry, per-scheme cost accounts) as one JSON object
           — the {!Obs.Profile.export_string} body. Answered inline by
-          daemon and router, even when profiling is off (zero-sample
+          either process's frame server, even when profiling is off (zero-sample
           document), so a fetcher never needs to know the flag. *)
 
 type error_code =
@@ -312,31 +312,36 @@ val decode_response :
 
 (** {1 Compute identity}
 
-    The daemon caches a compiled verifier under {!cache_key} and the
-    router places a request by the same string, so identical instances
-    keep landing on the daemon whose cache holds them. *)
+    The one place that says what a compute request runs. The daemon
+    caches a compiled verifier under {!cache_key}, logs and costs the
+    request under its [scheme], and the router places it by
+    {!request_key} — the same string, so identical instances keep
+    landing on the daemon whose cache holds them. *)
 
-val cache_key : string -> string -> string
-(** [cache_key scheme identity]: the scheme name plus the MD5 of the
-    bytes that name the compiled image. *)
+type identity = { scheme : string; image : string }
+(** A compute request's scheme and the bytes that name its compiled
+    image: the graph6 payload for prove, verify and sampled verify (a
+    sampled verify runs on the plain image); for a shard, its subgraph
+    bytes plus its local→original id table (two shards with equal
+    subgraphs but different id maps are different verification jobs). *)
 
-val shard_identity : string -> int array -> string
-(** [shard_identity graph6 ids]: a shard's image identity — its
-    subgraph bytes plus its local→original id table. Two shards with
-    equal subgraphs but different id maps are different verification
-    jobs. *)
+val identity : request -> identity option
+(** [None] for every request that computes nothing, and for an empty
+    batch; a batch is named by its first op, run as a plain request. *)
+
+val cache_key : identity -> string
+(** The scheme name plus the MD5 of the image bytes. *)
 
 val op_key : string array -> batch_op -> string
 (** The key of a batch op over the batch's graph table: the key of the
     plain request the op runs as. *)
 
 val request_key : request -> string
-(** The key of a compute request: graph6 identity for prove, verify
-    and sampled verify; {!shard_identity} for a shard; the first
-    op's key for a batch. [""] for every other request. *)
+(** {!cache_key} of the request's {!identity}; [""] when it has none. *)
 
 val equal_request : request -> request -> bool
-(** Structural equality (proofs via [Proof.equal]); the round-trip
-    property tests pin [decode (encode m) = m] with these. *)
+(** Equality of the canonical encodings (id 0, no trace context): the
+    round-trip property tests pin [decode (encode m) = m] with it.
+    Raises [Invalid_argument] where {!encode_request} does. *)
 
 val equal_response : response -> response -> bool
