@@ -34,30 +34,48 @@ let k_colouring_with g k ~pre =
           (Graph.neighbours g v))
       pre
   in
+  (* Colours no preassigned node holds are interchangeable, so the
+     search opens them in order: a node takes a preassigned colour, a
+     fresh colour already opened, or the next unopened one — never a
+     later one, whose branch is the one just refuted under another
+     name. Refuting K_(k+1) then costs about k^2 steps, not k!, and the
+     first colouring found is the one the unpruned search finds. *)
+  let fresh_rank = Array.make k 0 and fresh = ref 0 in
+  List.iter (fun (_, c) -> fresh_rank.(c) <- -1) pre;
+  for c = 0 to k - 1 do
+    if fresh_rank.(c) = 0 then begin
+      fresh_rank.(c) <- !fresh;
+      incr fresh
+    end
+  done;
   if not pre_ok then None
   else begin
     let n = Array.length order in
-    let rec go i =
+    (* [opened]: fresh colours in use, always the lowest-ranked ones *)
+    let rec go i opened =
       if i = n then true
       else
         let v = order.(i) in
-        if Hashtbl.mem colour v then go (i + 1)
+        if Hashtbl.mem colour v then go (i + 1) opened
         else
           let rec try_colour c =
             if c = k then false
-            else if conflict v c then try_colour (c + 1)
-            else begin
-              Hashtbl.replace colour v c;
-              if go (i + 1) then true
+            else
+              let rank = fresh_rank.(c) in
+              if rank > opened || conflict v c then try_colour (c + 1)
               else begin
-                Hashtbl.remove colour v;
-                try_colour (c + 1)
+                Hashtbl.replace colour v c;
+                if go (i + 1) (if rank = opened then opened + 1 else opened)
+                then true
+                else begin
+                  Hashtbl.remove colour v;
+                  try_colour (c + 1)
+                end
               end
-            end
           in
           try_colour 0
     in
-    if go 0 then
+    if go 0 0 then
       Some (Graph.nodes g |> List.map (fun v -> (v, Hashtbl.find colour v)))
     else None
   end

@@ -78,35 +78,44 @@ let is_line_graph_krausz g =
   in
   solve ()
 
-let forbidden = ref None
-
-let forbidden_subgraphs () =
-  match !forbidden with
-  | Some fs -> fs
-  | None ->
-      (* Minimal non-line graphs on <= 6 nodes: not a line graph, but
-         every proper induced subgraph is one. Beineke's theorem says
-         there are exactly nine and that they characterise line
-         graphs. *)
-      let candidates =
-        List.concat_map Enumerate.all_graphs [ 4; 5; 6 ]
-        |> List.filter Traversal.is_connected
-        |> List.filter (fun g -> not (is_line_graph_krausz g))
-      in
-      let minimal g =
-        List.for_all
-          (fun v ->
-            is_line_graph_krausz (Graph.remove_node g v))
-          (Graph.nodes g)
-      in
-      let fs = List.filter minimal candidates in
-      forbidden := Some fs;
-      fs
+(* Beineke's nine minimal non-line graphs, as edge lists on nodes
+   0 .. n-1: the claw K_{1,3}, the two on five nodes, the six on six.
+   The tests derive them again — every connected graph on 4 to 6 nodes
+   that fails the Krausz test while all its node-deleted subgraphs pass
+   — and check this list against that set up to isomorphism. *)
+let forbidden_subgraphs =
+  List.map
+    (fun (n, edges) -> Graph.create ~nodes:(List.init n Fun.id) ~edges)
+    [
+      (4, [ (0, 1); (0, 2); (0, 3) ]);
+      (5, [ (0, 2); (0, 3); (0, 4); (1, 2); (1, 3); (1, 4); (2, 3) ]);
+      ( 5,
+        [ (0, 1); (0, 2); (0, 3); (0, 4); (1, 2); (1, 3); (1, 4); (2, 3); (2, 4) ]
+      );
+      (6, [ (0, 2); (0, 3); (0, 5); (1, 2); (1, 3); (1, 4); (2, 3) ]);
+      ( 6,
+        [ (0, 1); (0, 2); (0, 5); (1, 2); (1, 3); (1, 4); (2, 3); (2, 4); (3, 4) ]
+      );
+      ( 6,
+        [ (0, 1); (0, 2); (0, 3); (0, 5); (1, 2); (1, 5); (2, 3); (2, 4); (3, 4) ]
+      );
+      (6, [ (0, 3); (0, 4); (0, 5); (1, 2); (1, 5); (2, 3); (2, 4); (3, 4) ]);
+      ( 6,
+        [
+          (0, 1); (0, 2); (0, 3); (0, 4); (0, 5); (1, 2); (1, 3); (1, 4); (1, 5);
+          (2, 5); (3, 4);
+        ] );
+      ( 6,
+        [
+          (0, 1); (0, 2); (0, 3); (0, 4); (0, 5); (1, 4); (1, 5); (2, 3); (2, 5);
+          (3, 4);
+        ] );
+    ]
 
 let is_line_graph g =
   not
     (List.exists
        (fun pattern -> Subgraph_iso.contains_induced ~pattern g)
-       (forbidden_subgraphs ()))
+       forbidden_subgraphs)
 
 let of_root_graph g = fst (Graph.line_graph g)

@@ -6,11 +6,10 @@
       into cliques with every node in at most two cliques (found by
       backtracking; ground truth in tests).
     - {b Beineke}: a graph is a line graph iff it contains none of nine
-      forbidden induced subgraphs. Rather than transcribing the nine
-      graphs, we {e derive} them: the minimal non-line graphs on at
-      most 6 nodes, computed from {!Enumerate.all_graphs} with the
-      Krausz test. The derived list is checked to have exactly nine
-      members, beginning with the claw K_{1,3}.
+      forbidden induced subgraphs, written out as edge lists. The tests
+      derive the same nine — the minimal non-line graphs on at most 6
+      nodes, from {!Enumerate.all_graphs} with the Krausz test — and
+      check the two sets agree up to isomorphism.
 
     The Beineke form is what makes the property locally checkable:
     every forbidden pattern fits inside a radius-5 ball. *)
@@ -18,8 +17,8 @@
 val is_line_graph_krausz : Graph.t -> bool
 (** Exponential backtracking; intended for small graphs. *)
 
-val forbidden_subgraphs : unit -> Graph.t list
-(** Beineke's nine minimal non-line graphs (computed once, memoised). *)
+val forbidden_subgraphs : Graph.t list
+(** Beineke's nine minimal non-line graphs, the claw K_{1,3} first. *)
 
 val is_line_graph : Graph.t -> bool
 (** No forbidden induced subgraph. Polynomial (pattern size ≤ 6). *)

@@ -19,5 +19,5 @@ let scheme =
       not
         (List.exists
            (fun pattern -> Subgraph_iso.contains_induced ~pattern ball)
-           (Line_graph.forbidden_subgraphs ())))
+           Line_graph.forbidden_subgraphs))
 

@@ -290,7 +290,14 @@ let coloring_basic () =
   check_int "chi petersen" 3 (Coloring.chromatic_number Test_util.petersen);
   check_int "chi W5" 4 (Coloring.chromatic_number (Builders.wheel 5));
   check_int "chi W6" 3 (Coloring.chromatic_number (Builders.wheel 6));
-  check_int "chi grid" 2 (Coloring.chromatic_number (Builders.grid 3 4))
+  check_int "chi grid" 2 (Coloring.chromatic_number (Builders.grid 3 4));
+  (* the search opens fresh colours in order: refuting K_11 with 10
+     colours is about k^2 steps, not k! *)
+  check "K11 not 10col" false
+    (Coloring.is_k_colourable (Builders.complete 11) 10);
+  match Coloring.k_colouring (Builders.complete 10) 10 with
+  | Some c -> check "K10 10col" true (Coloring.is_proper (Builders.complete 10) c)
+  | None -> Alcotest.fail "K10 has a 10-colouring"
 
 let coloring_with_pre () =
   let g = Builders.path 3 in

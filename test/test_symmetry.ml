@@ -130,21 +130,35 @@ let rooted_tree_structures () =
   check "codes distinct" true
     (List.length (List.sort_uniq compare codes) = List.length codes)
 
+(* The nine graphs are data; derive them again — the connected graphs
+   on 4 to 6 nodes that fail the Krausz test while every node-deleted
+   subgraph passes — and check the two sets agree up to isomorphism. *)
 let beineke () =
-  let fs = Line_graph.forbidden_subgraphs () in
+  let fs = Line_graph.forbidden_subgraphs in
   check_int "exactly nine" 9 (List.length fs);
-  (* the first (smallest) is the claw *)
-  check "claw present" true
-    (List.exists (fun g -> Subgraph_iso.are_isomorphic g (Builders.star 3)) fs);
-  (* every forbidden graph is minimal: removing any node leaves a line graph *)
+  check "the claw comes first" true
+    (Subgraph_iso.are_isomorphic (List.hd fs) (Builders.star 3));
+  let derived =
+    List.concat_map Enumerate.all_graphs [ 4; 5; 6 ]
+    |> List.filter (fun g ->
+           Traversal.is_connected g
+           && (not (Line_graph.is_line_graph_krausz g))
+           && List.for_all
+                (fun v ->
+                  Line_graph.is_line_graph_krausz (Graph.remove_node g v))
+                (Graph.nodes g))
+  in
+  check_int "nine derived" 9 (List.length derived);
+  let matches g l = List.filter (Subgraph_iso.are_isomorphic g) l in
   List.iter
     (fun g ->
-      check "not a line graph" false (Line_graph.is_line_graph_krausz g);
-      List.iter
-        (fun v ->
-          check "minimal" true (Line_graph.is_line_graph_krausz (Graph.remove_node g v)))
-        (Graph.nodes g))
-    fs
+      check_int "listed once among the derived" 1
+        (List.length (matches g derived)))
+    fs;
+  List.iter
+    (fun g ->
+      check_int "derived once among the listed" 1 (List.length (matches g fs)))
+    derived
 
 let line_graph_agreement () =
   (* Krausz test and Beineke test agree. *)
