@@ -141,6 +141,11 @@ let prove_cmd =
           Registry.prove_and_check ~jobs:(Cli.resolve_jobs jobs) e.Registry.scheme
             inst
         with
+        | exception Invalid_argument m ->
+            (* a prover that cannot take this instance, such as the Σ¹₁
+               brute force past its size limit, says why *)
+            prerr_endline m;
+            1
         | Registry.No_proof ->
             Format.printf
               "no-instance: the prover found no locally checkable proof@.";
@@ -466,9 +471,28 @@ let stats_cmd =
                    "within budget"
                  else "EXCEEDED")
         in
-        let t0 = Obs.Clock.now_ns () in
-        match scheme.Scheme.prover inst with
-        | None ->
+        (* On a yes-instance valid proofs exist, so an accepted random
+           proof is legitimate — report it neutrally. *)
+        let yes_instance ~accepted =
+          let sound, tried, ms = probe () in
+          if sound then
+            Format.printf
+              "probe:     %.3f ms, %d random proofs (<= %d bits): all \
+               rejected@."
+              ms samples bits
+          else
+            Format.printf
+              "probe:     %.3f ms, random proof %d of %d accepted \
+               (yes-instance: valid proofs exist)@."
+              ms tried samples;
+          budget_line ();
+          if accepted then 0 else 3
+        in
+        match Registry.prove_and_cost ~jobs scheme inst with
+        | exception Invalid_argument m ->
+            prerr_endline m;
+            1
+        | Registry.No_proof, _ ->
             (* The prover refuses: a no-instance — the one case where an
                accepted random proof is a genuine soundness violation. *)
             Format.printf "prove:     no proof — no-instance@.";
@@ -488,37 +512,23 @@ let stats_cmd =
                 ms tried samples bits;
               3
             end
-        | Some proof ->
+        | Registry.Rejected vs, _ ->
+            Format.printf "prove:     a proof its own verifier rejects@.";
+            Format.printf "verify:    REJECTED at [%s]@."
+              (String.concat ";" (List.map string_of_int vs));
+            yes_instance ~accepted:false
+        | Registry.Accepted proof, cost ->
+            (* the serving path's own costs: every accepted pass has one *)
+            let c = Option.get cost in
             Format.printf "prove:     %.3f ms, proof of %d bits@."
-              (Obs.Clock.ns_to_us (Obs.Clock.elapsed_ns t0) /. 1000.)
+              (c.Registry.prove_s *. 1000.)
               (Proof.size proof);
-            let t1 = Obs.Clock.now_ns () in
-            let verdicts, _ =
-              Simulator.run_verifier ~jobs inst proof
-                ~radius:scheme.Scheme.radius scheme.Scheme.verifier
-            in
-            let rejecting = Simulator.rejecting verdicts in
-            Format.printf "verify:    %.3f ms, %s@."
-              (Obs.Clock.ns_to_us (Obs.Clock.elapsed_ns t1) /. 1000.)
-              (if rejecting = [] then "all nodes accept"
-               else
-                 Printf.sprintf "REJECTED at [%s]"
-                   (String.concat ";" (List.map string_of_int rejecting)));
-            (* On a yes-instance valid proofs exist, so an accepted random
-               proof is legitimate — report it neutrally. *)
-            let sound, tried, ms = probe () in
-            if sound then
-              Format.printf
-                "probe:     %.3f ms, %d random proofs (<= %d bits): all \
-                 rejected@."
-                ms samples bits
-            else
-              Format.printf
-                "probe:     %.3f ms, random proof %d of %d accepted \
-                 (yes-instance: valid proofs exist)@."
-                ms tried samples;
-            budget_line ();
-            if rejecting = [] then 0 else 3)
+            Format.printf
+              "verify:    %.3f ms compile, %.0f ns/node warm, all nodes \
+               accept@."
+              (c.Registry.compile_s *. 1000.)
+              c.Registry.verify_ns_per_node;
+            yes_instance ~accepted:true)
   in
   Cmd.v
     (Cmd.info "stats"

@@ -6,6 +6,8 @@ let check_witness sentence g w =
     (fun y acc -> acc && Eval.eval_global g sets ~x:w.x ~y sentence.Formula.phi)
     g true
 
+let brute_force_bits = 24
+
 let find_witness sentence g =
   let nodes = Array.of_list (Graph.nodes g) in
   let n = Array.length nodes in
@@ -16,8 +18,12 @@ let find_witness sentence g =
   in
   (* Enumerate all k·n membership bits. *)
   let total = k * n in
-  if total > 24 then
-    invalid_arg "Sigma11.find_witness: instance too large for brute force";
+  if total > brute_force_bits then
+    invalid_arg
+      (Printf.sprintf
+         "Sigma11: the brute-force witness search is limited to k*n <= %d \
+          membership bits; this instance needs k*n = %d*%d = %d"
+         brute_force_bits k n total);
   let rec search mask =
     if mask >= 1 lsl total then None
     else begin

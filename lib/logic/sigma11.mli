@@ -22,4 +22,6 @@ val scheme :
   ?find:(Graph.t -> witness option) -> Formula.sentence -> Scheme.t
 (** The compiled scheme. The prover uses [find] (defaulting to a
     brute-force search) to obtain the second-order witness. The instance
-    family is connected graphs. *)
+    family is connected graphs. The brute-force search, like {!holds},
+    raises [Invalid_argument] naming its limit when [k · n(G)] exceeds
+    24 membership bits. *)

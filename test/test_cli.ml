@@ -131,6 +131,36 @@ let table_padding () =
     (fun p -> check_int (Printf.sprintf "%S padded" p) 20 (Cli.display_width (Cli.pad 20 p)))
     papers
 
+(* The Σ¹₁ prover is a brute force over k·n membership bits, capped at
+   24. [lcp prove] past the cap names it and exits 1, rather than dying
+   on an uncaught exception (exit 125). *)
+let sigma11_limit () =
+  let lcp =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/lcp.exe"
+  in
+  let c26 =
+    write_tmp
+      (String.concat ""
+         (List.init 26 (fun i -> Printf.sprintf "edge %d %d\n" i ((i + 1) mod 26))))
+  in
+  let err = Filename.temp_file "lcp_test" ".err" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s prove -s sigma11-2col -g %s >/dev/null 2>%s"
+         (Filename.quote lcp) (Filename.quote c26) (Filename.quote err))
+  in
+  check_int "exit code" 1 code;
+  let message = In_channel.with_open_text err In_channel.input_all in
+  let names_limit =
+    let sub = "k*n <= 24" in
+    let rec at i =
+      i + String.length sub <= String.length message
+      && (String.sub message i (String.length sub) = sub || at (i + 1))
+    in
+    at 0
+  in
+  check "names the limit" true names_limit
+
 let suite =
   ( "cli-format",
     [
@@ -144,6 +174,8 @@ let suite =
       Alcotest.test_case "proof file roundtrip" `Quick proof_roundtrip;
       Alcotest.test_case "bad input" `Quick bad_input;
       Alcotest.test_case "file-driven prove/verify" `Quick end_to_end;
+      Alcotest.test_case "prove past the Σ¹₁ brute-force limit" `Quick
+        sigma11_limit;
       Alcotest.test_case "observability flags parse" `Quick obs_flags_parse;
       Alcotest.test_case "table columns pad by display width" `Quick
         table_padding;
