@@ -613,7 +613,7 @@ let randomized_bench () =
     @@ fun () ->
     let port = Server.port server in
     let queries = rs.Randomized_scheme.queries in
-    let reqs = 40 in
+    let rounds = 7 and per_round = 10 in
     let rows =
       List.map
         (fun n ->
@@ -674,17 +674,39 @@ let randomized_bench () =
                     true
                 | _ -> false
               in
-              let leg make =
-                ignore (make 0);
-                (* warm the compiled-graph cache *)
+              (* The legs alternate over warm rounds, the first leg of
+                 each round flipping, and each leg's rate is its median
+                 round's: a slow stretch of a shared host lands on both
+                 legs, and one outlier round moves neither. *)
+              let full_leg _ = full proof in
+              let sampled_leg i = sampled ~seed:(i + 1) proof in
+              (* warm the compiled-graph cache *)
+              ignore (full_leg 0);
+              ignore (sampled_leg 0);
+              let round r leg =
                 let t0 = Obs.Clock.now_ns () in
-                for i = 1 to reqs do
-                  ignore (make i)
+                for i = 1 to per_round do
+                  ignore (leg ((r * per_round) + i))
                 done;
-                float_of_int reqs /. Obs.Clock.ns_to_s (Obs.Clock.elapsed_ns t0)
+                Obs.Clock.elapsed_ns t0
               in
-              let full_rps = leg (fun _ -> full proof) in
-              let sampled_rps = leg (fun i -> sampled ~seed:(i + 1) proof) in
+              let times =
+                List.init rounds (fun r ->
+                    if r mod 2 = 0 then
+                      let f = round r full_leg in
+                      (f, round r sampled_leg)
+                    else
+                      let s = round r sampled_leg in
+                      (round r full_leg, s))
+              in
+              let median_rps l =
+                let a = Array.of_list l in
+                Array.sort compare a;
+                float_of_int per_round
+                /. Obs.Clock.ns_to_s a.(Array.length a / 2)
+              in
+              let full_rps = median_rps (List.map fst times) in
+              let sampled_rps = median_rps (List.map snd times) in
               let speedup =
                 if full_rps > 0.0 then sampled_rps /. full_rps else 0.0
               in
@@ -704,7 +726,8 @@ let randomized_bench () =
     let open Obs.Json in
     Obj
       [ ("scheme", Str "bipartite"); ("queries", int queries);
-        ("reqs_per_leg", int reqs); ("rows", Arr rows);
+        ("rounds", int rounds); ("reqs_per_round", int per_round);
+        ("rows", Arr rows);
         ( "server",
           Obj
             [ ("sampled_requests", int st.Server.sampled_requests);
