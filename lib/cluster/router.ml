@@ -138,9 +138,6 @@ let port t = Frame_server.port t.fs
 let http_port t = Frame_server.http_port t.fs
 let err = Frame_server.err
 
-(* The routing key is the backend's compiled-verifier cache key —
-   content-addressed placement is what gives the cluster cache
-   affinity. *)
 let request_key = Wire.request_key
 
 (* --- backend connections ---------------------------------------------- *)

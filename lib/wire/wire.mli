@@ -169,8 +169,9 @@ type request =
       (** Fetch the process's continuous profile (attribution tree,
           GC telemetry, per-scheme cost accounts) as one JSON object
           — the {!Obs.Profile.export_string} body. Answered inline by
-          either process's frame server, even when profiling is off (zero-sample
-          document), so a fetcher never needs to know the flag. *)
+          either process's frame server, even when profiling is off
+          (zero-sample document), so a fetcher never needs to know the
+          flag. *)
 
 type error_code =
   | Bad_frame  (** Unparseable frame: the connection is out of sync. *)
