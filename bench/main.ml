@@ -290,18 +290,20 @@ let exposition ~total_wall_s results e =
    collection, which taxes whichever leg happens to share the runtime.
    Caches are off (--cache-size 0) so every request pays the full
    graph6 decode + compile; that cold path is what partitioning
-   attacks: graph6 costs O(n²) to encode and decode, so four quarter
-   shards cost ~O(n²/16) each and the sharded run wins even when the
-   backends time-share a core, and wins again on compute when they do
-   not. Verdict equality against the single-daemon reply is
+   attacks: a graph6 payload is n²/12 bytes to encode, send and scan
+   (the decoder skips blank runs a word at a time, then builds in
+   O(n + m)), so four quarter shards pay ~1/16 of those byte costs
+   each and ~1/4 of the linear rest, and the sharded run wins even when
+   the backends time-share a core, and wins again on compute when they
+   do not. Verdict equality against the single-daemon reply is
    asserted per row, on an accepting instance and on a rejecting
    one. *)
 let partition_bench () =
   Format.printf
     "@.=== partition bench (1 whole-graph daemon vs 2 sharded backends) ===@.";
   (* eulerian: radius 1, LCP(0) — the proof is empty, so the rows
-     measure exactly what partitioning targets: the O(n²) graph6
-     encode + decode of the instance itself. A cycle accepts; a cycle
+     measure exactly what partitioning targets: the n²/12-byte graph6
+     payload of the instance itself (encode, transport, decode). A cycle accepts; a cycle
      plus one chord has two odd-degree endpoints and must reject at
      them, in both paths, with identical node ids. *)
   let scheme = (entry "eulerian").Registry.scheme in

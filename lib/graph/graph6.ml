@@ -13,11 +13,20 @@
    intermediate bit list — so wire-sized graphs (bench uses n up to
    4096, ~1.4 MB of data bytes) encode without allocating millions of
    list cells.  The n <= 62 output is byte-identical to the original
-   single-byte implementation: same header, same packing. *)
+   single-byte implementation: same header, same packing.
+
+   Decoding costs O(bytes/8 + n + m), not O(n^2): runs of '?' (six
+   zero bits each) are skipped a word at a time, each set bit maps to
+   its pair by advancing the column incrementally, and the graph is
+   built in bulk from sorted rows ({!Graph.of_rows}). The padding bits
+   after the last edge bit must be zero, so every graph has exactly one
+   accepted string, the one [encode] writes; the daemon's cache keys on
+   that string. *)
 
 (* Frames cross a trust boundary, so decoding also has to be cheap to
-   reject: n is capped well below anything whose O(n^2) bit loop or
-   data-byte allocation could be weaponised by a 9-byte header. *)
+   reject: n is capped, and nothing sized by n is allocated before the
+   string's length has been checked against the n(n-1)/2 bits its
+   header announces, so a 9-byte header cannot demand big arrays. *)
 let max_nodes = 1 lsl 20
 
 let check_contiguous g =
@@ -99,36 +108,89 @@ let decode_size s =
     if n < 258048 then Error "Graph6: non-minimal 6-byte size header"
     else Ok (n, 8)
 
+(* Eight '?' bytes (no edge bits) read as one little-endian word. *)
+let blank8 = 0x3f3f3f3f3f3f3f3fL
+
+type scan = Done | Bad_byte of int | Padding
+
+(* One forward pass over the data bytes from [off]: each byte is
+   range-checked, runs of '?' are skipped eight bytes at a time, and
+   each set bit calls [f i j] (i < j) in bit order, the column
+   advancing incrementally. Stops at the first byte outside the
+   alphabet, or at a set bit at or past [nbits] (padding, which only
+   the last byte holds). *)
+let scan s off nbits f =
+  let len = String.length s in
+  let j = ref 1 and col = ref 0 (* bit index of (0, !j) *) in
+  let emit c base =
+    let padding = ref false in
+    for b = 0 to 5 do
+      if c land (32 lsr b) <> 0 then begin
+        let idx = base + b in
+        if idx >= nbits then padding := true
+        else begin
+          while idx >= !col + !j do
+            col := !col + !j;
+            incr j
+          done;
+          f (idx - !col) !j
+        end
+      end
+    done;
+    !padding
+  in
+  let rec go k =
+    if k = len then Done
+    else if k + 8 <= len && String.get_int64_le s k = blank8 then go (k + 8)
+    else
+      let c = Char.code s.[k] - 63 in
+      if c < 0 || c > 63 then Bad_byte k
+      else if c <> 0 && emit c (6 * (k - off)) then Padding
+      else go (k + 1)
+  in
+  go off
+
+(* Two scans, so nothing per edge is allocated beyond the rows: the
+   first validates and counts degrees, the second fills the rows.
+   Column [j] lists row [j]'s lower neighbours in increasing order
+   before any later column appends a higher one, so each row comes
+   out sorted. *)
 let decode_res s =
   let* n, off = decode_size s in
   if n > max_nodes then
     Error (Printf.sprintf "Graph6: n = %d exceeds the %d-node cap" n max_nodes)
   else
-    let need = ((n * (n - 1) / 2) + 5) / 6 in
+    let nbits = n * (n - 1) / 2 in
+    let need = (nbits + 5) / 6 in
     if String.length s <> off + need then
       Error
         (Printf.sprintf "Graph6: expected %d data bytes, got %d" need
            (String.length s - off))
     else
-      let rec check k =
-        if k = String.length s then Ok ()
-        else
-          let* _ = group s k in
-          check (k + 1)
+      let fill = Array.make n 0 in
+      let count i j =
+        fill.(i) <- fill.(i) + 1;
+        fill.(j) <- fill.(j) + 1
       in
-      let* () = check off in
-      let bit idx =
-        (Char.code s.[off + (idx / 6)] - 63) lsr (5 - (idx mod 6)) land 1 = 1
-      in
-      let edges = ref [] in
-      let idx = ref 0 in
-      for j = 1 to n - 1 do
-        for i = 0 to j - 1 do
-          if bit !idx then edges := (i, j) :: !edges;
-          incr idx
-        done
-      done;
-      Ok (Graph.create ~nodes:(List.init n Fun.id) ~edges:!edges)
+      match scan s off nbits count with
+      | Bad_byte k ->
+          Error (Printf.sprintf "Graph6: byte %d is not a graph6 character" k)
+      | Padding -> Error "Graph6: padding bits after the last edge bit are set"
+      | Done ->
+          let offsets = Array.make (n + 1) 0 in
+          for i = 0 to n - 1 do
+            offsets.(i + 1) <- offsets.(i) + fill.(i);
+            fill.(i) <- offsets.(i)
+          done;
+          let targets = Array.make offsets.(n) 0 in
+          let place i j =
+            targets.(fill.(i)) <- j;
+            fill.(i) <- fill.(i) + 1;
+            targets.(fill.(j)) <- i;
+            fill.(j) <- fill.(j) + 1
+          in
+          ignore (scan s off nbits place);
+          Ok (Graph.of_rows ~ids:(Array.init n Fun.id) ~offsets ~targets)
 
 let decode s =
   match decode_res s with Ok g -> g | Error msg -> invalid_arg msg

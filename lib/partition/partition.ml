@@ -122,16 +122,10 @@ let members_of csr owner ~p ~radius =
   done;
   Array.of_list !touched
 
+(* The shard's graph speaks dense indices 0..ns-1; [ids] maps back. *)
 let local_graph sub =
-  let ns = Csr.n sub in
-  let g = ref Graph.empty in
-  for i = 0 to ns - 1 do
-    g := Graph.add_node !g i
-  done;
-  for i = 0 to ns - 1 do
-    Csr.iter_neighbours sub i (fun j -> if i < j then g := Graph.add_edge !g i j)
-  done;
-  !g
+  let offsets, targets, _ = Csr.export sub in
+  Graph.of_rows ~ids:(Array.init (Csr.n sub) Fun.id) ~offsets ~targets
 
 let make csr ~k ~radius =
   if radius < 0 then invalid_arg "Partition.make: negative radius";

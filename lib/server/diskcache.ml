@@ -5,8 +5,8 @@
    the static record-size table, and the original scheme/graph6 bytes
    for identity checking. A restarted daemon mmaps the file, verifies
    the checksum and the identity fields, rebuilds the instance from
-   the CSR adjacency (O(n + m) persistent-map inserts — no O(n^2)
-   graph6 bit scan, no [Simulator.compile]) and serves warm.
+   the CSR rows in bulk ({!Graph.of_rows}: O(n + m), no graph6
+   decode, no [Simulator.compile]) and serves warm.
 
    Layout (all integers big-endian u64 unless noted):
 
@@ -175,17 +175,6 @@ let r_u64_array mp n =
   need mp (n * 8);
   Array.init n (fun _ -> r_u64 mp)
 
-(* Undirected edges appear in both CSR rows; adding each (i, u) with
-   i <= u once rebuilds the exact graph [Csr.of_graph] came from. *)
-let graph_of_csr csr =
-  let g = ref Graph.empty in
-  for i = 0 to Csr.n csr - 1 do
-    g := Graph.add_node !g (Csr.node csr i);
-    Csr.iter_neighbours csr i (fun u ->
-        if i <= u then g := Graph.add_edge !g (Csr.node csr i) (Csr.node csr u))
-  done;
-  !g
-
 let decode mp ~scheme ~graph6 =
   let dim = Bigarray.Array1.dim mp.buf in
   if dim < 4 + 1 + 8 then raise (Bad "file too small");
@@ -223,7 +212,7 @@ let decode mp ~scheme ~graph6 =
   match Csr.import ~offsets ~targets ~ids with
   | Error e -> raise (Bad e)
   | Ok csr ->
-      let inst = Instance.of_graph (graph_of_csr csr) in
+      let inst = Instance.of_graph (Graph.of_rows ~ids ~offsets ~targets) in
       Simulator.compiled_of_parts inst csr static_bits
 
 let load ~dir ~key ~scheme ~graph6 =

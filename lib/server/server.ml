@@ -16,10 +16,11 @@
    silently late answer or a hung connection.
 
    The compiled-verifier cache maps (scheme name, MD5 of the graph6
-   payload) to the {!Simulator.compiled} CSR image. The graph6 string
-   of a decoded graph is unique per labelled graph, so the digest is a
-   canonical hash of exactly what verification consumes; a hit skips
-   both the O(n^2) graph6 decode and the compile. Two workers missing
+   payload) to the {!Simulator.compiled} CSR image. The decoder
+   accepts exactly one graph6 string per labelled graph (set padding
+   bits are rejected), so the digest is a canonical hash of exactly
+   what verification consumes; a hit skips both the O(bytes/8 + n + m)
+   graph6 decode and the compile. Two workers missing
    on the same key may compile twice — harmless, the second insert
    wins — and the cache is serialised by one mutex held only around
    table operations, never around a compile.

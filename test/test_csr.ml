@@ -524,6 +524,41 @@ let extract_subgraph_rejects () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
+(* The bulk constructor behind the graph6 decoder, the disk cache's
+   warm restart and the partition shards: it rebuilds every family
+   graph (non-contiguous ids included, as shard images carry them)
+   from its CSR rows, and refuses rows that would not describe a
+   simple undirected graph. *)
+let of_rows_rebuilds () =
+  List.iter
+    (fun (name, g) ->
+      let offsets, targets, ids = Csr.export (Csr.of_graph g) in
+      let g' = Graph.of_rows ~ids ~offsets ~targets in
+      check (name ^ " rebuilt") true (Graph.equal g g');
+      check_int (name ^ " m") (Graph.m g) (Graph.m g'))
+    (("empty", Graph.empty) :: family);
+  let rejects what ~ids ~offsets ~targets =
+    check what true
+      (match Graph.of_rows ~ids ~offsets ~targets with
+      | exception Invalid_argument _ -> true
+      | _ -> false)
+  in
+  (* path 0-1-2 is [| 1 |; | 0; 2 |; | 1 |] *)
+  let ids = [| 0; 1; 2 |] and offsets = [| 0; 1; 3; 4 |] in
+  check "path accepted" true
+    (Graph.equal (Builders.path 3)
+       (Graph.of_rows ~ids ~offsets ~targets:[| 1; 0; 2; 1 |]));
+  rejects "asymmetric" ~ids ~offsets ~targets:[| 1; 0; 2; 0 |];
+  rejects "one-sided edge" ~ids ~offsets:[| 0; 1; 1; 1 |] ~targets:[| 1 |];
+  rejects "unsorted row" ~ids ~offsets ~targets:[| 1; 2; 0; 1 |];
+  rejects "self-loop" ~ids ~offsets:[| 0; 1; 1; 1 |] ~targets:[| 0 |];
+  rejects "out of range" ~ids ~offsets ~targets:[| 1; 0; 3; 1 |];
+  rejects "ids not increasing" ~ids:[| 0; 2; 1 |] ~offsets ~targets:[| 1; 0; 2; 1 |];
+  rejects "negative id" ~ids:[| -1; 1; 2 |] ~offsets ~targets:[| 1; 0; 2; 1 |];
+  rejects "offsets short" ~ids ~offsets:[| 0; 1; 3 |] ~targets:[| 1; 0; 2; 1 |];
+  rejects "offsets overrun" ~ids ~offsets:[| 0; 1; 3; 5 |] ~targets:[| 1; 0; 2; 1 |];
+  rejects "offsets decrease" ~ids ~offsets:[| 0; 3; 1; 4 |] ~targets:[| 1; 0; 2; 1 |]
+
 let suite =
   ( "csr-engine",
     [
@@ -551,4 +586,6 @@ let suite =
         extract_subgraph_induced;
       Alcotest.test_case "extract_subgraph validates selection" `Quick
         extract_subgraph_rejects;
+      Alcotest.test_case "Graph.of_rows rebuilds from csr rows" `Quick
+        of_rows_rebuilds;
     ] )

@@ -85,6 +85,174 @@ let graph6_total_prop =
           QCheck.Test.fail_reportf "decode_res raised %s on %S"
             (Printexc.to_string e) s)
 
+(* The padding bits after the last edge bit must be zero, so each
+   graph has one accepted string: "A`" and "Bx"/"B~" once decoded to
+   K2 and K3 beside their canonical "A_" and "Bw". *)
+let graph6_padding () =
+  List.iter
+    (fun s ->
+      match Graph6.decode_res s with
+      | Error msg ->
+          check (s ^ ": error names the padding") true
+            (String.starts_with ~prefix:"Graph6: padding" msg)
+      | Ok _ -> Alcotest.failf "expected rejection of %S" s)
+    [ "A`"; "Bx"; "B~" ];
+  List.iter
+    (fun s ->
+      let g = ok_or_fail s (Graph6.decode_res s) in
+      check_str (s ^ " is canonical") s (Graph6.encode g))
+    [ "?"; "@"; "A?"; "A_"; "Bw"; "B?"; "Dhc" ]
+
+(* The quadratic decoder that preceded the sparse one, kept verbatim as
+   the oracle: it walks every bit position and builds through
+   [Graph.create], and it ignores the padding bits. *)
+module Oracle = struct
+  let ( let* ) = Result.bind
+  let max_nodes = 1 lsl 20
+
+  let group s k =
+    let c = Char.code s.[k] - 63 in
+    if c < 0 || c > 63 then
+      Error (Printf.sprintf "Graph6: byte %d is not a graph6 character" k)
+    else Ok c
+
+  let decode_size s =
+    let len = String.length s in
+    if len = 0 then Error "Graph6: empty string"
+    else if s.[0] <> '~' then
+      let* n = group s 0 in
+      Ok (n, 1)
+    else if len >= 2 && s.[1] <> '~' then
+      if len < 4 then Error "Graph6: truncated 3-byte size header"
+      else
+        let* b1 = group s 1 in
+        let* b2 = group s 2 in
+        let* b3 = group s 3 in
+        let n = (b1 lsl 12) lor (b2 lsl 6) lor b3 in
+        if n < 63 then Error "Graph6: non-minimal 3-byte size header"
+        else Ok (n, 4)
+    else if len < 8 then Error "Graph6: truncated 6-byte size header"
+    else
+      let rec go k acc =
+        if k = 8 then Ok acc
+        else
+          let* b = group s k in
+          go (k + 1) ((acc lsl 6) lor b)
+      in
+      let* n = go 2 0 in
+      if n < 258048 then Error "Graph6: non-minimal 6-byte size header"
+      else Ok (n, 8)
+
+  let decode_res s =
+    let* n, off = decode_size s in
+    if n > max_nodes then
+      Error (Printf.sprintf "Graph6: n = %d exceeds the %d-node cap" n max_nodes)
+    else
+      let need = ((n * (n - 1) / 2) + 5) / 6 in
+      if String.length s <> off + need then
+        Error
+          (Printf.sprintf "Graph6: expected %d data bytes, got %d" need
+             (String.length s - off))
+      else
+        let rec check k =
+          if k = String.length s then Ok ()
+          else
+            let* _ = group s k in
+            check (k + 1)
+        in
+        let* () = check off in
+        let bit idx =
+          (Char.code s.[off + (idx / 6)] - 63) lsr (5 - (idx mod 6)) land 1 = 1
+        in
+        let edges = ref [] in
+        let idx = ref 0 in
+        for j = 1 to n - 1 do
+          for i = 0 to j - 1 do
+            if bit !idx then edges := (i, j) :: !edges;
+            incr idx
+          done
+        done;
+        Ok (Graph.create ~nodes:(List.init n Fun.id) ~edges:!edges)
+end
+
+(* Random graphs on 0..200 nodes (crossing the 62/63 header boundary),
+   from empty to complete, as their encodings and as 1-3 byte edits of
+   them: substitutions inside and outside the 63..126 alphabet (often
+   on the last byte, where the padding lives), deletions and
+   insertions. *)
+let gen_graph6_input =
+  QCheck.Gen.(
+    let* n = oneof [ int_range 0 200; int_range 58 68; int_range 0 8 ] in
+    let* p = oneofl [ 0.; 0.005; 0.02; 0.1; 0.5; 0.9; 1. ] in
+    let* g =
+      fun st ->
+        let edges = ref [] in
+        for j = 1 to n - 1 do
+          for i = 0 to j - 1 do
+            if Random.State.float st 1. < p then edges := (i, j) :: !edges
+          done
+        done;
+        Graph.create ~nodes:(List.init n Fun.id) ~edges:!edges
+    in
+    let edit s =
+      let len = String.length s in
+      let* pos =
+        if len = 0 then return 0
+        else frequency [ (3, int_bound (len - 1)); (1, return (len - 1)) ]
+      in
+      let* c =
+        frequency
+          [
+            (4, map Char.chr (int_range 63 126)); (1, map Char.chr (int_bound 255));
+          ]
+      in
+      frequency
+        [
+          ( 6,
+            return
+              (if len = 0 then s
+               else String.mapi (fun k x -> if k = pos then c else x) s) );
+          ( 1,
+            return
+              (if len = 0 then s
+               else String.sub s 0 pos ^ String.sub s (pos + 1) (len - pos - 1))
+          );
+          ( 1,
+            return
+              (String.sub s 0 pos ^ String.make 1 c ^ String.sub s pos (len - pos))
+          );
+        ]
+    in
+    let s = Graph6.encode g in
+    let* edits = int_range 1 3 in
+    let rec apply k s = if k = 0 then return s else edit s >>= apply (k - 1) in
+    let* mutated = apply edits s in
+    return (s, mutated))
+
+(* Equal graphs or identical errors, except where the oracle ignored
+   set padding bits: there the string is the oracle's graph's encoding
+   with bits added to the last byte. Every accepted string is the
+   encoding of what it decodes to. *)
+let graph6_differential_prop =
+  QCheck.Test.make ~name:"graph6 decode_res = quadratic oracle" ~count:400
+    (QCheck.make
+       ~print:(fun (s, m) -> Printf.sprintf "%S / %S" s m)
+       gen_graph6_input)
+    (fun (s, mutated) ->
+      List.for_all
+        (fun s ->
+          match (Oracle.decode_res s, Graph6.decode_res s) with
+          | Ok g, Ok g' -> Graph.equal g g' && Graph6.encode g' = s
+          | Error e, Error e' -> e = e'
+          | Ok g, Error e when String.starts_with ~prefix:"Graph6: padding" e ->
+              let canon = Graph6.encode g and last = String.length s - 1 in
+              String.length canon = String.length s
+              && String.sub canon 0 last = String.sub s 0 last
+              && canon <> s
+          | Ok _, Error e -> QCheck.Test.fail_reportf "new decoder: %s" e
+          | Error e, Ok _ -> QCheck.Test.fail_reportf "oracle only: %s" e)
+        [ s; mutated ])
+
 (* ------------------------------------------------------------------ *)
 (* Frame round-trips over random messages. *)
 
@@ -945,6 +1113,8 @@ let suite =
       QCheck_alcotest.to_alcotest graph6_roundtrip_prop;
       Alcotest.test_case "graph6 rejects malformed" `Quick graph6_rejects;
       QCheck_alcotest.to_alcotest graph6_total_prop;
+      Alcotest.test_case "graph6 rejects set padding bits" `Quick graph6_padding;
+      QCheck_alcotest.to_alcotest graph6_differential_prop;
       QCheck_alcotest.to_alcotest request_roundtrip_prop;
       QCheck_alcotest.to_alcotest response_roundtrip_prop;
       Alcotest.test_case "header rejects malformed" `Quick header_rejects;
