@@ -163,44 +163,70 @@ let m_rejects = Obs.Metrics.counter "simulator.verifier_rejects"
 let m_decode_errors = Obs.Metrics.counter "simulator.decode_errors"
 let m_eval_ns = Obs.Metrics.counter "simulator.eval_ns"
 
+(* Two constructors make this one type. [compile] starts from an
+   instance, which is both the label source and the instance a prover
+   reads. [compile_csr] starts from bare rows: no labels, no globals,
+   and no instance until a prover asks for one. That instance is a
+   pure function of the rows, so the first caller builds it and
+   publishes it with one compare-and-set; domains racing on a shared
+   image may each build it, and all get the published one. (A
+   [Lazy.t] would raise [Lazy.Undefined] when two domains force it.) *)
 type compiled = {
-  inst : Instance.t;
+  labels : Instance.t option;  (* what views read labels and globals from *)
+  inst : Instance.t option Atomic.t;
   csr : Csr.t;
   static_bits : int array;
       (* per dense index: record_bits minus the proof contribution,
          i.e. everything that does not change between proofs *)
 }
 
-let compile inst =
-  let build () =
-    let g = Instance.graph inst in
-    let csr = Csr.of_graph g in
-    let static_bits =
-      Array.init (Csr.n csr) (fun i ->
-          let v = Csr.node csr i in
-          let edge =
-            Graph.fold_neighbours
-              (fun u acc -> acc + Bits.length (Instance.edge_label inst v u) + 64)
-              g v 64
-          in
-          Bits.length (Instance.node_label inst v)
-          + edge
-          + (64 * (1 + Csr.degree csr i)))
-    in
-    { inst; csr; static_bits }
-  in
+let counted build =
   Obs.Metrics.incr m_compiles;
   if Obs.Trace.on () then Obs.Trace.span "simulator.compile" build
   else build ()
 
-let compiled_instance c = c.inst
-let compiled_csr c = c.csr
-let compiled_static_bits c = c.static_bits
+let compile inst =
+  counted (fun () ->
+      let g = Instance.graph inst in
+      let csr = Csr.of_graph g in
+      let static_bits =
+        Array.init (Csr.n csr) (fun i ->
+            let v = Csr.node csr i in
+            let edge =
+              Graph.fold_neighbours
+                (fun u acc -> acc + Bits.length (Instance.edge_label inst v u) + 64)
+                g v 64
+            in
+            Bits.length (Instance.node_label inst v)
+            + edge
+            + (64 * (1 + Csr.degree csr i)))
+      in
+      { labels = Some inst; inst = Atomic.make (Some inst); csr; static_bits })
 
-let compiled_of_parts inst csr static_bits =
+let compiled_of_parts csr static_bits =
   if Array.length static_bits <> Csr.n csr then
     invalid_arg "Simulator.compiled_of_parts: static_bits length mismatch";
-  { inst; csr; static_bits }
+  { labels = None; inst = Atomic.make None; csr; static_bits }
+
+(* [compile]'s table on an unlabelled graph: no node or edge label
+   bits, so each record is its id, its adjacency and one 64-bit slot
+   per incident edge: 128 + 128 * deg. *)
+let compile_csr csr =
+  counted (fun () ->
+      compiled_of_parts csr
+        (Array.init (Csr.n csr) (fun i -> 128 + (128 * Csr.degree csr i))))
+
+let compiled_instance c =
+  match Atomic.get c.inst with
+  | Some inst -> inst
+  | None ->
+      let offsets, targets, ids = Csr.export c.csr in
+      let built = Some (Instance.of_graph (Graph.of_rows ~ids ~offsets ~targets)) in
+      ignore (Atomic.compare_and_set c.inst None built);
+      Option.get (Atomic.get c.inst)
+
+let compiled_csr c = c.csr
+let compiled_static_bits c = c.static_bits
 
 (* Per-proof record sizes: static part + proof length at each node. *)
 let record_sizes c proof =
@@ -212,14 +238,14 @@ let record_sizes_into c proof sizes =
     sizes.(i) <- c.static_bits.(i) + Bits.length (Proof.get proof (Csr.node c.csr i))
   done
 
-(* Windows onto [inst] and [proof] whose ball is the last [Csr.ball]
+(* Windows onto [labels] and [proof] whose ball is the last [Csr.ball]
    run on [scratch] over [csr], all on one decoding plane: nothing is
    copied, so a view is only valid until that scratch's next ball. *)
-let windows inst csr scratch proof plane ~radius =
+let windows labels csr scratch proof plane ~radius =
   let dist = Csr.node_dist csr scratch
   and neighbours = Csr.ball_neighbours csr scratch in
   fun centre_idx ->
-    View.window inst proof ~plane ~centre:(Csr.node csr centre_idx) ~radius
+    View.window labels proof ~plane ~centre:(Csr.node csr centre_idx) ~radius
       ~dist ~neighbours
 
 (* Run one bounded BFS and return the ball's size. With [acct = (sizes,
@@ -257,7 +283,7 @@ let view_at c proof ~radius v =
   let s = Csr.scratch ball in
   let centre_idx = Csr.index ball v in
   ignore (Csr.ball ball s ~centre:centre_idx ~radius);
-  windows c.inst ball s proof (View.plane (Csr.index ball)) ~radius centre_idx
+  windows c.labels ball s proof (View.plane (Csr.index ball)) ~radius centre_idx
 
 (* --- arena: per-domain buffers reused across verification runs ------- *)
 
@@ -367,7 +393,7 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
     if not early_exit then verdicts.(j) <- ok
   in
   let range scratch lo hi =
-    let window = windows c.inst c.csr scratch proof plane ~radius in
+    let window = windows c.labels c.csr scratch proof plane ~radius in
     let j = ref lo in
     while !j < hi && not (early_exit && Atomic.get rejected) do
       process scratch window !j;
@@ -404,9 +430,8 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
   in
   (verdicts, Atomic.get rejected, max_payload)
 
-let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
+let run_compiled ?(jobs = 1) ?arena c proof ~radius verifier =
   if radius < 0 then invalid_arg "Simulator.run_verifier: negative radius";
-  let c = match compiled with Some c -> c | None -> compile inst in
   let verdicts, _, max_message_bits =
     sweep ~jobs ?arena ~transcript:true ~span:"simulator.run_verifier" c proof
       ~radius verifier
@@ -418,6 +443,10 @@ let run_verifier ?(jobs = 1) ?compiled ?arena inst proof ~radius verifier =
      [gather] counts, without re-running the exchange. *)
   ( List.init (Csr.n c.csr) (fun i -> (Csr.node c.csr i, verdicts.(i))),
     { rounds = radius; messages_sent = radius * 2 * Csr.m c.csr; max_message_bits } )
+
+let run_verifier ?jobs ?compiled ?arena inst proof ~radius verifier =
+  let c = match compiled with Some c -> c | None -> compile inst in
+  run_compiled ?jobs ?arena c proof ~radius verifier
 
 (* Partition shards verify only their owned nodes. No transcript — a
    shard's exchange accounting is the whole graph's business, not the

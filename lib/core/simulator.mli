@@ -12,9 +12,10 @@
     Two implementations coexist:
     - {!gather} / {!run_verifier_reference} — the persistent-map
       round-by-round exchange, kept verbatim as the semantic reference;
-    - the compiled fast path — {!run_verifier}, {!run_verifier_on} and
-      {!all_accept} — which compiles the instance to a {!Csr.t} once
-      and runs one private sweep: a bounded scratch BFS per node, the
+    - the compiled fast path — {!run_verifier} ({!run_compiled} on
+      an image alone), {!run_verifier_on} and {!all_accept} — which
+      compiles the graph to a {!Csr.t} once and runs one private
+      sweep: a bounded scratch BFS per node, the
       verifier on a window over it, and (for {!run_verifier}) the
       reference transcript in closed form. The three differ only in
       which nodes the sweep visits and whether it stops at the first
@@ -50,15 +51,36 @@ val run_verifier_reference :
 (** {1 Compiled fast path} *)
 
 type compiled
-(** An instance compiled for repeated verification: the CSR image of
-    its graph plus per-node message-size tables. Immutable — safe to
-    share across domains and reuse for any number of proofs. *)
+(** A graph compiled for repeated verification: its CSR image plus
+    per-node message-size tables, and where views read labels and
+    globals. Immutable as far as any caller can tell — safe to share
+    across domains and reuse for any number of proofs.
+
+    Two constructors make it. {!compile} starts from an instance,
+    which then labels every view and is what {!compiled_instance}
+    returns. {!compile_csr} starts from a bare graph's CSR image, the
+    daemon's whole miss path: every label and the globals read empty,
+    and no {!Graph.t} or {!Instance.t} exists until
+    {!compiled_instance} first asks for one. A verifier sweep never
+    asks. *)
 
 val compile : Instance.t -> compiled
 (** O(n + m); build once per instance, reuse across all nodes, proofs
     and samples. *)
 
+val compile_csr : Csr.t -> compiled
+(** The image of the unlabelled graph the CSR describes, in O(n): the
+    same CSR, the same [static_bits] ([128 + 128 * deg] per node), so
+    the same verdicts and transcripts as
+    [compile (Instance.of_graph g)] on that graph. Counted and traced
+    as a compile. *)
+
 val compiled_instance : compiled -> Instance.t
+(** The instance a prover reads. For a {!compile_csr} image the first
+    call builds it from the CSR rows, O(n + m) plus the persistent
+    sets, and publishes it with one compare-and-set; concurrent first
+    calls from several domains may each build it, never raise, and
+    all return the published one. Later calls return it at once. *)
 
 val compiled_csr : compiled -> Csr.t
 (** The underlying CSR image — what the daemon's disk cache persists.
@@ -68,13 +90,12 @@ val compiled_static_bits : compiled -> int array
 (** Per-dense-index proof-independent record sizes (same order as the
     CSR's dense indices). Read-only, like {!compiled_csr}. *)
 
-val compiled_of_parts : Instance.t -> Csr.t -> int array -> compiled
-(** Reassemble a [compiled] from persisted parts {e without}
-    recompiling. The caller warrants that [csr] is the CSR image of
-    the instance's graph and [static_bits] its matching table (the
-    disk cache guarantees this by rebuilding the instance from the
-    CSR itself); only the array length is checked ([Invalid_argument]
-    on mismatch). *)
+val compiled_of_parts : Csr.t -> int array -> compiled
+(** Reassemble a bare-graph image, as {!compile_csr} makes, from
+    persisted parts {e without} recomputing the table and without
+    counting a compile. The caller warrants that [static_bits] is
+    [csr]'s table (the disk cache stores it under a checksum); only
+    the array length is checked ([Invalid_argument] on mismatch). *)
 
 (** {1 Arenas}
 
@@ -121,6 +142,18 @@ val run_verifier :
     {!compile} of the same instance, and [?arena] (sequential runs
     only — ignored when [jobs > 1]) to reuse per-run buffers across
     calls; verdicts are also independent of the arena. *)
+
+val run_compiled :
+  ?jobs:int ->
+  ?arena:arena ->
+  compiled ->
+  Proof.t ->
+  radius:int ->
+  (View.t -> bool) ->
+  (Graph.node * bool) list * transcript
+(** {!run_verifier} on a compiled image alone: the same sweep, verdicts
+    and transcript, without an instance to name (a {!compile_csr}
+    image's instance is never built for it). *)
 
 val run_verifier_on :
   ?jobs:int ->

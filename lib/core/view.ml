@@ -12,7 +12,9 @@ type t = {
   plane : plane;
   centre : Graph.node;
   radius : int;
-  inst : Instance.t; (* the whole enclosing instance *)
+  labels : Instance.t option;
+      (* where labels and globals are read: the whole enclosing
+         instance, or [None] for a bare graph, whose all read empty *)
   proof : Proof.t; (* the whole proof *)
   dist : Graph.node -> int; (* -1 outside the ball *)
   nbrs : Graph.node -> Graph.node list; (* ball node's in-ball neighbours *)
@@ -21,7 +23,7 @@ type t = {
 
 (* The ball is what a walk over in-ball neighbours reaches from the
    centre; the graph built along the way is exactly G[v,r]. *)
-let materialize inst ~centre ~nbrs =
+let materialize labels ~centre ~nbrs =
   let seen = Hashtbl.create 16 in
   let rec visit g u =
     if Hashtbl.mem seen u then g
@@ -34,30 +36,33 @@ let materialize inst ~centre ~nbrs =
     end
   in
   let sub_graph = visit Graph.empty centre in
-  let sub = Instance.on_graph inst sub_graph in
-  let sub =
-    Graph.fold_nodes
-      (fun v acc ->
-        let l = Instance.node_label inst v in
-        if Bits.length l > 0 then Instance.with_node_label acc v l else acc)
-      sub_graph sub
-  in
-  Graph.fold_edges
-    (fun u v acc ->
-      let l = Instance.edge_label inst u v in
-      if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
-    sub_graph sub
+  match labels with
+  | None -> Instance.of_graph sub_graph
+  | Some inst ->
+      let sub = Instance.on_graph inst sub_graph in
+      let sub =
+        Graph.fold_nodes
+          (fun v acc ->
+            let l = Instance.node_label inst v in
+            if Bits.length l > 0 then Instance.with_node_label acc v l else acc)
+          sub_graph sub
+      in
+      Graph.fold_edges
+        (fun u v acc ->
+          let l = Instance.edge_label inst u v in
+          if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
+        sub_graph sub
 
-let window inst proof ~plane ~centre ~radius ~dist ~neighbours =
+let window labels proof ~plane ~centre ~radius ~dist ~neighbours =
   {
     plane;
     centre;
     radius;
-    inst;
+    labels;
     proof;
     dist;
     nbrs = neighbours;
-    sub = lazy (materialize inst ~centre ~nbrs:neighbours);
+    sub = lazy (materialize labels ~centre ~nbrs:neighbours);
   }
 
 let make inst proof ~centre ~radius =
@@ -74,7 +79,7 @@ let make inst proof ~centre ~radius =
   let dist u = match Hashtbl.find_opt dists u with Some (d, _) -> d | None -> -1 in
   let neighbours u = List.filter (fun w -> Hashtbl.mem dists w) (Graph.neighbours g u) in
   let plane = plane (fun u -> snd (Hashtbl.find dists u)) in
-  window inst proof ~plane ~centre ~radius ~dist ~neighbours
+  window (Some inst) proof ~plane ~centre ~radius ~dist ~neighbours
 
 let in_ball v u = v.dist u >= 0
 let centre v = v.centre
@@ -118,13 +123,23 @@ let decoded c v u =
         a.(i) <- Cell (v.plane.stamp, x);
         x
 
-let label_of v u = if in_ball v u then Instance.node_label v.inst u else Bits.empty
+let label_of v u =
+  match v.labels with
+  | Some inst when in_ball v u -> Instance.node_label inst u
+  | _ -> Bits.empty
 
 let edge_label_of v a b =
-  if in_ball v a && in_ball v b then Instance.edge_label v.inst a b else Bits.empty
+  match v.labels with
+  | Some inst when in_ball v a && in_ball v b -> Instance.edge_label inst a b
+  | _ -> Bits.empty
 
-let arc_exists v a b = in_ball v a && in_ball v b && Instance.arc_exists v.inst a b
-let globals v = Instance.globals v.inst
+let arc_exists v a b =
+  match v.labels with
+  | Some inst -> in_ball v a && in_ball v b && Instance.arc_exists inst a b
+  | None -> false
+
+let globals v =
+  match v.labels with Some inst -> Instance.globals inst | None -> Bits.empty
 
 let neighbours v u =
   if in_ball v u then v.nbrs u

@@ -6,12 +6,12 @@
     is what the lower-bound gluing arguments exploit.
 
     A view is a window onto the enclosing instance and proof, not a
-    copy: it holds the whole {!Instance.t} and {!Proof.t} together with
-    the ball's distance function and in-ball adjacency, and every
-    accessor answers by reading through them, masking what lies outside
-    the ball. The sub-instance [G[v,r]] with its labels is built only
-    when {!graph}, {!instance} or {!equal} asks for it, and then once
-    per view.
+    copy: it holds the enclosing instance's labels and the whole
+    {!Proof.t} together with the ball's distance function and in-ball
+    adjacency, and every accessor answers by reading through them,
+    masking what lies outside the ball. The sub-instance [G[v,r]] with
+    its labels is built only when {!graph}, {!instance} or {!equal}
+    asks for it, and then once per view.
 
     Decoded certificates live on a {e plane}: a stamp naming one proof
     over one graph, plus that graph's node -> dense index map. A
@@ -36,7 +36,7 @@ val make :
 (** Direct extraction of [(G[v,r], labels[v,r], P[v,r], v)]. *)
 
 val window :
-  Instance.t ->
+  Instance.t option ->
   Proof.t ->
   plane:plane ->
   centre:Graph.node ->
@@ -44,8 +44,12 @@ val window :
   dist:(Graph.node -> int) ->
   neighbours:(Graph.node -> Graph.node list) ->
   t
-(** The window constructor behind {!make}: [dist u] must be [u]'s
-    distance from [centre] when it is at most [radius] and [-1]
+(** The window constructor behind {!make}. The first argument is where
+    labels and globals are read: the enclosing instance, or [None] for
+    a bare graph, on which every label, edge label, arc and the
+    globals read empty. The window never reads that instance's graph,
+    only the ball [dist] and [neighbours] describe. [dist u] must be
+    [u]'s distance from [centre] when it is at most [radius] and [-1]
     otherwise, and [neighbours u], for a node [u] of the ball, its
     neighbours inside the ball in increasing order. Nothing is copied,
     so the view reads whatever the two functions read when it is

@@ -174,36 +174,16 @@ let extract_subgraph t sel =
   let ids = Array.map (fun old -> t.ids.(old)) sorted in
   ({ n = k; m = Array.length targets / 2; offsets; targets; ids }, sorted)
 
-(* --- raw image access (disk-cache serialisation) ---------------------- *)
+(* --- raw image access (graph6 decode, disk-cache serialisation) ------ *)
 
 let export t = (t.offsets, t.targets, t.ids)
 
-(* Every structural invariant of [of_graph] is re-checked, so a
-   corrupt or hand-rolled image yields [Error], never a value that
-   crashes [ball] later. *)
-let import ~offsets ~targets ~ids =
-  let n = Array.length ids in
-  let e fmt = Printf.ksprintf Result.error fmt in
-  if Array.length offsets <> n + 1 then
-    e "offsets length %d, want %d" (Array.length offsets) (n + 1)
-  else if offsets.(0) <> 0 then e "offsets must start at 0"
-  else if Array.length targets mod 2 <> 0 then
-    e "odd target count %d" (Array.length targets)
-  else begin
-    let ok = ref (Ok ()) in
-    for i = 0 to n - 1 do
-      if !ok = Ok () && offsets.(i + 1) < offsets.(i) then
-        ok := e "offsets decrease at row %d" i;
-      if !ok = Ok () && i > 0 && ids.(i) <= ids.(i - 1) then
-        ok := e "ids not strictly increasing at %d" i
-    done;
-    if !ok = Ok () && n > 0 && ids.(0) < 0 then ok := e "negative node id";
-    if !ok = Ok () && offsets.(n) <> Array.length targets then
-      ok := e "offsets end at %d, want %d" offsets.(n) (Array.length targets);
-    Array.iter
-      (fun u -> if !ok = Ok () && (u < 0 || u >= n) then ok := e "target %d out of range" u)
-      targets;
-    match !ok with
-    | Error _ as err -> err
-    | Ok () -> Ok { n; m = Array.length targets / 2; offsets; targets; ids }
-  end
+(* The one constructor for rows from outside the process: every
+   invariant [of_graph] establishes is checked, so corrupt bytes yield
+   [Error], never a value that crashes [ball] or describes an
+   asymmetric graph later. *)
+let of_rows ~ids ~offsets ~targets =
+  match Graph.check_rows ~ids ~offsets ~targets with
+  | Error _ as e -> e
+  | Ok () ->
+      Ok { n = Array.length ids; m = Array.length targets / 2; offsets; targets; ids }

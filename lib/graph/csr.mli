@@ -1,4 +1,6 @@
-(** Dense compressed-sparse-row (CSR) compilation of a {!Graph.t}.
+(** Dense compressed-sparse-row (CSR) image of a graph, compiled from
+    a {!Graph.t} ({!of_graph}) or checked in from raw rows
+    ({!of_rows}).
 
     The persistent [IntSet.t IntMap.t] representation behind {!Graph.t}
     is the right tool for the gluing and relabelling constructions, but
@@ -101,20 +103,22 @@ val extract_subgraph : t -> int array -> t * int array
 
 (** {1 Raw image access}
 
-    The disk cache persists a compiled graph as its three arrays and
-    rebuilds it without re-running {!of_graph} (or the graph6 decode
-    that precedes it). *)
+    The graph6 decoder builds an image straight from the rows it
+    scans, and the disk cache persists an image as its three arrays
+    and rebuilds it; neither goes through a {!Graph.t}. *)
 
 val export : t -> int array * int array * int array
 (** [(offsets, targets, ids)] — aliases of the live arrays; callers
     must not mutate them. *)
 
-val import :
+val of_rows :
+  ids:int array ->
   offsets:int array ->
   targets:int array ->
-  ids:int array ->
   (t, string) result
-(** Rebuild a CSR image from raw arrays, re-validating every
-    structural invariant ([of_graph]'s postconditions); [Error] on any
-    violation, so bytes from a corrupt cache file cannot become a
-    value that faults later. *)
+(** An image over raw arrays in {!export}'s layout, kept without a
+    copy. O(n + m): [Error] unless the rows pass {!Graph.check_rows}
+    (ids non-negative and strictly increasing, offsets framing the
+    targets, every row strictly increasing, in range, loop-free and
+    mirrored), so bytes from a corrupt cache file or a hostile frame
+    cannot become a value that faults later. *)

@@ -88,34 +88,44 @@ let create ~nodes ~edges =
 let of_edges es =
   List.fold_left (fun g (u, v) -> add_edge g u v) empty es
 
-(* One validation pass, then one set per row and one map: no
-   per-edge persistent insert. Symmetry is one cursor per row: walking
-   rows in increasing [i], the rows that list [j] arrive in the order
-   row [j] lists them, so each entry must meet [i] at [j]'s cursor. A
-   row's entries are each matched once, so no cursor can end short. *)
-let of_rows ~ids ~offsets ~targets =
+(* Symmetry is one cursor per row: walking rows in increasing [i], the
+   rows that list [j] arrive in the order row [j] lists them, so each
+   entry must meet [i] at [j]'s cursor. A row's entries are each
+   matched once, so no cursor can end short. *)
+let check_rows ~ids ~offsets ~targets =
   let n = Array.length ids in
-  let bad what = invalid_arg ("Graph.of_rows: " ^ what) in
-  if Array.length offsets <> n + 1 || offsets.(0) <> 0
-     || offsets.(n) <> Array.length targets
-  then bad "offsets do not frame targets";
-  for i = 0 to n - 1 do
-    if ids.(i) < 0 || (i > 0 && ids.(i) <= ids.(i - 1)) then
-      bad "ids not non-negative and strictly increasing";
-    if offsets.(i + 1) < offsets.(i) then bad "offsets decrease"
-  done;
-  let cursor = Array.sub offsets 0 n in
-  for i = 0 to n - 1 do
-    for k = offsets.(i) to offsets.(i + 1) - 1 do
-      let j = targets.(k) in
-      if j < 0 || j >= n || j = i then bad "target out of range or self-loop";
-      if k > offsets.(i) && j <= targets.(k - 1) then
-        bad "row not strictly increasing";
-      let c = cursor.(j) in
-      if c >= offsets.(j + 1) || targets.(c) <> i then bad "rows not symmetric";
-      cursor.(j) <- c + 1
-    done
-  done;
+  let exception Bad of string in
+  let bad what = raise (Bad what) in
+  try
+    if Array.length offsets <> n + 1 || offsets.(0) <> 0
+       || offsets.(n) <> Array.length targets
+    then bad "offsets do not frame targets";
+    for i = 0 to n - 1 do
+      if ids.(i) < 0 || (i > 0 && ids.(i) <= ids.(i - 1)) then
+        bad "ids not non-negative and strictly increasing";
+      if offsets.(i + 1) < offsets.(i) then bad "offsets decrease"
+    done;
+    let cursor = Array.sub offsets 0 n in
+    for i = 0 to n - 1 do
+      for k = offsets.(i) to offsets.(i + 1) - 1 do
+        let j = targets.(k) in
+        if j < 0 || j >= n || j = i then bad "target out of range or self-loop";
+        if k > offsets.(i) && j <= targets.(k - 1) then
+          bad "row not strictly increasing";
+        let c = cursor.(j) in
+        if c >= offsets.(j + 1) || targets.(c) <> i then bad "rows not symmetric";
+        cursor.(j) <- c + 1
+      done
+    done;
+    Ok ()
+  with Bad what -> Error what
+
+(* After the check, one set per row and one map: no per-edge
+   persistent insert. *)
+let of_rows ~ids ~offsets ~targets =
+  (match check_rows ~ids ~offsets ~targets with
+  | Ok () -> ()
+  | Error what -> invalid_arg ("Graph.of_rows: " ^ what));
   let row i =
     let rec go k acc =
       if k < offsets.(i) then acc else go (k - 1) (ids.(targets.(k)) :: acc)
@@ -123,7 +133,7 @@ let of_rows ~ids ~offsets ~targets =
     IntSet.of_list (go (offsets.(i + 1) - 1) [])
   in
   let adj = ref IntMap.empty in
-  for i = 0 to n - 1 do
+  for i = 0 to Array.length ids - 1 do
     adj := IntMap.add ids.(i) (row i) !adj
   done;
   { adj = !adj; m = Array.length targets / 2 }

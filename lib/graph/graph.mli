@@ -20,16 +20,22 @@ val create : nodes:node list -> edges:(node * node) list -> t
 val of_edges : (node * node) list -> t
 (** [of_edges es] is [create] with the node set implied by [es]. *)
 
+val check_rows :
+  ids:node array -> offsets:int array -> targets:int array -> (unit, string) result
+(** The structural check on sorted adjacency rows in the layout
+    {!Csr.export} returns (node [ids.(i)] is adjacent to
+    [ids.(targets.(k))] for [k] in [offsets.(i) .. offsets.(i+1) - 1]):
+    [Ok ()] exactly when [ids] is non-negative and strictly increasing,
+    [offsets] frames [targets], and every row is strictly increasing,
+    in range, loop-free and mirrored by the row it names. O(n + m);
+    [Error] names the first violation. Rows from outside the process
+    pass it once, in {!Csr.of_rows}. *)
+
 val of_rows : ids:node array -> offsets:int array -> targets:int array -> t
-(** [of_rows ~ids ~offsets ~targets] builds a graph from sorted
-    adjacency rows in the layout {!Csr.export} returns: node [ids.(i)]
-    is adjacent to [ids.(targets.(k))] for [k] in
-    [offsets.(i) .. offsets.(i+1) - 1]. O(n + m) checks, then one set
-    per row and one map, with no per-edge insert. Raises
-    [Invalid_argument] unless [ids] is non-negative and strictly
-    increasing, [offsets] frames [targets], and every row is strictly
-    increasing, in range, loop-free and mirrored by the row it names,
-    so no input yields an asymmetric graph. *)
+(** [of_rows ~ids ~offsets ~targets] builds the graph of rows that pass
+    {!check_rows}, with one set per row and one map and no per-edge
+    insert; raises [Invalid_argument] naming the violation otherwise,
+    so no input yields an asymmetric graph. O(n + m) plus the sets. *)
 
 val empty : t
 val is_empty : t -> bool

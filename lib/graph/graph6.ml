@@ -17,8 +17,11 @@
 
    Decoding costs O(bytes/8 + n + m), not O(n^2): runs of '?' (six
    zero bits each) are skipped a word at a time, each set bit maps to
-   its pair by advancing the column incrementally, and the graph is
-   built in bulk from sorted rows ({!Graph.of_rows}). The padding bits
+   its pair by advancing the column incrementally, and the two scans
+   leave sorted adjacency rows. [decode_csr] checks those rows into a
+   {!Csr.t} and builds nothing else, which is all a verifier reads;
+   [decode_res] builds the persistent {!Graph.t} from them
+   ({!Graph.of_rows}). The padding bits
    after the last edge bit must be zero, so every graph has exactly one
    accepted string, the one [encode] writes; the daemon's cache keys on
    that string. *)
@@ -154,8 +157,8 @@ let scan s off nbits f =
    first validates and counts degrees, the second fills the rows.
    Column [j] lists row [j]'s lower neighbours in increasing order
    before any later column appends a higher one, so each row comes
-   out sorted. *)
-let decode_res s =
+   out sorted. Returns the node ids [0 .. n-1] with the rows. *)
+let decode_rows s =
   let* n, off = decode_size s in
   if n > max_nodes then
     Error (Printf.sprintf "Graph6: n = %d exceeds the %d-node cap" n max_nodes)
@@ -190,7 +193,15 @@ let decode_res s =
             fill.(j) <- fill.(j) + 1
           in
           ignore (scan s off nbits place);
-          Ok (Graph.of_rows ~ids:(Array.init n Fun.id) ~offsets ~targets)
+          Ok (Array.init n Fun.id, offsets, targets)
+
+let decode_csr s =
+  let* ids, offsets, targets = decode_rows s in
+  Csr.of_rows ~ids ~offsets ~targets
+
+let decode_res s =
+  let* ids, offsets, targets = decode_rows s in
+  Ok (Graph.of_rows ~ids ~offsets ~targets)
 
 let decode s =
   match decode_res s with Ok g -> g | Error msg -> invalid_arg msg

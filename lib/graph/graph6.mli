@@ -20,8 +20,15 @@ val decode_res : string -> (Graph.t, string) result
     alphabet, truncated or non-minimal size headers, n over the cap,
     set padding bits after the last edge bit — is an [Error], never an
     exception; a bad byte is named by its index. This is the entry
-    point for untrusted network bytes. Costs O(bytes/8 + n + m): runs
-    of ['?'] are skipped eight bytes at a time and the graph is built
-    from sorted rows. Every accepted [s] satisfies
-    [encode (decode s) = s], so one graph has one string. *)
+    point for untrusted bytes that a {!Graph.t} is wanted for. Costs
+    O(bytes/8 + n + m): runs of ['?'] are skipped eight bytes at a
+    time and the graph is built from sorted rows. Every accepted [s]
+    satisfies [encode (decode s) = s], so one graph has one string. *)
+
+val decode_csr : string -> (Csr.t, string) result
+(** The same bytes to the same graph, as a {!Csr.t} on ids
+    [0 .. n-1], through the same scans and with the same errors as
+    {!decode_res}, but building no {!Graph.t}: the rows are checked
+    ({!Csr.of_rows}) and kept as they are. The daemon serves every
+    cache miss from this. *)
 

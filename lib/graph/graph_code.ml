@@ -23,10 +23,15 @@ let encode g =
 let decode bits =
   let c = Bits.Reader.of_bits bits in
   let n = Bits.Reader.int_gamma c in
+  (* a zero delta after the first id would repeat an identifier, and
+     the matrix would then name a self-loop *)
   let rec read_ids acc prev i =
     if i = n then List.rev acc
     else
-      let v = prev + Bits.Reader.int_gamma c in
+      let d = Bits.Reader.int_gamma c in
+      if i > 0 && d = 0 then
+        raise (Bits.Reader.Decode_error "Graph_code: repeated identifier");
+      let v = prev + d in
       read_ids (v :: acc) v (i + 1)
   in
   let ids = read_ids [] 0 0 in

@@ -100,9 +100,8 @@ let verify ?jobs ?arena t compiled proof ~seed ~queries =
   if probe.accepted then { probe; final = None }
   else
     let verdicts, _ =
-      Simulator.run_verifier ?jobs ~compiled ?arena
-        (Simulator.compiled_instance compiled)
-        proof ~radius:t.base.Scheme.radius t.base.Scheme.verifier
+      Simulator.run_compiled ?jobs ?arena compiled proof
+        ~radius:t.base.Scheme.radius t.base.Scheme.verifier
     in
     { probe; final = Some (Simulator.rejecting verdicts) }
 

@@ -4,9 +4,9 @@
    {!Simulator.compiled} without touching graph6: the raw CSR arrays,
    the static record-size table, and the original scheme/graph6 bytes
    for identity checking. A restarted daemon mmaps the file, verifies
-   the checksum and the identity fields, rebuilds the instance from
-   the CSR rows in bulk ({!Graph.of_rows}: O(n + m), no graph6
-   decode, no [Simulator.compile]) and serves warm.
+   the checksum and the identity fields, checks the CSR rows
+   ({!Csr.of_rows}: O(n + m), no graph6 decode, no
+   [Simulator.compile], no {!Graph.t}) and serves warm.
 
    Layout (all integers big-endian u64 unless noted):
 
@@ -22,8 +22,8 @@
      end-8  u64 checksum    FNV-1a (62-bit) over every preceding byte
 
    Loads are total: any IO error, bad magic, short file, checksum or
-   identity mismatch, or structural violation caught by {!Csr.import}
-   yields [None] and the caller falls back to compiling. Stores are
+   identity mismatch, or structural violation caught by {!Csr.of_rows}
+   (asymmetric, unsorted or self-looped rows included) yields [None] and the caller falls back to compiling. Stores are
    best-effort (write to a temp file, then rename into place, so a
    concurrent loader never sees a half-written image) and never raise. *)
 
@@ -209,11 +209,9 @@ let decode mp ~scheme ~graph6 =
   let ids = r_u64_array mp n in
   let static_bits = r_u64_array mp n in
   if mp.pos <> dim - 8 then raise (Bad "trailing bytes before checksum");
-  match Csr.import ~offsets ~targets ~ids with
+  match Csr.of_rows ~ids ~offsets ~targets with
   | Error e -> raise (Bad e)
-  | Ok csr ->
-      let inst = Instance.of_graph (Graph.of_rows ~ids ~offsets ~targets) in
-      Simulator.compiled_of_parts inst csr static_bits
+  | Ok csr -> Simulator.compiled_of_parts csr static_bits
 
 let load ~dir ~key ~scheme ~graph6 =
   let file = path ~dir key in

@@ -31,7 +31,9 @@ val load :
   Simulator.compiled option
 (** [Some compiled] only if the file exists, its checksum and stored
     (scheme, graph6) identity match, and every structural invariant
-    re-validates ({!Csr.import}). *)
+    re-validates ({!Csr.of_rows}: framing, ranges, sorted loop-free
+    rows, symmetry). The image is a bare graph's, as
+    {!Simulator.compile_csr} makes; no {!Graph.t} is built. *)
 
 type counts = { hits : int; misses : int; invalid : int }
 

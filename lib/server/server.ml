@@ -20,10 +20,14 @@
    accepts exactly one graph6 string per labelled graph (set padding
    bits are rejected), so the digest is a canonical hash of exactly
    what verification consumes; a hit skips both the O(bytes/8 + n + m)
-   graph6 decode and the compile. Two workers missing
-   on the same key may compile twice — harmless, the second insert
-   wins — and the cache is serialised by one mutex held only around
-   table operations, never around a compile.
+   graph6 decode and the compile. A miss goes from the bytes to sorted
+   rows to the image ({!Graph6.decode_csr}, {!Simulator.compile_csr})
+   and builds no {!Graph.t}: verify, sampled, shard and disk-tier
+   paths read only the CSR, and a prove builds the instance once per
+   image, on demand ({!Simulator.compiled_instance}). Two workers
+   missing on the same key may compile twice — harmless, the second
+   insert wins — and the cache is serialised by one mutex held only
+   around table operations, never around a compile.
 
    Telemetry: every request carries a correlation id — the client's
    own or one the server allocates — stamped on the
@@ -288,7 +292,7 @@ let err = Frame_server.err
 
 (* Resolve the scheme, then the compiled image — memory tier (LRU),
    disk tier (mmap-validated image, when [cache_dir] is set), or by
-   running [decode] + compiling — and hand both to [f]. A compile also
+   running [decode] to a CSR image + compiling — and hand both to [f]. A compile also
    warms the disk tier, so the image survives a restart. Every tier
    names the image by the request's {!Wire.identity}. *)
 let with_compiled t (ctx : ctx) (id : Wire.identity) ~decode f =
@@ -306,7 +310,7 @@ let with_compiled t (ctx : ctx) (id : Wire.identity) ~decode f =
          the memory tier *)
       let serve tier compiled =
         ctx.local.cache <- tier;
-        ctx.local.n_nodes <- Instance.n (Simulator.compiled_instance compiled);
+        ctx.local.n_nodes <- Csr.n (Simulator.compiled_csr compiled);
         if tier <> "hit" then begin
           Mutex.lock t.cache_lock;
           Lru.put t.cache key compiled;
@@ -335,30 +339,32 @@ let with_compiled t (ctx : ctx) (id : Wire.identity) ~decode f =
               Atomic.incr t.c_compile_misses;
               match decode () with
               | Error m -> err Wire.Bad_graph "%s" m
-              | Ok inst ->
+              | Ok csr ->
                   let compiled =
-                    traced "server.compile" (fun () -> Simulator.compile inst)
+                    traced "server.compile" (fun () -> Simulator.compile_csr csr)
                   in
                   if dir <> "" then
                     Diskcache.store ~dir ~key ~scheme ~graph6 compiled;
                   serve "miss" compiled)))
 
-let graph_instance graph6 () =
-  Result.map Instance.of_graph (Graph6.decode_res graph6)
+let graph_csr graph6 () = Graph6.decode_csr graph6
 
-(* Decode a shard into an instance on original identifiers: the local
-   graph (ids 0..ns-1) relabelled through the id table. The wire layer
-   already guarantees the table is strictly increasing, so the
-   relabelling is injective. *)
-let shard_instance ~graph6 ~ids () =
-  match Graph6.decode_res graph6 with
+(* Decode a shard onto its original identifiers: the local rows (ids
+   0..ns-1) keep their dense indices, and the id table becomes the
+   image's ids. The wire layer already guarantees the table is
+   strictly increasing, so the order of the rows is the order of the
+   ids and nothing is relabelled. *)
+let shard_csr ~graph6 ~ids () =
+  match Graph6.decode_csr graph6 with
   | Error _ as e -> e
-  | Ok g ->
-      if Graph.n g <> Array.length ids then
+  | Ok local ->
+      if Csr.n local <> Array.length ids then
         Error
           (Printf.sprintf "shard id table has %d entries for a %d-node graph"
-             (Array.length ids) (Graph.n g))
-      else Ok (Instance.of_graph (Graph.relabel g (fun i -> ids.(i))))
+             (Array.length ids) (Csr.n local))
+      else
+        let offsets, targets, _ = Csr.export local in
+        Csr.of_rows ~ids ~offsets ~targets
 
 let deadline_error t stage =
   Atomic.incr t.c_deadline;
@@ -376,18 +382,17 @@ let arena_key = Domain.DLS.new_key Simulator.arena
 let compute_one t ctx id req =
   match (req, id) with
   | Wire.Prove { graph6; _ }, Some id ->
-      with_compiled t ctx id ~decode:(graph_instance graph6)
+      with_compiled t ctx id ~decode:(graph_csr graph6)
         (fun entry compiled ->
           Wire.Proved
             (entry.Registry.scheme.Scheme.prover
                (Simulator.compiled_instance compiled)))
   | Wire.Verify { graph6; proof; _ }, Some id ->
-      with_compiled t ctx id ~decode:(graph_instance graph6)
+      with_compiled t ctx id ~decode:(graph_csr graph6)
         (fun entry compiled ->
           let sch = entry.Registry.scheme in
           let verdicts, _ =
-            Simulator.run_verifier ~compiled ~arena:(Domain.DLS.get arena_key)
-              (Simulator.compiled_instance compiled)
+            Simulator.run_compiled ~arena:(Domain.DLS.get arena_key) compiled
               proof ~radius:sch.Scheme.radius sch.Scheme.verifier
           in
           let rejecting = Simulator.rejecting verdicts in
@@ -395,7 +400,7 @@ let compute_one t ctx id req =
   | ( Wire.Verify_partition
         { scheme; graph6; ids; owned; proof; radius; shard_index; shard_count = _ },
       Some id ) ->
-      with_compiled t ctx id ~decode:(shard_instance ~graph6 ~ids)
+      with_compiled t ctx id ~decode:(shard_csr ~graph6 ~ids)
         (fun entry compiled ->
           let scheme_v = entry.Registry.scheme in
           let ns = Array.length ids in
@@ -403,7 +408,7 @@ let compute_one t ctx id req =
             err Wire.Bad_request
               "shard cut for radius %d, but scheme %S verifies at radius %d"
               radius scheme scheme_v.Scheme.radius
-          else if Instance.n (Simulator.compiled_instance compiled) <> ns then
+          else if Csr.n (Simulator.compiled_csr compiled) <> ns then
             (* a cache hit under the composite identity guarantees the
                image matches graph6 AND ids; sizes can only disagree if
                the identity string was forged — reject, don't crash *)
@@ -462,7 +467,7 @@ let compute_one t ctx id req =
               "budget %S does not match the server's %S for scheme %S"
               budget_id rs.Randomized_scheme.budget scheme
           else
-            with_compiled t ctx id ~decode:(graph_instance graph6)
+            with_compiled t ctx id ~decode:(graph_csr graph6)
               (fun _entry compiled ->
                 Atomic.incr t.c_sampled_requests;
                 (* a [Qview.Budget_exceeded] is a scheme bug and lands

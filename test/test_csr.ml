@@ -524,11 +524,12 @@ let extract_subgraph_rejects () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-(* The bulk constructor behind the graph6 decoder, the disk cache's
-   warm restart and the partition shards: it rebuilds every family
-   graph (non-contiguous ids included, as shard images carry them)
-   from its CSR rows, and refuses rows that would not describe a
-   simple undirected graph. *)
+(* The bulk constructor behind [Graph6.decode_res], a graph6 image's
+   instance and the partition shards: it rebuilds every family graph
+   (non-contiguous ids included, as shard images carry them) from its
+   CSR rows, and refuses rows that would not describe a simple
+   undirected graph — as does [Csr.of_rows], the one check for rows
+   from outside the process. *)
 let of_rows_rebuilds () =
   List.iter
     (fun (name, g) ->
@@ -541,7 +542,9 @@ let of_rows_rebuilds () =
     check what true
       (match Graph.of_rows ~ids ~offsets ~targets with
       | exception Invalid_argument _ -> true
-      | _ -> false)
+      | _ -> false);
+    check ("Csr.of_rows: " ^ what) true
+      (Result.is_error (Csr.of_rows ~ids ~offsets ~targets))
   in
   (* path 0-1-2 is [| 1 |; | 0; 2 |; | 1 |] *)
   let ids = [| 0; 1; 2 |] and offsets = [| 0; 1; 3; 4 |] in
@@ -558,6 +561,26 @@ let of_rows_rebuilds () =
   rejects "offsets short" ~ids ~offsets:[| 0; 1; 3 |] ~targets:[| 1; 0; 2; 1 |];
   rejects "offsets overrun" ~ids ~offsets:[| 0; 1; 3; 5 |] ~targets:[| 1; 0; 2; 1 |];
   rejects "offsets decrease" ~ids ~offsets:[| 0; 3; 1; 4 |] ~targets:[| 1; 0; 2; 1 |]
+
+(* A graph6 image has no instance until a prover asks. Two domains
+   asking at once on a fresh image may both build it; neither raises,
+   and both get the one that was published. *)
+let compiled_instance_two_domains () =
+  let g = Random_graphs.connected_gnp (st 41) 600 (6.0 /. 600.0) in
+  let csr =
+    match Graph6.decode_csr (Graph6.encode g) with
+    | Ok csr -> csr
+    | Error e -> Alcotest.fail e
+  in
+  for _ = 1 to 3 do
+    let c = Simulator.compile_csr csr in
+    let ask () = Simulator.compiled_instance c in
+    let d1 = Domain.spawn ask and d2 = Domain.spawn ask in
+    let i1 = Domain.join d1 and i2 = Domain.join d2 in
+    check "equal instances" true (Instance.equal i1 i2);
+    check "the published one, to both" true (i1 == i2 && ask () == i1);
+    check "the decoded graph" true (Graph.equal (Instance.graph i1) g)
+  done
 
 let suite =
   ( "csr-engine",
@@ -588,4 +611,6 @@ let suite =
         extract_subgraph_rejects;
       Alcotest.test_case "Graph.of_rows rebuilds from csr rows" `Quick
         of_rows_rebuilds;
+      Alcotest.test_case "compiled_instance from two domains" `Quick
+        compiled_instance_two_domains;
     ] )

@@ -200,7 +200,16 @@ let graph_codec () =
       Builders.complete 5;
       Random_graphs.permuted_ids (st 3) ~factor:5 (Builders.grid 3 3);
       Graph.add_node Graph.empty 0;
-    ]
+    ];
+  (* two nodes, both id 3, and the edge between them: a proof string,
+     so a decode error (which rejects), not an invalid self-loop *)
+  let w = Bits.Writer.create () in
+  List.iter (Bits.Writer.int_gamma w) [ 2; 3; 0 ];
+  Bits.Writer.bool w true;
+  check "repeated id is a decode error" true
+    (match Graph_code.decode (Bits.Writer.contents w) with
+    | exception Bits.Reader.Decode_error _ -> true
+    | _ -> false)
 
 let qcheck_graph_codec =
   QCheck.Test.make ~name:"graph codec roundtrips" ~count:80

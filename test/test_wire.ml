@@ -253,6 +253,75 @@ let graph6_differential_prop =
           | Error e, Ok _ -> QCheck.Test.fail_reportf "oracle only: %s" e)
         [ s; mutated ])
 
+(* Registry entries whose yes-instances are bare graphs — no labels,
+   no globals — so a daemon serves them from the graph6 bytes alone. *)
+let bare_entries =
+  lazy
+    (List.filter
+       (fun (e : Registry.entry) ->
+         match e.yes (Random.State.make [| 7 |]) 8 with
+         | Some i -> Instance.equal i (Instance.of_graph (Instance.graph i))
+         | None -> false)
+       Registry.all)
+
+(* The daemon's miss path against the instance path, on the same
+   bytes: [decode_csr] + [compile_csr] must give what [decode_res] +
+   [Instance.of_graph] + [compile] gives — the same CSR arrays and
+   record-size table, and (up to 128 edges) the same radius-2 views,
+   sub-instances included, and under every bare-graph scheme the same
+   verdicts and transcript on a seeded random proof — or both decoders
+   must fail with the same error. *)
+let graph6_csr_differential_prop =
+  QCheck.Test.make ~name:"graph6 CSR miss path = instance path" ~count:150
+    (QCheck.make
+       ~print:(fun (s, m) -> Printf.sprintf "%S / %S" s m)
+       gen_graph6_input)
+    (fun (s, mutated) ->
+      let entries = Lazy.force bare_entries in
+      if entries = [] then QCheck.Test.fail_report "no bare-graph scheme";
+      List.for_all
+        (fun s ->
+          match (Graph6.decode_csr s, Graph6.decode_res s) with
+          | Error e, Error e' -> e = e'
+          | Ok csr, Ok g ->
+              let inst = Instance.of_graph g in
+              let bare = Simulator.compile_csr csr
+              and full = Simulator.compile inst in
+              let st = Random.State.make [| Hashtbl.hash s |] in
+              let proof =
+                Proof.of_list
+                  (List.map
+                     (fun v ->
+                       ( v,
+                         Bits.of_bools
+                           (List.init (Random.State.int st 9) (fun _ ->
+                                Random.State.bool st)) ))
+                     (Graph.nodes g))
+              in
+              Csr.export csr = Csr.export (Simulator.compiled_csr full)
+              && Simulator.compiled_static_bits bare
+                 = Simulator.compiled_static_bits full
+              (* verdicts only where the radius-5 line-graph sweep stays
+                 cheap; the arrays and tables on every input *)
+              && (Csr.m csr > 128
+                 || List.for_all
+                      (fun v ->
+                        View.equal
+                          (Simulator.view_at bare proof ~radius:2 v)
+                          (Simulator.view_at full proof ~radius:2 v))
+                      (Graph.nodes g)
+                    && List.for_all
+                   (fun (e : Registry.entry) ->
+                     let radius = e.scheme.Scheme.radius
+                     and verifier = e.scheme.Scheme.verifier in
+                     Simulator.run_compiled bare proof ~radius verifier
+                     = Simulator.run_verifier ~compiled:full inst proof ~radius
+                         verifier)
+                   entries)
+          | Ok _, Error e -> QCheck.Test.fail_reportf "decode_res only: %s" e
+          | Error e, Ok _ -> QCheck.Test.fail_reportf "decode_csr only: %s" e)
+        [ s; mutated ])
+
 (* ------------------------------------------------------------------ *)
 (* Frame round-trips over random messages. *)
 
@@ -1115,6 +1184,7 @@ let suite =
       QCheck_alcotest.to_alcotest graph6_total_prop;
       Alcotest.test_case "graph6 rejects set padding bits" `Quick graph6_padding;
       QCheck_alcotest.to_alcotest graph6_differential_prop;
+      QCheck_alcotest.to_alcotest graph6_csr_differential_prop;
       QCheck_alcotest.to_alcotest request_roundtrip_prop;
       QCheck_alcotest.to_alcotest response_roundtrip_prop;
       Alcotest.test_case "header rejects malformed" `Quick header_rejects;
