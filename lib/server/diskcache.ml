@@ -23,9 +23,10 @@
 
    Loads are total: any IO error, bad magic, short file, checksum or
    identity mismatch, or structural violation caught by {!Csr.of_rows}
-   (asymmetric, unsorted or self-looped rows included) yields [None] and the caller falls back to compiling. Stores are
-   best-effort (write to a temp file, then rename into place, so a
-   concurrent loader never sees a half-written image) and never raise. *)
+   (asymmetric, unsorted or self-looped rows included) yields [None]
+   and the caller falls back to compiling. Stores are best-effort
+   (write to a temp file, then rename into place, so a concurrent
+   loader never sees a half-written image) and never raise. *)
 
 let m_stores = Obs.Metrics.counter "diskcache.stores"
 let m_loads = Obs.Metrics.counter "diskcache.loads"

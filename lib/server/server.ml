@@ -292,9 +292,10 @@ let err = Frame_server.err
 
 (* Resolve the scheme, then the compiled image — memory tier (LRU),
    disk tier (mmap-validated image, when [cache_dir] is set), or by
-   running [decode] to a CSR image + compiling — and hand both to [f]. A compile also
-   warms the disk tier, so the image survives a restart. Every tier
-   names the image by the request's {!Wire.identity}. *)
+   running [decode] to a CSR image + compiling — and hand both to [f].
+   A compile also warms the disk tier, so the image survives a
+   restart. Every tier names the image by the request's
+   {!Wire.identity}. *)
 let with_compiled t (ctx : ctx) (id : Wire.identity) ~decode f =
   match Registry.find id.scheme with
   | None -> err Wire.Unknown_scheme "unknown scheme %S" id.scheme
