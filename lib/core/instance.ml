@@ -6,26 +6,52 @@ module EdgeMap = Map.Make (struct
   let compare = compare
 end)
 
+(* Two once-cells, at least one filled; a [Lazy.t] would raise
+   [Lazy.Undefined] when two domains force it. A record copy shares
+   both: they depend on the graph alone, which a copy keeps. *)
 type t = {
-  graph : Graph.t;
+  graph : Graph.t option Atomic.t;
+  rows : Csr.t option Atomic.t;
   node_labels : Bits.t IntMap.t;
   edge_labels : Bits.t EdgeMap.t;
   globals : Bits.t;
   arcs : bool;  (* edge labels are the of_digraph arc bits *)
 }
 
-let of_graph graph =
+let m_graphs_built = Obs.Metrics.counter "instance.graphs_built"
+
+let once cell build =
+  match Atomic.get cell with
+  | Some x -> x
+  | None ->
+      ignore (Atomic.compare_and_set cell None (Some (build ())));
+      Option.get (Atomic.get cell)
+
+let make graph rows =
   {
-    graph;
+    graph = Atomic.make graph;
+    rows = Atomic.make rows;
     node_labels = IntMap.empty;
     edge_labels = EdgeMap.empty;
     globals = Bits.empty;
     arcs = false;
   }
 
-let on_graph i graph = { (of_graph graph) with globals = i.globals; arcs = i.arcs }
-let graph i = i.graph
-let n i = Graph.n i.graph
+let of_graph g = make (Some g) None
+let of_csr c = make None (Some c)
+let on_graph i g = { (of_graph g) with globals = i.globals; arcs = i.arcs }
+
+let rec graph i =
+  once i.graph (fun () ->
+      Obs.Metrics.incr m_graphs_built;
+      let offsets, targets, ids = Csr.export (csr i) in
+      Graph.of_rows ~ids ~offsets ~targets)
+
+and csr i = once i.rows (fun () -> Csr.of_graph (graph i))
+
+let n i =
+  match Atomic.get i.rows with Some c -> Csr.n c | None -> Graph.n (graph i)
+
 let node_label i v = Option.value ~default:Bits.empty (IntMap.find_opt v i.node_labels)
 
 let ekey u v = (min u v, max u v)
@@ -36,7 +62,7 @@ let edge_label i u v =
 let globals i = i.globals
 
 let with_node_label i v b =
-  if not (Graph.mem_node i.graph v) then
+  if not (Graph.mem_node (graph i) v) then
     invalid_arg "Instance.with_node_label: unknown node";
   { i with node_labels = IntMap.add v b i.node_labels }
 
@@ -44,7 +70,7 @@ let with_node_labels i l =
   List.fold_left (fun i (v, b) -> with_node_label i v b) i l
 
 let with_edge_label i u v b =
-  if not (Graph.mem_edge i.graph u v) then
+  if not (Graph.mem_edge (graph i) u v) then
     invalid_arg "Instance.with_edge_label: not an edge";
   { i with edge_labels = EdgeMap.add (ekey u v) b i.edge_labels }
 
@@ -56,7 +82,7 @@ let marked_exactly_one i =
       (fun v acc ->
         let l = node_label i v in
         if Bits.length l >= 1 && Bits.get l 0 then v :: acc else acc)
-      i.graph []
+      (graph i) []
   in
   match marked with [ v ] -> Some v | _ -> None
 
@@ -64,20 +90,20 @@ let flag_edges i flagged =
   let flagged = List.map (fun (u, v) -> ekey u v) flagged in
   List.iter
     (fun (u, v) ->
-      if not (Graph.mem_edge i.graph u v) then
+      if not (Graph.mem_edge (graph i) u v) then
         invalid_arg "Instance.flag_edges: not an edge")
     flagged;
   Graph.fold_edges
     (fun u v acc ->
       with_edge_label acc u v (Bits.one_bit (List.mem (ekey u v) flagged)))
-    i.graph i
+    (graph i) i
 
 let flagged_edges i =
   Graph.fold_edges
     (fun u v acc ->
       let l = edge_label i u v in
       if Bits.length l >= 1 && Bits.get l 0 then ekey u v :: acc else acc)
-    i.graph []
+    (graph i) []
   |> List.sort compare
 
 let of_digraph d =
@@ -96,7 +122,7 @@ let arc_exists i u v =
   else Bits.get l 1
 
 let relabel i f =
-  let graph = Graph.relabel i.graph f in
+  let fresh = of_graph (Graph.relabel (graph i) f) in
   let node_labels =
     IntMap.fold (fun v b acc -> IntMap.add (f v) b acc) i.node_labels IntMap.empty
   in
@@ -114,13 +140,13 @@ let relabel i f =
         EdgeMap.add (ekey u' v') b acc)
       i.edge_labels EdgeMap.empty
   in
-  { i with graph; node_labels; edge_labels }
+  { fresh with node_labels; edge_labels; globals = i.globals; arcs = i.arcs }
 
 let union_disjoint i1 i2 =
   if not (Bits.equal i1.globals i2.globals) then
     invalid_arg "Instance.union_disjoint: globals differ";
   {
-    graph = Graph.union_disjoint i1.graph i2.graph;
+    (of_graph (Graph.union_disjoint (graph i1) (graph i2))) with
     node_labels =
       IntMap.union
         (fun _ _ _ -> invalid_arg "Instance.union_disjoint: node overlap")
@@ -134,12 +160,12 @@ let union_disjoint i1 i2 =
   }
 
 let equal i1 i2 =
-  Graph.equal i1.graph i2.graph
+  Graph.equal (graph i1) (graph i2)
   && Bits.equal i1.globals i2.globals
   && Graph.fold_nodes
        (fun v acc -> acc && Bits.equal (node_label i1 v) (node_label i2 v))
-       i1.graph true
+       (graph i1) true
   && Graph.fold_edges
        (fun u v acc -> acc && Bits.equal (edge_label i1 u v) (edge_label i2 u v))
-       i1.graph true
+       (graph i1) true
 

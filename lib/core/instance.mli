@@ -10,8 +10,18 @@
     nondeterministic part. *)
 
 type t
+(** The graph is held as a {!Graph.t}, as {!Csr.t} rows, or both, each
+    a once-cell: the first call needing a missing form builds it from
+    the other and publishes it with one compare-and-set. Domains racing
+    on a first call may each build it; none raises, and all get the
+    published one. *)
 
 val of_graph : Graph.t -> t
+
+val of_csr : Csr.t -> t
+(** The unlabelled graph the rows describe, in O(1), as the daemon's
+    compiled images hold it. {!graph} builds a {!Graph.t} only when
+    called, and counts each build in [instance.graphs_built]. *)
 
 val on_graph : t -> Graph.t -> t
 (** [on_graph inst g]: [g] with no node or edge labels, but [inst]'s
@@ -20,7 +30,12 @@ val on_graph : t -> Graph.t -> t
     [inst], such as a ball, is filled in on. *)
 
 val graph : t -> Graph.t
+
+val csr : t -> Csr.t
+(** What the bare-graph provers read; O(n + m) on a first call. *)
+
 val n : t -> int
+(** O(1) once the rows exist. *)
 
 val node_label : t -> Graph.node -> Bits.t
 (** Empty when unset. *)

@@ -10,6 +10,15 @@ let empty = { dense = [||]; overlay = IntMap.empty }
 let of_dense dense = { dense; overlay = IntMap.empty }
 let of_map overlay = { dense = [||]; overlay }
 let of_list l = of_map (List.fold_left (fun m (v, b) -> IntMap.add v b m) IntMap.empty l)
+
+let of_csr csr a =
+  let n = Csr.n csr in
+  if n = 0 || Csr.node csr (n - 1) = n - 1 then of_dense a
+  else
+    let m = ref IntMap.empty in
+    Array.iteri (fun i b -> m := IntMap.add (Csr.node csr i) b !m) a;
+    of_map !m
+
 let in_dense p v = v >= 0 && v < Array.length p.dense
 
 let get p v =

@@ -21,6 +21,12 @@ val of_dense : Bits.t array -> t
     [Array.length a], explicit [ε] entries included. The proof takes
     the array over: the caller must not mutate it afterwards. *)
 
+val of_csr : Csr.t -> Bits.t array -> t
+(** [of_csr csr a] binds the node at dense index [i] of [csr] to
+    [a.(i)]: {!of_dense} when the ids are [0 .. n-1], as for every
+    graph6 image, and an overlay otherwise (partition shards,
+    relabelled graphs). Takes the array over, as {!of_dense} does. *)
+
 val bindings : t -> (Graph.node * Bits.t) list
 (** In increasing node order. *)
 

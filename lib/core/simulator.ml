@@ -165,15 +165,11 @@ let m_eval_ns = Obs.Metrics.counter "simulator.eval_ns"
 
 (* Two constructors make this one type. [compile] starts from an
    instance, which is both the label source and the instance a prover
-   reads. [compile_csr] starts from bare rows: no labels, no globals,
-   and no instance until a prover asks for one. That instance is a
-   pure function of the rows, so the first caller builds it and
-   publishes it with one compare-and-set; domains racing on a shared
-   image may each build it, and all get the published one. (A
-   [Lazy.t] would raise [Lazy.Undefined] when two domains force it.) *)
+   reads. [compile_csr] starts from bare rows and holds them as an
+   [Instance.of_csr]: no labels, no globals, and no [Graph.t] unless
+   something asks the instance for one. *)
 type compiled = {
-  labels : Instance.t option;  (* what views read labels and globals from *)
-  inst : Instance.t option Atomic.t;
+  inst : Instance.t;  (* what views read labels and globals from *)
   csr : Csr.t;
   static_bits : int array;
       (* per dense index: record_bits minus the proof contribution,
@@ -187,26 +183,24 @@ let counted build =
 
 let compile inst =
   counted (fun () ->
-      let g = Instance.graph inst in
-      let csr = Csr.of_graph g in
+      let csr = Instance.csr inst in
       let static_bits =
         Array.init (Csr.n csr) (fun i ->
             let v = Csr.node csr i in
-            let edge =
-              Graph.fold_neighbours
-                (fun u acc -> acc + Bits.length (Instance.edge_label inst v u) + 64)
-                g v 64
-            in
+            let edge = ref 64 in
+            Csr.iter_neighbours csr i (fun j ->
+                edge :=
+                  !edge + Bits.length (Instance.edge_label inst v (Csr.node csr j)) + 64);
             Bits.length (Instance.node_label inst v)
-            + edge
+            + !edge
             + (64 * (1 + Csr.degree csr i)))
       in
-      { labels = Some inst; inst = Atomic.make (Some inst); csr; static_bits })
+      { inst; csr; static_bits })
 
 let compiled_of_parts csr static_bits =
   if Array.length static_bits <> Csr.n csr then
     invalid_arg "Simulator.compiled_of_parts: static_bits length mismatch";
-  { labels = None; inst = Atomic.make None; csr; static_bits }
+  { inst = Instance.of_csr csr; csr; static_bits }
 
 (* [compile]'s table on an unlabelled graph: no node or edge label
    bits, so each record is its id, its adjacency and one 64-bit slot
@@ -216,15 +210,7 @@ let compile_csr csr =
       compiled_of_parts csr
         (Array.init (Csr.n csr) (fun i -> 128 + (128 * Csr.degree csr i))))
 
-let compiled_instance c =
-  match Atomic.get c.inst with
-  | Some inst -> inst
-  | None ->
-      let offsets, targets, ids = Csr.export c.csr in
-      let built = Some (Instance.of_graph (Graph.of_rows ~ids ~offsets ~targets)) in
-      ignore (Atomic.compare_and_set c.inst None built);
-      Option.get (Atomic.get c.inst)
-
+let compiled_instance c = c.inst
 let compiled_csr c = c.csr
 let compiled_static_bits c = c.static_bits
 
@@ -238,14 +224,15 @@ let record_sizes_into c proof sizes =
     sizes.(i) <- c.static_bits.(i) + Bits.length (Proof.get proof (Csr.node c.csr i))
   done
 
-(* Windows onto [labels] and [proof] whose ball is the last [Csr.ball]
-   run on [scratch] over [csr], all on one decoding plane: nothing is
-   copied, so a view is only valid until that scratch's next ball. *)
-let windows labels csr scratch proof plane ~radius =
+(* Windows onto [inst]'s labels and [proof] whose ball is the last
+   [Csr.ball] run on [scratch] over [csr], all on one decoding plane:
+   nothing is copied, so a view is only valid until that scratch's next
+   ball. *)
+let windows inst csr scratch proof plane ~radius =
   let dist = Csr.node_dist csr scratch
   and neighbours = Csr.ball_neighbours csr scratch in
   fun centre_idx ->
-    View.window labels proof ~plane ~centre:(Csr.node csr centre_idx) ~radius
+    View.window inst proof ~plane ~centre:(Csr.node csr centre_idx) ~radius
       ~dist ~neighbours
 
 (* Run one bounded BFS and return the ball's size. With [acct = (sizes,
@@ -283,7 +270,7 @@ let view_at c proof ~radius v =
   let s = Csr.scratch ball in
   let centre_idx = Csr.index ball v in
   ignore (Csr.ball ball s ~centre:centre_idx ~radius);
-  windows c.labels ball s proof (View.plane (Csr.index ball)) ~radius centre_idx
+  windows c.inst ball s proof (View.plane (Csr.index ball)) ~radius centre_idx
 
 (* --- arena: per-domain buffers reused across verification runs ------- *)
 
@@ -393,7 +380,7 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
     if not early_exit then verdicts.(j) <- ok
   in
   let range scratch lo hi =
-    let window = windows c.labels c.csr scratch proof plane ~radius in
+    let window = windows c.inst c.csr scratch proof plane ~radius in
     let j = ref lo in
     while !j < hi && not (early_exit && Atomic.get rejected) do
       process scratch window !j;

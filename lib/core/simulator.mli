@@ -51,22 +51,21 @@ val run_verifier_reference :
 (** {1 Compiled fast path} *)
 
 type compiled
-(** A graph compiled for repeated verification: its CSR image plus
-    per-node message-size tables, and where views read labels and
-    globals. Immutable as far as any caller can tell — safe to share
+(** A graph compiled for repeated verification: its CSR image, its
+    instance (which labels every view) and per-node message-size
+    tables. Immutable as far as any caller can tell — safe to share
     across domains and reuse for any number of proofs.
 
-    Two constructors make it. {!compile} starts from an instance,
-    which then labels every view and is what {!compiled_instance}
-    returns. {!compile_csr} starts from a bare graph's CSR image, the
-    daemon's whole miss path: every label and the globals read empty,
-    and no {!Graph.t} or {!Instance.t} exists until
-    {!compiled_instance} first asks for one. A verifier sweep never
+    {!compile} starts from an instance and {!compile_csr} from a bare
+    graph's CSR image, the daemon's whole miss path, which holds its
+    instance as {!Instance.of_csr}: every label and the globals read
+    empty, and no {!Graph.t} exists unless something asks that
+    instance for one. Neither a verifier sweep nor a bare-graph prover
     asks. *)
 
 val compile : Instance.t -> compiled
 (** O(n + m); build once per instance, reuse across all nodes, proofs
-    and samples. *)
+    and samples. The image is the instance's own {!Instance.csr}. *)
 
 val compile_csr : Csr.t -> compiled
 (** The image of the unlabelled graph the CSR describes, in O(n): the
@@ -76,11 +75,8 @@ val compile_csr : Csr.t -> compiled
     as a compile. *)
 
 val compiled_instance : compiled -> Instance.t
-(** The instance a prover reads. For a {!compile_csr} image the first
-    call builds it from the CSR rows, O(n + m) plus the persistent
-    sets, and publishes it with one compare-and-set; concurrent first
-    calls from several domains may each build it, never raise, and
-    all return the published one. Later calls return it at once. *)
+(** The instance a prover reads, in O(1). Its graph and rows are
+    {!Instance}'s once-cells, safe to force from several domains. *)
 
 val compiled_csr : compiled -> Csr.t
 (** The underlying CSR image — what the daemon's disk cache persists.

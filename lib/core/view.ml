@@ -12,9 +12,7 @@ type t = {
   plane : plane;
   centre : Graph.node;
   radius : int;
-  labels : Instance.t option;
-      (* where labels and globals are read: the whole enclosing
-         instance, or [None] for a bare graph, whose all read empty *)
+  labels : Instance.t; (* where labels and globals are read: the whole instance *)
   proof : Proof.t; (* the whole proof *)
   dist : Graph.node -> int; (* -1 outside the ball *)
   nbrs : Graph.node -> Graph.node list; (* ball node's in-ball neighbours *)
@@ -23,7 +21,7 @@ type t = {
 
 (* The ball is what a walk over in-ball neighbours reaches from the
    centre; the graph built along the way is exactly G[v,r]. *)
-let materialize labels ~centre ~nbrs =
+let materialize inst ~centre ~nbrs =
   let seen = Hashtbl.create 16 in
   let rec visit g u =
     if Hashtbl.mem seen u then g
@@ -36,22 +34,19 @@ let materialize labels ~centre ~nbrs =
     end
   in
   let sub_graph = visit Graph.empty centre in
-  match labels with
-  | None -> Instance.of_graph sub_graph
-  | Some inst ->
-      let sub = Instance.on_graph inst sub_graph in
-      let sub =
-        Graph.fold_nodes
-          (fun v acc ->
-            let l = Instance.node_label inst v in
-            if Bits.length l > 0 then Instance.with_node_label acc v l else acc)
-          sub_graph sub
-      in
-      Graph.fold_edges
-        (fun u v acc ->
-          let l = Instance.edge_label inst u v in
-          if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
-        sub_graph sub
+  let sub =
+    Graph.fold_nodes
+      (fun v acc ->
+        let l = Instance.node_label inst v in
+        if Bits.length l > 0 then Instance.with_node_label acc v l else acc)
+      sub_graph
+      (Instance.on_graph inst sub_graph)
+  in
+  Graph.fold_edges
+    (fun u v acc ->
+      let l = Instance.edge_label inst u v in
+      if Bits.length l > 0 then Instance.with_edge_label acc u v l else acc)
+    sub_graph sub
 
 let window labels proof ~plane ~centre ~radius ~dist ~neighbours =
   {
@@ -69,17 +64,16 @@ let make inst proof ~centre ~radius =
   let g = Instance.graph inst in
   if not (Graph.mem_node g centre) then invalid_arg "View.make: unknown centre";
   if radius < 0 then invalid_arg "View.make: negative radius";
-  (* ball node -> (distance, position in BFS order); the position is
+  (* ball node -> (distance, position in id order); the position is
      the view's own dense index, under a stamp no other view shares *)
   let dists = Hashtbl.create 32 in
   List.iter
-    (fun (u, d) ->
-      if d <= radius then Hashtbl.replace dists u (d, Hashtbl.length dists))
-    (Traversal.bfs_distances g centre);
+    (fun (u, d) -> Hashtbl.replace dists u (d, Hashtbl.length dists))
+    (Traversal.bfs_distances ~radius g centre);
   let dist u = match Hashtbl.find_opt dists u with Some (d, _) -> d | None -> -1 in
   let neighbours u = List.filter (fun w -> Hashtbl.mem dists w) (Graph.neighbours g u) in
   let plane = plane (fun u -> snd (Hashtbl.find dists u)) in
-  window (Some inst) proof ~plane ~centre ~radius ~dist ~neighbours
+  window inst proof ~plane ~centre ~radius ~dist ~neighbours
 
 let in_ball v u = v.dist u >= 0
 let centre v = v.centre
@@ -123,23 +117,13 @@ let decoded c v u =
         a.(i) <- Cell (v.plane.stamp, x);
         x
 
-let label_of v u =
-  match v.labels with
-  | Some inst when in_ball v u -> Instance.node_label inst u
-  | _ -> Bits.empty
+let label_of v u = if in_ball v u then Instance.node_label v.labels u else Bits.empty
 
 let edge_label_of v a b =
-  match v.labels with
-  | Some inst when in_ball v a && in_ball v b -> Instance.edge_label inst a b
-  | _ -> Bits.empty
+  if in_ball v a && in_ball v b then Instance.edge_label v.labels a b else Bits.empty
 
-let arc_exists v a b =
-  match v.labels with
-  | Some inst -> in_ball v a && in_ball v b && Instance.arc_exists inst a b
-  | None -> false
-
-let globals v =
-  match v.labels with Some inst -> Instance.globals inst | None -> Bits.empty
+let arc_exists v a b = in_ball v a && in_ball v b && Instance.arc_exists v.labels a b
+let globals v = Instance.globals v.labels
 
 let neighbours v u =
   if in_ball v u then v.nbrs u

@@ -36,7 +36,7 @@ val make :
 (** Direct extraction of [(G[v,r], labels[v,r], P[v,r], v)]. *)
 
 val window :
-  Instance.t option ->
+  Instance.t ->
   Proof.t ->
   plane:plane ->
   centre:Graph.node ->
@@ -45,9 +45,9 @@ val window :
   neighbours:(Graph.node -> Graph.node list) ->
   t
 (** The window constructor behind {!make}. The first argument is where
-    labels and globals are read: the enclosing instance, or [None] for
-    a bare graph, on which every label, edge label, arc and the
-    globals read empty. The window never reads that instance's graph,
+    labels and globals are read: the enclosing instance ({!Instance.of_csr}
+    for a bare graph, on which every label, edge label, arc and the
+    globals read empty). The window never reads that instance's graph,
     only the ball [dist] and [neighbours] describe. [dist u] must be
     [u]'s distance from [centre] when it is at most [radius] and [-1]
     otherwise, and [neighbours u], for a node [u] of the ball, its

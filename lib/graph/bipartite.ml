@@ -1,64 +1,29 @@
-(* BFS 2-colouring per component; an edge within a BFS level exposes an
-   odd closed walk from which we extract a simple odd cycle. *)
-
-let colouring_or_conflict g =
+(* BFS 2-colouring per component, from each component's smallest node;
+   an edge within a BFS level means an odd cycle. *)
+let two_colouring g =
   let colour = Hashtbl.create 64 in
-  let parent = Hashtbl.create 64 in
-  let conflict = ref None in
+  let proper = ref true in
   let run_from s =
     Hashtbl.replace colour s false;
-    Hashtbl.replace parent s s;
     let q = Queue.create () in
     Queue.push s q;
-    while !conflict = None && not (Queue.is_empty q) do
+    while !proper && not (Queue.is_empty q) do
       let v = Queue.pop q in
       let cv = Hashtbl.find colour v in
-      List.iter
+      Graph.iter_neighbours
         (fun u ->
           match Hashtbl.find_opt colour u with
           | None ->
               Hashtbl.replace colour u (not cv);
-              Hashtbl.replace parent u v;
               Queue.push u q
-          | Some cu -> if cu = cv && !conflict = None then conflict := Some (v, u))
-        (Graph.neighbours g v)
+          | Some cu -> if cu = cv then proper := false)
+        g v
     done
   in
-  Graph.iter_nodes (fun v -> if (not (Hashtbl.mem colour v)) && !conflict = None then run_from v) g;
-  (colour, parent, !conflict)
-
-let two_colouring g =
-  let colour, _, conflict = colouring_or_conflict g in
-  match conflict with
-  | Some _ -> None
-  | None -> Some (fun v -> match Hashtbl.find_opt colour v with
-      | Some c -> c
-      | None -> invalid_arg "Bipartite.two_colouring: unknown node")
+  Graph.iter_nodes (fun v -> if !proper && not (Hashtbl.mem colour v) then run_from v) g;
+  if !proper then Some (Hashtbl.find colour) else None
 
 let is_bipartite g = two_colouring g <> None
-
-let odd_cycle g =
-  let _, parent, conflict = colouring_or_conflict g in
-  match conflict with
-  | None -> None
-  | Some (v, u) ->
-      (* Walk both nodes up the BFS tree to their lowest common
-         ancestor; the two tree paths plus the edge (v, u) form a
-         simple odd cycle. *)
-      let rec ancestors acc w =
-        let p = Hashtbl.find parent w in
-        if p = w then w :: acc else ancestors (w :: acc) p
-      in
-      let pv = ancestors [] v and pu = ancestors [] u in
-      (* Drop the common prefix, keep the last common node (the LCA). *)
-      let rec split lca a b =
-        match (a, b) with
-        | x :: a', y :: b' when x = y -> split (Some x) a' b'
-        | _ -> (lca, a, b)
-      in
-      let lca, tail_v, tail_u = split None pv pu in
-      let lca = match lca with Some x -> x | None -> assert false in
-      Some ((lca :: tail_v) @ List.rev tail_u)
 
 let sides g =
   match two_colouring g with

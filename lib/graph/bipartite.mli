@@ -1,17 +1,10 @@
-(** Bipartiteness: 2-colourings and odd cycles. A graph is bipartite
-    iff it has a proper 2-colouring iff it has no odd cycle; the
-    non-bipartiteness scheme of Section 5.1 needs an explicit odd
-    cycle as its witness. *)
-
-val two_colouring : Graph.t -> (Graph.node -> bool) option
-(** [two_colouring g] is a proper 2-colouring when [g] is bipartite
-    (colour of each node as a boolean), [None] otherwise. *)
+(** Bipartiteness: a graph is bipartite iff it has a proper
+    2-colouring iff it has no odd cycle. The schemes that certify
+    either side (Section 5.1) find their colouring or odd cycle on the
+    CSR image ([Bipartite_scheme], [Non_bipartite]); this module
+    serves the matching algorithms and the reference predicates. *)
 
 val is_bipartite : Graph.t -> bool
-
-val odd_cycle : Graph.t -> Graph.node list option
-(** An odd cycle as a node list (first node not repeated at the end),
-    or [None] when the graph is bipartite. The cycle is simple. *)
 
 val sides : Graph.t -> (Graph.node list * Graph.node list) option
 (** The two colour classes (each sorted), when bipartite. *)

@@ -28,11 +28,6 @@ let iter_neighbours f g v =
   | None -> invalid_arg (Printf.sprintf "Graph.iter_neighbours: unknown node %d" v)
   | Some s -> IntSet.iter f s
 
-let fold_neighbours f g v init =
-  match IntMap.find_opt v g.adj with
-  | None -> invalid_arg (Printf.sprintf "Graph.fold_neighbours: unknown node %d" v)
-  | Some s -> IntSet.fold f s init
-
 let nodes g = IntMap.fold (fun v _ acc -> v :: acc) g.adj [] |> List.rev
 let n g = IntMap.cardinal g.adj
 let m g = g.m

@@ -99,10 +99,6 @@ val iter_neighbours : (node -> unit) -> t -> node -> unit
     simulation inner loops use this. Raises [Invalid_argument] for an
     unknown node. *)
 
-val fold_neighbours : (node -> 'a -> 'a) -> t -> node -> 'a -> 'a
-(** Allocation-free fold over the neighbours of a node, in increasing
-    identifier order. *)
-
 val line_graph : t -> t * (node * (node * node)) list
 (** [line_graph g] is the line graph [L(g)] together with the mapping
     from each fresh node of [L(g)] to the edge of [g] it represents. *)

@@ -1,7 +1,7 @@
 module IntMap = Map.Make (Int)
 module IntSet = Set.Make (Int)
 
-let bfs_map g s =
+let bfs_map ?(radius = max_int) g s =
   if not (Graph.mem_node g s) then invalid_arg "Traversal: unknown source";
   let dist = Hashtbl.create 64 in
   Hashtbl.replace dist s 0;
@@ -10,18 +10,19 @@ let bfs_map g s =
   while not (Queue.is_empty q) do
     let v = Queue.pop q in
     let d = Hashtbl.find dist v in
-    Graph.iter_neighbours
-      (fun u ->
-        if not (Hashtbl.mem dist u) then begin
-          Hashtbl.replace dist u (d + 1);
-          Queue.push u q
-        end)
-      g v
+    if d < radius then
+      Graph.iter_neighbours
+        (fun u ->
+          if not (Hashtbl.mem dist u) then begin
+            Hashtbl.replace dist u (d + 1);
+            Queue.push u q
+          end)
+        g v
   done;
   dist
 
-let bfs_distances g s =
-  let dist = bfs_map g s in
+let bfs_distances ?radius g s =
+  let dist = bfs_map ?radius g s in
   Hashtbl.fold (fun v d acc -> (v, d) :: acc) dist []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
@@ -56,9 +57,7 @@ let shortest_path g s t =
     Some (walk [] t)
 
 let ball g v r =
-  let dist = bfs_map g v in
-  Hashtbl.fold (fun u d acc -> if d <= r then u :: acc else acc) dist []
-  |> List.sort Int.compare
+  Hashtbl.fold (fun u _ acc -> u :: acc) (bfs_map ~radius:r g v) [] |> List.sort Int.compare
 
 let component g v = ball g v max_int
 

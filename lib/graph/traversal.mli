@@ -1,9 +1,10 @@
 (** Breadth-first and depth-first primitives: distances, components,
     radius-r balls (the heart of the LOCAL model), and tree utilities. *)
 
-val bfs_distances : Graph.t -> Graph.node -> (Graph.node * int) list
-(** Distances from the source to every node reachable from it,
-    in increasing identifier order. *)
+val bfs_distances : ?radius:int -> Graph.t -> Graph.node -> (Graph.node * int) list
+(** Distances from the source to every node reachable from it within
+    [radius] hops (default: all), in increasing identifier order. The
+    search stops at the radius, so it costs the ball, not the graph. *)
 
 val distance : Graph.t -> Graph.node -> Graph.node -> int option
 (** Shortest-path length, [None] when disconnected. *)

@@ -25,10 +25,7 @@ let complement (inner : Scheme.t) =
         match rejecting with
         | [] -> None (* all nodes accept: the input satisfies P *)
         | a :: _ ->
-            Some
-              (List.fold_left
-                 (fun p (v, c) -> Proof.set p v (Tree_cert.encode c))
-                 Proof.empty (Tree_cert.prove g ~root:a))
+            Some (Tree_cert.proof g ~root:a)
       end)
     ~verifier:(fun view ->
       let cert_of = View.decoded Tree_cert.codec view in

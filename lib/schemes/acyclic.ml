@@ -23,45 +23,35 @@ let codec =
   Bits.Reader.expect_end cur;
   { tree; count; degree_sum }
 
-let is_yes inst =
-  let g = Instance.graph inst in
-  List.for_all
-    (fun comp -> Graph.m (Graph.induced g comp) = List.length comp - 1)
-    (Traversal.components g)
+(* One BFS forest, each component rooted at its smallest node. The
+   graph is a forest exactly when m = n - (number of components); then
+   counts and degree sums add up in reverse BFS order. *)
+let prove csr =
+  let n = Csr.n csr in
+  let b = Tree_cert.bfs_forest csr in
+  let components = ref 0 in
+  Array.iteri (fun i r -> if r = i then incr components) b.roots;
+  if Csr.m csr <> n - !components then None
+  else begin
+    let count = Array.make n 1 and degree_sum = Array.init n (Csr.degree csr) in
+    for k = n - 1 downto 0 do
+      let v = b.order.(k) and p = b.parents.(b.order.(k)) in
+      if p >= 0 then begin
+        count.(p) <- count.(p) + count.(v);
+        degree_sum.(p) <- degree_sum.(p) + degree_sum.(v)
+      end
+    done;
+    Some
+      (Proof.of_csr csr
+         (Array.init n (fun i ->
+              let tree = Tree_cert.cert csr b i in
+              encode { tree; count = count.(i); degree_sum = degree_sum.(i) })))
+  end
 
 let scheme =
   Scheme.make ~name:"acyclic" ~radius:1
     ~size_bound:(fun n -> Tree_cert.size_bound n + (4 * Bits.int_width (max 2 n)) + 4)
-    ~prover:(fun inst ->
-      let g = Instance.graph inst in
-      if not (is_yes inst) then None
-      else
-        Some
-          (List.fold_left
-             (fun proof comp ->
-               let root = List.hd comp in
-               let certs = Tree_cert.prove g ~root in
-               let children = Hashtbl.create 16 in
-               List.iter
-                 (fun (v, c) ->
-                   match c.Tree_cert.parent with
-                   | Some p -> Hashtbl.add children p v
-                   | None -> ())
-                 certs;
-               let rec agg v =
-                 List.fold_left
-                   (fun (cnt, ds) c ->
-                     let c1, d1 = agg c in
-                     (cnt + c1, ds + d1))
-                   (1, Graph.degree g v)
-                   (Hashtbl.find_all children v)
-               in
-               List.fold_left
-                 (fun proof (v, tree) ->
-                   let count, degree_sum = agg v in
-                   Proof.set proof v (encode { tree; count; degree_sum }))
-                 proof certs)
-             Proof.empty (Traversal.components g)))
+    ~prover:(fun inst -> prove (Instance.csr inst))
     ~verifier:(fun view ->
       let v = View.centre view in
       let cert_of = View.decoded codec view in

@@ -3,17 +3,23 @@
     the opposite bit. Non-bipartite graphs contain an odd cycle, along
     which no bit assignment can alternate — some node always rejects. *)
 
+(* Each component's BFS from its smallest node colours by distance
+   parity; the colouring is proper exactly when no edge joins two
+   nodes of one parity. *)
+let prove csr =
+  let b = Tree_cert.bfs_forest csr in
+  let odd i = b.dists.(i) land 1 = 1 in
+  let proper = ref true in
+  for i = 0 to Csr.n csr - 1 do
+    Csr.iter_neighbours csr i (fun j -> if odd i = odd j then proper := false)
+  done;
+  if not !proper then None
+  else Some (Proof.of_csr csr (Array.init (Csr.n csr) (fun i -> Bits.one_bit (odd i))))
+
 let scheme =
   Scheme.make ~name:"bipartite" ~radius:1
     ~size_bound:(fun _ -> 1)
-    ~prover:(fun inst ->
-      match Bipartite.two_colouring (Instance.graph inst) with
-      | None -> None
-      | Some colour ->
-          Some
-            (Graph.fold_nodes
-               (fun v p -> Proof.set p v (Bits.one_bit (colour v)))
-               (Instance.graph inst) Proof.empty))
+    ~prover:(fun inst -> prove (Instance.csr inst))
     ~verifier:(fun view ->
       let v = View.centre view in
       let bit u =

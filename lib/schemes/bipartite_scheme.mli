@@ -4,3 +4,8 @@
     the matching Ω(log n) lower bound for its complement (Section 5). *)
 
 val scheme : Scheme.t
+
+val prove : Csr.t -> Proof.t option
+(** The proper 2-colouring by BFS distance parity from each
+    component's smallest node, or [None] when the graph has an odd
+    cycle. One array BFS; the even-cycle scheme proves with it too. *)

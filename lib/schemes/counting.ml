@@ -20,33 +20,31 @@ let codec =
   Bits.Reader.expect_end cur;
   { tree; count }
 
-let prove inst =
-  let g = Instance.graph inst in
-  if Graph.is_empty g || not (Traversal.is_connected g) then None
-  else begin
-    let root = List.hd (Graph.nodes g) in
-    let certs = Tree_cert.prove g ~root in
-    let children = Hashtbl.create 64 in
-    List.iter
-      (fun (v, c) ->
-        match c.Tree_cert.parent with
-        | Some p -> Hashtbl.add children p v
-        | None -> ())
-      certs;
-    let rec subtree v = 1 + List.fold_left (fun acc c -> acc + subtree c) 0 (Hashtbl.find_all children v) in
-    Some
-      (List.fold_left
-         (fun p (v, tree) -> Proof.set p v (encode { tree; count = subtree v }))
-         Proof.empty certs)
-  end
+(* One BFS from the smallest node; subtree sizes summed in reverse BFS
+   order, each node adding its finished count to its parent's. *)
+let prove csr =
+  let n = Csr.n csr in
+  Option.map
+    (fun (b : Tree_cert.bfs) ->
+      let count = Array.make n 1 in
+      for k = n - 1 downto 1 do
+        let v = b.order.(k) in
+        count.(b.parents.(v)) <- count.(b.parents.(v)) + count.(v)
+      done;
+      Proof.of_csr csr
+        (Array.init n (fun i ->
+             encode { tree = Tree_cert.cert csr b i; count = count.(i) })))
+    (Tree_cert.spanning csr)
 
 (** [scheme ~name ~accept_n] proves any decidable predicate of n(G) on
     connected graphs with Θ(log n) bits — used for "odd number of
     nodes" (tight by the gluing lower bound) and relatives. *)
-let scheme ~name ~accept_n ~is_yes =
+let scheme ~name ~accept_n =
   Scheme.make ~name ~radius:1
     ~size_bound:(fun n -> Tree_cert.size_bound n + (2 * Bits.int_width (max 2 n)) + 2)
-    ~prover:(fun inst -> if is_yes inst then prove inst else None)
+    ~prover:(fun inst ->
+      let csr = Instance.csr inst in
+      if accept_n (Csr.n csr) then prove csr else None)
     ~verifier:(fun view ->
       let v = View.centre view in
       let cert_of = View.decoded codec view in
@@ -63,25 +61,11 @@ let scheme ~name ~accept_n ~is_yes =
       c.count = 1 + child_sum
       && (if Tree_cert.is_root c.tree then accept_n c.count else true))
 
-let odd_n =
-  scheme ~name:"odd-n" ~accept_n:(fun n -> n mod 2 = 1)
-    ~is_yes:(fun inst ->
-      let g = Instance.graph inst in
-      Traversal.is_connected g && Graph.n g mod 2 = 1)
-
-let even_n =
-  scheme ~name:"even-n" ~accept_n:(fun n -> n mod 2 = 0)
-    ~is_yes:(fun inst ->
-      let g = Instance.graph inst in
-      Traversal.is_connected g && Graph.n g mod 2 = 0)
+let odd_n = scheme ~name:"odd-n" ~accept_n:(fun n -> n mod 2 = 1)
+let even_n = scheme ~name:"even-n" ~accept_n:(fun n -> n mod 2 = 0)
 
 let exact_n target =
-  scheme
-    ~name:(Printf.sprintf "n-equals-%d" target)
-    ~accept_n:(fun n -> n = target)
-    ~is_yes:(fun inst ->
-      let g = Instance.graph inst in
-      Traversal.is_connected g && Graph.n g = target)
+  scheme ~name:(Printf.sprintf "n-equals-%d" target) ~accept_n:(fun n -> n = target)
 
 (** Θ(1) parity on the family of cycles: even cycles are exactly the
     bipartite ones, so one alternating bit per node suffices
@@ -90,14 +74,8 @@ let even_cycle =
   Scheme.make ~name:"even-n-cycle" ~radius:1
     ~size_bound:(fun _ -> 1)
     ~prover:(fun inst ->
-      let g = Instance.graph inst in
-      match Bipartite.two_colouring g with
-      | Some colour when Graph.n g mod 2 = 0 ->
-          Some
-            (Graph.fold_nodes
-               (fun v p -> Proof.set p v (Bits.one_bit (colour v)))
-               g Proof.empty)
-      | _ -> None)
+      let csr = Instance.csr inst in
+      if Csr.n csr mod 2 = 0 then Bipartite_scheme.prove csr else None)
     ~verifier:(fun view ->
       let bit u =
         let b = View.proof_of view u in

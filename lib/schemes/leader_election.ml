@@ -17,11 +17,6 @@ let mark_leader inst v =
        (fun u -> (u, Bits.one_bit (u = v)))
        (Graph.nodes (Instance.graph inst)))
 
-let tree_proof g root =
-  List.fold_left
-    (fun p (v, c) -> Proof.set p v (Tree_cert.encode c))
-    Proof.empty (Tree_cert.prove g ~root)
-
 let strong =
   Scheme.make ~name:"leader-election" ~radius:1 ~size_bound:Tree_cert.size_bound
     ~prover:(fun inst ->
@@ -30,7 +25,7 @@ let strong =
       else
         match Instance.marked_exactly_one inst with
         | None -> None
-        | Some leader -> Some (tree_proof g leader))
+        | Some leader -> Some (Tree_cert.proof g ~root:leader))
     ~verifier:(fun view ->
       let v = View.centre view in
       let cert_of = View.decoded Tree_cert.codec view in
@@ -52,21 +47,17 @@ let weak =
   Scheme.make ~name:"leader-election-weak" ~radius:1
     ~size_bound:(fun n -> Tree_cert.size_bound n + 1)
     ~prover:(fun inst ->
-      let g = Instance.graph inst in
-      if Graph.is_empty g || not (Traversal.is_connected g) then None
-      else begin
-        (* The prover picks a convenient leader: the smallest id. *)
-        let leader = List.hd (Graph.nodes g) in
-        Some
-          (List.fold_left
-             (fun p (v, c) ->
-               let buf = Bits.Writer.create () in
-               Bits.Writer.bool buf (v = leader);
-               Tree_cert.write buf c;
-               Proof.set p v (Bits.Writer.contents buf))
-             Proof.empty
-             (Tree_cert.prove g ~root:leader))
-      end)
+      (* The prover picks a convenient leader: the smallest id. *)
+      let csr = Instance.csr inst in
+      Option.map
+        (fun b ->
+          Proof.of_csr csr
+            (Array.init (Csr.n csr) (fun i ->
+                 let buf = Bits.Writer.create () in
+                 Bits.Writer.bool buf (i = 0);
+                 Tree_cert.write buf (Tree_cert.cert csr b i);
+                 Bits.Writer.contents buf)))
+        (Tree_cert.spanning csr))
     ~verifier:(fun view ->
       let v = View.centre view in
       let weak = View.decoded weak_codec view in

@@ -160,15 +160,9 @@ let maximum_on_cycle =
         | [] ->
             (* Perfect matching: root anywhere. *)
             let root = List.hd (Graph.nodes g) in
-            Some
-              (List.fold_left
-                 (fun p (v, c) -> Proof.set p v (Tree_cert.encode c))
-                 Proof.empty (Tree_cert.prove g ~root))
+            Some (Tree_cert.proof g ~root)
         | [ u ] ->
-            Some
-              (List.fold_left
-                 (fun p (v, c) -> Proof.set p v (Tree_cert.encode c))
-                 Proof.empty (Tree_cert.prove g ~root:u))
+            Some (Tree_cert.proof g ~root:u)
         | _ -> None (* more than one unmatched node: not maximum *)
       end)
     ~verifier:(fun view ->

@@ -43,30 +43,62 @@ let codec =
   Bits.Reader.expect_end cur;
   { tree; cycle }
 
+(* From the BFS [b] of a connected graph: the first node in BFS order
+   with a neighbour on its own level and its smallest such neighbour
+   close an odd cycle with their paths up to their lowest common
+   ancestor, listed from it, down to the first node and up again. The
+   paths follow BFS discoverers (the level-above neighbour visited
+   first), as the hashtable 2-colouring this replaced did. *)
+let odd_cycle csr (b : Tree_cert.bfs) =
+  let n = Csr.n csr in
+  let rec conflict k =
+    if k = n then None
+    else
+      let v = b.order.(k) in
+      let same = ref (-1) in
+      Csr.iter_neighbours csr v (fun u ->
+          if !same < 0 && b.dists.(u) = b.dists.(v) then same := u);
+      if !same >= 0 then Some (v, !same) else conflict (k + 1)
+  in
+  match conflict 0 with
+  | None -> None
+  | Some (v, u) ->
+      let rank = Array.make n 0 in
+      Array.iteri (fun k x -> rank.(x) <- k) b.order;
+      let discoverer w =
+        let best = ref (-1) in
+        Csr.iter_neighbours csr w (fun x ->
+            if b.dists.(x) = b.dists.(w) - 1 && (!best < 0 || rank.(x) < rank.(!best))
+            then best := x);
+        !best
+      in
+      (* [v] and [u] share a level, so they reach the ancestor together *)
+      let rec climb xs ys x y =
+        if x = y then Array.of_list ((x :: xs) @ List.rev ys)
+        else climb (x :: xs) (y :: ys) (discoverer x) (discoverer y)
+      in
+      Some (climb [] [] v u)
+
+let prove csr =
+  Option.map
+    (fun cycle ->
+      let n = Csr.n csr and len = Array.length cycle and leader = cycle.(0) in
+      let t = Tree_cert.bfs csr ~root:leader in
+      let pos = Array.make n (-1) in
+      Array.iteri (fun k v -> pos.(v) <- k) cycle;
+      Proof.of_csr csr
+        (Array.init n (fun i ->
+             let cycle =
+               if pos.(i) < 0 then None
+               else Some (pos.(i), Csr.node csr cycle.((pos.(i) + 1) mod len))
+             in
+             encode { tree = Tree_cert.cert csr t i; cycle })))
+    (Option.bind (Tree_cert.spanning csr) (odd_cycle csr))
+
 let scheme =
   Scheme.make ~name:"chromatic-gt-2" ~radius:1
     ~size_bound:(fun n -> Tree_cert.size_bound n + (8 * Bits.int_width (max 2 n)) + 4)
-    ~prover:(fun inst ->
-      let g = Instance.graph inst in
-      if not (Traversal.is_connected g) then None
-      else
-        match Bipartite.odd_cycle g with
-        | None -> None
-        | Some cycle ->
-            let arr = Array.of_list cycle in
-            let len = Array.length arr in
-            let leader = arr.(0) in
-            let certs = Tree_cert.prove g ~root:leader in
-            let cycle_info = Hashtbl.create 16 in
-            Array.iteri
-              (fun i v -> Hashtbl.replace cycle_info v (i, arr.((i + 1) mod len)))
-              arr;
-            Some
-              (List.fold_left
-                 (fun p (v, tree) ->
-                   Proof.set p v
-                     (encode { tree; cycle = Hashtbl.find_opt cycle_info v }))
-                 Proof.empty certs))
+    ~prover:(fun inst -> prove (Instance.csr inst))
     ~verifier:(fun view ->
       let v = View.centre view in
       let cert_of = View.decoded codec view in

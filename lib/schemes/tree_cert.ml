@@ -35,14 +35,77 @@ let codec = View.codec decode
    every construction in this repository (ids up to ~n^4). *)
 let size_bound n = (20 * Bits.int_width (max 2 n)) + 24
 
+type bfs = {
+  order : int array;
+  reached : int;
+  dists : int array;
+  parents : int array;
+  roots : int array;
+}
+
+(* Array BFS over dense indices from each root [roots] offers that is
+   still unreached. A node's parent is its smallest-index neighbour one
+   level closer: each of those scans it while the level above is
+   popped, so the first sets the parent and the later ones may lower
+   it. *)
+let search csr roots =
+  let offsets, targets, _ = Csr.export csr in
+  let n = Csr.n csr in
+  let order = Array.make n 0 and dists = Array.make n (-1) in
+  let parents = Array.make n (-1) and root = Array.make n (-1) in
+  let head = ref 0 and tail = ref 0 in
+  let from r =
+    if dists.(r) < 0 then begin
+      dists.(r) <- 0;
+      root.(r) <- r;
+      order.(!tail) <- r;
+      incr tail;
+      while !head < !tail do
+        let v = order.(!head) in
+        incr head;
+        for k = offsets.(v) to offsets.(v + 1) - 1 do
+          let u = targets.(k) in
+          if dists.(u) < 0 then begin
+            dists.(u) <- dists.(v) + 1;
+            parents.(u) <- v;
+            root.(u) <- r;
+            order.(!tail) <- u;
+            incr tail
+          end
+          else if dists.(u) = dists.(v) + 1 && v < parents.(u) then parents.(u) <- v
+        done
+      done
+    end
+  in
+  roots from;
+  { order; reached = !tail; dists; parents; roots = root }
+
+let bfs csr ~root = search csr (fun from -> from root)
+let bfs_forest csr = search csr (fun from -> for r = 0 to Csr.n csr - 1 do from r done)
+
+let spanning csr =
+  if Csr.n csr = 0 then None
+  else
+    let b = bfs csr ~root:0 in
+    if b.reached = Csr.n csr then Some b else None
+
+let cert csr b i =
+  {
+    root = Csr.node csr b.roots.(i);
+    dist = b.dists.(i);
+    parent = (if b.parents.(i) < 0 then None else Some (Csr.node csr b.parents.(i)));
+  }
+
 let prove g ~root =
-  let pairs = Traversal.spanning_tree g root in
-  let dist = Hashtbl.create 64 in
-  List.iter (fun (v, d) -> Hashtbl.replace dist v d) (Traversal.bfs_distances g root);
-  (root, { root; dist = 0; parent = None })
-  :: List.map
-       (fun (v, p) -> (v, { root; dist = Hashtbl.find dist v; parent = Some p }))
-       pairs
+  let csr = Csr.of_graph g in
+  let b = bfs csr ~root:(Csr.index csr root) in
+  let at i = (Csr.node csr i, cert csr b i) in
+  at b.order.(0)
+  :: List.filter_map (fun i -> if b.dists.(i) > 0 then Some (at i) else None)
+       (List.init (Csr.n csr) Fun.id)
+
+let proof g ~root =
+  List.fold_left (fun p (v, c) -> Proof.set p v (encode c)) Proof.empty (prove g ~root)
 
 let prove_tree g ~edges ~root =
   let t = List.fold_left (fun acc (u, v) -> Graph.add_edge acc u v) Graph.empty edges in
@@ -53,16 +116,7 @@ let prove_tree g ~edges ~root =
     || (not (Traversal.is_connected t))
     || not (List.for_all (fun (u, v) -> Graph.mem_edge g u v) edges)
   then None
-  else begin
-    let dist = Hashtbl.create 64 in
-    List.iter (fun (v, d) -> Hashtbl.replace dist v d) (Traversal.bfs_distances t root);
-    let parents = Traversal.spanning_tree t root in
-    Some
-      ((root, { root; dist = 0; parent = None })
-      :: List.map
-           (fun (v, p) -> (v, { root; dist = Hashtbl.find dist v; parent = Some p }))
-           parents)
-  end
+  else Some (prove t ~root)
 
 let check_at view ~cert_of =
   let v = View.centre view in

@@ -33,8 +33,42 @@ val size_bound : int -> int
 (** Generous bit bound for graphs whose identifiers are polynomial in
     [n] (the paper's standing assumption). *)
 
+(** {1 The BFS behind every certificate}
+
+    One array BFS over a CSR image's dense indices, from which the
+    bare-graph provers build their certificates; {!prove} runs it on a
+    graph's image. Arrays are indexed by dense index; [-1] marks an
+    unreached node, and a root's parent. *)
+
+type bfs = {
+  order : int array;  (** Visiting order; its first [reached] entries. *)
+  reached : int;
+  dists : int array;  (** Hops from the node's root. *)
+  parents : int array;
+      (** The smallest-index neighbour one level closer, as
+          [Traversal.spanning_tree] picks it. *)
+  roots : int array;  (** The root of the node's component. *)
+}
+
+val bfs : Csr.t -> root:int -> bfs
+(** The root's component, O(n + m). *)
+
+val bfs_forest : Csr.t -> bfs
+(** Every component, rooted at its smallest index. *)
+
+val spanning : Csr.t -> bfs option
+(** {!bfs} from index 0 when it reaches every node of a non-empty
+    graph. *)
+
+val cert : Csr.t -> bfs -> int -> t
+(** A reached node's certificate. *)
+
 val prove : Graph.t -> root:Graph.node -> (Graph.node * t) list
-(** BFS spanning tree of the root's component. *)
+(** BFS spanning tree of the root's component: the root first, then
+    the other nodes in increasing order. *)
+
+val proof : Graph.t -> root:Graph.node -> Proof.t
+(** {!prove}'s certificates, {!encode}d, as a proof. *)
 
 val prove_tree :
   Graph.t -> edges:(Graph.node * Graph.node) list -> root:Graph.node ->

@@ -23,8 +23,9 @@
    graph6 decode and the compile. A miss goes from the bytes to sorted
    rows to the image ({!Graph6.decode_csr}, {!Simulator.compile_csr})
    and builds no {!Graph.t}: verify, sampled, shard and disk-tier
-   paths read only the CSR, and a prove builds the instance once per
-   image, on demand ({!Simulator.compiled_instance}). Two workers
+   paths read only the CSR, and so does a prove under the bare-graph
+   schemes, whose provers run an array BFS over the image's
+   {!Instance.of_csr} rows ({!Simulator.compiled_instance}). Two workers
    missing on the same key may compile twice — harmless, the second
    insert wins — and the cache is serialised by one mutex held only
    around table operations, never around a compile.

@@ -30,12 +30,31 @@ let bipartite_basic () =
   check "petersen" false (Bipartite.is_bipartite Test_util.petersen);
   check "K33" true (Bipartite.is_bipartite (Test_util.complete_bipartite 3 3))
 
+(* The non-bipartite prover's witness: the nodes whose certificate
+   carries a cycle position, in position order, with their successor
+   pointers. *)
 let odd_cycle_witness () =
+  let witness proof =
+    List.filter_map
+      (fun (v, b) ->
+        let cur = Bits.Reader.of_bits b in
+        ignore (Tree_cert.read cur);
+        if Bits.Reader.bool cur then
+          let pos = Bits.Reader.int_gamma cur in
+          Some (pos, (v, Bits.Reader.int_gamma cur))
+        else None)
+      (Proof.bindings proof)
+    |> List.sort compare |> List.map snd
+  in
   List.iter
     (fun g ->
-      match Bipartite.odd_cycle g with
+      match Non_bipartite.scheme.Scheme.prover (Instance.of_graph g) with
       | None -> check "is bipartite" true (Bipartite.is_bipartite g)
-      | Some cycle ->
+      | Some proof ->
+          let succ = witness proof in
+          let cycle = List.map fst succ in
+          check "successors close the cycle" true
+            (List.map snd succ = List.tl cycle @ [ List.hd cycle ]);
           check "odd length" true (List.length cycle mod 2 = 1);
           check "at least 3" true (List.length cycle >= 3);
           (* distinct nodes, consecutive adjacency, closing edge *)
@@ -48,6 +67,7 @@ let odd_cycle_witness () =
           done)
     [
       Builders.cycle 9;
+      Builders.cycle 8;
       Test_util.petersen;
       Builders.wheel 5;
       Builders.complete 5;

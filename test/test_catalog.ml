@@ -178,6 +178,83 @@ let allocation_pin () =
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
+(* Prover scaling on counts, not time: words a prover allocates per
+   node, at n and at 4n, on a path, a cycle and a connected G(n, 4/n),
+   each at an even and an odd size (the parity schemes refuse one of
+   the two). A near-linear prover keeps the ratio near 1 (a log factor
+   from persistent maps reads about 1.25 from 256 to 1024 nodes); a
+   quadratic one reads about 4. Minor words, as the allocation pin
+   above counts: an array too large for the minor heap is not seen,
+   but every list, tuple, closure and map node is.
+
+   The gate covers the registry's bare-graph entries, whose provers
+   read nothing but the graph; a labelled scheme refuses a bare path,
+   which would measure nothing. It skips, by name:
+   - the exponential provers: "symmetric" (automorphism search),
+     "non-3-colourable" (3-colouring search) and "sigma11-2col" (the
+     Σ¹₁ scheme's search over second-order witnesses);
+   - the provers whose proof alone outgrows n: "connected-universal"
+     writes Θ(n²) bits at every node and "tree-ffsym" Θ(n), so their
+     words per node grow 16× and 4× from the output itself. *)
+let scaling_bound = 2.0
+
+let scaling_skipped =
+  [ "symmetric"; "non-3-colourable"; "sigma11-2col"; "connected-universal"; "tree-ffsym" ]
+
+let prover_words (sch : Scheme.t) g =
+  let inst = Instance.of_graph g in
+  let before = Gc.minor_words () in
+  ignore (sch.Scheme.prover inst);
+  (Gc.minor_words () -. before) /. float (Graph.n g)
+
+let prover_scaling () =
+  let bare (e : Registry.entry) =
+    match e.Registry.yes (Random.State.make [| 7 |]) 8 with
+    | Some i -> Instance.equal i (Instance.of_graph (Instance.graph i))
+    | None -> false
+  in
+  let entries =
+    List.filter
+      (fun (e : Registry.entry) ->
+        bare e && not (List.mem e.Registry.name scaling_skipped))
+      Registry.all
+  in
+  check "the gate covers the five churn schemes" true
+    (List.for_all
+       (fun name -> List.exists (fun (e : Registry.entry) -> e.Registry.name = name) entries)
+       [ "bipartite"; "non-bipartite"; "odd-n"; "even-n"; "eulerian" ]);
+  let families =
+    [
+      ("path", Builders.path);
+      ("cycle", Builders.cycle);
+      ( "G(n,4/n)",
+        fun n -> Random_graphs.connected_gnp (Random.State.make [| n |]) n (4.0 /. float n) );
+    ]
+  in
+  let n = 256 in
+  let over =
+    List.concat_map
+      (fun (e : Registry.entry) ->
+        List.concat_map
+          (fun (family, make) ->
+            List.filter_map
+              (fun parity ->
+                let small = prover_words e.Registry.scheme (make (n + parity))
+                and large = prover_words e.Registry.scheme (make ((4 * n) + parity)) in
+                let ratio = large /. small in
+                if ratio > scaling_bound then
+                  Some
+                    (Printf.sprintf "%s on a %s (+%d): %.2f -> %.2f words, %.2fx"
+                       e.Registry.name family parity small large ratio)
+                else None)
+              [ 0; 1 ])
+          families)
+      entries
+  in
+  if over <> [] then
+    Alcotest.failf "prover words per node grow past %.1fx from n=%d to %d: %s"
+      scaling_bound n (4 * n) (String.concat "; " over)
+
 let suite =
   ( "catalog",
     [
@@ -186,6 +263,7 @@ let suite =
       Alcotest.test_case "sampled keys are registry entries" `Quick sampled_keys;
       Alcotest.test_case "sweeps cover the generators" `Quick sweeps_cover;
       Alcotest.test_case "per-row allocation pin" `Quick allocation_pin;
+      Alcotest.test_case "prover scaling gate" `Quick prover_scaling;
       Alcotest.test_case "completeness sweep over Table 1" `Slow completeness_sweep;
       Alcotest.test_case "soundness sweep over Table 1" `Slow soundness_sweep;
     ] )

@@ -87,6 +87,38 @@ let qcheck_simulator =
       in
       Simulator.agrees_with_direct (Instance.of_graph g) proof ~radius)
 
+(* View.make's BFS stops at the radius. What a view sees must be what
+   an unbounded BFS filtered to the radius sees: the same distances,
+   the same in-ball neighbours and induced subgraph, nothing beyond. *)
+let qcheck_view_bounded =
+  QCheck.Test.make ~name:"bounded view = unbounded BFS filtered" ~count:100
+    QCheck.(triple (int_range 1 30) (int_range 0 3) (int_bound 1_000_000))
+    (fun (n, radius, seed) ->
+      let rnd = Random.State.make [| seed |] in
+      let g = Random_graphs.gnp rnd n (Random.State.float rnd 0.4) in
+      let inst = Instance.of_graph g in
+      List.for_all
+        (fun v ->
+          let view = View.make inst Proof.empty ~centre:v ~radius in
+          let dist = Traversal.bfs_distances g v in
+          let in_ball u =
+            match List.assoc_opt u dist with Some d -> d <= radius | None -> false
+          in
+          Graph.equal (View.graph view) (Graph.induced g (List.filter in_ball (Graph.nodes g)))
+          && Graph.fold_nodes
+               (fun u ok ->
+                 ok
+                 &&
+                 if in_ball u then
+                   View.dist_to_centre view u = List.assoc u dist
+                   && View.neighbours view u = List.filter in_ball (Graph.neighbours g u)
+                 else
+                   match View.dist_to_centre view u with
+                   | _ -> false
+                   | exception Invalid_argument _ -> true)
+               g true)
+        (Graph.nodes g))
+
 let scheme_machinery () =
   let inst = Instance.of_graph (Builders.cycle 6) in
   match Scheme.prove_and_check Bipartite_scheme.scheme inst with
@@ -192,6 +224,7 @@ let suite =
       Alcotest.test_case "simulator agreement" `Quick simulator_agreement;
       Alcotest.test_case "simulator transcript" `Quick simulator_transcript;
       QCheck_alcotest.to_alcotest qcheck_simulator;
+      QCheck_alcotest.to_alcotest qcheck_view_bounded;
       Alcotest.test_case "scheme machinery" `Quick scheme_machinery;
       Alcotest.test_case "checker completeness" `Quick checker_completeness;
       Alcotest.test_case "checker exhaustive soundness" `Slow checker_soundness_exhaustive;

@@ -562,9 +562,10 @@ let of_rows_rebuilds () =
   rejects "offsets overrun" ~ids ~offsets:[| 0; 1; 3; 5 |] ~targets:[| 1; 0; 2; 1 |];
   rejects "offsets decrease" ~ids ~offsets:[| 0; 3; 1; 4 |] ~targets:[| 1; 0; 2; 1 |]
 
-(* A graph6 image has no instance until a prover asks. Two domains
-   asking at once on a fresh image may both build it; neither raises,
-   and both get the one that was published. *)
+(* A graph6 image's instance holds rows and no graph until something
+   asks. Two domains asking at once may both build the graph; neither
+   raises, and both get the one that was published. The same holds the
+   other way round for the rows of a graph-backed instance. *)
 let compiled_instance_two_domains () =
   let g = Random_graphs.connected_gnp (st 41) 600 (6.0 /. 600.0) in
   let csr =
@@ -572,14 +573,19 @@ let compiled_instance_two_domains () =
     | Ok csr -> csr
     | Error e -> Alcotest.fail e
   in
-  for _ = 1 to 3 do
-    let c = Simulator.compile_csr csr in
-    let ask () = Simulator.compiled_instance c in
+  let race ask =
     let d1 = Domain.spawn ask and d2 = Domain.spawn ask in
-    let i1 = Domain.join d1 and i2 = Domain.join d2 in
-    check "equal instances" true (Instance.equal i1 i2);
-    check "the published one, to both" true (i1 == i2 && ask () == i1);
-    check "the decoded graph" true (Graph.equal (Instance.graph i1) g)
+    let x1 = Domain.join d1 and x2 = Domain.join d2 in
+    check "the published one, to both" true (x1 == x2 && ask () == x1);
+    x1
+  in
+  for _ = 1 to 3 do
+    let inst = Simulator.compiled_instance (Simulator.compile_csr csr) in
+    check "the decoded graph" true
+      (Graph.equal (race (fun () -> Instance.graph inst)) g);
+    let inst = Instance.of_graph g in
+    check "the compiled rows" true
+      (Csr.export (race (fun () -> Instance.csr inst)) = Csr.export csr)
   done
 
 let suite =

@@ -171,6 +171,44 @@ let warm_skips_decode () =
       check_int "warm runs all hit" 3 s.Server.cache_hits;
       check_int "warm runs compiled nothing" c1 (compiles ()))
 
+(* A cold Prove serves the provers from the CSR rows: for none of the
+   five bare-graph schemes does the miss build a [Graph.t], which every
+   build counts in [instance.graphs_built]. The control shows the
+   counter counts: asking the image's instance for its graph builds
+   one. *)
+let prove_builds_no_graph () =
+  with_server { Server.default_config with jobs = 1; cache_size = 8 }
+  @@ fun _t port ->
+  with_client port @@ fun c ->
+  let built () =
+    Obs.Metrics.count (Obs.Metrics.snapshot ()) "instance.graphs_built"
+  in
+  let metrics = !Obs.Metrics.enabled in
+  Obs.Metrics.enabled := true;
+  Fun.protect
+    ~finally:(fun () -> Obs.Metrics.enabled := metrics)
+    (fun () ->
+      List.iter
+        (fun (scheme, g) ->
+          let b0 = built () in
+          (match call c (Wire.Prove { scheme; graph6 = Graph6.encode g }) with
+          | Wire.Proved (Some _) -> ()
+          | r -> expect_error Wire.Internal ("prove " ^ scheme) r);
+          check_int (scheme ^ ": no graph built") b0 (built ()))
+        [
+          ("bipartite", Builders.grid 8 8);
+          ("non-bipartite", Random_graphs.connected_gnp (Random.State.make [| 3 |]) 65 0.1);
+          ("odd-n", Random_graphs.connected_gnp (Random.State.make [| 4 |]) 65 0.1);
+          ("even-n", Builders.grid 8 8);
+          ("eulerian", Builders.cycle 64);
+        ];
+      let b0 = built () in
+      (match Graph6.decode_csr (Graph6.encode (Builders.cycle 64)) with
+      | Ok csr ->
+          ignore (Instance.graph (Simulator.compiled_instance (Simulator.compile_csr csr)))
+      | Error e -> Alcotest.fail e);
+      check_int "the control builds one" (b0 + 1) (built ()))
+
 (* ------------------------------------------------------------------ *)
 (* Backpressure and deadlines: production failure modes must surface
    as typed errors, immediately, on a live connection. *)
@@ -1309,6 +1347,7 @@ let suite =
       Alcotest.test_case "scheme registry" `Quick registry_unit;
       Alcotest.test_case "loopback prove/verify + cache" `Quick loopback_cache;
       Alcotest.test_case "warm verify runs no decode" `Quick warm_skips_decode;
+      Alcotest.test_case "cold prove builds no graph" `Quick prove_builds_no_graph;
       Alcotest.test_case "backpressure sheds with typed error" `Quick
         overload_sheds;
       Alcotest.test_case "deadline returns typed error" `Quick deadline_exceeded;

@@ -322,6 +322,57 @@ let graph6_csr_differential_prop =
           | Error e, Ok _ -> QCheck.Test.fail_reportf "decode_csr only: %s" e)
         [ s; mutated ])
 
+(* Provers on rows against provers on a graph: for every bare-graph
+   scheme, an [Instance.of_csr] over the decoded rows, also with the
+   ids spread out as a shard's are ([Csr.of_rows]), proves exactly what
+   [Instance.of_graph] over the same graph proves, or both refuse. The
+   exponential provers, the Θ(n)- and Θ(n²)-bit ones and line-graph's
+   (a search for six-node induced subgraphs, which stalls on dense
+   graphs of 60 nodes) run on graphs of at most 8 nodes only. *)
+let prover_rows_differential_prop =
+  let cheap =
+    [ "eulerian"; "bipartite"; "even-cycle"; "non-eulerian"; "odd-n"; "even-n";
+      "non-bipartite"; "leader-weak"; "acyclic" ]
+  in
+  QCheck.Test.make ~name:"provers on CSR rows = provers on the graph" ~count:150
+    (QCheck.make
+       ~print:(fun (s, m) -> Printf.sprintf "%S / %S" s m)
+       gen_graph6_input)
+    (fun (s, mutated) ->
+      let entries = Lazy.force bare_entries in
+      List.for_all
+        (fun s ->
+          match Graph6.decode_csr s with
+          | Error _ -> true
+          | Ok csr ->
+              let offsets, targets, ids = Csr.export csr in
+              let spread = Array.map (fun v -> (3 * v) + 1) ids in
+              let shard =
+                match Csr.of_rows ~ids:spread ~offsets ~targets with
+                | Ok c -> c
+                | Error e -> QCheck.Test.fail_reportf "spread ids: %s" e
+              in
+              let g = Graph.of_rows ~ids ~offsets ~targets in
+              let pairs =
+                [
+                  (Instance.of_csr csr, Instance.of_graph g);
+                  ( Instance.of_csr shard,
+                    Instance.of_graph (Graph.relabel g (fun v -> (3 * v) + 1)) );
+                ]
+              in
+              List.for_all
+                (fun (e : Registry.entry) ->
+                  (Csr.n csr > 8 && not (List.mem e.name cheap))
+                  || List.for_all
+                       (fun (rows, graph) ->
+                         match (e.scheme.Scheme.prover rows, e.scheme.Scheme.prover graph) with
+                         | None, None -> true
+                         | Some p, Some q -> Proof.equal p q
+                         | _ -> QCheck.Test.fail_reportf "%s: one side refused" e.name)
+                       pairs)
+                entries)
+        [ s; mutated ])
+
 (* ------------------------------------------------------------------ *)
 (* Frame round-trips over random messages. *)
 
@@ -1153,6 +1204,38 @@ let golden_responses =
       "4c4303e000000029800000000000000d000000000000000100000000000000020000000000000003060000000462757379" );
   ]
 
+(* Prove replies as the daemon serves them: graph6 bytes decoded to
+   rows, compiled, and proved on the compiled image's instance. Each
+   hex was recorded from the hashtable-BFS provers these replaced, so
+   a prover reading the rows must keep every byte. *)
+let golden_proved () =
+  let served scheme graph6 =
+    match (Registry.find scheme, Graph6.decode_csr graph6) with
+    | Some e, Ok csr ->
+        Wire.encode_response ~id:1
+          (Wire.Proved
+             (e.Registry.scheme.Scheme.prover
+                (Simulator.compiled_instance (Simulator.compile_csr csr))))
+    | _ -> Alcotest.failf "cannot serve %s on %S" scheme graph6
+  in
+  [
+    ( "proved bipartite, two components",
+      served "bipartite" "J?@?_AGc@O?",
+      "4c430381000000440000000000000001010000000b00000001000000000100000000010000000001000000000100000000018000000001800000000100000000018000000001800000000180" );
+    ( "proved non-bipartite",
+      served "non-bipartite" "KK?KB?UFEEDO",
+      "4c430381000000550000000000000001010000000c0000000ad9c00000000db8b00000000b928000000007ac0000000f92280000000f922400000011ae85800000000db8b00000000bb9000000000bb9000000000baee00000000bb9c0" );
+    ( "proved odd-n",
+      served "odd-n" "HhgLmAb",
+      "4c43038100000043000000000000000101000000090000000ac28000000009ad800000000bba400000000db9d000000009ad800000000db95000000009ad8000000009ad0000000009ad00" );
+    ( "proved even-n",
+      served "even-n" "KK?KB?UFEEDO",
+      "4c430381000000570000000000000001010000000c0000000ac3400000000fb8b60000000d92900000000bacc0000000119229000000001192250000000009ad800000000fb8b40000000db9180000000db9180000000baca00000000db9d0" );
+    ( "proved eulerian",
+      served "eulerian" "HhCGGE@",
+      "4c4303810000000d00000000000000010100000000" );
+  ]
+
 let golden_frames () =
   let pin reencode (name, frame, expected) =
     check_str (name ^ " bytes") expected (hex frame);
@@ -1172,7 +1255,7 @@ let golden_frames () =
     | Error m -> Alcotest.failf "golden response rejected: %s" m
   in
   List.iter (pin reencode_request) golden_requests;
-  List.iter (pin reencode_response) golden_responses
+  List.iter (pin reencode_response) (golden_responses @ golden_proved ())
 
 let suite =
   ( "wire",
@@ -1185,6 +1268,7 @@ let suite =
       Alcotest.test_case "graph6 rejects set padding bits" `Quick graph6_padding;
       QCheck_alcotest.to_alcotest graph6_differential_prop;
       QCheck_alcotest.to_alcotest graph6_csr_differential_prop;
+      QCheck_alcotest.to_alcotest prover_rows_differential_prop;
       QCheck_alcotest.to_alcotest request_roundtrip_prop;
       QCheck_alcotest.to_alcotest response_roundtrip_prop;
       Alcotest.test_case "header rejects malformed" `Quick header_rejects;
