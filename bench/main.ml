@@ -549,7 +549,7 @@ let randomized_bench () =
           let full_s =
             wall (fun () ->
                 ignore
-                  (Simulator.run_verifier ~compiled inst proof
+                  (Simulator.run_compiled compiled proof
                      ~radius:base.Scheme.radius base.Scheme.verifier))
           in
           let speedup = if sampled_s > 0.0 then full_s /. sampled_s else 0.0 in

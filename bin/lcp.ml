@@ -296,9 +296,10 @@ let verify_cmd =
                        else "");
                     2)
             | None -> (
-                let verdicts, _ =
-                  Simulator.run_verifier ~jobs:(Cli.resolve_jobs jobs) inst proof
-                    ~radius:scheme.Scheme.radius scheme.Scheme.verifier
+                let verdicts =
+                  Simulator.run_compiled ~jobs:(Cli.resolve_jobs jobs)
+                    (Simulator.compile inst) proof ~radius:scheme.Scheme.radius
+                    scheme.Scheme.verifier
                 in
                 match Simulator.rejecting verdicts with
                 | [] ->

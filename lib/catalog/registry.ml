@@ -420,12 +420,11 @@ let pass ~jobs ~costed (s : Scheme.t) inst =
   | None, _ -> (No_proof, None)
   | Some proof, prove_ns -> (
       let compiled, compile_ns = timed (fun () -> Simulator.compile inst) in
-      (* run_verifier ignores the arena when jobs > 1 *)
+      (* run_compiled ignores the arena when jobs > 1 *)
       let arena = Simulator.arena () in
       let sweep jobs =
-        fst
-          (Simulator.run_verifier ~jobs ~compiled ~arena inst proof
-             ~radius:s.Scheme.radius s.Scheme.verifier)
+        Simulator.run_compiled ~jobs ~arena compiled proof
+          ~radius:s.Scheme.radius s.Scheme.verifier
       in
       match Simulator.rejecting (sweep jobs) with
       | _ :: _ as vs -> (Rejected vs, None)

@@ -163,18 +163,9 @@ let m_rejects = Obs.Metrics.counter "simulator.verifier_rejects"
 let m_decode_errors = Obs.Metrics.counter "simulator.decode_errors"
 let m_eval_ns = Obs.Metrics.counter "simulator.eval_ns"
 
-(* Two constructors make this one type. [compile] starts from an
-   instance, which is both the label source and the instance a prover
-   reads. [compile_csr] starts from bare rows and holds them as an
-   [Instance.of_csr]: no labels, no globals, and no [Graph.t] unless
-   something asks the instance for one. *)
-type compiled = {
-  inst : Instance.t;  (* what views read labels and globals from *)
-  csr : Csr.t;
-  static_bits : int array;
-      (* per dense index: record_bits minus the proof contribution,
-         i.e. everything that does not change between proofs *)
-}
+(* The image is the instance: its CSR rows are the instance's own
+   once-cell, and views read labels and globals from it. *)
+type compiled = Instance.t
 
 let counted build =
   Obs.Metrics.incr m_compiles;
@@ -183,46 +174,12 @@ let counted build =
 
 let compile inst =
   counted (fun () ->
-      let csr = Instance.csr inst in
-      let static_bits =
-        Array.init (Csr.n csr) (fun i ->
-            let v = Csr.node csr i in
-            let edge = ref 64 in
-            Csr.iter_neighbours csr i (fun j ->
-                edge :=
-                  !edge + Bits.length (Instance.edge_label inst v (Csr.node csr j)) + 64);
-            Bits.length (Instance.node_label inst v)
-            + !edge
-            + (64 * (1 + Csr.degree csr i)))
-      in
-      { inst; csr; static_bits })
+      ignore (Instance.csr inst);
+      inst)
 
-let compiled_of_parts csr static_bits =
-  if Array.length static_bits <> Csr.n csr then
-    invalid_arg "Simulator.compiled_of_parts: static_bits length mismatch";
-  { inst = Instance.of_csr csr; csr; static_bits }
-
-(* [compile]'s table on an unlabelled graph: no node or edge label
-   bits, so each record is its id, its adjacency and one 64-bit slot
-   per incident edge: 128 + 128 * deg. *)
-let compile_csr csr =
-  counted (fun () ->
-      compiled_of_parts csr
-        (Array.init (Csr.n csr) (fun i -> 128 + (128 * Csr.degree csr i))))
-
-let compiled_instance c = c.inst
-let compiled_csr c = c.csr
-let compiled_static_bits c = c.static_bits
-
-(* Per-proof record sizes: static part + proof length at each node. *)
-let record_sizes c proof =
-  Array.init (Csr.n c.csr) (fun i ->
-      c.static_bits.(i) + Bits.length (Proof.get proof (Csr.node c.csr i)))
-
-let record_sizes_into c proof sizes =
-  for i = 0 to Csr.n c.csr - 1 do
-    sizes.(i) <- c.static_bits.(i) + Bits.length (Proof.get proof (Csr.node c.csr i))
-  done
+let compile_csr csr = counted (fun () -> Instance.of_csr csr)
+let compiled_instance c = c
+let compiled_csr = Instance.csr
 
 (* Windows onto [inst]'s labels and [proof] whose ball is the last
    [Csr.ball] run on [scratch] over [csr], all on one decoding plane:
@@ -235,23 +192,10 @@ let windows inst csr scratch proof plane ~radius =
     View.window inst proof ~plane ~centre:(Csr.node csr centre_idx) ~radius
       ~dist ~neighbours
 
-(* Run one bounded BFS and return the ball's size. With [acct = (sizes,
-   payloads)] also store at [payloads.(centre_idx)] the size of the
-   knowledge payload this node would send in the final gather round —
-   the sum of record sizes over its radius-(r-1) ball — which is what
-   reproduces the reference transcript exactly. *)
-let extract c scratch ?acct ~centre_idx ~radius () =
+(* Run one bounded BFS and return the ball's size. *)
+let extract csr scratch ~centre_idx ~radius =
   let t0 = if !Obs.Metrics.enabled then Obs.Clock.now_ns () else 0 in
-  let count = Csr.ball c.csr scratch ~centre:centre_idx ~radius in
-  (match acct with
-  | Some (sizes, payloads) ->
-      let sum = ref 0 in
-      for i = 0 to count - 1 do
-        let idx = Csr.visited scratch i in
-        if Csr.dist scratch idx < radius then sum := !sum + sizes.(idx)
-      done;
-      payloads.(centre_idx) <- !sum
-  | None -> ());
+  let count = Csr.ball csr scratch ~centre:centre_idx ~radius in
   if t0 <> 0 then begin
     Obs.Metrics.incr m_balls;
     Obs.Metrics.observe m_ball_size count;
@@ -264,44 +208,32 @@ let extract c scratch ?acct ~centre_idx ~radius () =
    O(ball) memory rather than an O(n) scratch. *)
 let view_at c proof ~radius v =
   if radius < 0 then invalid_arg "Simulator.view_at: negative radius";
-  let scratch = Csr.scratch c.csr in
-  let count = extract c scratch ~centre_idx:(Csr.index c.csr v) ~radius () in
-  let ball, _ = Csr.extract_subgraph c.csr (Array.init count (Csr.visited scratch)) in
+  let csr = Instance.csr c in
+  let scratch = Csr.scratch csr in
+  let count = extract csr scratch ~centre_idx:(Csr.index csr v) ~radius in
+  let ball, _ = Csr.extract_subgraph csr (Array.init count (Csr.visited scratch)) in
   let s = Csr.scratch ball in
   let centre_idx = Csr.index ball v in
   ignore (Csr.ball ball s ~centre:centre_idx ~radius);
-  windows c.inst ball s proof (View.plane (Csr.index ball)) ~radius centre_idx
+  windows c ball s proof (View.plane (Csr.index ball)) ~radius centre_idx
 
 (* --- arena: per-domain buffers reused across verification runs ------- *)
 
 (* Extends [Csr.scratch]'s lazy-reset idea up through the whole
-   sequential sweep: one arena owns every per-run buffer (BFS scratch,
-   record sizes, verdict and payload arrays), grown monotonically to
-   the largest graph seen. Views read the arena's scratch in place, so
-   a warm [run_verifier ~arena] run allocates only each view's small
-   window record per node. Single-owner, like a scratch: never share
-   one arena between domains. *)
-type arena = {
-  mutable a_scratch : Csr.scratch;
-  mutable a_sizes : int array;
-  mutable a_verdicts : bool array;
-  mutable a_payloads : int array;
-}
+   sequential sweep: one arena owns its BFS scratch and verdict array,
+   grown monotonically to the largest graph seen. Views read the
+   arena's scratch in place, so a warm [run_compiled ~arena] run
+   allocates only each view's small window record per node.
+   Single-owner, like a scratch: never share one arena between
+   domains. *)
+type arena = { mutable a_scratch : Csr.scratch; mutable a_verdicts : bool array }
 
-let arena () =
-  {
-    a_scratch = Csr.scratch_of_capacity 1;
-    a_sizes = [||];
-    a_verdicts = [||];
-    a_payloads = [||];
-  }
+let arena () = { a_scratch = Csr.scratch_of_capacity 1; a_verdicts = [||] }
 
 let arena_fit a n =
   if Csr.scratch_capacity a.a_scratch < n then
     a.a_scratch <- Csr.scratch_of_capacity n;
-  if Array.length a.a_sizes < n then a.a_sizes <- Array.make n 0;
-  if Array.length a.a_verdicts < n then a.a_verdicts <- Array.make n false;
-  if Array.length a.a_payloads < n then a.a_payloads <- Array.make n 0
+  if Array.length a.a_verdicts < n then a.a_verdicts <- Array.make n false
 
 (* --- the sweep: one loop behind every fast-path entry point ---------- *)
 
@@ -310,15 +242,14 @@ let arena_fit a n =
    array's slot j. Everything the entry points share lives here, once:
    the decode-error catch (a malformed proof string rejects at that
    node, as in [Scheme.decide]), the metrics and per-node ball/eval
-   spans, the arena fit, the payload accounting ([transcript] only:
-   the third result is the largest final-round payload) and the split
-   between the sequential loop and [Pool.parallel_for]. With
-   [early_exit] the sweep stops at the first rejection and keeps no
-   verdicts (the first result is empty); the second result says
-   whether any node rejected. *)
-let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
-    ~span c proof ~radius verifier =
-  let n = Csr.n c.csr in
+   spans, the arena fit and the split between the sequential loop and
+   [Pool.parallel_for]. With [early_exit] the sweep stops at the first
+   rejection and keeps no verdicts (the first result is empty); the
+   second result says whether any node rejected. *)
+let sweep ~jobs ?arena ?idxs ?(early_exit = false) ~span c proof ~radius
+    verifier =
+  let csr = Instance.csr c in
+  let n = Csr.n csr in
   let k = match idxs with Some a -> Array.length a | None -> n in
   let idx j = match idxs with Some a -> a.(j) | None -> j in
   (* The arena only serves the sequential sweep: chunked workers each
@@ -332,21 +263,12 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
     | Some a -> a.a_verdicts
     | None -> Array.make k false
   in
-  let acct =
-    if not transcript then None
-    else
-      match arena with
-      | Some a ->
-          record_sizes_into c proof a.a_sizes;
-          Some (a.a_sizes, a.a_payloads)
-      | None -> Some (record_sizes c proof, Array.make n 0)
-  in
   let rejected = Atomic.make false in
   (* one stamp per sweep: every view below shares its decoded
      certificates, keyed by dense index *)
-  let plane = View.plane (Csr.index c.csr) in
+  let plane = View.plane (Csr.index csr) in
   let ball scratch window i =
-    ignore (extract c scratch ?acct ~centre_idx:i ~radius ());
+    ignore (extract csr scratch ~centre_idx:i ~radius);
     window i
   in
   let eval view =
@@ -360,14 +282,14 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
     let tracing = Obs.Trace.on () in
     let view =
       if tracing then
-        Obs.Trace.span_arg "simulator.ball" "node" (Csr.node c.csr i)
+        Obs.Trace.span_arg "simulator.ball" "node" (Csr.node csr i)
           (fun () -> ball scratch window i)
       else ball scratch window i
     in
     let t0 = if !Obs.Metrics.enabled then Obs.Clock.now_ns () else 0 in
     let ok =
       if tracing then
-        Obs.Trace.span_arg "simulator.eval" "node" (Csr.node c.csr i)
+        Obs.Trace.span_arg "simulator.eval" "node" (Csr.node csr i)
           (fun () -> eval view)
       else eval view
     in
@@ -380,7 +302,7 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
     if not early_exit then verdicts.(j) <- ok
   in
   let range scratch lo hi =
-    let window = windows c.inst c.csr scratch proof plane ~radius in
+    let window = windows c csr scratch proof plane ~radius in
     let j = ref lo in
     while !j < hi && not (early_exit && Atomic.get rejected) do
       process scratch window !j;
@@ -392,56 +314,74 @@ let sweep ~jobs ?arena ?idxs ?(early_exit = false) ?(transcript = false)
         match pool with
         | None ->
             let scratch =
-              match arena with Some a -> a.a_scratch | None -> Csr.scratch c.csr
+              match arena with Some a -> a.a_scratch | None -> Csr.scratch csr
             in
             range scratch 0 k
         | Some pool ->
             Pool.parallel_for pool ~chunks:(Pool.size pool) ~n:k (fun _c lo hi ->
-                let scratch = Csr.scratch c.csr in
+                let scratch = Csr.scratch csr in
                 if Obs.Trace.on () then
                   Obs.Trace.span_arg "simulator.chunk" "nodes" (hi - lo)
                     (fun () -> range scratch lo hi)
                 else range scratch lo hi))
   in
   if Obs.Trace.on () then Obs.Trace.span_arg span "nodes" k go else go ();
-  let max_payload =
-    match acct with
-    | Some (_, payloads) when radius > 0 ->
-        let mx = ref 0 in
-        for j = 0 to k - 1 do
-          let i = idx j in
-          if Csr.degree c.csr i > 0 && payloads.(i) > !mx then mx := payloads.(i)
-        done;
-        !mx
-    | _ -> 0
-  in
-  (verdicts, Atomic.get rejected, max_payload)
+  (verdicts, Atomic.get rejected)
 
 let run_compiled ?(jobs = 1) ?arena c proof ~radius verifier =
   if radius < 0 then invalid_arg "Simulator.run_verifier: negative radius";
-  let verdicts, _, max_message_bits =
-    sweep ~jobs ?arena ~transcript:true ~span:"simulator.run_verifier" c proof
-      ~radius verifier
+  let verdicts, _ =
+    sweep ~jobs ?arena ~span:"simulator.run_verifier" c proof ~radius verifier
   in
-  (* Transcript of the synchronous exchange, computed in closed form:
-     every node sends its whole knowledge to every neighbour each
-     round, so messages = radius * Σ deg(v), and the largest message is
-     the final-round payload of the best-informed sender — exactly what
-     [gather] counts, without re-running the exchange. *)
-  ( List.init (Csr.n c.csr) (fun i -> (Csr.node c.csr i, verdicts.(i))),
-    { rounds = radius; messages_sent = radius * 2 * Csr.m c.csr; max_message_bits } )
+  let csr = Instance.csr c in
+  List.init (Csr.n csr) (fun i -> (Csr.node csr i, verdicts.(i)))
+
+(* Transcript of the synchronous exchange, computed in closed form:
+   every node sends its whole knowledge to every neighbour each round,
+   so messages = radius * Σ deg(v), and the largest message is the
+   final-round payload of the best-informed sender, the summed
+   [record_bits] of its radius-(r-1) ball — exactly what [gather]
+   counts, without re-running the exchange. *)
+let transcript c proof ~radius =
+  let csr = Instance.csr c in
+  let n = Csr.n csr in
+  let max_message_bits =
+    if radius = 0 then 0
+    else begin
+      let size =
+        Array.init n (fun i ->
+            let v = Csr.node csr i in
+            let bits = ref (Bits.length (Instance.node_label c v)) in
+            Csr.iter_neighbours csr i (fun j ->
+                bits := !bits + Bits.length (Instance.edge_label c v (Csr.node csr j)));
+            !bits + Bits.length (Proof.get proof v) + 128 + (128 * Csr.degree csr i))
+      in
+      let scratch = Csr.scratch csr and largest = ref 0 in
+      for i = 0 to n - 1 do
+        if Csr.degree csr i > 0 then begin
+          let payload = ref 0 in
+          for k = 0 to Csr.ball csr scratch ~centre:i ~radius:(radius - 1) - 1 do
+            payload := !payload + size.(Csr.visited scratch k)
+          done;
+          largest := max !largest !payload
+        end
+      done;
+      !largest
+    end
+  in
+  { rounds = radius; messages_sent = radius * 2 * Csr.m csr; max_message_bits }
 
 let run_verifier ?jobs ?compiled ?arena inst proof ~radius verifier =
   let c = match compiled with Some c -> c | None -> compile inst in
-  run_compiled ?jobs ?arena c proof ~radius verifier
+  let verdicts = run_compiled ?jobs ?arena c proof ~radius verifier in
+  (verdicts, transcript c proof ~radius)
 
-(* Partition shards verify only their owned nodes. No transcript — a
-   shard's exchange accounting is the whole graph's business, not the
-   slice's. *)
+(* Partition shards verify only their owned nodes. *)
 let run_verifier_on ?(jobs = 1) ?arena c proof ~radius ~nodes verifier =
   if radius < 0 then invalid_arg "Simulator.run_verifier_on: negative radius";
-  let idxs = Array.map (Csr.index c.csr) nodes in
-  let verdicts, _, _ =
+  let csr = Instance.csr c in
+  let idxs = Array.map (Csr.index csr) nodes in
+  let verdicts, _ =
     sweep ~jobs ?arena ~idxs ~span:"simulator.run_verifier_on" c proof ~radius
       verifier
   in
@@ -449,7 +389,7 @@ let run_verifier_on ?(jobs = 1) ?arena c proof ~radius ~nodes verifier =
 
 let all_accept c proof ~radius verifier =
   if radius < 0 then invalid_arg "Simulator.all_accept: negative radius";
-  let _, rejected, _ =
+  let _, rejected =
     sweep ~jobs:1 ~early_exit:true ~span:"simulator.all_accept" c proof ~radius
       verifier
   in

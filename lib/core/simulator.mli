@@ -12,14 +12,14 @@
     Two implementations coexist:
     - {!gather} / {!run_verifier_reference} — the persistent-map
       round-by-round exchange, kept verbatim as the semantic reference;
-    - the compiled fast path — {!run_verifier} ({!run_compiled} on
-      an image alone), {!run_verifier_on} and {!all_accept} — which
-      compiles the graph to a {!Csr.t} once and runs one private
-      sweep: a bounded scratch BFS per node, the
-      verifier on a window over it, and (for {!run_verifier}) the
-      reference transcript in closed form. The three differ only in
+    - the compiled fast path — {!run_compiled}, {!run_verifier_on}
+      and {!all_accept} — which reads the instance's {!Csr.t} rows
+      and runs one private sweep: a bounded scratch BFS per node and
+      the verifier on a window over it. The three differ only in
       which nodes the sweep visits and whether it stops at the first
-      rejection. The sweep is the one place a
+      rejection, and all three return verdicts alone.
+      {!run_verifier} adds the reference transcript, in closed form, in
+      a pass of its own after the sweep. The sweep is the one place a
       [Bits.Reader.Decode_error] raised by a verifier is caught — it
       rejects at that node, as in {!Scheme.decide} — and it owns the
       metrics, the per-node [simulator.ball] / [simulator.eval] spans,
@@ -50,56 +50,42 @@ val run_verifier_reference :
 
 (** {1 Compiled fast path} *)
 
-type compiled
-(** A graph compiled for repeated verification: its CSR image, its
-    instance (which labels every view) and per-node message-size
-    tables. Immutable as far as any caller can tell — safe to share
-    across domains and reuse for any number of proofs.
+type compiled = Instance.t
+(** A graph compiled for repeated verification is the instance itself,
+    with its {!Instance.csr} rows built: the sweep reads the rows, and
+    every view reads labels and globals from the instance. Its graph
+    and rows are {!Instance}'s once-cells, so an image is safe to share
+    across domains and reuse for any number of proofs, and a prover
+    takes it as it is.
 
     {!compile} starts from an instance and {!compile_csr} from a bare
-    graph's CSR image, the daemon's whole miss path, which holds its
-    instance as {!Instance.of_csr}: every label and the globals read
-    empty, and no {!Graph.t} exists unless something asks that
-    instance for one. Neither a verifier sweep nor a bare-graph prover
-    asks. *)
+    graph's CSR image, the daemon's whole miss path, which is an
+    {!Instance.of_csr}: every label and the globals read empty, and no
+    {!Graph.t} exists unless something asks for one. Neither a verifier
+    sweep nor a bare-graph prover asks. *)
 
 val compile : Instance.t -> compiled
-(** O(n + m); build once per instance, reuse across all nodes, proofs
-    and samples. The image is the instance's own {!Instance.csr}. *)
+(** The instance, its {!Instance.csr} forced: O(n + m) on a first
+    call. Build once per instance, reuse across all nodes, proofs and
+    samples. Counted and traced as a compile. *)
 
 val compile_csr : Csr.t -> compiled
-(** The image of the unlabelled graph the CSR describes, in O(n): the
-    same CSR, the same [static_bits] ([128 + 128 * deg] per node), so
-    the same verdicts and transcripts as
-    [compile (Instance.of_graph g)] on that graph. Counted and traced
-    as a compile. *)
+(** {!Instance.of_csr}, in O(1): the same verdicts and transcripts as
+    [compile (Instance.of_graph g)] on the graph the rows describe.
+    Counted and traced as a compile. *)
 
 val compiled_instance : compiled -> Instance.t
-(** The instance a prover reads, in O(1). Its graph and rows are
-    {!Instance}'s once-cells, safe to force from several domains. *)
+(** The identity, kept for perfbench's callers. *)
 
 val compiled_csr : compiled -> Csr.t
-(** The underlying CSR image — what the daemon's disk cache persists.
-    Treat as read-only (a [compiled] is shared across domains). *)
-
-val compiled_static_bits : compiled -> int array
-(** Per-dense-index proof-independent record sizes (same order as the
-    CSR's dense indices). Read-only, like {!compiled_csr}. *)
-
-val compiled_of_parts : Csr.t -> int array -> compiled
-(** Reassemble a bare-graph image, as {!compile_csr} makes, from
-    persisted parts {e without} recomputing the table and without
-    counting a compile. The caller warrants that [static_bits] is
-    [csr]'s table (the disk cache stores it under a checksum); only
-    the array length is checked ([Invalid_argument] on mismatch). *)
+(** {!Instance.csr}, kept for perfbench's callers. *)
 
 (** {1 Arenas}
 
     {!Csr.scratch}'s reuse discipline extended to the whole
-    verification sweep: an arena owns every buffer a sequential
-    {!run_verifier} needs — BFS scratch, record-size, verdict and
-    payload arrays — grown monotonically to the largest graph seen and
-    reused across runs.
+    verification sweep: an arena owns every buffer a sequential sweep
+    needs — its BFS scratch and verdict array — grown monotonically to
+    the largest graph seen and reused across runs.
 
     Lifetime rule: the fast path's views are windows that read the BFS
     scratch in place (see {!View.window}) — the arena's when one is in
@@ -132,12 +118,16 @@ val run_verifier :
   (Graph.node * bool) list * transcript
 (** Gather, then apply the verifier at every node. Equivalent to
     {!run_verifier_reference} — same verdicts, same transcript — but
-    runs on the compiled fast path. [?jobs] (default 1) chunks the
-    per-node loop across that many worker domains; verdicts are
-    independent of [jobs]. Pass [?compiled] to reuse a prior
-    {!compile} of the same instance, and [?arena] (sequential runs
-    only — ignored when [jobs > 1]) to reuse per-run buffers across
-    calls; verdicts are also independent of the arena. *)
+    runs {!run_compiled}'s sweep, then one bounded BFS of radius
+    [radius - 1] per node of positive degree that sums the record
+    sizes read from the image's labels and the proof. [?jobs]
+    (default 1) chunks the sweep across that many worker domains;
+    verdicts are independent of [jobs]. Pass [?compiled] to reuse a
+    prior {!compile} of the same instance (whose labels the transcript
+    then reads), and [?arena] (sequential runs only — ignored when
+    [jobs > 1]) to reuse the sweep's buffers across calls; verdicts
+    are also independent of the arena. A caller that needs only
+    verdicts calls {!run_compiled}. *)
 
 val run_compiled :
   ?jobs:int ->
@@ -146,10 +136,9 @@ val run_compiled :
   Proof.t ->
   radius:int ->
   (View.t -> bool) ->
-  (Graph.node * bool) list * transcript
-(** {!run_verifier} on a compiled image alone: the same sweep, verdicts
-    and transcript, without an instance to name (a {!compile_csr}
-    image's instance is never built for it). *)
+  (Graph.node * bool) list
+(** The verdicts of {!run_verifier}, from the same sweep, without the
+    transcript pass: what the daemon serves. *)
 
 val run_verifier_on :
   ?jobs:int ->
@@ -167,13 +156,12 @@ val run_verifier_on :
     in the order of [nodes]; each equals what {!run_verifier} would
     report for that node on the same compiled instance, decode errors
     included. Raises [Invalid_argument] on identifiers outside the
-    compiled graph. No transcript: message accounting belongs to the
-    whole graph, not a slice. *)
+    compiled graph. *)
 
 val all_accept :
   compiled -> Proof.t -> radius:int -> (View.t -> bool) -> bool
 (** True when the verifier accepts at every node: the same sweep as
-    {!run_verifier}, sequential, stopping at the first rejecting node
+    {!run_compiled}, sequential, stopping at the first rejecting node
     (a decode error rejects there too). Agrees with {!Scheme.accepts}
     — the soundness samplers use it to probe thousands of proofs
     against one compiled instance. *)

@@ -115,7 +115,6 @@ let ball t s ~centre ~radius =
   s.count
 
 let visited s i = s.order.(i)
-let dist s v = s.dist_.(v)
 
 let node_dist t s v =
   let i = find t v in

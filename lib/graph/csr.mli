@@ -68,7 +68,7 @@ val ball : t -> scratch -> centre:int -> radius:int -> int
 (** [ball t s ~centre ~radius] runs a BFS from [centre] truncated at
     [radius] and returns the number of nodes in the ball. Afterwards
     [visited s i] for [i < count] lists the ball in BFS order (centre
-    first) and [dist s v] is the distance of any visited dense index.
+    first) and {!node_dist} gives the distance of any visited node.
     Cost is proportional to the ball, not the graph; the scratch is
     recycled lazily so back-to-back calls stay cheap. *)
 
@@ -76,12 +76,10 @@ val visited : scratch -> int -> int
 (** [visited s i] is the [i]-th dense index reached by the last
     {!ball} call. *)
 
-val dist : scratch -> int -> int
-(** Distance from the last centre; [-1] for unvisited indices. *)
-
 val node_dist : t -> scratch -> Graph.node -> int
-(** {!dist} by identifier; [-1] also for identifiers not in the
-    graph. Allocation-free; the identifier costs what {!index} costs. *)
+(** Distance from the last centre; [-1] for unvisited nodes and for
+    identifiers not in the graph. Allocation-free; the identifier costs
+    what {!index} costs. *)
 
 val ball_neighbours : t -> scratch -> Graph.node -> Graph.node list
 (** Identifiers of a node's neighbours that the last {!ball} visited,

@@ -33,7 +33,7 @@ type outcome = {
    collides with the per-node read streams) over dense CSR indices:
    O(probes log probes), no O(n) allocation on the serving path. *)
 let probe_nodes t compiled ~seed =
-  let csr = Simulator.compiled_csr compiled in
+  let csr = Instance.csr compiled in
   let n = Csr.n csr in
   if n = 0 then [||]
   else if t.probes = 0 || 2 * t.probes >= n then
@@ -99,7 +99,7 @@ let verify ?jobs ?arena t compiled proof ~seed ~queries =
   let probe = run ?jobs ?arena t compiled proof ~seed ~queries in
   if probe.accepted then { probe; final = None }
   else
-    let verdicts, _ =
+    let verdicts =
       Simulator.run_compiled ?jobs ?arena compiled proof
         ~radius:t.base.Scheme.radius t.base.Scheme.verifier
     in

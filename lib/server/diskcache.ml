@@ -1,32 +1,32 @@
 (* Persistent compiled-CSR image cache behind [lcp serve --cache-dir].
 
    One file per LRU key holds everything needed to reassemble a
-   {!Simulator.compiled} without touching graph6: the raw CSR arrays,
-   the static record-size table, and the original scheme/graph6 bytes
-   for identity checking. A restarted daemon mmaps the file, verifies
-   the checksum and the identity fields, checks the CSR rows
-   ({!Csr.of_rows}: O(n + m), no graph6 decode, no
-   [Simulator.compile], no {!Graph.t}) and serves warm.
+   {!Simulator.compiled} without touching graph6: the raw CSR arrays
+   and the original scheme/graph6 bytes for identity checking. A
+   restarted daemon mmaps the file, verifies the checksum and the
+   identity fields, checks the CSR rows ({!Csr.of_rows}: O(n + m), no
+   graph6 decode, no [Simulator.compile], no {!Graph.t}), holds them
+   as the image's {!Instance.of_csr} and serves warm.
 
    Layout (all integers big-endian u64 unless noted):
 
      0    "LCPC"            magic, 4 bytes
-     4    u8 version        format version, currently 1
+     4    u8 version        format version, currently 2
      5    u32 scheme_len    then scheme bytes
      .    u32 graph6_len    then graph6 bytes
      .    u64 n, u64 m
      .    offsets  (n+1) x u64
      .    targets  2m x u64
      .    ids      n x u64
-     .    static_bits n x u64
      end-8  u64 checksum    FNV-1a (62-bit) over every preceding byte
 
    Loads are total: any IO error, bad magic, short file, checksum or
    identity mismatch, or structural violation caught by {!Csr.of_rows}
    (asymmetric, unsorted or self-looped rows included) yields [None]
-   and the caller falls back to compiling. Stores are best-effort
-   (write to a temp file, then rename into place, so a concurrent
-   loader never sees a half-written image) and never raise. *)
+   and the caller falls back to compiling; so does an image of another
+   format version. Stores are best-effort (write to a temp file, then
+   rename into place, so a concurrent loader never sees a half-written
+   image) and never raise. *)
 
 let m_stores = Obs.Metrics.counter "diskcache.stores"
 let m_loads = Obs.Metrics.counter "diskcache.loads"
@@ -51,7 +51,7 @@ let counts () =
   }
 
 let magic = "LCPC"
-let format_version = 1
+let format_version = 2
 
 (* 62-bit FNV-1a: the two top bits are masked off so the value is
    identical on every 63-bit-int platform and safe to carry as u64. *)
@@ -88,8 +88,7 @@ let w_u32 b v =
   done
 
 let encode ~scheme ~graph6 compiled =
-  let csr = Simulator.compiled_csr compiled in
-  let static_bits = Simulator.compiled_static_bits compiled in
+  let csr = Instance.csr compiled in
   let offsets, targets, ids = Csr.export csr in
   let b = Buffer.create 4096 in
   Buffer.add_string b magic;
@@ -103,7 +102,6 @@ let encode ~scheme ~graph6 compiled =
   Array.iter (w_u64 b) offsets;
   Array.iter (w_u64 b) targets;
   Array.iter (w_u64 b) ids;
-  Array.iter (w_u64 b) static_bits;
   let body = Buffer.contents b in
   let h = ref fnv_offset in
   String.iter (fun ch -> h := fnv_update !h (Char.code ch)) body;
@@ -208,11 +206,10 @@ let decode mp ~scheme ~graph6 =
   let offsets = r_u64_array mp (n + 1) in
   let targets = r_u64_array mp (2 * m) in
   let ids = r_u64_array mp n in
-  let static_bits = r_u64_array mp n in
   if mp.pos <> dim - 8 then raise (Bad "trailing bytes before checksum");
   match Csr.of_rows ~ids ~offsets ~targets with
   | Error e -> raise (Bad e)
-  | Ok csr -> Simulator.compiled_of_parts csr static_bits
+  | Ok csr -> Instance.of_csr csr
 
 let load ~dir ~key ~scheme ~graph6 =
   let file = path ~dir key in

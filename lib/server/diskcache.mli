@@ -4,10 +4,11 @@
     Each {!Lru} key gets one [<key>.lcpc] file holding the compiled
     image's raw arrays plus the scheme name and graph6 bytes it was
     built from. {!load} memory-maps the file, validates a whole-file
-    checksum and the identity fields, and reassembles the
-    {!Simulator.compiled} from the persisted arrays — no graph6
-    decode, no {!Simulator.compile} — so a restarted daemon answers
-    its first request for a known graph warm.
+    checksum and the identity fields, and checks the persisted rows,
+    which are the {!Simulator.compiled} image — no graph6 decode, no
+    {!Simulator.compile} — so a restarted daemon answers its first
+    request for a known graph warm. A file in an older format version
+    is refused like a corrupt one.
 
     Both operations are total: {!store} is best-effort (temp file +
     atomic rename; failures are swallowed — a read-only cache dir

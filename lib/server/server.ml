@@ -16,19 +16,20 @@
    silently late answer or a hung connection.
 
    The compiled-verifier cache maps (scheme name, MD5 of the graph6
-   payload) to the {!Simulator.compiled} CSR image. The decoder
-   accepts exactly one graph6 string per labelled graph (set padding
-   bits are rejected), so the digest is a canonical hash of exactly
-   what verification consumes; a hit skips both the O(bytes/8 + n + m)
-   graph6 decode and the compile. A miss goes from the bytes to sorted
-   rows to the image ({!Graph6.decode_csr}, {!Simulator.compile_csr})
-   and builds no {!Graph.t}: verify, sampled, shard and disk-tier
-   paths read only the CSR, and so does a prove under the bare-graph
-   schemes, whose provers run an array BFS over the image's
-   {!Instance.of_csr} rows ({!Simulator.compiled_instance}). Two workers
-   missing on the same key may compile twice — harmless, the second
-   insert wins — and the cache is serialised by one mutex held only
-   around table operations, never around a compile.
+   payload) to the {!Simulator.compiled} image, an instance with its
+   CSR rows. The decoder accepts exactly one graph6 string per
+   labelled graph (set padding bits are rejected), so the digest is a
+   canonical hash of exactly what verification consumes; a hit skips
+   both the O(bytes/8 + n + m) graph6 decode and the compile. A miss
+   goes from the bytes to sorted rows to the image
+   ({!Graph6.decode_csr}, {!Simulator.compile_csr}) and builds no
+   {!Graph.t}: verify, sampled, shard and disk-tier paths read only
+   the CSR and compute verdicts alone, no transcript. A prove hands
+   the image to the prover as it is; the bare-graph provers run an
+   array BFS over its {!Instance.of_csr} rows. Two workers missing on
+   the same key may compile twice — harmless, the second insert wins —
+   and the cache is serialised by one mutex held only around table
+   operations, never around a compile.
 
    Telemetry: every request carries a correlation id — the client's
    own or one the server allocates — stamped on the
@@ -312,7 +313,7 @@ let with_compiled t (ctx : ctx) (id : Wire.identity) ~decode f =
          the memory tier *)
       let serve tier compiled =
         ctx.local.cache <- tier;
-        ctx.local.n_nodes <- Csr.n (Simulator.compiled_csr compiled);
+        ctx.local.n_nodes <- Instance.n compiled;
         if tier <> "hit" then begin
           Mutex.lock t.cache_lock;
           Lru.put t.cache key compiled;
@@ -386,14 +387,12 @@ let compute_one t ctx id req =
   | Wire.Prove { graph6; _ }, Some id ->
       with_compiled t ctx id ~decode:(graph_csr graph6)
         (fun entry compiled ->
-          Wire.Proved
-            (entry.Registry.scheme.Scheme.prover
-               (Simulator.compiled_instance compiled)))
+          Wire.Proved (entry.Registry.scheme.Scheme.prover compiled))
   | Wire.Verify { graph6; proof; _ }, Some id ->
       with_compiled t ctx id ~decode:(graph_csr graph6)
         (fun entry compiled ->
           let sch = entry.Registry.scheme in
-          let verdicts, _ =
+          let verdicts =
             Simulator.run_compiled ~arena:(Domain.DLS.get arena_key) compiled
               proof ~radius:sch.Scheme.radius sch.Scheme.verifier
           in
@@ -410,7 +409,7 @@ let compute_one t ctx id req =
             err Wire.Bad_request
               "shard cut for radius %d, but scheme %S verifies at radius %d"
               radius scheme scheme_v.Scheme.radius
-          else if Csr.n (Simulator.compiled_csr compiled) <> ns then
+          else if Instance.n compiled <> ns then
             (* a cache hit under the composite identity guarantees the
                image matches graph6 AND ids; sizes can only disagree if
                the identity string was forged — reject, don't crash *)

@@ -217,8 +217,7 @@ let window_allocation_budget () =
   let compiled = Simulator.compile inst in
   let arena = Simulator.arena () in
   let run () =
-    ignore
-      (Simulator.run_verifier ~compiled ~arena inst proof ~radius:1 (fun _ -> true))
+    ignore (Simulator.run_compiled ~arena compiled proof ~radius:1 (fun _ -> true))
   in
   let metrics = !Obs.Metrics.enabled and trace = !Obs.Trace.enabled in
   Obs.disable ();
@@ -235,7 +234,7 @@ let window_allocation_budget () =
   in
   let per_node = words /. 1024.0 in
   if per_node > 100.0 then
-    Alcotest.failf "warm run_verifier allocates %.1f minor words per node (> 100)"
+    Alcotest.failf "warm sweep allocates %.1f minor words per node (> 100)"
       per_node
 
 (* A warm sweep decodes each proof string once: every view of the sweep
@@ -292,7 +291,7 @@ let odd_n_allocation_budget () =
   let compiled = Simulator.compile inst in
   let arena = Simulator.arena () in
   let run () =
-    Simulator.run_verifier ~compiled ~arena inst proof ~radius:1
+    Simulator.run_compiled ~arena compiled proof ~radius:1
       Counting.odd_n.Scheme.verifier
   in
   let metrics = !Obs.Metrics.enabled and trace = !Obs.Trace.enabled in
@@ -305,7 +304,7 @@ let odd_n_allocation_budget () =
       (fun () ->
         ignore (run ());
         let w0 = Gc.minor_words () in
-        let verdicts, _ = run () in
+        let verdicts = run () in
         let words = Gc.minor_words () -. w0 in
         check_int "only the root rejects" 1
           (List.length (Simulator.rejecting verdicts));
@@ -330,31 +329,32 @@ let run_verifier_matches_reference () =
     in
     h mod 3 <> 0
   in
+  (* every call reads record sizes from the instance it is given, arc
+     labels included *)
+  let check_run label inst proof ~radius =
+    let ref_verdicts, ref_tr =
+      Simulator.run_verifier_reference inst proof ~radius verifier
+    in
+    List.iter
+      (fun jobs ->
+        let verdicts, tr = Simulator.run_verifier ~jobs inst proof ~radius verifier in
+        let label what = Printf.sprintf "%s %s r=%d jobs=%d" label what radius jobs in
+        check (label "verdicts") true (verdicts = ref_verdicts);
+        check_int (label "rounds") ref_tr.Simulator.rounds tr.Simulator.rounds;
+        check_int (label "messages") ref_tr.Simulator.messages_sent
+          tr.Simulator.messages_sent;
+        check_int (label "max bits") ref_tr.Simulator.max_message_bits
+          tr.Simulator.max_message_bits)
+      [ 1; 4 ]
+  in
   List.iter
     (fun (name, g) ->
-      let inst, proof = decorated g in
       List.iter
-        (fun radius ->
-          let ref_verdicts, ref_tr =
-            Simulator.run_verifier_reference inst proof ~radius verifier
-          in
+        (fun (kind, (inst, proof)) ->
           List.iter
-            (fun jobs ->
-              let verdicts, tr =
-                Simulator.run_verifier ~jobs inst proof ~radius verifier
-              in
-              let label what =
-                Printf.sprintf "%s %s r=%d jobs=%d" name what radius jobs
-              in
-              check (label "verdicts") true (verdicts = ref_verdicts);
-              check_int (label "rounds") ref_tr.Simulator.rounds
-                tr.Simulator.rounds;
-              check_int (label "messages") ref_tr.Simulator.messages_sent
-                tr.Simulator.messages_sent;
-              check_int (label "max bits") ref_tr.Simulator.max_message_bits
-                tr.Simulator.max_message_bits)
-            [ 1; 4 ])
-        [ 0; 1; 2 ])
+            (fun radius -> check_run (name ^ " " ^ kind) inst proof ~radius)
+            [ 0; 1; 2 ])
+        [ ("labels", decorated g); ("arcs", decorated_arcs g) ])
     (List.filter (fun (_, g) -> Graph.n g <= 60) family)
 
 let scheme_verdicts_identical () =
@@ -580,7 +580,7 @@ let compiled_instance_two_domains () =
     x1
   in
   for _ = 1 to 3 do
-    let inst = Simulator.compiled_instance (Simulator.compile_csr csr) in
+    let inst = Simulator.compile_csr csr in
     check "the decoded graph" true
       (Graph.equal (race (fun () -> Instance.graph inst)) g);
     let inst = Instance.of_graph g in

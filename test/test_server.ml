@@ -205,7 +205,7 @@ let prove_builds_no_graph () =
       let b0 = built () in
       (match Graph6.decode_csr (Graph6.encode (Builders.cycle 64)) with
       | Ok csr ->
-          ignore (Instance.graph (Simulator.compiled_instance (Simulator.compile_csr csr)))
+          ignore (Instance.graph (Simulator.compile_csr csr))
       | Error e -> Alcotest.fail e);
       check_int "the control builds one" (b0 + 1) (built ()))
 
@@ -1030,14 +1030,13 @@ let diskcache_unit () =
         | Some e -> e.Registry.scheme
         | None -> Alcotest.fail "bipartite unregistered"
       in
-      let inst = Simulator.compiled_instance c in
       let proof =
-        match scheme.Scheme.prover inst with
+        match scheme.Scheme.prover c with
         | Some p -> p
         | None -> Alcotest.fail "bipartite rejected C48"
       in
       let run cc =
-        Simulator.run_verifier ~compiled:cc inst proof
+        Simulator.run_verifier ~compiled:cc c proof
           ~radius:scheme.Scheme.radius scheme.Scheme.verifier
       in
       check "reloaded image verifies like the original" true
@@ -1065,8 +1064,9 @@ let diskcache_unit () =
     (Diskcache.load ~dir ~key ~scheme:"bipartite" ~graph6:g6 = None)
 
 (* An image in the on-disk layout with a valid checksum but the given
-   rows: only the structural check can refuse it. *)
-let handmade_image ~scheme ~graph6 ~offsets ~targets ~ids =
+   rows: only the structural check can refuse it. [~version:1] writes
+   the retired layout, which ends in a per-node record-size table. *)
+let handmade_image ?(version = 2) ~scheme ~graph6 ~offsets ~targets ~ids () =
   let b = Buffer.create 256 in
   let u n v =
     for byte = n - 1 downto 0 do
@@ -1074,14 +1074,15 @@ let handmade_image ~scheme ~graph6 ~offsets ~targets ~ids =
     done
   in
   Buffer.add_string b "LCPC";
-  Buffer.add_char b '\001';
+  Buffer.add_char b (Char.chr version);
   u 4 (String.length scheme);
   Buffer.add_string b scheme;
   u 4 (String.length graph6);
   Buffer.add_string b graph6;
   u 8 (Array.length ids);
   u 8 (Array.length targets / 2);
-  List.iter (Array.iter (u 8)) [ offsets; targets; ids; Array.map (fun _ -> 256) ids ];
+  List.iter (Array.iter (u 8)) [ offsets; targets; ids ];
+  if version = 1 then Array.iter (fun _ -> u 8 256) ids;
   (* 62-bit FNV-1a over every preceding byte *)
   let mask = 0x3FFF_FFFF_FFFF_FFFF in
   let h = ref 0x3BF29CE484222325 in
@@ -1102,7 +1103,7 @@ let diskcache_rejects_bad_rows () =
     let oc = open_out_bin (Filename.concat dir "bipartite_rows.lcpc") in
     output_string oc
       (handmade_image ~scheme ~graph6 ~offsets:[| 0; 1; 3; 4 |] ~targets
-         ~ids:[| 0; 1; 2 |]);
+         ~ids:[| 0; 1; 2 |] ());
     close_out oc;
     Diskcache.load ~dir ~key ~scheme ~graph6
   in
@@ -1117,6 +1118,59 @@ let diskcache_rejects_bad_rows () =
     ];
   check_int "each counted invalid" (invalid0 + 3)
     (Diskcache.counts ()).Diskcache.invalid
+
+(* A version 1 image (rows plus a record-size table) is refused and
+   counted invalid even under a valid checksum; the request compiles
+   and overwrites it with a version 2 image, which the next daemon
+   loads. *)
+let diskcache_refuses_v1 () =
+  with_tmp_dir "lcp_cache" @@ fun dir ->
+  let graph = Builders.cycle 12 in
+  let g6 = Graph6.encode graph in
+  let config =
+    { Server.default_config with jobs = 1; cache_size = 8; cache_dir = dir }
+  in
+  let verify what =
+    with_server config @@ fun t port ->
+    with_client port @@ fun c ->
+    (match
+       call c (Wire.Verify { scheme = "bipartite"; graph6 = g6; proof = Proof.empty })
+     with
+    | Wire.Verified _ -> ()
+    | _ -> Alcotest.failf "%s: not a Verified reply" what);
+    Server.stats t
+  in
+  ignore (verify "cold verify");
+  let file =
+    match cache_files dir with
+    | [ f ] -> Filename.concat dir f
+    | fs -> Alcotest.failf "expected one image, found %d" (List.length fs)
+  in
+  let version () =
+    let ic = open_in_bin file in
+    Fun.protect
+      ~finally:(fun () -> close_in ic)
+      (fun () ->
+        seek_in ic 4;
+        input_byte ic)
+  in
+  check_int "images are written as version 2" 2 (version ());
+  let offsets, targets, ids = Csr.export (Csr.of_graph graph) in
+  let oc = open_out_bin file in
+  output_string oc
+    (handmade_image ~version:1 ~scheme:"bipartite" ~graph6:g6 ~offsets ~targets
+       ~ids ());
+  close_out oc;
+  let invalid0 = (Diskcache.counts ()).Diskcache.invalid in
+  let s = verify "verify over a version 1 image" in
+  check_int "the version 1 image counted invalid" (invalid0 + 1)
+    (Diskcache.counts ()).Diskcache.invalid;
+  check_int "no disk hit on it" 0 s.Server.disk_hits;
+  check_int "the request recompiled" 1 s.Server.cache_misses;
+  check_int "and overwrote it with version 2" 2 (version ());
+  let s = verify "verify over the rewritten image" in
+  check_int "the next load hits" 1 s.Server.disk_hits;
+  check_int "without a compile" 0 s.Server.cache_misses
 
 let cache_dir_warm_restart () =
   with_tmp_dir "lcp_cache" @@ fun dir ->
@@ -1376,6 +1430,8 @@ let suite =
       Alcotest.test_case "disk cache store/load/corrupt" `Quick diskcache_unit;
       Alcotest.test_case "disk cache refuses bad rows" `Quick
         diskcache_rejects_bad_rows;
+      Alcotest.test_case "disk cache refuses a version 1 image" `Quick
+        diskcache_refuses_v1;
       Alcotest.test_case "cache-dir restart serves warm" `Quick
         cache_dir_warm_restart;
       Alcotest.test_case "loadgen batched mode" `Quick loadgen_batched;

@@ -266,11 +266,12 @@ let bare_entries =
 
 (* The daemon's miss path against the instance path, on the same
    bytes: [decode_csr] + [compile_csr] must give what [decode_res] +
-   [Instance.of_graph] + [compile] gives — the same CSR arrays and
-   record-size table, and (up to 128 edges) the same radius-2 views,
-   sub-instances included, and under every bare-graph scheme the same
-   verdicts and transcript on a seeded random proof — or both decoders
-   must fail with the same error. *)
+   [Instance.of_graph] + [compile] gives — the same CSR arrays, the
+   same radius-2 transcript (which sums every node's record size), and
+   (up to 128 edges) the same radius-2 views, sub-instances included,
+   and under every bare-graph scheme the same verdicts and transcript
+   on a seeded random proof — or both decoders must fail with the same
+   error. *)
 let graph6_csr_differential_prop =
   QCheck.Test.make ~name:"graph6 CSR miss path = instance path" ~count:150
     (QCheck.make
@@ -298,11 +299,14 @@ let graph6_csr_differential_prop =
                                 Random.State.bool st)) ))
                      (Graph.nodes g))
               in
-              Csr.export csr = Csr.export (Simulator.compiled_csr full)
-              && Simulator.compiled_static_bits bare
-                 = Simulator.compiled_static_bits full
+              let run compiled ~radius verifier =
+                Simulator.run_verifier ~compiled inst proof ~radius verifier
+              in
+              Csr.export csr = Csr.export (Instance.csr full)
+              && run bare ~radius:2 (fun _ -> true)
+                 = run full ~radius:2 (fun _ -> true)
               (* verdicts only where the radius-5 line-graph sweep stays
-                 cheap; the arrays and tables on every input *)
+                 cheap; the arrays and transcripts on every input *)
               && (Csr.m csr > 128
                  || List.for_all
                       (fun v ->
@@ -314,9 +318,7 @@ let graph6_csr_differential_prop =
                    (fun (e : Registry.entry) ->
                      let radius = e.scheme.Scheme.radius
                      and verifier = e.scheme.Scheme.verifier in
-                     Simulator.run_compiled bare proof ~radius verifier
-                     = Simulator.run_verifier ~compiled:full inst proof ~radius
-                         verifier)
+                     run bare ~radius verifier = run full ~radius verifier)
                    entries)
           | Ok _, Error e -> QCheck.Test.fail_reportf "decode_res only: %s" e
           | Error e, Ok _ -> QCheck.Test.fail_reportf "decode_csr only: %s" e)
@@ -1214,8 +1216,7 @@ let golden_proved () =
     | Some e, Ok csr ->
         Wire.encode_response ~id:1
           (Wire.Proved
-             (e.Registry.scheme.Scheme.prover
-                (Simulator.compiled_instance (Simulator.compile_csr csr))))
+             (e.Registry.scheme.Scheme.prover (Simulator.compile_csr csr)))
     | _ -> Alcotest.failf "cannot serve %s on %S" scheme graph6
   in
   [
